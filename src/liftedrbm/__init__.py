@@ -1,81 +1,18 @@
 """Learning of lifted RBMs by gradient boosting of relational regression trees."""
 
-from .logic import (
-    Atom,
-    Clause,
-    KnowledgeBase,
-    Literal,
-    Predicate,
-    SatisfyResult,
-    SearchStats,
-    Substitution,
-    Term,
-    UnknownConstantError,
-    route_decision,
-    satisfy,
-    satisfy_route,
-    unify,
-)
 from .data import (
     ExampleSet,
-    FoldSpec,
-    ModeDeclaration,
     ParseError,
     generate_negatives,
     parse_atom_text,
     parse_examples,
     parse_facts,
     parse_modes,
-    restrict_facts,
-    serialize_facts,
     split_folds,
 )
-from .tree import (
-    InternalNode,
-    LeafNode,
-    LeafParams,
-    RegressionExample,
-    RelationalRegressionTree,
-    coordinate_descent,
-    evaluate_tree,
-    fit_regression_tree,
-    generate_candidates,
-    make_head,
-    partition,
-    score_split,
-)
-from .model import (
-    BoostedModel,
-    Prediction,
-    TrainConfig,
-    compute_gradients,
-    dumps_model,
-    leaf_potential,
-    load_model,
-    loads_model,
-    predict,
-    probability,
-    save_model,
-    train,
-)
-from .network import (
-    DistilledTree,
-    HiddenNode,
-    InferenceResult,
-    LiftedRBMNetwork,
-    distill_single_tree,
-    dumps_network,
-    export,
-    lrbm_inference,
-    paths_to_lrbm,
-)
-from .metrics import (
-    FoldMetrics,
-    MetricsReport,
-    ScoredExample,
-    auc_pr,
-    auc_roc,
-    cross_validate,
-)
+from .logic import UnknownConstantError
+from .metrics import cross_validate
+from .model import BoostedModel, TrainConfig, load_model, save_model, train
+from .network import distill_single_tree, dumps_network, export, lrbm_inference, paths_to_lrbm
 
 __version__ = "0.1.0"

@@ -221,9 +221,8 @@ def cmd_explain(args) -> int:
             neg = generate_negatives(kb, model.target, pos, ratio=args.neg_ratio, seed=args.seed)
         examples = ExampleSet(model.target, pos, neg)
         distilled = distill_single_tree(model, examples, kb, max_depth=args.depth)
-        tree_model = distilled.as_model(model.config, model.modes)
-        out.with_suffix(".tree.txt").write_text(distilled.tree.to_text(), encoding="utf-8")
-        net = paths_to_lrbm(tree_model)
+        out.with_suffix(".tree.txt").write_text(distilled.trees[0].to_text(), encoding="utf-8")
+        net = paths_to_lrbm(distilled)
     out.with_suffix(".json").write_text(dumps_network(net), encoding="utf-8")
     out.with_suffix(".dot").write_text(export(net, "dot"), encoding="utf-8")
     print(f"{len(net.hidden)} hidden nodes -> {out.with_suffix('.json')}, {out.with_suffix('.dot')}")

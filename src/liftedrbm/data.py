@@ -327,30 +327,3 @@ def split_folds(examples: ExampleSet, k: int, seed: int = 0) -> FoldSpec:
             assignments[atom] = i % k
     return FoldSpec(k, assignments, seed)
 
-
-def restrict_facts(
-    kb: KnowledgeBase, predicate: str, position: int, cutoff: int
-) -> KnowledgeBase:
-    """Copy of ``kb`` without facts of ``predicate`` whose ``position``-th
-    argument, read as an integer timestamp, exceeds ``cutoff``.
-
-    Supports temporal domains where predicting at time t must not see later
-    facts; call once per evaluation cutoff.  Facts of other predicates pass
-    through unchanged.
-    """
-    filtered = KnowledgeBase(kb.modes)
-    for pred in kb.predicates.values():
-        filtered.register_predicate(pred)
-    for fact in kb.facts:
-        if fact.predicate.name == predicate:
-            stamp = fact.args[position].name
-            try:
-                value = int(stamp)
-            except ValueError as exc:
-                raise ValueError(
-                    f"argument {stamp} of {fact} is not an integer timestamp"
-                ) from exc
-            if value > cutoff:
-                continue
-        filtered.add(fact)
-    return filtered

@@ -291,17 +291,10 @@ class KnowledgeBase:
 
 @dataclass
 class SearchStats:
-    """Instrumentation for satisfaction searches.
-
-    ``groundings_visited`` counts candidate facts examined while extending
-    positive literals; ``visited_after_witness`` counts any visit that happens
-    after the first full witness was found (always zero: the search returns
-    immediately).
-    """
+    """Instrumentation for satisfaction searches: ``groundings_visited`` counts
+    candidate facts examined while extending positive literals."""
 
     groundings_visited: int = 0
-    visited_after_witness: int = 0
-    witness_found: bool = False
 
 
 class SatisfyResult(NamedTuple):
@@ -336,8 +329,6 @@ def iter_matches(
     for fact_args in kb.candidates(atom.predicate.name, bound):
         if stats is not None:
             stats.groundings_visited += 1
-            if stats.witness_found:
-                stats.visited_after_witness += 1
         ok = True
         for pos, name in bound:
             if fact_args[pos] != name:
@@ -387,7 +378,6 @@ def satisfy(
     otherwise.  The search stops at the first solution; an empty body is
     trivially satisfied.
     """
-    st = stats if stats is not None else SearchStats()
     subst = partial if partial is not None else EMPTY_SUBSTITUTION
     n = len(body)
 
@@ -404,17 +394,14 @@ def satisfy(
             if has_match(lit.atom, current, kb):
                 return None
             return solve(i + 1, current, deferred)
-        for extended in iter_matches(lit.atom, current, kb, st):
+        for extended in iter_matches(lit.atom, current, kb, stats):
             result = solve(i + 1, extended, deferred)
             if result is not None:
                 return result
         return None
 
     witness = solve(0, subst, ())
-    if witness is not None:
-        st.witness_found = True
-        return SatisfyResult(True, witness)
-    return SatisfyResult(False, None)
+    return SatisfyResult(witness is not None, witness)
 
 
 def route_decision(
@@ -432,16 +419,15 @@ def route_decision(
     the whole conjunction is re-satisfied from scratch so the decision never
     depends on which witness happened to be cached.  Returns a witness of the
     extended conjunction to cache for the next decision.
+
+    ``context`` holds only the positive literals of a path.  A false branch
+    is taken only once ``context AND test`` is proven unsatisfiable, so every
+    extension of that context already satisfies ``NOT test``: conjoining the
+    negation would never prune the search and would only be re-proved.
     """
     for extended in iter_matches(test, cached, kb, stats):
         return extended
-    sub_stats = SearchStats()
-    result = satisfy(tuple(context) + (Literal(test),), base, kb, sub_stats)
-    if stats is not None:
-        stats.groundings_visited += sub_stats.groundings_visited
-        if stats.witness_found:
-            stats.visited_after_witness += sub_stats.groundings_visited
-    return result.witness if result.satisfied else None
+    return satisfy(tuple(context) + (Literal(test),), base, kb, stats).witness
 
 
 def satisfy_route(
@@ -458,15 +444,16 @@ def satisfy_route(
     prefix conjoined with its atom has no solution.  A clause produced from a
     root-to-leaf tree path evaluates exactly as the tree routes, which makes
     path-mapped networks agree with their source ensemble; on bodies without
-    negation the outcome coincides with :func:`satisfy`.  Later literals must
-    not reuse variable names that occur only under an earlier negation.
+    negation the outcome coincides with :func:`satisfy`.  The prefix keeps
+    only the positive literals, as a tree node's context does (see
+    :func:`route_decision`), so later literals see variables that occur only
+    under an earlier negation as fresh.
     """
-    st = stats if stats is not None else SearchStats()
     base = partial if partial is not None else EMPTY_SUBSTITUTION
     prefix: list[Literal] = []
     cached = base
     for lit in body:
-        extended = route_decision(prefix, lit.atom, base, cached, kb, st)
+        extended = route_decision(prefix, lit.atom, base, cached, kb, stats)
         if lit.negated:
             if extended is not None:
                 return SatisfyResult(False, None)
@@ -474,6 +461,5 @@ def satisfy_route(
             if extended is None:
                 return SatisfyResult(False, None)
             cached = extended
-        prefix.append(lit)
-    st.witness_found = True
+            prefix.append(lit)
     return SatisfyResult(True, cached)

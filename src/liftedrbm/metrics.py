@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -123,7 +124,14 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 
 
 def _run_fold(payload) -> FoldMetrics:
-    kb, examples, folds, config, fold = payload
+    """One fold's metrics; any failure is re-raised naming the fold."""
+    try:
+        return _fold_metrics(*payload)
+    except Exception as exc:
+        raise RuntimeError(f"fold {payload[-1]} failed: {exc}") from exc
+
+
+def _fold_metrics(kb, examples, folds, config, fold) -> FoldMetrics:
     start = time.perf_counter()
     train_set, test_set = folds.split(examples, fold)
     model = train(kb, train_set, config)
@@ -154,18 +162,11 @@ def cross_validate(
     start = time.perf_counter()
     payloads = [(kb, examples, folds, config, fold) for fold in range(folds.k)]
     results: list[FoldMetrics] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for metrics in pool.map(_run_fold, payloads):
-                results.append(metrics)
-                if progress is not None:
-                    progress(metrics)
-    else:
-        for payload in payloads:
-            try:
-                metrics = _run_fold(payload)
-            except Exception as exc:
-                raise RuntimeError(f"fold {payload[-1]} failed: {exc}") from exc
+    with ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for metrics in mapper(_run_fold, payloads):
             results.append(metrics)
             if progress is not None:
                 progress(metrics)

@@ -22,28 +22,11 @@ from .tree import (
     RegressionExample,
     RelationalRegressionTree,
     TreeNode,
-    coordinate_descent,
     evaluate_tree,
     fit_regression_tree,
     make_head,
     sigmoid,
 )
-
-__all__ = [
-    "TrainConfig",
-    "BoostedModel",
-    "Prediction",
-    "probability",
-    "leaf_potential",
-    "coordinate_descent",
-    "compute_gradients",
-    "train",
-    "predict",
-    "dumps_model",
-    "loads_model",
-    "save_model",
-    "load_model",
-]
 
 FORMAT_VERSION = 1
 
@@ -76,11 +59,6 @@ class TrainConfig:
 def probability(psi: float, clamp: float = 20.0) -> float:
     """Sigmoid of the potential, clamped to ``[-clamp, clamp]`` first."""
     return sigmoid(max(-clamp, min(clamp, psi)))
-
-
-def leaf_potential(params: LeafParams) -> float:
-    """Potential contribution of an active leaf/hidden feature."""
-    return params.value()
 
 
 class Prediction(NamedTuple):
@@ -208,10 +186,6 @@ def train(
     return model
 
 
-def predict(model: BoostedModel, query: Atom, kb: KnowledgeBase) -> Prediction:
-    return model.predict(query, kb)
-
-
 def _node_to_dict(node: TreeNode) -> dict:
     if isinstance(node, LeafNode):
         return {"leaf": list(node.params.as_tuple())}
@@ -257,10 +231,25 @@ def model_to_dict(model: BoostedModel) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> BoostedModel:
+def model_from_dict(data) -> BoostedModel:
+    """Rebuild a model from its JSON document; any schema violation is a
+    :class:`~liftedrbm.data.ParseError`."""
+    if not isinstance(data, dict):
+        raise ParseError(f"model document must be a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported model format version {version!r}")
+    try:
+        return _model_from_dict(data)
+    except ParseError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"model document lacks field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"malformed model document: {exc}") from exc
+
+
+def _model_from_dict(data: dict) -> BoostedModel:
     modes = {
         name: ModeDeclaration(
             Predicate(name, tuple(spec["arg_types"])), tuple(spec["chaining"])

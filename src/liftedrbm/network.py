@@ -26,7 +26,7 @@ from .logic import (
     unify,
 )
 from .model import BoostedModel, TrainConfig, probability, validate_query
-from .tree import LeafParams, RegressionExample, RelationalRegressionTree, fit_regression_tree
+from .tree import LeafParams, RegressionExample, fit_regression_tree
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,24 @@ class HiddenNode:
 
 @dataclass
 class LiftedRBMNetwork:
+    """Hidden clause nodes over one target; ``psi_clamp`` bounds the potential
+    before the sigmoid, as in the source model."""
+
     head: Atom
     psi0: float
     hidden: list[HiddenNode]
-    visible: tuple[str, ...] = ()
-    visible_hidden_edges: tuple[tuple[str, int], ...] = ()
+    psi_clamp: float = TrainConfig.psi_clamp
 
-    def __post_init__(self):
-        if not self.visible:
-            names = sorted({p for node in self.hidden for p in node.clause.body_predicates()})
-            self.visible = tuple(names)
-        if not self.visible_hidden_edges:
-            edges = [
-                (pred, node.index)
-                for node in self.hidden
-                for pred in node.clause.body_predicates()
-            ]
-            self.visible_hidden_edges = tuple(sorted(edges))
+    @property
+    def visible_hidden_edges(self) -> tuple[tuple[str, int], ...]:
+        edges = (
+            (pred, node.index) for node in self.hidden for pred in node.clause.body_predicates()
+        )
+        return tuple(sorted(edges))
+
+    @property
+    def visible(self) -> tuple[str, ...]:
+        return tuple(sorted({pred for pred, _ in self.visible_hidden_edges}))
 
     @classmethod
     def from_clauses(
@@ -63,12 +64,10 @@ class LiftedRBMNetwork:
         head: Atom,
         clauses: Sequence[tuple[Clause, LeafParams]],
         psi0: float = 0.0,
-        sources: Optional[Sequence[tuple[int, int]]] = None,
     ) -> "LiftedRBMNetwork":
         """Hand-build a network from (clause, parameters) pairs."""
         hidden = [
-            HiddenNode(i, clause, params, sources[i] if sources else (0, i))
-            for i, (clause, params) in enumerate(clauses)
+            HiddenNode(i, clause, params, (0, i)) for i, (clause, params) in enumerate(clauses)
         ]
         return cls(head, psi0, hidden)
 
@@ -88,7 +87,7 @@ def paths_to_lrbm(model: BoostedModel) -> LiftedRBMNetwork:
             hidden.append(
                 HiddenNode(len(hidden), clause, leaf.params, (tree_index, path_index))
             )
-    return LiftedRBMNetwork(model.head, model.psi0, hidden)
+    return LiftedRBMNetwork(model.head, model.psi0, hidden, model.config.psi_clamp)
 
 
 @dataclass
@@ -97,7 +96,6 @@ class InferenceResult:
     psi: float
     activated: tuple[int, ...]
     witnesses: dict[int, Substitution]
-    stats: SearchStats
 
 
 def lrbm_inference(
@@ -112,12 +110,10 @@ def lrbm_inference(
     its body is then satisfied one literal at a time against the facts (see
     :func:`~liftedrbm.logic.satisfy_route`), stopping at the first satisfying
     grounding, which is reported as the node's witness.  Path-mapped clauses
-    therefore activate exactly as their source trees route.  The returned
-    stats aggregate over hidden nodes; the after-witness counter stays zero
-    because every per-node search terminates at its first witness.
+    therefore activate exactly as their source trees route.  ``stats``, when
+    given, accumulates the groundings visited over all hidden nodes.
     """
     validate_query(query, net.head.predicate, kb)
-    aggregate = stats if stats is not None else SearchStats()
     activated: list[int] = []
     witnesses: dict[int, Substitution] = {}
     psi = net.psi0
@@ -125,34 +121,12 @@ def lrbm_inference(
         seed = unify(node.clause.head, query)
         if seed is None:
             continue
-        node_stats = SearchStats()
-        result = satisfy_route(node.clause.body, seed, kb, node_stats)
-        aggregate.groundings_visited += node_stats.groundings_visited
-        aggregate.visited_after_witness += node_stats.visited_after_witness
+        result = satisfy_route(node.clause.body, seed, kb, stats)
         if result.satisfied:
-            aggregate.witness_found = True
             activated.append(node.index)
             witnesses[node.index] = result.witness
             psi += node.params.value()
-    return InferenceResult(probability(psi), psi, tuple(activated), witnesses, aggregate)
-
-
-@dataclass
-class DistilledTree:
-    """A single deep tree overfit to an ensemble's potentials (approximate)."""
-
-    tree: RelationalRegressionTree
-    max_depth: int
-
-    def as_model(self, config: TrainConfig, modes) -> BoostedModel:
-        return BoostedModel(
-            target=self.tree.target,
-            head=self.tree.head,
-            psi0=0.0,
-            trees=[self.tree],
-            config=config,
-            modes=dict(modes),
-        )
+    return InferenceResult(probability(psi, net.psi_clamp), psi, tuple(activated), witnesses)
 
 
 def distill_single_tree(
@@ -160,13 +134,14 @@ def distill_single_tree(
     examples,
     kb: KnowledgeBase,
     max_depth: int = 10,
-) -> DistilledTree:
+) -> BoostedModel:
     """Fit one tree of bounded depth to the ensemble's potentials.
 
     Every example is relabeled with the full potential the ensemble assigns it
     (found by routing it through all trees) and a single tree is grown against
     those regression targets.  The conversion is approximate by construction;
-    the distilled model's prior is zero because the targets absorb it.
+    The result is a one-tree model with the source's configuration and
+    modes; its prior is zero because the targets absorb it.
     """
     labeled = examples.labeled()
     if not labeled:
@@ -186,7 +161,7 @@ def distill_single_tree(
         max_new_vars=model.config.max_new_vars,
         max_depth=max_depth,
     )
-    return DistilledTree(tree, max_depth)
+    return BoostedModel(tree.target, tree.head, 0.0, [tree], model.config, dict(model.modes))
 
 
 def _params_text(params: LeafParams) -> str:
@@ -198,6 +173,7 @@ def network_to_dict(net: LiftedRBMNetwork) -> dict:
         "format_version": 1,
         "target": str(net.head),
         "psi0": net.psi0,
+        "psi_clamp": net.psi_clamp,
         "visible": list(net.visible),
         "hidden": [
             {

@@ -6,7 +6,9 @@ output-bias difference, a hidden-unit bias, a path-feature weight, and the two
 hidden-to-output weights.  A node's decision is satisfiability of the whole
 path conjunction extended by its test, with the first witness chained into the
 bindings, so training-time partitions and routing at prediction time agree
-exactly.
+exactly.  A path's context holds only its positive literals: a false branch
+adds nothing, since its negated test holds on every extension of the context
+(see :func:`~liftedrbm.logic.route_decision`).
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ def coordinate_descent(
     learning_rate: float = 0.05,
     max_iters: int = 500,
     tolerance: float = 1e-8,
-    online: bool = False,
 ) -> LeafParams:
     """Fit leaf parameters to a multiset of regression targets.
 
@@ -105,28 +106,20 @@ def coordinate_descent(
     is shared by all its examples, so the optimum satisfies
     ``value == mean(deltas)``.  Gradients are averaged over examples to keep
     the step size independent of leaf support.  Stops after ``max_iters``
-    cycles or once the objective improves by less than ``tolerance``.  The
-    online variant applies one scaled update per example instead of a batch
-    update; empty input returns ``theta0`` unchanged.
+    cycles or once the objective improves by less than ``tolerance``; empty
+    input returns ``theta0`` unchanged.
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
     if not deltas:
         return theta0
-    n = len(deltas)
-    mean = sum(deltas) / n
+    mean = sum(deltas) / len(deltas)
     p = list(theta0.as_tuple())
     previous = (_value(p) - mean) ** 2
     for _ in range(max_iters):
-        if online:
-            for delta in deltas:
-                for coord in range(5):
-                    grad = 2.0 * (_value(p) - delta) * _partials(p)[coord] / n
-                    p[coord] -= learning_rate * grad
-        else:
-            for coord in range(5):
-                grad = 2.0 * (_value(p) - mean) * _partials(p)[coord]
-                p[coord] -= learning_rate * grad
+        for coord in range(5):
+            grad = 2.0 * (_value(p) - mean) * _partials(p)[coord]
+            p[coord] -= learning_rate * grad
         current = (_value(p) - mean) ** 2
         if previous - current < tolerance:
             break
@@ -220,19 +213,22 @@ class RelationalRegressionTree:
         return "\n".join(lines) + "\n"
 
 
+def _fresh_variable(type_tag: str, taken: set[str]) -> Term:
+    """A variable named by type initial and the first free index, e.g. P1;
+    its name is added to ``taken``."""
+    base = type_tag[0].upper() if type_tag else "V"
+    i = 1
+    while f"{base}{i}" in taken:
+        i += 1
+    name = f"{base}{i}"
+    taken.add(name)
+    return Term.variable(name, type_tag)
+
+
 def make_head(predicate: Predicate) -> Atom:
     """Canonical head atom with variables named by type initial, e.g. P1, P2."""
     taken: set[str] = set()
-    args: list[Term] = []
-    for type_tag in predicate.arg_types:
-        base = (type_tag[0].upper() if type_tag else "V") or "V"
-        i = 1
-        while f"{base}{i}" in taken:
-            i += 1
-        name = f"{base}{i}"
-        taken.add(name)
-        args.append(Term.variable(name, type_tag))
-    return Atom(predicate, tuple(args))
+    return Atom(predicate, tuple(_fresh_variable(t, taken) for t in predicate.arg_types))
 
 
 _FRESH = object()  # placeholder for a to-be-named variable slot
@@ -289,19 +285,11 @@ def generate_candidates(
                 continue
             seen.add(key)
             taken = base_names | {slot.name for slot in combo if slot is not _FRESH}
-            args: list[Term] = []
-            for slot, type_tag in zip(combo, predicate.arg_types):
-                if slot is _FRESH:
-                    base = (type_tag[0].upper() if type_tag else "V") or "V"
-                    i = 1
-                    while f"{base}{i}" in taken:
-                        i += 1
-                    name = f"{base}{i}"
-                    taken.add(name)
-                    args.append(Term.variable(name, type_tag))
-                else:
-                    args.append(slot)
-            out.append(Literal(Atom(predicate, tuple(args))))
+            args = tuple(
+                _fresh_variable(type_tag, taken) if slot is _FRESH else slot
+                for slot, type_tag in zip(combo, predicate.arg_types)
+            )
+            out.append(Literal(Atom(predicate, args)))
     return out
 
 
@@ -317,7 +305,7 @@ def partition(
 ) -> tuple[list[FitItem], list[FitItem]]:
     """Split node examples on satisfiability of (context AND candidate).
 
-    ``context`` is the node's signed root-to-node literal list and every item
+    ``context`` is the node's positive root-to-node literal list and every item
     carries the example's head unifier plus a cached witness of that context.
     Examples whose extended conjunction is satisfiable go left with the first
     witness found (for variable chaining); the rest go right unchanged.
@@ -331,20 +319,6 @@ def partition(
         else:
             right.append((example, base, cached))
     return left, right
-
-
-def score_split(
-    theta_left: LeafParams,
-    theta_right: LeafParams,
-    left: Sequence[RegressionExample],
-    right: Sequence[RegressionExample],
-) -> float:
-    """Summed squared error of two fitted leaves against their gradients."""
-    v_left = theta_left.value()
-    v_right = theta_right.value()
-    return sum((v_left - e.gradient) ** 2 for e in left) + sum(
-        (v_right - e.gradient) ** 2 for e in right
-    )
 
 
 @dataclass
@@ -471,7 +445,7 @@ def fit_regression_tree(
         node.false_child = _FitNode(
             right,
             depth=node.depth + 1,
-            context=node.context + (Literal(candidate.atom, negated=True),),
+            context=node.context,
             bound_vars=node.bound_vars,
             used_names=child_names,
             params=theta_right,
@@ -495,9 +469,9 @@ def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase
     """Route a ground query to its unique leaf and return that leaf's value.
 
     At every internal node the decision is satisfiability of the accumulated
-    path conjunction extended by the node's test; a satisfied test chains its
-    first witness into the bindings, a failed test keeps the parent bindings
-    and follows the false branch.
+    positive path conjunction extended by the node's test; a satisfied test
+    chains its first witness into the bindings and joins the conjunction, a
+    failed test keeps both and follows the false branch.
     """
     base = unify(tree.head, query)
     if base is None:
@@ -512,6 +486,5 @@ def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase
             context = context + (node.test,)
             node = node.true_child
         else:
-            context = context + (Literal(node.test.atom, negated=True),)
             node = node.false_child
     return node.params.value()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 from liftedrbm.data import parse_facts, parse_modes
 from liftedrbm.logic import (
@@ -15,6 +16,10 @@ from liftedrbm.logic import (
     Substitution,
     Term,
 )
+
+# The benchmark's fixture model: the default config trained on fold 0 of the
+# seed-11 movie domain, i.e. the same model as the ``movie_model`` fixture.
+BOOST_FIXTURE = Path(__file__).resolve().parent.parent / "bench" / "fixtures" / "boost_model.json"
 
 
 def V(name: str, type_tag: str) -> Term:

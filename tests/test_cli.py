@@ -7,6 +7,7 @@ import pytest
 from liftedrbm.cli import main
 from liftedrbm.data import serialize_facts
 
+from helpers import BOOST_FIXTURE
 from synthetic_domain import MODES_TEXT, generate_movie_domain
 
 
@@ -186,6 +187,54 @@ class TestPredict:
             assert main(argv) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _drop_true_branch(doc):
+    del doc["trees"][0]["true"]
+    return doc
+
+
+def _unknown_config_key(doc):
+    doc["config"]["bogus"] = 1
+    return doc
+
+
+def _drop_target(doc):
+    del doc["target"]
+    return doc
+
+
+def _numeric_test(doc):
+    doc["trees"][0]["test"] = 7
+    return doc
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+# Each turns a valid model document into one that breaks the schema.
+MODEL_MUTATIONS = {
+    "missing true branch": _drop_true_branch,
+    "unknown config key": _unknown_config_key,
+    "missing target": _drop_target,
+    "non-string test": _numeric_test,
+    "top-level list": _top_level_list,
+}
+
+
+class TestModelLoader:
+    @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
+    def test_schema_violation_is_a_data_error(self, name, data_dir, tmp_path, capsys):
+        doc = MODEL_MUTATIONS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(model_path), "--facts", str(data_dir / "facts.txt"),
+            "--queries", str(data_dir / "queries.txt"),
+        ])
+        assert code in (1, 2)
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestExplain:

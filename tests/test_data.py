@@ -11,7 +11,6 @@ from liftedrbm.data import (
     parse_examples,
     parse_facts,
     parse_modes,
-    restrict_facts,
     serialize_facts,
     split_folds,
 )
@@ -259,19 +258,3 @@ class TestExampleSet:
         examples = _example_set(2, 3)
         labels = [y for _, y in examples.labeled()]
         assert labels == [1, 1, 0, 0, 0]
-
-
-class TestRestrictFacts:
-    def test_filters_late_facts_of_the_keyed_predicate(self):
-        modes = parse_modes(
-            "mode: cites(-paper, -paper).\nmode: published(-paper, -year)."
-        )
-        kb = parse_facts(
-            "published(a, 1999).\npublished(b, 2005).\ncites(b, a).",
-            modes,
-        )
-        filtered = restrict_facts(kb, "published", 1, 2000)
-        names = [str(f) for f in filtered.facts]
-        assert "published(a, 1999)" in names
-        assert "published(b, 2005)" not in names
-        assert "cites(b, a)" in names  # other predicates pass through

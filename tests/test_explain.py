@@ -1,5 +1,8 @@
 """Path mapping, clause-level inference, distillation, and exports."""
 
+import dataclasses
+import json
+
 import pytest
 
 from liftedrbm.logic import Literal, SearchStats, UnknownConstantError
@@ -76,8 +79,8 @@ class TestPathsToLrbm:
         model, _, _, _ = movie_model
         net = paths_to_lrbm(model)
         assert len(net.hidden) == sum(tree.leaf_count for tree in model.trees)
-        sources = {(n.source[0]) for n in net.hidden}
-        assert sources == set(range(len(model.trees)))
+        source_trees = {n.source[0] for n in net.hidden}
+        assert source_trees == set(range(len(model.trees)))
 
     def test_two_four_leaf_trees_give_eight_hidden_nodes(self):
         net = paths_to_lrbm(_two_tree_model())
@@ -95,6 +98,19 @@ class TestPathsToLrbm:
             ensemble_psi = model.psi(query, kb)
             network_psi = lrbm_inference(net, query, kb).psi
             assert abs(ensemble_psi - network_psi) < 1e-9
+
+    def test_network_probability_uses_the_model_clamp(self, movie_model):
+        model, train_set, _, kb = movie_model
+        clamped = dataclasses.replace(model, config=TrainConfig(psi_clamp=1.0))
+        net = paths_to_lrbm(clamped)
+        assert json.loads(dumps_network(net))["psi_clamp"] == 1.0
+        saturated = 0
+        for query, _ in train_set.labeled()[:120]:
+            ensemble = clamped.predict(query, kb)
+            network = lrbm_inference(net, query, kb)
+            assert network.probability == ensemble.probability
+            saturated += abs(ensemble.psi) > 1.0
+        assert saturated > 0  # the clamp decides some of these probabilities
 
     def test_exactly_one_activation_per_source_tree(self, movie_model):
         model, train_set, _, kb = movie_model
@@ -133,7 +149,7 @@ class TestInference:
         assert witness.get(V("M", "movie")) == C("m1", "movie")
         assert witness.get(V("P1", "person")) == C("p1", "person")
         assert witness.get(V("P2", "person")) == C("p2", "person")
-        assert stats.visited_after_witness == 0
+        assert stats.groundings_visited == 2  # the search stops at the first witness
 
     def test_walkthrough_example_two(self):
         kb = example2_kb()
@@ -146,7 +162,7 @@ class TestInference:
         witness = result.witnesses[1]
         assert witness.get(V("M1", "movie")) == C("m01", "movie")
         assert witness.get(V("P3", "person")) == C("p03", "person")
-        assert stats.visited_after_witness == 0
+        assert stats.groundings_visited == 5
 
     def test_potential_sums_active_nodes_only(self):
         kb = example1_kb()
@@ -170,22 +186,23 @@ class TestDistill:
         tree = fit_regression_tree(regression, 4, MOVIE_MODES, kb)
         model = BoostedModel(COLLAB, tree.head, 0.0, [tree], TrainConfig(), dict(MOVIE_MODES))
         distilled = distill_single_tree(model, examples, kb, max_depth=6)
-        assert distilled.tree.depth <= 6
+        assert distilled.trees[0].depth <= 6
         for query, _ in labeled[:150]:
             want = model.psi(query, kb)
-            got = distilled.as_model(model.config, model.modes).psi(query, kb)
+            got = distilled.psi(query, kb)
             assert abs(want - got) < 2e-3  # coordinate-descent tolerance
 
     def test_depth_cap_is_respected(self, movie_model):
         model, train_set, _, kb = movie_model
         distilled = distill_single_tree(model, train_set, kb, max_depth=3)
-        assert distilled.tree.depth <= 3
+        assert distilled.trees[0].depth <= 3
 
     def test_distillation_approximates_the_ensemble(self, movie_model):
         model, train_set, _, kb = movie_model
-        distilled = distill_single_tree(model, train_set, kb, max_depth=10)
-        assert distilled.max_depth == 10
-        single = distilled.as_model(model.config, model.modes)
+        single = distill_single_tree(model, train_set, kb, max_depth=10)
+        assert len(single.trees) == 1 and single.trees[0].depth <= 10
+        assert single.psi0 == 0.0
+        assert single.config == model.config and single.modes == model.modes
         labeled = train_set.labeled()
         close = sum(
             1
@@ -245,8 +262,6 @@ class TestExport:
             export(_hand_network(), "svg")
 
     def test_network_json_mirrors_the_model_schema(self, movie_model):
-        import json
-
         model, _, _, _ = movie_model
         net = paths_to_lrbm(model)
         data = json.loads(dumps_network(net))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from liftedrbm.data import split_folds
+from liftedrbm.data import ExampleSet, split_folds
 from liftedrbm.metrics import (
     MetricsReport,
     ScoredExample,
@@ -13,6 +13,8 @@ from liftedrbm.metrics import (
     cross_validate,
 )
 from liftedrbm.model import TrainConfig, train
+
+from helpers import COLLAB, C, atom
 
 
 def _scored(pos_scores, neg_scores):
@@ -158,6 +160,22 @@ class TestCrossValidate:
         parallel = cross_validate(kb, examples, folds, config, jobs=2)
         assert [m.auc_roc for m in serial.folds] == [m.auc_roc for m in parallel.folds]
         assert [m.auc_pr for m in serial.folds] == [m.auc_pr for m in parallel.folds]
+
+    def test_serial_and_parallel_report_the_same_fold_failure(self):
+        from liftedrbm.logic import KnowledgeBase
+
+        kb = KnowledgeBase()  # no mode declarations: training must fail
+        pos = [atom(COLLAB, C(f"p{i}", "person"), C(f"q{i}", "person")) for i in range(2)]
+        neg = [atom(COLLAB, C(f"q{i}", "person"), C(f"p{i}", "person")) for i in range(2)]
+        examples = ExampleSet(COLLAB, pos, neg)
+        folds = split_folds(examples, 2, seed=0)
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError) as info:
+                cross_validate(kb, examples, folds, TrainConfig(n_trees=1), jobs=jobs)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("fold 0 failed: ")
 
     def test_population_stdev_formula(self):
         values = [0.9, 0.8, 1.0]

@@ -12,14 +12,13 @@ from liftedrbm.model import (
     TrainConfig,
     compute_gradients,
     dumps_model,
-    leaf_potential,
     loads_model,
     probability,
     train,
 )
 from liftedrbm.tree import LeafNode, LeafParams, RelationalRegressionTree, make_head
 
-from helpers import COLLAB, MOVIE_MODES, C, atom, example1_kb
+from helpers import BOOST_FIXTURE, COLLAB, MOVIE_MODES, C, atom, example1_kb
 
 # log((1 + e^2) / (1 + e^1)), frozen from a direct high-precision evaluation
 POTENTIAL_0_0_1_0_1 = 0.813666323524749662
@@ -45,30 +44,30 @@ class TestTrainConfig:
 
 class TestLeafPotential:
     def test_zero_parameters_give_zero(self):
-        assert leaf_potential(LeafParams()) == pytest.approx(0.0, abs=1e-15)
+        assert LeafParams().value() == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_output_bias_passes_through(self):
-        assert leaf_potential(LeafParams(output_bias=0.5)) == pytest.approx(0.5, abs=1e-15)
+        assert LeafParams(output_bias=0.5).value() == pytest.approx(0.5, abs=1e-15)
 
     def test_frozen_reference_value(self):
         params = LeafParams(0.0, 0.0, 1.0, 0.0, 1.0)
-        assert leaf_potential(params) == pytest.approx(POTENTIAL_0_0_1_0_1, abs=1e-12)
+        assert params.value() == pytest.approx(POTENTIAL_0_0_1_0_1, abs=1e-12)
 
     def test_monotone_in_each_weight(self):
         rng = random.Random(3)
         eps = 1e-6
         for _ in range(200):
             base = [rng.uniform(-2, 2) for _ in range(5)]
-            v = leaf_potential(LeafParams(*base))
+            v = LeafParams(*base).value()
             up_d = list(base)
             up_d[0] += eps
-            assert leaf_potential(LeafParams(*up_d)) > v  # increasing in output bias
+            assert LeafParams(*up_d).value() > v  # increasing in output bias
             up_pos = list(base)
             up_pos[4] += eps
-            assert leaf_potential(LeafParams(*up_pos)) > v  # increasing in pos weight
+            assert LeafParams(*up_pos).value() > v  # increasing in pos weight
             up_neg = list(base)
             up_neg[3] += eps
-            assert leaf_potential(LeafParams(*up_neg)) < v  # decreasing in neg weight
+            assert LeafParams(*up_neg).value() < v  # decreasing in neg weight
 
 
 class TestProbability:
@@ -237,6 +236,10 @@ class TestTrain:
 
 
 class TestSerialization:
+    def test_training_reproduces_the_benchmark_fixture_byte_for_byte(self, movie_model):
+        model, _, _, _ = movie_model
+        assert dumps_model(model) == BOOST_FIXTURE.read_text(encoding="utf-8")
+
     def test_round_trip_is_bit_exact(self, movie_model):
         model, _, _, _ = movie_model
         first = dumps_model(model)

@@ -18,7 +18,6 @@ from liftedrbm.tree import (
     generate_candidates,
     make_head,
     partition,
-    score_split,
 )
 
 from helpers import ACTEDIN, COLLAB, MOVIE_MODES, C, V, atom, example1_kb
@@ -206,27 +205,6 @@ class TestPartition:
                 assert went_left == expected
 
 
-class TestScoreSplit:
-    def test_perfect_fit_scores_zero(self):
-        left = [RegressionExample(None, 1, 0.3)]
-        right = [RegressionExample(None, 0, -0.5)]
-        theta_l = coordinate_descent([0.3])
-        theta_r = coordinate_descent([-0.5])
-        assert score_split(theta_l, theta_r, left, right) < 1e-6
-
-    def test_hand_computed_case(self):
-        left = [RegressionExample(None, 1, 0.2), RegressionExample(None, 1, 0.4)]
-        right = [RegressionExample(None, 0, -0.5)]
-        theta_l = LeafParams(output_bias=0.3)
-        theta_r = LeafParams(output_bias=-0.5)
-        assert score_split(theta_l, theta_r, left, right) == pytest.approx(0.02, abs=1e-12)
-
-    def test_constant_gradients_score_zero(self):
-        items = [RegressionExample(None, 1, 0.25) for _ in range(5)]
-        theta = LeafParams(output_bias=0.25)
-        assert score_split(theta, theta, items, items) == pytest.approx(0.0, abs=1e-12)
-
-
 class TestCoordinateDescent:
     def test_reaches_the_mean_for_constant_targets(self):
         params = coordinate_descent([0.5] * 8)
@@ -239,12 +217,6 @@ class TestCoordinateDescent:
     def test_empty_targets_leave_theta_unchanged(self):
         theta0 = LeafParams(0.1, 0.2, 0.3, 0.4, 0.5)
         assert coordinate_descent([], theta0) == theta0
-
-    def test_online_variant_approaches_the_mean(self):
-        # constant-step per-example updates settle in a small neighborhood of
-        # the optimum rather than on it
-        params = coordinate_descent([0.2, 0.4, -0.1], online=True)
-        assert abs(params.value() - (0.5 / 3)) < 0.02
 
     def test_converges_from_nonzero_start(self):
         theta0 = LeafParams(1.0, -0.5, 0.25, 0.75, -0.25)
