@@ -1,15 +1,18 @@
 """Typed first-order terms, unification, and conjunctive queries over ground facts.
 
 The knowledge base is closed-world: a ground atom is true iff it is stored as a
-fact, and negated literals are handled by negation-as-failure.  Query
-satisfaction runs depth-first, left to right, visiting candidate facts in
-knowledge-base insertion order, and stops at the first full solution.
+fact.  :func:`satisfy` proves a conjunction of positive atoms depth-first, left
+to right, visiting candidate facts in knowledge-base insertion order, and stops
+at the first full solution.  A negated literal has one meaning, the one a
+tree's false branch gives it: ``NOT atom`` after a prefix holds iff
+``prefix AND atom`` has no solution.  :func:`satisfy_route` is the one place
+that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 class UnknownConstantError(ValueError):
@@ -297,11 +300,6 @@ class SearchStats:
     groundings_visited: int = 0
 
 
-class SatisfyResult(NamedTuple):
-    satisfied: bool
-    witness: Optional[Substitution]
-
-
 def _split_args(atom: Atom, subst: Substitution):
     bound: list[tuple[int, str]] = []
     unbound: list[tuple[int, Term]] = []
@@ -356,56 +354,34 @@ def iter_matches(
         yield extended
 
 
-def has_match(atom: Atom, subst: Substitution, kb: KnowledgeBase) -> bool:
-    """True when some stored fact grounds ``atom`` under ``subst``."""
-    for _ in iter_matches(atom, subst, kb):
-        return True
-    return False
-
-
 def satisfy(
-    body: Sequence[Literal],
+    body: Sequence[Atom],
     partial: Optional[Substitution],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-) -> SatisfyResult:
-    """First witness of a conjunctive body, or failure.
+) -> Optional[Substitution]:
+    """First witness of a conjunction of positive atoms, or None.
 
-    Positive literals are grounded against stored facts by depth-first,
-    left-to-right backtracking.  A negated literal succeeds when no grounding
-    of its atom is a stored fact (negation-as-failure); it is checked in place
-    once all its variables are bound and deferred to the end of the body
-    otherwise.  The search stops at the first solution; an empty body is
-    trivially satisfied.
+    Atoms are grounded against stored facts by depth-first, left-to-right
+    backtracking, and the search stops at the first solution; an empty body is
+    satisfied by ``partial`` itself.
     """
-    subst = partial if partial is not None else EMPTY_SUBSTITUTION
     n = len(body)
 
-    def solve(i: int, current: Substitution, deferred: tuple[Literal, ...]):
+    def solve(i: int, current: Substitution) -> Optional[Substitution]:
         if i == n:
-            for lit in deferred:
-                if has_match(lit.atom, current, kb):
-                    return None
             return current
-        lit = body[i]
-        if lit.negated:
-            if any(current.walk(t).is_variable for t in lit.atom.args):
-                return solve(i + 1, current, deferred + (lit,))
-            if has_match(lit.atom, current, kb):
-                return None
-            return solve(i + 1, current, deferred)
-        for extended in iter_matches(lit.atom, current, kb, stats):
-            result = solve(i + 1, extended, deferred)
+        for extended in iter_matches(body[i], current, kb, stats):
+            result = solve(i + 1, extended)
             if result is not None:
                 return result
         return None
 
-    witness = solve(0, subst, ())
-    return SatisfyResult(witness is not None, witness)
+    return solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
 
 
 def route_decision(
-    context: Sequence[Literal],
+    context: Sequence[Atom],
     test: Atom,
     base: Optional[Substitution],
     cached: Substitution,
@@ -420,14 +396,14 @@ def route_decision(
     depends on which witness happened to be cached.  Returns a witness of the
     extended conjunction to cache for the next decision.
 
-    ``context`` holds only the positive literals of a path.  A false branch
-    is taken only once ``context AND test`` is proven unsatisfiable, so every
-    extension of that context already satisfies ``NOT test``: conjoining the
-    negation would never prune the search and would only be re-proved.
+    ``context`` holds the atoms of a path's positive tests only.  A false
+    branch is taken only once ``context AND test`` is proven unsatisfiable, so
+    every extension of that context already satisfies ``NOT test``: conjoining
+    the negation would never prune the search and would only be re-proved.
     """
     for extended in iter_matches(test, cached, kb, stats):
         return extended
-    return satisfy(tuple(context) + (Literal(test),), base, kb, stats).witness
+    return satisfy(tuple(context) + (test,), base, kb, stats)
 
 
 def satisfy_route(
@@ -435,31 +411,32 @@ def satisfy_route(
     partial: Optional[Substitution],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-) -> SatisfyResult:
-    """Satisfy a body the way a decision path does: one commitment per literal.
+) -> Optional[Substitution]:
+    """Satisfy a signed body the way a decision path does, or return None.
 
     Each literal is decided once, in order, by full satisfiability of the
     prefix up to and including it (via :func:`route_decision`): a positive
     literal extends the running witness, a negated literal holds iff the
-    prefix conjoined with its atom has no solution.  A clause produced from a
-    root-to-leaf tree path evaluates exactly as the tree routes, which makes
-    path-mapped networks agree with their source ensemble; on bodies without
-    negation the outcome coincides with :func:`satisfy`.  The prefix keeps
-    only the positive literals, as a tree node's context does (see
-    :func:`route_decision`), so later literals see variables that occur only
+    prefix conjoined with its atom has no solution, exactly as a tree's false
+    branch is taken.  This is the only reading of negation in the package.  A
+    clause produced from a root-to-leaf tree path evaluates exactly as the
+    tree routes, which makes path-mapped networks agree with their source
+    ensemble; on bodies without negation the witness is the one
+    :func:`satisfy` finds.  The prefix keeps only the positive atoms, as a
+    tree node's context does, so later literals see variables that occur only
     under an earlier negation as fresh.
     """
     base = partial if partial is not None else EMPTY_SUBSTITUTION
-    prefix: list[Literal] = []
+    prefix: list[Atom] = []
     cached = base
     for lit in body:
         extended = route_decision(prefix, lit.atom, base, cached, kb, stats)
         if lit.negated:
             if extended is not None:
-                return SatisfyResult(False, None)
+                return None
+        elif extended is None:
+            return None
         else:
-            if extended is None:
-                return SatisfyResult(False, None)
             cached = extended
-            prefix.append(lit)
-    return SatisfyResult(True, cached)
+            prefix.append(lit.atom)
+    return cached

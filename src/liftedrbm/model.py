@@ -9,6 +9,7 @@ tree to the pointwise gradients ``label - probability`` of the current model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -50,9 +51,11 @@ class TrainConfig:
             raise ValueError("n_trees must be non-negative")
         if self.max_leaves < 1:
             raise ValueError("max_leaves must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.psi_clamp <= 0:
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.max_new_vars < 0:
+            raise ValueError("max_new_vars must be non-negative")
+        if not self.psi_clamp > 0:
             raise ValueError("psi_clamp must be positive")
 
 
@@ -196,12 +199,19 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
+def _finite(value, what: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ParseError(f"{what} must be finite, got {number!r}")
+    return number
+
+
 def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
     if "leaf" in data:
         values = data["leaf"]
         if len(values) != 5:
             raise ParseError("leaf parameters must be a 5-tuple")
-        return LeafNode(LeafParams(*(float(v) for v in values)))
+        return LeafNode(LeafParams(*(_finite(v, "leaf parameter") for v in values)))
     atom = parse_atom_text(data["test"], predicates)
     return InternalNode(
         Literal(atom),
@@ -272,7 +282,7 @@ def _model_from_dict(data: dict) -> BoostedModel:
         RelationalRegressionTree(head, _node_from_dict(node, predicates))
         for node in data["trees"]
     ]
-    return BoostedModel(target, head, float(data["psi0"]), trees, config, modes)
+    return BoostedModel(target, head, _finite(data["psi0"], "psi0"), trees, config, modes)
 
 
 def dumps_model(model: BoostedModel) -> str:

@@ -121,10 +121,10 @@ def lrbm_inference(
         seed = unify(node.clause.head, query)
         if seed is None:
             continue
-        result = satisfy_route(node.clause.body, seed, kb, stats)
-        if result.satisfied:
+        witness = satisfy_route(node.clause.body, seed, kb, stats)
+        if witness is not None:
             activated.append(node.index)
-            witnesses[node.index] = result.witness
+            witnesses[node.index] = witness
             psi += node.params.value()
     return InferenceResult(probability(psi, net.psi_clamp), psi, tuple(activated), witnesses)
 

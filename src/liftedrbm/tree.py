@@ -6,9 +6,9 @@ output-bias difference, a hidden-unit bias, a path-feature weight, and the two
 hidden-to-output weights.  A node's decision is satisfiability of the whole
 path conjunction extended by its test, with the first witness chained into the
 bindings, so training-time partitions and routing at prediction time agree
-exactly.  A path's context holds only its positive literals: a false branch
-adds nothing, since its negated test holds on every extension of the context
-(see :func:`~liftedrbm.logic.route_decision`).
+exactly.  A path's context holds only the atoms of its positive tests: a false
+branch adds nothing, since its negated test holds on every extension of the
+context (see :func:`~liftedrbm.logic.route_decision`).
 """
 
 from __future__ import annotations
@@ -298,17 +298,18 @@ FitItem = tuple[RegressionExample, Substitution, Substitution]
 
 
 def partition(
-    context: Sequence[Literal],
+    context: Sequence[Atom],
     candidate: Literal,
     items: Sequence[FitItem],
     kb: KnowledgeBase,
 ) -> tuple[list[FitItem], list[FitItem]]:
     """Split node examples on satisfiability of (context AND candidate).
 
-    ``context`` is the node's positive root-to-node literal list and every item
-    carries the example's head unifier plus a cached witness of that context.
-    Examples whose extended conjunction is satisfiable go left with the first
-    witness found (for variable chaining); the rest go right unchanged.
+    ``context`` holds the atoms of the node's positive root-to-node tests;
+    every item carries the example's head unifier plus a cached witness of that
+    context.  Examples whose extended conjunction is satisfiable go left with
+    the first witness found (for variable chaining); the rest go right
+    unchanged.
     """
     left: list[FitItem] = []
     right: list[FitItem] = []
@@ -325,7 +326,7 @@ def partition(
 class _FitNode:
     items: list[FitItem]
     depth: int
-    context: tuple[Literal, ...]
+    context: tuple[Atom, ...]
     bound_vars: tuple[Term, ...]
     used_names: frozenset[str]
     params: LeafParams = ZERO_PARAMS
@@ -436,7 +437,7 @@ def fit_regression_tree(
         node.true_child = _FitNode(
             left,
             depth=node.depth + 1,
-            context=node.context + (candidate,),
+            context=node.context + (candidate.atom,),
             bound_vars=node.bound_vars + new_vars,
             used_names=child_names,
             params=theta_left,
@@ -477,13 +478,13 @@ def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase
     if base is None:
         raise ValueError(f"query {query} does not ground target {tree.head}")
     node = tree.root
-    context: tuple[Literal, ...] = ()
+    context: tuple[Atom, ...] = ()
     cached = base
     while isinstance(node, InternalNode):
         extended = route_decision(context, node.test.atom, base, cached, kb)
         if extended is not None:
             cached = extended
-            context = context + (node.test,)
+            context = context + (node.test.atom,)
             node = node.true_child
         else:
             node = node.false_child

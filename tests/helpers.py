@@ -146,6 +146,22 @@ def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
     return False
 
 
+def oracle_route(body, partial, kb: KnowledgeBase) -> bool:
+    """Satisfiability of a signed body read as a tree path reads it.
+
+    With ``P`` the positive literals before literal i, ``P AND atom_i`` must be
+    satisfiable (by :func:`oracle_satisfy`) exactly when literal i is
+    positive: a negated literal holds iff its atom cannot extend the prefix.
+    """
+    prefix: list[Literal] = []
+    for lit in body:
+        if oracle_satisfy(prefix + [Literal(lit.atom)], partial, kb) == lit.negated:
+            return False
+        if not lit.negated:
+            prefix.append(lit)
+    return True
+
+
 def _oracle_neg_matches(neg_atom: Atom, subst: Substitution, kb: KnowledgeBase) -> bool:
     grounded = subst.apply(neg_atom)
     rest: list[Term] = []

@@ -90,6 +90,11 @@ class TestTrain:
         ]
         assert main(argv) == 1
 
+    def test_non_finite_learning_rate_is_a_usage_error(self, data_dir, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["train", *_common(data_dir), "--lr", "nan", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_malformed_facts_are_a_data_error(self, data_dir, tmp_path):
         bad = tmp_path / "bad_facts.txt"
         bad.write_text("actedin(p1 m1).\n")
@@ -213,6 +218,19 @@ def _top_level_list(doc):
     return [doc]
 
 
+def _nan_psi0(doc):
+    doc["psi0"] = float("nan")
+    return doc
+
+
+def _nan_leaf(doc):
+    node = doc["trees"][0]
+    while "leaf" not in node:
+        node = node["true"]
+    node["leaf"][0] = float("nan")
+    return doc
+
+
 # Each turns a valid model document into one that breaks the schema.
 MODEL_MUTATIONS = {
     "missing true branch": _drop_true_branch,
@@ -220,6 +238,8 @@ MODEL_MUTATIONS = {
     "missing target": _drop_target,
     "non-string test": _numeric_test,
     "top-level list": _top_level_list,
+    "non-finite psi0": _nan_psi0,
+    "non-finite leaf parameter": _nan_leaf,
 }
 
 

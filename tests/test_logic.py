@@ -25,7 +25,7 @@ from helpers import (
     atom,
     example1_kb,
     example2_kb,
-    oracle_satisfy,
+    oracle_route,
     random_satisfaction_case,
     rule_clauses,
 )
@@ -179,88 +179,91 @@ def _collab_partial(kb, left, right):
     return unify(head, query)
 
 
+def _atoms(clause):
+    """The body of a negation-free clause as the atoms ``satisfy`` takes."""
+    assert not any(lit.negated for lit in clause.body)
+    return [lit.atom for lit in clause.body]
+
+
 class TestSatisfy:
     def test_same_movie_clause_holds_in_example1(self):
         kb = example1_kb()
         _, _, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
-        result = satisfy(same_movie.body, partial, kb)
-        assert result.satisfied
-        assert result.witness.get(V("M", "movie")) == C("m1", "movie")
+        witness = satisfy(_atoms(same_movie), partial, kb)
+        assert witness is not None
+        assert witness.get(V("M", "movie")) == C("m1", "movie")
 
     def test_different_genre_clause_fails_in_example1(self):
         kb = example1_kb()
         different_genres, worked_under, _ = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
-        assert not satisfy(different_genres.body, partial, kb).satisfied
-        assert not satisfy(worked_under.body, partial, kb).satisfied
+        assert satisfy_route(different_genres.body, partial, kb) is None
+        assert satisfy(_atoms(worked_under), partial, kb) is None
 
     def test_worked_under_clause_holds_in_example2(self):
         kb = example2_kb()
         different_genres, worked_under, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p01", "p02")
-        result = satisfy(worked_under.body, partial, kb)
-        assert result.satisfied
-        assert result.witness.get(V("M1", "movie")) == C("m01", "movie")
-        assert result.witness.get(V("P3", "person")) == C("p03", "person")
-        assert not satisfy(different_genres.body, partial, kb).satisfied
-        assert not satisfy(same_movie.body, partial, kb).satisfied
+        witness = satisfy(_atoms(worked_under), partial, kb)
+        assert witness is not None
+        assert witness.get(V("M1", "movie")) == C("m01", "movie")
+        assert witness.get(V("P3", "person")) == C("p03", "person")
+        assert satisfy_route(different_genres.body, partial, kb) is None
+        assert satisfy(_atoms(same_movie), partial, kb) is None
 
     def test_empty_body_is_trivially_satisfied(self):
         kb = example1_kb()
         partial = _collab_partial(kb, "p1", "p2")
-        result = satisfy((), partial, kb)
-        assert result.satisfied
-        assert result.witness == partial
+        assert satisfy((), partial, kb) == partial
 
     def test_ground_negation_uses_closed_world(self):
         kb = example1_kb()
         lit = Literal(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), negated=True)
-        assert not satisfy((lit,), Substitution(), kb).satisfied
+        assert satisfy_route((lit,), Substitution(), kb) is None
         missing = Literal(atom(ACTEDIN, C("p1", "person"), C("m9", "movie")), negated=True)
-        assert satisfy((missing,), Substitution(), kb).satisfied
+        assert satisfy_route((missing,), Substitution(), kb) is not None
 
     def test_unbound_negation_is_existential(self):
         # ¬actedin(p1, M) fails because some movie of p1 exists
         kb = example1_kb()
         lit = Literal(atom(ACTEDIN, C("p1", "person"), V("M", "movie")), negated=True)
-        assert not satisfy((lit,), Substitution(), kb).satisfied
+        assert satisfy_route((lit,), Substitution(), kb) is None
 
-    def test_negation_defers_until_later_literals_bind(self):
+    def test_negation_is_decided_in_place_over_its_prefix(self):
         from helpers import SAMEPERSON
 
         kb = KnowledgeBase()
         kb.add(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")))
         kb.add(atom(SAMEPERSON, C("p2", "person"), C("p2", "person")))
         p = V("P", "person")
-        body = (
-            Literal(atom(ACTEDIN, p, V("M", "movie")), negated=True),
-            Literal(atom(SAMEPERSON, p, p)),
-        )
-        # P is bound to p2 by the second literal before the negation is
-        # checked; evaluating the negation eagerly with P unbound would fail.
-        result = satisfy(body, Substitution(), kb)
-        assert result.satisfied
-        assert result.witness.get(p) == C("p2", "person")
+        negation = Literal(atom(ACTEDIN, p, V("M", "movie")), negated=True)
+        same = Literal(atom(SAMEPERSON, p, p))
+        # with an empty prefix, actedin(P, M) has a solution (p1, m1), so the
+        # negation fails; it is not deferred until sameperson binds P to p2
+        assert satisfy_route((negation, same), Substitution(), kb) is None
+        # after the prefix binds P to p2, actedin(p2, M) has none, so it holds
+        witness = satisfy_route((same, negation), Substitution(), kb)
+        assert witness is not None
+        assert witness.get(p) == C("p2", "person")
 
     def test_backtracks_across_literals(self):
         kb = example1_kb()
         # first witness for actedin(p1, M) is m1; requiring m2 later forces backtracking
         m = V("M", "movie")
         body = (
-            Literal(atom(ACTEDIN, C("p1", "person"), m)),
-            Literal(atom(ACTEDIN, C("p2", "person"), m)),
-            Literal(atom(ACTEDIN, C("p1", "person"), m)),
+            atom(ACTEDIN, C("p1", "person"), m),
+            atom(ACTEDIN, C("p2", "person"), m),
+            atom(ACTEDIN, C("p1", "person"), m),
         )
-        assert satisfy(body, Substitution(), kb).satisfied
+        assert satisfy(body, Substitution(), kb) is not None
 
     def test_search_stops_at_first_witness(self):
         kb = example1_kb()
         _, _, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
         stats = SearchStats()
-        result = satisfy(same_movie.body, partial, kb, stats)
-        assert result.satisfied
+        assert satisfy(_atoms(same_movie), partial, kb, stats) is not None
         # actedin(p1, M) yields m1, then actedin(p2, m1) holds: two visits
         assert stats.groundings_visited == 2
 
@@ -268,9 +271,9 @@ class TestSatisfy:
         kb = example1_kb()
         _, _, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
-        result = satisfy_route(same_movie.body, partial, kb)
-        assert result.satisfied
-        assert result.witness.get(V("M", "movie")) == C("m1", "movie")
+        witness = satisfy_route(same_movie.body, partial, kb)
+        assert witness is not None
+        assert witness.get(V("M", "movie")) == C("m1", "movie")
 
     def test_route_satisfaction_matches_satisfy_on_positive_bodies(self):
         m = V("M", "movie")
@@ -281,14 +284,15 @@ class TestSatisfy:
         kb = KnowledgeBase()
         for left, right in (("p1", "m1"), ("p1", "m2"), ("p2", "m2")):
             kb.add(atom(ACTEDIN, C(left, "person"), C(right, "movie")))
-        for result in (satisfy(body, Substitution(), kb), satisfy_route(body, Substitution(), kb)):
-            assert result.satisfied
-            assert result.witness.get(m) == C("m2", "movie")
+        atoms = [lit.atom for lit in body]
+        for witness in (satisfy(atoms, Substitution(), kb), satisfy_route(body, Substitution(), kb)):
+            assert witness is not None
+            assert witness.get(m) == C("m2", "movie")
 
     def test_route_satisfaction_scopes_negation_over_the_prefix(self):
         # route semantics: a negated literal fails iff (prefix AND atom) has a
-        # solution, mirroring a tree's false branch; plain satisfy instead
-        # backtracks into the prefix
+        # solution, mirroring a tree's false branch; it does not backtrack into
+        # the prefix to look for a witness (X=b) that would dodge the atom
         t = "thing"
         q = Predicate("q", (t,))
         r = Predicate("r", (t,))
@@ -304,8 +308,7 @@ class TestSatisfy:
             Literal(Atom(r, (x,)), negated=True),
             Literal(Atom(s, (x,))),
         )
-        assert satisfy(body, Substitution(), kb).satisfied  # via X=b
-        assert not satisfy_route(body, Substitution(), kb).satisfied
+        assert satisfy_route(body, Substitution(), kb) is None
 
 
 class TestSatisfactionOracle:
@@ -314,16 +317,19 @@ class TestSatisfactionOracle:
         checked = satisfiable = 0
         for _ in range(2500):
             body, partial, kb = random_satisfaction_case(rng)
-            result = satisfy(body, partial, kb)
-            expected = oracle_satisfy(body, partial, kb)
-            assert result.satisfied == expected, f"body={[str(l) for l in body]}"
+            witness = satisfy_route(body, partial, kb)
+            expected = oracle_route(body, partial, kb)
+            assert (witness is not None) == expected, f"body={[str(l) for l in body]}"
             checked += 1
-            if result.satisfied:
+            if witness is not None:
                 satisfiable += 1
                 # the witness grounds every positive literal to a stored fact
                 for lit in body:
                     if not lit.negated:
-                        grounded = result.witness.apply(lit.atom)
+                        grounded = witness.apply(lit.atom)
                         assert grounded.is_ground and grounded in kb
+            if not any(lit.negated for lit in body):
+                # on negation-free bodies both engines find the same witness
+                assert satisfy([lit.atom for lit in body], partial, kb) == witness
         assert checked == 2500
         assert 100 < satisfiable < 2400  # both outcomes well represented

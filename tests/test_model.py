@@ -40,6 +40,14 @@ class TestTrainConfig:
             TrainConfig(max_leaves=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=float("nan"))
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=float("inf"))
+        with pytest.raises(ValueError):
+            TrainConfig(psi_clamp=float("nan"))
+        with pytest.raises(ValueError):
+            TrainConfig(max_new_vars=-1)
 
 
 class TestLeafPotential:

@@ -372,7 +372,7 @@ class TestEvaluateTree:
             holding = [
                 leaf
                 for literals, leaf in paths
-                if satisfy_route(literals, partial, kb).satisfied
+                if satisfy_route(literals, partial, kb) is not None
             ]
             assert len(holding) == 1
             routed = evaluate_tree(tree, example.query, kb)
