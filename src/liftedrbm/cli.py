@@ -1,6 +1,7 @@
 """Command-line front end: train, predict, explain, eval.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+Exit codes: 0 success, 1 usage or configuration error (including a file that
+cannot be read or written), 2 data error (including a file that is not UTF-8),
 3 internal invariant violation.
 """
 
@@ -46,19 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_data_args(parser, need_examples=True):
+def _add_data_args(parser):
     parser.add_argument("--facts", required=True, help="facts file")
     parser.add_argument("--modes", required=True, help="mode declarations file")
-    if need_examples:
-        parser.add_argument("--pos", required=True, help="positive examples file")
-        parser.add_argument("--neg", help="negative examples file")
-        parser.add_argument(
-            "--neg-ratio",
-            type=float,
-            default=2.0,
-            help="negatives sampled per positive when --neg is absent (default 2)",
-        )
-        parser.add_argument("--target", help="target predicate name (default: inferred from --pos)")
+    parser.add_argument("--pos", required=True, help="positive examples file")
+    parser.add_argument("--neg", help="negative examples file")
+    parser.add_argument(
+        "--neg-ratio",
+        type=float,
+        default=2.0,
+        help="negatives sampled per positive when --neg is absent (default 2)",
+    )
+    parser.add_argument("--target", help="target predicate name (default: inferred from --pos)")
 
 
 def _add_train_args(parser):
@@ -112,14 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise _UsageError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _resolve_target(args, modes, pos_text):
-    name = getattr(args, "target", None)
+    name = args.target
     if name is None:
         for line in pos_text.splitlines():
             line = line.split("%", 1)[0].strip()
@@ -133,11 +130,16 @@ def _resolve_target(args, modes, pos_text):
     return modes[name].predicate
 
 
-def _load_dataset(args):
-    modes = parse_modes(_read(args.modes))
+def _load_dataset(args, modes, target=None):
+    """The knowledge base of ``--facts`` and the examples of ``--pos`` plus
+    ``--neg``, or negatives sampled at ``--neg-ratio`` under ``--seed``.
+
+    ``target`` defaults to ``--target`` or the predicate of the first positive.
+    """
     kb = parse_facts(_read(args.facts), modes)
     pos_text = _read(args.pos)
-    target = _resolve_target(args, modes, pos_text)
+    if target is None:
+        target = _resolve_target(args, modes, pos_text)
     positives = parse_examples(pos_text, kb, target)
     if args.neg:
         negatives = parse_examples(_read(args.neg), kb, target)
@@ -160,7 +162,7 @@ def _config_from(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = _config_from(args)
-    kb, examples = _load_dataset(args)
+    kb, examples = _load_dataset(args, parse_modes(_read(args.modes)))
 
     def report(index, sse, mean_abs):
         print(f"tree {index}/{config.n_trees}  sse={sse:.6f}  mean|grad|={mean_abs:.6f}")
@@ -213,13 +215,7 @@ def cmd_explain(args) -> int:
     else:
         if not (args.facts and args.pos):
             raise _UsageError("distill mode needs --facts and --pos (training examples)")
-        kb = parse_facts(_read(args.facts), model.modes)
-        pos = parse_examples(_read(args.pos), kb, model.target)
-        if args.neg:
-            neg = parse_examples(_read(args.neg), kb, model.target)
-        else:
-            neg = generate_negatives(kb, model.target, pos, ratio=args.neg_ratio, seed=args.seed)
-        examples = ExampleSet(model.target, pos, neg)
+        kb, examples = _load_dataset(args, model.modes, model.target)
         distilled = distill_single_tree(model, examples, kb, max_depth=args.depth)
         out.with_suffix(".tree.txt").write_text(distilled.trees[0].to_text(), encoding="utf-8")
         net = paths_to_lrbm(distilled)
@@ -231,7 +227,7 @@ def cmd_explain(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config_from(args)
-    kb, examples = _load_dataset(args)
+    kb, examples = _load_dataset(args, parse_modes(_read(args.modes)))
     folds = split_folds(examples, args.folds, args.seed)
 
     def report(metrics):
@@ -261,7 +257,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, UnknownConstantError) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ParseError, UnknownConstantError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

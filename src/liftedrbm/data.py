@@ -16,6 +16,7 @@ needs a mode declaration, since argument types are taken from it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 import warnings
@@ -84,7 +85,6 @@ class FoldSpec:
 
     k: int
     assignments: dict[Atom, int]
-    seed: int
 
     def split(self, examples: ExampleSet, fold: int) -> tuple[ExampleSet, ExampleSet]:
         """(train, test) example sets for one held-out fold."""
@@ -246,63 +246,35 @@ def generate_negatives(
     Draws ``min(floor(ratio * len(positives)), available)`` distinct groundings
     of ``target`` that are not positives, without replacement, deterministically
     under ``seed``.  Emits a warning (never fails) when the domain is too small
-    to honor the request.
+    to honor the request.  Grounding indices are sampled and decoded as
+    mixed-radix numbers over the type universes, so the cost is
+    O(want + positives) however dense the positives are.
     """
-    if ratio < 0:
-        raise ValueError("ratio must be non-negative")
+    if not math.isfinite(ratio) or ratio < 0:
+        raise ValueError(f"ratio must be finite and non-negative, got {ratio}")
     want = int(ratio * len(positives))
     if want == 0:
         return []
     universes = [kb.universe(t) for t in target.arg_types]
-    total = 1
-    for u in universes:
-        total *= len(u)
+    total = math.prod(len(u) for u in universes)
     positive_keys = {tuple(t.name for t in a.args) for a in positives}
-    available = total - len(_grounding_keys(positive_keys, universes))
     rng = random.Random(seed)
-    if available <= 0:
-        warnings.warn(
-            f"requested {want} negatives but the domain has none available",
-            stacklevel=2,
-        )
-        return []
-    if 2 * want >= available:
-        pool = [
-            combo
-            for combo in itertools.product(*universes)
-            if tuple(t.name for t in combo) not in positive_keys
-        ]
-        if want >= len(pool):
-            if want > len(pool):
-                warnings.warn(
-                    f"requested {want} negatives but only {len(pool)} groundings "
-                    "are available",
-                    stacklevel=2,
-                )
-            chosen = pool
-        else:
-            chosen = rng.sample(pool, want)
-        return [Atom(target, combo) for combo in chosen]
     negatives: list[Atom] = []
-    drawn: set[tuple[str, ...]] = set()
-    while len(negatives) < want:
-        combo = tuple(u[rng.randrange(len(u))] for u in universes)
-        key = tuple(t.name for t in combo)
-        if key in positive_keys or key in drawn:
-            continue
-        drawn.add(key)
-        negatives.append(Atom(target, combo))
+    for index in rng.sample(range(total), min(total, want + len(positive_keys))):
+        combo = []
+        for universe in reversed(universes):
+            index, digit = divmod(index, len(universe))
+            combo.append(universe[digit])
+        combo.reverse()
+        if tuple(t.name for t in combo) not in positive_keys:
+            negatives.append(Atom(target, tuple(combo)))
+            if len(negatives) == want:
+                return negatives
+    warnings.warn(
+        f"requested {want} negatives but only {len(negatives)} groundings are available",
+        stacklevel=2,
+    )
     return negatives
-
-
-def _grounding_keys(positive_keys, universes):
-    """Positive keys that actually lie inside the grounding space."""
-    names = [{t.name for t in u} for u in universes]
-    inside = set()
-    for key in positive_keys:
-        if len(key) == len(names) and all(n in s for n, s in zip(key, names)):
-            inside.add(key)
-    return inside
 
 
 def split_folds(examples: ExampleSet, k: int, seed: int = 0) -> FoldSpec:
@@ -325,5 +297,5 @@ def split_folds(examples: ExampleSet, k: int, seed: int = 0) -> FoldSpec:
         rng.shuffle(shuffled)
         for i, atom in enumerate(shuffled):
             assignments[atom] = i % k
-    return FoldSpec(k, assignments, seed)
+    return FoldSpec(k, assignments)
 

@@ -139,10 +139,12 @@ def distill_single_tree(
 
     Every example is relabeled with the full potential the ensemble assigns it
     (found by routing it through all trees) and a single tree is grown against
-    those regression targets.  The conversion is approximate by construction;
+    those regression targets.  The conversion is approximate by construction.
     The result is a one-tree model with the source's configuration and
     modes; its prior is zero because the targets absorb it.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     labeled = examples.labeled()
     if not labeled:
         raise ValueError("distillation needs training examples")
@@ -231,18 +233,11 @@ def _network_text(net: LiftedRBMNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(obj, fmt: str) -> str:
-    """Deterministic rendering of a network or model as ``dot`` or ``text``."""
-    if fmt not in ("dot", "text"):
-        raise ValueError(f"unknown export format {fmt!r}")
-    if isinstance(obj, LiftedRBMNetwork):
-        return _network_dot(obj) if fmt == "dot" else _network_text(obj)
-    if isinstance(obj, BoostedModel):
-        if fmt == "dot":
-            return _network_dot(paths_to_lrbm(obj))
-        parts = [f"target: {obj.head}", f"psi0: {obj.psi0!r}", f"trees: {len(obj.trees)}"]
-        for i, tree in enumerate(obj.trees):
-            parts.append(f"tree {i}:")
-            parts.append(tree.to_text().rstrip("\n"))
-        return "\n".join(parts) + "\n"
-    raise TypeError(f"cannot export {type(obj).__name__}")
+def export(net: LiftedRBMNetwork, fmt: str) -> str:
+    """Deterministic rendering of a network as ``dot`` or ``text``; for a
+    model, export ``paths_to_lrbm(model)``."""
+    if fmt == "dot":
+        return _network_dot(net)
+    if fmt == "text":
+        return _network_text(net)
+    raise ValueError(f"unknown export format {fmt!r}")

@@ -62,12 +62,7 @@ class LeafParams:
 
     def value(self) -> float:
         """Potential contributed when this leaf's path feature is active."""
-        base = self.hidden_bias + self.feature_weight
-        return (
-            self.output_bias
-            + softplus(base + self.pos_weight)
-            - softplus(base + self.neg_weight)
-        )
+        return _value(self.as_tuple())
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (
@@ -82,7 +77,10 @@ class LeafParams:
 ZERO_PARAMS = LeafParams()
 
 
-def _value(p: list[float]) -> float:
+def _value(p: Sequence[float]) -> float:
+    """Leaf potential of parameters in :meth:`LeafParams.as_tuple` order,
+    ``output_bias + softplus(base + pos_weight) - softplus(base + neg_weight)``
+    with ``base = hidden_bias + feature_weight``."""
     return p[0] + softplus(p[1] + p[2] + p[4]) - softplus(p[1] + p[2] + p[3])
 
 
@@ -245,8 +243,9 @@ def generate_candidates(
 
     ``+`` arguments draw from the bound variables of the matching type; ``-``
     arguments may also introduce fresh variables, at most ``max_new_vars`` per
-    literal.  Candidates are deduplicated up to renaming of the fresh
-    variables and returned in a deterministic order: modes in declaration
+    literal.  Every slot's options are distinct (each bound variable once, one
+    fresh placeholder), so no two candidates are equal up to renaming of the
+    fresh variables.  They come in a deterministic order: modes in declaration
     order, bound variables in binding order, fresh slots last.  Fresh variables
     are named by type initial avoiding ``used_names``.
     """
@@ -258,7 +257,6 @@ def generate_candidates(
     excluded = set(exclude_predicates)
     base_names = set(used_names)
     out: list[Literal] = []
-    seen: set[tuple] = set()
     for mode in modes.values():
         predicate = mode.predicate
         if predicate.name in excluded:
@@ -273,17 +271,6 @@ def generate_candidates(
             n_fresh = sum(1 for slot in combo if slot is _FRESH)
             if n_fresh > max_new_vars:
                 continue
-            fresh_rank = itertools.count()
-            key = (
-                predicate.name,
-                tuple(
-                    f"*{next(fresh_rank)}" if slot is _FRESH else slot.name
-                    for slot in combo
-                ),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
             taken = base_names | {slot.name for slot in combo if slot is not _FRESH}
             args = tuple(
                 _fresh_variable(type_tag, taken) if slot is _FRESH else slot

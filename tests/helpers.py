@@ -120,16 +120,14 @@ def example2_kb() -> KnowledgeBase:
 # --- brute-force satisfaction oracle ---------------------------------------
 
 def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
-    """Exhaustive-enumeration satisfiability, independent of the search code.
+    """Exhaustive-enumeration satisfiability of positive literals, independent
+    of the search code.
 
-    Enumerates every type-consistent grounding of the variables occurring in
-    positive literals; a negated literal holds iff no grounding of its
-    remaining variables is a stored fact (negation-as-failure).
+    Enumerates every type-consistent grounding of the body's variables and
+    holds iff some grounding makes every literal a stored fact.
     """
-    positives = [lit for lit in body if not lit.negated]
-    negatives = [lit for lit in body if lit.negated]
     free: list[Term] = []
-    for lit in positives:
+    for lit in body:
         for var in lit.atom.variables():
             walked = partial.walk(var)
             if walked.is_variable and walked not in free:
@@ -139,9 +137,7 @@ def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
         subst = partial
         for var, value in zip(free, combo):
             subst = subst.bind(var, value)
-        if not all(subst.apply(lit.atom) in kb for lit in positives):
-            continue
-        if all(not _oracle_neg_matches(lit.atom, subst, kb) for lit in negatives):
+        if all(subst.apply(lit.atom) in kb for lit in body):
             return True
     return False
 
@@ -160,21 +156,6 @@ def oracle_route(body, partial, kb: KnowledgeBase) -> bool:
         if not lit.negated:
             prefix.append(lit)
     return True
-
-
-def _oracle_neg_matches(neg_atom: Atom, subst: Substitution, kb: KnowledgeBase) -> bool:
-    grounded = subst.apply(neg_atom)
-    rest: list[Term] = []
-    for var in grounded.variables():
-        if var not in rest:
-            rest.append(var)
-    for combo in itertools.product(*[kb.universe(v.type_tag) for v in rest]):
-        inner = subst
-        for var, value in zip(rest, combo):
-            inner = inner.bind(var, value)
-        if inner.apply(neg_atom) in kb:
-            return True
-    return False
 
 
 # --- random-case generator for the satisfaction oracle suite ---------------

@@ -95,6 +95,18 @@ class TestTrain:
         assert main(["train", *_common(data_dir), "--lr", "nan", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_infinite_neg_ratio_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        argv = [
+            "train",
+            "--facts", str(data_dir / "facts.txt"),
+            "--modes", str(data_dir / "modes.txt"),
+            "--pos", str(data_dir / "pos.txt"),
+            "--neg-ratio", "inf",
+            "--out", str(tmp_path / "m.json"),
+        ]
+        assert main(argv) == 1
+        assert "ratio" in capsys.readouterr().err
+
     def test_malformed_facts_are_a_data_error(self, data_dir, tmp_path):
         bad = tmp_path / "bad_facts.txt"
         bad.write_text("actedin(p1 m1).\n")
@@ -257,6 +269,60 @@ class TestModelLoader:
         assert "internal error" not in capsys.readouterr().err
 
 
+def _in_missing_dir(tmp, name):
+    return str(tmp / "no_such_dir" / name)
+
+
+# name -> (expected exit code, argv built from the data dir, a trained model
+# and a scratch dir holding "latin1.txt", a file that is not UTF-8)
+FILE_ERRORS = {
+    "predict, missing model": (1, lambda d, m, t: [
+        "predict", "--model", str(t / "nope.json"), "--facts", str(d / "facts.txt"),
+        "--queries", str(d / "queries.txt"),
+    ]),
+    "explain, missing model": (1, lambda d, m, t: [
+        "explain", "--model", str(t / "nope.json"), "--out", str(t / "net"),
+    ]),
+    "train, out in missing dir": (1, lambda d, m, t: [
+        "train", *_common(d), "--trees", "0", "--out", _in_missing_dir(t, "m.json"),
+    ]),
+    "predict, out in missing dir": (1, lambda d, m, t: [
+        "predict", "--model", str(m), "--facts", str(d / "facts.txt"),
+        "--queries", str(d / "queries.txt"), "--out", _in_missing_dir(t, "s.tsv"),
+    ]),
+    "eval, out in missing dir": (1, lambda d, m, t: [
+        "eval", *_common(d), "--trees", "0", "--folds", "2",
+        "--out", _in_missing_dir(t, "r.json"),
+    ]),
+    "explain, out in missing dir": (1, lambda d, m, t: [
+        "explain", "--model", str(m), "--out", _in_missing_dir(t, "net"),
+    ]),
+    "train, directory as facts": (1, lambda d, m, t: [
+        "train", *_common(d)[2:], "--facts", str(t), "--out", str(t / "m.json"),
+    ]),
+    "train, non-UTF-8 facts": (2, lambda d, m, t: [
+        "train", *_common(d)[2:], "--facts", str(t / "latin1.txt"), "--out", str(t / "m.json"),
+    ]),
+    "predict, non-UTF-8 queries": (2, lambda d, m, t: [
+        "predict", "--model", str(m), "--facts", str(d / "facts.txt"),
+        "--queries", str(t / "latin1.txt"),
+    ]),
+    "predict, non-UTF-8 model": (2, lambda d, m, t: [
+        "predict", "--model", str(t / "latin1.txt"), "--facts", str(d / "facts.txt"),
+        "--queries", str(d / "queries.txt"),
+    ]),
+}
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("name", sorted(FILE_ERRORS))
+    def test_exit_code(self, name, data_dir, trained_model_path, tmp_path, capsys):
+        expected, build = FILE_ERRORS[name]
+        (tmp_path / "latin1.txt").write_bytes("actedin(jos\u00e9, m1).\n".encode("latin-1"))
+        assert main(build(data_dir, trained_model_path, tmp_path)) == expected
+        assert "internal error" not in capsys.readouterr().err
+
+
 class TestExplain:
     def test_paths_mode_emits_json_and_dot(self, trained_model_path, tmp_path, capsys):
         out = tmp_path / "net"
@@ -296,6 +362,24 @@ class TestExplain:
         assert (tmp_path / "net.tree.txt").exists()
         assert (tmp_path / "net.json").exists()
         assert (tmp_path / "net.dot").exists()
+
+
+    def test_negative_depth_is_named_in_the_error(
+        self, data_dir, trained_model_path, tmp_path, capsys
+    ):
+        argv = [
+            "explain",
+            "--model", str(trained_model_path),
+            "--mode", "distill",
+            "--depth", "-1",
+            "--facts", str(data_dir / "facts.txt"),
+            "--pos", str(data_dir / "pos.txt"),
+            "--neg", str(data_dir / "neg.txt"),
+            "--out", str(tmp_path / "net"),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "depth" in err and "max_leaves" not in err
 
 
 class TestEval:

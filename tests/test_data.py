@@ -1,5 +1,6 @@
 """Parsing, negative generation, fold splitting, and the temporal filter."""
 
+import collections
 import itertools
 
 import pytest
@@ -188,6 +189,32 @@ class TestGenerateNegatives:
         for seed in range(10):
             negatives = generate_negatives(kb, target, positives, ratio=0.5, seed=seed)
             assert {str(a) for a in negatives}.isdisjoint({str(a) for a in positives})
+
+
+    @pytest.mark.parametrize("ratio", [-1, float("inf"), float("nan")])
+    def test_bad_ratio_is_rejected(self, ratio):
+        modes, kb = _pair_kb(3)
+        target = modes["likes"].predicate
+        positives = [atom(target, C("p0", "person"), C("p1", "person"))]
+        with pytest.raises(ValueError, match="ratio"):
+            generate_negatives(kb, target, positives, ratio=ratio, seed=0)
+
+    def test_draws_are_uniform_over_non_positive_groundings(self):
+        # 3 people -> 9 groundings; 2 positives leave 7, one drawn per seed
+        modes, kb = _pair_kb(3)
+        target = modes["likes"].predicate
+        positives = [
+            atom(target, C("p0", "person"), C("p1", "person")),
+            atom(target, C("p2", "person"), C("p2", "person")),
+        ]
+        counts = collections.Counter(
+            str(negative)
+            for seed in range(7000)
+            for negative in generate_negatives(kb, target, positives, ratio=0.5, seed=seed)
+        )
+        assert len(counts) == 7
+        mean = sum(counts.values()) / 7
+        assert all(0.85 * mean <= n <= 1.15 * mean for n in counts.values()), counts
 
 
 def _example_set(n_pos, n_neg):

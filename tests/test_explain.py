@@ -254,8 +254,6 @@ class TestExport:
         assert export(net, "dot") == export(net, "dot")
         assert export(net, "text") == export(net, "text")
         assert dumps_network(net) == dumps_network(net)
-        assert export(model, "text") == export(model, "text")
-        assert export(model, "dot") == export(net, "dot")
 
     def test_unknown_format_is_an_error(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,7 @@ class TestGenerateCandidates:
                         fresh += 1
                 got.add((lit.atom.predicate.name, tuple(key)))
             assert got == expected, f"max_new_vars={max_new}"
+            assert len(got) == len(candidates), f"duplicates at max_new_vars={max_new}"
 
     def test_no_two_fresh_vars_when_budget_is_one(self):
         modes = parse_modes("mode: r(-a, -a).\nmode: tgt(-b).")
