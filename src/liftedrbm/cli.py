@@ -20,6 +20,7 @@ from .data import (
     parse_examples,
     parse_facts,
     parse_modes,
+    read_text,
     split_folds,
 )
 from .logic import UnknownConstantError
@@ -111,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _resolve_target(args, modes, pos_text):
     name = args.target
     if name is None:
@@ -136,13 +133,13 @@ def _load_dataset(args, modes, target=None):
 
     ``target`` defaults to ``--target`` or the predicate of the first positive.
     """
-    kb = parse_facts(_read(args.facts), modes)
-    pos_text = _read(args.pos)
+    kb = parse_facts(read_text(args.facts), modes)
+    pos_text = read_text(args.pos)
     if target is None:
         target = _resolve_target(args, modes, pos_text)
     positives = parse_examples(pos_text, kb, target)
     if args.neg:
-        negatives = parse_examples(_read(args.neg), kb, target)
+        negatives = parse_examples(read_text(args.neg), kb, target)
     else:
         negatives = generate_negatives(
             kb, target, positives, ratio=args.neg_ratio, seed=args.seed
@@ -162,7 +159,7 @@ def _config_from(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = _config_from(args)
-    kb, examples = _load_dataset(args, parse_modes(_read(args.modes)))
+    kb, examples = _load_dataset(args, parse_modes(read_text(args.modes)))
 
     def report(index, sse, mean_abs):
         print(f"tree {index}/{config.n_trees}  sse={sse:.6f}  mean|grad|={mean_abs:.6f}")
@@ -178,10 +175,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    kb = parse_facts(_read(args.facts), model.modes)
+    kb = parse_facts(read_text(args.facts), model.modes)
     lines = []
     errors = []
-    for line_no, raw in enumerate(_read(args.queries).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(args.queries).splitlines(), start=1):
         text = raw.split("%", 1)[0].strip()
         if not text:
             continue
@@ -227,7 +224,7 @@ def cmd_explain(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config_from(args)
-    kb, examples = _load_dataset(args, parse_modes(_read(args.modes)))
+    kb, examples = _load_dataset(args, parse_modes(read_text(args.modes)))
     folds = split_folds(examples, args.folds, args.seed)
 
     def report(metrics):
@@ -260,7 +257,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, UnknownConstantError, UnicodeDecodeError) as exc:
+    except (ParseError, UnknownConstantError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

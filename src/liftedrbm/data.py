@@ -19,8 +19,10 @@ import itertools
 import math
 import random
 import re
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .logic import Atom, KnowledgeBase, Predicate, Term
@@ -32,6 +34,15 @@ class ParseError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file; one that is not UTF-8 is a
+    :class:`ParseError` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 _ATOM_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\.?\s*$")
@@ -260,7 +271,7 @@ def generate_negatives(
     positive_keys = {tuple(t.name for t in a.args) for a in positives}
     rng = random.Random(seed)
     negatives: list[Atom] = []
-    for index in rng.sample(range(total), min(total, want + len(positive_keys))):
+    for index in _sample_indices(rng, total, min(total, want + len(positive_keys))):
         combo = []
         for universe in reversed(universes):
             index, digit = divmod(index, len(universe))
@@ -275,6 +286,19 @@ def generate_negatives(
         stacklevel=2,
     )
     return negatives
+
+
+def _sample_indices(rng: random.Random, total: int, count: int) -> list[int]:
+    """``rng.sample(range(total), count)``, also where ``total`` exceeds
+    ``sys.maxsize`` and ``len(range(total))`` overflows.  For such a space
+    ``random.sample`` would draw by rejecting repeats, so that is done here
+    with the same calls; smaller spaces go to ``random.sample`` itself."""
+    if total <= sys.maxsize:
+        return rng.sample(range(total), count)
+    chosen: dict[int, None] = {}
+    while len(chosen) < count:
+        chosen.setdefault(rng.randrange(total))
+    return list(chosen)
 
 
 def split_folds(examples: ExampleSet, k: int, seed: int = 0) -> FoldSpec:

@@ -14,9 +14,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .data import ModeDeclaration, ParseError, parse_atom_text
+from .data import ModeDeclaration, ParseError, parse_atom_text, read_text
 from .logic import Atom, KnowledgeBase, Literal, Predicate, Term, UnknownConstantError
 from .tree import (
+    CoverageTable,
     InternalNode,
     LeafNode,
     LeafParams,
@@ -138,10 +139,18 @@ def train(
     """Boost ``config.n_trees`` trees against an :class:`~liftedrbm.data.ExampleSet`.
 
     Tree n is fit to the gradients of the model made of trees 1..n-1 (the
-    potential per example is accumulated incrementally, which computes exactly
-    those gradients).  ``psi0`` is the prior potential, zero by default; pass
-    the log prior odds to start from the base rate.  ``progress(tree_index,
-    fit_sse, mean_abs_gradient)`` is invoked after each iteration when given.
+    potential per example is accumulated incrementally, from the leaf each
+    example reached in the fit, which is the leaf routing sends it to, so
+    those are exactly the gradients).  ``psi0`` is the prior potential, zero
+    by default; pass the log prior odds to start from the base rate.
+    ``progress(tree_index, fit_sse, mean_abs_gradient)`` is invoked after each
+    iteration when given.
+
+    All trees share one :class:`~liftedrbm.tree.CoverageTable`, created here
+    and dropped on return: whether an example satisfies a node's context and a
+    candidate never depends on the gradients, so trees 2..n reuse what earlier
+    trees proved.  It holds two n-bit ints per distinct context x candidate
+    for the n training examples.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -158,6 +167,8 @@ def train(
         modes=dict(kb.modes),
     )
     psis = [model.psi0] * len(labeled)
+    table = CoverageTable()
+    fitted: list[float] = []
     for index in range(config.n_trees):
         gradients = [
             label - probability(psi, config.psi_clamp)
@@ -176,11 +187,12 @@ def train(
             cd_max_iters=config.cd_max_iters,
             cd_tolerance=config.cd_tolerance,
             max_new_vars=config.max_new_vars,
+            table=table,
+            fitted=fitted,
         )
         model.trees.append(tree)
         sse = 0.0
-        for i, ((query, _), gradient) in enumerate(zip(labeled, gradients)):
-            value = evaluate_tree(tree, query, kb)
+        for i, (value, gradient) in enumerate(zip(fitted, gradients)):
             psis[i] += value
             sse += (value - gradient) ** 2
         if progress is not None:
@@ -304,4 +316,4 @@ def save_model(model: BoostedModel, path) -> None:
 
 
 def load_model(path) -> BoostedModel:
-    return loads_model(Path(path).read_text(encoding="utf-8"))
+    return loads_model(read_text(path))

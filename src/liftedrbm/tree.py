@@ -284,11 +284,46 @@ def generate_candidates(
 FitItem = tuple[RegressionExample, Substitution, Substitution]
 
 
+class CoverageTable:
+    """Which examples satisfy ``context AND candidate``, each decided once.
+
+    An entry is keyed on a node's context (the atoms of its positive path
+    tests) and a candidate atom, variable names included, and holds two ints
+    used as bitsets over the examples: ``known`` marks the examples already
+    decided and ``sat`` those whose extended conjunction is satisfiable.  Each
+    distinct query atom owns one bit.  The entries are exact: a decision
+    depends only on the knowledge base, the context, the candidate and the
+    query (through its head unifier), never on gradients or on which witness
+    of the context was cached (see :func:`~liftedrbm.logic.route_decision`).
+    A table is therefore valid for one unchanged knowledge base, and costs two
+    n-bit ints per distinct context x candidate for n distinct queries.
+    """
+
+    __slots__ = ("_bits", "_by_id", "_entries")
+
+    def __init__(self):
+        self._bits: dict[Atom, int] = {}
+        # Hashing an atom walks its terms, so a memo on object identity answers
+        # first: a caller passes the same query object for an example in every
+        # tree.  The memo holds each object, so its id is not reused meanwhile.
+        self._by_id: dict[int, tuple[Atom, int]] = {}
+        self._entries: dict[tuple[tuple[Atom, ...], Atom], tuple[int, int]] = {}
+
+    def bit(self, query: Atom) -> int:
+        """The one-bit mask owned by ``query``."""
+        hit = self._by_id.get(id(query))
+        if hit is None:
+            mask = self._bits.setdefault(query, 1 << len(self._bits))
+            hit = self._by_id[id(query)] = (query, mask)
+        return hit[1]
+
+
 def partition(
     context: Sequence[Atom],
     candidate: Literal,
     items: Sequence[FitItem],
     kb: KnowledgeBase,
+    table: Optional[CoverageTable] = None,
 ) -> tuple[list[FitItem], list[FitItem]]:
     """Split node examples on satisfiability of (context AND candidate).
 
@@ -296,16 +331,37 @@ def partition(
     every item carries the example's head unifier plus a cached witness of that
     context.  Examples whose extended conjunction is satisfiable go left with
     the first witness found (for variable chaining); the rest go right
-    unchanged.
+    unchanged.  Both sides keep the order of ``items``.
+
+    With a :class:`CoverageTable`, the decisions it already holds under the
+    key (``context``, ``candidate.atom``) are read from it, only the others
+    are proved, and those are recorded in it; the split is the same, since a
+    decision depends on neither the gradients nor the cached witness.  Left
+    items then keep their context witness, since a decision read from the
+    table carries none: partition the chosen split's left side again without
+    a table to chain witnesses.
     """
     left: list[FitItem] = []
     right: list[FitItem] = []
-    for example, base, cached in items:
-        extended = route_decision(context, candidate.atom, base, cached, kb)
-        if extended is not None:
-            left.append((example, base, extended))
-        else:
-            right.append((example, base, cached))
+    if table is None:
+        for example, base, cached in items:
+            extended = route_decision(context, candidate.atom, base, cached, kb)
+            if extended is not None:
+                left.append((example, base, extended))
+            else:
+                right.append((example, base, cached))
+        return left, right
+    key = (tuple(context), candidate.atom)
+    known, sat = table._entries.get(key, (0, 0))
+    for item in items:
+        example, base, cached = item
+        bit = table.bit(example.query)
+        if not known & bit:
+            known |= bit
+            if route_decision(context, candidate.atom, base, cached, kb) is not None:
+                sat |= bit
+        (left if sat & bit else right).append(item)
+    table._entries[key] = (known, sat)
     return left, right
 
 
@@ -338,6 +394,8 @@ def fit_regression_tree(
     cd_tolerance: float = 1e-8,
     max_new_vars: int = 1,
     max_depth: Optional[int] = None,
+    table: Optional[CoverageTable] = None,
+    fitted: Optional[list[float]] = None,
 ) -> RelationalRegressionTree:
     """Greedy best-first induction of one tree fitting the current gradients.
 
@@ -349,6 +407,19 @@ def fit_regression_tree(
     ``max_leaves`` leaves or when nothing expandable remains; candidates
     emptying either side are rejected and a node with no usable candidate
     stays a leaf.
+
+    Candidates are scored from a :class:`CoverageTable` keyed on (node
+    context, candidate atom), so each (context, candidate, example) is proved
+    at most once; only the committed split's true side is proved again, for
+    the witnesses its children chain.  The table is exact because a decision
+    never depends on the gradients, and it costs two n-bit ints per distinct
+    context x candidate.  Pass ``table`` to share one across fits over the
+    same knowledge base (as :func:`~liftedrbm.model.train` does for its
+    trees); by default the fit uses its own and drops it on return, which
+    still pays off because a false child keeps its parent's context.  When
+    given, ``fitted`` is filled with each example's leaf value in
+    ``examples`` order: the value :func:`evaluate_tree` routes it to, since
+    fitting and routing make the same decisions.
     """
     if not examples:
         raise ValueError("cannot fit a tree to zero examples")
@@ -356,6 +427,8 @@ def fit_regression_tree(
         raise ValueError("max_leaves must be at least 1")
     predicate = examples[0].query.predicate
     head = make_head(predicate)
+    if table is None:
+        table = CoverageTable()
 
     def fit_leaf(items: Sequence[FitItem]) -> tuple[LeafParams, float]:
         deltas = [example.gradient for example, _, _ in items]
@@ -405,7 +478,7 @@ def fit_regression_tree(
         )
         best = None
         for candidate in candidates:
-            left, right = partition(node.context, candidate, node.items, kb)
+            left, right = partition(node.context, candidate, node.items, kb, table)
             if not left or not right:
                 continue
             theta_left, sse_left = fit_leaf(left)
@@ -416,6 +489,7 @@ def fit_regression_tree(
         if best is None:
             continue  # permanent leaf
         _, candidate, left, right, theta_left, sse_left, theta_right, sse_right = best
+        left, _ = partition(node.context, candidate, left, kb)
         new_vars = tuple(
             v for v in candidate.atom.variables() if v not in node.bound_vars
         )
@@ -443,14 +517,22 @@ def fit_regression_tree(
         push(node.true_child)
         push(node.false_child)
 
+    leaf_value: dict[int, float] = {}  # id(example) -> value of the leaf it reached
+
     def materialize(node: _FitNode) -> TreeNode:
         if node.test is None:
+            value = node.params.value()
+            for example, _, _ in node.items:
+                leaf_value[id(example)] = value
             return LeafNode(node.params)
         return InternalNode(
             node.test, materialize(node.true_child), materialize(node.false_child)
         )
 
-    return RelationalRegressionTree(head, materialize(root))
+    tree = RelationalRegressionTree(head, materialize(root))
+    if fitted is not None:
+        fitted[:] = [leaf_value[id(example)] for example in examples]
+    return tree
 
 
 def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase) -> float:

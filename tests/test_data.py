@@ -15,7 +15,7 @@ from liftedrbm.data import (
     serialize_facts,
     split_folds,
 )
-from liftedrbm.logic import Predicate, satisfy, unify
+from liftedrbm.logic import KnowledgeBase, Predicate, satisfy, unify
 
 from helpers import (
     ACTEDIN,
@@ -190,6 +190,17 @@ class TestGenerateNegatives:
             negatives = generate_negatives(kb, target, positives, ratio=0.5, seed=seed)
             assert {str(a) for a in negatives}.isdisjoint({str(a) for a in positives})
 
+    def test_grounding_space_beyond_sys_maxsize(self):
+        # 60,000 ** 4 groundings: len(range(total)) would overflow
+        modes = parse_modes("mode: quad(-a, -a, -a, -a).")
+        kb = KnowledgeBase(modes)
+        for i in range(60_000):
+            kb.register_constant(f"c{i}", "a")
+        target = modes["quad"].predicate
+        positive = atom(target, *[C("c0", "a")] * 4)
+        negatives = generate_negatives(kb, target, [positive], ratio=2, seed=0)
+        assert len(negatives) == 2
+        assert len(set(negatives)) == 2 and positive not in negatives
 
     @pytest.mark.parametrize("ratio", [-1, float("inf"), float("nan")])
     def test_bad_ratio_is_rejected(self, ratio):

@@ -1,6 +1,7 @@
 """Path mapping, clause-level inference, distillation, and exports."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,11 @@ from helpers import (
     example2_kb,
     rule_clauses,
 )
+
+
+# sha256 of the depth-10 distillation of the benchmark's boost model on its
+# training fold, the tree text the benchmark's distill workload prints
+DISTILLED_TREE_SHA256 = "8350d06053f0c51940650cc20f441ec12649c9e45577a20053d8e426a11b58e5"
 
 
 def _hand_network(psi0=0.0):
@@ -210,6 +216,11 @@ class TestDistill:
             if abs(single.psi(query, kb) - model.psi(query, kb)) < 0.1
         )
         assert close / len(labeled) >= 0.9
+
+    def test_depth_ten_distillation_reproduces_the_benchmark_tree(self, movie_model):
+        model, train_set, _, kb = movie_model
+        text = distill_single_tree(model, train_set, kb, max_depth=10).trees[0].to_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DISTILLED_TREE_SHA256
 
     def test_distillation_requires_examples(self, movie_model):
         from liftedrbm.data import ExampleSet

@@ -215,6 +215,25 @@ class TestTrain:
         assert [s[0] for s in seen] == [1, 2]
         assert all(s[1] >= 0 and 0 <= s[2] <= 1 for s in seen)
 
+    def test_progress_reports_the_routed_error_of_every_tree(self, movie_domain):
+        import dataclasses
+
+        from liftedrbm.tree import evaluate_tree
+
+        kb, examples, _ = movie_domain
+        seen = []
+        model = train(kb, examples, TrainConfig(n_trees=3), progress=lambda *a: seen.append(a))
+        labeled = examples.labeled()
+        assert [s[0] for s in seen] == [1, 2, 3]
+        for (index, sse, _), tree in zip(seen, model.trees):
+            before = dataclasses.replace(model, trees=model.trees[: index - 1])
+            gradients = compute_gradients(before, labeled, kb)
+            routed = sum(
+                (evaluate_tree(tree, query, kb) - gradient) ** 2
+                for (query, _), gradient in zip(labeled, gradients)
+            )
+            assert sse == routed
+
     def test_learns_the_generating_rules(self, movie_model, movie_domain):
         from liftedrbm.metrics import ScoredExample, auc_roc
 

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from liftedrbm.data import parse_facts, parse_modes
-from liftedrbm.logic import Literal, satisfy_route, unify
+from liftedrbm.logic import Atom, Literal, satisfy_route, unify
 from liftedrbm.tree import (
+    CoverageTable,
     InternalNode,
     LeafNode,
     LeafParams,
@@ -319,6 +320,47 @@ class TestFitRegressionTree:
         modes, kb, _ = _separable_domain()
         with pytest.raises(ValueError):
             fit_regression_tree([], 4, modes, kb)
+
+
+class TestCoverageTable:
+    def test_shared_table_is_keyed_on_queries_not_positions(self, movie_domain, monkeypatch):
+        import liftedrbm.tree as tree_module
+
+        kb, examples, _ = movie_domain
+        labeled = examples.labeled()
+        first = [RegressionExample(q, y, 0.9 if y else -0.7) for q, y in labeled]
+        rng = random.Random(7)
+        # a reordered subset, as equal but distinct query objects, new targets
+        second = [
+            RegressionExample(Atom(q.predicate, q.args), y, rng.uniform(-0.9, 0.9))
+            for q, y in rng.sample(labeled, len(labeled) // 2)
+        ]
+        decisions = []
+        route_decision = tree_module.route_decision
+
+        def counted(*args):
+            decisions.append(args)
+            return route_decision(*args)
+
+        monkeypatch.setattr(tree_module, "route_decision", counted)
+        fresh = fit_regression_tree(second, 4, MOVIE_MODES, kb)
+        fresh_decisions = len(decisions)
+        table = CoverageTable()
+        fit_regression_tree(first, 4, MOVIE_MODES, kb, table=table)
+        decisions.clear()
+        shared = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=table)
+        assert len(decisions) < fresh_decisions  # the table was read
+        assert shared.to_text() == fresh.to_text()
+
+    def test_fitted_values_are_the_routed_leaf_values(self, movie_domain):
+        kb, examples, _ = movie_domain
+        rng = random.Random(3)
+        regression = [
+            RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
+        ]
+        fitted = []
+        tree = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fitted)
+        assert fitted == [evaluate_tree(tree, e.query, kb) for e in regression]
 
 
 def _random_movie_tree_and_examples(seed=0):
