@@ -183,9 +183,7 @@ def cmd_predict(args) -> int:
         if not text:
             continue
         try:
-            query = parse_atom_text(
-                text, {model.target.name: model.target}, require_ground=True, line_no=line_no
-            )
+            query = parse_atom_text(text, {model.target.name: model.target}, require_ground=True)
             result = model.predict(query, kb)
         except (ParseError, UnknownConstantError, ValueError) as exc:
             errors.append(f"line {line_no}: {exc}")

@@ -116,7 +116,7 @@ def _lines(text: str):
             yield line_no, line
 
 
-def _parse_atom_line(line: str, line_no: int) -> tuple[str, list[str]]:
+def _parse_atom_line(line: str, line_no: Optional[int]) -> tuple[str, list[str]]:
     match = _ATOM_RE.match(line)
     if match is None:
         raise ParseError(f"malformed atom {line!r}", line_no)
@@ -192,22 +192,22 @@ def parse_atom_text(
     text: str,
     predicates: dict[str, Predicate],
     require_ground: bool = False,
-    line_no: Optional[int] = None,
 ) -> Atom:
-    """Parse a single atom; uppercase tokens become variables typed by position."""
-    name, tokens = _parse_atom_line(text.strip(), line_no or 0)
+    """Parse a single atom; uppercase tokens become variables typed by position.
+
+    Errors carry no line number: the caller knows where the text came from.
+    """
+    name, tokens = _parse_atom_line(text.strip(), None)
     predicate = predicates.get(name)
     if predicate is None:
-        raise ParseError(f"unknown predicate {name}", line_no)
+        raise ParseError(f"unknown predicate {name}")
     if len(tokens) != predicate.arity:
-        raise ParseError(
-            f"{name} expects {predicate.arity} arguments, got {len(tokens)}", line_no
-        )
+        raise ParseError(f"{name} expects {predicate.arity} arguments, got {len(tokens)}")
     args = []
     for tok, type_tag in zip(tokens, predicate.arg_types):
         if tok[0].isupper():
             if require_ground:
-                raise ParseError(f"expected a ground atom, found variable {tok}", line_no)
+                raise ParseError(f"expected a ground atom, found variable {tok}")
             args.append(Term.variable(tok, type_tag))
         else:
             args.append(Term.constant(tok, type_tag))

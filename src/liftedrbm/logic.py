@@ -5,8 +5,8 @@ fact.  :func:`satisfy` proves a conjunction of positive atoms depth-first, left
 to right, visiting candidate facts in knowledge-base insertion order, and stops
 at the first full solution.  A negated literal has one meaning, the one a
 tree's false branch gives it: ``NOT atom`` after a prefix holds iff
-``prefix AND atom`` has no solution.  :func:`satisfy_route` is the one place
-that reads it.
+``prefix AND atom`` has no solution.  A :class:`RoutingTrie` walk is the one
+place that reads it; :func:`satisfy_route` walks a one-clause trie.
 """
 
 from __future__ import annotations
@@ -406,6 +406,110 @@ def route_decision(
     return satisfy(tuple(context) + (test,), base, kb, stats)
 
 
+class _TrieNode:
+    """A point in a routing trie: the clauses that end here, and one branch
+    ``[atom, positive child, negated child]`` per distinct next atom."""
+
+    __slots__ = ("ends", "branches")
+
+    def __init__(self):
+        self.ends: list[int] = []
+        self.branches: list[list] = []
+
+    def insert(self, body: Sequence[Literal], clause_id: int) -> None:
+        node = self
+        for lit in body:
+            for branch in node.branches:
+                if branch[0] == lit.atom:
+                    break
+            else:
+                branch = [lit.atom, None, None]
+                node.branches.append(branch)
+            side = 2 if lit.negated else 1
+            if branch[side] is None:
+                branch[side] = _TrieNode()
+            node = branch[side]
+        node.ends.append(clause_id)
+
+
+def _walk(
+    root: _TrieNode,
+    base: Substitution,
+    kb: KnowledgeBase,
+    stats: Optional[SearchStats],
+) -> list[tuple[int, Substitution]]:
+    """(clause id, witness) of every clause under ``root`` that holds.
+
+    A node's context is the positive atoms on its way from ``root`` and its
+    cached witness the last positive extension (``base`` at the root).  Each
+    branch's atom is decided once, by :func:`route_decision`; a satisfied
+    atom descends into its positive child with the extended witness, an
+    unsatisfied one into its negated child with the node's context and
+    witness.  A clause ending at a node holds with that node's witness.
+    """
+    fired: list[tuple[int, Substitution]] = []
+    stack = [(root, (), base)]
+    while stack:
+        node, context, cached = stack.pop()
+        for clause_id in node.ends:
+            fired.append((clause_id, cached))
+        for atom, yes, no in node.branches:
+            extended = route_decision(context, atom, base, cached, kb, stats)
+            if extended is not None:
+                if yes is not None:
+                    stack.append((yes, context + (atom,), extended))
+            elif no is not None:
+                stack.append((no, context, cached))
+    return fired
+
+
+class RoutingTrie:
+    """Clauses merged on (head, signed literal sequence), routed in one walk.
+
+    Clauses with the same head and the same leading literals share those
+    trie nodes, so each shared literal is decided once per query, and a
+    literal and its negation at the same point share one decision.  Sharing
+    is exact: an identical literal sequence under an identical head means an
+    identical context, test, head unifier and chain of cached witnesses, so
+    every decision, and every witness, is the one the clause would get on
+    its own (the argument :class:`~liftedrbm.tree.CoverageTable` relies on).
+    With ``share_prefixes=False`` every clause gets a branch of its own, so
+    the search visits what proving the clauses one by one visits.  A clause
+    is identified by its position in ``clauses``.
+    """
+
+    __slots__ = ("_roots",)
+
+    def __init__(self, clauses: Sequence[Clause], share_prefixes: bool = True):
+        roots: list[tuple[Atom, _TrieNode]] = []
+        by_head: dict[Atom, _TrieNode] = {}
+        for clause_id, clause in enumerate(clauses):
+            root = by_head.get(clause.head) if share_prefixes else None
+            if root is None:
+                root = _TrieNode()
+                roots.append((clause.head, root))
+                if share_prefixes:
+                    by_head[clause.head] = root
+            root.insert(clause.body, clause_id)
+        self._roots = roots
+
+    def walk(
+        self,
+        query: Atom,
+        kb: KnowledgeBase,
+        stats: Optional[SearchStats] = None,
+    ) -> list[tuple[int, Substitution]]:
+        """(clause id, witness) of every clause that holds for ``query``, in
+        walk order; a clause whose head does not unify with it never holds.
+        The witness extends the head unifier, as :func:`satisfy_route` does."""
+        fired: list[tuple[int, Substitution]] = []
+        for head, root in self._roots:
+            base = unify(head, query)
+            if base is not None:
+                fired += _walk(root, base, kb, stats)
+        return fired
+
+
 def satisfy_route(
     body: Sequence[Literal],
     partial: Optional[Substitution],
@@ -418,25 +522,15 @@ def satisfy_route(
     prefix up to and including it (via :func:`route_decision`): a positive
     literal extends the running witness, a negated literal holds iff the
     prefix conjoined with its atom has no solution, exactly as a tree's false
-    branch is taken.  This is the only reading of negation in the package.  A
-    clause produced from a root-to-leaf tree path evaluates exactly as the
-    tree routes, which makes path-mapped networks agree with their source
-    ensemble; on bodies without negation the witness is the one
+    branch is taken.  This is a walk of the one-clause :class:`RoutingTrie`
+    of ``body`` from ``partial``, the walk that routes trees and networks, so
+    a clause produced from a root-to-leaf tree path evaluates exactly as the
+    tree routes; on bodies without negation the witness is the one
     :func:`satisfy` finds.  The prefix keeps only the positive atoms, as a
     tree node's context does, so later literals see variables that occur only
     under an earlier negation as fresh.
     """
-    base = partial if partial is not None else EMPTY_SUBSTITUTION
-    prefix: list[Atom] = []
-    cached = base
-    for lit in body:
-        extended = route_decision(prefix, lit.atom, base, cached, kb, stats)
-        if lit.negated:
-            if extended is not None:
-                return None
-        elif extended is None:
-            return None
-        else:
-            cached = extended
-            prefix.append(lit.atom)
-    return cached
+    root = _TrieNode()
+    root.insert(body, 0)
+    fired = _walk(root, partial if partial is not None else EMPTY_SUBSTITUTION, kb, stats)
+    return fired[0][1] if fired else None

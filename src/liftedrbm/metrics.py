@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
@@ -165,6 +164,10 @@ def cross_validate(
     with ExitStack() as stack:
         mapper = map
         if jobs > 1:
+            # Imported here: it pulls in multiprocessing, about 2.6 MB of
+            # resident memory that no other command needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         for metrics in mapper(_run_fold, payloads):
             results.append(metrics)

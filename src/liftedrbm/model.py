@@ -21,10 +21,10 @@ from .tree import (
     InternalNode,
     LeafNode,
     LeafParams,
+    PathTrie,
     RegressionExample,
     RelationalRegressionTree,
     TreeNode,
-    evaluate_tree,
     fit_regression_tree,
     make_head,
     sigmoid,
@@ -77,6 +77,14 @@ class BoostedModel:
 
     ``modes`` echoes the mode declarations seen at training time, making the
     serialized model self-describing (fact files can be re-parsed from it).
+
+    A query is routed through all trees in one walk of a
+    :class:`~liftedrbm.tree.PathTrie` over the trees' paths, so a test that
+    several paths or trees start with is decided once; that sharing is exact,
+    and the per-tree values are summed in tree order, so every float is the
+    one routing each tree alone gives.  The trie is built on first use and
+    rebuilt whenever ``trees`` holds other trees than it was built from (as
+    after :func:`train` appends one); a tree changed in place is not noticed.
     """
 
     target: Predicate
@@ -85,9 +93,13 @@ class BoostedModel:
     trees: list[RelationalRegressionTree]
     config: TrainConfig
     modes: dict[str, ModeDeclaration] = field(default_factory=dict)
+    _paths: Optional[PathTrie] = field(default=None, init=False, repr=False, compare=False)
 
     def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
-        return tuple(evaluate_tree(tree, query, kb) for tree in self.trees)
+        paths = self._paths
+        if paths is None or paths.trees != tuple(self.trees):
+            paths = self._paths = PathTrie(self.trees)
+        return paths.values(query, kb)
 
     def psi(self, query: Atom, kb: KnowledgeBase) -> float:
         return self.psi0 + sum(self.per_tree(query, kb))
@@ -190,6 +202,7 @@ def train(
             table=table,
             fitted=fitted,
         )
+        _check_finite_leaves(tree, index)
         model.trees.append(tree)
         sse = 0.0
         for i, (value, gradient) in enumerate(zip(fitted, gradients)):
@@ -199,6 +212,17 @@ def train(
             mean_abs = sum(abs(g) for g in gradients) / len(gradients)
             progress(index + 1, sse, mean_abs)
     return model
+
+
+def _check_finite_leaves(tree: RelationalRegressionTree, index: int) -> None:
+    """Refuse a fitted tree with a non-finite leaf parameter, naming the leaf."""
+    for literals, leaf in tree.paths():
+        if not all(map(math.isfinite, leaf.params.as_tuple())):
+            path = " ∧ ".join(str(lit) for lit in literals) or "true"
+            raise ValueError(
+                f"tree {index + 1} leaf {path} has non-finite parameters "
+                f"{leaf.params.as_tuple()}; lower the learning rate"
+            )
 
 
 def _node_to_dict(node: TreeNode) -> dict:

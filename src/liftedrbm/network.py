@@ -13,17 +13,16 @@ to the ensemble's potentials, then path-mapped).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .logic import (
     Atom,
     Clause,
     KnowledgeBase,
+    RoutingTrie,
     SearchStats,
     Substitution,
-    satisfy_route,
-    unify,
 )
 from .model import BoostedModel, TrainConfig, probability, validate_query
 from .tree import LeafParams, RegressionExample, fit_regression_tree
@@ -37,15 +36,46 @@ class HiddenNode:
     source: tuple[int, int]  # (tree index, path index)
 
 
+class _Routing(NamedTuple):
+    """A network's routing trie with the hidden nodes it was built from and
+    their potentials, in ``hidden`` order."""
+
+    hidden: tuple[HiddenNode, ...]
+    share_prefixes: bool
+    trie: RoutingTrie
+    values: list[float]
+
+
 @dataclass
 class LiftedRBMNetwork:
     """Hidden clause nodes over one target; ``psi_clamp`` bounds the potential
-    before the sigmoid, as in the source model."""
+    before the sigmoid, as in the source model.
+
+    ``share_prefixes`` routes hidden clauses with the same head and leading
+    literals through one branch of a :class:`~liftedrbm.logic.RoutingTrie`,
+    as :func:`paths_to_lrbm` sets for tree paths; otherwise, as for a
+    hand-built network, each clause has a branch of its own.  Activations
+    and witnesses are the same either way; only the search work differs.
+    The trie is built on first use and rebuilt whenever ``hidden`` holds
+    other nodes than it was built from.
+    """
 
     head: Atom
     psi0: float
     hidden: list[HiddenNode]
     psi_clamp: float = TrainConfig.psi_clamp
+    share_prefixes: bool = False
+    _routing: Optional[_Routing] = field(default=None, init=False, repr=False, compare=False)
+
+    def _routed(self) -> _Routing:
+        """The trie of ``hidden`` as it is now, rebuilt when it has changed."""
+        routing = self._routing
+        hidden, share = tuple(self.hidden), self.share_prefixes
+        if routing is None or routing[:2] != (hidden, share):
+            trie = RoutingTrie([node.clause for node in hidden], share)
+            values = [node.params.value() for node in hidden]
+            routing = self._routing = _Routing(hidden, share, trie, values)
+        return routing
 
     @property
     def visible_hidden_edges(self) -> tuple[tuple[str, int], ...]:
@@ -76,7 +106,9 @@ def paths_to_lrbm(model: BoostedModel) -> LiftedRBMNetwork:
     """Exact conversion: one hidden node per root-to-leaf path of every tree.
 
     Per tree exactly one path clause holds for any example, so the network
-    potential equals the ensemble potential exactly.
+    potential equals the ensemble potential exactly.  The clauses of all
+    trees share one routing trie (``share_prefixes``), as the model's trees
+    do.
     """
     if not model.trees:
         raise ValueError("model has no trees to map")
@@ -87,7 +119,9 @@ def paths_to_lrbm(model: BoostedModel) -> LiftedRBMNetwork:
             hidden.append(
                 HiddenNode(len(hidden), clause, leaf.params, (tree_index, path_index))
             )
-    return LiftedRBMNetwork(model.head, model.psi0, hidden, model.config.psi_clamp)
+    return LiftedRBMNetwork(
+        model.head, model.psi0, hidden, model.config.psi_clamp, share_prefixes=True
+    )
 
 
 @dataclass
@@ -106,26 +140,26 @@ def lrbm_inference(
 ) -> InferenceResult:
     """Activate hidden nodes for a ground query and aggregate their potentials.
 
-    Each hidden clause is partially ground by unifying its head with the query;
-    its body is then satisfied one literal at a time against the facts (see
-    :func:`~liftedrbm.logic.satisfy_route`), stopping at the first satisfying
-    grounding, which is reported as the node's witness.  Path-mapped clauses
-    therefore activate exactly as their source trees route.  ``stats``, when
-    given, accumulates the groundings visited over all hidden nodes.
+    Every hidden clause is routed in one walk of the network's routing trie
+    (see :class:`~liftedrbm.logic.RoutingTrie`): each clause's head is
+    unified with the query and its body decided one literal at a time against
+    the facts, as :func:`~liftedrbm.logic.satisfy_route` does, stopping at
+    the first satisfying grounding, which is reported as the node's witness.
+    Path-mapped clauses therefore activate exactly as their source trees
+    route, and their shared prefixes are decided once.  Potentials are
+    summed in ``hidden`` order, so the float does not depend on the walk.
+    ``stats``, when given, accumulates the groundings visited.
     """
     validate_query(query, net.head.predicate, kb)
+    routing = net._routed()
     activated: list[int] = []
     witnesses: dict[int, Substitution] = {}
     psi = net.psi0
-    for node in net.hidden:
-        seed = unify(node.clause.head, query)
-        if seed is None:
-            continue
-        witness = satisfy_route(node.clause.body, seed, kb, stats)
-        if witness is not None:
-            activated.append(node.index)
-            witnesses[node.index] = witness
-            psi += node.params.value()
+    for position, witness in sorted(routing.trie.walk(query, kb, stats), key=lambda f: f[0]):
+        node = routing.hidden[position]
+        activated.append(node.index)
+        witnesses[node.index] = witness
+        psi += routing.values[position]
     return InferenceResult(probability(psi, net.psi_clamp), psi, tuple(activated), witnesses)
 
 

@@ -21,9 +21,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .logic import (
     Atom,
+    Clause,
     KnowledgeBase,
     Literal,
     Predicate,
+    RoutingTrie,
     Substitution,
     Term,
     route_decision,
@@ -104,8 +106,12 @@ def coordinate_descent(
     is shared by all its examples, so the optimum satisfies
     ``value == mean(deltas)``.  Gradients are averaged over examples to keep
     the step size independent of leaf support.  Stops after ``max_iters``
-    cycles or once the objective improves by less than ``tolerance``; empty
-    input returns ``theta0`` unchanged.
+    cycles, once the objective improves by less than ``tolerance``, or once it
+    rises or is NaN (a step too large for the curvature).  Returns the
+    iterate with the lowest objective seen, the latest among equals: the
+    objective falls on every cycle before the last, so that is the last
+    iterate, or the one before it when the last cycle diverged.  Empty input
+    returns ``theta0`` unchanged.
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
@@ -114,12 +120,16 @@ def coordinate_descent(
     mean = sum(deltas) / len(deltas)
     p = list(theta0.as_tuple())
     previous = (_value(p) - mean) ** 2
-    for _ in range(max_iters):
+    for cycle in range(max_iters):
         for coord in range(5):
             grad = 2.0 * (_value(p) - mean) * _partials(p)[coord]
             p[coord] -= learning_rate * grad
         current = (_value(p) - mean) ** 2
-        if previous - current < tolerance:
+        if not previous - current >= tolerance:  # converged, rising or NaN
+            if not current <= previous:
+                # This cycle overshot, so the iterate before it is the best
+                # seen; the cycles are deterministic, so replay up to it.
+                return coordinate_descent(deltas, theta0, learning_rate, cycle, tolerance)
             break
         previous = current
     return LeafParams(*p)
@@ -535,26 +545,51 @@ def fit_regression_tree(
     return tree
 
 
+class PathTrie:
+    """The root-to-leaf paths of an ordered list of trees in one
+    :class:`~liftedrbm.logic.RoutingTrie`, routed in one walk per query.
+
+    Every path becomes the clause (tree head, signed path literals), so the
+    trees' shared leading tests, within a tree and across trees, are decided
+    once per query; that is exact (see :class:`~liftedrbm.logic.RoutingTrie`).
+    Exactly one path of each tree holds for a query its head unifies with.
+    The trees are read once, when the trie is built: change a tree and build
+    a new trie.
+    """
+
+    __slots__ = ("trees", "_trie", "_leaves")
+
+    def __init__(self, trees: Sequence[RelationalRegressionTree]):
+        self.trees = tuple(trees)
+        clauses: list[Clause] = []
+        self._leaves: list[tuple[int, float]] = []  # (tree index, leaf value) per path
+        for index, tree in enumerate(self.trees):
+            for literals, leaf in tree.paths():
+                clauses.append(Clause(tree.head, literals))
+                self._leaves.append((index, leaf.params.value()))
+        self._trie = RoutingTrie(clauses)
+
+    def values(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
+        """The leaf value each tree routes ``query`` to, in tree order."""
+        values: list[Optional[float]] = [None] * len(self.trees)
+        for path, _ in self._trie.walk(query, kb):
+            index, value = self._leaves[path]
+            values[index] = value
+        if None in values:
+            head = self.trees[values.index(None)].head
+            raise ValueError(f"query {query} does not ground target {head}")
+        return tuple(values)
+
+
 def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase) -> float:
     """Route a ground query to its unique leaf and return that leaf's value.
 
     At every internal node the decision is satisfiability of the accumulated
     positive path conjunction extended by the node's test; a satisfied test
     chains its first witness into the bindings and joins the conjunction, a
-    failed test keeps both and follows the false branch.
+    failed test keeps both and follows the false branch.  This is the walk
+    of the one-tree :class:`PathTrie`, the walk that routes a whole model,
+    so a tree routes alone exactly as it does inside its ensemble.  The trie
+    is built on every call; to route many queries, keep a :class:`PathTrie`.
     """
-    base = unify(tree.head, query)
-    if base is None:
-        raise ValueError(f"query {query} does not ground target {tree.head}")
-    node = tree.root
-    context: tuple[Atom, ...] = ()
-    cached = base
-    while isinstance(node, InternalNode):
-        extended = route_decision(context, node.test.atom, base, cached, kb)
-        if extended is not None:
-            cached = extended
-            context = context + (node.test.atom,)
-            node = node.true_child
-        else:
-            node = node.false_child
-    return node.params.value()
+    return PathTrie((tree,)).values(query, kb)[0]

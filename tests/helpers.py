@@ -15,6 +15,7 @@ from liftedrbm.logic import (
     Predicate,
     Substitution,
     Term,
+    unify,
 )
 
 # The benchmark's fixture model: the default config trained on fold 0 of the
@@ -156,6 +157,27 @@ def oracle_route(body, partial, kb: KnowledgeBase) -> bool:
         if not lit.negated:
             prefix.append(lit)
     return True
+
+
+def oracle_tree_paths(tree, query, kb: KnowledgeBase) -> list[int]:
+    """Positions, in ``tree.paths()`` order, of the path clauses that
+    :func:`oracle_route` satisfies for ``query``; routing code is not used."""
+    partial = unify(tree.head, query)
+    return [
+        i for i, (literals, _) in enumerate(tree.paths())
+        if partial is not None and oracle_route(literals, partial, kb)
+    ]
+
+
+def oracle_per_tree(trees, query, kb: KnowledgeBase) -> tuple[float, ...]:
+    """The leaf value of the one path of each tree that the oracle satisfies."""
+    values = []
+    for tree in trees:
+        fired = oracle_tree_paths(tree, query, kb)
+        assert len(fired) == 1, f"{len(fired)} paths of a tree hold for {query}"
+        leaves = [leaf for _, leaf in tree.paths()]
+        values.append(leaves[fired[0]].params.value())
+    return tuple(values)
 
 
 # --- random-case generator for the satisfaction oracle suite ---------------

@@ -1,11 +1,14 @@
 """End-to-end command-line runs over real files."""
 
 import json
+import math
 
 import pytest
 
+from liftedrbm import tree as tree_module
 from liftedrbm.cli import main
 from liftedrbm.data import serialize_facts
+from liftedrbm.tree import LeafParams
 
 from helpers import BOOST_FIXTURE
 from synthetic_domain import MODES_TEXT, generate_movie_domain
@@ -94,6 +97,29 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", *_common(data_dir), "--lr", "nan", "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_divergent_learning_rate_still_writes_finite_leaves(self, data_dir, tmp_path):
+        # At this rate a leaf fit's first cycle overshoots to non-finite
+        # parameters; a model holding them would be refused by predict.
+        out = tmp_path / "m.json"
+        assert main(["train", *_common(data_dir), "--trees", "2", "--lr", "1e308",
+                     "--out", str(out)]) == 0
+        trees = json.loads(out.read_text())["trees"]
+        leaves = [node["leaf"] for tree in trees for node in _leaves(tree)]
+        assert leaves and all(math.isfinite(v) for leaf in leaves for v in leaf)
+        assert main(["predict", "--model", str(out), "--facts", str(data_dir / "facts.txt"),
+                     "--queries", str(data_dir / "queries.txt"),
+                     "--out", str(tmp_path / "s.tsv")]) == 0
+
+    def test_non_finite_leaf_is_refused_and_named(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            tree_module, "coordinate_descent", lambda deltas, **_: LeafParams(math.nan)
+        )
+        out = tmp_path / "m.json"
+        assert main(["train", *_common(data_dir), "--trees", "1", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: tree 1 leaf ") and "non-finite parameters" in err
 
     def test_infinite_neg_ratio_is_a_usage_error(self, data_dir, tmp_path, capsys):
         argv = [
@@ -190,6 +216,25 @@ class TestPredict:
         assert len(out.read_text().splitlines()) == 1  # the good line still scored
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("query, message", [
+        ("actedin(p1, m1).", "line 1: unknown predicate actedin"),
+        ("collab(p1 p2).", "line 1: malformed argument 'p1 p2'"),
+    ])
+    def test_parse_error_names_its_line_once(
+        self, query, message, data_dir, trained_model_path, tmp_path, capsys
+    ):
+        queries = tmp_path / "queries.txt"
+        queries.write_text(query + "\n")
+        argv = [
+            "predict",
+            "--model", str(trained_model_path),
+            "--facts", str(data_dir / "facts.txt"),
+            "--queries", str(queries),
+            "--out", str(tmp_path / "scores.tsv"),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     def test_byte_identical_across_runs(self, data_dir, trained_model_path, tmp_path):
         outs = []
         for name in ("a.tsv", "b.tsv"):
@@ -256,6 +301,18 @@ MODEL_MUTATIONS = {
 
 
 class TestModelLoader:
+    def test_malformed_test_atom_has_no_line_number(self, data_dir, tmp_path, capsys):
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        doc["trees"][0]["test"] = "actedin(P1 M1)"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(model_path), "--facts", str(data_dir / "facts.txt"),
+            "--queries", str(data_dir / "queries.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: malformed argument 'P1 M1'\n"
+
     @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
     def test_schema_violation_is_a_data_error(self, name, data_dir, tmp_path, capsys):
         doc = MODEL_MUTATIONS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))

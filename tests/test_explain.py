@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from liftedrbm.logic import Literal, SearchStats, UnknownConstantError
-from liftedrbm.model import BoostedModel, TrainConfig
+from liftedrbm.model import BoostedModel, TrainConfig, train
 from liftedrbm.network import (
     LiftedRBMNetwork,
     distill_single_tree,
@@ -36,8 +37,10 @@ from helpers import (
     atom,
     example1_kb,
     example2_kb,
+    oracle_tree_paths,
     rule_clauses,
 )
+from synthetic_domain import generate_movie_domain
 
 
 # sha256 of the depth-10 distillation of the benchmark's boost model on its
@@ -78,6 +81,50 @@ def _two_tree_model():
     t1 = tree(atom(ACTEDIN, p1, m1), atom(ACTEDIN, p2, m1), 0.1)
     t2 = tree(atom(ACTEDIN, p2, m2), atom(ACTEDIN, p1, m2), 0.2)
     return BoostedModel(COLLAB, head, 0.0, [t1, t2], TrainConfig(), dict(MOVIE_MODES))
+
+
+# (n_trees, max_leaves, max_new_vars, domain seed): small domains, so that
+# the exhaustive oracle can enumerate every grounding of every path clause
+ORACLE_MODELS = [
+    (1, 2, 1, 1),
+    (3, 4, 1, 2),
+    (4, 3, 2, 3),
+    (2, 8, 1, 4),
+    (3, 2, 0, 5),
+    (8, 4, 1, 6),
+]
+
+
+class TestRoutingTrieOracle:
+    """One walk of the merged trie routes like the exhaustive oracle."""
+
+    @pytest.mark.parametrize("n_trees, max_leaves, max_new_vars, seed", ORACLE_MODELS)
+    def test_trie_walk_matches_the_oracle(self, n_trees, max_leaves, max_new_vars, seed):
+        kb, examples, _ = generate_movie_domain(
+            seed=seed, n_person=6, n_movie=5, n_genre=2, max_roles=3, n_pairs=30
+        )
+        config = TrainConfig(n_trees=n_trees, max_leaves=max_leaves, max_new_vars=max_new_vars)
+        model = train(kb, examples, config)
+        net = paths_to_lrbm(model)
+        leaves = [[leaf for _, leaf in tree.paths()] for tree in model.trees]
+        for a, b in itertools.permutations(kb.universe("person"), 2):
+            query = atom(examples.target, a, b)
+            fired = [oracle_tree_paths(tree, query, kb) for tree in model.trees]
+            assert all(len(paths) == 1 for paths in fired)
+            expected = tuple(leaves[t][paths[0]].params.value() for t, paths in enumerate(fired))
+            result = model.predict(query, kb)
+            assert result.per_tree == expected
+            assert result.psi == model.psi0 + sum(expected)
+            holds = {
+                node.index for node in net.hidden
+                if node.source[1] == fired[node.source[0]][0]
+            }
+            inferred = lrbm_inference(net, query, kb)
+            assert inferred.activated == tuple(sorted(holds))  # in hidden order
+            psi = net.psi0
+            for index in inferred.activated:
+                psi += net.hidden[index].params.value()
+            assert inferred.psi == psi
 
 
 class TestPathsToLrbm:

@@ -18,7 +18,8 @@ from liftedrbm.model import (
 )
 from liftedrbm.tree import LeafNode, LeafParams, RelationalRegressionTree, make_head
 
-from helpers import BOOST_FIXTURE, COLLAB, MOVIE_MODES, C, atom, example1_kb
+from helpers import BOOST_FIXTURE, COLLAB, MOVIE_MODES, C, atom, example1_kb, oracle_per_tree
+from synthetic_domain import generate_movie_domain
 
 # log((1 + e^2) / (1 + e^1)), frozen from a direct high-precision evaluation
 POTENTIAL_0_0_1_0_1 = 0.813666323524749662
@@ -175,6 +176,24 @@ class TestPredict:
             assert result.per_tree == tuple(independent)
             assert result.psi == model.psi0 + sum(independent)
             assert 0.0 < result.probability < 1.0
+
+    def test_changed_trees_are_never_routed_through_a_stale_trie(self):
+        kb, examples, _ = generate_movie_domain(seed=5, n_person=5, n_movie=5, n_pairs=20)
+        model = train(kb, examples, TrainConfig(n_trees=2))
+        others = train(kb, examples, TrainConfig(n_trees=4, max_leaves=3)).trees
+        queries = [query for query, _ in examples.labeled()]
+        for change in (
+            lambda: model.trees.append(others[3]),
+            lambda: model.trees.__setitem__(0, others[2]),
+            lambda: model.trees.pop(1),
+        ):
+            for query in queries:
+                model.predict(query, kb)  # routes, and builds a trie, before the change
+            change()
+            for query in queries:
+                result = model.predict(query, kb)
+                assert result.per_tree == oracle_per_tree(model.trees, query, kb)
+                assert result.psi == model.psi0 + sum(result.per_tree)
 
     def test_unknown_constant_is_an_error(self):
         kb = example1_kb()

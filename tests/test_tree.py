@@ -1,6 +1,7 @@
 """Candidate generation, splitting, leaf fitting, and tree routing."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from liftedrbm.tree import (
     InternalNode,
     LeafNode,
     LeafParams,
+    ZERO_PARAMS,
     RegressionExample,
     coordinate_descent,
     evaluate_tree,
@@ -228,6 +230,24 @@ class TestCoordinateDescent:
     def test_bad_learning_rate_is_an_error(self):
         with pytest.raises(ValueError):
             coordinate_descent([0.1], learning_rate=0.0)
+
+    @pytest.mark.parametrize("learning_rate", [5.0, 1e308])
+    def test_divergent_rate_returns_the_best_iterate(self, learning_rate):
+        # At these rates the first cycle overshoots, to leaf value 54.53 at
+        # rate 5 and to NaN at 1e308, so the best iterate seen is the start.
+        params = coordinate_descent([0.5, 0.3], learning_rate=learning_rate)
+        assert all(math.isfinite(v) for v in params.as_tuple())
+        assert params == ZERO_PARAMS
+
+    def test_never_returns_a_worse_iterate_than_it_saw(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            deltas = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 5))]
+            theta0 = LeafParams(*(rng.uniform(-1, 1) for _ in range(5)))
+            rate = rng.choice([0.05, 0.5, 2.0, 3.0, 10.0])
+            mean = sum(deltas) / len(deltas)
+            params = coordinate_descent(deltas, theta0, learning_rate=rate)
+            assert (params.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
 
 
 def _separable_domain():
