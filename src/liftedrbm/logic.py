@@ -12,6 +12,7 @@ place that reads it; :func:`satisfy_route` walks a one-clause trie.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 
@@ -473,24 +474,15 @@ class RoutingTrie:
     identical context, test, head unifier and chain of cached witnesses, so
     every decision, and every witness, is the one the clause would get on
     its own (the argument :class:`~liftedrbm.tree.CoverageTable` relies on).
-    With ``share_prefixes=False`` every clause gets a branch of its own, so
-    the search visits what proving the clauses one by one visits.  A clause
-    is identified by its position in ``clauses``.
+    A clause is identified by its position in ``clauses``.
     """
 
     __slots__ = ("_roots",)
 
-    def __init__(self, clauses: Sequence[Clause], share_prefixes: bool = True):
-        roots: list[tuple[Atom, _TrieNode]] = []
-        by_head: dict[Atom, _TrieNode] = {}
+    def __init__(self, clauses: Sequence[Clause]):
+        roots: dict[Atom, _TrieNode] = {}
         for clause_id, clause in enumerate(clauses):
-            root = by_head.get(clause.head) if share_prefixes else None
-            if root is None:
-                root = _TrieNode()
-                roots.append((clause.head, root))
-                if share_prefixes:
-                    by_head[clause.head] = root
-            root.insert(clause.body, clause_id)
+            roots.setdefault(clause.head, _TrieNode()).insert(clause.body, clause_id)
         self._roots = roots
 
     def walk(
@@ -500,13 +492,14 @@ class RoutingTrie:
         stats: Optional[SearchStats] = None,
     ) -> list[tuple[int, Substitution]]:
         """(clause id, witness) of every clause that holds for ``query``, in
-        walk order; a clause whose head does not unify with it never holds.
+        clause order; a clause whose head does not unify with it never holds.
         The witness extends the head unifier, as :func:`satisfy_route` does."""
         fired: list[tuple[int, Substitution]] = []
-        for head, root in self._roots:
+        for head, root in self._roots.items():
             base = unify(head, query)
             if base is not None:
                 fired += _walk(root, base, kb, stats)
+        fired.sort(key=itemgetter(0))
         return fired
 
 

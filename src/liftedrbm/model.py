@@ -15,13 +15,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .data import ModeDeclaration, ParseError, parse_atom_text, read_text
-from .logic import Atom, KnowledgeBase, Literal, Predicate, Term, UnknownConstantError
+from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie, Term, UnknownConstantError
 from .tree import (
     CoverageTable,
     InternalNode,
     LeafNode,
     LeafParams,
-    PathTrie,
     RegressionExample,
     RelationalRegressionTree,
     TreeNode,
@@ -79,10 +78,12 @@ class BoostedModel:
     serialized model self-describing (fact files can be re-parsed from it).
 
     A query is routed through all trees in one walk of a
-    :class:`~liftedrbm.tree.PathTrie` over the trees' paths, so a test that
-    several paths or trees start with is decided once; that sharing is exact,
-    and the per-tree values are summed in tree order, so every float is the
-    one routing each tree alone gives.  The trie is built on first use and
+    :class:`~liftedrbm.logic.RoutingTrie` over the trees' path clauses, so a
+    test that several paths or trees start with is decided once; that
+    sharing is exact.  The walk reports the fired clauses in clause order,
+    which is tree order, and the potential is ``psi0`` plus the sum of their
+    leaf values in that order, the float :func:`~liftedrbm.network.lrbm_inference`
+    computes for the path-mapped network.  The trie is built on first use and
     rebuilt whenever ``trees`` holds other trees than it was built from (as
     after :func:`train` appends one); a tree changed in place is not noticed.
     """
@@ -93,13 +94,22 @@ class BoostedModel:
     trees: list[RelationalRegressionTree]
     config: TrainConfig
     modes: dict[str, ModeDeclaration] = field(default_factory=dict)
-    _paths: Optional[PathTrie] = field(default=None, init=False, repr=False, compare=False)
+    # (trees, their routing trie, its clauses' leaf values), built by per_tree
+    _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
-        paths = self._paths
-        if paths is None or paths.trees != tuple(self.trees):
-            paths = self._paths = PathTrie(self.trees)
-        return paths.values(query, kb)
+        """The leaf value each tree routes ``query`` to, in tree order."""
+        trees = tuple(self.trees)
+        routing = self._routing
+        if routing is None or routing[0] != trees:
+            clauses = [pair for tree in trees for pair in tree.path_clauses()]
+            trie = RoutingTrie([clause for clause, _ in clauses])
+            routing = self._routing = (trees, trie, [params.value() for _, params in clauses])
+        _, trie, values = routing
+        fired = trie.walk(query, kb)
+        if len(fired) != len(trees):
+            raise ValueError(f"query {query} does not ground target {self.head}")
+        return tuple(values[clause_id] for clause_id, _ in fired)
 
     def psi(self, query: Atom, kb: KnowledgeBase) -> float:
         return self.psi0 + sum(self.per_tree(query, kb))
@@ -291,7 +301,7 @@ def model_from_dict(data) -> BoostedModel:
         raise
     except KeyError as exc:
         raise ParseError(f"model document lacks field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
 
 
@@ -330,7 +340,7 @@ def dumps_model(model: BoostedModel) -> str:
 def loads_model(text: str) -> BoostedModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid model document: {exc}") from exc
     return model_from_dict(data)
 

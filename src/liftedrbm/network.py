@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .logic import (
     Atom,
@@ -36,45 +36,34 @@ class HiddenNode:
     source: tuple[int, int]  # (tree index, path index)
 
 
-class _Routing(NamedTuple):
-    """A network's routing trie with the hidden nodes it was built from and
-    their potentials, in ``hidden`` order."""
-
-    hidden: tuple[HiddenNode, ...]
-    share_prefixes: bool
-    trie: RoutingTrie
-    values: list[float]
-
-
 @dataclass
 class LiftedRBMNetwork:
     """Hidden clause nodes over one target; ``psi_clamp`` bounds the potential
     before the sigmoid, as in the source model.
 
-    ``share_prefixes`` routes hidden clauses with the same head and leading
-    literals through one branch of a :class:`~liftedrbm.logic.RoutingTrie`,
-    as :func:`paths_to_lrbm` sets for tree paths; otherwise, as for a
-    hand-built network, each clause has a branch of its own.  Activations
-    and witnesses are the same either way; only the search work differs.
-    The trie is built on first use and rebuilt whenever ``hidden`` holds
-    other nodes than it was built from.
+    The hidden clauses are routed through one
+    :class:`~liftedrbm.logic.RoutingTrie`, so clauses with the same head and
+    leading literals decide those literals once per query; activations and
+    witnesses are the ones each clause gets on its own.  The trie is built
+    on first use and rebuilt whenever ``hidden`` holds other nodes than it
+    was built from.
     """
 
     head: Atom
     psi0: float
     hidden: list[HiddenNode]
     psi_clamp: float = TrainConfig.psi_clamp
-    share_prefixes: bool = False
-    _routing: Optional[_Routing] = field(default=None, init=False, repr=False, compare=False)
+    _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def _routed(self) -> _Routing:
-        """The trie of ``hidden`` as it is now, rebuilt when it has changed."""
+    def _routed(self) -> tuple[tuple[HiddenNode, ...], RoutingTrie, list[float]]:
+        """``hidden`` as it is now, its trie and its potentials, in ``hidden``
+        order; rebuilt when ``hidden`` has changed."""
+        hidden = tuple(self.hidden)
         routing = self._routing
-        hidden, share = tuple(self.hidden), self.share_prefixes
-        if routing is None or routing[:2] != (hidden, share):
-            trie = RoutingTrie([node.clause for node in hidden], share)
+        if routing is None or routing[0] != hidden:
+            trie = RoutingTrie([node.clause for node in hidden])
             values = [node.params.value() for node in hidden]
-            routing = self._routing = _Routing(hidden, share, trie, values)
+            routing = self._routing = (hidden, trie, values)
         return routing
 
     @property
@@ -106,22 +95,14 @@ def paths_to_lrbm(model: BoostedModel) -> LiftedRBMNetwork:
     """Exact conversion: one hidden node per root-to-leaf path of every tree.
 
     Per tree exactly one path clause holds for any example, so the network
-    potential equals the ensemble potential exactly.  The clauses of all
-    trees share one routing trie (``share_prefixes``), as the model's trees
-    do.
+    potential equals the ensemble potential exactly; a model without trees
+    maps to a network without hidden nodes, whose potential is ``psi0``.
     """
-    if not model.trees:
-        raise ValueError("model has no trees to map")
     hidden: list[HiddenNode] = []
     for tree_index, tree in enumerate(model.trees):
-        for path_index, (literals, leaf) in enumerate(tree.paths()):
-            clause = Clause(tree.head, literals)
-            hidden.append(
-                HiddenNode(len(hidden), clause, leaf.params, (tree_index, path_index))
-            )
-    return LiftedRBMNetwork(
-        model.head, model.psi0, hidden, model.config.psi_clamp, share_prefixes=True
-    )
+        for path_index, (clause, params) in enumerate(tree.path_clauses()):
+            hidden.append(HiddenNode(len(hidden), clause, params, (tree_index, path_index)))
+    return LiftedRBMNetwork(model.head, model.psi0, hidden, model.config.psi_clamp)
 
 
 @dataclass
@@ -146,21 +127,18 @@ def lrbm_inference(
     the facts, as :func:`~liftedrbm.logic.satisfy_route` does, stopping at
     the first satisfying grounding, which is reported as the node's witness.
     Path-mapped clauses therefore activate exactly as their source trees
-    route, and their shared prefixes are decided once.  Potentials are
-    summed in ``hidden`` order, so the float does not depend on the walk.
-    ``stats``, when given, accumulates the groundings visited.
+    route, and their shared prefixes are decided once.  The potential is
+    ``psi0`` plus the sum of the fired clauses' values in ``hidden`` order,
+    so a path-mapped network gives the float its model gives.  ``stats``,
+    when given, accumulates the groundings visited.
     """
     validate_query(query, net.head.predicate, kb)
-    routing = net._routed()
-    activated: list[int] = []
-    witnesses: dict[int, Substitution] = {}
-    psi = net.psi0
-    for position, witness in sorted(routing.trie.walk(query, kb, stats), key=lambda f: f[0]):
-        node = routing.hidden[position]
-        activated.append(node.index)
-        witnesses[node.index] = witness
-        psi += routing.values[position]
-    return InferenceResult(probability(psi, net.psi_clamp), psi, tuple(activated), witnesses)
+    hidden, trie, values = net._routed()
+    fired = trie.walk(query, kb, stats)
+    activated = tuple(hidden[position].index for position, _ in fired)
+    witnesses = {hidden[position].index: witness for position, witness in fired}
+    psi = net.psi0 + sum(values[position] for position, _ in fired)
+    return InferenceResult(probability(psi, net.psi_clamp), psi, activated, witnesses)
 
 
 def distill_single_tree(

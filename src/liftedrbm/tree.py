@@ -8,7 +8,9 @@ path conjunction extended by its test, with the first witness chained into the
 bindings, so training-time partitions and routing at prediction time agree
 exactly.  A path's context holds only the atoms of its positive tests: a false
 branch adds nothing, since its negated test holds on every extension of the
-context (see :func:`~liftedrbm.logic.route_decision`).
+context (see :func:`~liftedrbm.logic.route_decision`).  A path read as the
+clause (head, signed path literals) is what a model's or a network's
+:class:`~liftedrbm.logic.RoutingTrie` routes.
 """
 
 from __future__ import annotations
@@ -202,6 +204,11 @@ class RelationalRegressionTree:
                 negated = Literal(node.test.atom, negated=True)
                 stack.append((node.false_child, path + (negated,)))
                 stack.append((node.true_child, path + (node.test,)))
+
+    def path_clauses(self) -> list[tuple[Clause, LeafParams]]:
+        """Each root-to-leaf path as the clause (head, signed path literals),
+        with its leaf's parameters, in :meth:`paths` order."""
+        return [(Clause(self.head, literals), leaf.params) for literals, leaf in self.paths()]
 
     def to_text(self) -> str:
         lines: list[str] = [str(self.head)]
@@ -545,51 +552,19 @@ def fit_regression_tree(
     return tree
 
 
-class PathTrie:
-    """The root-to-leaf paths of an ordered list of trees in one
-    :class:`~liftedrbm.logic.RoutingTrie`, routed in one walk per query.
-
-    Every path becomes the clause (tree head, signed path literals), so the
-    trees' shared leading tests, within a tree and across trees, are decided
-    once per query; that is exact (see :class:`~liftedrbm.logic.RoutingTrie`).
-    Exactly one path of each tree holds for a query its head unifies with.
-    The trees are read once, when the trie is built: change a tree and build
-    a new trie.
-    """
-
-    __slots__ = ("trees", "_trie", "_leaves")
-
-    def __init__(self, trees: Sequence[RelationalRegressionTree]):
-        self.trees = tuple(trees)
-        clauses: list[Clause] = []
-        self._leaves: list[tuple[int, float]] = []  # (tree index, leaf value) per path
-        for index, tree in enumerate(self.trees):
-            for literals, leaf in tree.paths():
-                clauses.append(Clause(tree.head, literals))
-                self._leaves.append((index, leaf.params.value()))
-        self._trie = RoutingTrie(clauses)
-
-    def values(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
-        """The leaf value each tree routes ``query`` to, in tree order."""
-        values: list[Optional[float]] = [None] * len(self.trees)
-        for path, _ in self._trie.walk(query, kb):
-            index, value = self._leaves[path]
-            values[index] = value
-        if None in values:
-            head = self.trees[values.index(None)].head
-            raise ValueError(f"query {query} does not ground target {head}")
-        return tuple(values)
-
-
 def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase) -> float:
     """Route a ground query to its unique leaf and return that leaf's value.
 
     At every internal node the decision is satisfiability of the accumulated
     positive path conjunction extended by the node's test; a satisfied test
     chains its first witness into the bindings and joins the conjunction, a
-    failed test keeps both and follows the false branch.  This is the walk
-    of the one-tree :class:`PathTrie`, the walk that routes a whole model,
-    so a tree routes alone exactly as it does inside its ensemble.  The trie
-    is built on every call; to route many queries, keep a :class:`PathTrie`.
+    failed test keeps both and follows the false branch.  This is a walk of
+    the :class:`~liftedrbm.logic.RoutingTrie` of the tree's path clauses,
+    the walk that routes a whole model, so a tree routes alone exactly as it
+    does inside its ensemble.  The trie is built on every call.
     """
-    return PathTrie((tree,)).values(query, kb)[0]
+    clauses = tree.path_clauses()
+    fired = RoutingTrie([clause for clause, _ in clauses]).walk(query, kb)
+    if not fired:
+        raise ValueError(f"query {query} does not ground target {tree.head}")
+    return clauses[fired[0][0]][1].value()

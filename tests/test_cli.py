@@ -7,7 +7,9 @@ import pytest
 
 from liftedrbm import tree as tree_module
 from liftedrbm.cli import main
-from liftedrbm.data import serialize_facts
+from liftedrbm.data import parse_atom_text, parse_facts, serialize_facts
+from liftedrbm.model import load_model
+from liftedrbm.network import lrbm_inference, paths_to_lrbm
 from liftedrbm.tree import LeafParams
 
 from helpers import BOOST_FIXTURE
@@ -300,6 +302,23 @@ MODEL_MUTATIONS = {
 }
 
 
+def _nested_tests_text(depth=1500):
+    """The benchmark's model with one tree of ``depth`` nested tests."""
+    doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+    doc["trees"] = ["TREE"]
+    leaf = '{"leaf": [0.0, 0.0, 0.0, 0.0, 0.0]}'
+    test = '{"test": "actedin(P2, M1)", "false": ' + leaf + ', "true": '
+    return json.dumps(doc).replace('"TREE"', test * depth + leaf + "}" * depth)
+
+
+# Model texts nested deeper than the interpreter's recursion limit, written
+# as text because json.dumps cannot encode them.
+DEEP_MODELS = {
+    "tree of 1500 nested tests": _nested_tests_text,
+    "200000 open brackets": lambda: "[" * 200_000,
+}
+
+
 class TestModelLoader:
     def test_malformed_test_atom_has_no_line_number(self, data_dir, tmp_path, capsys):
         doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
@@ -324,6 +343,21 @@ class TestModelLoader:
         ])
         assert code in (1, 2)
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(DEEP_MODELS))
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_deeply_nested_model_is_a_data_error(
+        self, command, name, data_dir, tmp_path, capsys
+    ):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(DEEP_MODELS[name](), encoding="utf-8")
+        argv = {
+            "predict": ["--facts", str(data_dir / "facts.txt"),
+                        "--queries", str(data_dir / "queries.txt")],
+            "explain": ["--out", str(tmp_path / "net")],
+        }[command]
+        assert main([command, "--model", str(model_path), *argv]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 def _in_missing_dir(tmp, name):
@@ -399,6 +433,26 @@ class TestExplain:
         dot = (tmp_path / "net.dot").read_text()
         assert dot.startswith("digraph")
         assert str(n_leaves) in capsys.readouterr().out
+
+    def test_paths_mode_maps_a_zero_tree_model(self, data_dir, tmp_path):
+        model_path, scores = tmp_path / "empty.json", tmp_path / "scores.tsv"
+        assert main(["train", *_common(data_dir), "--trees", "0", "--out", str(model_path)]) == 0
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 0
+        assert json.loads((tmp_path / "net.json").read_text())["hidden"] == []
+        assert main([
+            "predict", "--model", str(model_path), "--facts", str(data_dir / "facts.txt"),
+            "--queries", str(data_dir / "queries.txt"), "--out", str(scores),
+        ]) == 0
+        model = load_model(model_path)
+        kb = parse_facts((data_dir / "facts.txt").read_text(), model.modes)
+        net = paths_to_lrbm(model)
+        lines = scores.read_text().splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            text, prob, psi = line.split("\t")
+            query = parse_atom_text(text, {model.target.name: model.target}, require_ground=True)
+            inferred = lrbm_inference(net, query, kb)
+            assert [repr(inferred.probability), repr(inferred.psi)] == [prob, psi]
 
     def test_distill_mode_needs_examples(self, trained_model_path, tmp_path):
         out = tmp_path / "net"

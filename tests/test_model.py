@@ -1,5 +1,6 @@
 """Potentials, probabilities, gradients, training, and model serialization."""
 
+import json
 import math
 import random
 
@@ -13,6 +14,7 @@ from liftedrbm.model import (
     compute_gradients,
     dumps_model,
     loads_model,
+    model_from_dict,
     probability,
     train,
 )
@@ -314,3 +316,14 @@ class TestSerialization:
 
         with pytest.raises(ParseError):
             loads_model('{"format_version": 99}')
+
+    def test_document_nested_past_the_recursion_limit_is_a_parse_error(self):
+        from liftedrbm.data import ParseError
+
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        node = {"leaf": [0.0] * 5}
+        for _ in range(5000):
+            node = {"test": "actedin(P2, M1)", "true": node, "false": {"leaf": [0.0] * 5}}
+        doc["trees"] = [node]
+        with pytest.raises(ParseError, match="recursion"):
+            model_from_dict(doc)
