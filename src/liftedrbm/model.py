@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -47,6 +48,19 @@ class TrainConfig:
     psi_clamp: float = 20.0
 
     def __post_init__(self):
+        for name in ("n_trees", "max_leaves", "cd_max_iters", "max_new_vars", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.cd_max_iters < 0:
+            raise ValueError("cd_max_iters must be non-negative")
+        tolerance = self.cd_tolerance
+        if (
+            not isinstance(tolerance, numbers.Real)
+            or isinstance(tolerance, bool)
+            or not 0 <= tolerance < math.inf
+        ):
+            raise ValueError(f"cd_tolerance must be finite and non-negative, got {tolerance!r}")
         if self.n_trees < 0:
             raise ValueError("n_trees must be non-negative")
         if self.max_leaves < 1:

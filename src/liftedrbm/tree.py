@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -314,6 +315,10 @@ class CoverageTable:
     of the context was cached (see :func:`~liftedrbm.logic.route_decision`).
     A table is therefore valid for one unchanged knowledge base, and costs two
     n-bit ints per distinct context x candidate for n distinct queries.
+
+    A node's examples are read through :meth:`node_bits`: the bit of each of
+    its items and their OR, the node mask.  ``sat & mask`` is then the node's
+    true side of a candidate whose entry decides every bit of the mask.
     """
 
     __slots__ = ("_bits", "_by_id", "_entries")
@@ -334,6 +339,14 @@ class CoverageTable:
             hit = self._by_id[id(query)] = (query, mask)
         return hit[1]
 
+    def node_bits(self, items: Sequence[FitItem]) -> tuple[list[int], int]:
+        """The bit of each item's query, in ``items`` order, and their OR."""
+        bits = [self.bit(example.query) for example, _, _ in items]
+        mask = 0
+        for bit in bits:
+            mask |= bit
+        return bits, mask
+
 
 def partition(
     context: Sequence[Atom],
@@ -341,7 +354,8 @@ def partition(
     items: Sequence[FitItem],
     kb: KnowledgeBase,
     table: Optional[CoverageTable] = None,
-) -> tuple[list[FitItem], list[FitItem]]:
+    bits: Optional[tuple[Sequence[int], int]] = None,
+) -> Optional[tuple[list[FitItem], list[FitItem]]]:
     """Split node examples on satisfiability of (context AND candidate).
 
     ``context`` holds the atoms of the node's positive root-to-node tests;
@@ -350,17 +364,21 @@ def partition(
     the first witness found (for variable chaining); the rest go right
     unchanged.  Both sides keep the order of ``items``.
 
-    With a :class:`CoverageTable`, the decisions it already holds under the
-    key (``context``, ``candidate.atom``) are read from it, only the others
-    are proved, and those are recorded in it; the split is the same, since a
-    decision depends on neither the gradients nor the cached witness.  Left
-    items then keep their context witness, since a decision read from the
+    With a :class:`CoverageTable`, pass as ``bits`` the items' bits and the
+    node mask, as :meth:`CoverageTable.node_bits` gives them.  The table's
+    entry under the key (``context``, ``candidate.atom``) is read, only the
+    items whose bits it has not decided are proved, and those decisions are
+    recorded in it; the split is the same, since a decision depends on
+    neither the gradients nor the cached witness.  A split that
+    leaves either side empty (``sat & mask`` is 0 or ``mask``) is then
+    rejected from the bits alone: ``None`` is returned and no list is built.
+    Left items keep their context witness, since a decision read from the
     table carries none: partition the chosen split's left side again without
     a table to chain witnesses.
     """
-    left: list[FitItem] = []
-    right: list[FitItem] = []
     if table is None:
+        left: list[FitItem] = []
+        right: list[FitItem] = []
         for example, base, cached in items:
             extended = route_decision(context, candidate.atom, base, cached, kb)
             if extended is not None:
@@ -368,17 +386,21 @@ def partition(
             else:
                 right.append((example, base, cached))
         return left, right
+    item_bits, mask = bits
     key = (tuple(context), candidate.atom)
     known, sat = table._entries.get(key, (0, 0))
-    for item in items:
-        example, base, cached = item
-        bit = table.bit(example.query)
-        if not known & bit:
-            known |= bit
-            if route_decision(context, candidate.atom, base, cached, kb) is not None:
-                sat |= bit
+    if mask & ~known:
+        for (example, base, cached), bit in zip(items, item_bits):
+            if not known & bit:
+                known |= bit
+                if route_decision(context, candidate.atom, base, cached, kb) is not None:
+                    sat |= bit
+        table._entries[key] = (known, sat)
+    if not sat & mask or sat & mask == mask:
+        return None
+    left, right = [], []
+    for item, bit in zip(items, item_bits):
         (left if sat & bit else right).append(item)
-    table._entries[key] = (known, sat)
     return left, right
 
 
@@ -399,6 +421,30 @@ class _FitNode:
 # Nodes whose residual error is below this are never worth splitting.
 _MIN_SPLIT_SSE = 1e-12
 
+# Relative allowance for the rounding of a computed sum of n squares, about
+# n * 2**-53 (6e-14 at n = 559); see _sse_floor.
+_BOUND_MARGIN = 1.0 - 1e-9
+
+
+def _sse_floor(deltas: Sequence[float]) -> float:
+    """A floor under the squared error of any one leaf value on ``deltas``,
+    as :func:`fit_regression_tree` computes it in floats.
+
+    The exact least squared error is ``sum((m - d) ** 2)`` at the mean m,
+    found here in a first pass.  A computed sum of squares may fall below
+    it by its own rounding, covered by the relative ``_BOUND_MARGIN``; by
+    the rounding of m, at most ``n * (n * eps * max|d|) ** 2``; and by
+    squares that underflow, at most ``n`` times the least normal float.
+    The second matters when a side's targets are all equal: their least
+    error is 0, but a rounded m shows a tiny positive one, and a leaf value
+    nearer the true mean shows less (see ``tests/test_tree.py``).
+    """
+    n = len(deltas)
+    mean = sum(deltas) / n
+    sse = sum((mean - d) ** 2 for d in deltas)
+    spread = n * sys.float_info.epsilon * max(map(abs, deltas))
+    return sse * _BOUND_MARGIN - n * (spread**2 + sys.float_info.min)
+
 
 def fit_regression_tree(
     examples: Sequence[RegressionExample],
@@ -417,26 +463,40 @@ def fit_regression_tree(
     """Greedy best-first induction of one tree fitting the current gradients.
 
     Expandable nodes sit in a priority queue ordered by their residual error.
-    Expanding a node scores every mode-compatible candidate by fitting both
-    child leaves with coordinate descent and summing their squared errors; the
-    first candidate attaining the minimum is committed (deterministic
-    tie-break) and both children are queued.  Construction stops at
-    ``max_leaves`` leaves or when nothing expandable remains; candidates
-    emptying either side are rejected and a node with no usable candidate
-    stays a leaf.
+    A candidate's score is the sum of its two child leaves' squared errors,
+    each leaf fit by coordinate descent; the first candidate attaining the
+    minimum is committed (deterministic tie-break) and both children are
+    queued.  Construction stops at ``max_leaves`` leaves or when nothing
+    expandable remains; candidates emptying either side are rejected and a
+    node with no usable candidate stays a leaf.
 
-    Candidates are scored from a :class:`CoverageTable` keyed on (node
+    Not every candidate is fit.  A leaf's squared error is least at the mean
+    of its targets (CART; Breiman et al. 1984), so each usable candidate
+    after the first gets the bound ``sum((m_l - d) ** 2) + sum((m_r - d) **
+    2)`` over its two sides, with the means found in a first pass, and is
+    skipped when that bound, less a relative ``1e-9`` and an absolute
+    allowance for the rounding of the means (see :func:`_sse_floor`), is at
+    least the best score so far.  This is exact: a computed leaf error is
+    never below that floor (``tests/test_tree.py`` fuzzes it), so a skipped
+    candidate's score could not have been strictly below the best, and the
+    tree and ``fitted`` are those of fitting every candidate.  Only the
+    absolute term keeps it exact for a side whose targets are all equal; it
+    is about 1e-23 on 559 targets in (-1, 1).
+
+    Candidates are split from a :class:`CoverageTable` keyed on (node
     context, candidate atom), so each (context, candidate, example) is proved
-    at most once; only the committed split's true side is proved again, for
-    the witnesses its children chain.  The table is exact because a decision
-    never depends on the gradients, and it costs two n-bit ints per distinct
-    context x candidate.  Pass ``table`` to share one across fits over the
-    same knowledge base (as :func:`~liftedrbm.model.train` does for its
-    trees); by default the fit uses its own and drops it on return, which
-    still pays off because a false child keeps its parent's context.  When
-    given, ``fitted`` is filled with each example's leaf value in
-    ``examples`` order: the value :func:`evaluate_tree` routes it to, since
-    fitting and routing make the same decisions.
+    at most once; each expanded node finds its items' bits once, and a
+    candidate that leaves one side empty is rejected from the bits without
+    building its lists.  Only the committed split's true side is proved
+    again, for the witnesses its children chain.  The table is exact because
+    a decision never depends on the gradients, and it costs two n-bit ints
+    per distinct context x candidate.  Pass ``table`` to share one across
+    fits over the same knowledge base (as :func:`~liftedrbm.model.train`
+    does for its trees); by default the fit uses its own and drops it on
+    return, which still pays off because a false child keeps its parent's
+    context.  When given, ``fitted`` is filled with each example's leaf
+    value in ``examples`` order: the value :func:`evaluate_tree` routes it
+    to, since fitting and routing make the same decisions.
     """
     if not examples:
         raise ValueError("cannot fit a tree to zero examples")
@@ -447,8 +507,7 @@ def fit_regression_tree(
     if table is None:
         table = CoverageTable()
 
-    def fit_leaf(items: Sequence[FitItem]) -> tuple[LeafParams, float]:
-        deltas = [example.gradient for example, _, _ in items]
+    def fit_leaf(deltas: Sequence[float]) -> tuple[LeafParams, float]:
         params = coordinate_descent(
             deltas,
             learning_rate=learning_rate,
@@ -472,7 +531,7 @@ def fit_regression_tree(
         bound_vars=head.args,
         used_names=frozenset(t.name for t in head.args),
     )
-    root.params, root.sse = fit_leaf(items)
+    root.params, root.sse = fit_leaf([example.gradient for example in examples])
 
     tick = itertools.count()
     frontier: list[tuple[float, int, _FitNode]] = []
@@ -493,13 +552,19 @@ def fit_regression_tree(
             used_names=node.used_names,
             exclude_predicates=(predicate.name,),
         )
+        bits = table.node_bits(node.items)
         best = None
         for candidate in candidates:
-            left, right = partition(node.context, candidate, node.items, kb, table)
-            if not left or not right:
+            split = partition(node.context, candidate, node.items, kb, table, bits)
+            if split is None:
                 continue
-            theta_left, sse_left = fit_leaf(left)
-            theta_right, sse_right = fit_leaf(right)
+            left, right = split
+            deltas_left = [example.gradient for example, _, _ in left]
+            deltas_right = [example.gradient for example, _, _ in right]
+            if best is not None and _sse_floor(deltas_left) + _sse_floor(deltas_right) >= best[0]:
+                continue  # cannot score strictly below best
+            theta_left, sse_left = fit_leaf(deltas_left)
+            theta_right, sse_right = fit_leaf(deltas_right)
             score = sse_left + sse_right
             if best is None or score < best[0]:
                 best = (score, candidate, left, right, theta_left, sse_left, theta_right, sse_right)

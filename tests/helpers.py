@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from pathlib import Path
@@ -16,6 +17,15 @@ from liftedrbm.logic import (
     Substitution,
     Term,
     unify,
+)
+from liftedrbm.tree import (
+    InternalNode,
+    LeafNode,
+    RelationalRegressionTree,
+    coordinate_descent,
+    generate_candidates,
+    make_head,
+    partition,
 )
 
 # The benchmark's fixture model: the default config trained on fold 0 of the
@@ -221,3 +231,91 @@ def random_satisfaction_case(rng: random.Random):
         if rng.random() < 0.25:
             partial = partial.bind(var, rng.choice(constants[var.type_tag]))
     return body, partial, kb
+
+
+# --- exhaustive tree fitter ------------------------------------------------
+
+def exhaustive_fit_tree(
+    examples,
+    max_leaves,
+    modes,
+    kb: KnowledgeBase,
+    *,
+    learning_rate=0.05,
+    cd_max_iters=500,
+    cd_tolerance=1e-8,
+    max_new_vars=1,
+    max_depth=None,
+):
+    """Best-first tree induction that fits both leaves of every candidate.
+
+    The reference for :func:`~liftedrbm.tree.fit_regression_tree`, which
+    skips candidates by a bound: the same node order, candidate order,
+    splits (from ``partition`` without a coverage table), leaf fits and
+    strict first-minimum choice, with no pruning.  Returns the tree and each
+    example's leaf value in ``examples`` order.
+    """
+    head = make_head(examples[0].query.predicate)
+
+    def fit(items):
+        deltas = [example.gradient for example, _, _ in items]
+        params = coordinate_descent(
+            deltas, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
+        )
+        value = params.value()
+        return params, sum((value - d) ** 2 for d in deltas)
+
+    def node(items, depth, context, bound_vars, used_names, fitted_leaf):
+        params, sse = fitted_leaf
+        return {"items": items, "depth": depth, "context": context, "bound_vars": bound_vars,
+                "used_names": used_names, "params": params, "sse": sse, "split": None}
+
+    items = [(e, unify(head, e.query), unify(head, e.query)) for e in examples]
+    root = node(items, 0, (), head.args, frozenset(t.name for t in head.args), fit(items))
+    tick = itertools.count()
+    frontier = []
+
+    def push(n):
+        if (max_depth is None or n["depth"] < max_depth) and n["sse"] > 1e-12 and len(n["items"]) >= 2:
+            heapq.heappush(frontier, (-n["sse"], next(tick), n))
+
+    push(root)
+    leaves = 1
+    while leaves < max_leaves and frontier:
+        _, _, n = heapq.heappop(frontier)
+        best = None
+        for candidate in generate_candidates(
+            n["bound_vars"], modes, max_new_vars=max_new_vars, used_names=n["used_names"],
+            exclude_predicates=(head.predicate.name,),
+        ):
+            left, right = partition(n["context"], candidate, n["items"], kb)
+            if left and right:
+                fit_left, fit_right = fit(left), fit(right)
+                score = fit_left[1] + fit_right[1]
+                if best is None or score < best[0]:
+                    best = (score, candidate, left, right, fit_left, fit_right)
+        if best is None:
+            continue
+        _, candidate, left, right, fit_left, fit_right = best
+        new_vars = tuple(v for v in candidate.atom.variables() if v not in n["bound_vars"])
+        names = n["used_names"] | {t.name for t in candidate.atom.variables()}
+        true_child = node(left, n["depth"] + 1, n["context"] + (candidate.atom,),
+                          n["bound_vars"] + new_vars, names, fit_left)
+        false_child = node(right, n["depth"] + 1, n["context"], n["bound_vars"], names, fit_right)
+        n["split"] = (candidate, true_child, false_child)
+        leaves += 1
+        push(true_child)
+        push(false_child)
+
+    values = {}
+
+    def build(n):
+        if n["split"] is None:
+            for example, _, _ in n["items"]:
+                values[id(example)] = n["params"].value()
+            return LeafNode(n["params"])
+        candidate, true_child, false_child = n["split"]
+        return InternalNode(candidate, build(true_child), build(false_child))
+
+    tree = RelationalRegressionTree(head, build(root))
+    return tree, [values[id(example)] for example in examples]

@@ -290,8 +290,27 @@ def _nan_leaf(doc):
     return doc
 
 
+def _config_value(key, value):
+    def mutate(doc):
+        doc["config"][key] = value
+        return doc
+
+    return mutate
+
+
+# Training settings a fit cannot use: counts must be ints, not bools.
+BAD_FIT_CONFIGS = {
+    "fractional cd_max_iters": _config_value("cd_max_iters", 1.5),
+    "string cd_max_iters": _config_value("cd_max_iters", "5"),
+    "negative cd_max_iters": _config_value("cd_max_iters", -1),
+    "boolean max_leaves": _config_value("max_leaves", True),
+    "string cd_tolerance": _config_value("cd_tolerance", "x"),
+    "negative cd_tolerance": _config_value("cd_tolerance", -1e-8),
+}
+
 # Each turns a valid model document into one that breaks the schema.
 MODEL_MUTATIONS = {
+    **BAD_FIT_CONFIGS,
     "missing true branch": _drop_true_branch,
     "unknown config key": _unknown_config_key,
     "missing target": _drop_target,
@@ -343,6 +362,23 @@ class TestModelLoader:
         ])
         assert code in (1, 2)
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(BAD_FIT_CONFIGS))
+    def test_bad_fit_config_fails_distillation_as_a_data_error(
+        self, name, data_dir, tmp_path, capsys
+    ):
+        # distillation fits a tree with the model's settings, so a setting
+        # that cannot fit must be refused when the model loads
+        doc = BAD_FIT_CONFIGS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "explain", "--model", str(model_path), "--mode", "distill", "--depth", "1",
+            "--facts", str(data_dir / "facts.txt"), "--pos", str(data_dir / "pos.txt"),
+            "--neg", str(data_dir / "neg.txt"), "--out", str(tmp_path / "net"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: malformed model document: ")
 
     @pytest.mark.parametrize("name", sorted(DEEP_MODELS))
     @pytest.mark.parametrize("command", ["predict", "explain"])

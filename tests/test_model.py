@@ -51,6 +51,23 @@ class TestTrainConfig:
             TrainConfig(psi_clamp=float("nan"))
         with pytest.raises(ValueError):
             TrainConfig(max_new_vars=-1)
+        with pytest.raises(ValueError):
+            TrainConfig(cd_max_iters=-1)
+
+    @pytest.mark.parametrize("field", ["n_trees", "max_leaves", "cd_max_iters", "max_new_vars", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "5", True, None])
+    def test_integer_fields_must_be_int(self, field, value):
+        with pytest.raises(TypeError):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["x", None, False, -1e-8, float("nan"), float("inf")])
+    def test_cd_tolerance_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError):
+            TrainConfig(cd_tolerance=value)
+
+    def test_zero_leaf_fitting_settings_are_allowed(self):
+        config = TrainConfig(cd_max_iters=0, cd_tolerance=0)
+        assert (config.cd_max_iters, config.cd_tolerance) == (0, 0)
 
 
 class TestLeafPotential:

@@ -21,9 +21,20 @@ from liftedrbm.tree import (
     generate_candidates,
     make_head,
     partition,
+    _BOUND_MARGIN,
+    _sse_floor,
 )
 
-from helpers import ACTEDIN, COLLAB, MOVIE_MODES, C, V, atom, example1_kb
+from helpers import (
+    ACTEDIN,
+    COLLAB,
+    MOVIE_MODES,
+    C,
+    V,
+    atom,
+    example1_kb,
+    exhaustive_fit_tree,
+)
 
 
 SPORTS_MODES = parse_modes(
@@ -250,6 +261,60 @@ class TestCoordinateDescent:
             assert (params.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
 
 
+def _leaf_sse(deltas, **settings):
+    """The squared error fit_regression_tree computes for a fitted leaf."""
+    value = coordinate_descent(deltas, **settings).value()
+    return sum((value - d) ** 2 for d in deltas)
+
+
+def _mean_sse(deltas):
+    mean = sum(deltas) / len(deltas)
+    return sum((mean - d) ** 2 for d in deltas)
+
+
+class TestSseFloor:
+    def test_no_leaf_fit_falls_below_the_floor(self):
+        # The floor is what lets fit_regression_tree skip a candidate without
+        # changing the tree, so a computed leaf error must never be below it.
+        # At the default settings it also stays above the two-pass mean error
+        # times the margin alone.
+        rng = random.Random(17)
+        settings = [
+            {},
+            {"learning_rate": 0.5},
+            {"learning_rate": 2.0},
+            {"learning_rate": 0.5, "tolerance": 0.0, "max_iters": 50},
+        ]
+        lowest = math.inf
+        for case in range(3000):
+            n = rng.randint(1, 60)
+            scale = 10 ** rng.uniform(-6, 1)
+            if case % 10 == 0:
+                deltas = [rng.uniform(-scale, scale)] * n
+            else:
+                deltas = [rng.uniform(-scale, scale) for _ in range(n)]
+            chosen = settings[case % len(settings)] if case % 15 else {
+                "tolerance": 0.0, "max_iters": 100,
+            }
+            sse = _leaf_sse(deltas, **chosen)
+            assert sse >= _sse_floor(deltas), (deltas, chosen)
+            if not chosen:
+                mean_sse = _mean_sse(deltas)
+                assert sse >= mean_sse * _BOUND_MARGIN, deltas
+                if mean_sse > 0:
+                    lowest = min(lowest, sse / mean_sse)
+        assert 1 <= lowest < 1 + 1e-6  # some fits come that close to the mean
+
+    def test_equal_targets_need_the_absolute_allowance(self):
+        # The float mean of twelve 0.11s is 0.11000000000000003, so the
+        # two-pass mean error is positive, but at this rate the leaf value
+        # lands nearer 0.11 and its error is a quarter of that.
+        deltas = [0.11] * 12
+        sse = _leaf_sse(deltas, learning_rate=0.5)
+        assert sse < _mean_sse(deltas) * _BOUND_MARGIN
+        assert sse >= _sse_floor(deltas)
+
+
 def _separable_domain():
     """good(x) facts perfectly separate positive from negative gradients."""
     modes = parse_modes("mode: good(+thing).\nmode: noise(-thing, -thing).\nmode: label(-thing).")
@@ -340,6 +405,108 @@ class TestFitRegressionTree:
         modes, kb, _ = _separable_domain()
         with pytest.raises(ValueError):
             fit_regression_tree([], 4, modes, kb)
+
+
+def _random_fit_case(seed):
+    """A random movie domain, regression examples and fit settings."""
+    rng = random.Random(seed)
+    people = [f"p{i}" for i in range(rng.randint(4, 7))]
+    movies = [f"m{i}" for i in range(rng.randint(2, 5))]
+    genres = ["g0", "g1", "g2"]
+    lines = [f"actedin({p}, {m})." for p in people for m in movies if rng.random() < 0.35]
+    lines += [f"directedby({m}, {rng.choice(people)})." for m in movies if rng.random() < 0.8]
+    lines += [f"ingenre({m}, {rng.choice(genres)})." for m in movies]
+    lines += [f"samegenre({g}, {g})." for g in genres]
+    lines += [f"sameperson({a}, {b})." for a in people for b in people if rng.random() < 0.25]
+    kb = parse_facts("\n".join(lines), MOVIE_MODES)
+    # Coarse targets tie and leave sides with all-equal targets; fine ones do
+    # not.  Some cases draw targets of a few units, like distillation's.
+    levels = [-0.5, 0.11, 0.5] if seed % 3 == 0 else None
+    scale = rng.choice([0.9, 4.0])
+    examples = []
+    for _ in range(rng.randint(8, 30)):
+        a, b = rng.sample(people, 2)
+        target = rng.choice(levels) if levels else rng.uniform(-scale, scale)
+        examples.append(RegressionExample(atom(COLLAB, C(a, "person"), C(b, "person")), 1, target))
+    settings = {
+        "max_new_vars": rng.randint(0, 2),
+        "max_depth": rng.choice([None, None, 1, 2, 3]),
+        **rng.choice([
+            {},
+            {"learning_rate": 0.5},
+            {"cd_max_iters": rng.randint(1, 4)},  # leaf errors far above the bound
+            {"learning_rate": 0.2, "cd_tolerance": 1e-4},
+        ]),
+    }
+    return kb, examples, rng.randint(2, 8), settings, rng.random() < 0.5
+
+
+def _assert_fit_matches_exhaustive(examples, max_leaves, modes, kb, table=None, **settings):
+    fitted = []
+    tree = fit_regression_tree(examples, max_leaves, modes, kb, table=table, fitted=fitted, **settings)
+    reference, reference_fitted = exhaustive_fit_tree(examples, max_leaves, modes, kb, **settings)
+    assert tree.to_text() == reference.to_text()
+    assert fitted == reference_fitted
+    return tree
+
+
+class TestPrunedFitMatchesExhaustive:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_random_domains(self, seed):
+        kb, examples, max_leaves, settings, shared = _random_fit_case(seed)
+        table = None
+        if shared:
+            # an earlier fit over the same knowledge base fills the table
+            table = CoverageTable()
+            earlier = [RegressionExample(e.query, e.label, -e.gradient) for e in examples[::2]]
+            fit_regression_tree(earlier, max_leaves, MOVIE_MODES, kb, table=table, **settings)
+        _assert_fit_matches_exhaustive(examples, max_leaves, MOVIE_MODES, kb, table, **settings)
+
+    def _two_test_domain(self, a_things, b_things, targets):
+        modes = parse_modes("mode: a(+thing).\nmode: b(+thing).\nmode: t(-thing).")
+        facts = [f"a(x{i})." for i in a_things] + [f"b(x{i})." for i in b_things]
+        kb = parse_facts("\n".join(facts), modes)
+        target = modes["t"].predicate
+        examples = [
+            RegressionExample(atom(target, C(f"x{i}", "thing")), 1, value)
+            for i, value in enumerate(targets, start=1)
+        ]
+        return modes, kb, examples
+
+    def test_first_of_two_equal_splits_wins(self):
+        # a(T1) and b(T1) hold for the same things, so they score the same
+        modes, kb, examples = self._two_test_domain(
+            (1, 2), (1, 2), [0.5, 0.4, -0.3, -0.5, -0.45]
+        )
+        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb)
+        assert str(tree.root.test) == "a(T1)"
+
+    def test_leaf_fits_not_mean_errors_rank_the_splits(self):
+        # Three cycles leave these leaves far from their means: a(T1) has the
+        # lower mean error (119.2 against 120.8) but b(T1) the lower score
+        # (159.5 against 161.9), so the bound may skip nothing here.
+        modes, kb, examples = self._two_test_domain(
+            (1,), (2, 5), [-4.3, 7.1, 5.9, 6.4, 7.8, -5.3]
+        )
+        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, cd_max_iters=3)
+        assert str(tree.root.test) == "b(T1)"
+
+    def test_a_split_within_rounding_of_the_best_is_fit(self):
+        # Both splits put the targets -0.19, 0.78, 0.1 on each side, a(T1) in
+        # another order on its true side.  At this rate the leaf fits land
+        # within rounding of the mean, and b(T1) scores 1.1e-16 below
+        # a(T1) although its two-pass mean error is 3.3e-16 above a(T1)'s
+        # score: it must be fit, not skipped, to win.
+        p, q, r = -0.19, 0.78, 0.1
+        modes, kb, examples = self._two_test_domain(
+            (2, 3, 4), (1, 2, 3), [p, q, r, p, q, r]
+        )
+        bound_b = 2 * _mean_sse([p, q, r])
+        score_a = _leaf_sse([q, r, p], learning_rate=0.5) + _leaf_sse([p, q, r], learning_rate=0.5)
+        score_b = 2 * _leaf_sse([p, q, r], learning_rate=0.5)
+        assert score_b < score_a < bound_b
+        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, learning_rate=0.5)
+        assert str(tree.root.test) == "b(T1)"
 
 
 class TestCoverageTable:
