@@ -381,6 +381,32 @@ def satisfy(
     return solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
 
 
+def witnesses(
+    body: Sequence[Atom],
+    partial: Optional[Substitution],
+    kb: KnowledgeBase,
+    stats: Optional[SearchStats] = None,
+) -> list[Substitution]:
+    """Every witness of a conjunction of positive atoms, in the depth-first
+    order :func:`satisfy` meets them, so the first is the one it returns.
+
+    The witnesses are distinct: facts are stored once, so two groundings of
+    an atom never bind its variables alike.
+    """
+    n = len(body)
+    found: list[Substitution] = []
+
+    def solve(i: int, current: Substitution) -> None:
+        if i == n:
+            found.append(current)
+            return
+        for extended in iter_matches(body[i], current, kb, stats):
+            solve(i + 1, extended)
+
+    solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
+    return found
+
+
 def route_decision(
     context: Sequence[Atom],
     test: Atom,
@@ -388,6 +414,7 @@ def route_decision(
     cached: Substitution,
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
+    kept: Optional[list[Substitution]] = None,
 ) -> Optional[Substitution]:
     """Decide whether ``context AND test`` is satisfiable; None means no.
 
@@ -395,7 +422,21 @@ def route_decision(
     path grounds ``test`` directly under the cached witness; when that fails,
     the whole conjunction is re-satisfied from scratch so the decision never
     depends on which witness happened to be cached.  Returns a witness of the
-    extended conjunction to cache for the next decision.
+    extended conjunction to cache for the next decision: the one
+    ``satisfy(context + (test,), base)`` finds when the fast path fails.
+    When ``cached is base``, ``base`` itself grounds the context, so it is the
+    context's only witness and the fast path was the whole search.
+
+    ``kept`` is a list the caller holds for one (``context``, ``base``,
+    ``cached``) and reuses across tests, as :func:`~liftedrbm.tree.partition`
+    does for a node's candidates.  It stays empty until the first fallback,
+    which fills it with :func:`witnesses` of the context from ``base``, the
+    cached one among them replaced by ``cached`` itself.  Each fallback then
+    grounds ``test`` under each kept witness in order but ``cached``, which
+    the fast path tried, and returns the first extension.  ``satisfy`` meets
+    the context's witnesses in that order and tries ``test`` under each, so
+    this is the witness it returns and the decision, witness included, is
+    the same; the context is proved once per list instead of once per test.
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so
@@ -404,7 +445,17 @@ def route_decision(
     """
     for extended in iter_matches(test, cached, kb, stats):
         return extended
-    return satisfy(tuple(context) + (test,), base, kb, stats)
+    if cached is base:
+        return None
+    if kept is None:
+        return satisfy(tuple(context) + (test,), base, kb, stats)
+    if not kept:
+        kept += [cached if w == cached else w for w in witnesses(context, base, kb, stats)]
+    for witness in kept:
+        if witness is not cached:
+            for extended in iter_matches(test, witness, kb, stats):
+                return extended
+    return None
 
 
 class _TrieNode:

@@ -52,6 +52,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "psi_clamp"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.cd_max_iters < 0:
             raise ValueError("cd_max_iters must be non-negative")
         tolerance = self.cd_tolerance

@@ -130,16 +130,12 @@ def example2_kb() -> KnowledgeBase:
 
 # --- brute-force satisfaction oracle ---------------------------------------
 
-def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
-    """Exhaustive-enumeration satisfiability of positive literals, independent
-    of the search code.
-
-    Enumerates every type-consistent grounding of the body's variables and
-    holds iff some grounding makes every literal a stored fact.
-    """
+def _oracle_groundings(atoms, partial, kb: KnowledgeBase):
+    """Yield ``partial`` extended by each type-consistent grounding of the
+    atoms' free variables that makes every atom a stored fact."""
     free: list[Term] = []
-    for lit in body:
-        for var in lit.atom.variables():
+    for a in atoms:
+        for var in a.variables():
             walked = partial.walk(var)
             if walked.is_variable and walked not in free:
                 free.append(walked)
@@ -148,9 +144,25 @@ def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
         subst = partial
         for var, value in zip(free, combo):
             subst = subst.bind(var, value)
-        if all(subst.apply(lit.atom) in kb for lit in body):
-            return True
-    return False
+        if all(subst.apply(a) in kb for a in atoms):
+            yield subst
+
+
+def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
+    """Exhaustive-enumeration satisfiability of positive literals, independent
+    of the search code.
+
+    Enumerates every type-consistent grounding of the body's variables and
+    holds iff some grounding makes every literal a stored fact.
+    """
+    return any(True for _ in _oracle_groundings([lit.atom for lit in body], partial, kb))
+
+
+def oracle_witnesses(atoms, partial, kb: KnowledgeBase) -> list[Substitution]:
+    """Every witness of a conjunction of positive atoms by exhaustive
+    enumeration: ``partial`` extended by each grounding of the free variables
+    that makes every atom a stored fact, in no particular order."""
+    return list(_oracle_groundings(atoms, partial, kb))
 
 
 def oracle_route(body, partial, kb: KnowledgeBase) -> bool:

@@ -298,12 +298,14 @@ def _config_value(key, value):
     return mutate
 
 
-# Training settings a fit cannot use: counts must be ints, not bools.
+# Training settings a fit cannot use: counts must be ints and rates real
+# numbers, not bools.
 BAD_FIT_CONFIGS = {
     "fractional cd_max_iters": _config_value("cd_max_iters", 1.5),
     "string cd_max_iters": _config_value("cd_max_iters", "5"),
     "negative cd_max_iters": _config_value("cd_max_iters", -1),
     "boolean max_leaves": _config_value("max_leaves", True),
+    "boolean learning_rate": _config_value("learning_rate", True),
     "string cd_tolerance": _config_value("cd_tolerance", "x"),
     "negative cd_tolerance": _config_value("cd_tolerance", -1e-8),
 }
@@ -311,6 +313,7 @@ BAD_FIT_CONFIGS = {
 # Each turns a valid model document into one that breaks the schema.
 MODEL_MUTATIONS = {
     **BAD_FIT_CONFIGS,
+    "boolean psi_clamp": _config_value("psi_clamp", True),
     "missing true branch": _drop_true_branch,
     "unknown config key": _unknown_config_key,
     "missing target": _drop_target,

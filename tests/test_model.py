@@ -65,6 +65,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(cd_tolerance=value)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "psi_clamp"])
+    @pytest.mark.parametrize("value", [True, False, "1", None])
+    def test_real_fields_must_be_real_numbers(self, field, value):
+        with pytest.raises(TypeError):
+            TrainConfig(**{field: value})
+
+    def test_integral_rate_and_clamp_are_allowed(self):
+        config = TrainConfig(learning_rate=1, psi_clamp=20)
+        assert (config.learning_rate, config.psi_clamp) == (1, 20)
+
     def test_zero_leaf_fitting_settings_are_allowed(self):
         config = TrainConfig(cd_max_iters=0, cd_tolerance=0)
         assert (config.cd_max_iters, config.cd_tolerance) == (0, 0)

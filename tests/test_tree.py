@@ -250,6 +250,25 @@ class TestCoordinateDescent:
         assert all(math.isfinite(v) for v in params.as_tuple())
         assert params == ZERO_PARAMS
 
+    @pytest.mark.parametrize("tolerance", [0, 1e-8])
+    def test_stops_at_a_fixed_point_at_any_tolerance(self, tolerance, monkeypatch):
+        # At rate 0.5 the first cycle lands on the mean, and the second
+        # leaves the objective where it was: that is a fixed point, where
+        # even a zero tolerance must stop.
+        import liftedrbm.tree as tree_module
+
+        partials = tree_module._partials
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return partials(p)
+
+        monkeypatch.setattr(tree_module, "_partials", counted)
+        params = coordinate_descent([0.5] * 10, learning_rate=0.5, tolerance=tolerance)
+        assert params.value() == 0.5
+        assert len(calls) == 2 * 5  # two cycles of five coordinates
+
     def test_never_returns_a_worse_iterate_than_it_saw(self):
         rng = random.Random(5)
         for _ in range(200):
@@ -538,6 +557,32 @@ class TestCoverageTable:
         shared = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=table)
         assert len(decisions) < fresh_decisions  # the table was read
         assert shared.to_text() == fresh.to_text()
+
+    def test_each_kept_witness_list_serves_one_node_item(self, movie_domain, monkeypatch):
+        # A list of kept witnesses holds the witnesses of one node's context
+        # for one item: it must never reach route_decision with another
+        # context, head unifier or cached witness.
+        import liftedrbm.tree as tree_module
+
+        kb, examples, _ = movie_domain
+        rng = random.Random(11)
+        regression = [
+            RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
+        ]
+        owners = {}
+        route_decision = tree_module.route_decision
+
+        def recorded(context, test, base, cached, kb, stats=None, kept=None):
+            if kept is not None:
+                owner = owners.setdefault(id(kept), (kept, tuple(context), base, cached))
+                assert owner[1] == tuple(context) and owner[2] is base and owner[3] is cached
+            return route_decision(context, test, base, cached, kb, stats, kept)
+
+        monkeypatch.setattr(tree_module, "route_decision", recorded)
+        tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
+        assert sum(1 for kept, _, _, _ in owners.values() if kept) > 50  # lists were filled
+        reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
+        assert tree.to_text() == reference.to_text()
 
     def test_fitted_values_are_the_routed_leaf_values(self, movie_domain):
         kb, examples, _ = movie_domain
