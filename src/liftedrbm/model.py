@@ -13,10 +13,10 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .data import ModeDeclaration, ParseError, parse_atom_text, read_text
-from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie, Term, UnknownConstantError
+from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie, UnknownConstantError
 from .tree import (
     CoverageTable,
     InternalNode,
@@ -153,19 +153,6 @@ def validate_query(query: Atom, target: Predicate, kb: KnowledgeBase) -> None:
             )
 
 
-def compute_gradients(
-    model: BoostedModel,
-    labeled: Sequence[tuple[Atom, int]],
-    kb: KnowledgeBase,
-) -> list[float]:
-    """Pointwise gradients ``label - probability`` under the current model."""
-    gradients = []
-    for query, label in labeled:
-        psi = model.psi(query, kb)
-        gradients.append(label - probability(psi, model.config.psi_clamp))
-    return gradients
-
-
 ProgressFn = Callable[[int, float, float], None]
 
 
@@ -264,10 +251,10 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 
 def _finite(value, what: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ParseError(f"{what} must be finite, got {number!r}")
-    return number
+    """``value`` as a float, when it is a finite JSON number (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
@@ -311,7 +298,7 @@ def model_from_dict(data) -> BoostedModel:
     if not isinstance(data, dict):
         raise ParseError(f"model document must be a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported model format version {version!r}")
     try:
         return _model_from_dict(data)
@@ -319,7 +306,7 @@ def model_from_dict(data) -> BoostedModel:
         raise
     except KeyError as exc:
         raise ParseError(f"model document lacks field {exc}") from exc
-    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
+    except (TypeError, ValueError, AttributeError, RecursionError, OverflowError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
 
 
@@ -334,13 +321,10 @@ def _model_from_dict(data: dict) -> BoostedModel:
     target_info = data["target"]
     target = Predicate(target_info["name"], tuple(target_info["arg_types"]))
     predicates.setdefault(target.name, target)
-    head = Atom(
-        target,
-        tuple(
-            Term.variable(name, type_tag)
-            for name, type_tag in zip(target_info["head_vars"], target.arg_types)
-        ),
-    )
+    names = target_info["head_vars"]
+    head = parse_atom_text(f"{target.name}({', '.join(names)})", {target.name: target})
+    if not isinstance(names, list) or len({t.name for t in head.variables()}) != len(names):
+        raise ParseError(f"head_vars must be {target.arity} distinct variables, got {names!r}")
     config = TrainConfig(**data["config"])
     trees = [
         RelationalRegressionTree(head, _node_from_dict(node, predicates))

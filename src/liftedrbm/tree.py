@@ -28,7 +28,6 @@ from .logic import (
     KnowledgeBase,
     Literal,
     Predicate,
-    RoutingTrie,
     Substitution,
     Term,
     route_decision,
@@ -324,8 +323,8 @@ class CoverageTable:
 
     The table keeps no witnesses.  The witnesses of a node's context that
     :func:`partition` keeps for its undecided items live in lists the fit
-    holds for that node alone: they serve its candidates only, and a child's
-    context, or its set of items, differs.
+    holds for that node alone: they serve its candidates and its committed
+    split only, and a child's context, or its set of items, differs.
     """
 
     __slots__ = ("_bits", "_by_id", "_entries")
@@ -360,47 +359,32 @@ def partition(
     candidate: Literal,
     items: Sequence[FitItem],
     kb: KnowledgeBase,
-    table: Optional[CoverageTable] = None,
-    bits: Optional[tuple[Sequence[int], int]] = None,
-    kept: Optional[Sequence[list[Substitution]]] = None,
+    table: CoverageTable,
+    bits: tuple[Sequence[int], int],
+    kept: Sequence[list[Substitution]],
 ) -> Optional[tuple[list[FitItem], list[FitItem]]]:
-    """Split node examples on satisfiability of (context AND candidate).
+    """Split node examples on satisfiability of (context AND candidate), or
+    return ``None`` when one side would be empty.
 
     ``context`` holds the atoms of the node's positive root-to-node tests;
     every item carries the example's head unifier plus a cached witness of that
-    context.  Examples whose extended conjunction is satisfiable go left with
-    the first witness found (for variable chaining); the rest go right
-    unchanged.  Both sides keep the order of ``items``.
+    context.  ``bits`` holds the items' bits and the node mask, as
+    :meth:`CoverageTable.node_bits` gives them.  The table's entry under the
+    key (``context``, ``candidate.atom``) is read, only the items whose bits
+    it has not decided are proved, and those decisions are recorded in it.
+    A one-sided split (``sat & mask`` is 0 or ``mask``) is rejected from the
+    bits alone, and no list is built.  Otherwise the satisfiable items go
+    left and the rest right, both in ``items`` order and unchanged: a
+    decision read from the table carries no witness, so
+    :func:`fit_regression_tree` proves the committed split's true side again
+    for the witnesses its children chain.
 
-    With a :class:`CoverageTable`, pass as ``bits`` the items' bits and the
-    node mask, as :meth:`CoverageTable.node_bits` gives them.  The table's
-    entry under the key (``context``, ``candidate.atom``) is read, only the
-    items whose bits it has not decided are proved, and those decisions are
-    recorded in it; the split is the same, since a decision depends on
-    neither the gradients nor the cached witness.  A split that
-    leaves either side empty (``sat & mask`` is 0 or ``mask``) is then
-    rejected from the bits alone: ``None`` is returned and no list is built.
-    Left items keep their context witness, since a decision read from the
-    table carries none: partition the chosen split's left side again without
-    a table to chain witnesses.
-
-    With a table, pass also as ``kept`` one list per item, in ``items``
-    order, for :func:`~liftedrbm.logic.route_decision` to keep the
-    witnesses of ``context`` in, and the same lists for every candidate of
-    one node: each item's context is then proved at most once at that node
-    instead of once per candidate that its cached witness does not extend.
-    The decisions are the same as without them.
+    ``kept`` holds one list per item, in ``items`` order, for
+    :func:`~liftedrbm.logic.route_decision` to keep the witnesses of
+    ``context`` in.  Passing the same lists for every candidate of one node
+    proves each item's context at most once at that node, instead of once
+    per candidate that its cached witness does not extend.
     """
-    if table is None:
-        left: list[FitItem] = []
-        right: list[FitItem] = []
-        for example, base, cached in items:
-            extended = route_decision(context, candidate.atom, base, cached, kb)
-            if extended is not None:
-                left.append((example, base, extended))
-            else:
-                right.append((example, base, cached))
-        return left, right
     item_bits, mask = bits
     key = (tuple(context), candidate.atom)
     known, sat = table._entries.get(key, (0, 0))
@@ -506,9 +490,10 @@ def fit_regression_tree(
     at most once; each expanded node finds its items' bits once, and a
     candidate that leaves one side empty is rejected from the bits without
     building its lists.  Only the committed split's true side is proved
-    again, for the witnesses its children chain.  The table is exact because
-    a decision never depends on the gradients, and it costs two n-bit ints
-    per distinct context x candidate.
+    again, for the witnesses its children chain, and it reads the node's
+    kept witnesses (below).  The table is exact because a decision never
+    depends on the gradients, and it costs two n-bit ints per distinct
+    context x candidate.
 
     Each expanded node also holds one list per item, in which
     :func:`~liftedrbm.logic.route_decision` keeps the witnesses of the node's
@@ -516,19 +501,19 @@ def fit_regression_tree(
     context is proved once per item and node rather than once per candidate
     that the item's cached witness does not extend.  Each kept witness is
     tried in the order ``satisfy`` would meet it, so every decision and
-    witness is the one a full proof gives.  The lists are dropped once the
-    node is expanded and are never handed to its children: a true child's
-    context is longer, and a false child, whose context is the same, would
-    keep them alive while the frontier waits (measured at about 12% more
-    peak memory on the ``distill`` benchmark).
+    witness is the one a full proof gives, the committed split's included.
+    The lists are dropped once the node is expanded and are never handed to
+    its children: a true child's context is longer, and a false child, whose
+    context is the same, would keep them alive while the frontier waits
+    (measured at about 12% more peak memory on the ``distill`` benchmark).
 
     Pass ``table`` to share one across fits over the same knowledge base (as
     :func:`~liftedrbm.model.train` does for its trees); by default the fit
     uses its own and drops it on return, which still pays off because a
     false child keeps its parent's context.  When given, ``fitted`` is
     filled with each example's leaf value in ``examples`` order: the value
-    :func:`evaluate_tree` routes it to, since fitting and routing make the
-    same decisions.
+    :meth:`~liftedrbm.model.BoostedModel.per_tree` routes it to, since
+    fitting and routing make the same decisions.
     """
     if not examples:
         raise ValueError("cannot fit a tree to zero examples")
@@ -601,11 +586,20 @@ def fit_regression_tree(
             score = sse_left + sse_right
             if best is None or score < best[0]:
                 best = (score, candidate, left, right, theta_left, sse_left, theta_right, sse_right)
-        del kept  # node-local: a child's context or items differ
         if best is None:
             continue  # permanent leaf
         _, candidate, left, right, theta_left, sse_left, theta_right, sse_right = best
-        left, _ = partition(node.context, candidate, left, kb)
+        # Prove the true side again for the witnesses its children chain, each
+        # item reading the witnesses of the node's context kept for it.
+        on_left = {id(item) for item in left}
+        left = [
+            (item[0], item[1], route_decision(
+                node.context, candidate.atom, item[1], item[2], kb, None, witnesses
+            ))
+            for item, witnesses in zip(node.items, kept)
+            if id(item) in on_left
+        ]
+        del kept, on_left  # node-local: a child's context or items differ
         new_vars = tuple(
             v for v in candidate.atom.variables() if v not in node.bound_vars
         )
@@ -649,21 +643,3 @@ def fit_regression_tree(
     if fitted is not None:
         fitted[:] = [leaf_value[id(example)] for example in examples]
     return tree
-
-
-def evaluate_tree(tree: RelationalRegressionTree, query: Atom, kb: KnowledgeBase) -> float:
-    """Route a ground query to its unique leaf and return that leaf's value.
-
-    At every internal node the decision is satisfiability of the accumulated
-    positive path conjunction extended by the node's test; a satisfied test
-    chains its first witness into the bindings and joins the conjunction, a
-    failed test keeps both and follows the false branch.  This is a walk of
-    the :class:`~liftedrbm.logic.RoutingTrie` of the tree's path clauses,
-    the walk that routes a whole model, so a tree routes alone exactly as it
-    does inside its ensemble.  The trie is built on every call.
-    """
-    clauses = tree.path_clauses()
-    fired = RoutingTrie([clause for clause, _ in clauses]).walk(query, kb)
-    if not fired:
-        raise ValueError(f"query {query} does not ground target {tree.head}")
-    return clauses[fired[0][0]][1].value()

@@ -16,6 +16,7 @@ from liftedrbm.logic import (
     Predicate,
     Substitution,
     Term,
+    route_decision,
     unify,
 )
 from liftedrbm.tree import (
@@ -25,7 +26,6 @@ from liftedrbm.tree import (
     coordinate_descent,
     generate_candidates,
     make_head,
-    partition,
 )
 
 # The benchmark's fixture model: the default config trained on fold 0 of the
@@ -263,8 +263,10 @@ def exhaustive_fit_tree(
 
     The reference for :func:`~liftedrbm.tree.fit_regression_tree`, which
     skips candidates by a bound: the same node order, candidate order,
-    splits (from ``partition`` without a coverage table), leaf fits and
-    strict first-minimum choice, with no pruning.  Returns the tree and each
+    splits, leaf fits and strict first-minimum choice, with no pruning.  Each
+    split decides every item with its own ``route_decision`` call, keeping
+    no coverage table and no witnesses of the node's context, and the true
+    side chains the witness that call returns.  Returns the tree and each
     example's leaf value in ``examples`` order.
     """
     head = make_head(examples[0].query.predicate)
@@ -300,7 +302,13 @@ def exhaustive_fit_tree(
             n["bound_vars"], modes, max_new_vars=max_new_vars, used_names=n["used_names"],
             exclude_predicates=(head.predicate.name,),
         ):
-            left, right = partition(n["context"], candidate, n["items"], kb)
+            left, right = [], []
+            for example, base, cached in n["items"]:
+                extended = route_decision(n["context"], candidate.atom, base, cached, kb)
+                if extended is None:
+                    right.append((example, base, cached))
+                else:
+                    left.append((example, base, extended))
             if left and right:
                 fit_left, fit_right = fit(left), fit(right)
                 score = fit_left[1] + fit_right[1]

@@ -258,18 +258,8 @@ def _drop_true_branch(doc):
     return doc
 
 
-def _unknown_config_key(doc):
-    doc["config"]["bogus"] = 1
-    return doc
-
-
 def _drop_target(doc):
     del doc["target"]
-    return doc
-
-
-def _numeric_test(doc):
-    doc["trees"][0]["test"] = 7
     return doc
 
 
@@ -277,22 +267,26 @@ def _top_level_list(doc):
     return [doc]
 
 
-def _nan_psi0(doc):
-    doc["psi0"] = float("nan")
-    return doc
-
-
-def _nan_leaf(doc):
-    node = doc["trees"][0]
-    while "leaf" not in node:
-        node = node["true"]
-    node["leaf"][0] = float("nan")
-    return doc
-
-
-def _config_value(key, value):
+def _set(value, *path):
+    """The mutation that sets ``doc[path[0]]...[path[-1]]`` to ``value``."""
     def mutate(doc):
-        doc["config"][key] = value
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return mutate
+
+
+def _leaf_parameter(value):
+    """The mutation that sets the first parameter of the first tree's
+    all-true leaf to ``value``."""
+    def mutate(doc):
+        node = doc["trees"][0]
+        while "leaf" not in node:
+            node = node["true"]
+        node["leaf"][0] = value
         return doc
 
     return mutate
@@ -301,27 +295,46 @@ def _config_value(key, value):
 # Training settings a fit cannot use: counts must be ints and rates real
 # numbers, not bools.
 BAD_FIT_CONFIGS = {
-    "fractional cd_max_iters": _config_value("cd_max_iters", 1.5),
-    "string cd_max_iters": _config_value("cd_max_iters", "5"),
-    "negative cd_max_iters": _config_value("cd_max_iters", -1),
-    "boolean max_leaves": _config_value("max_leaves", True),
-    "boolean learning_rate": _config_value("learning_rate", True),
-    "string cd_tolerance": _config_value("cd_tolerance", "x"),
-    "negative cd_tolerance": _config_value("cd_tolerance", -1e-8),
+    "fractional cd_max_iters": _set(1.5, "config", "cd_max_iters"),
+    "string cd_max_iters": _set("5", "config", "cd_max_iters"),
+    "negative cd_max_iters": _set(-1, "config", "cd_max_iters"),
+    "boolean max_leaves": _set(True, "config", "max_leaves"),
+    "boolean learning_rate": _set(True, "config", "learning_rate"),
+    "string cd_tolerance": _set("x", "config", "cd_tolerance"),
+    "negative cd_tolerance": _set(-1e-8, "config", "cd_tolerance"),
 }
 
 # Each turns a valid model document into one that breaks the schema.
 MODEL_MUTATIONS = {
     **BAD_FIT_CONFIGS,
-    "boolean psi_clamp": _config_value("psi_clamp", True),
+    "boolean psi_clamp": _set(True, "config", "psi_clamp"),
     "missing true branch": _drop_true_branch,
-    "unknown config key": _unknown_config_key,
+    "unknown config key": _set(1, "config", "bogus"),
     "missing target": _drop_target,
-    "non-string test": _numeric_test,
+    "non-string test": _set(7, "trees", 0, "test"),
     "top-level list": _top_level_list,
-    "non-finite psi0": _nan_psi0,
-    "non-finite leaf parameter": _nan_leaf,
+    "non-finite psi0": _set(float("nan"), "psi0"),
+    "non-finite leaf parameter": _leaf_parameter(float("nan")),
+    # numbers must be JSON numbers, not strings or booleans
+    "string psi0": _set("0.5", "psi0"),
+    "boolean psi0": _set(True, "psi0"),
+    "string leaf parameter": _leaf_parameter("1.5"),
+    "boolean leaf parameter": _leaf_parameter(True),
+    "integer psi0 beyond float range": _set(10**400, "psi0"),
+    "boolean format_version": _set(True, "format_version"),
+    "float format_version": _set(1.0, "format_version"),
+    # head variables must be distinct variables of the file grammar
+    "repeated head_vars": _set(["P1", "P1"], "target", "head_vars"),
+    "constant in head_vars": _set(["p1", "P2"], "target", "head_vars"),
 }
+
+
+def _mutated_model(name, tmp_path):
+    """The path of the benchmark's model file after mutation ``name``."""
+    doc = MODEL_MUTATIONS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    return model_path
 
 
 def _nested_tests_text(depth=1500):
@@ -356,15 +369,20 @@ class TestModelLoader:
 
     @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
     def test_schema_violation_is_a_data_error(self, name, data_dir, tmp_path, capsys):
-        doc = MODEL_MUTATIONS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        model_path = _mutated_model(name, tmp_path)
         code = main([
             "predict", "--model", str(model_path), "--facts", str(data_dir / "facts.txt"),
             "--queries", str(data_dir / "queries.txt"),
         ])
-        assert code in (1, 2)
+        assert code == 2
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
+    def test_schema_violation_is_refused_before_any_query(self, name, tmp_path, capsys):
+        # explain routes no query, so only the loader can refuse the model
+        model_path = _mutated_model(name, tmp_path)
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     @pytest.mark.parametrize("name", sorted(BAD_FIT_CONFIGS))
     def test_bad_fit_config_fails_distillation_as_a_data_error(

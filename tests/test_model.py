@@ -11,7 +11,6 @@ from liftedrbm.logic import UnknownConstantError
 from liftedrbm.model import (
     BoostedModel,
     TrainConfig,
-    compute_gradients,
     dumps_model,
     loads_model,
     model_from_dict,
@@ -147,14 +146,17 @@ class TestComputeGradients:
         model = _empty_model()
         pos = atom(COLLAB, C("p1", "person"), C("p2", "person"))
         neg = atom(COLLAB, C("p2", "person"), C("p1", "person"))
-        gradients = compute_gradients(model, [(pos, 1), (neg, 0)], kb)
+        gradients = [
+            label - probability(model.psi(q, kb), model.config.psi_clamp)
+            for q, label in ((pos, 1), (neg, 0))
+        ]
         assert gradients == pytest.approx([0.5, -0.5], abs=1e-12)
 
     def test_chained_reference_value(self):
         kb = example1_kb()
         model = _single_leaf_model(LeafParams(0.0, 0.0, 1.0, 0.0, 1.0))
         pos = atom(COLLAB, C("p1", "person"), C("p2", "person"))
-        (gradient,) = compute_gradients(model, [(pos, 1)], kb)
+        gradient = 1 - probability(model.psi(pos, kb), model.config.psi_clamp)
         assert gradient == pytest.approx(1.0 - SIGMOID_OF_POTENTIAL, abs=1e-12)
 
     def test_matches_finite_difference_of_log_likelihood(self):
@@ -177,7 +179,7 @@ class TestComputeGradients:
         model = _single_leaf_model(LeafParams(5.0, 0.0, 0.0, 0.0, 5.0))
         pos = atom(COLLAB, C("p1", "person"), C("p2", "person"))
         for label in (0, 1):
-            (gradient,) = compute_gradients(model, [(pos, label)], kb)
+            gradient = label - probability(model.psi(pos, kb), model.config.psi_clamp)
             assert -1.0 < gradient < 1.0
 
 
@@ -196,13 +198,11 @@ class TestPredict:
         assert result.probability == pytest.approx(SIGMOID_OF_POTENTIAL, abs=1e-12)
 
     def test_psi_is_exactly_prior_plus_tree_sum(self, movie_model):
-        from liftedrbm.tree import evaluate_tree
-
         model, train_set, test_set, kb = movie_model
         for query, _ in test_set.labeled()[:25]:
             result = model.predict(query, kb)
-            independent = [evaluate_tree(tree, query, kb) for tree in model.trees]
-            assert result.per_tree == tuple(independent)
+            independent = oracle_per_tree(model.trees, query, kb)
+            assert result.per_tree == independent
             assert result.psi == model.psi0 + sum(independent)
             assert 0.0 < result.probability < 1.0
 
@@ -266,8 +266,6 @@ class TestTrain:
     def test_progress_reports_the_routed_error_of_every_tree(self, movie_domain):
         import dataclasses
 
-        from liftedrbm.tree import evaluate_tree
-
         kb, examples, _ = movie_domain
         seen = []
         model = train(kb, examples, TrainConfig(n_trees=3), progress=lambda *a: seen.append(a))
@@ -275,11 +273,11 @@ class TestTrain:
         assert [s[0] for s in seen] == [1, 2, 3]
         for (index, sse, _), tree in zip(seen, model.trees):
             before = dataclasses.replace(model, trees=model.trees[: index - 1])
-            gradients = compute_gradients(before, labeled, kb)
-            routed = sum(
-                (evaluate_tree(tree, query, kb) - gradient) ** 2
-                for (query, _), gradient in zip(labeled, gradients)
-            )
+            alone = dataclasses.replace(model, trees=[tree])
+            routed = 0.0
+            for query, label in labeled:
+                gradient = label - probability(before.psi(query, kb), before.config.psi_clamp)
+                routed += (alone.per_tree(query, kb)[0] - gradient) ** 2
             assert sse == routed
 
     def test_learns_the_generating_rules(self, movie_model, movie_domain):

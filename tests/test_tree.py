@@ -8,6 +8,7 @@ import pytest
 
 from liftedrbm.data import parse_facts, parse_modes
 from liftedrbm.logic import Atom, Literal, satisfy_route, unify
+from liftedrbm.model import BoostedModel, TrainConfig
 from liftedrbm.tree import (
     CoverageTable,
     InternalNode,
@@ -16,7 +17,6 @@ from liftedrbm.tree import (
     ZERO_PARAMS,
     RegressionExample,
     coordinate_descent,
-    evaluate_tree,
     fit_regression_tree,
     generate_candidates,
     make_head,
@@ -28,12 +28,15 @@ from liftedrbm.tree import (
 from helpers import (
     ACTEDIN,
     COLLAB,
+    EXAMPLE1_FACTS,
     MOVIE_MODES,
     C,
     V,
     atom,
     example1_kb,
     exhaustive_fit_tree,
+    oracle_per_tree,
+    oracle_satisfy,
 )
 
 
@@ -158,15 +161,44 @@ def _collab_item(kb, left, right, gradient=0.5, label=1):
     return RegressionExample(query, label, gradient), sub, sub
 
 
+def _partition(context, candidate, items, kb, table=None):
+    """``partition`` with a coverage table (a fresh one unless given) and
+    fresh lists of kept witnesses."""
+    table = table if table is not None else CoverageTable()
+    return partition(
+        context, candidate, items, kb, table, table.node_bits(items), [[] for _ in items]
+    )
+
+
 class TestPartition:
-    def test_satisfied_example_goes_left_with_chained_bindings(self):
-        kb = example1_kb()
-        item = _collab_item(kb, "p1", "p2")
-        candidate = Literal(atom(ACTEDIN, V("P1", "person"), V("M", "movie")))
-        left, right = partition((), candidate, [item], kb)
-        assert len(left) == 1 and right == []
-        _, _, witness = left[0]
-        assert witness.get(V("M", "movie")) == C("m1", "movie")
+    def test_satisfied_example_goes_left_with_chained_bindings(self, monkeypatch):
+        import liftedrbm.tree as tree_module
+
+        # p3 is a person who acts in nothing
+        kb = parse_facts(EXAMPLE1_FACTS + "sameperson(p3, p3).\n", MOVIE_MODES)
+        items = [_collab_item(kb, "p1", "p2", 0.5), _collab_item(kb, "p3", "p1", -0.5)]
+        acts = Literal(atom(ACTEDIN, V("P1", "person"), V("M1", "movie")))
+        # one-sided: p1 and p2 both act, as the oracle says
+        acting = [items[0], _collab_item(kb, "p2", "p1")]
+        assert _partition((), acts, acting, kb) is None
+        assert all(oracle_satisfy([acts], base, kb) for _, base, _ in acting)
+        # a decision read from the table carries no witness: items go unchanged
+        assert _partition((), acts, items, kb) == ([items[0]], [items[1]])
+        # the fit chains the committed split's first witness into its true side
+        calls = []
+        route_decision = tree_module.route_decision
+
+        def recorded(context, test, *args):
+            calls.append((test, route_decision(context, test, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(tree_module, "route_decision", recorded)
+        examples = [example for example, _, _ in items]
+        tree = fit_regression_tree(examples, 2, MOVIE_MODES, kb)
+        assert tree.root.test == acts
+        test, witness = calls[-1]  # the committed split, for p1's item
+        assert test == acts.atom
+        assert witness.get(V("M1", "movie")) == C("m1", "movie")
 
     def test_factless_predicate_sends_everything_right(self):
         kb = example1_kb()
@@ -174,8 +206,8 @@ class TestPartition:
         from helpers import DIRECTEDBY
 
         candidate = Literal(atom(DIRECTEDBY, V("M", "movie"), V("P1", "person")))
-        left, right = partition((), candidate, items, kb)
-        assert left == [] and len(right) == 2
+        assert _partition((), candidate, items, kb) is None
+        assert not any(oracle_satisfy([candidate], base, kb) for _, base, _ in items)
 
     def test_matches_brute_force_grounding_oracle(self):
         rng = random.Random(5)
@@ -198,26 +230,36 @@ class TestPartition:
             items.append((RegressionExample(q, 1, 0.1), sub, sub))
         a1, a2 = head.args
         fresh = V("A3", "a")
+        table = CoverageTable()
+        two_sided = 0
         for candidate in (
             Literal(atom(modes["s"].predicate, a1)),
             Literal(atom(modes["r"].predicate, a1, a2)),
             Literal(atom(modes["r"].predicate, a1, fresh)),
             Literal(atom(modes["r"].predicate, fresh, a2)),
         ):
-            left, right = partition((), candidate, items, kb)
-            assert len(left) + len(right) == 20
+            expected = []
             for example, _, _ in items:
                 x, y = (t.name for t in example.query.args)
                 grounded = {"A1": x, "A2": y}
                 pred = candidate.atom.predicate
                 names = [grounded.get(t.name, None) for t in candidate.atom.args]
-                expected = any(
+                expected.append(any(
                     all(n is None or n == fn for n, fn in zip(names, (f.name for f in fact.args)))
                     for fact in kb.facts
                     if fact.predicate == pred
-                )
-                went_left = any(e is example for e, _, _ in left)
-                assert went_left == expected
+                ))
+            split = _partition((), candidate, items, kb, table)
+            # a second split reads every decision from the table
+            assert _partition((), candidate, items, kb, table) == split
+            if split is None:
+                assert len(set(expected)) == 1
+                continue
+            two_sided += 1
+            left, right = split
+            assert left == [item for item, sat in zip(items, expected) if sat]
+            assert right == [item for item, sat in zip(items, expected) if not sat]
+        assert two_sided >= 2
 
 
 class TestCoordinateDescent:
@@ -363,7 +405,8 @@ class TestFitRegressionTree:
         tree = fit_regression_tree(examples, 1, modes, kb)
         assert tree.leaf_count == 1
         mean = sum(e.gradient for e in examples) / len(examples)
-        assert abs(evaluate_tree(tree, examples[0].query, kb) - mean) < 1e-3
+        (value,) = oracle_per_tree([tree], examples[0].query, kb)
+        assert abs(value - mean) < 1e-3
 
     def test_perfect_separator_becomes_the_root(self):
         modes, kb, examples = _separable_domain()
@@ -371,7 +414,7 @@ class TestFitRegressionTree:
         assert isinstance(tree.root, InternalNode)
         assert str(tree.root.test) == "good(T1)"
         for example in examples:
-            value = evaluate_tree(tree, example.query, kb)
+            (value,) = oracle_per_tree([tree], example.query, kb)
             assert abs(value - example.gradient) < 1e-3
 
     def test_leaf_cap_is_respected(self):
@@ -394,10 +437,10 @@ class TestFitRegressionTree:
         single = fit_regression_tree(noisy, 1, modes, kb)
         split = fit_regression_tree(noisy, 2, modes, kb)
         sse_single = sum(
-            (evaluate_tree(single, e.query, kb) - e.gradient) ** 2 for e in noisy
+            (oracle_per_tree([single], e.query, kb)[0] - e.gradient) ** 2 for e in noisy
         )
         sse_split = sum(
-            (evaluate_tree(split, e.query, kb) - e.gradient) ** 2 for e in noisy
+            (oracle_per_tree([split], e.query, kb)[0] - e.gradient) ** 2 for e in noisy
         )
         assert sse_split <= sse_single + 1e-5
 
@@ -528,6 +571,12 @@ class TestPrunedFitMatchesExhaustive:
         assert str(tree.root.test) == "b(T1)"
 
 
+def _one_tree_model(tree):
+    """A model of ``tree`` alone, whose ``per_tree`` routes a query as the
+    program routes it."""
+    return BoostedModel(tree.target, tree.head, 0.0, [tree], TrainConfig())
+
+
 class TestCoverageTable:
     def test_shared_table_is_keyed_on_queries_not_positions(self, movie_domain, monkeypatch):
         import liftedrbm.tree as tree_module
@@ -561,7 +610,9 @@ class TestCoverageTable:
     def test_each_kept_witness_list_serves_one_node_item(self, movie_domain, monkeypatch):
         # A list of kept witnesses holds the witnesses of one node's context
         # for one item: it must never reach route_decision with another
-        # context, head unifier or cached witness.
+        # context, head unifier or cached witness, and a decision read from
+        # it, the committed split's included, must return the witness that
+        # the same decision returns without it.
         import liftedrbm.tree as tree_module
 
         kb, examples, _ = movie_domain
@@ -570,17 +621,32 @@ class TestCoverageTable:
             RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
         ]
         owners = {}
-        route_decision = tree_module.route_decision
+        committed = []  # the witnesses the committed splits chain
+        partitioning = []
+        route_decision, partition = tree_module.route_decision, tree_module.partition
 
         def recorded(context, test, base, cached, kb, stats=None, kept=None):
+            result = route_decision(context, test, base, cached, kb, stats, kept)
             if kept is not None:
                 owner = owners.setdefault(id(kept), (kept, tuple(context), base, cached))
                 assert owner[1] == tuple(context) and owner[2] is base and owner[3] is cached
-            return route_decision(context, test, base, cached, kb, stats, kept)
+                assert result == route_decision(context, test, base, cached, kb)
+                if not partitioning:
+                    committed.append(result)
+            return result
+
+        def candidate_split(*args):
+            partitioning.append(True)
+            try:
+                return partition(*args)
+            finally:
+                partitioning.pop()
 
         monkeypatch.setattr(tree_module, "route_decision", recorded)
+        monkeypatch.setattr(tree_module, "partition", candidate_split)
         tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
         assert sum(1 for kept, _, _, _ in owners.values() if kept) > 50  # lists were filled
+        assert len(committed) > 50 and None not in committed
         reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
 
@@ -592,7 +658,8 @@ class TestCoverageTable:
         ]
         fitted = []
         tree = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fitted)
-        assert fitted == [evaluate_tree(tree, e.query, kb) for e in regression]
+        model = _one_tree_model(tree)
+        assert fitted == [model.per_tree(e.query, kb)[0] for e in regression]
 
 
 def _random_movie_tree_and_examples(seed=0):
@@ -624,15 +691,15 @@ class TestEvaluateTree:
             example1_kb(),
         )
         assert isinstance(tree.root, LeafNode)
-        value = evaluate_tree(
-            tree, atom(COLLAB, C("p1", "person"), C("p2", "person")), example1_kb()
+        (value,) = oracle_per_tree(
+            [tree], atom(COLLAB, C("p1", "person"), C("p2", "person")), example1_kb()
         )
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_wrong_predicate_is_an_error(self):
         tree, _, kb = _random_movie_tree_and_examples()
         with pytest.raises(ValueError):
-            evaluate_tree(tree, atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), kb)
+            _one_tree_model(tree).per_tree(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), kb)
 
     def test_routing_matches_path_clause_satisfaction(self):
         # oracle: satisfy each root-to-leaf clause independently, literal by
@@ -642,6 +709,7 @@ class TestEvaluateTree:
         head = tree.head
         paths = list(tree.paths())
         assert len(paths) == tree.leaf_count
+        model = _one_tree_model(tree)
         for example in examples:
             partial = unify(head, example.query)
             holding = [
@@ -650,7 +718,7 @@ class TestEvaluateTree:
                 if satisfy_route(literals, partial, kb) is not None
             ]
             assert len(holding) == 1
-            routed = evaluate_tree(tree, example.query, kb)
+            (routed,) = model.per_tree(example.query, kb)
             assert routed == pytest.approx(holding[0].params.value(), abs=1e-12)
 
     def test_path_count_and_structure(self):
