@@ -80,7 +80,7 @@ class ExampleSet:
                 raise ValueError(f"example {atom} is not ground")
         overlap = {str(a) for a in self.positives} & {str(a) for a in self.negatives}
         if overlap:
-            raise ValueError(f"examples appear with both labels: {sorted(overlap)}")
+            raise ParseError(f"examples appear with both labels: {sorted(overlap)}")
 
     def labeled(self) -> list[tuple[Atom, int]]:
         """All examples as (atom, label) pairs, positives first."""

@@ -1,12 +1,13 @@
 """Typed first-order terms, unification, and conjunctive queries over ground facts.
 
 The knowledge base is closed-world: a ground atom is true iff it is stored as a
-fact.  :func:`satisfy` proves a conjunction of positive atoms depth-first, left
-to right, visiting candidate facts in knowledge-base insertion order, and stops
-at the first full solution.  A negated literal has one meaning, the one a
-tree's false branch gives it: ``NOT atom`` after a prefix holds iff
+fact.  :func:`witnesses` is the one search: it proves a conjunction of
+positive atoms depth-first, left to right, visiting candidate facts in
+knowledge-base insertion order, and yields each full solution lazily, so its
+first costs only the search up to it.  A negated literal has one meaning, the
+one a tree's false branch gives it: ``NOT atom`` after a prefix holds iff
 ``prefix AND atom`` has no solution.  A :class:`RoutingTrie` walk is the one
-place that reads it; :func:`satisfy_route` walks a one-clause trie.
+place that reads it; a signed body is routed by walking a one-clause trie.
 """
 
 from __future__ import annotations
@@ -355,56 +356,30 @@ def iter_matches(
         yield extended
 
 
-def satisfy(
-    body: Sequence[Atom],
-    partial: Optional[Substitution],
-    kb: KnowledgeBase,
-    stats: Optional[SearchStats] = None,
-) -> Optional[Substitution]:
-    """First witness of a conjunction of positive atoms, or None.
-
-    Atoms are grounded against stored facts by depth-first, left-to-right
-    backtracking, and the search stops at the first solution; an empty body is
-    satisfied by ``partial`` itself.
-    """
-    n = len(body)
-
-    def solve(i: int, current: Substitution) -> Optional[Substitution]:
-        if i == n:
-            return current
-        for extended in iter_matches(body[i], current, kb, stats):
-            result = solve(i + 1, extended)
-            if result is not None:
-                return result
-        return None
-
-    return solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
-
-
 def witnesses(
     body: Sequence[Atom],
     partial: Optional[Substitution],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-) -> list[Substitution]:
-    """Every witness of a conjunction of positive atoms, in the depth-first
-    order :func:`satisfy` meets them, so the first is the one it returns.
+) -> Iterator[Substitution]:
+    """Lazily yield every witness of a conjunction of positive atoms.
 
-    The witnesses are distinct: facts are stored once, so two groundings of
-    an atom never bind its variables alike.
+    Atoms are grounded against stored facts by depth-first, left-to-right
+    backtracking, so ``next(witnesses(...), None)`` is the first witness and
+    stops there; an empty body has one witness, ``partial`` itself.  The
+    witnesses are distinct: facts are stored once, so two groundings of an
+    atom never bind its variables alike.
     """
     n = len(body)
-    found: list[Substitution] = []
 
-    def solve(i: int, current: Substitution) -> None:
+    def solve(i: int, current: Substitution) -> Iterator[Substitution]:
         if i == n:
-            found.append(current)
+            yield current
             return
         for extended in iter_matches(body[i], current, kb, stats):
-            solve(i + 1, extended)
+            yield from solve(i + 1, extended)
 
-    solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
-    return found
+    return solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
 
 
 def route_decision(
@@ -422,8 +397,9 @@ def route_decision(
     path grounds ``test`` directly under the cached witness; when that fails,
     the whole conjunction is re-satisfied from scratch so the decision never
     depends on which witness happened to be cached.  Returns a witness of the
-    extended conjunction to cache for the next decision: the one
-    ``satisfy(context + (test,), base)`` finds when the fast path fails.
+    extended conjunction to cache for the next decision: when the fast path
+    fails, the first of :func:`witnesses` of ``context + (test,)`` from
+    ``base``.
     When ``cached is base``, ``base`` itself grounds the context, so it is the
     context's only witness and the fast path was the whole search.
 
@@ -433,10 +409,11 @@ def route_decision(
     which fills it with :func:`witnesses` of the context from ``base``, the
     cached one among them replaced by ``cached`` itself.  Each fallback then
     grounds ``test`` under each kept witness in order but ``cached``, which
-    the fast path tried, and returns the first extension.  ``satisfy`` meets
-    the context's witnesses in that order and tries ``test`` under each, so
-    this is the witness it returns and the decision, witness included, is
-    the same; the context is proved once per list instead of once per test.
+    the fast path tried, and returns the first extension.  The search of
+    ``context + (test,)`` meets the context's witnesses in that order and
+    tries ``test`` under each, so this is its first witness and the
+    decision, witness included, is the same; the context is proved once per
+    list instead of once per test.
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so
@@ -448,7 +425,7 @@ def route_decision(
     if cached is base:
         return None
     if kept is None:
-        return satisfy(tuple(context) + (test,), base, kb, stats)
+        return next(witnesses(tuple(context) + (test,), base, kb, stats), None)
     if not kept:
         kept += [cached if w == cached else w for w in witnesses(context, base, kb, stats)]
     for witness in kept:
@@ -484,37 +461,6 @@ class _TrieNode:
         node.ends.append(clause_id)
 
 
-def _walk(
-    root: _TrieNode,
-    base: Substitution,
-    kb: KnowledgeBase,
-    stats: Optional[SearchStats],
-) -> list[tuple[int, Substitution]]:
-    """(clause id, witness) of every clause under ``root`` that holds.
-
-    A node's context is the positive atoms on its way from ``root`` and its
-    cached witness the last positive extension (``base`` at the root).  Each
-    branch's atom is decided once, by :func:`route_decision`; a satisfied
-    atom descends into its positive child with the extended witness, an
-    unsatisfied one into its negated child with the node's context and
-    witness.  A clause ending at a node holds with that node's witness.
-    """
-    fired: list[tuple[int, Substitution]] = []
-    stack = [(root, (), base)]
-    while stack:
-        node, context, cached = stack.pop()
-        for clause_id in node.ends:
-            fired.append((clause_id, cached))
-        for atom, yes, no in node.branches:
-            extended = route_decision(context, atom, base, cached, kb, stats)
-            if extended is not None:
-                if yes is not None:
-                    stack.append((yes, context + (atom,), extended))
-            elif no is not None:
-                stack.append((no, context, cached))
-    return fired
-
-
 class RoutingTrie:
     """Clauses merged on (head, signed literal sequence), routed in one walk.
 
@@ -544,37 +490,35 @@ class RoutingTrie:
     ) -> list[tuple[int, Substitution]]:
         """(clause id, witness) of every clause that holds for ``query``, in
         clause order; a clause whose head does not unify with it never holds.
-        The witness extends the head unifier, as :func:`satisfy_route` does."""
+
+        The walk starts at each root whose head unifies with ``query``, with
+        the head unifier as ``base``.  A node's context is the positive atoms
+        on its way from the root and its cached witness the last positive
+        extension (``base`` at the root).  Each branch's atom is decided
+        once, by :func:`route_decision`; a satisfied atom descends into its
+        positive child with the extended witness, an unsatisfied one into its
+        negated child with the node's context and witness.  A clause ending
+        at a node holds with that node's witness.  So a negated literal holds
+        iff its positive prefix conjoined with its atom has no solution, and
+        later literals see a variable that occurs only under an earlier
+        negation as fresh.
+        """
         fired: list[tuple[int, Substitution]] = []
         for head, root in self._roots.items():
             base = unify(head, query)
-            if base is not None:
-                fired += _walk(root, base, kb, stats)
+            if base is None:
+                continue
+            stack = [(root, (), base)]
+            while stack:
+                node, context, cached = stack.pop()
+                for clause_id in node.ends:
+                    fired.append((clause_id, cached))
+                for atom, yes, no in node.branches:
+                    extended = route_decision(context, atom, base, cached, kb, stats)
+                    if extended is not None:
+                        if yes is not None:
+                            stack.append((yes, context + (atom,), extended))
+                    elif no is not None:
+                        stack.append((no, context, cached))
         fired.sort(key=itemgetter(0))
         return fired
-
-
-def satisfy_route(
-    body: Sequence[Literal],
-    partial: Optional[Substitution],
-    kb: KnowledgeBase,
-    stats: Optional[SearchStats] = None,
-) -> Optional[Substitution]:
-    """Satisfy a signed body the way a decision path does, or return None.
-
-    Each literal is decided once, in order, by full satisfiability of the
-    prefix up to and including it (via :func:`route_decision`): a positive
-    literal extends the running witness, a negated literal holds iff the
-    prefix conjoined with its atom has no solution, exactly as a tree's false
-    branch is taken.  This is a walk of the one-clause :class:`RoutingTrie`
-    of ``body`` from ``partial``, the walk that routes trees and networks, so
-    a clause produced from a root-to-leaf tree path evaluates exactly as the
-    tree routes; on bodies without negation the witness is the one
-    :func:`satisfy` finds.  The prefix keeps only the positive atoms, as a
-    tree node's context does, so later literals see variables that occur only
-    under an earlier negation as fresh.
-    """
-    root = _TrieNode()
-    root.insert(body, 0)
-    fired = _walk(root, partial if partial is not None else EMPTY_SUBSTITUTION, kb, stats)
-    return fired[0][1] if fired else None

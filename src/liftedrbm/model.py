@@ -52,19 +52,23 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "psi_clamp"):
+        # Each field keeps the exception type it has always raised for a wrong type.
+        for name, wrong_type in (
+            ("learning_rate", TypeError), ("psi_clamp", TypeError), ("cd_tolerance", ValueError)
+        ):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
+                raise wrong_type(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is beyond float range") from None
         if self.cd_max_iters < 0:
             raise ValueError("cd_max_iters must be non-negative")
-        tolerance = self.cd_tolerance
-        if (
-            not isinstance(tolerance, numbers.Real)
-            or isinstance(tolerance, bool)
-            or not 0 <= tolerance < math.inf
-        ):
-            raise ValueError(f"cd_tolerance must be finite and non-negative, got {tolerance!r}")
+        if not 0 <= self.cd_tolerance < math.inf:
+            raise ValueError(
+                f"cd_tolerance must be finite and non-negative, got {self.cd_tolerance!r}"
+            )
         if self.n_trees < 0:
             raise ValueError("n_trees must be non-negative")
         if self.max_leaves < 1:

@@ -124,8 +124,9 @@ def lrbm_inference(
     Every hidden clause is routed in one walk of the network's routing trie
     (see :class:`~liftedrbm.logic.RoutingTrie`): each clause's head is
     unified with the query and its body decided one literal at a time against
-    the facts, as :func:`~liftedrbm.logic.satisfy_route` does, stopping at
-    the first satisfying grounding, which is reported as the node's witness.
+    the facts, each literal by :func:`~liftedrbm.logic.route_decision`,
+    stopping at the first satisfying grounding, which is reported as the
+    node's witness.
     Path-mapped clauses therefore activate exactly as their source trees
     route, and their shared prefixes are decided once.  The potential is
     ``psi0`` plus the sum of the fired clauses' values in ``hidden`` order,

@@ -500,8 +500,9 @@ def fit_regression_tree(
     context the first time a candidate falls back for that item, so the
     context is proved once per item and node rather than once per candidate
     that the item's cached witness does not extend.  Each kept witness is
-    tried in the order ``satisfy`` would meet it, so every decision and
-    witness is the one a full proof gives, the committed split's included.
+    tried in the order :func:`~liftedrbm.logic.witnesses` meets it, so every
+    decision and witness is the one a full proof gives, the committed
+    split's included.
     The lists are dropped once the node is expanded and are never handed to
     its children: a true child's context is longer, and a false child, whose
     context is the same, would keep them alive while the frontier waits

@@ -14,8 +14,10 @@ from liftedrbm.logic import (
     KnowledgeBase,
     Literal,
     Predicate,
+    RoutingTrie,
     Substitution,
     Term,
+    iter_matches,
     route_decision,
     unify,
 )
@@ -126,6 +128,41 @@ def example1_kb() -> KnowledgeBase:
 
 def example2_kb() -> KnowledgeBase:
     return parse_facts(EXAMPLE2_FACTS, MOVIE_MODES)
+
+
+# --- reference searches ---------------------------------------------------
+
+def reference_satisfy(body, partial, kb: KnowledgeBase, stats=None):
+    """First witness of a conjunction of positive atoms, or None: a recursive
+    depth-first, left-to-right search that returns at the first solution.
+
+    The reference for ``next(logic.witnesses(...), None)``; it shares only
+    :func:`~liftedrbm.logic.iter_matches`, so ``stats`` counts the same
+    groundings when the generator stops where this search returns.
+    """
+    n = len(body)
+
+    def solve(i, current):
+        if i == n:
+            return current
+        for extended in iter_matches(body[i], current, kb, stats):
+            result = solve(i + 1, extended)
+            if result is not None:
+                return result
+        return None
+
+    return solve(0, partial if partial is not None else Substitution())
+
+
+def route_body(body, partial: Substitution, kb: KnowledgeBase, stats=None):
+    """The witness with which a signed ``body`` holds from ``partial``, or None,
+    by the walk that routes trees and networks: a one-clause
+    :class:`~liftedrbm.logic.RoutingTrie` whose head lists the partial's
+    bound variables, queried with their values."""
+    bound = tuple(var for var, _ in partial.items())
+    head = Atom(Predicate("route", tuple(var.type_tag for var in bound)), bound)
+    fired = RoutingTrie([Clause(head, tuple(body))]).walk(partial.apply(head), kb, stats)
+    return fired[0][1] if fired else None
 
 
 # --- brute-force satisfaction oracle ---------------------------------------

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from liftedrbm.data import ExampleSet, split_folds
-from liftedrbm.logic import SearchStats, satisfy_route, unify
+from liftedrbm.logic import RoutingTrie, SearchStats
 from liftedrbm.metrics import ScoredExample, auc_pr, auc_roc, cross_validate
 from liftedrbm.model import (
     BoostedModel,
@@ -41,6 +41,7 @@ from helpers import (
     example2_kb,
     oracle_route,
     random_satisfaction_case,
+    route_body,
     rule_clauses,
 )
 
@@ -96,7 +97,8 @@ def test_criterion_2_gradient_identity():
 
 
 def test_criterion_3_satisfaction_oracle():
-    """satisfy_route agrees with exhaustive enumeration on 10,000 generated cases."""
+    """A one-clause routing trie agrees with exhaustive enumeration on 10,000
+    generated cases."""
     rng = random.Random(424242)
     disagreements = 0
     satisfiable = 0
@@ -104,7 +106,7 @@ def test_criterion_3_satisfaction_oracle():
         body, partial, kb = random_satisfaction_case(rng)
         assert len(body) <= 3
         assert all(len(kb.universe(t)) <= 6 for t in kb.type_tags())
-        got = satisfy_route(body, partial, kb) is not None
+        got = route_body(body, partial, kb) is not None
         expected = oracle_route(body, partial, kb)
         if got != expected:
             disagreements += 1
@@ -145,7 +147,7 @@ def test_criterion_4_appendix_fidelity():
     for query, kb, visited in ((query1, example1_kb(), 2), (query2, example2_kb(), 5)):
         stats = SearchStats()
         for clause in rule_clauses():
-            satisfy_route(clause.body, unify(clause.head, query), kb, stats)
+            RoutingTrie([clause]).walk(query, kb, stats)
         assert stats.groundings_visited == visited
     _report(4, "appendix fidelity")
 

@@ -148,6 +148,30 @@ class TestTrain:
         ]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval", "explain"])
+    def test_example_with_both_labels_is_a_data_error(
+        self, command, data_dir, trained_model_path, tmp_path, capsys
+    ):
+        positive = (data_dir / "pos.txt").read_text().splitlines()[0]
+        negatives = tmp_path / "neg.txt"
+        negatives.write_text((data_dir / "neg.txt").read_text() + positive + "\n")
+        examples = [
+            "--facts", str(data_dir / "facts.txt"),
+            "--pos", str(data_dir / "pos.txt"),
+            "--neg", str(negatives),
+        ]
+        modes = ["--modes", str(data_dir / "modes.txt")]
+        argv = {
+            "train": ["train", *modes, *examples, "--trees", "1",
+                      "--out", str(tmp_path / "m.json")],
+            "eval": ["eval", *modes, *examples, "--trees", "1", "--folds", "2",
+                     "--out", str(tmp_path / "r.json")],
+            "explain": ["explain", "--model", str(trained_model_path), "--mode", "distill",
+                        "--depth", "1", *examples, "--out", str(tmp_path / "net")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: examples appear with both labels")
+
 
 class TestPredict:
     def test_scores_every_query(self, data_dir, trained_model_path, tmp_path):
@@ -321,6 +345,9 @@ MODEL_MUTATIONS = {
     "string leaf parameter": _leaf_parameter("1.5"),
     "boolean leaf parameter": _leaf_parameter(True),
     "integer psi0 beyond float range": _set(10**400, "psi0"),
+    "integer learning_rate beyond float range": _set(10**400, "config", "learning_rate"),
+    "integer psi_clamp beyond float range": _set(10**400, "config", "psi_clamp"),
+    "integer cd_tolerance beyond float range": _set(10**400, "config", "cd_tolerance"),
     "boolean format_version": _set(True, "format_version"),
     "float format_version": _set(1.0, "format_version"),
     # head variables must be distinct variables of the file grammar

@@ -15,7 +15,7 @@ from liftedrbm.data import (
     serialize_facts,
     split_folds,
 )
-from liftedrbm.logic import KnowledgeBase, Predicate, satisfy, unify
+from liftedrbm.logic import KnowledgeBase, Predicate, unify, witnesses
 
 from helpers import (
     ACTEDIN,
@@ -66,7 +66,7 @@ class TestParseFacts:
         head = atom(COLLAB, V("P1", "person"), V("P2", "person"))
         query = atom(COLLAB, C("p01", "person"), C("p02", "person"))
         body = [lit.atom for lit in worked_under.body]
-        assert satisfy(body, unify(head, query), kb) is not None
+        assert next(witnesses(body, unify(head, query), kb), None) is not None
 
     def test_comments_and_blank_lines_are_skipped(self):
         kb = parse_facts("% a comment\n\nactedin(p1, m1). % trailing\n", MOVIE_MODES)

@@ -13,8 +13,6 @@ from liftedrbm.logic import (
     SearchStats,
     Substitution,
     route_decision,
-    satisfy,
-    satisfy_route,
     unify,
     witnesses,
 )
@@ -30,6 +28,8 @@ from helpers import (
     oracle_route,
     oracle_witnesses,
     random_satisfaction_case,
+    reference_satisfy,
+    route_body,
     rule_clauses,
 )
 
@@ -182,8 +182,12 @@ def _collab_partial(kb, left, right):
     return unify(head, query)
 
 
+def _first_witness(body, partial, kb, stats=None):
+    return next(witnesses(body, partial, kb, stats), None)
+
+
 def _atoms(clause):
-    """The body of a negation-free clause as the atoms ``satisfy`` takes."""
+    """The body of a negation-free clause as the atoms ``witnesses`` takes."""
     assert not any(lit.negated for lit in clause.body)
     return [lit.atom for lit in clause.body]
 
@@ -193,7 +197,7 @@ class TestSatisfy:
         kb = example1_kb()
         _, _, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
-        witness = satisfy(_atoms(same_movie), partial, kb)
+        witness = _first_witness(_atoms(same_movie), partial, kb)
         assert witness is not None
         assert witness.get(V("M", "movie")) == C("m1", "movie")
 
@@ -201,37 +205,37 @@ class TestSatisfy:
         kb = example1_kb()
         different_genres, worked_under, _ = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
-        assert satisfy_route(different_genres.body, partial, kb) is None
-        assert satisfy(_atoms(worked_under), partial, kb) is None
+        assert route_body(different_genres.body, partial, kb) is None
+        assert _first_witness(_atoms(worked_under), partial, kb) is None
 
     def test_worked_under_clause_holds_in_example2(self):
         kb = example2_kb()
         different_genres, worked_under, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p01", "p02")
-        witness = satisfy(_atoms(worked_under), partial, kb)
+        witness = _first_witness(_atoms(worked_under), partial, kb)
         assert witness is not None
         assert witness.get(V("M1", "movie")) == C("m01", "movie")
         assert witness.get(V("P3", "person")) == C("p03", "person")
-        assert satisfy_route(different_genres.body, partial, kb) is None
-        assert satisfy(_atoms(same_movie), partial, kb) is None
+        assert route_body(different_genres.body, partial, kb) is None
+        assert _first_witness(_atoms(same_movie), partial, kb) is None
 
     def test_empty_body_is_trivially_satisfied(self):
         kb = example1_kb()
         partial = _collab_partial(kb, "p1", "p2")
-        assert satisfy((), partial, kb) == partial
+        assert _first_witness((), partial, kb) == partial
 
     def test_ground_negation_uses_closed_world(self):
         kb = example1_kb()
         lit = Literal(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), negated=True)
-        assert satisfy_route((lit,), Substitution(), kb) is None
+        assert route_body((lit,), Substitution(), kb) is None
         missing = Literal(atom(ACTEDIN, C("p1", "person"), C("m9", "movie")), negated=True)
-        assert satisfy_route((missing,), Substitution(), kb) is not None
+        assert route_body((missing,), Substitution(), kb) is not None
 
     def test_unbound_negation_is_existential(self):
         # ¬actedin(p1, M) fails because some movie of p1 exists
         kb = example1_kb()
         lit = Literal(atom(ACTEDIN, C("p1", "person"), V("M", "movie")), negated=True)
-        assert satisfy_route((lit,), Substitution(), kb) is None
+        assert route_body((lit,), Substitution(), kb) is None
 
     def test_negation_is_decided_in_place_over_its_prefix(self):
         from helpers import SAMEPERSON
@@ -244,9 +248,9 @@ class TestSatisfy:
         same = Literal(atom(SAMEPERSON, p, p))
         # with an empty prefix, actedin(P, M) has a solution (p1, m1), so the
         # negation fails; it is not deferred until sameperson binds P to p2
-        assert satisfy_route((negation, same), Substitution(), kb) is None
+        assert route_body((negation, same), Substitution(), kb) is None
         # after the prefix binds P to p2, actedin(p2, M) has none, so it holds
-        witness = satisfy_route((same, negation), Substitution(), kb)
+        witness = route_body((same, negation), Substitution(), kb)
         assert witness is not None
         assert witness.get(p) == C("p2", "person")
 
@@ -259,14 +263,14 @@ class TestSatisfy:
             atom(ACTEDIN, C("p2", "person"), m),
             atom(ACTEDIN, C("p1", "person"), m),
         )
-        assert satisfy(body, Substitution(), kb) is not None
+        assert _first_witness(body, Substitution(), kb) is not None
 
     def test_search_stops_at_first_witness(self):
         kb = example1_kb()
         _, _, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
         stats = SearchStats()
-        assert satisfy(_atoms(same_movie), partial, kb, stats) is not None
+        assert _first_witness(_atoms(same_movie), partial, kb, stats) is not None
         # actedin(p1, M) yields m1, then actedin(p2, m1) holds: two visits
         assert stats.groundings_visited == 2
 
@@ -274,7 +278,7 @@ class TestSatisfy:
         kb = example1_kb()
         _, _, same_movie = rule_clauses()
         partial = _collab_partial(kb, "p1", "p2")
-        witness = satisfy_route(same_movie.body, partial, kb)
+        witness = route_body(same_movie.body, partial, kb)
         assert witness is not None
         assert witness.get(V("M", "movie")) == C("m1", "movie")
 
@@ -288,7 +292,8 @@ class TestSatisfy:
         for left, right in (("p1", "m1"), ("p1", "m2"), ("p2", "m2")):
             kb.add(atom(ACTEDIN, C(left, "person"), C(right, "movie")))
         atoms = [lit.atom for lit in body]
-        for witness in (satisfy(atoms, Substitution(), kb), satisfy_route(body, Substitution(), kb)):
+        routed = route_body(body, Substitution(), kb)
+        for witness in (_first_witness(atoms, Substitution(), kb), routed):
             assert witness is not None
             assert witness.get(m) == C("m2", "movie")
 
@@ -311,7 +316,7 @@ class TestSatisfy:
             Literal(Atom(r, (x,)), negated=True),
             Literal(Atom(s, (x,))),
         )
-        assert satisfy_route(body, Substitution(), kb) is None
+        assert route_body(body, Substitution(), kb) is None
 
 
 class TestSatisfactionOracle:
@@ -320,7 +325,7 @@ class TestSatisfactionOracle:
         checked = satisfiable = 0
         for _ in range(2500):
             body, partial, kb = random_satisfaction_case(rng)
-            witness = satisfy_route(body, partial, kb)
+            witness = route_body(body, partial, kb)
             expected = oracle_route(body, partial, kb)
             assert (witness is not None) == expected, f"body={[str(l) for l in body]}"
             checked += 1
@@ -333,7 +338,7 @@ class TestSatisfactionOracle:
                         assert grounded.is_ground and grounded in kb
             if not any(lit.negated for lit in body):
                 # on negation-free bodies both engines find the same witness
-                assert satisfy([lit.atom for lit in body], partial, kb) == witness
+                assert reference_satisfy([lit.atom for lit in body], partial, kb) == witness
         assert checked == 2500
         assert 100 < satisfiable < 2400  # both outcomes well represented
 
@@ -389,12 +394,12 @@ class TestKeptWitnesses:
         for _ in range(1500):
             body, partial, kb = random_satisfaction_case(rng)
             atoms = [lit.atom for lit in body]
-            found = witnesses(atoms, partial, kb)
+            found = list(witnesses(atoms, partial, kb))
             expected = oracle_witnesses(atoms, partial, kb)
             assert sorted(map(repr, found)) == sorted(map(repr, expected))
             assert len(set(map(repr, found))) == len(found)  # distinct
             assert all(any(w == o for o in expected) for w in found)
-            first = satisfy(atoms, partial, kb)
+            first = reference_satisfy(atoms, partial, kb)
             if found:
                 assert found[0] == first
             else:
@@ -402,16 +407,35 @@ class TestKeptWitnesses:
             several += len(found) > 1
         assert several > 100
 
+    def test_the_first_witness_costs_only_the_search_up_to_it(self):
+        """``next(witnesses(...))`` is the reference search's witness and visits
+        exactly its groundings, so the generator is lazy; running it to the
+        end gives the oracle's witnesses."""
+        rng = random.Random(909)
+        stopped_early = 0
+        for _ in range(1500):
+            body, partial, kb = random_satisfaction_case(rng)
+            atoms = [lit.atom for lit in body]
+            lazy, reference, full = SearchStats(), SearchStats(), SearchStats()
+            first = next(witnesses(atoms, partial, kb, lazy), None)
+            assert first == reference_satisfy(atoms, partial, kb, reference)
+            assert lazy.groundings_visited == reference.groundings_visited
+            found = list(witnesses(atoms, partial, kb, full))
+            expected = oracle_witnesses(atoms, partial, kb)
+            assert sorted(map(repr, found)) == sorted(map(repr, expected))
+            stopped_early += lazy.groundings_visited < full.groundings_visited
+        assert stopped_early > 100
+
     def test_empty_body_has_one_witness_the_partial(self):
         partial = Substitution().bind(V("X", "t"), C("a", "t"))
-        assert witnesses((), partial, KnowledgeBase()) == [partial]
+        assert list(witnesses((), partial, KnowledgeBase())) == [partial]
 
     def test_witnesses_count_their_groundings(self):
         kb = example1_kb()
         partial = _collab_partial(kb, "p1", "p2")
         body = [atom(ACTEDIN, V("P1", "person"), V("M", "movie"))]
         stats = SearchStats()
-        assert len(witnesses(body, partial, kb, stats)) == 2
+        assert len(list(witnesses(body, partial, kb, stats))) == 2
         assert stats.groundings_visited == 2
 
     def test_kept_lists_decide_and_witness_as_a_full_proof(self):
@@ -426,7 +450,7 @@ class TestKeptWitnesses:
         for _ in range(400):
             kb, context, bases, tests = _random_context_case(rng)
             for base in bases:
-                found = witnesses(context, base, kb)
+                found = list(witnesses(context, base, kb))
                 if not found:
                     continue  # an item reaches a node only with a witness
                 choices = {0, len(found) - 1, rng.randrange(len(found))}
@@ -441,13 +465,13 @@ class TestKeptWitnesses:
                         for test in tests:
                             got = route_decision(context, test, base, cached, kb, None, kept)
                             alone = route_decision(context, test, base, cached, kb)
-                            reference = satisfy((test,), cached, kb)
+                            reference = reference_satisfy((test,), cached, kb)
                             if reference is None:
-                                reference = satisfy(tuple(context) + (test,), base, kb)
+                                reference = reference_satisfy(tuple(context) + (test,), base, kb)
                                 if reference is not None:
                                     from_later_witness += 1
                                     later = [w for w in found if w != cached]
-                                    from_first_kept += satisfy((test,), later[0], kb) is not None
+                                    from_first_kept += reference_satisfy((test,), later[0], kb) is not None
                             assert got == alone == reference, (
                                 f"context={[str(a) for a in context]} test={test} "
                                 f"base={base} cached={cached}"

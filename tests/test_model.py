@@ -70,6 +70,11 @@ class TestTrainConfig:
         with pytest.raises(TypeError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["learning_rate", "psi_clamp", "cd_tolerance"])
+    def test_real_fields_must_convert_to_a_float(self, field):
+        with pytest.raises(ValueError, match="beyond float range"):
+            TrainConfig(**{field: 10**400})
+
     def test_integral_rate_and_clamp_are_allowed(self):
         config = TrainConfig(learning_rate=1, psi_clamp=20)
         assert (config.learning_rate, config.psi_clamp) == (1, 20)

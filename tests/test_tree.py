@@ -7,7 +7,7 @@ import random
 import pytest
 
 from liftedrbm.data import parse_facts, parse_modes
-from liftedrbm.logic import Atom, Literal, satisfy_route, unify
+from liftedrbm.logic import Atom, Clause, Literal, RoutingTrie, unify
 from liftedrbm.model import BoostedModel, TrainConfig
 from liftedrbm.tree import (
     CoverageTable,
@@ -711,11 +711,10 @@ class TestEvaluateTree:
         assert len(paths) == tree.leaf_count
         model = _one_tree_model(tree)
         for example in examples:
-            partial = unify(head, example.query)
             holding = [
                 leaf
                 for literals, leaf in paths
-                if satisfy_route(literals, partial, kb) is not None
+                if RoutingTrie([Clause(head, literals)]).walk(example.query, kb)
             ]
             assert len(holding) == 1
             (routed,) = model.per_tree(example.query, kb)
