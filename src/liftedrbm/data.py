@@ -263,11 +263,13 @@ def generate_negatives(
     """
     if not math.isfinite(ratio) or ratio < 0:
         raise ValueError(f"ratio must be finite and non-negative, got {ratio}")
-    want = int(ratio * len(positives))
-    if want == 0:
+    requested = ratio * len(positives)  # inf when a finite product overflows
+    if requested < 1:
         return []
     universes = [kb.universe(t) for t in target.arg_types]
     total = math.prod(len(u) for u in universes)
+    # asking for more than the whole grounding space asks for all of it
+    want = int(requested) if requested <= total else total
     positive_keys = {tuple(t.name for t in a.args) for a in positives}
     rng = random.Random(seed)
     negatives: list[Atom] = []
@@ -282,7 +284,8 @@ def generate_negatives(
             if len(negatives) == want:
                 return negatives
     warnings.warn(
-        f"requested {want} negatives but only {len(negatives)} groundings are available",
+        f"requested {ratio:g} negatives for each of {len(positives)} positives but only "
+        f"{len(negatives)} groundings are available",
         stacklevel=2,
     )
     return negatives

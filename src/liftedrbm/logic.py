@@ -1,7 +1,10 @@
-"""Typed first-order terms, unification, and conjunctive queries over ground facts.
+"""Typed first-order terms and conjunctive queries over ground facts.
 
 The knowledge base is closed-world: a ground atom is true iff it is stored as a
-fact.  :func:`witnesses` is the one search: it proves a conjunction of
+fact.  A binding is a plain dict from variables to constants: :func:`unify`
+matches a clause head against a ground query, and each search step binds a
+body variable to a stored constant, so no variable is ever bound to another.
+:func:`witnesses` is the one search: it proves a conjunction of
 positive atoms depth-first, left to right, visiting candidate facts in
 knowledge-base insertion order, and yields each full solution lazily, so its
 first costs only the search up to it.  A negated literal has one meaning, the
@@ -96,96 +99,23 @@ class Literal:
         return ("¬" if self.negated else "") + str(self.atom)
 
 
-class Substitution:
-    """An immutable variable-binding map.
+def unify(pattern: Atom, atom: Atom) -> Optional[dict[Term, Term]]:
+    """The binding of ``pattern``'s variables that makes it ``atom``, or None.
 
-    Bindings may chain through other variables; :meth:`walk` resolves a term to
-    its final value, so applying a substitution is idempotent.  A variable can
-    be bound at most once.
+    ``atom`` must be ground: a non-ground one matches nothing.  A predicate
+    clash or two distinct constants fail, and a variable repeated in
+    ``pattern`` must meet one constant at each of its positions.
     """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Optional[dict[Term, Term]] = None):
-        self._bindings: dict[Term, Term] = dict(bindings) if bindings else {}
-
-    def walk(self, term: Term) -> Term:
-        b = self._bindings
-        while term.is_variable:
-            nxt = b.get(term)
-            if nxt is None:
-                return term
-            term = nxt
-        return term
-
-    def bind(self, var: Term, value: Term) -> "Substitution":
-        if not var.is_variable:
-            raise ValueError(f"cannot bind non-variable {var.name}")
-        if var in self._bindings:
-            raise ValueError(f"variable {var.name} is already bound")
-        if var.type_tag != value.type_tag:
-            raise ValueError(
-                f"type clash binding {var.name}:{var.type_tag} to "
-                f"{value.name}:{value.type_tag}"
-            )
-        new = Substitution.__new__(Substitution)
-        merged = dict(self._bindings)
-        merged[var] = value
-        new._bindings = merged
-        return new
-
-    def get(self, var: Term) -> Optional[Term]:
-        """Resolved value of ``var``, or None when unbound."""
-        walked = self.walk(var)
-        return None if walked == var else walked
-
-    def apply(self, atom: Atom) -> Atom:
-        """Replace every bound variable in ``atom``; unbound ones pass through."""
-        return Atom(atom.predicate, tuple(self.walk(t) for t in atom.args))
-
-    def items(self):
-        return self._bindings.items()
-
-    def __contains__(self, var: Term) -> bool:
-        return var in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Substitution) and self._bindings == other._bindings
-
-    def __repr__(self) -> str:
-        parts = sorted(f"{v.name}/{self.walk(v).name}" for v in self._bindings)
-        return "{" + ", ".join(parts) + "}"
-
-
-EMPTY_SUBSTITUTION = Substitution()
-
-
-def unify(a: Atom, b: Atom, seed: Optional[Substitution] = None) -> Optional[Substitution]:
-    """Most general unifier of two atoms extending ``seed``, or None on failure.
-
-    Predicate, arity, or type clashes and distinct constants all fail.  On
-    success, applying the result to both atoms yields identical atoms.
-    """
-    if a.predicate != b.predicate:
+    if pattern.predicate != atom.predicate or not atom.is_ground:
         return None
-    subst = seed if seed is not None else EMPTY_SUBSTITUTION
-    for x, y in zip(a.args, b.args):
-        x = subst.walk(x)
-        y = subst.walk(y)
-        if x == y:
-            continue
-        if x.type_tag != y.type_tag:
-            return None
+    binding: dict[Term, Term] = {}
+    for x, y in zip(pattern.args, atom.args):
         if x.is_variable:
-            subst = subst.bind(x, y)
-        elif y.is_variable:
-            subst = subst.bind(y, x)
-        else:
-            return None  # two distinct constants
-    return subst
+            if binding.setdefault(x, y) != y:
+                return None
+        elif x != y:
+            return None
+    return binding
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,30 +232,32 @@ class SearchStats:
     groundings_visited: int = 0
 
 
-def _split_args(atom: Atom, subst: Substitution):
+def _split_args(atom: Atom, binding: dict[Term, Term]):
     bound: list[tuple[int, str]] = []
     unbound: list[tuple[int, Term]] = []
     for pos, term in enumerate(atom.args):
-        walked = subst.walk(term)
-        if walked.is_variable:
-            unbound.append((pos, walked))
+        value = binding.get(term, term)
+        if value.is_variable:
+            unbound.append((pos, value))
         else:
-            bound.append((pos, walked.name))
+            bound.append((pos, value.name))
     return bound, unbound
 
 
 def iter_matches(
     atom: Atom,
-    subst: Substitution,
+    binding: dict[Term, Term],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-) -> Iterator[Substitution]:
-    """Yield extensions of ``subst`` grounding ``atom`` to stored facts.
+) -> Iterator[dict[Term, Term]]:
+    """Yield extensions of ``binding`` grounding ``atom`` to stored facts.
 
     Facts are visited in insertion order (filtered through the argument index
-    when some arguments are already bound), so results are deterministic.
+    when some arguments are already bound), so results are deterministic.  A
+    fact that binds a new variable yields a copy of ``binding`` extended by
+    it; one that binds none yields ``binding`` itself.
     """
-    bound, unbound = _split_args(atom, subst)
+    bound, unbound = _split_args(atom, binding)
     for fact_args in kb.candidates(atom.predicate.name, bound):
         if stats is not None:
             stats.groundings_visited += 1
@@ -337,31 +269,23 @@ def iter_matches(
         if not ok:
             continue
         if not unbound:
-            yield subst
+            yield binding
             continue
-        new_bindings: dict[Term, str] = {}
+        extended = dict(binding)
         for pos, var in unbound:
-            name = fact_args[pos]
-            seen = new_bindings.get(var)
-            if seen is None:
-                new_bindings[var] = name
-            elif seen != name:  # same variable at two positions
-                ok = False
+            value = kb.constant(fact_args[pos])
+            if extended.setdefault(var, value) is not value:  # same variable at two positions
                 break
-        if not ok:
-            continue
-        extended = subst
-        for var, name in new_bindings.items():
-            extended = extended.bind(var, kb.constant(name))
-        yield extended
+        else:
+            yield extended
 
 
 def witnesses(
     body: Sequence[Atom],
-    partial: Optional[Substitution],
+    partial: Optional[dict[Term, Term]],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-) -> Iterator[Substitution]:
+) -> Iterator[dict[Term, Term]]:
     """Lazily yield every witness of a conjunction of positive atoms.
 
     Atoms are grounded against stored facts by depth-first, left-to-right
@@ -372,25 +296,25 @@ def witnesses(
     """
     n = len(body)
 
-    def solve(i: int, current: Substitution) -> Iterator[Substitution]:
+    def solve(i: int, current: dict[Term, Term]) -> Iterator[dict[Term, Term]]:
         if i == n:
             yield current
             return
         for extended in iter_matches(body[i], current, kb, stats):
             yield from solve(i + 1, extended)
 
-    return solve(0, partial if partial is not None else EMPTY_SUBSTITUTION)
+    return solve(0, {} if partial is None else partial)
 
 
 def route_decision(
     context: Sequence[Atom],
     test: Atom,
-    base: Optional[Substitution],
-    cached: Substitution,
+    base: Optional[dict[Term, Term]],
+    cached: dict[Term, Term],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-    kept: Optional[list[Substitution]] = None,
-) -> Optional[Substitution]:
+    kept: Optional[list[dict[Term, Term]]] = None,
+) -> Optional[dict[Term, Term]]:
     """Decide whether ``context AND test`` is satisfiable; None means no.
 
     ``cached`` must be a witness of ``context`` (extending ``base``).  The fast
@@ -487,7 +411,7 @@ class RoutingTrie:
         query: Atom,
         kb: KnowledgeBase,
         stats: Optional[SearchStats] = None,
-    ) -> list[tuple[int, Substitution]]:
+    ) -> list[tuple[int, dict[Term, Term]]]:
         """(clause id, witness) of every clause that holds for ``query``, in
         clause order; a clause whose head does not unify with it never holds.
 
@@ -503,7 +427,7 @@ class RoutingTrie:
         later literals see a variable that occurs only under an earlier
         negation as fresh.
         """
-        fired: list[tuple[int, Substitution]] = []
+        fired: list[tuple[int, dict[Term, Term]]] = []
         for head, root in self._roots.items():
             base = unify(head, query)
             if base is None:

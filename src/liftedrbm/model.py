@@ -129,7 +129,7 @@ class BoostedModel:
             routing = self._routing = (trees, trie, [params.value() for _, params in clauses])
         _, trie, values = routing
         fired = trie.walk(query, kb)
-        if len(fired) != len(trees):
+        if len(fired) != len(trees) or not query.is_ground:
             raise ValueError(f"query {query} does not ground target {self.head}")
         return tuple(values[clause_id] for clause_id, _ in fired)
 
@@ -334,6 +334,18 @@ def _model_from_dict(data: dict) -> BoostedModel:
         RelationalRegressionTree(head, _node_from_dict(node, predicates))
         for node in data["trees"]
     ]
+    # A path's clause prints its variables by name, so one name at two types
+    # on a path would read as one variable; sibling subtrees may differ.
+    for tree in trees:
+        for literals, _ in tree.paths():
+            types = {t.name: t.type_tag for t in head.args}
+            for var in (v for lit in literals for v in lit.atom.variables()):
+                known = types.setdefault(var.name, var.type_tag)
+                if known != var.type_tag:
+                    raise ParseError(
+                        f"variable {var.name} is used as {known} and as {var.type_tag} "
+                        f"on one path"
+                    )
     return BoostedModel(target, head, _finite(data["psi0"], "psi0"), trees, config, modes)
 
 

@@ -22,7 +22,7 @@ from .logic import (
     KnowledgeBase,
     RoutingTrie,
     SearchStats,
-    Substitution,
+    Term,
 )
 from .model import BoostedModel, TrainConfig, probability, validate_query
 from .tree import LeafParams, RegressionExample, fit_regression_tree
@@ -110,7 +110,7 @@ class InferenceResult:
     probability: float
     psi: float
     activated: tuple[int, ...]
-    witnesses: dict[int, Substitution]
+    witnesses: dict[int, dict[Term, Term]]
 
 
 def lrbm_inference(

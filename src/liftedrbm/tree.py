@@ -28,7 +28,6 @@ from .logic import (
     KnowledgeBase,
     Literal,
     Predicate,
-    Substitution,
     Term,
     route_decision,
     unify,
@@ -300,7 +299,7 @@ def generate_candidates(
 
 
 # (example, head unifier, cached witness of the node's context)
-FitItem = tuple[RegressionExample, Substitution, Substitution]
+FitItem = tuple[RegressionExample, dict[Term, Term], dict[Term, Term]]
 
 
 class CoverageTable:
@@ -361,7 +360,7 @@ def partition(
     kb: KnowledgeBase,
     table: CoverageTable,
     bits: tuple[Sequence[int], int],
-    kept: Sequence[list[Substitution]],
+    kept: Sequence[list[dict[Term, Term]]],
 ) -> Optional[tuple[list[FitItem], list[FitItem]]]:
     """Split node examples on satisfiability of (context AND candidate), or
     return ``None`` when one side would be empty.
@@ -571,7 +570,7 @@ def fit_regression_tree(
             exclude_predicates=(predicate.name,),
         )
         bits = table.node_bits(node.items)
-        kept: list[list[Substitution]] = [[] for _ in node.items]
+        kept: list[list[dict[Term, Term]]] = [[] for _ in node.items]
         best = None
         for candidate in candidates:
             split = partition(node.context, candidate, node.items, kb, table, bits, kept)

@@ -15,7 +15,6 @@ from liftedrbm.logic import (
     Literal,
     Predicate,
     RoutingTrie,
-    Substitution,
     Term,
     iter_matches,
     route_decision,
@@ -45,6 +44,11 @@ def C(name: str, type_tag: str) -> Term:
 
 def atom(pred: Predicate, *args: Term) -> Atom:
     return Atom(pred, tuple(args))
+
+
+def ground(a: Atom, binding: dict[Term, Term]) -> Atom:
+    """``a`` with each variable that ``binding`` binds replaced by its value."""
+    return Atom(a.predicate, tuple(binding.get(t, t) for t in a.args))
 
 
 # --- movie-style schema used across tests ---------------------------------
@@ -151,17 +155,17 @@ def reference_satisfy(body, partial, kb: KnowledgeBase, stats=None):
                 return result
         return None
 
-    return solve(0, partial if partial is not None else Substitution())
+    return solve(0, {} if partial is None else partial)
 
 
-def route_body(body, partial: Substitution, kb: KnowledgeBase, stats=None):
+def route_body(body, partial: dict[Term, Term], kb: KnowledgeBase, stats=None):
     """The witness with which a signed ``body`` holds from ``partial``, or None,
     by the walk that routes trees and networks: a one-clause
     :class:`~liftedrbm.logic.RoutingTrie` whose head lists the partial's
     bound variables, queried with their values."""
-    bound = tuple(var for var, _ in partial.items())
+    bound = tuple(partial)
     head = Atom(Predicate("route", tuple(var.type_tag for var in bound)), bound)
-    fired = RoutingTrie([Clause(head, tuple(body))]).walk(partial.apply(head), kb, stats)
+    fired = RoutingTrie([Clause(head, tuple(body))]).walk(ground(head, partial), kb, stats)
     return fired[0][1] if fired else None
 
 
@@ -173,16 +177,13 @@ def _oracle_groundings(atoms, partial, kb: KnowledgeBase):
     free: list[Term] = []
     for a in atoms:
         for var in a.variables():
-            walked = partial.walk(var)
-            if walked.is_variable and walked not in free:
-                free.append(walked)
+            if var not in partial and var not in free:
+                free.append(var)
     universes = [kb.universe(v.type_tag) for v in free]
     for combo in itertools.product(*universes):
-        subst = partial
-        for var, value in zip(free, combo):
-            subst = subst.bind(var, value)
-        if all(subst.apply(a) in kb for a in atoms):
-            yield subst
+        binding = {**partial, **dict(zip(free, combo))}
+        if all(ground(a, binding) in kb for a in atoms):
+            yield binding
 
 
 def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
@@ -195,7 +196,7 @@ def oracle_satisfy(body, partial, kb: KnowledgeBase) -> bool:
     return any(True for _ in _oracle_groundings([lit.atom for lit in body], partial, kb))
 
 
-def oracle_witnesses(atoms, partial, kb: KnowledgeBase) -> list[Substitution]:
+def oracle_witnesses(atoms, partial, kb: KnowledgeBase) -> list[dict[Term, Term]]:
     """Every witness of a conjunction of positive atoms by exhaustive
     enumeration: ``partial`` extended by each grounding of the free variables
     that makes every atom a stored fact, in no particular order."""
@@ -275,10 +276,10 @@ def random_satisfaction_case(rng: random.Random):
             else:
                 args.append(rng.choice(constants[t]))
         body.append(Literal(Atom(pred, tuple(args)), negated=rng.random() < 0.25))
-    partial = Substitution()
+    partial = {}
     for var in used_vars:
         if rng.random() < 0.25:
-            partial = partial.bind(var, rng.choice(constants[var.type_tag]))
+            partial[var] = rng.choice(constants[var.type_tag])
     return body, partial, kb
 
 

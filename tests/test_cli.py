@@ -7,7 +7,7 @@ import pytest
 
 from liftedrbm import tree as tree_module
 from liftedrbm.cli import main
-from liftedrbm.data import parse_atom_text, parse_facts, serialize_facts
+from liftedrbm.data import parse_atom_text, parse_facts, parse_modes, serialize_facts
 from liftedrbm.model import load_model
 from liftedrbm.network import lrbm_inference, paths_to_lrbm
 from liftedrbm.tree import LeafParams
@@ -134,6 +134,25 @@ class TestTrain:
         ]
         assert main(argv) == 1
         assert "ratio" in capsys.readouterr().err
+
+    def test_overflowing_neg_ratio_uses_every_grounding(self, data_dir, tmp_path, capsys):
+        # 1e308 negatives for each of two positives overflows a float to inf
+        pos = tmp_path / "pos.txt"
+        pos.write_text("".join((data_dir / "pos.txt").read_text().splitlines(True)[:2]))
+        argv = [
+            "train",
+            "--facts", str(data_dir / "facts.txt"),
+            "--modes", str(data_dir / "modes.txt"),
+            "--pos", str(pos),
+            "--neg-ratio", "1e308",
+            "--trees", "1",
+            "--out", str(tmp_path / "m.json"),
+        ]
+        with pytest.warns(UserWarning, match="groundings are available"):
+            assert main(argv) == 0
+        kb = parse_facts((data_dir / "facts.txt").read_text(), parse_modes(MODES_TEXT))
+        n_person = len(kb.universe("person"))
+        assert f"2 positive / {n_person ** 2 - 2} negative" in capsys.readouterr().out
 
     def test_malformed_facts_are_a_data_error(self, data_dir, tmp_path):
         bad = tmp_path / "bad_facts.txt"
@@ -353,6 +372,9 @@ MODEL_MUTATIONS = {
     # head variables must be distinct variables of the file grammar
     "repeated head_vars": _set(["P1", "P1"], "target", "head_vars"),
     "constant in head_vars": _set(["p1", "P2"], "target", "head_vars"),
+    # a path may not use one variable name at two types: here the test's P1
+    # is a movie and the head's P1 a person
+    "variable at two types on a path": _set("ingenre(P1, G1)", "trees", 0, "test"),
 }
 
 

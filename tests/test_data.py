@@ -167,6 +167,19 @@ class TestGenerateNegatives:
         } - {str(a) for a in positives}
         assert {str(a) for a in negatives} == expected
 
+    def test_request_overflowing_to_infinity_uses_every_grounding(self):
+        # 1e308 * 2 is inf as a float; it still asks for the whole space
+        modes, kb = _pair_kb(3)
+        target = modes["likes"].predicate
+        positives = [
+            atom(target, C("p0", "person"), C("p1", "person")),
+            atom(target, C("p2", "person"), C("p2", "person")),
+        ]
+        with pytest.warns(UserWarning, match="only 7 groundings"):
+            negatives = generate_negatives(kb, target, positives, ratio=1e308, seed=0)
+        assert len(negatives) == 7
+        assert {str(a) for a in negatives}.isdisjoint({str(a) for a in positives})
+
     def test_deterministic_under_seed(self):
         modes, kb = _pair_kb(6)
         target = modes["likes"].predicate

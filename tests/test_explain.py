@@ -125,6 +125,20 @@ class TestRoutingTrieOracle:
             for index in inferred.activated:
                 psi += net.hidden[index].params.value()
             assert inferred.psi == psi
+            # every witness binds variables to constants only, and spoiling
+            # the returned ones changes no later walk
+            witnesses = list(inferred.witnesses.values())
+            assert all(
+                var.is_variable and not value.is_variable
+                for w in witnesses for var, value in w.items()
+            )
+            snapshot = {index: dict(w) for index, w in inferred.witnesses.items()}
+            for w in witnesses:
+                w.clear()
+                w[V("SPOILT", "person")] = C("spoilt", "person")
+            again = lrbm_inference(net, query, kb)
+            assert again.activated == inferred.activated and again.witnesses == snapshot
+            assert model.predict(query, kb).per_tree == expected
 
 
 class TestPathsToLrbm:

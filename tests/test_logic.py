@@ -1,4 +1,4 @@
-"""Unification, substitution application, and satisfaction semantics."""
+"""Head matching, bindings, and satisfaction semantics."""
 
 import itertools
 import random
@@ -11,7 +11,6 @@ from liftedrbm.logic import (
     Literal,
     Predicate,
     SearchStats,
-    Substitution,
     route_decision,
     unify,
     witnesses,
@@ -25,6 +24,7 @@ from helpers import (
     atom,
     example1_kb,
     example2_kb,
+    ground,
     oracle_route,
     oracle_witnesses,
     random_satisfaction_case,
@@ -74,20 +74,9 @@ class TestUnify:
         b = atom(COLLAB, C("p1", "person"), C("p2", "person"))
         assert unify(a, b) is None
 
-    def test_seed_constraints_are_respected(self):
+    def test_a_non_ground_atom_matches_nothing(self):
         head = atom(COLLAB, V("P1", "person"), V("P2", "person"))
-        query = atom(COLLAB, C("p1", "person"), C("p2", "person"))
-        seed = Substitution().bind(V("P1", "person"), C("p1", "person"))
-        assert unify(head, query, seed) is not None
-        clash = Substitution().bind(V("P1", "person"), C("p9", "person"))
-        assert unify(head, query, clash) is None
-
-    def test_variable_to_variable_binding(self):
-        a = atom(ACTEDIN, V("X", "person"), V("M", "movie"))
-        b = atom(ACTEDIN, V("Y", "person"), C("m1", "movie"))
-        result = unify(a, b)
-        assert result is not None
-        assert result.apply(a) == result.apply(b)
+        assert unify(head, atom(COLLAB, V("X", "person"), C("p2", "person"))) is None
 
 
 def _random_atom(rng, pred, constants, variables, ground_bias):
@@ -100,9 +89,24 @@ def _random_atom(rng, pred, constants, variables, ground_bias):
     return Atom(pred, tuple(args))
 
 
+def _assignments(pattern, atom_, constants):
+    """Every assignment of ``pattern``'s variables to constants of their
+    types under which it grounds to ``atom_``: a brute-force oracle."""
+    variables = list(dict.fromkeys(pattern.variables()))
+    return [
+        binding
+        for values in itertools.product(*[constants[v.type_tag] for v in variables])
+        for binding in [dict(zip(variables, values))]
+        if ground(pattern, binding) == atom_
+    ]
+
+
 class TestUnifyProperties:
+    """``unify(pattern, ground)`` is the one assignment of the pattern's
+    variables that grounds it to the atom, and a non-ground atom matches
+    nothing."""
+
     def test_soundness_on_random_pairs(self):
-        # whenever unify succeeds, applying the result equalizes the atoms
         rng = random.Random(11)
         preds = [Predicate("r", ("a", "b")), Predicate("s", ("a", "a", "b"))]
         constants = {t: [C(f"{t}{i}", t) for i in range(3)] for t in ("a", "b")}
@@ -110,70 +114,54 @@ class TestUnifyProperties:
         successes = 0
         for _ in range(3000):
             pred = rng.choice(preds)
-            a = _random_atom(rng, pred, constants, variables, 0.5)
-            b = _random_atom(rng, pred, constants, variables, 0.5)
-            result = unify(a, b)
+            pattern = _random_atom(rng, pred, constants, variables, 0.5)
+            bias = 1.0 if rng.random() < 0.9 else 0.5  # some targets are not ground
+            target = _random_atom(rng, pred, constants, variables, bias)
+            result = unify(pattern, target)
+            if not target.is_ground:
+                assert result is None
+                continue
+            expected = _assignments(pattern, target, constants)
+            assert len(expected) <= 1
+            assert result == (expected[0] if expected else None)
             if result is not None:
                 successes += 1
-                assert result.apply(a) == result.apply(b)
+                assert ground(pattern, result) == target
+                assert set(result) == set(pattern.variables())
         assert successes > 100  # the space is small enough for many successes
 
     def test_generality_on_enumerable_space(self):
-        # any ground unifier factors through the returned most general unifier
+        # every pattern against every atom over two constants and two variables
         pred = Predicate("r", ("a", "a"))
-        constants = [C("a0", "a"), C("a1", "a")]
-        variables = [V("X", "a"), V("Y", "a")]
-        terms = constants + variables
+        constants = {"a": [C("a0", "a"), C("a1", "a")]}
+        terms = constants["a"] + [V("X", "a"), V("Y", "a")]
         for args_a in itertools.product(terms, repeat=2):
             for args_b in itertools.product(terms, repeat=2):
-                a, b = Atom(pred, args_a), Atom(pred, args_b)
-                mgu = unify(a, b)
-                all_vars = [t for t in set(args_a + args_b) if t.is_variable]
-                for values in itertools.product(constants, repeat=len(all_vars)):
-                    ground = Substitution()
-                    for var, value in zip(all_vars, values):
-                        ground = ground.bind(var, value)
-                    if ground.apply(a) == ground.apply(b):
-                        assert mgu is not None, f"{a} and {b} have a unifier"
-                        # s factors through the mgu: s(mgu(atom)) == s(atom)
-                        assert ground.apply(mgu.apply(a)) == ground.apply(a)
-                        assert ground.apply(mgu.apply(b)) == ground.apply(b)
+                pattern, target = Atom(pred, args_a), Atom(pred, args_b)
+                result = unify(pattern, target)
+                if not target.is_ground:
+                    assert result is None
+                    continue
+                expected = _assignments(pattern, target, constants)
+                assert result == (expected[0] if expected else None), f"{pattern} vs {target}"
 
 
 class TestApply:
+    """``helpers.ground``, which the oracles use to apply a binding."""
+
     def test_single_binding(self):
-        sub = Substitution().bind(V("P1", "person"), C("p1", "person"))
+        binding = {V("P1", "person"): C("p1", "person")}
         a = atom(COLLAB, V("P1", "person"), V("P2", "person"))
-        assert sub.apply(a) == atom(COLLAB, C("p1", "person"), V("P2", "person"))
+        assert ground(a, binding) == atom(COLLAB, C("p1", "person"), V("P2", "person"))
 
     def test_identity(self):
         a = atom(ACTEDIN, C("p1", "person"), C("m1", "movie"))
-        assert Substitution().apply(a) == a
+        assert ground(a, {}) == a
 
     def test_full_grounding(self):
-        sub = (
-            Substitution()
-            .bind(V("M", "movie"), C("m1", "movie"))
-            .bind(V("P2", "person"), C("p2", "person"))
-        )
+        binding = {V("M", "movie"): C("m1", "movie"), V("P2", "person"): C("p2", "person")}
         a = atom(ACTEDIN, V("P2", "person"), V("M", "movie"))
-        assert sub.apply(a) == atom(ACTEDIN, C("p2", "person"), C("m1", "movie"))
-
-    def test_application_is_idempotent(self):
-        sub = (
-            Substitution()
-            .bind(V("X", "person"), V("Y", "person"))
-            .bind(V("Y", "person"), C("p1", "person"))
-        )
-        a = atom(COLLAB, V("X", "person"), V("Y", "person"))
-        once = sub.apply(a)
-        assert sub.apply(once) == once
-        assert once.is_ground
-
-    def test_rebinding_is_rejected(self):
-        sub = Substitution().bind(V("X", "person"), C("p1", "person"))
-        with pytest.raises(ValueError):
-            sub.bind(V("X", "person"), C("p2", "person"))
+        assert ground(a, binding) == atom(ACTEDIN, C("p2", "person"), C("m1", "movie"))
 
 
 def _collab_partial(kb, left, right):
@@ -227,15 +215,15 @@ class TestSatisfy:
     def test_ground_negation_uses_closed_world(self):
         kb = example1_kb()
         lit = Literal(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), negated=True)
-        assert route_body((lit,), Substitution(), kb) is None
+        assert route_body((lit,), {}, kb) is None
         missing = Literal(atom(ACTEDIN, C("p1", "person"), C("m9", "movie")), negated=True)
-        assert route_body((missing,), Substitution(), kb) is not None
+        assert route_body((missing,), {}, kb) is not None
 
     def test_unbound_negation_is_existential(self):
         # ¬actedin(p1, M) fails because some movie of p1 exists
         kb = example1_kb()
         lit = Literal(atom(ACTEDIN, C("p1", "person"), V("M", "movie")), negated=True)
-        assert route_body((lit,), Substitution(), kb) is None
+        assert route_body((lit,), {}, kb) is None
 
     def test_negation_is_decided_in_place_over_its_prefix(self):
         from helpers import SAMEPERSON
@@ -248,9 +236,9 @@ class TestSatisfy:
         same = Literal(atom(SAMEPERSON, p, p))
         # with an empty prefix, actedin(P, M) has a solution (p1, m1), so the
         # negation fails; it is not deferred until sameperson binds P to p2
-        assert route_body((negation, same), Substitution(), kb) is None
+        assert route_body((negation, same), {}, kb) is None
         # after the prefix binds P to p2, actedin(p2, M) has none, so it holds
-        witness = route_body((same, negation), Substitution(), kb)
+        witness = route_body((same, negation), {}, kb)
         assert witness is not None
         assert witness.get(p) == C("p2", "person")
 
@@ -263,7 +251,7 @@ class TestSatisfy:
             atom(ACTEDIN, C("p2", "person"), m),
             atom(ACTEDIN, C("p1", "person"), m),
         )
-        assert _first_witness(body, Substitution(), kb) is not None
+        assert _first_witness(body, {}, kb) is not None
 
     def test_search_stops_at_first_witness(self):
         kb = example1_kb()
@@ -292,8 +280,8 @@ class TestSatisfy:
         for left, right in (("p1", "m1"), ("p1", "m2"), ("p2", "m2")):
             kb.add(atom(ACTEDIN, C(left, "person"), C(right, "movie")))
         atoms = [lit.atom for lit in body]
-        routed = route_body(body, Substitution(), kb)
-        for witness in (_first_witness(atoms, Substitution(), kb), routed):
+        routed = route_body(body, {}, kb)
+        for witness in (_first_witness(atoms, {}, kb), routed):
             assert witness is not None
             assert witness.get(m) == C("m2", "movie")
 
@@ -316,7 +304,7 @@ class TestSatisfy:
             Literal(Atom(r, (x,)), negated=True),
             Literal(Atom(s, (x,))),
         )
-        assert route_body(body, Substitution(), kb) is None
+        assert route_body(body, {}, kb) is None
 
 
 class TestSatisfactionOracle:
@@ -334,7 +322,7 @@ class TestSatisfactionOracle:
                 # the witness grounds every positive literal to a stored fact
                 for lit in body:
                     if not lit.negated:
-                        grounded = witness.apply(lit.atom)
+                        grounded = ground(lit.atom, witness)
                         assert grounded.is_ground and grounded in kb
             if not any(lit.negated for lit in body):
                 # on negation-free bodies both engines find the same witness
@@ -374,11 +362,11 @@ def _random_context_case(rng: random.Random):
     context_vars = list(dict.fromkeys(v for a in context for v in a.variables()))
     bases = []
     for _ in range(3):
-        ground = rng.random() < 0.25
-        base = Substitution()
+        grounding = rng.random() < 0.25
+        base = {}
         for var in context_vars:
-            if ground or rng.random() < 0.3:
-                base = base.bind(var, rng.choice(constants[var.type_tag]))
+            if grounding or rng.random() < 0.3:
+                base[var] = rng.choice(constants[var.type_tag])
         bases.append(base)
     tests = [
         random_atom(lambda t: pool[t] + [fresh[t], rng.choice(constants[t])])
@@ -387,24 +375,47 @@ def _random_context_case(rng: random.Random):
     return kb, context, bases, tests
 
 
+def _key(binding):
+    """A binding as sorted (variable, constant) names, to compare lists of
+    bindings in no particular order."""
+    return tuple(sorted((var.name, value.name) for var, value in binding.items()))
+
+
+def _variables_to_constants(binding):
+    return all(var.is_variable and not value.is_variable for var, value in binding.items())
+
+
+def _spoil(binding):
+    """Mutate a returned binding, as a careless caller might."""
+    binding.clear()
+    binding[V("SPOILT", "t0")] = C("spoilt", "t0")
+
+
 class TestKeptWitnesses:
     def test_witnesses_are_the_oracle_groundings_first_the_one_satisfy_finds(self):
+        """Each witness also binds variables to constants only, and is the
+        caller's own: spoiling it changes no later search."""
         rng = random.Random(909)
         several = 0
         for _ in range(1500):
             body, partial, kb = random_satisfaction_case(rng)
             atoms = [lit.atom for lit in body]
-            found = list(witnesses(atoms, partial, kb))
+            found = list(witnesses(atoms, dict(partial), kb))
             expected = oracle_witnesses(atoms, partial, kb)
-            assert sorted(map(repr, found)) == sorted(map(repr, expected))
-            assert len(set(map(repr, found))) == len(found)  # distinct
+            assert sorted(map(_key, found)) == sorted(map(_key, expected))
+            assert len(set(map(_key, found))) == len(found)  # distinct
             assert all(any(w == o for o in expected) for w in found)
+            assert all(map(_variables_to_constants, found))
             first = reference_satisfy(atoms, partial, kb)
             if found:
                 assert found[0] == first
             else:
                 assert first is None
             several += len(found) > 1
+            snapshot = [dict(w) for w in found]
+            for w in found:
+                _spoil(w)
+            assert list(witnesses(atoms, partial, kb)) == snapshot
         assert several > 100
 
     def test_the_first_witness_costs_only_the_search_up_to_it(self):
@@ -422,13 +433,18 @@ class TestKeptWitnesses:
             assert lazy.groundings_visited == reference.groundings_visited
             found = list(witnesses(atoms, partial, kb, full))
             expected = oracle_witnesses(atoms, partial, kb)
-            assert sorted(map(repr, found)) == sorted(map(repr, expected))
+            assert sorted(map(_key, found)) == sorted(map(_key, expected))
             stopped_early += lazy.groundings_visited < full.groundings_visited
         assert stopped_early > 100
 
     def test_empty_body_has_one_witness_the_partial(self):
-        partial = Substitution().bind(V("X", "t"), C("a", "t"))
+        partial = {V("X", "t"): C("a", "t")}
         assert list(witnesses((), partial, KnowledgeBase())) == [partial]
+        # without a partial, each search starts from a binding of its own
+        first = next(witnesses((), None, KnowledgeBase()))
+        assert first == {}
+        _spoil(first)
+        assert list(witnesses((), None, KnowledgeBase())) == [{}]
 
     def test_witnesses_count_their_groundings(self):
         kb = example1_kb()
@@ -440,7 +456,7 @@ class TestKeptWitnesses:
 
     def test_kept_lists_decide_and_witness_as_a_full_proof(self):
         """For every (context, item, test), route_decision with a kept list
-        returns the Substitution it returns without one, and the one the
+        returns the binding it returns without one, and the one the
         fast path or a full satisfy of the extended conjunction gives; each
         list is read over every test twice, so the second round reads it
         filled.  The cached witness is any witness of the context, not only
@@ -458,7 +474,7 @@ class TestKeptWitnesses:
                 if len(found) == 1 and found[0] == base:
                     ground_items += 1
                     # the same grounding as another object than ``base``
-                    cached_witnesses.append(Substitution(dict(base.items())))
+                    cached_witnesses.append(dict(base))
                 for cached in cached_witnesses:
                     kept = []
                     for _ in range(2):
@@ -476,6 +492,9 @@ class TestKeptWitnesses:
                                 f"context={[str(a) for a in context]} test={test} "
                                 f"base={base} cached={cached}"
                             )
+                            assert got is None or _variables_to_constants(got)
+                            if alone is not None and alone is not cached and alone is not base:
+                                _spoil(alone)  # a binding of the caller's own, not one it passed
                             decided += 1
         # the cases the kept lists exist for are well represented
         assert decided > 10000

@@ -19,7 +19,7 @@ from liftedrbm.model import (
 )
 from liftedrbm.tree import LeafNode, LeafParams, RelationalRegressionTree, make_head
 
-from helpers import BOOST_FIXTURE, COLLAB, MOVIE_MODES, C, atom, example1_kb, oracle_per_tree
+from helpers import BOOST_FIXTURE, COLLAB, MOVIE_MODES, C, V, atom, example1_kb, oracle_per_tree
 from synthetic_domain import generate_movie_domain
 
 # log((1 + e^2) / (1 + e^1)), frozen from a direct high-precision evaluation
@@ -244,6 +244,15 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), kb)
 
+    def test_non_ground_query_is_an_error(self, movie_model):
+        # a head matches ground queries only, so no tree routes this one
+        model, _, _, kb = movie_model
+        query = atom(COLLAB, kb.universe("person")[0], V("P2", "person"))
+        for scored in (model, _empty_model()):
+            for score in (scored.predict, scored.psi, scored.per_tree):
+                with pytest.raises(ValueError):
+                    score(query, kb)
+
 
 class TestTrain:
     def test_zero_trees_predicts_even_odds_everywhere(self):
@@ -346,6 +355,31 @@ class TestSerialization:
 
         with pytest.raises(ParseError):
             loads_model('{"format_version": 99}')
+
+    def test_a_variable_at_two_types_on_one_path_is_a_parse_error(self):
+        from liftedrbm.data import ParseError
+
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        leaf = {"leaf": [0.0] * 5}
+        # X is a movie at the root and a person one test below, on its false branch
+        doc["trees"] = [{"test": "actedin(P2, X)", "true": leaf,
+                         "false": {"test": "person(X)", "true": leaf, "false": leaf}}]
+        with pytest.raises(ParseError, match="variable X is used as movie and as person"):
+            model_from_dict(doc)
+
+    def test_sibling_subtrees_may_give_a_name_other_types(self):
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        leaf = {"leaf": [0.0] * 5}
+        doc["trees"] = [{"test": "actedin(P2, M1)",
+                         "true": {"test": "person(X)", "true": leaf, "false": leaf},
+                         "false": {"test": "ingenre(X, G1)", "true": leaf, "false": leaf}}]
+        tree = model_from_dict(doc).trees[0]
+        x_types = {
+            var.type_tag
+            for literals, _ in tree.paths() for lit in literals for var in lit.atom.variables()
+            if var.name == "X"
+        }
+        assert x_types == {"person", "movie"}
 
     def test_document_nested_past_the_recursion_limit_is_a_parse_error(self):
         from liftedrbm.data import ParseError
