@@ -15,6 +15,7 @@ from pathlib import Path
 from .data import (
     ExampleSet,
     ParseError,
+    _lines,
     generate_negatives,
     parse_atom_text,
     parse_examples,
@@ -113,18 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_target(args, modes, pos_text):
-    name = args.target
-    if name is None:
-        for line in pos_text.splitlines():
-            line = line.split("%", 1)[0].strip()
-            if line:
-                name = line.split("(", 1)[0].strip()
-                break
-        if name is None:
-            raise ParseError("positive examples file is empty; pass --target")
-    if name not in modes:
-        raise ParseError(f"target predicate {name} has no mode declaration")
-    return modes[name].predicate
+    """The ``--target`` predicate, or else the predicate of the first positive."""
+    predicates = {name: mode.predicate for name, mode in modes.items()}
+    if args.target is not None:
+        if args.target not in predicates:
+            raise ParseError(f"target predicate {args.target} has no mode declaration")
+        return predicates[args.target]
+    for line_no, line in _lines(pos_text):
+        try:
+            return parse_atom_text(line, predicates).predicate
+        except ParseError as exc:
+            raise ParseError(str(exc), line_no) from exc
+    raise ParseError("positive examples file is empty; pass --target")
 
 
 def _load_dataset(args, modes, target=None):
@@ -176,17 +177,15 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     kb = parse_facts(read_text(args.facts), model.modes)
+    predicates = {**kb.predicates, model.target.name: model.target}
     lines = []
     errors = []
-    for line_no, raw in enumerate(read_text(args.queries).splitlines(), start=1):
-        text = raw.split("%", 1)[0].strip()
-        if not text:
-            continue
+    for line_no, text in _lines(read_text(args.queries)):
         try:
-            query = parse_atom_text(text, {model.target.name: model.target}, require_ground=True)
+            query = parse_atom_text(text, predicates, require_ground=True)
             result = model.predict(query, kb)
-        except (ParseError, UnknownConstantError, ValueError) as exc:
-            errors.append(f"line {line_no}: {exc}")
+        except ValueError as exc:  # ParseError and UnknownConstantError included
+            errors.append(str(ParseError(str(exc), line_no)))
             continue
         fields = [str(query), repr(result.probability), repr(result.psi)]
         if args.verbose:

@@ -4,13 +4,15 @@ File grammar, one item per line, ``%`` starts a comment:
 
     facts      pred(c1, c2).
     modes      mode: pred(+type, -type).
-    examples   same atom grammar as facts
+    examples   same atom grammar as facts (so are queries)
 
 Constants start with a lowercase letter or digit, variables with an uppercase
 letter.  In a mode declaration ``+`` marks an argument that must reuse an
 already-bound variable when the predicate is used as a tree test, while ``-``
 may also introduce a new variable.  Every predicate appearing in a facts file
-needs a mode declaration, since argument types are taken from it.
+needs a mode declaration, since argument types are taken from it.  Every atom
+is read by :func:`parse_atom_text`, and every example or query is then checked
+by :func:`validate_query`, so a rule gives one message wherever it is broken.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .logic import Atom, KnowledgeBase, Predicate, Term
+from .logic import Atom, KnowledgeBase, Predicate, Term, UnknownConstantError
 
 
 class ParseError(ValueError):
@@ -116,20 +118,6 @@ def _lines(text: str):
             yield line_no, line
 
 
-def _parse_atom_line(line: str, line_no: Optional[int]) -> tuple[str, list[str]]:
-    match = _ATOM_RE.match(line)
-    if match is None:
-        raise ParseError(f"malformed atom {line!r}", line_no)
-    name, args_text = match.groups()
-    if not args_text:
-        return name, []
-    tokens = [tok.strip() for tok in args_text.split(",")]
-    for tok in tokens:
-        if not _TOKEN_RE.match(tok):
-            raise ParseError(f"malformed argument {tok!r}", line_no)
-    return name, tokens
-
-
 def parse_modes(text: str) -> dict[str, ModeDeclaration]:
     """Parse mode declarations, keyed by predicate name in file order."""
     modes: dict[str, ModeDeclaration] = {}
@@ -156,27 +144,15 @@ def parse_facts(text: str, modes: dict[str, ModeDeclaration]) -> KnowledgeBase:
     """Build an indexed knowledge base from a facts file.
 
     Argument types (and hence the per-type constant universes) come from the
-    mode declarations; duplicated facts are stored once.
+    mode declarations; a constant met at two types is an error, and
+    duplicated facts are stored once.
     """
     kb = KnowledgeBase(modes)
     for line_no, line in _lines(text):
-        name, tokens = _parse_atom_line(line, line_no)
-        predicate = kb.predicates.get(name)
-        if predicate is None:
-            raise ParseError(f"no mode declaration for predicate {name}", line_no)
-        if len(tokens) != predicate.arity:
-            raise ParseError(
-                f"{name} expects {predicate.arity} arguments, got {len(tokens)}", line_no
-            )
-        args = []
-        for tok, type_tag in zip(tokens, predicate.arg_types):
-            if tok[0].isupper():
-                raise ParseError(f"facts must be ground, found variable {tok}", line_no)
-            try:
-                args.append(kb.register_constant(tok, type_tag))
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from exc
-        kb.add(Atom(predicate, tuple(args)))
+        try:
+            kb.add(_read_atom(line, kb.predicates, True, kb.register_constant))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
     return kb
 
 
@@ -193,14 +169,34 @@ def parse_atom_text(
     predicates: dict[str, Predicate],
     require_ground: bool = False,
 ) -> Atom:
-    """Parse a single atom; uppercase tokens become variables typed by position.
-
-    Errors carry no line number: the caller knows where the text came from.
+    """Parse one atom of a declared predicate; uppercase tokens become variables
+    typed by position.  Facts, examples, queries and a model's tree tests are
+    all read this way.  Errors carry no line number: the caller knows where
+    the text came from.
     """
-    name, tokens = _parse_atom_line(text.strip(), None)
+    return _read_atom(text, predicates, require_ground, Term.constant)
+
+
+def _read_atom(
+    text: str,
+    predicates: dict[str, Predicate],
+    require_ground: bool,
+    constant: Callable[[str, str], Term],
+) -> Atom:
+    """:func:`parse_atom_text`, making each constant by ``constant(name, type)``;
+    a knowledge base's ``register_constant`` reads a fact onto its own terms."""
+    text = text.strip()
+    match = _ATOM_RE.match(text)
+    if match is None:
+        raise ParseError(f"malformed atom {text!r}")
+    name, args_text = match.groups()
+    tokens = [tok.strip() for tok in args_text.split(",")] if args_text else []
+    for tok in tokens:
+        if not _TOKEN_RE.match(tok):
+            raise ParseError(f"malformed argument {tok!r}")
     predicate = predicates.get(name)
     if predicate is None:
-        raise ParseError(f"unknown predicate {name}")
+        raise ParseError(f"no mode declaration for predicate {name}")
     if len(tokens) != predicate.arity:
         raise ParseError(f"{name} expects {predicate.arity} arguments, got {len(tokens)}")
     args = []
@@ -210,37 +206,43 @@ def parse_atom_text(
                 raise ParseError(f"expected a ground atom, found variable {tok}")
             args.append(Term.variable(tok, type_tag))
         else:
-            args.append(Term.constant(tok, type_tag))
+            args.append(constant(tok, type_tag))
     return Atom(predicate, tuple(args))
 
 
-def parse_examples(text: str, kb: KnowledgeBase, target: Predicate) -> list[Atom]:
-    """Parse ground target atoms, validated against the knowledge base.
+def validate_query(query: Atom, target: Predicate, kb: KnowledgeBase) -> None:
+    """Refuse a query or example that is not a ground ``target`` atom; a
+    constant the knowledge base never saw, or saw at another type than
+    ``target`` expects, is an :class:`~liftedrbm.logic.UnknownConstantError`."""
+    if query.predicate != target:
+        raise ValueError(f"expected a {target} atom, got {query}")
+    for term in query.args:
+        if term.is_variable:
+            raise ValueError(f"expected a ground atom, found variable {term}")
+        known = kb.constant(term.name)
+        if known is None:
+            raise UnknownConstantError(f"unknown constant {term.name}")
+        if known.type_tag != term.type_tag:
+            raise UnknownConstantError(
+                f"constant {term.name} has type {known.type_tag}, expected {term.type_tag}"
+            )
 
-    Every constant must already belong to the knowledge base's type universes
-    with the type the target position expects.
-    """
-    seen: set[str] = set()
+
+def parse_examples(text: str, kb: KnowledgeBase, target: Predicate) -> list[Atom]:
+    """Parse ground ``target`` atoms, each checked by :func:`validate_query`
+    against the knowledge base; a repeated example is kept once, where it
+    first occurs."""
+    predicates = {**kb.predicates, target.name: target}
+    seen: set[Atom] = set()
     examples: list[Atom] = []
     for line_no, line in _lines(text):
-        name, tokens = _parse_atom_line(line, line_no)
-        if name != target.name or len(tokens) != target.arity:
-            raise ParseError(f"expected a {target} atom, got {line!r}", line_no)
-        args = []
-        for tok, type_tag in zip(tokens, target.arg_types):
-            if tok[0].isupper():
-                raise ParseError(f"examples must be ground, found variable {tok}", line_no)
-            term = kb.constant(tok)
-            if term is None:
-                raise ParseError(f"unknown constant {tok}", line_no)
-            if term.type_tag != type_tag:
-                raise ParseError(
-                    f"constant {tok} has type {term.type_tag}, expected {type_tag}", line_no
-                )
-            args.append(term)
-        atom = Atom(target, tuple(args))
-        if str(atom) not in seen:
-            seen.add(str(atom))
+        try:
+            atom = parse_atom_text(line, predicates, require_ground=True)
+            validate_query(atom, target, kb)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+        if atom not in seen:
+            seen.add(atom)
             examples.append(atom)
     return examples
 

@@ -294,16 +294,23 @@ def witnesses(
     witnesses are distinct: facts are stored once, so two groundings of an
     atom never bind its variables alike.
     """
-    n = len(body)
+    return _solve(body, 0, {} if partial is None else partial, kb, stats)
 
-    def solve(i: int, current: dict[Term, Term]) -> Iterator[dict[Term, Term]]:
-        if i == n:
-            yield current
-            return
-        for extended in iter_matches(body[i], current, kb, stats):
-            yield from solve(i + 1, extended)
 
-    return solve(0, {} if partial is None else partial)
+def _solve(
+    body: Sequence[Atom],
+    i: int,
+    binding: dict[Term, Term],
+    kb: KnowledgeBase,
+    stats: Optional[SearchStats],
+) -> Iterator[dict[Term, Term]]:
+    """The witnesses of ``body[i:]`` extending ``binding``, depth first; not a
+    closure calling itself, which would be a reference cycle per search."""
+    if i == len(body):
+        yield binding
+        return
+    for extended in iter_matches(body[i], binding, kb, stats):
+        yield from _solve(body, i + 1, extended, kb, stats)
 
 
 def route_decision(

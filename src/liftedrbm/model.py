@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .data import ModeDeclaration, ParseError, parse_atom_text, read_text
-from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie, UnknownConstantError
+from .data import ModeDeclaration, ParseError, parse_atom_text, read_text, validate_query
+from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie
 from .tree import (
     CoverageTable,
     InternalNode,
@@ -120,7 +120,9 @@ class BoostedModel:
     _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
-        """The leaf value each tree routes ``query`` to, in tree order."""
+        """The leaf value each tree routes ground target atom ``query`` to, in tree order."""
+        if query.predicate != self.target or not query.is_ground:
+            raise ValueError(f"query {query} does not ground target {self.head}")
         trees = tuple(self.trees)
         routing = self._routing
         if routing is None or routing[0] != trees:
@@ -129,7 +131,7 @@ class BoostedModel:
             routing = self._routing = (trees, trie, [params.value() for _, params in clauses])
         _, trie, values = routing
         fired = trie.walk(query, kb)
-        if len(fired) != len(trees) or not query.is_ground:
+        if len(fired) != len(trees):
             raise ValueError(f"query {query} does not ground target {self.head}")
         return tuple(values[clause_id] for clause_id, _ in fired)
 
@@ -141,20 +143,6 @@ class BoostedModel:
         per_tree = self.per_tree(query, kb)
         psi = self.psi0 + sum(per_tree)
         return Prediction(probability(psi, self.config.psi_clamp), psi, per_tree)
-
-
-def validate_query(query: Atom, target: Predicate, kb: KnowledgeBase) -> None:
-    """Reject queries with the wrong predicate or constants the KB never saw."""
-    if query.predicate != target:
-        raise ValueError(f"query {query} is not a {target} atom")
-    if not query.is_ground:
-        raise ValueError(f"query {query} is not ground")
-    for term in query.args:
-        known = kb.constant(term.name)
-        if known is None or known.type_tag != term.type_tag:
-            raise UnknownConstantError(
-                f"constant {term.name}:{term.type_tag} is unknown to the knowledge base"
-            )
 
 
 ProgressFn = Callable[[int, float, float], None]

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .data import validate_query
 from .logic import (
     Atom,
     Clause,
@@ -24,7 +25,7 @@ from .logic import (
     SearchStats,
     Term,
 )
-from .model import BoostedModel, TrainConfig, probability, validate_query
+from .model import BoostedModel, TrainConfig, probability
 from .tree import LeafParams, RegressionExample, fit_regression_tree
 
 

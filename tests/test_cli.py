@@ -262,7 +262,7 @@ class TestPredict:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("query, message", [
-        ("actedin(p1, m1).", "line 1: unknown predicate actedin"),
+        ("actedin(p1, m1).", "line 1: expected a collab/2 atom, got actedin(p1, m1)"),
         ("collab(p1 p2).", "line 1: malformed argument 'p1 p2'"),
     ])
     def test_parse_error_names_its_line_once(
@@ -522,6 +522,76 @@ class TestFileErrors:
         assert "internal error" not in err
         if "non-UTF-8" in name:
             assert str(latin1) in err
+
+
+READERS = {"--facts": "facts.txt", "--pos": "pos.txt", "--queries": "queries.txt"}
+ALL_READERS = tuple(READERS)
+EXAMPLE_READERS = ("--pos", "--queries")
+
+# name -> (bad line, the message every command gives for it, the flags whose
+# file it is bad in).  Facts define the constants and may use any declared
+# predicate, so an unknown constant or a non-target predicate is bad only in
+# examples and queries, and a fact's constant can only clash with the type
+# an earlier fact gave it (line 1 of facts.txt is person(p0)).
+BAD_LINES = {
+    "malformed atom": ("collab(p0, p1", "malformed atom 'collab(p0, p1'", ALL_READERS),
+    "malformed argument": ("collab(p0 p1).", "malformed argument 'p0 p1'", ALL_READERS),
+    "undeclared predicate": (
+        "mystery(p0, m0).", "no mode declaration for predicate mystery", ALL_READERS
+    ),
+    "wrong arity": ("collab(p0).", "collab expects 2 arguments, got 1", ALL_READERS),
+    "variable": ("collab(p0, P1).", "expected a ground atom, found variable P1", ALL_READERS),
+    "unknown constant": ("collab(p0, nobody).", "unknown constant nobody", EXAMPLE_READERS),
+    "wrong-typed constant": (
+        "collab(p0, m0).", "constant m0 has type movie, expected person", EXAMPLE_READERS
+    ),
+    "constant at two types": (
+        "actedin(m0, p0).", "constant p0 used with conflicting types person and movie",
+        ("--facts",),
+    ),
+    "declared non-target predicate": (
+        "actedin(p0, m0).", "expected a collab/2 atom, got actedin(p0, m0)", EXAMPLE_READERS
+    ),
+}
+
+
+def _commands_reading(flag, data_dir, model_path, tmp_path):
+    """The argv of each command that reads ``flag``, whose file is taken
+    from ``tmp_path``; every other file comes from ``data_dir``."""
+    path = {name: str(data_dir / name) for name in ("neg.txt", "modes.txt", *READERS.values())}
+    path[READERS[flag]] = str(tmp_path / READERS[flag])
+    examples = ["--facts", path["facts.txt"], "--pos", path["pos.txt"], "--neg", path["neg.txt"]]
+    model, out = ["--model", str(model_path)], ["--out", str(tmp_path / "out")]
+    commands = {
+        "train": ["train", *examples, "--modes", path["modes.txt"], *out],
+        "eval": ["eval", *examples, "--modes", path["modes.txt"], "--folds", "2"],
+        "explain": ["explain", *model, "--mode", "distill", *examples, *out],
+        "predict": [
+            "predict", *model, "--facts", path["facts.txt"], "--queries", path["queries.txt"], *out
+        ],
+    }
+    return {command: argv for command, argv in commands.items() if flag in argv}
+
+
+class TestOneAtomReader:
+    """Facts, examples and queries share one grammar and one rule set: a bad
+    line gives one message, naming its line once, and exit 2 in every
+    command that reads it."""
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, (_, _, flags) in BAD_LINES.items() for flag in flags
+    ])
+    def test_bad_line_is_one_data_error(
+        self, name, flag, data_dir, trained_model_path, tmp_path, capsys
+    ):
+        line, message, _ = BAD_LINES[name]
+        first, *rest = (data_dir / READERS[flag]).read_text().splitlines()
+        (tmp_path / READERS[flag]).write_text("\n".join([first, line, *rest]) + "\n")
+        commands = _commands_reading(flag, data_dir, trained_model_path, tmp_path)
+        for command, argv in commands.items():
+            assert main(argv) == 2, command
+            err = capsys.readouterr().err.removeprefix("data error: ")
+            assert err == f"line 2: {message}\n", command
 
 
 class TestExplain:

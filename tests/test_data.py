@@ -106,6 +106,14 @@ class TestParseExamples:
         examples = parse_examples("collab(p1, p2).", kb, COLLAB)
         assert examples == [atom(COLLAB, C("p1", "person"), C("p2", "person"))]
 
+    def test_a_repeated_example_is_kept_where_it_first_occurs(self):
+        kb = parse_facts("actedin(p1, m1).\nactedin(p2, m1).", MOVIE_MODES)
+        examples = parse_examples(
+            "collab(p2, p1).\ncollab(p1, p2).\ncollab(p2,p1).", kb, COLLAB
+        )
+        p1, p2 = C("p1", "person"), C("p2", "person")
+        assert examples == [atom(COLLAB, p2, p1), atom(COLLAB, p1, p2)]
+
     def test_unknown_constant_is_an_error(self):
         kb = parse_facts("actedin(p1, m1).", MOVIE_MODES)
         with pytest.raises(ParseError, match="unknown constant"):

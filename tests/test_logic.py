@@ -1,5 +1,6 @@
 """Head matching, bindings, and satisfaction semantics."""
 
+import gc
 import itertools
 import random
 
@@ -453,6 +454,24 @@ class TestKeptWitnesses:
         stats = SearchStats()
         assert len(list(witnesses(body, partial, kb, stats))) == 2
         assert stats.groundings_visited == 2
+
+    def test_a_search_leaves_no_garbage_cycle(self):
+        """An exhausted or abandoned search is freed by reference counting
+        alone, so a scoring loop leaves the cyclic collector nothing."""
+        kb = example1_kb()
+        _, _, same_movie = rule_clauses()
+        body = _atoms(same_movie)
+        partial = _collab_partial(kb, "p1", "p2")
+        assert len(list(witnesses(body, partial, kb))) > 1
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert list(witnesses(body, partial, kb))
+                assert next(witnesses(body, partial, kb)) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_kept_lists_decide_and_witness_as_a_full_proof(self):
         """For every (context, item, test), route_decision with a kept list

@@ -19,7 +19,17 @@ from liftedrbm.model import (
 )
 from liftedrbm.tree import LeafNode, LeafParams, RelationalRegressionTree, make_head
 
-from helpers import BOOST_FIXTURE, COLLAB, MOVIE_MODES, C, V, atom, example1_kb, oracle_per_tree
+from helpers import (
+    ACTEDIN,
+    BOOST_FIXTURE,
+    COLLAB,
+    MOVIE_MODES,
+    C,
+    V,
+    atom,
+    example1_kb,
+    oracle_per_tree,
+)
 from synthetic_domain import generate_movie_domain
 
 # log((1 + e^2) / (1 + e^1)), frozen from a direct high-precision evaluation
@@ -236,13 +246,15 @@ class TestPredict:
         with pytest.raises(UnknownConstantError):
             model.predict(stranger, kb)
 
-    def test_wrong_predicate_is_an_error(self):
-        kb = example1_kb()
-        model = _empty_model()
-        from helpers import ACTEDIN
-
-        with pytest.raises(ValueError):
-            model.predict(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), kb)
+    def test_wrong_predicate_is_an_error(self, movie_model):
+        # a model without trees has no head to refuse the query, so it must
+        # check the predicate itself
+        model, _, _, kb = movie_model
+        query = next(fact for fact in kb.facts if fact.predicate == ACTEDIN)
+        for scored in (model, _empty_model()):
+            for score in (scored.predict, scored.psi, scored.per_tree):
+                with pytest.raises(ValueError):
+                    score(query, kb)
 
     def test_non_ground_query_is_an_error(self, movie_model):
         # a head matches ground queries only, so no tree routes this one
