@@ -120,9 +120,10 @@ class BoostedModel:
     _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
-        """The leaf value each tree routes ground target atom ``query`` to, in tree order."""
-        if query.predicate != self.target or not query.is_ground:
-            raise ValueError(f"query {query} does not ground target {self.head}")
+        """The leaf value each tree routes ground target atom ``query`` to, in
+        tree order; a query :func:`~liftedrbm.data.validate_query` refuses
+        raises its error."""
+        validate_query(query, self.target, kb)
         trees = tuple(self.trees)
         routing = self._routing
         if routing is None or routing[0] != trees:
@@ -139,7 +140,6 @@ class BoostedModel:
         return self.psi0 + sum(self.per_tree(query, kb))
 
     def predict(self, query: Atom, kb: KnowledgeBase) -> Prediction:
-        validate_query(query, self.target, kb)
         per_tree = self.per_tree(query, kb)
         psi = self.psi0 + sum(per_tree)
         return Prediction(probability(psi, self.config.psi_clamp), psi, per_tree)

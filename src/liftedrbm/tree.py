@@ -87,10 +87,21 @@ def _value(p: Sequence[float]) -> float:
     return p[0] + softplus(p[1] + p[2] + p[4]) - softplus(p[1] + p[2] + p[3])
 
 
-def _partials(p: list[float]) -> tuple[float, float, float, float, float]:
-    s_pos = sigmoid(p[1] + p[2] + p[4])
-    s_neg = sigmoid(p[1] + p[2] + p[3])
-    return (1.0, s_pos - s_neg, s_pos - s_neg, -s_neg, s_pos)
+def _square(x: float) -> float:
+    """``x ** 2``, read as ``inf`` where the square overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _sum_squares(center: float, values: Sequence[float]) -> float:
+    """``sum((center - v) ** 2 for v in values)``, each overflowing square
+    read as ``inf``."""
+    try:
+        return sum((center - v) ** 2 for v in values)
+    except OverflowError:  # rare: only then pay a call per square
+        return sum(_square(center - v) for v in values)
 
 
 def coordinate_descent(
@@ -113,20 +124,71 @@ def coordinate_descent(
     Returns the iterate with the lowest objective seen, the latest among
     equals: the objective falls on every cycle before the last, so that is
     the last iterate, or the one before it when the last cycle diverged.
-    Empty input returns ``theta0`` unchanged.
+    An objective too large for a float reads as ``inf``, so a cycle that
+    overflows it is a rising one.  Empty input returns ``theta0`` unchanged.
+
+    The cycle is written out: with ``a = p1 + p2 + p4`` and ``b = p1 + p2 +
+    p3`` the leaf value is ``p0 + softplus(a) - softplus(b)`` (:func:`_value`)
+    and its partials are ``1``, ``sigmoid(a) - sigmoid(b)`` twice,
+    ``-sigmoid(b)`` and ``sigmoid(a)``.  A softplus is recomputed only when its
+    argument changed (coordinate 0 moves neither, 3 only ``b``, 4 only
+    ``a``), and the softplus and sigmoid at one argument share one
+    ``exp(-|z|)``.  ``max(z, 0.0)`` and ``-abs(z)`` are spelt as conditionals
+    that give the same floats, signed zeros and NaN included, so every
+    iterate is the one the loop through :func:`_value`, :func:`softplus` and
+    :func:`sigmoid` gives, bit for bit (``tests/test_tree.py`` fuzzes it).
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
     if not deltas:
         return theta0
     mean = sum(deltas) / len(deltas)
-    p = list(theta0.as_tuple())
-    previous = (_value(p) - mean) ** 2
+    rate, exp, log1p = learning_rate, math.exp, math.log1p
+    p0, p1, p2, p3, p4 = theta0.as_tuple()
+    a = p1 + p2 + p4
+    ea = exp(-a if a >= 0 else a)
+    sa = (0.0 if 0.0 > a else a) + log1p(ea)
+    b = p1 + p2 + p3
+    eb = exp(-b if b >= 0 else b)
+    sb = (0.0 if 0.0 > b else b) + log1p(eb)
+    previous = _square(p0 + sa - sb - mean)
     for cycle in range(max_iters):
-        for coord in range(5):
-            grad = 2.0 * (_value(p) - mean) * _partials(p)[coord]
-            p[coord] -= learning_rate * grad
-        current = (_value(p) - mean) ** 2
+        # 0: output bias, whose partial is 1.
+        p0 -= rate * (2.0 * (p0 + sa - sb - mean))
+        # 1: hidden bias, at the a and b of coordinate 0.
+        ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
+        gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
+        p1 -= rate * (2.0 * (p0 + sa - sb - mean) * (ga - gb))
+        # 2: feature weight; p1 moved a and b.
+        a = p1 + p2 + p4
+        ea = exp(-a if a >= 0 else a)
+        sa = (0.0 if 0.0 > a else a) + log1p(ea)
+        b = p1 + p2 + p3
+        eb = exp(-b if b >= 0 else b)
+        sb = (0.0 if 0.0 > b else b) + log1p(eb)
+        ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
+        gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
+        p2 -= rate * (2.0 * (p0 + sa - sb - mean) * (ga - gb))
+        # 3: negative weight; p2 moved a and b.
+        a = p1 + p2 + p4
+        ea = exp(-a if a >= 0 else a)
+        sa = (0.0 if 0.0 > a else a) + log1p(ea)
+        b = p1 + p2 + p3
+        eb = exp(-b if b >= 0 else b)
+        sb = (0.0 if 0.0 > b else b) + log1p(eb)
+        gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
+        p3 -= rate * (2.0 * (p0 + sa - sb - mean) * -gb)
+        # 4: positive weight; p3 moved b only.
+        b = p1 + p2 + p3
+        eb = exp(-b if b >= 0 else b)
+        sb = (0.0 if 0.0 > b else b) + log1p(eb)
+        ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
+        p4 -= rate * (2.0 * (p0 + sa - sb - mean) * ga)
+        # p4 moved a only.
+        a = p1 + p2 + p4
+        ea = exp(-a if a >= 0 else a)
+        sa = (0.0 if 0.0 > a else a) + log1p(ea)
+        current = _square(p0 + sa - sb - mean)
         # Converged, flat, rising or NaN; "flat" stops a zero tolerance.
         if not (current < previous and previous - current >= tolerance):
             if not current <= previous:
@@ -135,7 +197,7 @@ def coordinate_descent(
                 return coordinate_descent(deltas, theta0, learning_rate, cycle, tolerance)
             break
         previous = current
-    return LeafParams(*p)
+    return LeafParams(p0, p1, p2, p3, p4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,8 +384,9 @@ class CoverageTable:
 
     The table keeps no witnesses.  The witnesses of a node's context that
     :func:`partition` keeps for its undecided items live in lists the fit
-    holds for that node alone: they serve its candidates and its committed
-    split only, and a child's context, or its set of items, differs.
+    holds for that node alone: they serve its candidates only, and a child's
+    context, or its set of items, differs.  It does keep each query's head
+    unifier (:meth:`unifier`), which every fit sharing the table reuses.
     """
 
     __slots__ = ("_bits", "_by_id", "_entries")
@@ -333,20 +396,33 @@ class CoverageTable:
         # Hashing an atom walks its terms, so a memo on object identity answers
         # first: a caller passes the same query object for an example in every
         # tree.  The memo holds each object, so its id is not reused meanwhile.
-        self._by_id: dict[int, tuple[Atom, int]] = {}
+        # Its entry is [query, bit, head unifier or None until found].
+        self._by_id: dict[int, list] = {}
         self._entries: dict[tuple[tuple[Atom, ...], Atom], tuple[int, int]] = {}
 
-    def bit(self, query: Atom) -> int:
-        """The one-bit mask owned by ``query``."""
+    def _memo(self, query: Atom) -> list:
         hit = self._by_id.get(id(query))
         if hit is None:
             mask = self._bits.setdefault(query, 1 << len(self._bits))
-            hit = self._by_id[id(query)] = (query, mask)
-        return hit[1]
+            hit = self._by_id[id(query)] = [query, mask, None]
+        return hit
+
+    def unifier(self, head: Atom, query: Atom) -> Optional[dict[Term, Term]]:
+        """``unify(head, query)``, found once per query object.
+
+        ``head`` must be :func:`make_head` of ``query``'s predicate, as it is in
+        every :func:`fit_regression_tree`: those heads are equal, and no
+        binding is ever mutated, so every fit sharing the table can share the
+        unifier.  A ``None``, for an example the fit refuses, is not kept.
+        """
+        hit = self._memo(query)
+        if hit[2] is None:
+            hit[2] = unify(head, query)
+        return hit[2]
 
     def node_bits(self, items: Sequence[FitItem]) -> tuple[list[int], int]:
         """The bit of each item's query, in ``items`` order, and their OR."""
-        bits = [self.bit(example.query) for example, _, _ in items]
+        bits = [self._memo(example.query)[1] for example, _, _ in items]
         mask = 0
         for bit in bits:
             mask |= bit
@@ -374,9 +450,9 @@ def partition(
     A one-sided split (``sat & mask`` is 0 or ``mask``) is rejected from the
     bits alone, and no list is built.  Otherwise the satisfiable items go
     left and the rest right, both in ``items`` order and unchanged: a
-    decision read from the table carries no witness, so
-    :func:`fit_regression_tree` proves the committed split's true side again
-    for the witnesses its children chain.
+    decision read from the table carries no witness, so the true side keeps
+    its witnesses of ``context``, and :func:`fit_regression_tree` chains the
+    test into them only if it expands that side.
 
     ``kept`` holds one list per item, in ``items`` order, for
     :func:`~liftedrbm.logic.route_decision` to keep the witnesses of
@@ -414,6 +490,9 @@ class _FitNode:
     used_names: frozenset[str]
     params: LeafParams = ZERO_PARAMS
     sse: float = 0.0
+    # False for a true child until it is expanded: its items still carry
+    # witnesses of its parent's context, which lacks the last atom of its own.
+    proven: bool = True
     test: Optional[Literal] = None
     true_child: Optional["_FitNode"] = None
     false_child: Optional["_FitNode"] = None
@@ -442,9 +521,9 @@ def _sse_floor(deltas: Sequence[float]) -> float:
     """
     n = len(deltas)
     mean = sum(deltas) / n
-    sse = sum((mean - d) ** 2 for d in deltas)
+    sse = _sum_squares(mean, deltas)
     spread = n * sys.float_info.epsilon * max(map(abs, deltas))
-    return sse * _BOUND_MARGIN - n * (spread**2 + sys.float_info.min)
+    return sse * _BOUND_MARGIN - n * (_square(spread) + sys.float_info.min)
 
 
 def fit_regression_tree(
@@ -484,15 +563,17 @@ def fit_regression_tree(
     absolute term keeps it exact for a side whose targets are all equal; it
     is about 1e-23 on 559 targets in (-1, 1).
 
+    Leaf fits are fewer still: :func:`coordinate_descent` reads its targets
+    only through their mean, so each distinct mean (bit for bit) is fit once
+    per call and its parameters reused for every leaf with that mean.
+
     Candidates are split from a :class:`CoverageTable` keyed on (node
     context, candidate atom), so each (context, candidate, example) is proved
     at most once; each expanded node finds its items' bits once, and a
     candidate that leaves one side empty is rejected from the bits without
-    building its lists.  Only the committed split's true side is proved
-    again, for the witnesses its children chain, and it reads the node's
-    kept witnesses (below).  The table is exact because a decision never
+    building its lists.  The table is exact because a decision never
     depends on the gradients, and it costs two n-bit ints per distinct
-    context x candidate.
+    context x candidate.  It also keeps each example's head unifier.
 
     Each expanded node also holds one list per item, in which
     :func:`~liftedrbm.logic.route_decision` keeps the witnesses of the node's
@@ -500,12 +581,18 @@ def fit_regression_tree(
     context is proved once per item and node rather than once per candidate
     that the item's cached witness does not extend.  Each kept witness is
     tried in the order :func:`~liftedrbm.logic.witnesses` meets it, so every
-    decision and witness is the one a full proof gives, the committed
-    split's included.
+    decision and witness is the one a full proof gives.
     The lists are dropped once the node is expanded and are never handed to
     its children: a true child's context is longer, and a false child, whose
     context is the same, would keep them alive while the frontier waits
     (measured at about 12% more peak memory on the ``distill`` benchmark).
+
+    A committed split's true side is not proved again when it is made.  Its
+    items keep their witnesses of the parent's context, and only when the
+    true child is expanded does each get
+    ``route_decision(parent context, test, base, witness, kb)``: the first
+    witness of its own context, the one a read of the parent's kept lists
+    would have returned.  A true child that stays a leaf is never proved.
 
     Pass ``table`` to share one across fits over the same knowledge base (as
     :func:`~liftedrbm.model.train` does for its trees); by default the fit
@@ -524,22 +611,30 @@ def fit_regression_tree(
     if table is None:
         table = CoverageTable()
 
+    # coordinate_descent reads its targets only through their mean, so each
+    # distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
+    fits: dict[str, tuple[LeafParams, float]] = {}
+
     def fit_leaf(deltas: Sequence[float]) -> tuple[LeafParams, float]:
-        params = coordinate_descent(
-            deltas,
-            learning_rate=learning_rate,
-            max_iters=cd_max_iters,
-            tolerance=cd_tolerance,
-        )
-        value = params.value()
-        return params, sum((value - d) ** 2 for d in deltas)
+        key = (sum(deltas) / len(deltas)).hex()
+        fit = fits.get(key)
+        if fit is None:
+            params = coordinate_descent(
+                deltas,
+                learning_rate=learning_rate,
+                max_iters=cd_max_iters,
+                tolerance=cd_tolerance,
+            )
+            fit = fits[key] = (params, params.value())
+        params, value = fit
+        return params, _sum_squares(value, deltas)
 
     items: list[FitItem] = []
     for example in examples:
-        subst = unify(head, example.query)
-        if subst is None:
+        base = table.unifier(head, example.query)
+        if base is None:
             raise ValueError(f"example {example.query} does not ground {head}")
-        items.append((example, subst, subst))
+        items.append((example, base, base))
 
     root = _FitNode(
         items,
@@ -562,6 +657,14 @@ def fit_regression_tree(
     leaves = 1
     while leaves < max_leaves and frontier:
         _, _, node = heapq.heappop(frontier)
+        if not node.proven:
+            # Chain each item's first witness of the node's context, the one a
+            # read of its parent's kept witnesses would have returned.
+            context, test = node.context[:-1], node.context[-1]
+            node.items = [
+                (example, base, route_decision(context, test, base, cached, kb))
+                for example, base, cached in node.items
+            ]
         candidates = generate_candidates(
             node.bound_vars,
             modes,
@@ -589,17 +692,7 @@ def fit_regression_tree(
         if best is None:
             continue  # permanent leaf
         _, candidate, left, right, theta_left, sse_left, theta_right, sse_right = best
-        # Prove the true side again for the witnesses its children chain, each
-        # item reading the witnesses of the node's context kept for it.
-        on_left = {id(item) for item in left}
-        left = [
-            (item[0], item[1], route_decision(
-                node.context, candidate.atom, item[1], item[2], kb, None, witnesses
-            ))
-            for item, witnesses in zip(node.items, kept)
-            if id(item) in on_left
-        ]
-        del kept, on_left  # node-local: a child's context or items differ
+        del kept  # node-local: a child's context or items differ
         new_vars = tuple(
             v for v in candidate.atom.variables() if v not in node.bound_vars
         )
@@ -613,6 +706,7 @@ def fit_regression_tree(
             used_names=child_names,
             params=theta_left,
             sse=sse_left,
+            proven=False,
         )
         node.false_child = _FitNode(
             right,

@@ -23,10 +23,14 @@ from liftedrbm.logic import (
 from liftedrbm.tree import (
     InternalNode,
     LeafNode,
+    LeafParams,
     RelationalRegressionTree,
+    ZERO_PARAMS,
+    _value,
     coordinate_descent,
     generate_candidates,
     make_head,
+    sigmoid,
 )
 
 # The benchmark's fixture model: the default config trained on fold 0 of the
@@ -167,6 +171,46 @@ def route_body(body, partial: dict[Term, Term], kb: KnowledgeBase, stats=None):
     head = Atom(Predicate("route", tuple(var.type_tag for var in bound)), bound)
     fired = RoutingTrie([Clause(head, tuple(body))]).walk(ground(head, partial), kb, stats)
     return fired[0][1] if fired else None
+
+
+# --- reference leaf fit ----------------------------------------------------
+
+def _reference_partials(p):
+    s_pos = sigmoid(p[1] + p[2] + p[4])
+    s_neg = sigmoid(p[1] + p[2] + p[3])
+    return (1.0, s_pos - s_neg, s_pos - s_neg, -s_neg, s_pos)
+
+
+def reference_coordinate_descent(
+    deltas, theta0=ZERO_PARAMS, learning_rate=0.05, max_iters=500, tolerance=1e-8
+):
+    """The reference for :func:`~liftedrbm.tree.coordinate_descent`: each
+    coordinate's step evaluates the leaf value and all five partials afresh,
+    through :func:`~liftedrbm.tree._value` and :func:`sigmoid`.
+
+    This is the loop the written-out cycle replaced, kept as it was: an
+    objective whose square overflows raises ``OverflowError`` here.
+    """
+    if learning_rate <= 0:
+        raise ValueError("learning rate must be positive")
+    if not deltas:
+        return theta0
+    mean = sum(deltas) / len(deltas)
+    p = list(theta0.as_tuple())
+    previous = (_value(p) - mean) ** 2
+    for cycle in range(max_iters):
+        for coord in range(5):
+            grad = 2.0 * (_value(p) - mean) * _reference_partials(p)[coord]
+            p[coord] -= learning_rate * grad
+        current = (_value(p) - mean) ** 2
+        if not (current < previous and previous - current >= tolerance):
+            if not current <= previous:
+                return reference_coordinate_descent(
+                    deltas, theta0, learning_rate, cycle, tolerance
+                )
+            break
+        previous = current
+    return LeafParams(*p)
 
 
 # --- brute-force satisfaction oracle ---------------------------------------

@@ -113,6 +113,17 @@ class TestTrain:
                      "--queries", str(data_dir / "queries.txt"),
                      "--out", str(tmp_path / "s.tsv")]) == 0
 
+    def test_overflowing_squared_error_still_trains(self, data_dir, tmp_path):
+        # At this rate a leaf fit's first cycle moves the leaf value to about
+        # 1e100, whose squared error is past the float range: a rising cycle,
+        # so every fit keeps its all-zero start.
+        out = tmp_path / "m.json"
+        assert main(["train", *_common(data_dir), "--trees", "2", "--lr", "1e100",
+                     "--out", str(out)]) == 0
+        trees = json.loads(out.read_text())["trees"]
+        leaves = [node["leaf"] for tree in trees for node in _leaves(tree)]
+        assert leaves and all(leaf == [0.0] * 5 for leaf in leaves)
+
     def test_non_finite_leaf_is_refused_and_named(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             tree_module, "coordinate_descent", lambda deltas, **_: LeafParams(math.nan)
@@ -449,6 +460,21 @@ class TestModelLoader:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: malformed model document: ")
+
+    def test_distilling_potentials_whose_squares_overflow(self, data_dir, tmp_path):
+        # A leaf parameter of 1e200 is finite, so the model loads; the
+        # distilled tree's targets are then about 1e200, and their squared
+        # errors are past the float range.
+        doc = _leaf_parameter(1e200)(json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "explain", "--model", str(model_path), "--mode", "distill", "--depth", "3",
+            "--facts", str(data_dir / "facts.txt"), "--pos", str(data_dir / "pos.txt"),
+            "--neg", str(data_dir / "neg.txt"), "--out", str(tmp_path / "net"),
+        ])
+        assert code == 0
+        assert (tmp_path / "net.json").exists()
 
     @pytest.mark.parametrize("name", sorted(DEEP_MODELS))
     @pytest.mark.parametrize("command", ["predict", "explain"])

@@ -246,6 +246,20 @@ class TestPredict:
         with pytest.raises(UnknownConstantError):
             model.predict(stranger, kb)
 
+    def test_unknown_or_wrong_typed_constant_is_an_error(self, movie_model):
+        # every test of a trained model fails for constants the knowledge
+        # base never saw, so only the query check can refuse them
+        model, _, _, kb = movie_model
+        person, movie = kb.universe("person")[0], kb.universe("movie")[0]
+        for query in (
+            atom(COLLAB, C("nobody", "person"), C("ghost", "person")),
+            atom(COLLAB, person, C(movie.name, "person")),
+        ):
+            for scored in (model, _empty_model()):
+                for score in (scored.predict, scored.psi, scored.per_tree):
+                    with pytest.raises(UnknownConstantError):
+                        score(query, kb)
+
     def test_wrong_predicate_is_an_error(self, movie_model):
         # a model without trees has no head to refuse the query, so it must
         # check the predicate itself

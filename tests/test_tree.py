@@ -37,6 +37,8 @@ from helpers import (
     exhaustive_fit_tree,
     oracle_per_tree,
     oracle_satisfy,
+    reference_coordinate_descent,
+    reference_satisfy,
 )
 
 
@@ -184,21 +186,44 @@ class TestPartition:
         assert all(oracle_satisfy([acts], base, kb) for _, base, _ in acting)
         # a decision read from the table carries no witness: items go unchanged
         assert _partition((), acts, items, kb) == ([items[0]], [items[1]])
-        # the fit chains the committed split's first witness into its true side
+        # The fit chains the committed split's first witness into its true
+        # side when it expands that side, and no sooner.  p1 and p2 act and
+        # p3 does not, so acts splits the root and its true side, which has
+        # the larger error, is expanded first.
+        examples = [
+            example
+            for example, _, _ in (
+                items[0], _collab_item(kb, "p2", "p1", 0.3), items[1],
+                _collab_item(kb, "p3", "p2", -0.4),
+            )
+        ]
         calls = []
-        route_decision = tree_module.route_decision
+        partitioning = []
+        route_decision, partition = tree_module.route_decision, tree_module.partition
 
         def recorded(context, test, *args):
-            calls.append((test, route_decision(context, test, *args)))
-            return calls[-1][1]
+            result = route_decision(context, test, *args)
+            if not partitioning:
+                calls.append((test, result))
+            return result
+
+        def candidate_split(*args):
+            partitioning.append(True)
+            try:
+                return partition(*args)
+            finally:
+                partitioning.pop()
 
         monkeypatch.setattr(tree_module, "route_decision", recorded)
-        examples = [example for example, _, _ in items]
+        monkeypatch.setattr(tree_module, "partition", candidate_split)
         tree = fit_regression_tree(examples, 2, MOVIE_MODES, kb)
         assert tree.root.test == acts
-        test, witness = calls[-1]  # the committed split, for p1's item
-        assert test == acts.atom
-        assert witness.get(V("M1", "movie")) == C("m1", "movie")
+        assert calls == []  # the true side is never expanded, so never proved
+        tree = fit_regression_tree(examples, 3, MOVIE_MODES, kb)
+        assert tree.root.test == acts
+        assert [test for test, _ in calls] == [acts.atom, acts.atom]  # p1's item, p2's
+        for _, witness in calls:
+            assert witness.get(V("M1", "movie")) == C("m1", "movie")
 
     def test_factless_predicate_sends_everything_right(self):
         kb = example1_kb()
@@ -293,23 +318,67 @@ class TestCoordinateDescent:
         assert params == ZERO_PARAMS
 
     @pytest.mark.parametrize("tolerance", [0, 1e-8])
-    def test_stops_at_a_fixed_point_at_any_tolerance(self, tolerance, monkeypatch):
+    def test_stops_at_a_fixed_point_at_any_tolerance(self, tolerance):
         # At rate 0.5 the first cycle lands on the mean, and the second
         # leaves the objective where it was: that is a fixed point, where
-        # even a zero tolerance must stop.
-        import liftedrbm.tree as tree_module
+        # even a zero tolerance must stop.  Each coordinate step multiplies
+        # the learning rate by its gradient once, so counting those products
+        # counts the steps.
+        steps = []
 
-        partials = tree_module._partials
-        calls = []
+        class CountedRate(float):
+            def __mul__(self, other):
+                steps.append(other)
+                return float(self) * other
 
-        def counted(p):
-            calls.append(p)
-            return partials(p)
-
-        monkeypatch.setattr(tree_module, "_partials", counted)
-        params = coordinate_descent([0.5] * 10, learning_rate=0.5, tolerance=tolerance)
+        params = coordinate_descent([0.5] * 10, learning_rate=CountedRate(0.5), tolerance=tolerance)
         assert params.value() == 0.5
-        assert len(calls) == 2 * 5  # two cycles of five coordinates
+        assert len(steps) == 2 * 5  # two cycles of five coordinates
+        assert reference_coordinate_descent(
+            [0.5] * 10, learning_rate=0.5, tolerance=tolerance
+        ) == params
+
+    def test_matches_the_reference_loop_bit_for_bit(self):
+        # Random starts, means (signed zeros among them), rates up to 1e308
+        # and cycle counts 0, 1, 2 and 500; where the reference's objective
+        # overflows, it raises, and the shipped loop must still return an
+        # iterate no worse than its start.
+        rng = random.Random(17)
+        returned = overflowed = 0
+        for _ in range(3000):
+            if rng.random() < 0.1:
+                deltas = [rng.choice([0.0, -0.0])] * rng.randint(1, 3)
+            else:
+                scale = rng.choice([1.0, 1.0, 10.0, 1e3])
+                deltas = [rng.uniform(-scale, scale) for _ in range(rng.randint(1, 5))]
+            theta0 = rng.choice([
+                ZERO_PARAMS,
+                LeafParams(*(rng.uniform(-3, 3) for _ in range(5))),
+                LeafParams(*(rng.choice([0.0, -0.0]) for _ in range(5))),
+            ])
+            rate = rng.choice([0.05, 0.5, 2.0, 5.0, 1e100, 1e308, 10 ** rng.uniform(-3, 308)])
+            settings = dict(
+                learning_rate=rate, max_iters=rng.choice([0, 1, 2, 500]),
+                tolerance=rng.choice([0, 1e-8, 1e-3]),
+            )
+            got = coordinate_descent(deltas, theta0, **settings)
+            try:
+                want = reference_coordinate_descent(deltas, theta0, **settings)
+            except OverflowError:
+                overflowed += 1
+                mean = sum(deltas) / len(deltas)
+                assert (got.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
+                continue
+            returned += 1
+            assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in want.as_tuple()]
+        assert returned > 2000 and overflowed > 100
+
+    def test_an_overflowing_objective_is_a_rising_one(self):
+        # The first cycle moves the leaf value to about 1e100, whose squared
+        # error overflows; the best iterate seen is the start.
+        assert coordinate_descent([0.5], learning_rate=1e100) == ZERO_PARAMS
+        with pytest.raises(OverflowError):
+            reference_coordinate_descent([0.5], learning_rate=1e100)
 
     def test_never_returns_a_worse_iterate_than_it_saw(self):
         rng = random.Random(5)
@@ -333,7 +402,64 @@ def _mean_sse(deltas):
     return sum((mean - d) ** 2 for d in deltas)
 
 
+class TestLeafFitMemo:
+    def test_each_distinct_mean_is_fit_once(self, monkeypatch):
+        # Targets are +0.5 where both people act or neither does, -0.5
+        # otherwise.  Splitting on whether P1 acts leaves both sides the mean
+        # -1/14, and splitting each side on whether P2 acts leaves four pure
+        # leaves, two of each sign: seven leaf fits wanted, three distinct.
+        import liftedrbm.tree as tree_module
+
+        actors, others = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]
+        kb = parse_facts(
+            "".join(f"actedin({a}, m1).\n" for a in actors)
+            + "".join(f"directedby(m2, {b}).\n" for b in others),
+            MOVIE_MODES,
+        )
+        examples = [
+            RegressionExample(
+                atom(COLLAB, C(x, "person"), C(y, "person")),
+                1,
+                0.5 if (x in actors) == (y in actors) else -0.5,
+            )
+            for x in actors + others
+            for y in actors + others
+            if x != y
+        ]
+        means = []
+        fit = tree_module.coordinate_descent
+
+        def counted(deltas, *args, **kwargs):
+            means.append((sum(deltas) / len(deltas)).hex())
+            return fit(deltas, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "coordinate_descent", counted)
+        fitted = []
+        tree = fit_regression_tree(examples, 4, MOVIE_MODES, kb, fitted=fitted)
+        leaves = [leaf.params for _, leaf in tree.paths()]
+        assert sorted(leaf.value() for leaf in leaves) == pytest.approx([-0.5, -0.5, 0.5, 0.5], abs=1e-3)
+        assert len(set(leaves)) == 2  # equal means, one fit
+        assert len(means) == len(set(means))
+        assert (-1 / 14).hex() in means and (0.5).hex() in means and (-0.5).hex() in means
+        reference, reference_fitted = exhaustive_fit_tree(examples, 4, MOVIE_MODES, kb)
+        assert tree.to_text() == reference.to_text()
+        assert fitted == reference_fitted
+
+
 class TestSseFloor:
+    def test_an_overflowing_square_reads_as_infinity(self):
+        # A target of 1e200 squares past the float range; the floor must
+        # not raise, and a tree still fits such targets.
+        assert not _sse_floor([1e200, -1e200]) < math.inf
+        assert _sse_floor([1e200, 1e200]) <= 0.0
+        kb = example1_kb()
+        examples = [
+            RegressionExample(atom(COLLAB, C(x, "person"), C(y, "person")), 1, g)
+            for (x, y), g in ((("p1", "p2"), 1e200), (("p2", "p1"), -1e200))
+        ]
+        tree = fit_regression_tree(examples, 2, MOVIE_MODES, kb)
+        assert tree.leaf_count == 1  # both act in the same movies: nothing splits them
+
     def test_no_leaf_fit_falls_below_the_floor(self):
         # The floor is what lets fit_regression_tree skip a candidate without
         # changing the tree, so a computed leaf error must never be below it.
@@ -610,9 +736,11 @@ class TestCoverageTable:
     def test_each_kept_witness_list_serves_one_node_item(self, movie_domain, monkeypatch):
         # A list of kept witnesses holds the witnesses of one node's context
         # for one item: it must never reach route_decision with another
-        # context, head unifier or cached witness, and a decision read from
-        # it, the committed split's included, must return the witness that
-        # the same decision returns without it.
+        # context, head unifier or cached witness, or outside a candidate's
+        # split, and a decision read from it must return the witness that
+        # the same decision returns without it.  Every other decision is the
+        # proof of an expanded true child's item, which went left, so it
+        # must return the first witness of the child's context.
         import liftedrbm.tree as tree_module
 
         kb, examples, _ = movie_domain
@@ -621,18 +749,21 @@ class TestCoverageTable:
             RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
         ]
         owners = {}
-        committed = []  # the witnesses the committed splits chain
+        expanded = []  # the witnesses chained into true children when expanded
         partitioning = []
         route_decision, partition = tree_module.route_decision, tree_module.partition
 
         def recorded(context, test, base, cached, kb, stats=None, kept=None):
             result = route_decision(context, test, base, cached, kb, stats, kept)
             if kept is not None:
+                assert partitioning  # lists serve candidates only
                 owner = owners.setdefault(id(kept), (kept, tuple(context), base, cached))
                 assert owner[1] == tuple(context) and owner[2] is base and owner[3] is cached
                 assert result == route_decision(context, test, base, cached, kb)
-                if not partitioning:
-                    committed.append(result)
+            elif not partitioning:
+                assert result is not None  # the item went to the true side
+                assert result == reference_satisfy(tuple(context) + (test,), base, kb)
+                expanded.append(result)
             return result
 
         def candidate_split(*args):
@@ -646,7 +777,7 @@ class TestCoverageTable:
         monkeypatch.setattr(tree_module, "partition", candidate_split)
         tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
         assert sum(1 for kept, _, _, _ in owners.values() if kept) > 50  # lists were filled
-        assert len(committed) > 50 and None not in committed
+        assert len(expanded) > 50
         reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
 
