@@ -156,14 +156,6 @@ def parse_facts(text: str, modes: dict[str, ModeDeclaration]) -> KnowledgeBase:
     return kb
 
 
-def serialize_facts(kb: KnowledgeBase) -> str:
-    """Render all facts back into the file grammar, in insertion order."""
-    lines = [
-        f"{a.predicate.name}({', '.join(t.name for t in a.args)})." for a in kb.facts
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def parse_atom_text(
     text: str,
     predicates: dict[str, Predicate],

@@ -203,9 +203,6 @@ class KnowledgeBase:
     def universe(self, type_tag: str) -> tuple[Term, ...]:
         return tuple(self._universes.get(type_tag, ()))
 
-    def type_tags(self) -> tuple[str, ...]:
-        return tuple(self._universes)
-
     def candidates(self, pred_name: str, bound: Sequence[tuple[int, str]]):
         """Stored argument tuples possibly matching a literal.
 
@@ -320,7 +317,6 @@ def route_decision(
     cached: dict[Term, Term],
     kb: KnowledgeBase,
     stats: Optional[SearchStats] = None,
-    kept: Optional[list[dict[Term, Term]]] = None,
 ) -> Optional[dict[Term, Term]]:
     """Decide whether ``context AND test`` is satisfiable; None means no.
 
@@ -332,19 +328,10 @@ def route_decision(
     fails, the first of :func:`witnesses` of ``context + (test,)`` from
     ``base``.
     When ``cached is base``, ``base`` itself grounds the context, so it is the
-    context's only witness and the fast path was the whole search.
-
-    ``kept`` is a list the caller holds for one (``context``, ``base``,
-    ``cached``) and reuses across tests, as :func:`~liftedrbm.tree.partition`
-    does for a node's candidates.  It stays empty until the first fallback,
-    which fills it with :func:`witnesses` of the context from ``base``, the
-    cached one among them replaced by ``cached`` itself.  Each fallback then
-    grounds ``test`` under each kept witness in order but ``cached``, which
-    the fast path tried, and returns the first extension.  The search of
-    ``context + (test,)`` meets the context's witnesses in that order and
-    tries ``test`` under each, so this is its first witness and the
-    decision, witness included, is the same; the context is proved once per
-    list instead of once per test.
+    context's only witness and the fast path was the whole search.  A routing
+    walk and a fit's expansion of a true child decide here; a fit's candidate
+    splits need no witness and are decided by set lookups instead (see
+    :func:`~liftedrbm.tree.partition`).
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so
@@ -355,15 +342,7 @@ def route_decision(
         return extended
     if cached is base:
         return None
-    if kept is None:
-        return next(witnesses(tuple(context) + (test,), base, kb, stats), None)
-    if not kept:
-        kept += [cached if w == cached else w for w in witnesses(context, base, kb, stats)]
-    for witness in kept:
-        if witness is not cached:
-            for extended in iter_matches(test, witness, kb, stats):
-                return extended
-    return None
+    return next(witnesses(tuple(context) + (test,), base, kb, stats), None)
 
 
 class _TrieNode:

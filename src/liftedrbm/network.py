@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .data import validate_query
 from .logic import (
@@ -77,19 +77,6 @@ class LiftedRBMNetwork:
     @property
     def visible(self) -> tuple[str, ...]:
         return tuple(sorted({pred for pred, _ in self.visible_hidden_edges}))
-
-    @classmethod
-    def from_clauses(
-        cls,
-        head: Atom,
-        clauses: Sequence[tuple[Clause, LeafParams]],
-        psi0: float = 0.0,
-    ) -> "LiftedRBMNetwork":
-        """Hand-build a network from (clause, parameters) pairs."""
-        hidden = [
-            HiddenNode(i, clause, params, (0, i)) for i, (clause, params) in enumerate(clauses)
-        ]
-        return cls(head, psi0, hidden)
 
 
 def paths_to_lrbm(model: BoostedModel) -> LiftedRBMNetwork:

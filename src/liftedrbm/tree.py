@@ -31,6 +31,7 @@ from .logic import (
     Term,
     route_decision,
     unify,
+    witnesses,
 )
 
 
@@ -125,7 +126,11 @@ def coordinate_descent(
     equals: the objective falls on every cycle before the last, so that is
     the last iterate, or the one before it when the last cycle diverged.
     An objective too large for a float reads as ``inf``, so a cycle that
-    overflows it is a rising one.  Empty input returns ``theta0`` unchanged.
+    overflows it is a rising one; when the objectives before and after a
+    cycle both overflow, the cycle's change is read from their difference
+    ``(|r0| - |r1|) * (|r0| + |r1|)`` of the residuals' squares, so a leaf
+    whose targets are near 1e200 still descends to their mean.  Empty input
+    returns ``theta0`` unchanged.
 
     The cycle is written out: with ``a = p1 + p2 + p4`` and ``b = p1 + p2 +
     p3`` the leaf value is ``p0 + softplus(a) - softplus(b)`` (:func:`_value`)
@@ -143,7 +148,7 @@ def coordinate_descent(
     if not deltas:
         return theta0
     mean = sum(deltas) / len(deltas)
-    rate, exp, log1p = learning_rate, math.exp, math.log1p
+    rate, exp, log1p, inf = learning_rate, math.exp, math.log1p, math.inf
     p0, p1, p2, p3, p4 = theta0.as_tuple()
     a = p1 + p2 + p4
     ea = exp(-a if a >= 0 else a)
@@ -151,10 +156,11 @@ def coordinate_descent(
     b = p1 + p2 + p3
     eb = exp(-b if b >= 0 else b)
     sb = (0.0 if 0.0 > b else b) + log1p(eb)
-    previous = _square(p0 + sa - sb - mean)
+    residual = p0 + sa - sb - mean
+    previous = _square(residual)
     for cycle in range(max_iters):
         # 0: output bias, whose partial is 1.
-        p0 -= rate * (2.0 * (p0 + sa - sb - mean))
+        p0 -= rate * (2.0 * residual)
         # 1: hidden bias, at the a and b of coordinate 0.
         ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
         gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
@@ -188,7 +194,12 @@ def coordinate_descent(
         a = p1 + p2 + p4
         ea = exp(-a if a >= 0 else a)
         sa = (0.0 if 0.0 > a else a) + log1p(ea)
-        current = _square(p0 + sa - sb - mean)
+        last, residual = residual, p0 + sa - sb - mean
+        current = square = _square(residual)
+        if current == previous == inf:
+            # Both squares overflow; their difference, factored, may not.
+            last, now = abs(last), abs(residual)
+            current, previous = 0.0, (last - now) * (last + now)
         # Converged, flat, rising or NaN; "flat" stops a zero tolerance.
         if not (current < previous and previous - current >= tolerance):
             if not current <= previous:
@@ -196,7 +207,7 @@ def coordinate_descent(
                 # seen; the cycles are deterministic, so replay up to it.
                 return coordinate_descent(deltas, theta0, learning_rate, cycle, tolerance)
             break
-        previous = current
+        previous = square
     return LeafParams(p0, p1, p2, p3, p4)
 
 
@@ -374,9 +385,14 @@ class CoverageTable:
     distinct query atom owns one bit.  The entries are exact: a decision
     depends only on the knowledge base, the context, the candidate and the
     query (through its head unifier), never on gradients or on which witness
-    of the context was cached (see :func:`~liftedrbm.logic.route_decision`).
-    A table is therefore valid for one unchanged knowledge base, and costs two
-    n-bit ints per distinct context x candidate for n distinct queries.
+    of the context was cached (see :func:`partition`).  A table is therefore
+    valid for one unchanged knowledge base, and costs two n-bit ints per
+    distinct context x candidate for n distinct queries.
+
+    It decides those bits by set lookups (:func:`partition`) and keeps the
+    sets: one per predicate x bound positions that a candidate meets, each
+    holding the distinct value tuples of the predicate's facts at those
+    positions (:meth:`projection`), so at most one tuple per fact.
 
     A node's examples are read through :meth:`node_bits`: the bit of each of
     its items and their OR, the node mask.  ``sat & mask`` is then the node's
@@ -389,7 +405,7 @@ class CoverageTable:
     unifier (:meth:`unifier`), which every fit sharing the table reuses.
     """
 
-    __slots__ = ("_bits", "_by_id", "_entries")
+    __slots__ = ("_bits", "_by_id", "_entries", "_projections")
 
     def __init__(self):
         self._bits: dict[Atom, int] = {}
@@ -399,6 +415,7 @@ class CoverageTable:
         # Its entry is [query, bit, head unifier or None until found].
         self._by_id: dict[int, list] = {}
         self._entries: dict[tuple[tuple[Atom, ...], Atom], tuple[int, int]] = {}
+        self._projections: dict[tuple[str, tuple[int, ...]], set[tuple[str, ...]]] = {}
 
     def _memo(self, query: Atom) -> list:
         hit = self._by_id.get(id(query))
@@ -419,6 +436,41 @@ class CoverageTable:
         if hit[2] is None:
             hit[2] = unify(head, query)
         return hit[2]
+
+    def projection(
+        self, test: Atom, bound: dict[Term, Term], kb: KnowledgeBase
+    ) -> tuple[tuple[Term, ...], set[tuple[str, ...]]]:
+        """The variables of ``test`` that ``bound`` binds, in argument order,
+        and the set of the name tuples that ``test``'s predicate's facts hold
+        at their positions.
+
+        ``test``'s other arguments must be distinct variables that ``bound``
+        leaves free, so ``test`` holds under a binding of the same variables
+        iff their values are in the set (a semi-join; Bernstein and Chiu,
+        JACM 1981).  A constant, or a free variable at two positions, raises
+        ``ValueError``.  Each set is built from ``kb`` once and kept.
+        """
+        positions: list[int] = []
+        variables: list[Term] = []
+        free: set[Term] = set()
+        for pos, term in enumerate(test.args):
+            if not term.is_variable:
+                raise ValueError(f"{test}: the constant {term} is not a projection")
+            if term in bound:
+                positions.append(pos)
+                variables.append(term)
+            elif term in free:
+                raise ValueError(f"{test}: the free variable {term} repeats")
+            else:
+                free.add(term)
+        name = test.predicate.name
+        key = (name, tuple(positions))
+        values = self._projections.get(key)
+        if values is None:
+            values = self._projections[key] = {
+                tuple([args[pos] for pos in positions]) for args in kb.candidates(name, ())
+            }
+        return tuple(variables), values
 
     def node_bits(self, items: Sequence[FitItem]) -> tuple[list[int], int]:
         """The bit of each item's query, in ``items`` order, and their OR."""
@@ -446,32 +498,60 @@ def partition(
     context.  ``bits`` holds the items' bits and the node mask, as
     :meth:`CoverageTable.node_bits` gives them.  The table's entry under the
     key (``context``, ``candidate.atom``) is read, only the items whose bits
-    it has not decided are proved, and those decisions are recorded in it.
+    it has not decided are decided, and those decisions are recorded in it.
     A one-sided split (``sat & mask`` is 0 or ``mask``) is rejected from the
     bits alone, and no list is built.  Otherwise the satisfiable items go
     left and the rest right, both in ``items`` order and unchanged: a
-    decision read from the table carries no witness, so the true side keeps
-    its witnesses of ``context``, and :func:`fit_regression_tree` chains the
-    test into them only if it expands that side.
+    decision carries no witness, so the true side keeps its witnesses of
+    ``context``, and :func:`fit_regression_tree` chains the test into them
+    only if it expands that side.
 
-    ``kept`` holds one list per item, in ``items`` order, for
-    :func:`~liftedrbm.logic.route_decision` to keep the witnesses of
-    ``context`` in.  Passing the same lists for every candidate of one node
-    proves each item's context at most once at that node, instead of once
-    per candidate that its cached witness does not extend.
+    A decision is one lookup in the table's :meth:`CoverageTable.projection`
+    of the candidate's predicate on the positions that the context's
+    witnesses bind (the same for every item: each binds the head's and the
+    context's variables).  An item is satisfiable when its cached witness's
+    values there are in the set; on a miss, unless the cached witness is the
+    head unifier and so the context's only witness, when those of another
+    witness of the context are.  The candidate's other variables are fresh
+    and distinct, so only those values can join with the context, and the
+    decision is exact.  A candidate with a constant, or with a fresh variable
+    at two positions, raises ``ValueError``; :func:`generate_candidates`
+    makes neither.
+
+    ``kept`` holds one list per item, in ``items`` order.  An item's list is
+    filled on its first miss with :func:`~liftedrbm.logic.witnesses` of
+    ``context`` from its head unifier, the cached one among them replaced by
+    the cached witness itself, and read on every later miss.  Passing the
+    same lists for every candidate of one node proves each item's context at
+    most once at that node, instead of once per candidate that its cached
+    witness does not extend.
     """
     item_bits, mask = bits
     key = (tuple(context), candidate.atom)
     known, sat = table._entries.get(key, (0, 0))
     if mask & ~known:
-        for (example, base, cached), bit, witnesses in zip(items, item_bits, kept):
-            if not known & bit:
-                known |= bit
-                extended = route_decision(
-                    context, candidate.atom, base, cached, kb, None, witnesses
-                )
-                if extended is not None:
+        values = None
+        for (_, base, cached), bit, kept_witnesses in zip(items, item_bits, kept):
+            if known & bit:
+                continue
+            known |= bit
+            if values is None:
+                variables, values = table.projection(candidate.atom, cached, kb)
+            if tuple([cached[var].name for var in variables]) in values:
+                sat |= bit
+                continue
+            if cached is base:
+                continue
+            if not kept_witnesses:
+                kept_witnesses += [
+                    cached if w == cached else w for w in witnesses(context, base, kb)
+                ]
+            for witness in kept_witnesses:
+                if witness is not cached and (
+                    tuple([witness[var].name for var in variables]) in values
+                ):
                     sat |= bit
+                    break
         table._entries[key] = (known, sat)
     if not sat & mask or sat & mask == mask:
         return None
@@ -568,20 +648,20 @@ def fit_regression_tree(
     per call and its parameters reused for every leaf with that mean.
 
     Candidates are split from a :class:`CoverageTable` keyed on (node
-    context, candidate atom), so each (context, candidate, example) is proved
-    at most once; each expanded node finds its items' bits once, and a
-    candidate that leaves one side empty is rejected from the bits without
+    context, candidate atom), so each (context, candidate, example) is
+    decided at most once; each expanded node finds its items' bits once, and
+    a candidate that leaves one side empty is rejected from the bits without
     building its lists.  The table is exact because a decision never
     depends on the gradients, and it costs two n-bit ints per distinct
-    context x candidate.  It also keeps each example's head unifier.
+    context x candidate.  It also keeps each example's head unifier, and the
+    projections of the facts that :func:`partition` decides by: one set
+    lookup per example under its cached witness, and no search.
 
     Each expanded node also holds one list per item, in which
-    :func:`~liftedrbm.logic.route_decision` keeps the witnesses of the node's
-    context the first time a candidate falls back for that item, so the
-    context is proved once per item and node rather than once per candidate
-    that the item's cached witness does not extend.  Each kept witness is
-    tried in the order :func:`~liftedrbm.logic.witnesses` meets it, so every
-    decision and witness is the one a full proof gives.
+    :func:`partition` keeps the witnesses of the node's context the first
+    time a candidate misses under that item's cached witness, so the context
+    is proved once per item and node rather than once per candidate that the
+    item's cached witness does not extend.
     The lists are dropped once the node is expanded and are never handed to
     its children: a true child's context is longer, and a false child, whose
     context is the same, would keep them alive while the frontier waits
@@ -591,8 +671,8 @@ def fit_regression_tree(
     items keep their witnesses of the parent's context, and only when the
     true child is expanded does each get
     ``route_decision(parent context, test, base, witness, kb)``: the first
-    witness of its own context, the one a read of the parent's kept lists
-    would have returned.  A true child that stays a leaf is never proved.
+    witness of its own context.  A true child that stays a leaf is never
+    proved.
 
     Pass ``table`` to share one across fits over the same knowledge base (as
     :func:`~liftedrbm.model.train` does for its trees); by default the fit
@@ -658,8 +738,7 @@ def fit_regression_tree(
     while leaves < max_leaves and frontier:
         _, _, node = heapq.heappop(frontier)
         if not node.proven:
-            # Chain each item's first witness of the node's context, the one a
-            # read of its parent's kept witnesses would have returned.
+            # Chain into each item the first witness of the node's context.
             context, test = node.context[:-1], node.context[-1]
             node.items = [
                 (example, base, route_decision(context, test, base, cached, kb))

@@ -20,6 +20,7 @@ from liftedrbm.logic import (
     route_decision,
     unify,
 )
+from liftedrbm.network import HiddenNode, LiftedRBMNetwork
 from liftedrbm.tree import (
     InternalNode,
     LeafNode,
@@ -136,6 +137,25 @@ def example1_kb() -> KnowledgeBase:
 
 def example2_kb() -> KnowledgeBase:
     return parse_facts(EXAMPLE2_FACTS, MOVIE_MODES)
+
+
+def serialize_facts(kb: KnowledgeBase) -> str:
+    """Render all facts back into the file grammar, in insertion order."""
+    lines = [f"{a.predicate.name}({', '.join(t.name for t in a.args)})." for a in kb.facts]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def type_tags(kb: KnowledgeBase) -> tuple[str, ...]:
+    """Every type an argument of a registered predicate takes, so every type
+    of a constant that a fact registered."""
+    return tuple(dict.fromkeys(t for p in kb.predicates.values() for t in p.arg_types))
+
+
+def network_from_clauses(head: Atom, clauses, psi0: float = 0.0) -> LiftedRBMNetwork:
+    """A network hand-built from (clause, parameters) pairs, one hidden node
+    each, as if every clause were a path of tree 0."""
+    hidden = [HiddenNode(i, clause, params, (0, i)) for i, (clause, params) in enumerate(clauses)]
+    return LiftedRBMNetwork(head, psi0, hidden)
 
 
 # --- reference searches ---------------------------------------------------

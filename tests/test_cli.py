@@ -7,12 +7,12 @@ import pytest
 
 from liftedrbm import tree as tree_module
 from liftedrbm.cli import main
-from liftedrbm.data import parse_atom_text, parse_facts, parse_modes, serialize_facts
+from liftedrbm.data import parse_atom_text, parse_facts, parse_modes
 from liftedrbm.model import load_model
 from liftedrbm.network import lrbm_inference, paths_to_lrbm
 from liftedrbm.tree import LeafParams
 
-from helpers import BOOST_FIXTURE
+from helpers import BOOST_FIXTURE, serialize_facts
 from synthetic_domain import MODES_TEXT, generate_movie_domain
 
 

@@ -12,7 +12,6 @@ from liftedrbm.data import (
     parse_examples,
     parse_facts,
     parse_modes,
-    serialize_facts,
     split_folds,
 )
 from liftedrbm.logic import KnowledgeBase, Predicate, unify, witnesses
@@ -27,6 +26,7 @@ from helpers import (
     V,
     atom,
     rule_clauses,
+    serialize_facts,
 )
 
 

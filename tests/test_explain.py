@@ -10,7 +10,6 @@ import pytest
 from liftedrbm.logic import Literal, SearchStats, UnknownConstantError
 from liftedrbm.model import BoostedModel, TrainConfig, train
 from liftedrbm.network import (
-    LiftedRBMNetwork,
     distill_single_tree,
     dumps_network,
     export,
@@ -37,6 +36,7 @@ from helpers import (
     atom,
     example1_kb,
     example2_kb,
+    network_from_clauses,
     oracle_tree_paths,
     rule_clauses,
 )
@@ -50,7 +50,7 @@ DISTILLED_TREE_SHA256 = "8350d06053f0c51940650cc20f441ec12649c9e45577a20053d8e42
 
 def _hand_network(psi0=0.0):
     clauses = [(clause, LeafParams(output_bias=0.1 * (i + 1))) for i, clause in enumerate(rule_clauses())]
-    return LiftedRBMNetwork.from_clauses(COLLAB_HEAD, clauses, psi0=psi0)
+    return network_from_clauses(COLLAB_HEAD, clauses, psi0=psi0)
 
 
 def _single_leaf_model(params=LeafParams(0.25)):
@@ -307,7 +307,7 @@ class TestDistill:
 class TestExport:
     def test_single_hidden_node_dot_lists_body_and_output_edges(self):
         _, _, same_movie = rule_clauses()
-        net = LiftedRBMNetwork.from_clauses(COLLAB_HEAD, [(same_movie, LeafParams(0.3))])
+        net = network_from_clauses(COLLAB_HEAD, [(same_movie, LeafParams(0.3))])
         dot = export(net, "dot")
         assert dot.count('"h_0"') >= 3
         assert '"v_actedin" -> "h_0";' in dot
@@ -325,7 +325,7 @@ class TestExport:
             LeafParams(pos_weight=0.9, neg_weight=-0.4),
             LeafParams(pos_weight=0.2, neg_weight=-0.1),
         ]
-        net = LiftedRBMNetwork.from_clauses(COLLAB_HEAD, list(zip(clauses, params)))
+        net = network_from_clauses(COLLAB_HEAD, list(zip(clauses, params)))
         text = export(net, "text")
         lines = [line for line in text.splitlines() if line.startswith("  h")]
         assert lines[0].lstrip().startswith("h1")  # gap 1.3

@@ -12,7 +12,6 @@ from liftedrbm.logic import (
     Literal,
     Predicate,
     SearchStats,
-    route_decision,
     unify,
     witnesses,
 )
@@ -332,50 +331,6 @@ class TestSatisfactionOracle:
         assert 100 < satisfiable < 2400  # both outcomes well represented
 
 
-def _random_context_case(rng: random.Random):
-    """A random KB, a positive context of 1-3 atoms over a small variable
-    pool, a few head-unifier-like partial bindings of it (some grounding the
-    whole context), and test atoms that share its variables or add fresh
-    ones."""
-    types = [f"t{i}" for i in range(rng.randint(1, 2))]
-    constants = {t: [C(f"{t}c{j}", t) for j in range(rng.randint(2, 5))] for t in types}
-    predicates = [
-        Predicate(f"q{i}", tuple(rng.choice(types) for _ in range(rng.randint(1, 2))))
-        for i in range(rng.randint(2, 3))
-    ]
-    kb = KnowledgeBase()
-    for pred in predicates:
-        kb.register_predicate(pred)
-        for combo in itertools.product(*[constants[t] for t in pred.arg_types]):
-            if rng.random() < 0.45:
-                kb.add(Atom(pred, combo))
-    pool = {t: [V(f"{t.upper()}{j}", t) for j in range(3)] for t in types}
-    fresh = {t: V(f"{t.upper()}9", t) for t in types}
-
-    def random_atom(options):
-        pred = rng.choice(predicates)
-        return Atom(pred, tuple(rng.choice(options(t)) for t in pred.arg_types))
-
-    context = tuple(
-        random_atom(lambda t: pool[t] + [rng.choice(constants[t])] * (rng.random() < 0.2))
-        for _ in range(rng.randint(1, 3))
-    )
-    context_vars = list(dict.fromkeys(v for a in context for v in a.variables()))
-    bases = []
-    for _ in range(3):
-        grounding = rng.random() < 0.25
-        base = {}
-        for var in context_vars:
-            if grounding or rng.random() < 0.3:
-                base[var] = rng.choice(constants[var.type_tag])
-        bases.append(base)
-    tests = [
-        random_atom(lambda t: pool[t] + [fresh[t], rng.choice(constants[t])])
-        for _ in range(8)
-    ]
-    return kb, context, bases, tests
-
-
 def _key(binding):
     """A binding as sorted (variable, constant) names, to compare lists of
     bindings in no particular order."""
@@ -472,50 +427,3 @@ class TestKeptWitnesses:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_kept_lists_decide_and_witness_as_a_full_proof(self):
-        """For every (context, item, test), route_decision with a kept list
-        returns the binding it returns without one, and the one the
-        fast path or a full satisfy of the extended conjunction gives; each
-        list is read over every test twice, so the second round reads it
-        filled.  The cached witness is any witness of the context, not only
-        the first satisfy meets."""
-        rng = random.Random(4242)
-        decided = from_later_witness = from_first_kept = ground_items = 0
-        for _ in range(400):
-            kb, context, bases, tests = _random_context_case(rng)
-            for base in bases:
-                found = list(witnesses(context, base, kb))
-                if not found:
-                    continue  # an item reaches a node only with a witness
-                choices = {0, len(found) - 1, rng.randrange(len(found))}
-                cached_witnesses = [found[i] for i in sorted(choices)]
-                if len(found) == 1 and found[0] == base:
-                    ground_items += 1
-                    # the same grounding as another object than ``base``
-                    cached_witnesses.append(dict(base))
-                for cached in cached_witnesses:
-                    kept = []
-                    for _ in range(2):
-                        for test in tests:
-                            got = route_decision(context, test, base, cached, kb, None, kept)
-                            alone = route_decision(context, test, base, cached, kb)
-                            reference = reference_satisfy((test,), cached, kb)
-                            if reference is None:
-                                reference = reference_satisfy(tuple(context) + (test,), base, kb)
-                                if reference is not None:
-                                    from_later_witness += 1
-                                    later = [w for w in found if w != cached]
-                                    from_first_kept += reference_satisfy((test,), later[0], kb) is not None
-                            assert got == alone == reference, (
-                                f"context={[str(a) for a in context]} test={test} "
-                                f"base={base} cached={cached}"
-                            )
-                            assert got is None or _variables_to_constants(got)
-                            if alone is not None and alone is not cached and alone is not base:
-                                _spoil(alone)  # a binding of the caller's own, not one it passed
-                            decided += 1
-        # the cases the kept lists exist for are well represented
-        assert decided > 10000
-        assert from_later_witness > 500 and from_first_kept > 200
-        assert ground_items > 50

@@ -7,7 +7,17 @@ import random
 import pytest
 
 from liftedrbm.data import parse_facts, parse_modes
-from liftedrbm.logic import Atom, Clause, Literal, RoutingTrie, unify
+from liftedrbm.logic import (
+    Atom,
+    Clause,
+    KnowledgeBase,
+    Literal,
+    Predicate,
+    RoutingTrie,
+    route_decision,
+    unify,
+    witnesses,
+)
 from liftedrbm.model import BoostedModel, TrainConfig
 from liftedrbm.tree import (
     CoverageTable,
@@ -30,6 +40,7 @@ from helpers import (
     COLLAB,
     EXAMPLE1_FACTS,
     MOVIE_MODES,
+    SAMEPERSON,
     C,
     V,
     atom,
@@ -37,6 +48,7 @@ from helpers import (
     exhaustive_fit_tree,
     oracle_per_tree,
     oracle_satisfy,
+    oracle_witnesses,
     reference_coordinate_descent,
     reference_satisfy,
 )
@@ -246,45 +258,188 @@ class TestPartition:
             if rng.random() < 0.4:
                 fact_lines.append(f"s({x}).")
         kb = parse_facts("\n".join(fact_lines), modes)
+        facts = {(fact.predicate.name, tuple(t.name for t in fact.args)) for fact in kb.facts}
+        r, s = modes["r"].predicate, modes["s"].predicate
         target = modes["tgt"].predicate
         head = make_head(target)
-        items = []
-        for _ in range(20):
-            q = atom(target, C(rng.choice(consts), "a"), C(rng.choice(consts), "a"))
-            sub = unify(head, q)
-            items.append((RegressionExample(q, 1, 0.1), sub, sub))
+        queries = [
+            atom(target, C(rng.choice(consts), "a"), C(rng.choice(consts), "a"))
+            for _ in range(20)
+        ]
         a1, a2 = head.args
-        fresh = V("A3", "a")
+        a3, a4 = V("A3", "a"), V("A4", "a")
+
+        def holds(body, query):
+            # some grounding of the body's other variables makes it all facts
+            free = sorted({t for b in body for t in b.args} - {a1, a2}, key=str)
+            for values in itertools.product(consts, repeat=len(free)):
+                grounded = {a1: query.args[0].name, a2: query.args[1].name}
+                grounded.update(zip(free, values))
+                if all((b.predicate.name, tuple(grounded[t] for t in b.args)) in facts
+                       for b in body):
+                    return True
+            return False
+
         table = CoverageTable()
-        two_sided = 0
-        for candidate in (
-            Literal(atom(modes["s"].predicate, a1)),
-            Literal(atom(modes["r"].predicate, a1, a2)),
-            Literal(atom(modes["r"].predicate, a1, fresh)),
-            Literal(atom(modes["r"].predicate, fresh, a2)),
+        two_sided = filled = 0
+        for context, candidate in (
+            ((), atom(s, a1)),
+            ((), atom(r, a1, a2)),
+            ((), atom(r, a1, a3)),
+            ((), atom(r, a3, a2)),
+            ((), atom(r, a1, a1)),  # a bound variable twice
+            ((), atom(s, a3)),  # no bound position
+            ((atom(r, a1, a3),), atom(s, a3)),
+            ((atom(r, a1, a3),), atom(r, a3, a2)),
+            ((atom(r, a1, a3),), atom(r, a2, a4)),
         ):
-            expected = []
-            for example, _, _ in items:
-                x, y = (t.name for t in example.query.args)
-                grounded = {"A1": x, "A2": y}
-                pred = candidate.atom.predicate
-                names = [grounded.get(t.name, None) for t in candidate.atom.args]
-                expected.append(any(
-                    all(n is None or n == fn for n, fn in zip(names, (f.name for f in fact.args)))
-                    for fact in kb.facts
-                    if fact.predicate == pred
-                ))
-            split = _partition((), candidate, items, kb, table)
+            # an item reaches a node with a witness of its context, here the
+            # last one, so a candidate it misses is read from its kept list
+            items = []
+            for q in queries:
+                sub = unify(head, q)
+                found = list(witnesses(context, sub, kb))
+                if found:
+                    items.append((RegressionExample(q, 1, 0.1), sub, found[-1]))
+            kept = [[] for _ in items]
+            split = partition(
+                context, Literal(candidate), items, kb, table, table.node_bits(items), kept
+            )
+            filled += sum(1 for witnesses_kept in kept if witnesses_kept)
+            expected = [holds(context + (candidate,), example.query) for example, _, _ in items]
             # a second split reads every decision from the table
-            assert _partition((), candidate, items, kb, table) == split
+            assert _partition(context, Literal(candidate), items, kb, table) == split
             if split is None:
-                assert len(set(expected)) == 1
+                assert len(set(expected)) <= 1
                 continue
             two_sided += 1
             left, right = split
             assert left == [item for item, sat in zip(items, expected) if sat]
             assert right == [item for item, sat in zip(items, expected) if not sat]
-        assert two_sided >= 2
+        assert two_sided >= 4
+        assert filled > 0
+
+    def test_a_constant_or_a_repeated_fresh_variable_is_refused(self):
+        # neither is a lookup of the bound values in a projection of the
+        # facts, and generate_candidates makes neither
+        kb = example1_kb()
+        items = [_collab_item(kb, "p1", "p2"), _collab_item(kb, "p2", "p1")]
+        p1, p3 = V("P1", "person"), V("P3", "person")
+        for candidate in (
+            atom(ACTEDIN, p1, C("m1", "movie")),
+            atom(SAMEPERSON, p3, p3),
+        ):
+            with pytest.raises(ValueError):
+                _partition((), Literal(candidate), items, kb)
+        # a bound variable twice is a lookup
+        assert _partition((), Literal(atom(SAMEPERSON, p1, p1)), items, kb) is None
+
+    def test_decides_as_the_oracle_under_any_cached_witness(self):
+        """Random contexts, items whose cached witness is any witness of the
+        context, not only the first, and candidates over the context's
+        variables and fresh ones: each decision is the oracle's and the
+        routing walk's.  Every list of kept witnesses serves each candidate
+        twice, with a fresh table, so the second round reads it filled."""
+        rng = random.Random(4242)
+        item_predicate = Predicate("item", ("n",))
+        decided = from_later_witness = refused = 0
+        for _ in range(400):
+            kb, context, bases, tests = _random_context_case(rng)
+            bound = {var for a in context for var in a.variables()}
+            items, context_witnesses = [], []
+            for base in bases:
+                found = list(witnesses(context, base, kb))
+                if not found:
+                    continue  # an item reaches a node only with a witness
+                choices = {0, len(found) - 1, rng.randrange(len(found))}
+                cached_witnesses = [found[i] for i in sorted(choices)]
+                if len(found) == 1 and found[0] == base:
+                    # the same grounding as another object than ``base``
+                    cached_witnesses.append(dict(base))
+                everyone = oracle_witnesses(context, base, kb)
+                for cached in cached_witnesses:
+                    query = atom(item_predicate, C(f"i{len(items)}", "n"))
+                    items.append((RegressionExample(query, 1, 0.0), base, cached))
+                    context_witnesses.append(everyone)
+            if not items:
+                continue
+            expected = {
+                test: [
+                    any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
+                    for everyone in context_witnesses
+                ]
+                for test in tests
+            }
+            kept = [[] for _ in items]
+            for _ in range(2):
+                table = CoverageTable()
+                bits = table.node_bits(items)
+                for test in tests:
+                    free = [t for t in test.args if t not in bound]
+                    if len(set(free)) < len(free):
+                        with pytest.raises(ValueError):
+                            partition(context, Literal(test), items, kb, table, bits, kept)
+                        refused += 1
+                        continue
+                    partition(context, Literal(test), items, kb, table, bits, kept)
+                    known, sat = table._entries[(context, test)]
+                    for (example, base, cached), bit, want in zip(items, bits[0], expected[test]):
+                        assert known & bit
+                        assert bool(sat & bit) == want, (
+                            f"context={[str(a) for a in context]} test={test} "
+                            f"base={base} cached={cached}"
+                        )
+                        routed = route_decision(context, test, base, cached, kb)
+                        assert (routed is not None) == want
+                        decided += 1
+                        from_later_witness += want and not oracle_satisfy(
+                            [Literal(test)], cached, kb
+                        )
+        # the cases the kept lists exist for are well represented
+        assert decided > 10000
+        assert from_later_witness > 500
+        assert refused > 50
+
+
+def _random_context_case(rng: random.Random):
+    """A random KB, a positive context of 1-3 atoms over a small variable
+    pool, a few head-unifier-like partial bindings of it (some grounding the
+    whole context), and candidate atoms that share its variables or add
+    fresh ones."""
+    types = [f"t{i}" for i in range(rng.randint(1, 2))]
+    constants = {t: [C(f"{t}c{j}", t) for j in range(rng.randint(2, 5))] for t in types}
+    predicates = [
+        Predicate(f"q{i}", tuple(rng.choice(types) for _ in range(rng.randint(1, 2))))
+        for i in range(rng.randint(2, 3))
+    ]
+    kb = KnowledgeBase()
+    for pred in predicates:
+        kb.register_predicate(pred)
+        for combo in itertools.product(*[constants[t] for t in pred.arg_types]):
+            if rng.random() < 0.45:
+                kb.add(Atom(pred, combo))
+    pool = {t: [V(f"{t.upper()}{j}", t) for j in range(3)] for t in types}
+    fresh = {t: V(f"{t.upper()}9", t) for t in types}
+
+    def random_atom(options):
+        pred = rng.choice(predicates)
+        return Atom(pred, tuple(rng.choice(options(t)) for t in pred.arg_types))
+
+    context = tuple(
+        random_atom(lambda t: pool[t] + [rng.choice(constants[t])] * (rng.random() < 0.2))
+        for _ in range(rng.randint(1, 3))
+    )
+    context_vars = list(dict.fromkeys(v for a in context for v in a.variables()))
+    bases = []
+    for _ in range(3):
+        grounding = rng.random() < 0.25
+        base = {}
+        for var in context_vars:
+            if grounding or rng.random() < 0.3:
+                base[var] = rng.choice(constants[var.type_tag])
+        bases.append(base)
+    tests = list(dict.fromkeys(random_atom(lambda t: pool[t] + [fresh[t]]) for _ in range(8)))
+    return kb, context, bases, tests
 
 
 class TestCoordinateDescent:
@@ -379,6 +534,13 @@ class TestCoordinateDescent:
         assert coordinate_descent([0.5], learning_rate=1e100) == ZERO_PARAMS
         with pytest.raises(OverflowError):
             reference_coordinate_descent([0.5], learning_rate=1e100)
+
+    @pytest.mark.parametrize("mean", [1e150, 1e200, -1e200])
+    def test_a_leaf_reaches_a_mean_whose_squared_error_overflows(self, mean):
+        # From the start the squared errors of a leaf near 1e200 overflow;
+        # each cycle still moves it towards the mean, as at 1e150.
+        params = coordinate_descent([mean])
+        assert abs(params.value() - mean) <= 1e-6 * abs(mean)
 
     def test_never_returns_a_worse_iterate_than_it_saw(self):
         rng = random.Random(5)
@@ -704,9 +866,7 @@ def _one_tree_model(tree):
 
 
 class TestCoverageTable:
-    def test_shared_table_is_keyed_on_queries_not_positions(self, movie_domain, monkeypatch):
-        import liftedrbm.tree as tree_module
-
+    def test_shared_table_is_keyed_on_queries_not_positions(self, movie_domain):
         kb, examples, _ = movie_domain
         labeled = examples.labeled()
         first = [RegressionExample(q, y, 0.9 if y else -0.7) for q, y in labeled]
@@ -716,30 +876,26 @@ class TestCoverageTable:
             RegressionExample(Atom(q.predicate, q.args), y, rng.uniform(-0.9, 0.9))
             for q, y in rng.sample(labeled, len(labeled) // 2)
         ]
-        decisions = []
-        route_decision = tree_module.route_decision
 
-        def counted(*args):
-            decisions.append(args)
-            return route_decision(*args)
+        def decided(table):
+            return sum(known.bit_count() for known, _ in table._entries.values())
 
-        monkeypatch.setattr(tree_module, "route_decision", counted)
-        fresh = fit_regression_tree(second, 4, MOVIE_MODES, kb)
-        fresh_decisions = len(decisions)
+        alone = CoverageTable()
+        fresh = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=alone)
         table = CoverageTable()
         fit_regression_tree(first, 4, MOVIE_MODES, kb, table=table)
-        decisions.clear()
+        before = decided(table)
         shared = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=table)
-        assert len(decisions) < fresh_decisions  # the table was read
+        assert decided(table) - before < decided(alone)  # the table was read
         assert shared.to_text() == fresh.to_text()
 
     def test_each_kept_witness_list_serves_one_node_item(self, movie_domain, monkeypatch):
         # A list of kept witnesses holds the witnesses of one node's context
-        # for one item: it must never reach route_decision with another
-        # context, head unifier or cached witness, or outside a candidate's
-        # split, and a decision read from it must return the witness that
-        # the same decision returns without it.  Every other decision is the
-        # proof of an expanded true child's item, which went left, so it
+        # for one item: partition must never be handed it with another
+        # context, head unifier or cached witness, and it holds the witnesses
+        # of that context, the cached one as itself.  A candidate is decided
+        # by set lookups, so every decision made through route_decision is
+        # the proof of an expanded true child's item, which went left: it
         # must return the first witness of the child's context.
         import liftedrbm.tree as tree_module
 
@@ -749,34 +905,39 @@ class TestCoverageTable:
             RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
         ]
         owners = {}
+        filled = set()  # the lists whose witnesses were checked
         expanded = []  # the witnesses chained into true children when expanded
         partitioning = []
         route_decision, partition = tree_module.route_decision, tree_module.partition
 
-        def recorded(context, test, base, cached, kb, stats=None, kept=None):
-            result = route_decision(context, test, base, cached, kb, stats, kept)
-            if kept is not None:
-                assert partitioning  # lists serve candidates only
-                owner = owners.setdefault(id(kept), (kept, tuple(context), base, cached))
-                assert owner[1] == tuple(context) and owner[2] is base and owner[3] is cached
-                assert result == route_decision(context, test, base, cached, kb)
-            elif not partitioning:
-                assert result is not None  # the item went to the true side
-                assert result == reference_satisfy(tuple(context) + (test,), base, kb)
-                expanded.append(result)
+        def recorded(context, test, base, cached, kb, stats=None):
+            assert not partitioning  # candidates are decided by set lookups
+            result = route_decision(context, test, base, cached, kb, stats)
+            assert result is not None  # the item went to the true side
+            assert result == reference_satisfy(tuple(context) + (test,), base, kb)
+            expanded.append(result)
             return result
 
-        def candidate_split(*args):
+        def candidate_split(context, candidate, items, kb, table, bits, kept):
             partitioning.append(True)
             try:
-                return partition(*args)
+                return partition(context, candidate, items, kb, table, bits, kept)
             finally:
                 partitioning.pop()
+                for (_, base, cached), witnesses_kept in zip(items, kept):
+                    owner = owners.setdefault(
+                        id(witnesses_kept), (witnesses_kept, tuple(context), base, cached)
+                    )
+                    assert owner[1] == tuple(context) and owner[2] is base and owner[3] is cached
+                    if witnesses_kept and id(witnesses_kept) not in filled:
+                        filled.add(id(witnesses_kept))
+                        assert witnesses_kept == list(witnesses(context, base, kb))
+                        assert sum(w is cached for w in witnesses_kept) == 1
 
         monkeypatch.setattr(tree_module, "route_decision", recorded)
         monkeypatch.setattr(tree_module, "partition", candidate_split)
         tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
-        assert sum(1 for kept, _, _, _ in owners.values() if kept) > 50  # lists were filled
+        assert len(filled) > 50  # lists were filled
         assert len(expanded) > 50
         reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
