@@ -328,10 +328,11 @@ def route_decision(
     fails, the first of :func:`witnesses` of ``context + (test,)`` from
     ``base``.
     When ``cached is base``, ``base`` itself grounds the context, so it is the
-    context's only witness and the fast path was the whole search.  A routing
-    walk and a fit's expansion of a true child decide here; a fit's candidate
-    splits need no witness and are decided by set lookups instead (see
-    :func:`~liftedrbm.tree.partition`).
+    context's only witness and the fast path was the whole search.  Only a
+    routing walk decides here: a fit carries every witness of a node's
+    context as rows, decides its candidate splits by set lookups
+    (:func:`~liftedrbm.tree.partition`) and extends a true child's rows by a
+    join (:func:`~liftedrbm.tree.join`).
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so

@@ -4,12 +4,14 @@ Internal nodes test one literal; each root-to-leaf path is a conjunctive
 clause and every leaf carries the five parameters of one network feature: an
 output-bias difference, a hidden-unit bias, a path-feature weight, and the two
 hidden-to-output weights.  A node's decision is satisfiability of the whole
-path conjunction extended by its test, with the first witness chained into the
-bindings, so training-time partitions and routing at prediction time agree
-exactly.  A path's context holds only the atoms of its positive tests: a false
-branch adds nothing, since its negated test holds on every extension of the
-context (see :func:`~liftedrbm.logic.route_decision`).  A path read as the
-clause (head, signed path literals) is what a model's or a network's
+path conjunction extended by its test.  Training decides it over every witness
+of the path's context at once, carried down the tree as rows; routing at
+prediction time proves it from the first witness chained down the path; both
+decide the same conjunction, so they agree exactly.  A path's context holds
+only the atoms of its positive tests: a false branch adds nothing, since its
+negated test holds on every extension of the context (see
+:func:`~liftedrbm.logic.route_decision`).  A path read as the clause (head,
+signed path literals) is what a model's or a network's
 :class:`~liftedrbm.logic.RoutingTrie` routes.
 """
 
@@ -20,6 +22,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .logic import (
@@ -29,9 +32,6 @@ from .logic import (
     Literal,
     Predicate,
     Term,
-    route_decision,
-    unify,
-    witnesses,
 )
 
 
@@ -129,8 +129,10 @@ def coordinate_descent(
     overflows it is a rising one; when the objectives before and after a
     cycle both overflow, the cycle's change is read from their difference
     ``(|r0| - |r1|) * (|r0| + |r1|)`` of the residuals' squares, so a leaf
-    whose targets are near 1e200 still descends to their mean.  Empty input
-    returns ``theta0`` unchanged.
+    whose targets are near 1e200 still descends to their mean.  A step is
+    ``rate * (2 * r * partial)`` for the residual r, unless ``2 * r``
+    overflows; then it is ``2 * (rate * (r * partial))``, so a mean near the
+    float maximum is reached too.  Empty input returns ``theta0`` unchanged.
 
     The cycle is written out: with ``a = p1 + p2 + p4`` and ``b = p1 + p2 +
     p3`` the leaf value is ``p0 + softplus(a) - softplus(b)`` (:func:`_value`)
@@ -149,6 +151,7 @@ def coordinate_descent(
         return theta0
     mean = sum(deltas) / len(deltas)
     rate, exp, log1p, inf = learning_rate, math.exp, math.log1p, math.inf
+    half = sys.float_info.max / 2
     p0, p1, p2, p3, p4 = theta0.as_tuple()
     a = p1 + p2 + p4
     ea = exp(-a if a >= 0 else a)
@@ -160,11 +163,12 @@ def coordinate_descent(
     previous = _square(residual)
     for cycle in range(max_iters):
         # 0: output bias, whose partial is 1.
-        p0 -= rate * (2.0 * residual)
+        p0 -= rate * (2.0 * residual) if -half <= residual <= half else 2.0 * (rate * residual)
         # 1: hidden bias, at the a and b of coordinate 0.
         ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
         gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
-        p1 -= rate * (2.0 * (p0 + sa - sb - mean) * (ga - gb))
+        r = p0 + sa - sb - mean
+        p1 -= rate * (2.0 * r * (ga - gb)) if -half <= r <= half else 2.0 * (rate * (r * (ga - gb)))
         # 2: feature weight; p1 moved a and b.
         a = p1 + p2 + p4
         ea = exp(-a if a >= 0 else a)
@@ -174,7 +178,8 @@ def coordinate_descent(
         sb = (0.0 if 0.0 > b else b) + log1p(eb)
         ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
         gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
-        p2 -= rate * (2.0 * (p0 + sa - sb - mean) * (ga - gb))
+        r = p0 + sa - sb - mean
+        p2 -= rate * (2.0 * r * (ga - gb)) if -half <= r <= half else 2.0 * (rate * (r * (ga - gb)))
         # 3: negative weight; p2 moved a and b.
         a = p1 + p2 + p4
         ea = exp(-a if a >= 0 else a)
@@ -183,13 +188,15 @@ def coordinate_descent(
         eb = exp(-b if b >= 0 else b)
         sb = (0.0 if 0.0 > b else b) + log1p(eb)
         gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
-        p3 -= rate * (2.0 * (p0 + sa - sb - mean) * -gb)
+        r = p0 + sa - sb - mean
+        p3 -= rate * (2.0 * r * -gb) if -half <= r <= half else 2.0 * (rate * (r * -gb))
         # 4: positive weight; p3 moved b only.
         b = p1 + p2 + p3
         eb = exp(-b if b >= 0 else b)
         sb = (0.0 if 0.0 > b else b) + log1p(eb)
         ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
-        p4 -= rate * (2.0 * (p0 + sa - sb - mean) * ga)
+        r = p0 + sa - sb - mean
+        p4 -= rate * (2.0 * r * ga) if -half <= r <= half else 2.0 * (rate * (r * ga))
         # p4 moved a only.
         a = p1 + p2 + p4
         ea = exp(-a if a >= 0 else a)
@@ -371,8 +378,35 @@ def generate_candidates(
     return out
 
 
-# (example, head unifier, cached witness of the node's context)
-FitItem = tuple[RegressionExample, dict[Term, Term], dict[Term, Term]]
+# (example, rows): every witness of the node's context, each as the names of
+# the constants it binds to the node's bound variables, in their order
+FitItem = tuple[RegressionExample, tuple[tuple[str, ...], ...]]
+
+
+def _key(columns: Sequence[int]):
+    """A function reading the values at ``columns`` of a row or a fact, as
+    the keys of a projection or a grouping: one name for one column, a
+    tuple for several, ``()`` for none."""
+    return itemgetter(*columns) if columns else lambda row: ()
+
+
+def _columns(test: Atom, bound_vars: Sequence[Term]) -> tuple[list[int], list[int], list[int]]:
+    """The positions of ``test``'s arguments in ``bound_vars``, their columns
+    there, and the positions of its other arguments.  Those must be distinct
+    variables: a constant, or a free variable at two positions, raises
+    ``ValueError``."""
+    positions, columns, free = [], [], []
+    for pos, term in enumerate(test.args):
+        if not term.is_variable:
+            raise ValueError(f"{test}: the constant {term} is not a projection")
+        if term in bound_vars:
+            positions.append(pos)
+            columns.append(bound_vars.index(term))
+        elif any(test.args[other] == term for other in free):
+            raise ValueError(f"{test}: the free variable {term} repeats")
+        else:
+            free.append(pos)
+    return positions, columns, free
 
 
 class CoverageTable:
@@ -384,181 +418,181 @@ class CoverageTable:
     decided and ``sat`` those whose extended conjunction is satisfiable.  Each
     distinct query atom owns one bit.  The entries are exact: a decision
     depends only on the knowledge base, the context, the candidate and the
-    query (through its head unifier), never on gradients or on which witness
-    of the context was cached (see :func:`partition`).  A table is therefore
-    valid for one unchanged knowledge base, and costs two n-bit ints per
-    distinct context x candidate for n distinct queries.
+    query, never on gradients.  A table is therefore valid for one unchanged
+    knowledge base, and costs two n-bit ints per distinct context x
+    candidate for n distinct queries.
 
-    It decides those bits by set lookups (:func:`partition`) and keeps the
-    sets: one per predicate x bound positions that a candidate meets, each
-    holding the distinct value tuples of the predicate's facts at those
-    positions (:meth:`projection`), so at most one tuple per fact.
-
-    A node's examples are read through :meth:`node_bits`: the bit of each of
-    its items and their OR, the node mask.  ``sat & mask`` is then the node's
-    true side of a candidate whose entry decides every bit of the mask.
-
-    The table keeps no witnesses.  The witnesses of a node's context that
-    :func:`partition` keeps for its undecided items live in lists the fit
-    holds for that node alone: they serve its candidates only, and a child's
-    context, or its set of items, differs.  It does keep each query's head
-    unifier (:meth:`unifier`), which every fit sharing the table reuses.
+    It also keeps what the fit reads the facts through, each built once:
+    one :meth:`projection` per predicate x bound positions that a candidate
+    meets, and one :meth:`grouping` per predicate x bound positions x new
+    positions that a committed test is joined on.  A node's rows live in
+    its items, never here.
     """
 
-    __slots__ = ("_bits", "_by_id", "_entries", "_projections")
+    __slots__ = ("_by_id", "_bits", "_entries", "_projections", "_groupings")
 
     def __init__(self):
-        self._bits: dict[Atom, int] = {}
         # Hashing an atom walks its terms, so a memo on object identity answers
         # first: a caller passes the same query object for an example in every
         # tree.  The memo holds each object, so its id is not reused meanwhile.
-        # Its entry is [query, bit, head unifier or None until found].
-        self._by_id: dict[int, list] = {}
+        self._by_id: dict[int, tuple[Atom, int]] = {}
+        self._bits: dict[Atom, int] = {}
         self._entries: dict[tuple[tuple[Atom, ...], Atom], tuple[int, int]] = {}
-        self._projections: dict[tuple[str, tuple[int, ...]], set[tuple[str, ...]]] = {}
+        self._projections: dict[tuple[str, tuple[int, ...]], set] = {}
+        self._groupings: dict[tuple[str, tuple[int, ...], tuple[int, ...]], dict] = {}
 
-    def _memo(self, query: Atom) -> list:
+    def bit(self, query: Atom) -> int:
         hit = self._by_id.get(id(query))
         if hit is None:
-            mask = self._bits.setdefault(query, 1 << len(self._bits))
-            hit = self._by_id[id(query)] = [query, mask, None]
-        return hit
-
-    def unifier(self, head: Atom, query: Atom) -> Optional[dict[Term, Term]]:
-        """``unify(head, query)``, found once per query object.
-
-        ``head`` must be :func:`make_head` of ``query``'s predicate, as it is in
-        every :func:`fit_regression_tree`: those heads are equal, and no
-        binding is ever mutated, so every fit sharing the table can share the
-        unifier.  A ``None``, for an example the fit refuses, is not kept.
-        """
-        hit = self._memo(query)
-        if hit[2] is None:
-            hit[2] = unify(head, query)
-        return hit[2]
+            bit = self._bits.setdefault(query, 1 << len(self._bits))
+            hit = self._by_id[id(query)] = (query, bit)
+        return hit[1]
 
     def projection(
-        self, test: Atom, bound: dict[Term, Term], kb: KnowledgeBase
-    ) -> tuple[tuple[Term, ...], set[tuple[str, ...]]]:
-        """The variables of ``test`` that ``bound`` binds, in argument order,
-        and the set of the name tuples that ``test``'s predicate's facts hold
-        at their positions.
+        self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase
+    ) -> tuple[tuple[int, ...], set]:
+        """The columns in ``bound_vars`` of ``test``'s bound arguments, in
+        argument order, and the set of the values (:func:`_key`) that
+        ``test``'s predicate's facts hold at their positions.
 
-        ``test``'s other arguments must be distinct variables that ``bound``
-        leaves free, so ``test`` holds under a binding of the same variables
-        iff their values are in the set (a semi-join; Bernstein and Chiu,
-        JACM 1981).  A constant, or a free variable at two positions, raises
-        ``ValueError``.  Each set is built from ``kb`` once and kept.
+        ``test``'s other arguments are distinct fresh variables (see
+        :func:`_columns`), so ``test`` holds under a row iff its values at
+        those columns are in the set (a semi-join; Bernstein and Chiu, JACM
+        1981).
         """
-        positions: list[int] = []
-        variables: list[Term] = []
-        free: set[Term] = set()
-        for pos, term in enumerate(test.args):
-            if not term.is_variable:
-                raise ValueError(f"{test}: the constant {term} is not a projection")
-            if term in bound:
-                positions.append(pos)
-                variables.append(term)
-            elif term in free:
-                raise ValueError(f"{test}: the free variable {term} repeats")
-            else:
-                free.add(term)
+        positions, columns, _ = _columns(test, bound_vars)
         name = test.predicate.name
         key = (name, tuple(positions))
         values = self._projections.get(key)
         if values is None:
-            values = self._projections[key] = {
-                tuple([args[pos] for pos in positions]) for args in kb.candidates(name, ())
-            }
-        return tuple(variables), values
+            values = self._projections[key] = set(map(_key(positions), kb.candidates(name, ())))
+        return tuple(columns), values
 
-    def node_bits(self, items: Sequence[FitItem]) -> tuple[list[int], int]:
-        """The bit of each item's query, in ``items`` order, and their OR."""
-        bits = [self._memo(example.query)[1] for example, _, _ in items]
-        mask = 0
-        for bit in bits:
-            mask |= bit
-        return bits, mask
+    def grouping(
+        self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase
+    ) -> tuple[tuple[int, ...], dict]:
+        """The columns of :meth:`projection`, and ``test``'s predicate's
+        facts grouped by their values there: for each value, the names at
+        the other positions of each fact that holds it, in insertion order.
+        """
+        positions, columns, free = _columns(test, bound_vars)
+        name = test.predicate.name
+        key = (name, tuple(positions), tuple(free))
+        groups = self._groupings.get(key)
+        if groups is None:
+            groups = self._groupings[key] = {}
+            read = _key(positions)
+            for args in kb.candidates(name, ()):
+                groups.setdefault(read(args), []).append(tuple([args[pos] for pos in free]))
+        return tuple(columns), groups
+
+
+class NodeIndex:
+    """A fit node's items as :func:`partition` reads them: each item's bit,
+    their OR ``mask``, the items with several rows (``several``, as (bit,
+    rows)), and, per tuple of columns, the OR of the bits of the items whose
+    first row holds each value there (:meth:`first_rows`).  The first
+    ``width`` columns are the head's, on which an item's rows all agree."""
+
+    __slots__ = ("items", "bits", "mask", "several", "width", "_firsts")
+
+    def __init__(self, items: Sequence[FitItem], table: CoverageTable, width: int):
+        self.items = items
+        self.bits = [table.bit(example.query) for example, _ in items]
+        self.mask = 0
+        for bit in self.bits:
+            self.mask |= bit
+        self.several = [(bit, rows) for (_, rows), bit in zip(items, self.bits) if len(rows) > 1]
+        self.width = width
+        self._firsts: dict[tuple[int, ...], dict] = {}
+
+    def first_rows(self, columns: tuple[int, ...]) -> dict:
+        firsts = self._firsts.get(columns)
+        if firsts is None:
+            firsts = self._firsts[columns] = {}
+            read = _key(columns)
+            for (_, rows), bit in zip(self.items, self.bits):
+                value = read(rows[0])
+                firsts[value] = firsts.get(value, 0) | bit
+        return firsts
 
 
 def partition(
-    context: Sequence[Atom],
+    context: tuple[Atom, ...],
+    bound_vars: Sequence[Term],
     candidate: Literal,
-    items: Sequence[FitItem],
+    node: NodeIndex,
     kb: KnowledgeBase,
     table: CoverageTable,
-    bits: tuple[Sequence[int], int],
-    kept: Sequence[list[dict[Term, Term]]],
 ) -> Optional[tuple[list[FitItem], list[FitItem]]]:
-    """Split node examples on satisfiability of (context AND candidate), or
+    """Split a node's items on satisfiability of (context AND candidate), or
     return ``None`` when one side would be empty.
 
-    ``context`` holds the atoms of the node's positive root-to-node tests;
-    every item carries the example's head unifier plus a cached witness of that
-    context.  ``bits`` holds the items' bits and the node mask, as
-    :meth:`CoverageTable.node_bits` gives them.  The table's entry under the
-    key (``context``, ``candidate.atom``) is read, only the items whose bits
-    it has not decided are decided, and those decisions are recorded in it.
-    A one-sided split (``sat & mask`` is 0 or ``mask``) is rejected from the
-    bits alone, and no list is built.  Otherwise the satisfiable items go
-    left and the rest right, both in ``items`` order and unchanged: a
-    decision carries no witness, so the true side keeps its witnesses of
-    ``context``, and :func:`fit_regression_tree` chains the test into them
-    only if it expands that side.
+    ``context`` holds the atoms of the node's positive root-to-node tests
+    and ``bound_vars`` the variables its rows bind.  The table's entry under
+    the key (``context``, ``candidate.atom``) is read, only the items whose
+    bits it has not decided are decided, and those decisions are recorded
+    in it.  A one-sided split (``sat & mask`` is 0 or ``mask``) is rejected
+    from the bits alone, and no list is built.  Otherwise the satisfiable
+    items go left and the rest right, both in ``node.items`` order and
+    unchanged: :func:`fit_regression_tree` joins the test into the true
+    side's rows only if it expands that side.
 
-    A decision is one lookup in the table's :meth:`CoverageTable.projection`
-    of the candidate's predicate on the positions that the context's
-    witnesses bind (the same for every item: each binds the head's and the
-    context's variables).  An item is satisfiable when its cached witness's
-    values there are in the set; on a miss, unless the cached witness is the
-    head unifier and so the context's only witness, when those of another
-    witness of the context are.  The candidate's other variables are fresh
-    and distinct, so only those values can join with the context, and the
-    decision is exact.  A candidate with a constant, or with a fresh variable
-    at two positions, raises ``ValueError``; :func:`generate_candidates`
-    makes neither.
-
-    ``kept`` holds one list per item, in ``items`` order.  An item's list is
-    filled on its first miss with :func:`~liftedrbm.logic.witnesses` of
-    ``context`` from its head unifier, the cached one among them replaced by
-    the cached witness itself, and read on every later miss.  Passing the
-    same lists for every candidate of one node proves each item's context at
-    most once at that node, instead of once per candidate that its cached
-    witness does not extend.
+    An item is satisfiable iff one of its rows holds, at the candidate's
+    bound columns, a value of the table's :meth:`CoverageTable.projection`:
+    the candidate's other variables are fresh and distinct, so only those
+    values join with the context.  One set intersection with
+    :meth:`NodeIndex.first_rows` decides every item whose first row holds;
+    only an item with several rows, facing a candidate that binds a column
+    past the head's, reads its other rows.  A candidate with a constant, or
+    with a fresh variable at two positions, raises ``ValueError``;
+    :func:`generate_candidates` makes neither.
     """
-    item_bits, mask = bits
-    key = (tuple(context), candidate.atom)
+    key = (context, candidate.atom)
     known, sat = table._entries.get(key, (0, 0))
-    if mask & ~known:
-        values = None
-        for (_, base, cached), bit, kept_witnesses in zip(items, item_bits, kept):
-            if known & bit:
-                continue
-            known |= bit
-            if values is None:
-                variables, values = table.projection(candidate.atom, cached, kb)
-            if tuple([cached[var].name for var in variables]) in values:
-                sat |= bit
-                continue
-            if cached is base:
-                continue
-            if not kept_witnesses:
-                kept_witnesses += [
-                    cached if w == cached else w for w in witnesses(context, base, kb)
-                ]
-            for witness in kept_witnesses:
-                if witness is not cached and (
-                    tuple([witness[var].name for var in variables]) in values
-                ):
+    mask = node.mask
+    undecided = mask & ~known
+    if undecided:
+        columns, values = table.projection(candidate.atom, bound_vars, kb)
+        firsts = node.first_rows(columns)
+        hits = 0
+        for value in firsts.keys() & values:
+            hits |= firsts[value]
+        sat |= hits & undecided
+        rest = undecided & ~hits
+        if rest and node.several and columns and max(columns) >= node.width:
+            read = _key(columns)
+            for bit, rows in node.several:
+                if rest & bit and not values.isdisjoint(map(read, rows)):
                     sat |= bit
-                    break
-        table._entries[key] = (known, sat)
+        table._entries[key] = (known | mask, sat)
     if not sat & mask or sat & mask == mask:
         return None
     left, right = [], []
-    for item, bit in zip(items, item_bits):
+    for item, bit in zip(node.items, node.bits):
         (left if sat & bit else right).append(item)
     return left, right
+
+
+def join(
+    test: Atom,
+    bound_vars: Sequence[Term],
+    items: Sequence[FitItem],
+    kb: KnowledgeBase,
+    table: CoverageTable,
+) -> list[FitItem]:
+    """Each item with its rows of a context, binding ``bound_vars``, turned
+    into its rows of that context extended by ``test``: each row followed by
+    the new names of each fact of the table's :meth:`CoverageTable.grouping`
+    that it meets.  Rows keep their order and facts their insertion order,
+    so the rows are those of :func:`~liftedrbm.logic.witnesses`, in its
+    order; an item no row of which meets a fact gets none."""
+    columns, groups = table.grouping(test, bound_vars, kb)
+    read = _key(columns)
+    return [
+        (example, tuple([row + new for row in rows for new in groups.get(read(row), ())]))
+        for example, rows in items
+    ]
 
 
 @dataclass
@@ -570,9 +604,10 @@ class _FitNode:
     used_names: frozenset[str]
     params: LeafParams = ZERO_PARAMS
     sse: float = 0.0
-    # False for a true child until it is expanded: its items still carry
-    # witnesses of its parent's context, which lacks the last atom of its own.
-    proven: bool = True
+    # A true child's parent's bound variables until it is expanded: its rows
+    # are still its parent's, and its test, the last atom of its context, is
+    # joined into them then.
+    parent_vars: Optional[tuple[Term, ...]] = None
     test: Optional[Literal] = None
     true_child: Optional["_FitNode"] = None
     false_child: Optional["_FitNode"] = None
@@ -647,32 +682,17 @@ def fit_regression_tree(
     only through their mean, so each distinct mean (bit for bit) is fit once
     per call and its parameters reused for every leaf with that mean.
 
-    Candidates are split from a :class:`CoverageTable` keyed on (node
-    context, candidate atom), so each (context, candidate, example) is
-    decided at most once; each expanded node finds its items' bits once, and
-    a candidate that leaves one side empty is rejected from the bits without
-    building its lists.  The table is exact because a decision never
-    depends on the gradients, and it costs two n-bit ints per distinct
-    context x candidate.  It also keeps each example's head unifier, and the
-    projections of the facts that :func:`partition` decides by: one set
-    lookup per example under its cached witness, and no search.
-
-    Each expanded node also holds one list per item, in which
-    :func:`partition` keeps the witnesses of the node's context the first
-    time a candidate misses under that item's cached witness, so the context
-    is proved once per item and node rather than once per candidate that the
-    item's cached witness does not extend.
-    The lists are dropped once the node is expanded and are never handed to
-    its children: a true child's context is longer, and a false child, whose
-    context is the same, would keep them alive while the frontier waits
-    (measured at about 12% more peak memory on the ``distill`` benchmark).
-
-    A committed split's true side is not proved again when it is made.  Its
-    items keep their witnesses of the parent's context, and only when the
-    true child is expanded does each get
-    ``route_decision(parent context, test, base, witness, kb)``: the first
-    witness of its own context.  A true child that stays a leaf is never
-    proved.
+    Each example carries every witness of its node's context as rows, the
+    root's one row being its query's arguments (tuple-ID propagation; Yin et
+    al., CrossMine, ICDE 2004).  Candidates are split by :func:`partition`
+    from a :class:`CoverageTable` keyed on (node context, candidate atom),
+    so each (context, candidate, example) is decided at most once, by set
+    lookups and no search; a candidate that leaves one side empty is
+    rejected from the bits without building its lists.  A false child keeps
+    its rows, and a true child's rows are extended by its test, by
+    :func:`join`, only when it is expanded, so a true child that stays a
+    leaf is never joined.  The fit proves nothing through
+    :func:`~liftedrbm.logic.witnesses`.
 
     Pass ``table`` to share one across fits over the same knowledge base (as
     :func:`~liftedrbm.model.train` does for its trees); by default the fit
@@ -700,10 +720,7 @@ def fit_regression_tree(
         fit = fits.get(key)
         if fit is None:
             params = coordinate_descent(
-                deltas,
-                learning_rate=learning_rate,
-                max_iters=cd_max_iters,
-                tolerance=cd_tolerance,
+                deltas, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
             )
             fit = fits[key] = (params, params.value())
         params, value = fit
@@ -711,18 +728,12 @@ def fit_regression_tree(
 
     items: list[FitItem] = []
     for example in examples:
-        base = table.unifier(head, example.query)
-        if base is None:
-            raise ValueError(f"example {example.query} does not ground {head}")
-        items.append((example, base, base))
+        query = example.query
+        if query.predicate != predicate or not query.is_ground:
+            raise ValueError(f"example {query} does not ground {head}")
+        items.append((example, (tuple([t.name for t in query.args]),)))
 
-    root = _FitNode(
-        items,
-        depth=0,
-        context=(),
-        bound_vars=head.args,
-        used_names=frozenset(t.name for t in head.args),
-    )
+    root = _FitNode(items, 0, (), head.args, frozenset(t.name for t in head.args))
     root.params, root.sse = fit_leaf([example.gradient for example in examples])
 
     tick = itertools.count()
@@ -737,13 +748,9 @@ def fit_regression_tree(
     leaves = 1
     while leaves < max_leaves and frontier:
         _, _, node = heapq.heappop(frontier)
-        if not node.proven:
-            # Chain into each item the first witness of the node's context.
-            context, test = node.context[:-1], node.context[-1]
-            node.items = [
-                (example, base, route_decision(context, test, base, cached, kb))
-                for example, base, cached in node.items
-            ]
+        if node.parent_vars is not None:
+            node.items = join(node.context[-1], node.parent_vars, node.items, kb, table)
+            node.parent_vars = None
         candidates = generate_candidates(
             node.bound_vars,
             modes,
@@ -751,16 +758,15 @@ def fit_regression_tree(
             used_names=node.used_names,
             exclude_predicates=(predicate.name,),
         )
-        bits = table.node_bits(node.items)
-        kept: list[list[dict[Term, Term]]] = [[] for _ in node.items]
+        index = NodeIndex(node.items, table, len(head.args))
         best = None
         for candidate in candidates:
-            split = partition(node.context, candidate, node.items, kb, table, bits, kept)
+            split = partition(node.context, node.bound_vars, candidate, index, kb, table)
             if split is None:
                 continue
             left, right = split
-            deltas_left = [example.gradient for example, _, _ in left]
-            deltas_right = [example.gradient for example, _, _ in right]
+            deltas_left = [example.gradient for example, _ in left]
+            deltas_right = [example.gradient for example, _ in right]
             if best is not None and _sse_floor(deltas_left) + _sse_floor(deltas_right) >= best[0]:
                 continue  # cannot score strictly below best
             theta_left, sse_left = fit_leaf(deltas_left)
@@ -768,33 +774,23 @@ def fit_regression_tree(
             score = sse_left + sse_right
             if best is None or score < best[0]:
                 best = (score, candidate, left, right, theta_left, sse_left, theta_right, sse_right)
+        del index  # node-local: a child's rows or items differ
         if best is None:
             continue  # permanent leaf
         _, candidate, left, right, theta_left, sse_left, theta_right, sse_right = best
-        del kept  # node-local: a child's context or items differ
         new_vars = tuple(
             v for v in candidate.atom.variables() if v not in node.bound_vars
         )
         child_names = node.used_names | {t.name for t in candidate.atom.variables()}
         node.test = candidate
+        node.items = []  # its items live on in its children; a join frees its rows
         node.true_child = _FitNode(
-            left,
-            depth=node.depth + 1,
-            context=node.context + (candidate.atom,),
-            bound_vars=node.bound_vars + new_vars,
-            used_names=child_names,
-            params=theta_left,
-            sse=sse_left,
-            proven=False,
+            left, node.depth + 1, node.context + (candidate.atom,), node.bound_vars + new_vars,
+            child_names, theta_left, sse_left, parent_vars=node.bound_vars,
         )
         node.false_child = _FitNode(
-            right,
-            depth=node.depth + 1,
-            context=node.context,
-            bound_vars=node.bound_vars,
-            used_names=child_names,
-            params=theta_right,
-            sse=sse_right,
+            right, node.depth + 1, node.context, node.bound_vars, child_names,
+            theta_right, sse_right,
         )
         leaves += 1
         push(node.true_child)
@@ -805,7 +801,7 @@ def fit_regression_tree(
     def materialize(node: _FitNode) -> TreeNode:
         if node.test is None:
             value = node.params.value()
-            for example, _, _ in node.items:
+            for example, _ in node.items:
                 leaf_value[id(example)] = value
             return LeafNode(node.params)
         return InternalNode(

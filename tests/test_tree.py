@@ -29,7 +29,9 @@ from liftedrbm.tree import (
     coordinate_descent,
     fit_regression_tree,
     generate_candidates,
+    join,
     make_head,
+    NodeIndex,
     partition,
     _BOUND_MARGIN,
     _sse_floor,
@@ -50,7 +52,6 @@ from helpers import (
     oracle_satisfy,
     oracle_witnesses,
     reference_coordinate_descent,
-    reference_satisfy,
 )
 
 
@@ -169,19 +170,33 @@ class TestGenerateCandidates:
 
 
 def _collab_item(kb, left, right, gradient=0.5, label=1):
-    head = make_head(COLLAB)
+    """A root item: the example and its one row, the query's arguments."""
     query = atom(COLLAB, C(left, "person"), C(right, "person"))
-    sub = unify(head, query)
-    return RegressionExample(query, label, gradient), sub, sub
+    return RegressionExample(query, label, gradient), ((left, right),)
 
 
-def _partition(context, candidate, items, kb, table=None):
-    """``partition`` with a coverage table (a fresh one unless given) and
-    fresh lists of kept witnesses."""
+def _base(item):
+    """The head unifier of an item's query."""
+    return unify(make_head(item[0].query.predicate), item[0].query)
+
+
+def _partition(context, candidate, items, kb, table=None, bound_vars=None, width=2):
+    """``partition`` at a node binding ``bound_vars`` (by default the head of
+    ``collab`` items), the first ``width`` of them the head's, with a
+    coverage table (a fresh one unless given)."""
     table = table if table is not None else CoverageTable()
-    return partition(
-        context, candidate, items, kb, table, table.node_bits(items), [[] for _ in items]
-    )
+    bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
+    node = NodeIndex(items, table, width)
+    return partition(tuple(context), bound_vars, candidate, node, kb, table)
+
+
+def _names(witness, bound_vars):
+    """A witness as a row: the names it binds to ``bound_vars``, in order."""
+    return tuple(witness[var].name for var in bound_vars)
+
+
+def _new_vars(test, bound_vars):
+    return tuple(dict.fromkeys(v for v in test.variables() if v not in bound_vars))
 
 
 class TestPartition:
@@ -195,47 +210,40 @@ class TestPartition:
         # one-sided: p1 and p2 both act, as the oracle says
         acting = [items[0], _collab_item(kb, "p2", "p1")]
         assert _partition((), acts, acting, kb) is None
-        assert all(oracle_satisfy([acts], base, kb) for _, base, _ in acting)
-        # a decision read from the table carries no witness: items go unchanged
+        assert all(oracle_satisfy([acts], _base(item), kb) for item in acting)
+        # a decision carries no witness: items go unchanged
         assert _partition((), acts, items, kb) == ([items[0]], [items[1]])
-        # The fit chains the committed split's first witness into its true
-        # side when it expands that side, and no sooner.  p1 and p2 act and
-        # p3 does not, so acts splits the root and its true side, which has
-        # the larger error, is expanded first.
+        # The fit joins the committed split's test into its true side's rows
+        # when it expands that side, and no sooner.  p1 and p2 act and p3
+        # does not, so acts splits the root and its true side, which has the
+        # larger error, is expanded first.
         examples = [
             example
-            for example, _, _ in (
+            for example, _ in (
                 items[0], _collab_item(kb, "p2", "p1", 0.3), items[1],
                 _collab_item(kb, "p3", "p2", -0.4),
             )
         ]
         calls = []
-        partitioning = []
-        route_decision, partition = tree_module.route_decision, tree_module.partition
+        join = tree_module.join
 
-        def recorded(context, test, *args):
-            result = route_decision(context, test, *args)
-            if not partitioning:
-                calls.append((test, result))
+        def recorded(test, bound_vars, *args):
+            result = join(test, bound_vars, *args)
+            calls.append((test, bound_vars + _new_vars(test, bound_vars), result))
             return result
 
-        def candidate_split(*args):
-            partitioning.append(True)
-            try:
-                return partition(*args)
-            finally:
-                partitioning.pop()
-
-        monkeypatch.setattr(tree_module, "route_decision", recorded)
-        monkeypatch.setattr(tree_module, "partition", candidate_split)
+        monkeypatch.setattr(tree_module, "join", recorded)
         tree = fit_regression_tree(examples, 2, MOVIE_MODES, kb)
         assert tree.root.test == acts
-        assert calls == []  # the true side is never expanded, so never proved
+        assert calls == []  # the true side is never expanded, so never joined
         tree = fit_regression_tree(examples, 3, MOVIE_MODES, kb)
         assert tree.root.test == acts
-        assert [test for test, _ in calls] == [acts.atom, acts.atom]  # p1's item, p2's
-        for _, witness in calls:
-            assert witness.get(V("M1", "movie")) == C("m1", "movie")
+        ((test, bound_vars, joined),) = calls
+        assert test == acts.atom
+        assert [example.query for example, _ in joined] == [e.query for e in examples[:2]]
+        column = bound_vars.index(V("M1", "movie"))
+        for _, rows in joined:
+            assert rows[0][column] == "m1"
 
     def test_factless_predicate_sends_everything_right(self):
         kb = example1_kb()
@@ -244,7 +252,7 @@ class TestPartition:
 
         candidate = Literal(atom(DIRECTEDBY, V("M", "movie"), V("P1", "person")))
         assert _partition((), candidate, items, kb) is None
-        assert not any(oracle_satisfy([candidate], base, kb) for _, base, _ in items)
+        assert not any(oracle_satisfy([candidate], _base(item), kb) for item in items)
 
     def test_matches_brute_force_grounding_oracle(self):
         rng = random.Random(5)
@@ -281,7 +289,7 @@ class TestPartition:
             return False
 
         table = CoverageTable()
-        two_sided = filled = 0
+        two_sided = several = 0
         for context, candidate in (
             ((), atom(s, a1)),
             ((), atom(r, a1, a2)),
@@ -293,22 +301,18 @@ class TestPartition:
             ((atom(r, a1, a3),), atom(r, a3, a2)),
             ((atom(r, a1, a3),), atom(r, a2, a4)),
         ):
-            # an item reaches a node with a witness of its context, here the
-            # last one, so a candidate it misses is read from its kept list
+            # an item reaches a node with every witness of its context
+            bound_vars = head.args + tuple(v for a in context for v in _new_vars(a, head.args))
             items = []
             for q in queries:
-                sub = unify(head, q)
-                found = list(witnesses(context, sub, kb))
-                if found:
-                    items.append((RegressionExample(q, 1, 0.1), sub, found[-1]))
-            kept = [[] for _ in items]
-            split = partition(
-                context, Literal(candidate), items, kb, table, table.node_bits(items), kept
-            )
-            filled += sum(1 for witnesses_kept in kept if witnesses_kept)
-            expected = [holds(context + (candidate,), example.query) for example, _, _ in items]
+                rows = tuple(_names(w, bound_vars) for w in witnesses(context, unify(head, q), kb))
+                if rows:
+                    items.append((RegressionExample(q, 1, 0.1), rows))
+                    several += len(rows) > 1
+            split = _partition(context, Literal(candidate), items, kb, table, bound_vars)
+            expected = [holds(context + (candidate,), example.query) for example, _ in items]
             # a second split reads every decision from the table
-            assert _partition(context, Literal(candidate), items, kb, table) == split
+            assert _partition(context, Literal(candidate), items, kb, table, bound_vars) == split
             if split is None:
                 assert len(set(expected)) <= 1
                 continue
@@ -317,11 +321,11 @@ class TestPartition:
             assert left == [item for item, sat in zip(items, expected) if sat]
             assert right == [item for item, sat in zip(items, expected) if not sat]
         assert two_sided >= 4
-        assert filled > 0
+        assert several > 0
 
     def test_a_constant_or_a_repeated_fresh_variable_is_refused(self):
         # neither is a lookup of the bound values in a projection of the
-        # facts, and generate_candidates makes neither
+        # facts, nor a join, and generate_candidates makes neither
         kb = example1_kb()
         items = [_collab_item(kb, "p1", "p2"), _collab_item(kb, "p2", "p1")]
         p1, p3 = V("P1", "person"), V("P3", "person")
@@ -331,74 +335,74 @@ class TestPartition:
         ):
             with pytest.raises(ValueError):
                 _partition((), Literal(candidate), items, kb)
+            with pytest.raises(ValueError):
+                join(candidate, make_head(COLLAB).args, items, kb, CoverageTable())
         # a bound variable twice is a lookup
         assert _partition((), Literal(atom(SAMEPERSON, p1, p1)), items, kb) is None
 
-    def test_decides_as_the_oracle_under_any_cached_witness(self):
-        """Random contexts, items whose cached witness is any witness of the
-        context, not only the first, and candidates over the context's
-        variables and fresh ones: each decision is the oracle's and the
-        routing walk's.  Every list of kept witnesses serves each candidate
-        twice, with a fresh table, so the second round reads it filled."""
+    def test_rows_joins_and_decisions_are_the_oracles(self):
+        """Random constant-free contexts, reached from partial bindings by
+        one join per atom, and candidates over the context's variables and
+        fresh ones: the rows an item carries at a node are every witness of
+        the node's context, each join gives the witnesses of the extended
+        context in search order, and each decision is the oracle's."""
         rng = random.Random(4242)
         item_predicate = Predicate("item", ("n",))
-        decided = from_later_witness = refused = 0
-        for _ in range(400):
+        decided = from_later_row = refused = joined = 0
+        for _ in range(1500):
             kb, context, bases, tests = _random_context_case(rng)
-            bound = {var for a in context for var in a.variables()}
-            items, context_witnesses = [], []
-            for base in bases:
-                found = list(witnesses(context, base, kb))
-                if not found:
-                    continue  # an item reaches a node only with a witness
-                choices = {0, len(found) - 1, rng.randrange(len(found))}
-                cached_witnesses = [found[i] for i in sorted(choices)]
-                if len(found) == 1 and found[0] == base:
-                    # the same grounding as another object than ``base``
-                    cached_witnesses.append(dict(base))
-                everyone = oracle_witnesses(context, base, kb)
-                for cached in cached_witnesses:
-                    query = atom(item_predicate, C(f"i{len(items)}", "n"))
-                    items.append((RegressionExample(query, 1, 0.0), base, cached))
-                    context_witnesses.append(everyone)
-            if not items:
+            if any(not t.is_variable for a in context for t in a.args):
                 continue
-            expected = {
-                test: [
-                    any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
-                    for everyone in context_witnesses
-                ]
-                for test in tests
-            }
-            kept = [[] for _ in items]
-            for _ in range(2):
-                table = CoverageTable()
-                bits = table.node_bits(items)
-                for test in tests:
-                    free = [t for t in test.args if t not in bound]
+            nodes: dict[tuple, list] = {}  # head variables -> items
+            for i, base in enumerate(bases):
+                example = RegressionExample(atom(item_predicate, C(f"i{i}", "n")), 1, 0.0)
+                head_vars = tuple(var for var in dict.fromkeys(
+                    v for a in context for v in a.variables()) if var in base)
+                bound_vars = head_vars
+                items = [(example, (_names(base, head_vars),))]
+                for k, test in enumerate(context):
+                    free = [t for t in test.args if t not in bound_vars]
                     if len(set(free)) < len(free):
                         with pytest.raises(ValueError):
-                            partition(context, Literal(test), items, kb, table, bits, kept)
+                            join(test, bound_vars, items, kb, CoverageTable())
+                        break
+                    items = join(test, bound_vars, items, kb, CoverageTable())
+                    bound_vars += _new_vars(test, bound_vars)
+                    want = [_names(w, bound_vars) for w in witnesses(context[:k + 1], base, kb)]
+                    assert list(items[0][1]) == want
+                    joined += 1
+                else:
+                    everyone = oracle_witnesses(context, base, kb)
+                    assert sorted(items[0][1]) == sorted(_names(w, bound_vars) for w in everyone)
+                    if everyone:  # an item reaches a node only with a witness
+                        key = (head_vars, bound_vars)
+                        nodes.setdefault(key, []).append((example, items[0][1], everyone))
+            table = CoverageTable()
+            for (head_vars, bound_vars), members in nodes.items():
+                items = [(example, rows) for example, rows, _ in members]
+                node = NodeIndex(items, table, len(head_vars))
+                for test in tests:
+                    free = [t for t in test.args if t not in bound_vars]
+                    if len(set(free)) < len(free):
+                        with pytest.raises(ValueError):
+                            partition(context, bound_vars, Literal(test), node, kb, table)
                         refused += 1
                         continue
-                    partition(context, Literal(test), items, kb, table, bits, kept)
+                    partition(context, bound_vars, Literal(test), node, kb, table)
                     known, sat = table._entries[(context, test)]
-                    for (example, base, cached), bit, want in zip(items, bits[0], expected[test]):
+                    for (example, rows, everyone), bit in zip(members, node.bits):
+                        want = any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
                         assert known & bit
                         assert bool(sat & bit) == want, (
-                            f"context={[str(a) for a in context]} test={test} "
-                            f"base={base} cached={cached}"
+                            f"context={[str(a) for a in context]} test={test} rows={rows}"
                         )
-                        routed = route_decision(context, test, base, cached, kb)
-                        assert (routed is not None) == want
                         decided += 1
-                        from_later_witness += want and not oracle_satisfy(
-                            [Literal(test)], cached, kb
-                        )
-        # the cases the kept lists exist for are well represented
-        assert decided > 10000
-        assert from_later_witness > 500
-        assert refused > 50
+                        first = {var: kb.constant(name) for var, name in zip(bound_vars, rows[0])}
+                        from_later_row += want and not oracle_satisfy([Literal(test)], first, kb)
+        # the cases the later rows exist for are well represented
+        assert decided >= 10000
+        assert from_later_row >= 300
+        assert refused > 50 and joined > 1000
 
 
 def _random_context_case(rng: random.Random):
@@ -535,10 +539,11 @@ class TestCoordinateDescent:
         with pytest.raises(OverflowError):
             reference_coordinate_descent([0.5], learning_rate=1e100)
 
-    @pytest.mark.parametrize("mean", [1e150, 1e200, -1e200])
+    @pytest.mark.parametrize("mean", [1e150, 1e200, -1e200, 9e307, 1.7e308, -9e307])
     def test_a_leaf_reaches_a_mean_whose_squared_error_overflows(self, mean):
         # From the start the squared errors of a leaf near 1e200 overflow;
-        # each cycle still moves it towards the mean, as at 1e150.
+        # each cycle still moves it towards the mean, as at 1e150.  Past
+        # 8.99e307, twice the residual overflows too, but a step does not.
         params = coordinate_descent([mean])
         assert abs(params.value() - mean) <= 1e-6 * abs(mean)
 
@@ -889,14 +894,13 @@ class TestCoverageTable:
         assert decided(table) - before < decided(alone)  # the table was read
         assert shared.to_text() == fresh.to_text()
 
-    def test_each_kept_witness_list_serves_one_node_item(self, movie_domain, monkeypatch):
-        # A list of kept witnesses holds the witnesses of one node's context
-        # for one item: partition must never be handed it with another
-        # context, head unifier or cached witness, and it holds the witnesses
-        # of that context, the cached one as itself.  A candidate is decided
-        # by set lookups, so every decision made through route_decision is
-        # the proof of an expanded true child's item, which went left: it
-        # must return the first witness of the child's context.
+    def test_each_item_carries_every_witness_of_its_node_context(self, movie_domain, monkeypatch):
+        # Every item that partition reads carries as rows every witness of
+        # the node's context from its head unifier, in search order, so a
+        # true child's join gave those of the extended context.  The fit
+        # itself searches nothing: with the one search primitive refusing
+        # every call, it still fits the exhaustive reference's tree.
+        import liftedrbm.logic as logic_module
         import liftedrbm.tree as tree_module
 
         kb, examples, _ = movie_domain
@@ -904,43 +908,41 @@ class TestCoverageTable:
         regression = [
             RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
         ]
-        owners = {}
-        filled = set()  # the lists whose witnesses were checked
-        expanded = []  # the witnesses chained into true children when expanded
-        partitioning = []
-        route_decision, partition = tree_module.route_decision, tree_module.partition
+        head = make_head(regression[0].query.predicate)
+        nodes, joins, several = [], [], []
+        partition, join = tree_module.partition, tree_module.join
 
-        def recorded(context, test, base, cached, kb, stats=None):
-            assert not partitioning  # candidates are decided by set lookups
-            result = route_decision(context, test, base, cached, kb, stats)
-            assert result is not None  # the item went to the true side
-            assert result == reference_satisfy(tuple(context) + (test,), base, kb)
-            expanded.append(result)
-            return result
+        def candidate_split(context, bound_vars, candidate, node, kb, table):
+            if not nodes or nodes[-1] is not node:  # a node's candidates come together
+                nodes.append(node)
+                for example, rows in node.items:
+                    found = witnesses(context, unify(head, example.query), kb)
+                    assert rows == tuple(_names(w, bound_vars) for w in found)
+                    several.append(len(rows) > 1)
+            return partition(context, bound_vars, candidate, node, kb, table)
 
-        def candidate_split(context, candidate, items, kb, table, bits, kept):
-            partitioning.append(True)
-            try:
-                return partition(context, candidate, items, kb, table, bits, kept)
-            finally:
-                partitioning.pop()
-                for (_, base, cached), witnesses_kept in zip(items, kept):
-                    owner = owners.setdefault(
-                        id(witnesses_kept), (witnesses_kept, tuple(context), base, cached)
-                    )
-                    assert owner[1] == tuple(context) and owner[2] is base and owner[3] is cached
-                    if witnesses_kept and id(witnesses_kept) not in filled:
-                        filled.add(id(witnesses_kept))
-                        assert witnesses_kept == list(witnesses(context, base, kb))
-                        assert sum(w is cached for w in witnesses_kept) == 1
+        def extended(*args):
+            joins.append(join(*args))
+            return joins[-1]
 
-        monkeypatch.setattr(tree_module, "route_decision", recorded)
         monkeypatch.setattr(tree_module, "partition", candidate_split)
+        monkeypatch.setattr(tree_module, "join", extended)
         tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
-        assert len(filled) > 50  # lists were filled
-        assert len(expanded) > 50
+        assert len(nodes) == 7 and any(several)
+        # each join's rows were read, and checked, at the child it extended
+        assert joins and all(any(node.items is rows for node in nodes) for rows in joins)
         reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the fit searched")
+
+        monkeypatch.setattr(tree_module, "partition", partition)
+        monkeypatch.setattr(tree_module, "join", join)
+        monkeypatch.setattr(logic_module, "iter_matches", refused)
+        with pytest.raises(AssertionError):
+            route_decision((), reference.root.test.atom, {}, {}, kb)
+        assert fit_regression_tree(regression, 8, MOVIE_MODES, kb).to_text() == tree.to_text()
 
     def test_fitted_values_are_the_routed_leaf_values(self, movie_domain):
         kb, examples, _ = movie_domain
