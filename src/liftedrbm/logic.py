@@ -11,6 +11,11 @@ first costs only the search up to it.  A negated literal has one meaning, the
 one a tree's false branch gives it: ``NOT atom`` after a prefix holds iff
 ``prefix AND atom`` has no solution.  A :class:`RoutingTrie` walk is the one
 place that reads it; a signed body is routed by walking a one-clause trie.
+
+A tree fit and :meth:`RoutingTrie.walk_many` decide on rows instead, each a
+witness as the names it binds: by lookups in a :class:`FactViews` projection
+(a semi-join; Bernstein and Chiu, JACM 1981), extended by :func:`join`
+(tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).
 """
 
 from __future__ import annotations
@@ -328,11 +333,9 @@ def route_decision(
     fails, the first of :func:`witnesses` of ``context + (test,)`` from
     ``base``.
     When ``cached is base``, ``base`` itself grounds the context, so it is the
-    context's only witness and the fast path was the whole search.  Only a
-    routing walk decides here: a fit carries every witness of a node's
-    context as rows, decides its candidate splits by set lookups
-    (:func:`~liftedrbm.tree.partition`) and extends a true child's rows by a
-    join (:func:`~liftedrbm.tree.join`).
+    context's only witness and the fast path was the whole search.  Only
+    :meth:`RoutingTrie.walk` decides here: a fit and
+    :meth:`RoutingTrie.walk_many` decide on rows (see :class:`FactViews`).
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so
@@ -344,6 +347,98 @@ def route_decision(
     if cached is base:
         return None
     return next(witnesses(tuple(context) + (test,), base, kb, stats), None)
+
+
+def _key(columns: Sequence[int]):
+    """A function reading the values at ``columns`` of a row or a fact, as
+    the keys of a projection or a grouping: one name for one column, a
+    tuple for several, ``()`` for none."""
+    return itemgetter(*columns) if columns else lambda row: ()
+
+
+def _columns(test: Atom, bound_vars: Sequence[Term]):
+    """How ``test`` reads a row binding ``bound_vars``: its bound positions,
+    their columns, its fresh variables' first positions, and the filters on
+    its predicate's facts: (position, name) for a constant and (position,
+    earlier position) for a fresh variable met again."""
+    positions, columns, free, constants, repeats = [], [], [], [], []
+    first: dict[Term, int] = {}
+    for pos, term in enumerate(test.args):
+        if not term.is_variable:
+            constants.append((pos, term.name))
+        elif term in bound_vars:
+            positions.append(pos)
+            columns.append(bound_vars.index(term))
+        elif term in first:
+            repeats.append((pos, first[term]))
+        else:
+            first[term] = pos
+            free.append(pos)
+    return tuple(positions), tuple(columns), tuple(free), (tuple(constants), tuple(repeats))
+
+
+class FactViews:
+    """The facts as rows are decided and joined on: each :meth:`projection`
+    and :meth:`grouping` is built once per instance, for one unchanged
+    knowledge base.  It holds no rows."""
+
+    __slots__ = ("_projections", "_groupings")
+
+    def __init__(self):
+        self._projections: dict[tuple, set] = {}
+        self._groupings: dict[tuple, dict] = {}
+
+    @staticmethod
+    def _facts(test: Atom, filters, kb: KnowledgeBase) -> list[tuple[str, ...]]:
+        constants, repeats = filters
+        return [
+            args for args in kb.candidates(test.predicate.name, constants)
+            if all(args[pos] == name for pos, name in constants)
+            and all(args[pos] == args[other] for pos, other in repeats)
+        ]
+
+    def projection(self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase):
+        """The columns in ``bound_vars`` of ``test``'s bound arguments, and
+        the set of the values (:func:`_key`) at their positions of the facts
+        ``test`` can match: ``test`` holds under a row iff the row's values
+        at those columns are in the set."""
+        positions, columns, _, filters = _columns(test, bound_vars)
+        key = (test.predicate.name, positions, filters)
+        values = self._projections.get(key)
+        if values is None:
+            facts = self._facts(test, filters, kb)
+            values = self._projections[key] = set(map(_key(positions), facts))
+        return columns, values
+
+    def grouping(self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase):
+        """The columns of :meth:`projection`, and the facts ``test`` can
+        match grouped by their values there: for each value, the names at
+        ``test``'s fresh positions of each fact holding it, in insertion
+        order."""
+        positions, columns, free, filters = _columns(test, bound_vars)
+        key = (test.predicate.name, positions, free, filters)
+        groups = self._groupings.get(key)
+        if groups is None:
+            groups = self._groupings[key] = {}
+            read = _key(positions)
+            for args in self._facts(test, filters, kb):
+                groups.setdefault(read(args), []).append(tuple([args[pos] for pos in free]))
+        return columns, groups
+
+
+def join(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase, views: FactViews):
+    """Each (item, rows of a context binding ``bound_vars``) turned into
+    (item, its rows of that context extended by ``test``): each row followed
+    by the fresh names of each fact of the views' :meth:`FactViews.grouping`
+    that it meets.  Rows keep their order and facts their insertion order,
+    so the rows are those of :func:`witnesses`, in its order; an item no row
+    of which meets a fact gets none."""
+    columns, groups = views.grouping(test, bound_vars, kb)
+    read = _key(columns)
+    return [
+        (item, tuple([row + new for row in rows for new in groups.get(read(row), ())]))
+        for item, rows in items
+    ]
 
 
 class _TrieNode:
@@ -382,7 +477,8 @@ class RoutingTrie:
     identical context, test, head unifier and chain of cached witnesses, so
     every decision, and every witness, is the one the clause would get on
     its own (the argument :class:`~liftedrbm.tree.CoverageTable` relies on).
-    A clause is identified by its position in ``clauses``.
+    A clause is identified by its position in ``clauses``.  A trie keeps no
+    state of a walk; :meth:`walk_many` routes a batch, without witnesses.
     """
 
     __slots__ = ("_roots",)
@@ -433,3 +529,38 @@ class RoutingTrie:
                         stack.append((no, context, cached))
         fired.sort(key=itemgetter(0))
         return fired
+
+    def walk_many(self, queries: Sequence[Atom], kb: KnowledgeBase) -> list[list[int]]:
+        """For each query, ``[i for i, _ in self.walk(query, kb)]``, decided
+        for the whole batch at once on rows.
+
+        A query enters each root its head unifies with as an item with one
+        row, the names the unifier binds; a node's items carry every witness
+        of its context as rows.  ``context AND atom`` is satisfiable iff a
+        row's values are in the atom's projection: such items go to the
+        positive child, their rows extended by :func:`join`, the rest to the
+        negated child unchanged.  The views live for one call."""
+        fired: list[list[int]] = [[] for _ in queries]
+        views = FactViews()
+        for head, root in self._roots.items():
+            bound = tuple(dict.fromkeys(head.variables()))
+            bases = [(index, unify(head, query)) for index, query in enumerate(queries)]
+            items = [(i, (tuple([b[v].name for v in bound]),)) for i, b in bases if b is not None]
+            stack = [(root, bound, items)] if items else []
+            while stack:
+                node, bound, items = stack.pop()
+                for clause_id in node.ends:
+                    for index, _ in items:
+                        fired[index].append(clause_id)
+                for atom, yes, no in node.branches:
+                    columns, values = views.projection(atom, bound, kb)
+                    read = _key(columns)
+                    sat, unsat = [], []
+                    for item in items:
+                        (unsat if values.isdisjoint(map(read, item[1])) else sat).append(item)
+                    if sat and yes is not None:
+                        new = tuple(dict.fromkeys(v for v in atom.variables() if v not in bound))
+                        stack.append((yes, bound + new, join(atom, bound, sat, kb, views)))
+                    if unsat and no is not None:
+                        stack.append((no, bound, unsat))
+        return [sorted(ids) for ids in fired]

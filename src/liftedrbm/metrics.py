@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .data import ExampleSet, FoldSpec
 from .logic import Atom, KnowledgeBase
-from .model import TrainConfig, train
+from .model import TrainConfig, probability, train
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,11 @@ def _fold_metrics(kb, examples, folds, config, fold) -> FoldMetrics:
     start = time.perf_counter()
     train_set, test_set = folds.split(examples, fold)
     model = train(kb, train_set, config)
+    labeled = test_set.labeled()
+    psis = model.psi_many([query for query, _ in labeled], kb)
     scored = [
-        ScoredExample(label, model.predict(query, kb).probability, query)
-        for query, label in test_set.labeled()
+        ScoredExample(label, probability(psi, model.config.psi_clamp), query)
+        for (query, label), psi in zip(labeled, psis)
     ]
     return FoldMetrics(
         fold=fold,

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .data import ModeDeclaration, ParseError, parse_atom_text, read_text, validate_query
 from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie
@@ -116,21 +116,26 @@ class BoostedModel:
     trees: list[RelationalRegressionTree]
     config: TrainConfig
     modes: dict[str, ModeDeclaration] = field(default_factory=dict)
-    # (trees, their routing trie, its clauses' leaf values), built by per_tree
+    # (trees, their routing trie, its clauses' leaf values), built by _routed
     _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
-        """The leaf value each tree routes ground target atom ``query`` to, in
-        tree order; a query :func:`~liftedrbm.data.validate_query` refuses
-        raises its error."""
-        validate_query(query, self.target, kb)
+    def _routed(self) -> tuple[tuple[RelationalRegressionTree, ...], RoutingTrie, list[float]]:
+        """``trees`` as now, their path clauses' trie and leaf values, in
+        clause order; rebuilt when ``trees`` has changed."""
         trees = tuple(self.trees)
         routing = self._routing
         if routing is None or routing[0] != trees:
             clauses = [pair for tree in trees for pair in tree.path_clauses()]
             trie = RoutingTrie([clause for clause, _ in clauses])
             routing = self._routing = (trees, trie, [params.value() for _, params in clauses])
-        _, trie, values = routing
+        return routing
+
+    def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
+        """The leaf value each tree routes ground target atom ``query`` to, in
+        tree order; a query :func:`~liftedrbm.data.validate_query` refuses
+        raises its error."""
+        validate_query(query, self.target, kb)
+        trees, trie, values = self._routed()
         fired = trie.walk(query, kb)
         if len(fired) != len(trees):
             raise ValueError(f"query {query} does not ground target {self.head}")
@@ -138,6 +143,20 @@ class BoostedModel:
 
     def psi(self, query: Atom, kb: KnowledgeBase) -> float:
         return self.psi0 + sum(self.per_tree(query, kb))
+
+    def psi_many(self, queries: Sequence[Atom], kb: KnowledgeBase) -> list[float]:
+        """:meth:`psi` of each query, bit for bit, routed as one batch by
+        :meth:`~liftedrbm.logic.RoutingTrie.walk_many`; the first query that
+        :func:`~liftedrbm.data.validate_query` refuses raises its error."""
+        for query in queries:
+            validate_query(query, self.target, kb)
+        trees, trie, values = self._routed()
+        psis = []
+        for query, fired in zip(queries, trie.walk_many(queries, kb)):
+            if len(fired) != len(trees):
+                raise ValueError(f"query {query} does not ground target {self.head}")
+            psis.append(self.psi0 + sum(values[clause_id] for clause_id in fired))
+        return psis
 
     def predict(self, query: Atom, kb: KnowledgeBase) -> Prediction:
         per_tree = self.per_tree(query, kb)

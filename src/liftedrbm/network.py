@@ -139,8 +139,9 @@ def distill_single_tree(
     """Fit one tree of bounded depth to the ensemble's potentials.
 
     Every example is relabeled with the full potential the ensemble assigns it
-    (found by routing it through all trees) and a single tree is grown against
-    those regression targets.  The conversion is approximate by construction.
+    (all routed through all trees as one batch, by ``model.psi_many``) and a
+    single tree is grown against those regression targets.  The conversion is
+    approximate by construction.
     The result is a one-tree model with the source's configuration and
     modes; its prior is zero because the targets absorb it.
     """
@@ -149,9 +150,9 @@ def distill_single_tree(
     labeled = examples.labeled()
     if not labeled:
         raise ValueError("distillation needs training examples")
+    psis = model.psi_many([query for query, _ in labeled], kb)
     regression = [
-        RegressionExample(query, label, model.psi(query, kb))
-        for query, label in labeled
+        RegressionExample(query, label, psi) for (query, label), psi in zip(labeled, psis)
     ]
     tree = fit_regression_tree(
         regression,

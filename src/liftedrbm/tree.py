@@ -5,11 +5,12 @@ clause and every leaf carries the five parameters of one network feature: an
 output-bias difference, a hidden-unit bias, a path-feature weight, and the two
 hidden-to-output weights.  A node's decision is satisfiability of the whole
 path conjunction extended by its test.  Training decides it over every witness
-of the path's context at once, carried down the tree as rows; routing at
-prediction time proves it from the first witness chained down the path; both
-decide the same conjunction, so they agree exactly.  A path's context holds
-only the atoms of its positive tests: a false branch adds nothing, since its
-negated test holds on every extension of the context (see
+of the path's context at once, carried down the tree as rows (the rows engine
+of :mod:`~liftedrbm.logic`, which a batch walk shares); routing one query
+proves it from the first witness chained down the path; both decide the same
+conjunction, so they agree exactly.  A path's context holds only the atoms of
+its positive tests: a false branch adds nothing, since its negated test holds
+on every extension of the context (see
 :func:`~liftedrbm.logic.route_decision`).  A path read as the clause (head,
 signed path literals) is what a model's or a network's
 :class:`~liftedrbm.logic.RoutingTrie` routes.
@@ -22,16 +23,18 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .logic import (
     Atom,
     Clause,
+    FactViews,
     KnowledgeBase,
     Literal,
     Predicate,
     Term,
+    _key,
+    join,
 )
 
 
@@ -383,33 +386,7 @@ def generate_candidates(
 FitItem = tuple[RegressionExample, tuple[tuple[str, ...], ...]]
 
 
-def _key(columns: Sequence[int]):
-    """A function reading the values at ``columns`` of a row or a fact, as
-    the keys of a projection or a grouping: one name for one column, a
-    tuple for several, ``()`` for none."""
-    return itemgetter(*columns) if columns else lambda row: ()
-
-
-def _columns(test: Atom, bound_vars: Sequence[Term]) -> tuple[list[int], list[int], list[int]]:
-    """The positions of ``test``'s arguments in ``bound_vars``, their columns
-    there, and the positions of its other arguments.  Those must be distinct
-    variables: a constant, or a free variable at two positions, raises
-    ``ValueError``."""
-    positions, columns, free = [], [], []
-    for pos, term in enumerate(test.args):
-        if not term.is_variable:
-            raise ValueError(f"{test}: the constant {term} is not a projection")
-        if term in bound_vars:
-            positions.append(pos)
-            columns.append(bound_vars.index(term))
-        elif any(test.args[other] == term for other in free):
-            raise ValueError(f"{test}: the free variable {term} repeats")
-        else:
-            free.append(pos)
-    return positions, columns, free
-
-
-class CoverageTable:
+class CoverageTable(FactViews):
     """Which examples satisfy ``context AND candidate``, each decided once.
 
     An entry is keyed on a node's context (the atoms of its positive path
@@ -422,14 +399,12 @@ class CoverageTable:
     knowledge base, and costs two n-bit ints per distinct context x
     candidate for n distinct queries.
 
-    It also keeps what the fit reads the facts through, each built once:
-    one :meth:`projection` per predicate x bound positions that a candidate
-    meets, and one :meth:`grouping` per predicate x bound positions x new
-    positions that a committed test is joined on.  A node's rows live in
-    its items, never here.
+    It is also the :class:`~liftedrbm.logic.FactViews` the fit decides and
+    joins rows on.  A node's rows live in its items, never here.  A batch
+    walk (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no table.
     """
 
-    __slots__ = ("_by_id", "_bits", "_entries", "_projections", "_groupings")
+    __slots__ = ("_by_id", "_bits", "_entries")
 
     def __init__(self):
         # Hashing an atom walks its terms, so a memo on object identity answers
@@ -438,8 +413,7 @@ class CoverageTable:
         self._by_id: dict[int, tuple[Atom, int]] = {}
         self._bits: dict[Atom, int] = {}
         self._entries: dict[tuple[tuple[Atom, ...], Atom], tuple[int, int]] = {}
-        self._projections: dict[tuple[str, tuple[int, ...]], set] = {}
-        self._groupings: dict[tuple[str, tuple[int, ...], tuple[int, ...]], dict] = {}
+        super().__init__()
 
     def bit(self, query: Atom) -> int:
         hit = self._by_id.get(id(query))
@@ -447,44 +421,6 @@ class CoverageTable:
             bit = self._bits.setdefault(query, 1 << len(self._bits))
             hit = self._by_id[id(query)] = (query, bit)
         return hit[1]
-
-    def projection(
-        self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase
-    ) -> tuple[tuple[int, ...], set]:
-        """The columns in ``bound_vars`` of ``test``'s bound arguments, in
-        argument order, and the set of the values (:func:`_key`) that
-        ``test``'s predicate's facts hold at their positions.
-
-        ``test``'s other arguments are distinct fresh variables (see
-        :func:`_columns`), so ``test`` holds under a row iff its values at
-        those columns are in the set (a semi-join; Bernstein and Chiu, JACM
-        1981).
-        """
-        positions, columns, _ = _columns(test, bound_vars)
-        name = test.predicate.name
-        key = (name, tuple(positions))
-        values = self._projections.get(key)
-        if values is None:
-            values = self._projections[key] = set(map(_key(positions), kb.candidates(name, ())))
-        return tuple(columns), values
-
-    def grouping(
-        self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase
-    ) -> tuple[tuple[int, ...], dict]:
-        """The columns of :meth:`projection`, and ``test``'s predicate's
-        facts grouped by their values there: for each value, the names at
-        the other positions of each fact that holds it, in insertion order.
-        """
-        positions, columns, free = _columns(test, bound_vars)
-        name = test.predicate.name
-        key = (name, tuple(positions), tuple(free))
-        groups = self._groupings.get(key)
-        if groups is None:
-            groups = self._groupings[key] = {}
-            read = _key(positions)
-            for args in kb.candidates(name, ()):
-                groups.setdefault(read(args), []).append(tuple([args[pos] for pos in free]))
-        return tuple(columns), groups
 
 
 class NodeIndex:
@@ -539,14 +475,11 @@ def partition(
     side's rows only if it expands that side.
 
     An item is satisfiable iff one of its rows holds, at the candidate's
-    bound columns, a value of the table's :meth:`CoverageTable.projection`:
-    the candidate's other variables are fresh and distinct, so only those
-    values join with the context.  One set intersection with
+    bound columns, a value of the table's projection: only those values
+    join with the context.  One set intersection with
     :meth:`NodeIndex.first_rows` decides every item whose first row holds;
     only an item with several rows, facing a candidate that binds a column
-    past the head's, reads its other rows.  A candidate with a constant, or
-    with a fresh variable at two positions, raises ``ValueError``;
-    :func:`generate_candidates` makes neither.
+    past the head's, reads its other rows.
     """
     key = (context, candidate.atom)
     known, sat = table._entries.get(key, (0, 0))
@@ -572,27 +505,6 @@ def partition(
     for item, bit in zip(node.items, node.bits):
         (left if sat & bit else right).append(item)
     return left, right
-
-
-def join(
-    test: Atom,
-    bound_vars: Sequence[Term],
-    items: Sequence[FitItem],
-    kb: KnowledgeBase,
-    table: CoverageTable,
-) -> list[FitItem]:
-    """Each item with its rows of a context, binding ``bound_vars``, turned
-    into its rows of that context extended by ``test``: each row followed by
-    the new names of each fact of the table's :meth:`CoverageTable.grouping`
-    that it meets.  Rows keep their order and facts their insertion order,
-    so the rows are those of :func:`~liftedrbm.logic.witnesses`, in its
-    order; an item no row of which meets a fact gets none."""
-    columns, groups = table.grouping(test, bound_vars, kb)
-    read = _key(columns)
-    return [
-        (example, tuple([row + new for row in rows for new in groups.get(read(row), ())]))
-        for example, rows in items
-    ]
 
 
 @dataclass
@@ -690,8 +602,8 @@ def fit_regression_tree(
     lookups and no search; a candidate that leaves one side empty is
     rejected from the bits without building its lists.  A false child keeps
     its rows, and a true child's rows are extended by its test, by
-    :func:`join`, only when it is expanded, so a true child that stays a
-    leaf is never joined.  The fit proves nothing through
+    :func:`~liftedrbm.logic.join`, only when it is expanded, so a true child
+    that stays a leaf is never joined.  The fit proves nothing through
     :func:`~liftedrbm.logic.witnesses`.
 
     Pass ``table`` to share one across fits over the same knowledge base (as
@@ -797,18 +709,20 @@ def fit_regression_tree(
         push(node.false_child)
 
     leaf_value: dict[int, float] = {}  # id(example) -> value of the leaf it reached
-
-    def materialize(node: _FitNode) -> TreeNode:
-        if node.test is None:
-            value = node.params.value()
-            for example, _ in node.items:
-                leaf_value[id(example)] = value
-            return LeafNode(node.params)
-        return InternalNode(
-            node.test, materialize(node.true_child), materialize(node.false_child)
-        )
-
-    tree = RelationalRegressionTree(head, materialize(root))
+    tree = RelationalRegressionTree(head, _materialize(root, leaf_value))
     if fitted is not None:
         fitted[:] = [leaf_value[id(example)] for example in examples]
     return tree
+
+
+def _materialize(node: _FitNode, values: dict[int, float]) -> TreeNode:
+    """The tree under a fit node, each example's leaf value put in ``values``
+    by its id; not a closure calling itself, a reference cycle per fit."""
+    if node.test is None:
+        value = node.params.value()
+        for example, _ in node.items:
+            values[id(example)] = value
+        return LeafNode(node.params)
+    return InternalNode(
+        node.test, _materialize(node.true_child, values), _materialize(node.false_child, values)
+    )

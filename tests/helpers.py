@@ -37,6 +37,9 @@ from liftedrbm.tree import (
 # The benchmark's fixture model: the default config trained on fold 0 of the
 # seed-11 movie domain, i.e. the same model as the ``movie_model`` fixture.
 BOOST_FIXTURE = Path(__file__).resolve().parent.parent / "bench" / "fixtures" / "boost_model.json"
+# The fixture model of the benchmark's score workload, over the 100-person,
+# 100-movie seed-11 domain.
+SCORE_FIXTURE = BOOST_FIXTURE.with_name("score_model.json")
 
 
 def V(name: str, type_tag: str) -> Term:

@@ -4,11 +4,21 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
-from liftedrbm.logic import Literal, SearchStats, UnknownConstantError
-from liftedrbm.model import BoostedModel, TrainConfig, train
+from liftedrbm.logic import (
+    Atom,
+    Clause,
+    KnowledgeBase,
+    Literal,
+    Predicate,
+    RoutingTrie,
+    SearchStats,
+    UnknownConstantError,
+)
+from liftedrbm.model import BoostedModel, TrainConfig, load_model, train
 from liftedrbm.network import (
     distill_single_tree,
     dumps_network,
@@ -28,6 +38,7 @@ from liftedrbm.tree import (
 
 from helpers import (
     ACTEDIN,
+    BOOST_FIXTURE,
     COLLAB,
     COLLAB_HEAD,
     MOVIE_MODES,
@@ -39,6 +50,7 @@ from helpers import (
     network_from_clauses,
     oracle_tree_paths,
     rule_clauses,
+    SCORE_FIXTURE,
 )
 from synthetic_domain import generate_movie_domain
 
@@ -139,6 +151,152 @@ class TestRoutingTrieOracle:
             again = lrbm_inference(net, query, kb)
             assert again.activated == inferred.activated and again.witnesses == snapshot
             assert model.predict(query, kb).per_tree == expected
+
+
+def _random_batch_case(rng: random.Random):
+    """A random knowledge base over two types, a model of random trees over
+    ``tgt(a, a)``, random signed clauses under heads that repeat a variable
+    or hold a constant, and random queries.  Tests hold constants and
+    variables of a small pool, so some repeat a fresh variable and some meet
+    a variable that an earlier test held only under a negation."""
+    types = ("a", "b")
+    constants = {t: [C(f"{t}{j}", t) for j in range(rng.randint(2, 4))] for t in types}
+    predicates = [
+        Predicate(f"q{i}", tuple(rng.choice(types) for _ in range(rng.randint(1, 3))))
+        for i in range(3)
+    ]
+    target = Predicate("tgt", ("a", "a"))
+    kb = KnowledgeBase()
+    for term in constants["a"] + constants["b"]:
+        kb.register_constant(term.name, term.type_tag)
+    for pred in predicates:
+        kb.register_predicate(pred)
+        for combo in itertools.product(*(constants[t] for t in pred.arg_types)):
+            if rng.random() < 0.35:
+                kb.add(Atom(pred, combo))
+    pool = {t: [V(f"{t.upper()}{j}", t) for j in range(1, 4)] for t in types}
+
+    def test_atom():
+        pred = rng.choice(predicates)
+        options = {t: pool[t] + [rng.choice(constants[t])] * (rng.random() < 0.25) for t in types}
+        return Atom(pred, tuple(rng.choice(options[t]) for t in pred.arg_types))
+
+    def node(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return LeafNode(LeafParams(*(rng.uniform(-1, 1) for _ in range(5))))
+        return InternalNode(Literal(test_atom()), node(depth - 1), node(depth - 1))
+
+    head = make_head(target)
+    trees = [RelationalRegressionTree(head, node(rng.randint(0, 4))) for _ in range(rng.randint(1, 4))]
+    model = BoostedModel(target, head, rng.uniform(-1, 1), trees, TrainConfig())
+    a1 = head.args[0]
+    heads = [head, Atom(target, (a1, a1)), Atom(target, (a1, rng.choice(constants["a"])))]
+    clauses = [
+        Clause(
+            rng.choice(heads),
+            tuple(Literal(test_atom(), rng.random() < 0.4) for _ in range(rng.randint(0, 4))),
+        )
+        for _ in range(rng.randint(1, 8))
+    ]
+    queries = [
+        Atom(target, (rng.choice(constants["a"]), rng.choice(constants["a"])))
+        for _ in range(rng.randint(1, 10))
+    ]
+    return kb, model, clauses, queries
+
+
+def _features(clause: Clause) -> tuple[int, int, int]:
+    """How many of a clause's literals hold a constant, repeat a variable
+    not bound before them, and meet a variable that only an earlier negated
+    literal held."""
+    bound = set(clause.head.variables())
+    negated: set = set()
+    constant = repeat = after_negation = 0
+    for lit in clause.body:
+        args = lit.atom.args
+        fresh = [t for t in args if t.is_variable and t not in bound]
+        constant += not all(t.is_variable for t in args)
+        repeat += len(set(fresh)) < len(fresh)
+        after_negation += any(t in negated for t in fresh)
+        if lit.negated:
+            negated.update(fresh)
+        else:
+            bound.update(fresh)
+    return constant, repeat, after_negation
+
+
+def _hex(values):
+    return [value.hex() for value in values]
+
+
+class TestBatchWalk:
+    """``walk_many`` and ``psi_many`` are ``walk`` and ``psi``, query by query."""
+
+    def test_random_models_and_clauses_match_the_per_query_walk(self):
+        rng = random.Random(2718)
+        decided = [0, 0, 0]  # literals with each feature on clauses that held
+        held = 0
+        for _ in range(600):
+            kb, model, clauses, queries = _random_batch_case(rng)
+            _, model_trie, _ = model._routed()
+            model_clauses = [clause for tree in model.trees for clause, _ in tree.path_clauses()]
+            for trie, listed in ((RoutingTrie(clauses), clauses), (model_trie, model_clauses)):
+                batch = trie.walk_many(queries, kb)
+                assert len(batch) == len(queries)
+                for query, ids in zip(queries, batch):
+                    assert ids == [i for i, _ in trie.walk(query, kb)]
+                    held += len(ids)
+                    for i in ids:
+                        decided = [n + f for n, f in zip(decided, _features(listed[i]))]
+            assert _hex(model.psi_many(queries, kb)) == _hex(model.psi(q, kb) for q in queries)
+        assert held > 8000
+        constant, repeat, after_negation = decided
+        assert constant > 1000 and repeat > 900 and after_negation > 200
+
+    def test_duplicates_an_empty_batch_and_a_zero_tree_model(self, movie_model):
+        model, train_set, _, kb = movie_model
+        queries = [q for q, _ in train_set.labeled()[:40]]
+        doubled = queries + queries[::-1] + queries[:5]
+        assert _hex(model.psi_many(doubled, kb)) == _hex(model.psi(q, kb) for q in doubled)
+        assert model.psi_many([], kb) == []
+        assert model._routed()[1].walk_many([], kb) == []
+        bare = dataclasses.replace(model, trees=[], psi0=0.25)
+        assert bare.psi_many(doubled, kb) == [0.25] * len(doubled)
+        assert bare._routed()[1].walk_many(doubled, kb) == [[]] * len(doubled)
+
+    def test_the_first_refused_query_raises_what_psi_raises(self, movie_model):
+        model, train_set, _, kb = movie_model
+        good = [q for q, _ in train_set.labeled()[:5]]
+        p0 = kb.constant("p0")
+        refused = [
+            atom(COLLAB, p0, C("zz", "person")),  # unknown constant
+            atom(COLLAB, p0, C("m0", "person")),  # a constant at another type
+            atom(ACTEDIN, p0, kb.constant("m0")),  # another predicate
+            atom(COLLAB, p0, V("P2", "person")),  # not ground
+        ]
+        for i, bad in enumerate(refused):
+            with pytest.raises(ValueError) as want:
+                model.psi(bad, kb)
+            batch = good + [bad] + refused[:i] + refused[i + 1:]
+            with pytest.raises(ValueError) as got:
+                model.psi_many(batch, kb)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+    def test_the_benchmark_fixtures_score_alike(self, movie_model):
+        _, train_set, _, kb = movie_model
+        boost = load_model(BOOST_FIXTURE)
+        queries = [q for q, _ in train_set.labeled()]
+        assert _hex(boost.psi_many(queries, kb)) == _hex(boost.psi(q, kb) for q in queries)
+        score = load_model(SCORE_FIXTURE)
+        kb, _, _ = generate_movie_domain(seed=11, n_person=100, n_movie=100, n_pairs=1000)
+        rng = random.Random(1000)
+        people = kb.universe("person")
+        queries = [atom(COLLAB, *rng.sample(people, 2)) for _ in range(1000)]
+        _, trie, _ = score._routed()
+        for query, ids in zip(queries, trie.walk_many(queries, kb)):
+            assert ids == [i for i, _ in trie.walk(query, kb)]
+        assert _hex(score.psi_many(queries, kb)) == _hex(score.psi(q, kb) for q in queries)
 
 
 class TestPathsToLrbm:
@@ -292,6 +450,24 @@ class TestDistill:
 
     def test_depth_ten_distillation_reproduces_the_benchmark_tree(self, movie_model):
         model, train_set, _, kb = movie_model
+        text = distill_single_tree(model, train_set, kb, max_depth=10).trees[0].to_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DISTILLED_TREE_SHA256
+
+    def test_distillation_relabels_without_a_search(self, movie_model, monkeypatch):
+        # The relabelling routes the examples as one batch, on rows: with
+        # the per-query search refusing every call, distillation still
+        # gives the benchmark's tree.
+        import liftedrbm.logic as logic_module
+
+        model, train_set, _, kb = movie_model
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a per-query search ran")
+
+        for name in ("route_decision", "witnesses", "iter_matches"):
+            monkeypatch.setattr(logic_module, name, refused)
+        with pytest.raises(AssertionError):
+            model.psi(train_set.labeled()[0][0], kb)
         text = distill_single_tree(model, train_set, kb, max_depth=10).trees[0].to_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DISTILLED_TREE_SHA256
 

@@ -1,5 +1,6 @@
 """Candidate generation, splitting, leaf fitting, and tree routing."""
 
+import gc
 import itertools
 import math
 import random
@@ -323,36 +324,54 @@ class TestPartition:
         assert two_sided >= 4
         assert several > 0
 
-    def test_a_constant_or_a_repeated_fresh_variable_is_refused(self):
-        # neither is a lookup of the bound values in a projection of the
-        # facts, nor a join, and generate_candidates makes neither
-        kb = example1_kb()
-        items = [_collab_item(kb, "p1", "p2"), _collab_item(kb, "p2", "p1")]
+    def test_a_constant_or_a_repeated_fresh_variable_is_a_filtered_lookup(self):
+        # A constant keeps the facts that hold it, and a fresh variable at two
+        # positions the facts that repeat one value there; then the test is
+        # decided by a lookup in a projection and joined as any other.
+        kb = parse_facts(
+            EXAMPLE1_FACTS + "actedin(p3, m3).\nsameperson(p2, p3).\nsameperson(p3, p3).\n",
+            MOVIE_MODES,
+        )
+        items = [_collab_item(kb, a, b) for a, b in (("p1", "p2"), ("p3", "p1"), ("p2", "p3"))]
+        head = make_head(COLLAB)
         p1, p3 = V("P1", "person"), V("P3", "person")
+        two_sided = 0
         for candidate in (
             atom(ACTEDIN, p1, C("m1", "movie")),
+            atom(ACTEDIN, p3, C("m3", "movie")),
             atom(SAMEPERSON, p3, p3),
+            atom(SAMEPERSON, p1, p1),  # a bound variable twice
+            atom(SAMEPERSON, C("p2", "person"), p1),
         ):
-            with pytest.raises(ValueError):
-                _partition((), Literal(candidate), items, kb)
-            with pytest.raises(ValueError):
-                join(candidate, make_head(COLLAB).args, items, kb, CoverageTable())
-        # a bound variable twice is a lookup
-        assert _partition((), Literal(atom(SAMEPERSON, p1, p1)), items, kb) is None
+            expected = [oracle_satisfy([Literal(candidate)], _base(item), kb) for item in items]
+            split = _partition((), Literal(candidate), items, kb)
+            if split is None:
+                assert len(set(expected)) == 1
+            else:
+                two_sided += 1
+                assert split == (
+                    [item for item, sat in zip(items, expected) if sat],
+                    [item for item, sat in zip(items, expected) if not sat],
+                )
+            bound_vars = head.args + _new_vars(candidate, head.args)
+            joined = join(candidate, head.args, items, kb, CoverageTable())
+            for (_, rows), item, sat in zip(joined, items, expected):
+                found = witnesses((candidate,), _base(item), kb)
+                assert list(rows) == [_names(w, bound_vars) for w in found]
+                assert bool(rows) == sat
+        assert two_sided == 3
 
     def test_rows_joins_and_decisions_are_the_oracles(self):
-        """Random constant-free contexts, reached from partial bindings by
-        one join per atom, and candidates over the context's variables and
-        fresh ones: the rows an item carries at a node are every witness of
+        """Random contexts, reached from partial bindings by one join per
+        atom, and candidates over the context's variables, fresh ones and
+        constants: the rows an item carries at a node are every witness of
         the node's context, each join gives the witnesses of the extended
         context in search order, and each decision is the oracle's."""
         rng = random.Random(4242)
         item_predicate = Predicate("item", ("n",))
-        decided = from_later_row = refused = joined = 0
+        decided = from_later_row = with_constant = with_repeat = joined = 0
         for _ in range(1500):
             kb, context, bases, tests = _random_context_case(rng)
-            if any(not t.is_variable for a in context for t in a.args):
-                continue
             nodes: dict[tuple, list] = {}  # head variables -> items
             for i, base in enumerate(bases):
                 example = RegressionExample(atom(item_predicate, C(f"i{i}", "n")), 1, 0.0)
@@ -361,35 +380,24 @@ class TestPartition:
                 bound_vars = head_vars
                 items = [(example, (_names(base, head_vars),))]
                 for k, test in enumerate(context):
-                    free = [t for t in test.args if t not in bound_vars]
-                    if len(set(free)) < len(free):
-                        with pytest.raises(ValueError):
-                            join(test, bound_vars, items, kb, CoverageTable())
-                        break
                     items = join(test, bound_vars, items, kb, CoverageTable())
                     bound_vars += _new_vars(test, bound_vars)
                     want = [_names(w, bound_vars) for w in witnesses(context[:k + 1], base, kb)]
                     assert list(items[0][1]) == want
                     joined += 1
-                else:
-                    everyone = oracle_witnesses(context, base, kb)
-                    assert sorted(items[0][1]) == sorted(_names(w, bound_vars) for w in everyone)
-                    if everyone:  # an item reaches a node only with a witness
-                        key = (head_vars, bound_vars)
-                        nodes.setdefault(key, []).append((example, items[0][1], everyone))
+                everyone = oracle_witnesses(context, base, kb)
+                assert sorted(items[0][1]) == sorted(_names(w, bound_vars) for w in everyone)
+                if everyone:  # an item reaches a node only with a witness
+                    key = (head_vars, bound_vars)
+                    nodes.setdefault(key, []).append((example, items[0][1], everyone))
             table = CoverageTable()
             for (head_vars, bound_vars), members in nodes.items():
                 items = [(example, rows) for example, rows, _ in members]
                 node = NodeIndex(items, table, len(head_vars))
                 for test in tests:
-                    free = [t for t in test.args if t not in bound_vars]
-                    if len(set(free)) < len(free):
-                        with pytest.raises(ValueError):
-                            partition(context, bound_vars, Literal(test), node, kb, table)
-                        refused += 1
-                        continue
                     partition(context, bound_vars, Literal(test), node, kb, table)
                     known, sat = table._entries[(context, test)]
+                    free = [t for t in test.args if t.is_variable and t not in bound_vars]
                     for (example, rows, everyone), bit in zip(members, node.bits):
                         want = any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
                         assert known & bit
@@ -397,19 +405,23 @@ class TestPartition:
                             f"context={[str(a) for a in context]} test={test} rows={rows}"
                         )
                         decided += 1
+                        with_constant += not all(t.is_variable for t in test.args)
+                        with_repeat += len(set(free)) < len(free)
                         first = {var: kb.constant(name) for var, name in zip(bound_vars, rows[0])}
                         from_later_row += want and not oracle_satisfy([Literal(test)], first, kb)
-        # the cases the later rows exist for are well represented
+        # the cases the later rows, the constants and the repeats exist for
+        # are well represented
         assert decided >= 10000
         assert from_later_row >= 300
-        assert refused > 50 and joined > 1000
+        assert with_constant >= 500 and with_repeat >= 400
+        assert joined > 1000
 
 
 def _random_context_case(rng: random.Random):
     """A random KB, a positive context of 1-3 atoms over a small variable
     pool, a few head-unifier-like partial bindings of it (some grounding the
-    whole context), and candidate atoms that share its variables or add
-    fresh ones."""
+    whole context), and candidate atoms that share its variables, add fresh
+    ones (at times one fresh variable twice) or hold a constant."""
     types = [f"t{i}" for i in range(rng.randint(1, 2))]
     constants = {t: [C(f"{t}c{j}", t) for j in range(rng.randint(2, 5))] for t in types}
     predicates = [
@@ -442,7 +454,10 @@ def _random_context_case(rng: random.Random):
             if grounding or rng.random() < 0.3:
                 base[var] = rng.choice(constants[var.type_tag])
         bases.append(base)
-    tests = list(dict.fromkeys(random_atom(lambda t: pool[t] + [fresh[t]]) for _ in range(8)))
+    tests = list(dict.fromkeys(
+        random_atom(lambda t: pool[t] + [fresh[t]] + [rng.choice(constants[t])] * (rng.random() < 0.2))
+        for _ in range(8)
+    ))
     return kb, context, bases, tests
 
 
@@ -760,6 +775,26 @@ class TestFitRegressionTree:
         modes, kb, _ = _separable_domain()
         with pytest.raises(ValueError):
             fit_regression_tree([], 4, modes, kb)
+
+    def test_a_fit_and_a_batch_walk_leave_no_garbage_cycle(self, movie_domain):
+        """A deep fit, and a batch walk of its tree, are freed by reference
+        counting alone, so neither leaves the cyclic collector anything."""
+        kb, examples, _ = movie_domain
+        regression = [
+            RegressionExample(q, y, 0.3 if y else -0.2) for q, y in examples.labeled()[:200]
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            tree = fit_regression_tree(regression, 64, MOVIE_MODES, kb, max_depth=10, fitted=[])
+            assert gc.collect() == 0
+            assert tree.leaf_count > 8
+            trie = RoutingTrie([clause for clause, _ in tree.path_clauses()])
+            fired = trie.walk_many([e.query for e in regression], kb)
+            assert all(len(ids) == 1 for ids in fired)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _random_fit_case(seed):
