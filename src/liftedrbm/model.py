@@ -188,7 +188,9 @@ def train(
     and dropped on return: whether an example satisfies a node's context and a
     candidate never depends on the gradients, so trees 2..n reuse what earlier
     trees proved.  It holds two n-bit ints per distinct context x candidate
-    for the n training examples.
+    for the n training examples, and the fit plan of every node a tree
+    reached (its rows, candidates and splits), which a later tree reaching
+    that node reuses.
     """
     config = config or TrainConfig()
     if len(examples) == 0:

@@ -14,6 +14,11 @@ on every extension of the context (see
 :func:`~liftedrbm.logic.route_decision`).  A path read as the clause (head,
 signed path literals) is what a model's or a network's
 :class:`~liftedrbm.logic.RoutingTrie` routes.
+
+A fit builds each node once per :class:`CoverageTable`, as a plan of what
+it is regardless of the gradients: its examples by position, rows,
+candidates and splits.  Boosted trees share one table, so a later tree
+reuses every node an earlier one built and only refits the leaves.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 from .logic import (
@@ -270,12 +276,7 @@ class RelationalRegressionTree:
 
     @property
     def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if isinstance(node, LeafNode):
-                return 0
-            return 1 + max(walk(node.true_child), walk(node.false_child))
-
-        return walk(self.root)
+        return _depth(self.root)
 
     def paths(self) -> Iterable[tuple[tuple[Literal, ...], LeafNode]]:
         """Root-to-leaf paths as signed literal tuples, true branch first."""
@@ -296,20 +297,28 @@ class RelationalRegressionTree:
 
     def to_text(self) -> str:
         lines: list[str] = [str(self.head)]
-
-        def walk(node: TreeNode, indent: str):
-            if isinstance(node, LeafNode):
-                values = ", ".join(repr(v) for v in node.params.as_tuple())
-                lines.append(f"{indent}leaf value={node.params.value():.6f} params=({values})")
-                return
-            lines.append(f"{indent}test {node.test}")
-            lines.append(f"{indent}yes:")
-            walk(node.true_child, indent + "  ")
-            lines.append(f"{indent}no:")
-            walk(node.false_child, indent + "  ")
-
-        walk(self.root, "  ")
+        _text_lines(self.root, "  ", lines)
         return "\n".join(lines) + "\n"
+
+
+# Module-level, not closures calling themselves: such a closure is a
+# reference cycle on every call.
+def _depth(node: TreeNode) -> int:
+    if isinstance(node, LeafNode):
+        return 0
+    return 1 + max(_depth(node.true_child), _depth(node.false_child))
+
+
+def _text_lines(node: TreeNode, indent: str, lines: list[str]) -> None:
+    if isinstance(node, LeafNode):
+        values = ", ".join(repr(v) for v in node.params.as_tuple())
+        lines.append(f"{indent}leaf value={node.params.value():.6f} params=({values})")
+        return
+    lines.append(f"{indent}test {node.test}")
+    lines.append(f"{indent}yes:")
+    _text_lines(node.true_child, indent + "  ", lines)
+    lines.append(f"{indent}no:")
+    _text_lines(node.false_child, indent + "  ", lines)
 
 
 def _fresh_variable(type_tag: str, taken: set[str]) -> Term:
@@ -381,30 +390,43 @@ def generate_candidates(
     return out
 
 
-# (example, rows): every witness of the node's context, each as the names of
-# the constants it binds to the node's bound variables, in their order
-FitItem = tuple[RegressionExample, tuple[tuple[str, ...], ...]]
+# (position, rows): the example's index in the fit's ``examples``, and every
+# witness of the node's context, each as the names of the constants it binds
+# to the node's bound variables, in their order
+FitItem = tuple[int, tuple[tuple[str, ...], ...]]
+
+# Turns a split's selector into its complement.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class CoverageTable(FactViews):
-    """Which examples satisfy ``context AND candidate``, each decided once.
+    """Which examples satisfy ``context AND candidate``, each decided once,
+    and the fit plans built on those decisions.
 
     An entry is keyed on a node's context (the atoms of its positive path
-    tests) and a candidate atom, variable names included, and holds two ints
-    used as bitsets over the examples: ``known`` marks the examples already
-    decided and ``sat`` those whose extended conjunction is satisfiable.  Each
-    distinct query atom owns one bit.  The entries are exact: a decision
-    depends only on the knowledge base, the context, the candidate and the
-    query, never on gradients.  A table is therefore valid for one unchanged
-    knowledge base, and costs two n-bit ints per distinct context x
-    candidate for n distinct queries.
+    tests), interned as an int by :meth:`context_id`, and a candidate atom,
+    variable names included, and holds two ints used as bitsets over the
+    examples: ``known`` marks the examples already decided and ``sat`` those
+    whose extended conjunction is satisfiable.  Each distinct query atom
+    owns one bit.  The entries are exact: a decision depends only on the
+    knowledge base, the context, the candidate and the query, never on
+    gradients.  A table is therefore valid for one unchanged knowledge base,
+    and costs two n-bit ints per distinct context x candidate for n distinct
+    queries.
+
+    It also maps a root key to the root of a tree of fit plans (see
+    :func:`fit_regression_tree`).  The key holds everything a plan depends
+    on besides the knowledge base: the target, each example's query bit in
+    example order, the modes and ``max_new_vars``.  A plan holds no
+    gradient, so a later fit with the same key reuses every node, join,
+    candidate and split an earlier fit built.
 
     It is also the :class:`~liftedrbm.logic.FactViews` the fit decides and
-    joins rows on.  A node's rows live in its items, never here.  A batch
-    walk (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no table.
+    joins rows on.  A batch walk
+    (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no table.
     """
 
-    __slots__ = ("_by_id", "_bits", "_entries")
+    __slots__ = ("_by_id", "_bits", "_contexts", "_entries", "_roots")
 
     def __init__(self):
         # Hashing an atom walks its terms, so a memo on object identity answers
@@ -412,7 +434,9 @@ class CoverageTable(FactViews):
         # tree.  The memo holds each object, so its id is not reused meanwhile.
         self._by_id: dict[int, tuple[Atom, int]] = {}
         self._bits: dict[Atom, int] = {}
-        self._entries: dict[tuple[tuple[Atom, ...], Atom], tuple[int, int]] = {}
+        self._contexts: dict[tuple[Atom, ...], int] = {}
+        self._entries: dict[tuple[int, Atom], tuple[int, int]] = {}
+        self._roots: dict[tuple, _Plan] = {}
         super().__init__()
 
     def bit(self, query: Atom) -> int:
@@ -422,19 +446,24 @@ class CoverageTable(FactViews):
             hit = self._by_id[id(query)] = (query, bit)
         return hit[1]
 
+    def context_id(self, context: tuple[Atom, ...]) -> int:
+        """The int that stands for ``context`` in this table's entry keys."""
+        return self._contexts.setdefault(context, len(self._contexts))
+
 
 class NodeIndex:
-    """A fit node's items as :func:`partition` reads them: each item's bit,
-    their OR ``mask``, the items with several rows (``several``, as (bit,
-    rows)), and, per tuple of columns, the OR of the bits of the items whose
-    first row holds each value there (:meth:`first_rows`).  The first
-    ``width`` columns are the head's, on which an item's rows all agree."""
+    """A fit node's items as :func:`partition` reads them: each item's bit
+    (``bits`` holds one per position), their OR ``mask``, the items with
+    several rows (``several``, as (bit, rows)), and, per tuple of columns,
+    the OR of the bits of the items whose first row holds each value there
+    (:meth:`first_rows`).  The first ``width`` columns are the head's, on
+    which an item's rows all agree."""
 
     __slots__ = ("items", "bits", "mask", "several", "width", "_firsts")
 
-    def __init__(self, items: Sequence[FitItem], table: CoverageTable, width: int):
+    def __init__(self, items: Sequence[FitItem], bits: Sequence[int], width: int):
         self.items = items
-        self.bits = [table.bit(example.query) for example, _ in items]
+        self.bits = [bits[position] for position, _ in items]
         self.mask = 0
         for bit in self.bits:
             self.mask |= bit
@@ -454,25 +483,23 @@ class NodeIndex:
 
 
 def partition(
-    context: tuple[Atom, ...],
+    context_id: int,
     bound_vars: Sequence[Term],
     candidate: Literal,
     node: NodeIndex,
     kb: KnowledgeBase,
     table: CoverageTable,
-) -> Optional[tuple[list[FitItem], list[FitItem]]]:
-    """Split a node's items on satisfiability of (context AND candidate), or
-    return ``None`` when one side would be empty.
+) -> Optional[int]:
+    """The bits of a node's items that satisfy (context AND candidate), or
+    ``None`` when those are none or all of them (a one-sided split).
 
-    ``context`` holds the atoms of the node's positive root-to-node tests
-    and ``bound_vars`` the variables its rows bind.  The table's entry under
-    the key (``context``, ``candidate.atom``) is read, only the items whose
-    bits it has not decided are decided, and those decisions are recorded
-    in it.  A one-sided split (``sat & mask`` is 0 or ``mask``) is rejected
-    from the bits alone, and no list is built.  Otherwise the satisfiable
-    items go left and the rest right, both in ``node.items`` order and
-    unchanged: :func:`fit_regression_tree` joins the test into the true
-    side's rows only if it expands that side.
+    ``context_id`` is the table's :meth:`~CoverageTable.context_id` of the
+    atoms of the node's positive root-to-node tests, and ``bound_vars`` the
+    variables its rows bind.  The table's entry under the key
+    (``context_id``, ``candidate.atom``) is read, only the items whose bits
+    it has not decided are decided, and those decisions are recorded in it.
+    The result is a subset of ``node.mask``; an item is on the true side iff
+    its bit is in it.
 
     An item is satisfiable iff one of its rows holds, at the candidate's
     bound columns, a value of the table's projection: only those values
@@ -481,7 +508,7 @@ def partition(
     only an item with several rows, facing a candidate that binds a column
     past the head's, reads its other rows.
     """
-    key = (context, candidate.atom)
+    key = (context_id, candidate.atom)
     known, sat = table._entries.get(key, (0, 0))
     mask = node.mask
     undecided = mask & ~known
@@ -499,27 +526,91 @@ def partition(
                 if rest & bit and not values.isdisjoint(map(read, rows)):
                     sat |= bit
         table._entries[key] = (known | mask, sat)
-    if not sat & mask or sat & mask == mask:
-        return None
-    left, right = [], []
-    for item, bit in zip(node.items, node.bits):
-        (left if sat & bit else right).append(item)
-    return left, right
+    sat &= mask
+    return None if not sat or sat == mask else sat
 
 
-@dataclass
-class _FitNode:
-    items: list[FitItem]
+@dataclass(slots=True, eq=False)
+class _Plan:
+    """A fit node as far as it does not depend on the gradients.
+
+    It holds the examples that reach the node, as ``items`` with their rows
+    and as ``positions``, its context and the table's id for it, its bound
+    variables, used names and depth.  Once expanded it also holds its
+    candidates, each one's split as a ``splits`` selector (one byte per
+    item, 1 on the true side) or ``None`` when one-sided, and, in
+    ``children``, the (true, false) child plans of each candidate index that
+    has won.  A true child's ``parent_vars`` are its parent's bound
+    variables until it is expanded: its rows are still its parent's, and
+    its test, the last atom of its context, is joined into them then.
+    Plans hold their children, never their parents.
+    """
+
+    items: Optional[list[FitItem]]
     depth: int
     context: tuple[Atom, ...]
+    context_id: int
     bound_vars: tuple[Term, ...]
     used_names: frozenset[str]
-    params: LeafParams = ZERO_PARAMS
-    sse: float = 0.0
-    # A true child's parent's bound variables until it is expanded: its rows
-    # are still its parent's, and its test, the last atom of its context, is
-    # joined into them then.
     parent_vars: Optional[tuple[Term, ...]] = None
+    candidates: Optional[list[Literal]] = None
+    splits: Optional[list[Optional[bytes]]] = None
+    children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
+    positions: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.positions = tuple([position for position, _ in self.items])
+
+    def expand(self, modes, max_new_vars, exclude, bits, width, kb, table) -> None:
+        """Join a true child's test into its rows, then generate the
+        candidates and decide each one's split."""
+        if self.parent_vars is not None:
+            self.items = join(self.context[-1], self.parent_vars, self.items, kb, table)
+            self.parent_vars = None
+        self.candidates = generate_candidates(
+            self.bound_vars, modes, max_new_vars, self.used_names, exclude
+        )
+        index = NodeIndex(self.items, bits, width)  # every split is decided here
+        self.splits = []
+        for candidate in self.candidates:
+            sat = partition(self.context_id, self.bound_vars, candidate, index, kb, table)
+            self.splits.append(
+                None if sat is None else bytes(map(bool, map(sat.__and__, index.bits)))
+            )
+
+    def child(self, k: int, table: CoverageTable) -> tuple["_Plan", "_Plan"]:
+        """The (true, false) child plans of candidate ``k``, made once."""
+        children = self.children.get(k)
+        if children is None:
+            candidate, split = self.candidates[k], self.splits[k]
+            new_vars = tuple(v for v in candidate.atom.variables() if v not in self.bound_vars)
+            names = self.used_names | {t.name for t in candidate.atom.variables()}
+            context = self.context + (candidate.atom,)
+            children = self.children[k] = (
+                _Plan(
+                    list(compress(self.items, split)), self.depth + 1, context,
+                    table.context_id(context), self.bound_vars + new_vars, names,
+                    parent_vars=self.bound_vars,
+                ),
+                _Plan(
+                    list(compress(self.items, split.translate(_FLIP))), self.depth + 1,
+                    self.context, self.context_id, self.bound_vars, names,
+                ),
+            )
+        return children
+
+    def drop(self) -> None:
+        """Free the rows, candidates and splits that no later fit will read."""
+        self.items = self.candidates = self.splits = None
+
+
+@dataclass(slots=True)
+class _FitNode:
+    """A node of one fit: its plan, and what this fit's gradients made of it."""
+
+    plan: _Plan
+    params: LeafParams
+    sse: float
     test: Optional[Literal] = None
     true_child: Optional["_FitNode"] = None
     false_child: Optional["_FitNode"] = None
@@ -594,23 +685,34 @@ def fit_regression_tree(
     only through their mean, so each distinct mean (bit for bit) is fit once
     per call and its parameters reused for every leaf with that mean.
 
-    Each example carries every witness of its node's context as rows, the
-    root's one row being its query's arguments (tuple-ID propagation; Yin et
-    al., CrossMine, ICDE 2004).  Candidates are split by :func:`partition`
-    from a :class:`CoverageTable` keyed on (node context, candidate atom),
-    so each (context, candidate, example) is decided at most once, by set
-    lookups and no search; a candidate that leaves one side empty is
-    rejected from the bits without building its lists.  A false child keeps
-    its rows, and a true child's rows are extended by its test, by
-    :func:`~liftedrbm.logic.join`, only when it is expanded, so a true child
-    that stays a leaf is never joined.  The fit proves nothing through
+    Each node is a fit plan: everything about it that does not depend on
+    the gradients.  Its items are (position in ``examples``, rows), with
+    every witness of the node's context as rows, the root's one row being
+    its query's arguments (tuple-ID propagation; Yin et al., CrossMine, ICDE
+    2004).  When a plan is first expanded, a true child's rows are extended
+    by its test (:func:`~liftedrbm.logic.join`), its candidates are
+    generated, and each is decided by :func:`partition` from a
+    :class:`CoverageTable` keyed on (node context id, candidate atom), so
+    each (context, candidate, example) is decided at most once, by set
+    lookups and no search, and kept as a byte selector over the plan's
+    items.  A fit reads each side's gradients from its node's by
+    ``itertools.compress`` with that selector or its complement; a
+    one-sided candidate is skipped without a list.  Child plans are made
+    when their candidate first wins, so a true child that stays a leaf is
+    never joined.  The fit proves nothing through
     :func:`~liftedrbm.logic.witnesses`.
 
     Pass ``table`` to share one across fits over the same knowledge base (as
-    :func:`~liftedrbm.model.train` does for its trees); by default the fit
-    uses its own and drops it on return, which still pays off because a
-    false child keeps its parent's context.  When given, ``fitted`` is
-    filled with each example's leaf value in ``examples`` order: the value
+    :func:`~liftedrbm.model.train` does for its trees): the root plan is
+    found there under its key (see :class:`CoverageTable`), so a later fit
+    over the same examples checks none of them again and reaches each node
+    an earlier fit expanded with its rows, candidates and splits built.
+    The table then keeps every plan until it is dropped.  By default the fit
+    uses its own table and drops it on return, and, since no later fit can
+    read a plan, an expanded plan or a permanent leaf frees its rows,
+    candidates and splits at once; the table still pays off because a false
+    child keeps its parent's context.  When given, ``fitted`` is filled
+    with each example's leaf value in ``examples`` order: the value
     :meth:`~liftedrbm.model.BoostedModel.per_tree` routes it to, since
     fitting and routing make the same decisions.
     """
@@ -620,7 +722,8 @@ def fit_regression_tree(
         raise ValueError("max_leaves must be at least 1")
     predicate = examples[0].query.predicate
     head = make_head(predicate)
-    if table is None:
+    owned = table is None
+    if owned:
         table = CoverageTable()
 
     # coordinate_descent reads its targets only through their mean, so each
@@ -638,90 +741,81 @@ def fit_regression_tree(
         params, value = fit
         return params, _sum_squares(value, deltas)
 
-    items: list[FitItem] = []
-    for example in examples:
-        query = example.query
-        if query.predicate != predicate or not query.is_ground:
-            raise ValueError(f"example {query} does not ground {head}")
-        items.append((example, (tuple([t.name for t in query.args]),)))
-
-    root = _FitNode(items, 0, (), head.args, frozenset(t.name for t in head.args))
-    root.params, root.sse = fit_leaf([example.gradient for example in examples])
+    bits = tuple([table.bit(example.query) for example in examples])
+    root_key = (predicate, bits, tuple(modes.values()), max_new_vars)
+    plan = table._roots.get(root_key)
+    if plan is None:  # a hit has checked these same queries
+        items: list[FitItem] = []
+        for position, example in enumerate(examples):
+            query = example.query
+            if query.predicate != predicate or not query.is_ground:
+                raise ValueError(f"example {query} does not ground {head}")
+            items.append((position, (tuple([t.name for t in query.args]),)))
+        plan = table._roots[root_key] = _Plan(
+            items, 0, (), table.context_id(()), head.args, frozenset(t.name for t in head.args)
+        )
+    gradients = [example.gradient for example in examples]
+    root = _FitNode(plan, *fit_leaf(gradients))
+    exclude, width = (predicate.name,), len(head.args)
 
     tick = itertools.count()
-    frontier: list[tuple[float, int, _FitNode]] = []
+    frontier: list[tuple[float, int, _FitNode, list[float]]] = []
 
-    def push(node: _FitNode) -> None:
-        depth_ok = max_depth is None or node.depth < max_depth
-        if depth_ok and node.sse > _MIN_SPLIT_SSE and len(node.items) >= 2:
-            heapq.heappush(frontier, (-node.sse, next(tick), node))
+    def push(node: _FitNode, deltas: list[float]) -> None:
+        depth_ok = max_depth is None or node.plan.depth < max_depth
+        if depth_ok and node.sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
+            heapq.heappush(frontier, (-node.sse, next(tick), node, deltas))
 
-    push(root)
+    push(root, gradients)
     leaves = 1
     while leaves < max_leaves and frontier:
-        _, _, node = heapq.heappop(frontier)
-        if node.parent_vars is not None:
-            node.items = join(node.context[-1], node.parent_vars, node.items, kb, table)
-            node.parent_vars = None
-        candidates = generate_candidates(
-            node.bound_vars,
-            modes,
-            max_new_vars=max_new_vars,
-            used_names=node.used_names,
-            exclude_predicates=(predicate.name,),
-        )
-        index = NodeIndex(node.items, table, len(head.args))
+        _, _, node, deltas = heapq.heappop(frontier)
+        plan = node.plan
+        if plan.splits is None:
+            plan.expand(modes, max_new_vars, exclude, bits, width, kb, table)
         best = None
-        for candidate in candidates:
-            split = partition(node.context, node.bound_vars, candidate, index, kb, table)
+        for k, split in enumerate(plan.splits):
             if split is None:
                 continue
-            left, right = split
-            deltas_left = [example.gradient for example, _ in left]
-            deltas_right = [example.gradient for example, _ in right]
+            deltas_left = list(compress(deltas, split))
+            deltas_right = list(compress(deltas, split.translate(_FLIP)))
             if best is not None and _sse_floor(deltas_left) + _sse_floor(deltas_right) >= best[0]:
                 continue  # cannot score strictly below best
             theta_left, sse_left = fit_leaf(deltas_left)
             theta_right, sse_right = fit_leaf(deltas_right)
             score = sse_left + sse_right
             if best is None or score < best[0]:
-                best = (score, candidate, left, right, theta_left, sse_left, theta_right, sse_right)
-        del index  # node-local: a child's rows or items differ
+                best = (score, k, deltas_left, deltas_right, theta_left, sse_left, theta_right, sse_right)
         if best is None:
+            if owned:
+                plan.drop()
             continue  # permanent leaf
-        _, candidate, left, right, theta_left, sse_left, theta_right, sse_right = best
-        new_vars = tuple(
-            v for v in candidate.atom.variables() if v not in node.bound_vars
-        )
-        child_names = node.used_names | {t.name for t in candidate.atom.variables()}
-        node.test = candidate
-        node.items = []  # its items live on in its children; a join frees its rows
-        node.true_child = _FitNode(
-            left, node.depth + 1, node.context + (candidate.atom,), node.bound_vars + new_vars,
-            child_names, theta_left, sse_left, parent_vars=node.bound_vars,
-        )
-        node.false_child = _FitNode(
-            right, node.depth + 1, node.context, node.bound_vars, child_names,
-            theta_right, sse_right,
-        )
+        _, k, deltas_left, deltas_right, theta_left, sse_left, theta_right, sse_right = best
+        true_plan, false_plan = plan.child(k, table)
+        node.test = plan.candidates[k]
+        if owned:
+            plan.drop()  # its items live on in its children; a join frees its rows
+        node.true_child = _FitNode(true_plan, theta_left, sse_left)
+        node.false_child = _FitNode(false_plan, theta_right, sse_right)
         leaves += 1
-        push(node.true_child)
-        push(node.false_child)
+        push(node.true_child, deltas_left)
+        push(node.false_child, deltas_right)
 
-    leaf_value: dict[int, float] = {}  # id(example) -> value of the leaf it reached
-    tree = RelationalRegressionTree(head, _materialize(root, leaf_value))
+    values = [0.0] * len(examples)  # by position: the value of the leaf it reached
+    tree = RelationalRegressionTree(head, _materialize(root, values))
     if fitted is not None:
-        fitted[:] = [leaf_value[id(example)] for example in examples]
+        fitted[:] = values
     return tree
 
 
-def _materialize(node: _FitNode, values: dict[int, float]) -> TreeNode:
+def _materialize(node: _FitNode, values: list[float]) -> TreeNode:
     """The tree under a fit node, each example's leaf value put in ``values``
-    by its id; not a closure calling itself, a reference cycle per fit."""
+    at its position; not a closure calling itself, a reference cycle per
+    fit."""
     if node.test is None:
         value = node.params.value()
-        for example, _ in node.items:
-            values[id(example)] = value
+        for position in node.plan.positions:
+            values[position] = value
         return LeafNode(node.params)
     return InternalNode(
         node.test, _materialize(node.true_child, values), _materialize(node.false_child, values)

@@ -19,7 +19,7 @@ from liftedrbm.logic import (
     unify,
     witnesses,
 )
-from liftedrbm.model import BoostedModel, TrainConfig
+from liftedrbm.model import BoostedModel, TrainConfig, train
 from liftedrbm.tree import (
     CoverageTable,
     InternalNode,
@@ -171,7 +171,7 @@ class TestGenerateCandidates:
 
 
 def _collab_item(kb, left, right, gradient=0.5, label=1):
-    """A root item: the example and its one row, the query's arguments."""
+    """A root example and its one row, the query's arguments."""
     query = atom(COLLAB, C(left, "person"), C(right, "person"))
     return RegressionExample(query, label, gradient), ((left, right),)
 
@@ -181,14 +181,26 @@ def _base(item):
     return unify(make_head(item[0].query.predicate), item[0].query)
 
 
-def _partition(context, candidate, items, kb, table=None, bound_vars=None, width=2):
-    """``partition`` at a node binding ``bound_vars`` (by default the head of
+def _partition(context, candidate, examples, kb, table=None, bound_vars=None, width=2):
+    """``partition`` at a node whose items are (position, rows) for the
+    given (example, rows), binding ``bound_vars`` (by default the head of
     ``collab`` items), the first ``width`` of them the head's, with a
-    coverage table (a fresh one unless given)."""
+    coverage table (a fresh one unless given): ``None`` for a one-sided
+    split, else whether each item's bit is among the satisfied bits."""
     table = table if table is not None else CoverageTable()
     bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
-    node = NodeIndex(items, table, width)
-    return partition(tuple(context), bound_vars, candidate, node, kb, table)
+    bits = [table.bit(example.query) for example, _ in examples]
+    node = NodeIndex(_positioned(examples), bits, width)
+    sat = partition(table.context_id(tuple(context)), bound_vars, candidate, node, kb, table)
+    if sat is None:
+        return None
+    assert sat & node.mask == sat
+    return [bool(sat & bit) for bit in node.bits]
+
+
+def _positioned(examples):
+    """Fit items (position, rows) for a list of (example, rows)."""
+    return [(position, rows) for position, (_, rows) in enumerate(examples)]
 
 
 def _names(witness, bound_vars):
@@ -212,8 +224,8 @@ class TestPartition:
         acting = [items[0], _collab_item(kb, "p2", "p1")]
         assert _partition((), acts, acting, kb) is None
         assert all(oracle_satisfy([acts], _base(item), kb) for item in acting)
-        # a decision carries no witness: items go unchanged
-        assert _partition((), acts, items, kb) == ([items[0]], [items[1]])
+        # a decision is the satisfied bits alone: p1 acts and p3 does not
+        assert _partition((), acts, items, kb) == [True, False]
         # The fit joins the committed split's test into its true side's rows
         # when it expands that side, and no sooner.  p1 and p2 act and p3
         # does not, so acts splits the root and its true side, which has the
@@ -241,7 +253,9 @@ class TestPartition:
         assert tree.root.test == acts
         ((test, bound_vars, joined),) = calls
         assert test == acts.atom
-        assert [example.query for example, _ in joined] == [e.query for e in examples[:2]]
+        assert [examples[position].query for position, _ in joined] == [
+            e.query for e in examples[:2]
+        ]
         column = bound_vars.index(V("M1", "movie"))
         for _, rows in joined:
             assert rows[0][column] == "m1"
@@ -318,9 +332,7 @@ class TestPartition:
                 assert len(set(expected)) <= 1
                 continue
             two_sided += 1
-            left, right = split
-            assert left == [item for item, sat in zip(items, expected) if sat]
-            assert right == [item for item, sat in zip(items, expected) if not sat]
+            assert split == expected
         assert two_sided >= 4
         assert several > 0
 
@@ -349,12 +361,9 @@ class TestPartition:
                 assert len(set(expected)) == 1
             else:
                 two_sided += 1
-                assert split == (
-                    [item for item, sat in zip(items, expected) if sat],
-                    [item for item, sat in zip(items, expected) if not sat],
-                )
+                assert split == expected
             bound_vars = head.args + _new_vars(candidate, head.args)
-            joined = join(candidate, head.args, items, kb, CoverageTable())
+            joined = join(candidate, head.args, _positioned(items), kb, CoverageTable())
             for (_, rows), item, sat in zip(joined, items, expected):
                 found = witnesses((candidate,), _base(item), kb)
                 assert list(rows) == [_names(w, bound_vars) for w in found]
@@ -378,7 +387,7 @@ class TestPartition:
                 head_vars = tuple(var for var in dict.fromkeys(
                     v for a in context for v in a.variables()) if var in base)
                 bound_vars = head_vars
-                items = [(example, (_names(base, head_vars),))]
+                items = [(i, (_names(base, head_vars),))]
                 for k, test in enumerate(context):
                     items = join(test, bound_vars, items, kb, CoverageTable())
                     bound_vars += _new_vars(test, bound_vars)
@@ -391,12 +400,14 @@ class TestPartition:
                     key = (head_vars, bound_vars)
                     nodes.setdefault(key, []).append((example, items[0][1], everyone))
             table = CoverageTable()
+            context_id = table.context_id(context)
             for (head_vars, bound_vars), members in nodes.items():
-                items = [(example, rows) for example, rows, _ in members]
-                node = NodeIndex(items, table, len(head_vars))
+                items = [(position, rows) for position, (_, rows, _) in enumerate(members)]
+                bits = [table.bit(example.query) for example, _, _ in members]
+                node = NodeIndex(items, bits, len(head_vars))
                 for test in tests:
-                    partition(context, bound_vars, Literal(test), node, kb, table)
-                    known, sat = table._entries[(context, test)]
+                    partition(context_id, bound_vars, Literal(test), node, kb, table)
+                    known, sat = table._entries[(context_id, test)]
                     free = [t for t in test.args if t.is_variable and t not in bound_vars]
                     for (example, rows, everyone), bit in zip(members, node.bits):
                         want = any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
@@ -777,8 +788,9 @@ class TestFitRegressionTree:
             fit_regression_tree([], 4, modes, kb)
 
     def test_a_fit_and_a_batch_walk_leave_no_garbage_cycle(self, movie_domain):
-        """A deep fit, and a batch walk of its tree, are freed by reference
-        counting alone, so neither leaves the cyclic collector anything."""
+        """A deep fit, its tree's depth and text, a batch walk of it, and a
+        training run whose shared table holds plans, are freed by reference
+        counting alone, so none leaves the cyclic collector anything."""
         kb, examples, _ = movie_domain
         regression = [
             RegressionExample(q, y, 0.3 if y else -0.2) for q, y in examples.labeled()[:200]
@@ -789,9 +801,16 @@ class TestFitRegressionTree:
             tree = fit_regression_tree(regression, 64, MOVIE_MODES, kb, max_depth=10, fitted=[])
             assert gc.collect() == 0
             assert tree.leaf_count > 8
+            assert tree.depth > 3
+            assert gc.collect() == 0
+            assert tree.to_text().count("leaf value=") == tree.leaf_count
+            assert gc.collect() == 0
             trie = RoutingTrie([clause for clause, _ in tree.path_clauses()])
             fired = trie.walk_many([e.query for e in regression], kb)
             assert all(len(ids) == 1 for ids in fired)
+            assert gc.collect() == 0
+            model = train(kb, examples, TrainConfig(n_trees=3))
+            assert len(model.trees) == 3
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -947,14 +966,15 @@ class TestCoverageTable:
         nodes, joins, several = [], [], []
         partition, join = tree_module.partition, tree_module.join
 
-        def candidate_split(context, bound_vars, candidate, node, kb, table):
+        def candidate_split(context_id, bound_vars, candidate, node, kb, table):
             if not nodes or nodes[-1] is not node:  # a node's candidates come together
                 nodes.append(node)
-                for example, rows in node.items:
-                    found = witnesses(context, unify(head, example.query), kb)
+                (context,) = [c for c, i in table._contexts.items() if i == context_id]
+                for position, rows in node.items:
+                    found = witnesses(context, unify(head, regression[position].query), kb)
                     assert rows == tuple(_names(w, bound_vars) for w in found)
                     several.append(len(rows) > 1)
-            return partition(context, bound_vars, candidate, node, kb, table)
+            return partition(context_id, bound_vars, candidate, node, kb, table)
 
         def extended(*args):
             joins.append(join(*args))
@@ -989,6 +1009,90 @@ class TestCoverageTable:
         tree = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fitted)
         model = _one_tree_model(tree)
         assert fitted == [model.per_tree(e.query, kb)[0] for e in regression]
+
+    def test_a_shared_table_reuses_its_plans_and_fits_as_a_fresh_one(
+        self, movie_domain, monkeypatch
+    ):
+        """Fits over the same examples with new gradients give, through one
+        shared table, the trees and fitted floats of fresh tables; a plan an
+        earlier fit expanded generates, partitions and joins nothing again,
+        so a fit with an earlier fit's gradients calls none of them."""
+        import liftedrbm.tree as tree_module
+
+        kb, examples, _ = movie_domain
+        labeled = examples.labeled()
+        calls = {}
+        for name in ("partition", "generate_candidates", "join"):
+            def counted(*args, _name=name, _original=getattr(tree_module, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(tree_module, name, counted)
+        rng = random.Random(19)
+        table = CoverageTable()
+        reached = 0
+        for fit in range(6):
+            if fit != 3:  # the fourth fit repeats the third's gradients
+                gradients = [rng.uniform(-0.9, 0.9) for _ in labeled]
+            regression = [RegressionExample(q, y, g) for (q, y), g in zip(labeled, gradients)]
+            fresh_fitted, shared_fitted = [], []
+            fresh = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fresh_fitted)
+            before = {plan for plan, _ in _plans(table) if plan.splits is not None}
+            calls.clear()
+            shared = fit_regression_tree(
+                regression, 6, MOVIE_MODES, kb, table=table, fitted=shared_fitted
+            )
+            assert shared.to_text() == fresh.to_text()
+            assert [v.hex() for v in shared_fitted] == [v.hex() for v in fresh_fitted]
+            new = [
+                (plan, true_child) for plan, true_child in _plans(table)
+                if plan.splits is not None and plan not in before
+            ]
+            assert calls.get("generate_candidates", 0) == len(new)
+            assert calls.get("partition", 0) == sum(len(plan.candidates) for plan, _ in new)
+            assert calls.get("join", 0) == sum(true_child for _, true_child in new)
+            if fit == 3:
+                assert calls == {}
+            reached += len(before) > 0 and len(new) < shared.leaf_count - 1
+        assert reached >= 3  # most fits expanded some node an earlier fit had
+        assert len(table._roots) == 1
+
+    def test_a_query_given_twice_keeps_both_copies_on_one_side(self):
+        # Copies of a query, as the same object and as an equal one, with
+        # their own targets: each copy is an item of its own, both go to the
+        # side their one bit says, and the sums are the reference's.
+        split = 0
+        for seed in range(8):
+            kb, examples, max_leaves, settings, _ = _random_fit_case(seed)
+            rng = random.Random(seed)
+            copies = []
+            for position in rng.sample(range(len(examples)), 4):
+                query = examples[position].query
+                if rng.random() < 0.5:
+                    query = Atom(query.predicate, query.args)
+                copies.append(position)
+                examples.append(RegressionExample(query, 1, rng.uniform(-0.9, 0.9)))
+            table = CoverageTable()
+            for _ in range(2):  # a second fit reads the first's plans
+                tree = _assert_fit_matches_exhaustive(
+                    examples, max_leaves, MOVIE_MODES, kb, table, **settings
+                )
+            fitted = []
+            fit_regression_tree(examples, max_leaves, MOVIE_MODES, kb, fitted=fitted, **settings)
+            for copy, position in enumerate(copies, start=len(examples) - len(copies)):
+                assert fitted[copy] == fitted[position]
+            split += tree.leaf_count > 1
+        assert split >= 4
+
+
+def _plans(table):
+    """Every plan in a coverage table, each with whether it is a true child."""
+    stack = [(plan, False) for plan in table._roots.values()]
+    while stack:
+        plan, true_child = stack.pop()
+        yield plan, true_child
+        for true_plan, false_plan in plan.children.values():
+            stack += [(true_plan, True), (false_plan, False)]
 
 
 def _random_movie_tree_and_examples(seed=0):
