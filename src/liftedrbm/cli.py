@@ -221,6 +221,8 @@ def cmd_explain(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config_from(args)
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     kb, examples = _load_dataset(args, parse_modes(read_text(args.modes)))
     folds = split_folds(examples, args.folds, args.seed)
 

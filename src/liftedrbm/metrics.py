@@ -158,19 +158,23 @@ def cross_validate(
     jobs: int = 1,
     progress: Optional[Callable[[FoldMetrics], None]] = None,
 ) -> MetricsReport:
-    """Train on each fold's complement, score the fold, aggregate both AUCs."""
+    """Train on each fold's complement, score the fold, aggregate both AUCs.
+
+    ``jobs`` > 1 trains folds in up to that many worker processes, never
+    more than there are folds; otherwise they are trained in this one."""
     config = config or TrainConfig()
     start = time.perf_counter()
     payloads = [(kb, examples, folds, config, fold) for fold in range(folds.k)]
     results: list[FoldMetrics] = []
     with ExitStack() as stack:
         mapper = map
-        if jobs > 1:
+        workers = min(jobs, folds.k)  # a pool may start all its workers at once
+        if workers > 1:
             # Imported here: it pulls in multiprocessing, about 2.6 MB of
             # resident memory that no other command needs.
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for metrics in mapper(_run_fold, payloads):
             results.append(metrics)
             if progress is not None:

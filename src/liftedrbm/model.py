@@ -22,10 +22,10 @@ from .tree import (
     InternalNode,
     LeafNode,
     LeafParams,
-    RegressionExample,
     RelationalRegressionTree,
     TreeNode,
-    fit_regression_tree,
+    _grow,
+    _root_plan,
     make_head,
     sigmoid,
 )
@@ -190,7 +190,10 @@ def train(
     trees proved.  It holds two n-bit ints per distinct context x candidate
     for the n training examples, and the fit plan of every node a tree
     reached (its rows, candidates and splits), which a later tree reaching
-    that node reuses.
+    that node reuses.  The root plan, with each example's bit in the table,
+    is resolved once here, so each tree is grown from it and that tree's
+    gradient list alone, as :func:`~liftedrbm.tree.fit_regression_tree`
+    would grow it.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -208,27 +211,16 @@ def train(
     )
     psis = [model.psi0] * len(labeled)
     table = CoverageTable()
+    root = _root_plan([query for query, _ in labeled], kb.modes, config.max_new_vars, table)
     fitted: list[float] = []
     for index in range(config.n_trees):
         gradients = [
             label - probability(psi, config.psi_clamp)
             for (_, label), psi in zip(labeled, psis)
         ]
-        regression = [
-            RegressionExample(query, label, gradient)
-            for (query, label), gradient in zip(labeled, gradients)
-        ]
-        tree = fit_regression_tree(
-            regression,
-            config.max_leaves,
-            kb.modes,
-            kb,
-            learning_rate=config.learning_rate,
-            cd_max_iters=config.cd_max_iters,
-            cd_tolerance=config.cd_tolerance,
-            max_new_vars=config.max_new_vars,
-            table=table,
-            fitted=fitted,
+        tree = _grow(
+            root, gradients, config.max_leaves, kb, table, learning_rate=config.learning_rate,
+            cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance, fitted=fitted,
         )
         _check_finite_leaves(tree, index)
         model.trees.append(tree)

@@ -13,6 +13,7 @@ to the ensemble's potentials, then path-mapped).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,7 +142,8 @@ def distill_single_tree(
     Every example is relabeled with the full potential the ensemble assigns it
     (all routed through all trees as one batch, by ``model.psi_many``) and a
     single tree is grown against those regression targets.  The conversion is
-    approximate by construction.
+    approximate by construction.  A potential past the float range is no
+    target, so the first example whose potential is not finite is refused.
     The result is a one-tree model with the source's configuration and
     modes; its prior is zero because the targets absorb it.
     """
@@ -151,6 +153,11 @@ def distill_single_tree(
     if not labeled:
         raise ValueError("distillation needs training examples")
     psis = model.psi_many([query for query, _ in labeled], kb)
+    for (query, _), psi in zip(labeled, psis):
+        if not math.isfinite(psi):
+            raise ValueError(
+                f"example {query} has potential {psi!r}; distillation needs finite ones"
+            )
     regression = [
         RegressionExample(query, label, psi) for (query, label), psi in zip(labeled, psis)
     ]

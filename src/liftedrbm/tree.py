@@ -26,10 +26,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .logic import (
     Atom,
@@ -426,13 +427,9 @@ class CoverageTable(FactViews):
     (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no table.
     """
 
-    __slots__ = ("_by_id", "_bits", "_contexts", "_entries", "_roots")
+    __slots__ = ("_bits", "_contexts", "_entries", "_roots")
 
     def __init__(self):
-        # Hashing an atom walks its terms, so a memo on object identity answers
-        # first: a caller passes the same query object for an example in every
-        # tree.  The memo holds each object, so its id is not reused meanwhile.
-        self._by_id: dict[int, tuple[Atom, int]] = {}
         self._bits: dict[Atom, int] = {}
         self._contexts: dict[tuple[Atom, ...], int] = {}
         self._entries: dict[tuple[int, Atom], tuple[int, int]] = {}
@@ -440,11 +437,7 @@ class CoverageTable(FactViews):
         super().__init__()
 
     def bit(self, query: Atom) -> int:
-        hit = self._by_id.get(id(query))
-        if hit is None:
-            bit = self._bits.setdefault(query, 1 << len(self._bits))
-            hit = self._by_id[id(query)] = (query, bit)
-        return hit[1]
+        return self._bits.setdefault(query, 1 << len(self._bits))
 
     def context_id(self, context: tuple[Atom, ...]) -> int:
         """The int that stands for ``context`` in this table's entry keys."""
@@ -537,12 +530,14 @@ class _Plan:
     It holds the examples that reach the node, as ``items`` with their rows
     and as ``positions``, its context and the table's id for it, its bound
     variables, used names and depth.  Once expanded it also holds its
-    candidates, each one's split as a ``splits`` selector (one byte per
-    item, 1 on the true side) or ``None`` when one-sided, and, in
-    ``children``, the (true, false) child plans of each candidate index that
-    has won.  A true child's ``parent_vars`` are its parent's bound
-    variables until it is expanded: its rows are still its parent's, and
-    its test, the last atom of its context, is joined into them then.
+    candidates and, in ``splits``, each distinct two-sided split as a
+    selector (one byte per item, 1 on the true side) under the index of the
+    first candidate that makes it (a later one would score the same and
+    lose the tie), and, in ``children``, the (true, false) child plans of
+    each candidate index that has won.  A true child's ``parent_vars`` are
+    its parent's bound variables until it is expanded: its rows are still
+    its parent's, and its test, the last atom of its context, is joined
+    into them then.
     Plans hold their children, never their parents.
     """
 
@@ -554,29 +549,32 @@ class _Plan:
     used_names: frozenset[str]
     parent_vars: Optional[tuple[Term, ...]] = None
     candidates: Optional[list[Literal]] = None
-    splits: Optional[list[Optional[bytes]]] = None
+    splits: Optional[dict[int, bytes]] = None
     children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
     positions: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         self.positions = tuple([position for position, _ in self.items])
 
-    def expand(self, modes, max_new_vars, exclude, bits, width, kb, table) -> None:
+    def expand(self, root: _Root, kb: KnowledgeBase, table: CoverageTable) -> None:
         """Join a true child's test into its rows, then generate the
         candidates and decide each one's split."""
         if self.parent_vars is not None:
             self.items = join(self.context[-1], self.parent_vars, self.items, kb, table)
             self.parent_vars = None
+        head = root.head
         self.candidates = generate_candidates(
-            self.bound_vars, modes, max_new_vars, self.used_names, exclude
+            self.bound_vars, root.modes, root.max_new_vars, self.used_names, (head.predicate.name,)
         )
-        index = NodeIndex(self.items, bits, width)  # every split is decided here
-        self.splits = []
-        for candidate in self.candidates:
+        index = NodeIndex(self.items, root.bits, len(head.args))  # every split is decided here
+        firsts: dict[int, int] = {}  # satisfied bits -> first candidate index
+        for k, candidate in enumerate(self.candidates):
             sat = partition(self.context_id, self.bound_vars, candidate, index, kb, table)
-            self.splits.append(
-                None if sat is None else bytes(map(bool, map(sat.__and__, index.bits)))
-            )
+            if sat is not None:
+                firsts.setdefault(sat, k)
+        self.splits = {
+            k: bytes(map(bool, map(sat.__and__, index.bits))) for sat, k in firsts.items()
+        }
 
     def child(self, k: int, table: CoverageTable) -> tuple["_Plan", "_Plan"]:
         """The (true, false) child plans of candidate ``k``, made once."""
@@ -619,29 +617,79 @@ class _FitNode:
 # Nodes whose residual error is below this are never worth splitting.
 _MIN_SPLIT_SSE = 1e-12
 
-# Relative allowance for the rounding of a computed sum of n squares, about
-# n * 2**-53 (6e-14 at n = 559); see _sse_floor.
-_BOUND_MARGIN = 1.0 - 1e-9
 
+def _floors(deltas: Sequence[float], splits: dict[int, bytes]) -> list[tuple[float, int]]:
+    """(floor, index) of each of a node's ``splits``, ascending: a floor
+    under the computed score of any leaf values on the split's two sides.
 
-def _sse_floor(deltas: Sequence[float]) -> float:
-    """A floor under the squared error of any one leaf value on ``deltas``,
-    as :func:`fit_regression_tree` computes it in floats.
-
-    The exact least squared error is ``sum((m - d) ** 2)`` at the mean m,
-    found here in a first pass.  A computed sum of squares may fall below
-    it by its own rounding, covered by the relative ``_BOUND_MARGIN``; by
-    the rounding of m, at most ``n * (n * eps * max|d|) ** 2``; and by
-    squares that underflow, at most ``n`` times the least normal float.
-    The second matters when a side's targets are all equal: their least
-    error is 0, but a rounded m shows a tiny positive one, and a leaf value
-    nearer the true mean shows less (see ``tests/test_tree.py``).
+    A side's squared error is least at its mean (CART; Breiman et al. 1984):
+    ``Q - S * (S / m)`` for m targets of sum S and sum of squares Q, each a
+    C-level sum through the split's selector or its complement.  The floor
+    is the two sides' sum less ``8 * n * eps * Q + n * min`` for the node's
+    n targets and Q.  Proof that this is enough: let u = eps / 2, t the
+    least subnormal, and for a side Q* and S* the exact sums, E* = Q* - S*
+    ** 2 / m and A = sum(|d|) <= sqrt(m * Q*).  A computed sum of m floats
+    errs by at most 2 * m * u * (their magnitudes' sum), for recursive and
+    for Python's compensated (3.12 on) summation; a product, quotient or
+    difference by u, and ``** 2`` by 2 * u, relatively, plus t on
+    underflow.  With no overflow and n * u < 1e-6, S errs by 2 * m * u *
+    A, so the side's computed ``Q - S * (S / m)`` is at most E* + (6m + 6)
+    * u * Q* + (m + 2) * t, and its computed leaf error at least E* - (2m
+    + 4) * u * Q* - m * t.  Summed, the floor before the allowance exceeds
+    the score by at most (8n + 4) * u * Q* + (2n + 5) * t for the node's
+    Q*, below the allowance, as the computed Q >= 0.99 * Q* - n * t and min
+    = 2 ** 52 * t.  Rounding is monotone, so the floor is at most the
+    score.  An overflow leaves the floor inf, -inf or NaN, read as -inf:
+    no floor, and no prune.
     """
     n = len(deltas)
-    mean = sum(deltas) / n
-    sse = _sum_squares(mean, deltas)
-    spread = n * sys.float_info.epsilon * max(map(abs, deltas))
-    return sse * _BOUND_MARGIN - n * (_square(spread) + sys.float_info.min)
+    squares = list(map(operator.mul, deltas, deltas))
+    allowance = 8 * n * sys.float_info.epsilon * sum(squares) + n * sys.float_info.min
+    ranked = []
+    for k, split in splits.items():
+        flip = split.translate(_FLIP)
+        m = split.count(1)
+        s_true, s_false = sum(compress(deltas, split)), sum(compress(deltas, flip))
+        floor = (
+            (sum(compress(squares, split)) - s_true * (s_true / m))
+            + (sum(compress(squares, flip)) - s_false * (s_false / (n - m)))
+        ) - allowance
+        ranked.append((floor if floor < math.inf else -math.inf, k))
+    ranked.sort()
+    return ranked
+
+
+class _Root(NamedTuple):
+    """A root plan and what every fit from it reads besides the gradients:
+    the head, each example's table bit by position, the modes and
+    ``max_new_vars``."""
+
+    head: Atom
+    plan: _Plan
+    bits: tuple[int, ...]
+    modes: dict
+    max_new_vars: int
+
+
+def _root_plan(queries: Sequence[Atom], modes, max_new_vars: int, table: CoverageTable) -> _Root:
+    """The root plan of a fit over ``queries``, found in ``table`` under its
+    key (see :class:`CoverageTable`) or made there; making it refuses a
+    query that is not a ground atom of the first one's predicate."""
+    predicate = queries[0].predicate
+    head = make_head(predicate)
+    bits = tuple([table.bit(query) for query in queries])
+    key = (predicate, bits, tuple(modes.values()), max_new_vars)
+    plan = table._roots.get(key)
+    if plan is None:  # a hit has checked these same queries
+        items: list[FitItem] = []
+        for position, query in enumerate(queries):
+            if query.predicate != predicate or not query.is_ground:
+                raise ValueError(f"example {query} does not ground {head}")
+            items.append((position, (tuple([t.name for t in query.args]),)))
+        plan = table._roots[key] = _Plan(
+            items, 0, (), table.context_id(()), head.args, frozenset(t.name for t in head.args)
+        )
+    return _Root(head, plan, bits, modes, max_new_vars)
 
 
 def fit_regression_tree(
@@ -668,18 +716,17 @@ def fit_regression_tree(
     expandable remains; candidates emptying either side are rejected and a
     node with no usable candidate stays a leaf.
 
-    Not every candidate is fit.  A leaf's squared error is least at the mean
-    of its targets (CART; Breiman et al. 1984), so each usable candidate
-    after the first gets the bound ``sum((m_l - d) ** 2) + sum((m_r - d) **
-    2)`` over its two sides, with the means found in a first pass, and is
-    skipped when that bound, less a relative ``1e-9`` and an absolute
-    allowance for the rounding of the means (see :func:`_sse_floor`), is at
-    least the best score so far.  This is exact: a computed leaf error is
-    never below that floor (``tests/test_tree.py`` fuzzes it), so a skipped
-    candidate's score could not have been strictly below the best, and the
-    tree and ``fitted`` are those of fitting every candidate.  Only the
-    absolute term keeps it exact for a side whose targets are all equal; it
-    is about 1e-23 on 559 targets in (-1, 1).
+    Not every candidate is fit.  A candidate that makes the same split as
+    an earlier one scores the same and is never fit.  Each other one gets a
+    floor under its score from its sides' least squared errors at their
+    means (CART; Breiman et al. 1984), less an allowance for rounding that
+    :func:`_floors` proves, and candidates are fit in (floor, index) order.
+    No candidate is fit past the first floor above the best score so far,
+    nor one whose floor equals it when its index is higher than the best
+    one's: it could at most tie, and lose the tie.  The committed candidate
+    is thus the first minimum in candidate order, as when every candidate
+    is fit, and so are the tree and ``fitted`` (``tests/test_tree.py``
+    checks them against fitting all).
 
     Leaf fits are fewer still: :func:`coordinate_descent` reads its targets
     only through their mean, so each distinct mean (bit for bit) is fit once
@@ -702,30 +749,42 @@ def fit_regression_tree(
     never joined.  The fit proves nothing through
     :func:`~liftedrbm.logic.witnesses`.
 
-    Pass ``table`` to share one across fits over the same knowledge base (as
-    :func:`~liftedrbm.model.train` does for its trees): the root plan is
-    found there under its key (see :class:`CoverageTable`), so a later fit
-    over the same examples checks none of them again and reaches each node
-    an earlier fit expanded with its rows, candidates and splits built.
-    The table then keeps every plan until it is dropped.  By default the fit
-    uses its own table and drops it on return, and, since no later fit can
-    read a plan, an expanded plan or a permanent leaf frees its rows,
-    candidates and splits at once; the table still pays off because a false
-    child keeps its parent's context.  When given, ``fitted`` is filled
-    with each example's leaf value in ``examples`` order: the value
-    :meth:`~liftedrbm.model.BoostedModel.per_tree` routes it to, since
-    fitting and routing make the same decisions.
+    Pass ``table`` to share one across fits over the same knowledge base:
+    the root plan is found there under its key (see :class:`CoverageTable`),
+    so a later fit over the same examples checks none of them again and
+    reaches each node an earlier fit expanded with its rows, candidates and
+    splits built.  The table then keeps every plan until it is dropped.  By
+    default the fit uses its own table and drops it on return, and, since
+    no later fit can read a plan, an expanded plan or a permanent leaf frees
+    its rows, candidates and splits at once; the table still pays off
+    because a false child keeps its parent's context.  When given,
+    ``fitted`` is filled with each example's leaf value in ``examples``
+    order: the value :meth:`~liftedrbm.model.BoostedModel.per_tree` routes
+    it to, since fitting and routing make the same decisions.
     """
     if not examples:
         raise ValueError("cannot fit a tree to zero examples")
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    predicate = examples[0].query.predicate
-    head = make_head(predicate)
     owned = table is None
     if owned:
         table = CoverageTable()
+    root = _root_plan([example.query for example in examples], modes, max_new_vars, table)
+    return _grow(
+        root, [example.gradient for example in examples], max_leaves, kb, table, owned=owned,
+        learning_rate=learning_rate, cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance,
+        max_depth=max_depth, fitted=fitted,
+    )
 
+
+def _grow(
+    root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase, table: CoverageTable,
+    *, owned: bool = False, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
+    max_depth: Optional[int] = None, fitted: Optional[list[float]] = None,
+) -> RelationalRegressionTree:
+    """The tree :func:`fit_regression_tree` fits from ``root``, whose
+    examples' gradients are ``gradients`` by position.  An ``owned`` table
+    is read by no later fit, so plans are freed as they are done."""
     # coordinate_descent reads its targets only through their mean, so each
     # distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
     fits: dict[str, tuple[LeafParams, float]] = {}
@@ -741,22 +800,7 @@ def fit_regression_tree(
         params, value = fit
         return params, _sum_squares(value, deltas)
 
-    bits = tuple([table.bit(example.query) for example in examples])
-    root_key = (predicate, bits, tuple(modes.values()), max_new_vars)
-    plan = table._roots.get(root_key)
-    if plan is None:  # a hit has checked these same queries
-        items: list[FitItem] = []
-        for position, example in enumerate(examples):
-            query = example.query
-            if query.predicate != predicate or not query.is_ground:
-                raise ValueError(f"example {query} does not ground {head}")
-            items.append((position, (tuple([t.name for t in query.args]),)))
-        plan = table._roots[root_key] = _Plan(
-            items, 0, (), table.context_id(()), head.args, frozenset(t.name for t in head.args)
-        )
-    gradients = [example.gradient for example in examples]
-    root = _FitNode(plan, *fit_leaf(gradients))
-    exclude, width = (predicate.name,), len(head.args)
+    top = _FitNode(root.plan, *fit_leaf(gradients))
 
     tick = itertools.count()
     frontier: list[tuple[float, int, _FitNode, list[float]]] = []
@@ -766,43 +810,44 @@ def fit_regression_tree(
         if depth_ok and node.sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
             heapq.heappush(frontier, (-node.sse, next(tick), node, deltas))
 
-    push(root, gradients)
+    push(top, gradients)
     leaves = 1
     while leaves < max_leaves and frontier:
         _, _, node, deltas = heapq.heappop(frontier)
         plan = node.plan
         if plan.splits is None:
-            plan.expand(modes, max_new_vars, exclude, bits, width, kb, table)
+            plan.expand(root, kb, table)
         best = None
-        for k, split in enumerate(plan.splits):
-            if split is None:
+        for floor, k in _floors(deltas, plan.splits):
+            # The score is at least the floor, so it cannot come first in
+            # (score, index) order; past the first floor above the best
+            # score, none can.
+            if best is not None and (floor, k) > best[:2]:
                 continue
-            deltas_left = list(compress(deltas, split))
-            deltas_right = list(compress(deltas, split.translate(_FLIP)))
-            if best is not None and _sse_floor(deltas_left) + _sse_floor(deltas_right) >= best[0]:
-                continue  # cannot score strictly below best
-            theta_left, sse_left = fit_leaf(deltas_left)
-            theta_right, sse_right = fit_leaf(deltas_right)
-            score = sse_left + sse_right
-            if best is None or score < best[0]:
-                best = (score, k, deltas_left, deltas_right, theta_left, sse_left, theta_right, sse_right)
+            split = plan.splits[k]
+            left = list(compress(deltas, split))
+            right = list(compress(deltas, split.translate(_FLIP)))
+            fit_left, fit_right = fit_leaf(left), fit_leaf(right)
+            score = fit_left[1] + fit_right[1]
+            if best is None or (score, k) < best[:2]:
+                best = (score, k, left, right, fit_left, fit_right)
         if best is None:
             if owned:
                 plan.drop()
             continue  # permanent leaf
-        _, k, deltas_left, deltas_right, theta_left, sse_left, theta_right, sse_right = best
+        _, k, left, right, fit_left, fit_right = best
         true_plan, false_plan = plan.child(k, table)
         node.test = plan.candidates[k]
         if owned:
             plan.drop()  # its items live on in its children; a join frees its rows
-        node.true_child = _FitNode(true_plan, theta_left, sse_left)
-        node.false_child = _FitNode(false_plan, theta_right, sse_right)
+        node.true_child = _FitNode(true_plan, *fit_left)
+        node.false_child = _FitNode(false_plan, *fit_right)
         leaves += 1
-        push(node.true_child, deltas_left)
-        push(node.false_child, deltas_right)
+        push(node.true_child, left)
+        push(node.false_child, right)
 
-    values = [0.0] * len(examples)  # by position: the value of the leaf it reached
-    tree = RelationalRegressionTree(head, _materialize(root, values))
+    values = [0.0] * len(gradients)  # by position: the value of the leaf it reached
+    tree = RelationalRegressionTree(root.head, _materialize(top, values))
     if fitted is not None:
         fitted[:] = values
     return tree

@@ -444,3 +444,23 @@ def exhaustive_fit_tree(
 
     tree = RelationalRegressionTree(head, build(root))
     return tree, [values[id(example)] for example in examples]
+
+
+def recording_pool(sizes: list):
+    """A stand-in for ``concurrent.futures.ProcessPoolExecutor`` that starts
+    no process: each pool appends its ``max_workers`` to ``sizes`` and maps
+    in this process."""
+
+    class RecordingPool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+    return RecordingPool

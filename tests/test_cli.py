@@ -12,7 +12,7 @@ from liftedrbm.model import load_model
 from liftedrbm.network import lrbm_inference, paths_to_lrbm
 from liftedrbm.tree import LeafParams
 
-from helpers import BOOST_FIXTURE, serialize_facts
+from helpers import BOOST_FIXTURE, recording_pool, serialize_facts
 from synthetic_domain import MODES_TEXT, generate_movie_domain
 
 
@@ -476,6 +476,29 @@ class TestModelLoader:
         assert code == 0
         assert (tmp_path / "net.json").exists()
 
+    def test_distilling_potentials_past_the_float_range_is_refused(
+        self, data_dir, tmp_path, capsys
+    ):
+        # Each leaf's value is 1.7e308, so twenty trees sum past the float
+        # range: no example has a finite potential to distill.
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        for root in doc["trees"]:
+            for leaf in _leaves(root):
+                leaf["leaf"] = [1.7e308, 0.0, 0.0, 0.0, 0.0]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        first = (data_dir / "pos.txt").read_text().splitlines()[0].rstrip(".")
+        code = main([
+            "explain", "--model", str(model_path), "--mode", "distill", "--depth", "3",
+            "--facts", str(data_dir / "facts.txt"), "--pos", str(data_dir / "pos.txt"),
+            "--neg", str(data_dir / "neg.txt"), "--out", str(tmp_path / "net"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: example {first} has potential inf; distillation needs finite ones\n"
+        )
+        assert not (tmp_path / "net.tree.txt").exists()
+
     @pytest.mark.parametrize("name", sorted(DEEP_MODELS))
     @pytest.mark.parametrize("command", ["predict", "explain"])
     def test_deeply_nested_model_is_a_data_error(
@@ -729,6 +752,30 @@ class TestEval:
 
     def test_usage_error_on_unknown_flag(self):
         assert main(["eval", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, data_dir, monkeypatch, capsys):
+        import concurrent.futures
+
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+        argv = ["eval", *_common(data_dir), "--trees", "1", "--folds", "2", "--jobs", jobs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert sizes == []
+
+    def test_jobs_past_the_fold_count_start_one_worker_per_fold(
+        self, data_dir, monkeypatch, capsys
+    ):
+        import concurrent.futures
+
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+        argv = ["eval", *_common(data_dir), "--trees", "1", "--folds", "2", "--jobs", "8"]
+        assert main(argv) == 0
+        assert sizes == [2]
+        out = capsys.readouterr().out
+        assert out.startswith("fold 0: ") and "\nfold 1: " in out and "fold 2" not in out
 
 
 def _leaves(node):

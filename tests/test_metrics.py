@@ -14,7 +14,7 @@ from liftedrbm.metrics import (
 )
 from liftedrbm.model import TrainConfig, train
 
-from helpers import COLLAB, C, atom
+from helpers import COLLAB, C, atom, recording_pool
 
 
 def _scored(pos_scores, neg_scores):
@@ -160,6 +160,24 @@ class TestCrossValidate:
         parallel = cross_validate(kb, examples, folds, config, jobs=2)
         assert [m.auc_roc for m in serial.folds] == [m.auc_roc for m in parallel.folds]
         assert [m.auc_pr for m in serial.folds] == [m.auc_pr for m in parallel.folds]
+
+    def test_workers_are_capped_at_the_fold_count(self, movie_domain, monkeypatch):
+        # A pool under a non-fork start method starts all its workers at
+        # once, so it must ask for no more than there are folds.
+        import concurrent.futures
+
+        kb, examples, _ = movie_domain
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+        config = TrainConfig(n_trees=1)
+        serial = cross_validate(kb, examples, split_folds(examples, 2, seed=1), config)
+        for jobs, k, want in ((8, 2, [2]), (2, 3, [2]), (3, 3, [3]), (1, 3, [])):
+            sizes.clear()
+            report = cross_validate(kb, examples, split_folds(examples, k, seed=1), config, jobs=jobs)
+            assert sizes == want, (jobs, k)
+            assert len(report.folds) == k
+            if k == 2:
+                assert [m.auc_roc for m in report.folds] == [m.auc_roc for m in serial.folds]
 
     def test_serial_and_parallel_report_the_same_fold_failure(self):
         from liftedrbm.logic import KnowledgeBase

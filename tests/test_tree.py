@@ -34,8 +34,8 @@ from liftedrbm.tree import (
     make_head,
     NodeIndex,
     partition,
-    _BOUND_MARGIN,
-    _sse_floor,
+    _floors,
+    _sum_squares,
 )
 
 from helpers import (
@@ -586,8 +586,7 @@ class TestCoordinateDescent:
 
 def _leaf_sse(deltas, **settings):
     """The squared error fit_regression_tree computes for a fitted leaf."""
-    value = coordinate_descent(deltas, **settings).value()
-    return sum((value - d) ** 2 for d in deltas)
+    return _sum_squares(coordinate_descent(deltas, **settings).value(), deltas)
 
 
 def _mean_sse(deltas):
@@ -639,12 +638,40 @@ class TestLeafFitMemo:
         assert fitted == reference_fitted
 
 
+def _floor(deltas, selector):
+    """The floor fit_regression_tree ranks the split ``selector`` by."""
+    ((floor, _),) = _floors(deltas, {0: bytes(selector)})
+    return floor
+
+
+def _sides(deltas, selector):
+    return (
+        [d for d, s in zip(deltas, selector) if s],
+        [d for d, s in zip(deltas, selector) if not s],
+    )
+
+
 class TestSseFloor:
-    def test_an_overflowing_square_reads_as_infinity(self):
-        # A target of 1e200 squares past the float range; the floor must
-        # not raise, and a tree still fits such targets.
-        assert not _sse_floor([1e200, -1e200]) < math.inf
-        assert _sse_floor([1e200, 1e200]) <= 0.0
+    def test_an_overflow_gives_no_floor(self):
+        # 1.25e154 and 0.6e154 square within the float range but their
+        # squares sum past it, while their leaf error (about 2.1e307) is
+        # finite: the floor must not read as inf and prune the split.
+        for deltas, selector in (
+            ([1.25e154, 0.6e154, 0.0], [1, 1, 0]),
+            ([0.0, 1.25e154, 0.6e154], [1, 0, 0]),
+            ([1.25e154, 0.0, 0.6e154], [1, 0, 1]),
+            ([1.25e154, 0.6e154], [1, 0]),  # sides finite, the node's squares not
+            ([1e200, -1e200, 1.0], [1, 0, 1]),
+            ([1e200, 1e200, 1.0], [1, 1, 0]),
+            ([1.7e308, 1.7e308, 0.0], [1, 1, 0]),  # the side's sum overflows
+            ([math.inf, 0.5, 0.25], [1, 0, 1]),
+            ([math.nan, 0.5, 0.25], [0, 1, 1]),
+        ):
+            floor = _floor(deltas, selector)
+            assert floor == -math.inf, (deltas, selector, floor)
+            left, right = _sides(deltas, selector)
+            assert not _leaf_sse(left) + _leaf_sse(right) < floor
+        assert _leaf_sse([1.25e154, 0.6e154]) < math.inf
         kb = example1_kb()
         examples = [
             RegressionExample(atom(COLLAB, C(x, "person"), C(y, "person")), 1, g)
@@ -655,9 +682,8 @@ class TestSseFloor:
 
     def test_no_leaf_fit_falls_below_the_floor(self):
         # The floor is what lets fit_regression_tree skip a candidate without
-        # changing the tree, so a computed leaf error must never be below it.
-        # At the default settings it also stays above the two-pass mean error
-        # times the margin alone.
+        # changing the tree, so the computed leaf errors of a split's two
+        # sides must never sum below it.  Some come close.
         rng = random.Random(17)
         settings = [
             {},
@@ -667,32 +693,37 @@ class TestSseFloor:
         ]
         lowest = math.inf
         for case in range(3000):
-            n = rng.randint(1, 60)
+            n = rng.randint(2, 60)
             scale = 10 ** rng.uniform(-6, 1)
             if case % 10 == 0:
                 deltas = [rng.uniform(-scale, scale)] * n
             else:
                 deltas = [rng.uniform(-scale, scale) for _ in range(n)]
+            share = rng.random()
+            selector = [rng.random() < share for _ in range(n)]
+            true_side, false_side = rng.sample(range(n), 2)
+            selector[true_side], selector[false_side] = True, False
             chosen = settings[case % len(settings)] if case % 15 else {
                 "tolerance": 0.0, "max_iters": 100,
             }
-            sse = _leaf_sse(deltas, **chosen)
-            assert sse >= _sse_floor(deltas), (deltas, chosen)
-            if not chosen:
-                mean_sse = _mean_sse(deltas)
-                assert sse >= mean_sse * _BOUND_MARGIN, deltas
-                if mean_sse > 0:
-                    lowest = min(lowest, sse / mean_sse)
-        assert 1 <= lowest < 1 + 1e-6  # some fits come that close to the mean
+            left, right = _sides(deltas, selector)
+            score = _leaf_sse(left, **chosen) + _leaf_sse(right, **chosen)
+            floor = _floor(deltas, selector)
+            assert score >= floor, (deltas, selector, chosen)
+            assert floor > -math.inf
+            if floor > 0:
+                lowest = min(lowest, score / floor)
+        assert 1 <= lowest < 1 + 1e-6
 
-    def test_equal_targets_need_the_absolute_allowance(self):
-        # The float mean of twelve 0.11s is 0.11000000000000003, so the
-        # two-pass mean error is positive, but at this rate the leaf value
-        # lands nearer 0.11 and its error is a quarter of that.
-        deltas = [0.11] * 12
+    def test_equal_targets_need_the_allowance(self):
+        # Six 0.1s have a least error of 0, but computed from their sums it
+        # reads 2.1e-17, and at this rate the leaf value lands within
+        # 3e-17 of 0.1, where their computed error is 4.6e-33.
+        deltas = [0.1] * 6
         sse = _leaf_sse(deltas, learning_rate=0.5)
-        assert sse < _mean_sse(deltas) * _BOUND_MARGIN
-        assert sse >= _sse_floor(deltas)
+        unpadded = sum(d * d for d in deltas) - sum(deltas) * (sum(deltas) / 6)
+        assert sse < unpadded
+        assert sse + sse >= _floor(deltas + deltas, [1] * 6 + [0] * 6)
 
 
 def _separable_domain():
@@ -900,6 +931,44 @@ class TestPrunedFitMatchesExhaustive:
         tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, cd_max_iters=3)
         assert str(tree.root.test) == "b(T1)"
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_duplicate_selectors_and_dyadic_ties(self, seed):
+        # b copies a on even seeds and s(Y, X) mirrors r(X, Y), so several
+        # candidates make one split; dyadic targets sum exactly, and at
+        # cd_max_iters=0 every leaf value is 0 and every split scores the
+        # same sum of squares, so the lowest index must win whatever the
+        # floors rank first.
+        rng = random.Random(seed)
+        modes = parse_modes(
+            "mode: a(+thing).\nmode: b(+thing).\nmode: r(+thing, -thing).\n"
+            "mode: s(-thing, +thing).\nmode: t(-thing)."
+        )
+        things = [f"x{i}" for i in range(rng.randint(6, 14))]
+        a_facts = [x for x in things if rng.random() < 0.5]
+        b_facts = a_facts if seed % 2 == 0 else [x for x in things if rng.random() < 0.5]
+        pairs = [(x, y) for x in things for y in things if rng.random() < 0.15]
+        facts = [f"a({x})." for x in a_facts] + [f"b({x})." for x in b_facts]
+        facts += [f"r({x}, {y}).\ns({y}, {x})." for x, y in pairs]
+        kb = parse_facts("\n".join(facts), modes)
+        target = modes["t"].predicate
+        examples = [
+            RegressionExample(atom(target, C(x, "thing")), 1, rng.choice([-0.75, -0.5, 0.25, 0.5]))
+            for x in things
+        ]
+        settings = {"cd_max_iters": seed % 3 and 500, "max_new_vars": rng.randint(0, 1)}
+        _assert_fit_matches_exhaustive(examples, rng.randint(2, 6), modes, kb, **settings)
+
+    def test_a_tie_goes_to_the_lower_index_that_ranks_later(self):
+        # At cd_max_iters=0 both splits score 1.0, the sum of the squared
+        # targets; b(T1) splits the targets by sign and ranks first by
+        # floor, but a(T1) comes first among the candidates and must win.
+        modes, kb, examples = self._two_test_domain((1,), (1, 2), [0.5, 0.5, -0.5, -0.5])
+        deltas = [e.gradient for e in examples]
+        a_floor, b_floor = _floor(deltas, [1, 0, 0, 0]), _floor(deltas, [1, 1, 0, 0])
+        assert b_floor < a_floor < 1.0
+        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, cd_max_iters=0)
+        assert str(tree.root.test) == "a(T1)"
+
     def test_a_split_within_rounding_of_the_best_is_fit(self):
         # Both splits put the targets -0.19, 0.78, 0.1 on each side, a(T1) in
         # another order on its true side.  At this rate the leaf fits land
@@ -1056,6 +1125,22 @@ class TestCoverageTable:
             reached += len(before) > 0 and len(new) < shared.leaf_count - 1
         assert reached >= 3  # most fits expanded some node an earlier fit had
         assert len(table._roots) == 1
+
+    def test_one_train_reads_each_example_bit_once(self, movie_domain, monkeypatch):
+        # train resolves the root plan once: one bit per example, not one
+        # per example per tree.
+        kb, examples, _ = movie_domain
+        queries = []
+        bit = CoverageTable.bit
+
+        def counted(self, query):
+            queries.append(query)
+            return bit(self, query)
+
+        monkeypatch.setattr(CoverageTable, "bit", counted)
+        model = train(kb, examples, TrainConfig(n_trees=3))
+        assert len(model.trees) == 3
+        assert queries == [query for query, _ in examples.labeled()]
 
     def test_a_query_given_twice_keeps_both_copies_on_one_side(self):
         # Copies of a query, as the same object and as an equal one, with
