@@ -130,7 +130,8 @@ def _resolve_target(args, modes, pos_text):
 
 def _load_dataset(args, modes, target=None):
     """The knowledge base of ``--facts`` and the examples of ``--pos`` plus
-    ``--neg``, or negatives sampled at ``--neg-ratio`` under ``--seed``.
+    ``--neg``, or negatives sampled at ``--neg-ratio`` under ``--seed``; no
+    example at all is a data error.
 
     ``target`` defaults to ``--target`` or the predicate of the first positive.
     """
@@ -145,6 +146,8 @@ def _load_dataset(args, modes, target=None):
         negatives = generate_negatives(
             kb, target, positives, ratio=args.neg_ratio, seed=args.seed
         )
+    if not positives and not negatives:
+        raise ParseError("no examples: the positive and negative examples files are both empty")
     return kb, ExampleSet(target, positives, negatives)
 
 

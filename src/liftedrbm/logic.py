@@ -476,7 +476,9 @@ class RoutingTrie:
     is exact: an identical literal sequence under an identical head means an
     identical context, test, head unifier and chain of cached witnesses, so
     every decision, and every witness, is the one the clause would get on
-    its own (the argument :class:`~liftedrbm.tree.CoverageTable` relies on).
+    its own (the argument by which a fit plan's false child, whose context
+    is its parent's, takes its parent's decisions; see
+    :meth:`~liftedrbm.tree._Plan.child`).
     A clause is identified by its position in ``clauses``.  A trie keeps no
     state of a walk; :meth:`walk_many` routes a batch, without witnesses.
     """

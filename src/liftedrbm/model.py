@@ -187,13 +187,14 @@ def train(
     All trees share one :class:`~liftedrbm.tree.CoverageTable`, created here
     and dropped on return: whether an example satisfies a node's context and a
     candidate never depends on the gradients, so trees 2..n reuse what earlier
-    trees proved.  It holds two n-bit ints per distinct context x candidate
-    for the n training examples, and the fit plan of every node a tree
-    reached (its rows, candidates and splits), which a later tree reaching
-    that node reuses.  The root plan, with each example's bit in the table,
-    is resolved once here, so each tree is grown from it and that tree's
+    trees decided.  It holds the fit plan of every node a tree reached (its
+    rows, candidates and splits), which a later tree reaching that node
+    reuses.  The root plan, with each example's bit in the table, is
+    resolved once here, so each tree is grown from it and that tree's
     gradient list alone, as :func:`~liftedrbm.tree.fit_regression_tree`
-    would grow it.
+    would grow it.  Examples share few (label, potential) pairs, so each
+    tree computes one gradient per pair and lists it for every example that
+    has it.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -213,11 +214,14 @@ def train(
     table = CoverageTable()
     root = _root_plan([query for query, _ in labeled], kb.modes, config.max_new_vars, table)
     fitted: list[float] = []
+    labels = [label for _, label in labeled]
     for index in range(config.n_trees):
-        gradients = [
-            label - probability(psi, config.psi_clamp)
-            for (_, label), psi in zip(labeled, psis)
-        ]
+        # A tree's examples share few (label, potential) pairs: one gradient each.
+        keys = list(zip(labels, psis))
+        gradient = {
+            key: key[0] - probability(key[1], config.psi_clamp) for key in dict.fromkeys(keys)
+        }
+        gradients = list(map(gradient.__getitem__, keys))
         tree = _grow(
             root, gradients, config.max_leaves, kb, table, learning_rate=config.learning_rate,
             cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance, fitted=fitted,

@@ -17,8 +17,12 @@ signed path literals) is what a model's or a network's
 
 A fit builds each node once per :class:`CoverageTable`, as a plan of what
 it is regardless of the gradients: its examples by position, rows,
-candidates and splits.  Boosted trees share one table, so a later tree
-reuses every node an earlier one built and only refits the leaves.
+candidates and splits.  A root or a true child decides its splits on its
+rows; a false child, whose context and rows are its parent's, takes its
+parent's candidates and splits compressed to its side, as TILDE's else
+branch keeps its parent's query (Blockeel & De Raedt, AIJ 1998).  Boosted
+trees share one table, so a later tree reuses every node an earlier one
+built and only refits the leaves.
 """
 
 from __future__ import annotations
@@ -382,13 +386,59 @@ def generate_candidates(
             n_fresh = sum(1 for slot in combo if slot is _FRESH)
             if n_fresh > max_new_vars:
                 continue
-            taken = base_names | {slot.name for slot in combo if slot is not _FRESH}
-            args = tuple(
-                _fresh_variable(type_tag, taken) if slot is _FRESH else slot
-                for slot, type_tag in zip(combo, predicate.arg_types)
-            )
-            out.append(Literal(Atom(predicate, args)))
+            out.append(_literal(predicate, combo, base_names))
     return out
+
+
+def _literal(predicate: Predicate, combo: Sequence, used_names: Iterable[str]) -> Literal:
+    """The test of ``predicate`` whose arguments are ``combo``, each
+    ``_FRESH`` slot a new variable named by type initial, avoiding
+    ``used_names`` and every named slot."""
+    taken = {slot.name for slot in combo if slot is not _FRESH}
+    taken.update(used_names)
+    return Literal(Atom(predicate, tuple([
+        _fresh_variable(type_tag, taken) if slot is _FRESH else slot
+        for slot, type_tag in zip(combo, predicate.arg_types)
+    ])))
+
+
+def _renamed(
+    candidates: list[Literal], bound_vars: Sequence[Term], used_names: frozenset[str]
+) -> list[Literal]:
+    """``candidates``, generated for a node binding ``bound_vars``, as
+    :func:`generate_candidates` names them under ``used_names``, a superset
+    of the names it was given: each variable outside ``bound_vars`` a fresh
+    slot.  A candidate none of whose fresh names is now used keeps them,
+    since each is still the first free index of its type."""
+    bound = {var.name for var in bound_vars}
+    out = []
+    for candidate in candidates:
+        args = candidate.atom.args
+        if any(arg.name in used_names and arg.name not in bound for arg in args):
+            combo = tuple([arg if arg.name in bound else _FRESH for arg in args])
+            candidate = _literal(candidate.atom.predicate, combo, used_names)
+        out.append(candidate)
+    return out
+
+
+def _restates(test: Atom, bound: set[Term], context: tuple[Atom, ...]) -> bool:
+    """Whether renaming ``test``'s variables outside ``bound`` makes it an
+    atom of ``context``, each such variable renamed one way wherever it
+    stands.  Then ``test`` holds on every witness of the context: that
+    witness's own values for the atom's arguments satisfy it."""
+    for atom in context:
+        if atom.predicate != test.predicate:
+            continue
+        renaming: dict[Term, Term] = {}
+        for mine, theirs in zip(test.args, atom.args):
+            if mine.is_variable and mine not in bound:
+                if renaming.setdefault(mine, theirs) != theirs:
+                    break
+            elif mine != theirs:
+                break
+        else:
+            return True
+    return False
 
 
 # (position, rows): the example's index in the fit's ``examples``, and every
@@ -401,47 +451,32 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class CoverageTable(FactViews):
-    """Which examples satisfy ``context AND candidate``, each decided once,
-    and the fit plans built on those decisions.
+    """The fit plans of the fits over one knowledge base, and what they
+    decide and join on.
 
-    An entry is keyed on a node's context (the atoms of its positive path
-    tests), interned as an int by :meth:`context_id`, and a candidate atom,
-    variable names included, and holds two ints used as bitsets over the
-    examples: ``known`` marks the examples already decided and ``sat`` those
-    whose extended conjunction is satisfiable.  Each distinct query atom
-    owns one bit.  The entries are exact: a decision depends only on the
-    knowledge base, the context, the candidate and the query, never on
-    gradients.  A table is therefore valid for one unchanged knowledge base,
-    and costs two n-bit ints per distinct context x candidate for n distinct
-    queries.
-
-    It also maps a root key to the root of a tree of fit plans (see
+    It maps a root key to the root of a tree of fit plans (see
     :func:`fit_regression_tree`).  The key holds everything a plan depends
     on besides the knowledge base: the target, each example's query bit in
-    example order, the modes and ``max_new_vars``.  A plan holds no
-    gradient, so a later fit with the same key reuses every node, join,
-    candidate and split an earlier fit built.
+    example order, the modes and ``max_new_vars``.  Each distinct query
+    atom owns one bit (:meth:`bit`), so equal queries at other positions
+    share it.  A plan holds no gradient, so a later fit with the same key
+    reuses every node, join, candidate and split an earlier fit built.
 
     It is also the :class:`~liftedrbm.logic.FactViews` the fit decides and
-    joins rows on.  A batch walk
-    (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no table.
+    joins rows on, so a table is valid for one unchanged knowledge base.  A
+    batch walk (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no
+    table.
     """
 
-    __slots__ = ("_bits", "_contexts", "_entries", "_roots")
+    __slots__ = ("_bits", "_roots")
 
     def __init__(self):
         self._bits: dict[Atom, int] = {}
-        self._contexts: dict[tuple[Atom, ...], int] = {}
-        self._entries: dict[tuple[int, Atom], tuple[int, int]] = {}
         self._roots: dict[tuple, _Plan] = {}
         super().__init__()
 
     def bit(self, query: Atom) -> int:
         return self._bits.setdefault(query, 1 << len(self._bits))
-
-    def context_id(self, context: tuple[Atom, ...]) -> int:
-        """The int that stands for ``context`` in this table's entry keys."""
-        return self._contexts.setdefault(context, len(self._contexts))
 
 
 class NodeIndex:
@@ -476,51 +511,35 @@ class NodeIndex:
 
 
 def partition(
-    context_id: int,
     bound_vars: Sequence[Term],
     candidate: Literal,
     node: NodeIndex,
     kb: KnowledgeBase,
-    table: CoverageTable,
-) -> Optional[int]:
-    """The bits of a node's items that satisfy (context AND candidate), or
-    ``None`` when those are none or all of them (a one-sided split).
-
-    ``context_id`` is the table's :meth:`~CoverageTable.context_id` of the
-    atoms of the node's positive root-to-node tests, and ``bound_vars`` the
-    variables its rows bind.  The table's entry under the key
-    (``context_id``, ``candidate.atom``) is read, only the items whose bits
-    it has not decided are decided, and those decisions are recorded in it.
-    The result is a subset of ``node.mask``; an item is on the true side iff
-    its bit is in it.
+    views: FactViews,
+) -> int:
+    """The bits of a node's items that satisfy (context AND candidate), a
+    subset of ``node.mask``: an item is on the true side iff its bit is in
+    it.  ``bound_vars`` are the variables the node's rows bind.
 
     An item is satisfiable iff one of its rows holds, at the candidate's
-    bound columns, a value of the table's projection: only those values
+    bound columns, a value of the views' projection: only those values
     join with the context.  One set intersection with
     :meth:`NodeIndex.first_rows` decides every item whose first row holds;
     only an item with several rows, facing a candidate that binds a column
     past the head's, reads its other rows.
     """
-    key = (context_id, candidate.atom)
-    known, sat = table._entries.get(key, (0, 0))
-    mask = node.mask
-    undecided = mask & ~known
-    if undecided:
-        columns, values = table.projection(candidate.atom, bound_vars, kb)
-        firsts = node.first_rows(columns)
-        hits = 0
-        for value in firsts.keys() & values:
-            hits |= firsts[value]
-        sat |= hits & undecided
-        rest = undecided & ~hits
-        if rest and node.several and columns and max(columns) >= node.width:
-            read = _key(columns)
-            for bit, rows in node.several:
-                if rest & bit and not values.isdisjoint(map(read, rows)):
-                    sat |= bit
-        table._entries[key] = (known | mask, sat)
-    sat &= mask
-    return None if not sat or sat == mask else sat
+    columns, values = views.projection(candidate.atom, bound_vars, kb)
+    firsts = node.first_rows(columns)
+    sat = 0
+    for value in firsts.keys() & values:
+        sat |= firsts[value]
+    rest = node.mask & ~sat
+    if rest and node.several and columns and max(columns) >= node.width:
+        read = _key(columns)
+        for bit, rows in node.several:
+            if rest & bit and not values.isdisjoint(map(read, rows)):
+                sat |= bit
+    return sat
 
 
 @dataclass(slots=True, eq=False)
@@ -528,23 +547,23 @@ class _Plan:
     """A fit node as far as it does not depend on the gradients.
 
     It holds the examples that reach the node, as ``items`` with their rows
-    and as ``positions``, its context and the table's id for it, its bound
-    variables, used names and depth.  Once expanded it also holds its
-    candidates and, in ``splits``, each distinct two-sided split as a
-    selector (one byte per item, 1 on the true side) under the index of the
-    first candidate that makes it (a later one would score the same and
-    lose the tie), and, in ``children``, the (true, false) child plans of
-    each candidate index that has won.  A true child's ``parent_vars`` are
-    its parent's bound variables until it is expanded: its rows are still
-    its parent's, and its test, the last atom of its context, is joined
-    into them then.
+    and as ``positions``, its context, its bound variables, used names and
+    depth.  Once expanded it also holds its candidates and, in ``splits``,
+    each distinct two-sided split as a selector (one byte per item, 1 on
+    the true side) under the index of the first candidate that makes it (a
+    later one would score the same and lose the tie), and, in
+    ``children``, the (true, false) child plans of each candidate index
+    that has won.  A true child's ``parent_vars`` are its parent's bound
+    variables until it is expanded: its rows are still its parent's, and
+    its test, the last atom of its context, is joined into them then.  A
+    false child is never expanded: it is made with its candidates and
+    splits (:meth:`child`).
     Plans hold their children, never their parents.
     """
 
     items: Optional[list[FitItem]]
     depth: int
     context: tuple[Atom, ...]
-    context_id: int
     bound_vars: tuple[Term, ...]
     used_names: frozenset[str]
     parent_vars: Optional[tuple[Term, ...]] = None
@@ -556,43 +575,61 @@ class _Plan:
     def __post_init__(self):
         self.positions = tuple([position for position, _ in self.items])
 
-    def expand(self, root: _Root, kb: KnowledgeBase, table: CoverageTable) -> None:
+    def expand(self, root: _Root, kb: KnowledgeBase, views: FactViews) -> None:
         """Join a true child's test into its rows, then generate the
-        candidates and decide each one's split."""
+        candidates and decide each one's split.  A candidate that
+        :func:`_restates` an atom of the context holds on every item, so it
+        is one-sided and not decided."""
         if self.parent_vars is not None:
-            self.items = join(self.context[-1], self.parent_vars, self.items, kb, table)
+            self.items = join(self.context[-1], self.parent_vars, self.items, kb, views)
             self.parent_vars = None
         head = root.head
         self.candidates = generate_candidates(
             self.bound_vars, root.modes, root.max_new_vars, self.used_names, (head.predicate.name,)
         )
         index = NodeIndex(self.items, root.bits, len(head.args))  # every split is decided here
+        bound = set(self.bound_vars)
         firsts: dict[int, int] = {}  # satisfied bits -> first candidate index
         for k, candidate in enumerate(self.candidates):
-            sat = partition(self.context_id, self.bound_vars, candidate, index, kb, table)
-            if sat is not None:
+            if _restates(candidate.atom, bound, self.context):
+                continue
+            sat = partition(self.bound_vars, candidate, index, kb, views)
+            if sat and sat != index.mask:
                 firsts.setdefault(sat, k)
         self.splits = {
             k: bytes(map(bool, map(sat.__and__, index.bits))) for sat, k in firsts.items()
         }
 
-    def child(self, k: int, table: CoverageTable) -> tuple["_Plan", "_Plan"]:
-        """The (true, false) child plans of candidate ``k``, made once."""
+    def child(self, k: int) -> tuple["_Plan", "_Plan"]:
+        """The (true, false) child plans of candidate ``k``, made once.
+
+        The false child has this plan's context, bound variables and rows,
+        so its candidates are this plan's, their fresh variables named
+        under its used names (:func:`_renamed`), and each decides the same
+        items as here: its split is this one's selector compressed to the
+        false side, kept when two-sided and under its first index."""
         children = self.children.get(k)
         if children is None:
             candidate, split = self.candidates[k], self.splits[k]
+            flip = split.translate(_FLIP)
             new_vars = tuple(v for v in candidate.atom.variables() if v not in self.bound_vars)
             names = self.used_names | {t.name for t in candidate.atom.variables()}
-            context = self.context + (candidate.atom,)
+            firsts: dict[bytes, int] = {}  # selector -> first candidate index
+            for j, selector in self.splits.items():
+                side = bytes(compress(selector, flip))
+                if 0 in side and 1 in side:
+                    firsts.setdefault(side, j)
             children = self.children[k] = (
                 _Plan(
-                    list(compress(self.items, split)), self.depth + 1, context,
-                    table.context_id(context), self.bound_vars + new_vars, names,
+                    list(compress(self.items, split)), self.depth + 1,
+                    self.context + (candidate.atom,), self.bound_vars + new_vars, names,
                     parent_vars=self.bound_vars,
                 ),
                 _Plan(
-                    list(compress(self.items, split.translate(_FLIP))), self.depth + 1,
-                    self.context, self.context_id, self.bound_vars, names,
+                    list(compress(self.items, flip)), self.depth + 1, self.context,
+                    self.bound_vars, names,
+                    candidates=_renamed(self.candidates, self.bound_vars, names),
+                    splits={j: side for side, j in firsts.items()},
                 ),
             )
         return children
@@ -687,7 +724,7 @@ def _root_plan(queries: Sequence[Atom], modes, max_new_vars: int, table: Coverag
                 raise ValueError(f"example {query} does not ground {head}")
             items.append((position, (tuple([t.name for t in query.args]),)))
         plan = table._roots[key] = _Plan(
-            items, 0, (), table.context_id(()), head.args, frozenset(t.name for t in head.args)
+            items, 0, (), head.args, frozenset(t.name for t in head.args)
         )
     return _Root(head, plan, bits, modes, max_new_vars)
 
@@ -736,17 +773,20 @@ def fit_regression_tree(
     the gradients.  Its items are (position in ``examples``, rows), with
     every witness of the node's context as rows, the root's one row being
     its query's arguments (tuple-ID propagation; Yin et al., CrossMine, ICDE
-    2004).  When a plan is first expanded, a true child's rows are extended
-    by its test (:func:`~liftedrbm.logic.join`), its candidates are
-    generated, and each is decided by :func:`partition` from a
-    :class:`CoverageTable` keyed on (node context id, candidate atom), so
-    each (context, candidate, example) is decided at most once, by set
-    lookups and no search, and kept as a byte selector over the plan's
-    items.  A fit reads each side's gradients from its node's by
-    ``itertools.compress`` with that selector or its complement; a
-    one-sided candidate is skipped without a list.  Child plans are made
-    when their candidate first wins, so a true child that stays a leaf is
-    never joined.  The fit proves nothing through
+    2004).  When a root or a true child is first expanded, a true child's
+    rows are extended by its test (:func:`~liftedrbm.logic.join`), its
+    candidates are generated, and each is decided by :func:`partition`, by
+    set lookups in the table's views and no search, and kept as a byte
+    selector over the plan's items; a candidate that restates an atom of
+    the context (:func:`_restates`) holds on every item and is not decided.
+    Child plans are made when their candidate first wins, so a true child
+    that stays a leaf is never joined.  A false child is never expanded:
+    it keeps its parent's context and rows, so :meth:`_Plan.child` makes it
+    with its parent's candidates, renamed, and selectors, compressed to its
+    side; no (context, candidate) pair is decided twice.  A fit reads each
+    side's gradients from its node's by ``itertools.compress`` with a
+    selector or its complement; a one-sided candidate is skipped without a
+    list.  The fit proves nothing through
     :func:`~liftedrbm.logic.witnesses`.
 
     Pass ``table`` to share one across fits over the same knowledge base:
@@ -755,9 +795,9 @@ def fit_regression_tree(
     reaches each node an earlier fit expanded with its rows, candidates and
     splits built.  The table then keeps every plan until it is dropped.  By
     default the fit uses its own table and drops it on return, and, since
-    no later fit can read a plan, an expanded plan or a permanent leaf frees
-    its rows, candidates and splits at once; the table still pays off
-    because a false child keeps its parent's context.  When given,
+    no later fit can read a plan, a plan frees its rows, candidates and
+    splits once it has split, its false child made from them first, or
+    stays a leaf.  When given,
     ``fitted`` is filled with each example's leaf value in ``examples``
     order: the value :meth:`~liftedrbm.model.BoostedModel.per_tree` routes
     it to, since fitting and routing make the same decisions.
@@ -836,7 +876,7 @@ def _grow(
                 plan.drop()
             continue  # permanent leaf
         _, k, left, right, fit_left, fit_right = best
-        true_plan, false_plan = plan.child(k, table)
+        true_plan, false_plan = plan.child(k)
         node.test = plan.candidates[k]
         if owned:
             plan.drop()  # its items live on in its children; a join frees its rows

@@ -202,6 +202,31 @@ class TestTrain:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("data error: examples appear with both labels")
 
+    @pytest.mark.parametrize("command", ["train", "eval", "explain"])
+    def test_no_examples_at_all_is_a_data_error(
+        self, command, data_dir, trained_model_path, tmp_path, capsys
+    ):
+        # Given its target (a model's, in explain), each command finds no
+        # example, read or sampled.
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        examples = ["--facts", str(data_dir / "facts.txt"), "--pos", str(empty)]
+        examples += ["--neg", str(empty)]
+        modes = ["--modes", str(data_dir / "modes.txt"), "--target", "collab"]
+        argv = {
+            "train": ["train", *modes, *examples, "--trees", "1",
+                      "--out", str(tmp_path / "m.json")],
+            "eval": ["eval", *modes, *examples, "--trees", "1", "--folds", "2",
+                     "--out", str(tmp_path / "r.json")],
+            "explain": ["explain", "--model", str(trained_model_path), "--mode", "distill",
+                        "--depth", "1", *examples, "--out", str(tmp_path / "net")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: no examples: the positive and negative examples files are both empty\n"
+        )
+        assert not any(tmp_path.glob("m.json")) and not any(tmp_path.glob("net*"))
+
 
 class TestPredict:
     def test_scores_every_query(self, data_dir, trained_model_path, tmp_path):

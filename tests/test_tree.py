@@ -35,6 +35,7 @@ from liftedrbm.tree import (
     NodeIndex,
     partition,
     _floors,
+    _restates,
     _sum_squares,
 )
 
@@ -181,7 +182,7 @@ def _base(item):
     return unify(make_head(item[0].query.predicate), item[0].query)
 
 
-def _partition(context, candidate, examples, kb, table=None, bound_vars=None, width=2):
+def _partition(candidate, examples, kb, table=None, bound_vars=None, width=2):
     """``partition`` at a node whose items are (position, rows) for the
     given (example, rows), binding ``bound_vars`` (by default the head of
     ``collab`` items), the first ``width`` of them the head's, with a
@@ -191,10 +192,10 @@ def _partition(context, candidate, examples, kb, table=None, bound_vars=None, wi
     bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
     bits = [table.bit(example.query) for example, _ in examples]
     node = NodeIndex(_positioned(examples), bits, width)
-    sat = partition(table.context_id(tuple(context)), bound_vars, candidate, node, kb, table)
-    if sat is None:
-        return None
+    sat = partition(bound_vars, candidate, node, kb, table)
     assert sat & node.mask == sat
+    if sat in (0, node.mask):
+        return None
     return [bool(sat & bit) for bit in node.bits]
 
 
@@ -222,10 +223,10 @@ class TestPartition:
         acts = Literal(atom(ACTEDIN, V("P1", "person"), V("M1", "movie")))
         # one-sided: p1 and p2 both act, as the oracle says
         acting = [items[0], _collab_item(kb, "p2", "p1")]
-        assert _partition((), acts, acting, kb) is None
+        assert _partition(acts, acting, kb) is None
         assert all(oracle_satisfy([acts], _base(item), kb) for item in acting)
         # a decision is the satisfied bits alone: p1 acts and p3 does not
-        assert _partition((), acts, items, kb) == [True, False]
+        assert _partition(acts, items, kb) == [True, False]
         # The fit joins the committed split's test into its true side's rows
         # when it expands that side, and no sooner.  p1 and p2 act and p3
         # does not, so acts splits the root and its true side, which has the
@@ -266,7 +267,7 @@ class TestPartition:
         from helpers import DIRECTEDBY
 
         candidate = Literal(atom(DIRECTEDBY, V("M", "movie"), V("P1", "person")))
-        assert _partition((), candidate, items, kb) is None
+        assert _partition(candidate, items, kb) is None
         assert not any(oracle_satisfy([candidate], _base(item), kb) for item in items)
 
     def test_matches_brute_force_grounding_oracle(self):
@@ -324,10 +325,10 @@ class TestPartition:
                 if rows:
                     items.append((RegressionExample(q, 1, 0.1), rows))
                     several += len(rows) > 1
-            split = _partition(context, Literal(candidate), items, kb, table, bound_vars)
+            split = _partition(Literal(candidate), items, kb, table, bound_vars)
             expected = [holds(context + (candidate,), example.query) for example, _ in items]
-            # a second split reads every decision from the table
-            assert _partition(context, Literal(candidate), items, kb, table, bound_vars) == split
+            # a second split on the same table's views decides the same
+            assert _partition(Literal(candidate), items, kb, table, bound_vars) == split
             if split is None:
                 assert len(set(expected)) <= 1
                 continue
@@ -356,7 +357,7 @@ class TestPartition:
             atom(SAMEPERSON, C("p2", "person"), p1),
         ):
             expected = [oracle_satisfy([Literal(candidate)], _base(item), kb) for item in items]
-            split = _partition((), Literal(candidate), items, kb)
+            split = _partition(Literal(candidate), items, kb)
             if split is None:
                 assert len(set(expected)) == 1
             else:
@@ -400,18 +401,16 @@ class TestPartition:
                     key = (head_vars, bound_vars)
                     nodes.setdefault(key, []).append((example, items[0][1], everyone))
             table = CoverageTable()
-            context_id = table.context_id(context)
             for (head_vars, bound_vars), members in nodes.items():
                 items = [(position, rows) for position, (_, rows, _) in enumerate(members)]
                 bits = [table.bit(example.query) for example, _, _ in members]
                 node = NodeIndex(items, bits, len(head_vars))
                 for test in tests:
-                    partition(context_id, bound_vars, Literal(test), node, kb, table)
-                    known, sat = table._entries[(context_id, test)]
+                    sat = partition(bound_vars, Literal(test), node, kb, table)
+                    assert sat & node.mask == sat
                     free = [t for t in test.args if t.is_variable and t not in bound_vars]
                     for (example, rows, everyone), bit in zip(members, node.bits):
                         want = any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
-                        assert known & bit
                         assert bool(sat & bit) == want, (
                             f"context={[str(a) for a in context]} test={test} rows={rows}"
                         )
@@ -1005,16 +1004,13 @@ class TestCoverageTable:
             for q, y in rng.sample(labeled, len(labeled) // 2)
         ]
 
-        def decided(table):
-            return sum(known.bit_count() for known, _ in table._entries.values())
-
         alone = CoverageTable()
         fresh = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=alone)
         table = CoverageTable()
         fit_regression_tree(first, 4, MOVIE_MODES, kb, table=table)
-        before = decided(table)
+        bits = dict(table._bits)
         shared = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=table)
-        assert decided(table) - before < decided(alone)  # the table was read
+        assert table._bits == bits  # each equal query kept its bit at a new position
         assert shared.to_text() == fresh.to_text()
 
     def test_each_item_carries_every_witness_of_its_node_context(self, movie_domain, monkeypatch):
@@ -1032,18 +1028,22 @@ class TestCoverageTable:
             RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
         ]
         head = make_head(regression[0].query.predicate)
-        nodes, joins, several = [], [], []
-        partition, join = tree_module.partition, tree_module.join
+        nodes, joins, several, expanding = [], [], [], []
+        partition, join, expand = tree_module.partition, tree_module.join, tree_module._Plan.expand
 
-        def candidate_split(context_id, bound_vars, candidate, node, kb, table):
+        def expanded(plan, *args):
+            expanding.append(plan)
+            return expand(plan, *args)
+
+        def candidate_split(bound_vars, candidate, node, kb, views):
             if not nodes or nodes[-1] is not node:  # a node's candidates come together
                 nodes.append(node)
-                (context,) = [c for c, i in table._contexts.items() if i == context_id]
+                context = expanding[-1].context
                 for position, rows in node.items:
                     found = witnesses(context, unify(head, regression[position].query), kb)
                     assert rows == tuple(_names(w, bound_vars) for w in found)
                     several.append(len(rows) > 1)
-            return partition(context_id, bound_vars, candidate, node, kb, table)
+            return partition(bound_vars, candidate, node, kb, views)
 
         def extended(*args):
             joins.append(join(*args))
@@ -1051,8 +1051,10 @@ class TestCoverageTable:
 
         monkeypatch.setattr(tree_module, "partition", candidate_split)
         monkeypatch.setattr(tree_module, "join", extended)
+        monkeypatch.setattr(tree_module._Plan, "expand", expanded)
         tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
-        assert len(nodes) == 7 and any(several)
+        # the expanded nodes: a false child is made with its splits
+        assert len(nodes) == len(expanding) == 3 and any(several)
         # each join's rows were read, and checked, at the child it extended
         assert joins and all(any(node.items is rows for node in nodes) for rows in joins)
         reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
@@ -1063,6 +1065,7 @@ class TestCoverageTable:
 
         monkeypatch.setattr(tree_module, "partition", partition)
         monkeypatch.setattr(tree_module, "join", join)
+        monkeypatch.setattr(tree_module._Plan, "expand", expand)
         monkeypatch.setattr(logic_module, "iter_matches", refused)
         with pytest.raises(AssertionError):
             route_decision((), reference.root.test.atom, {}, {}, kb)
@@ -1085,7 +1088,10 @@ class TestCoverageTable:
         """Fits over the same examples with new gradients give, through one
         shared table, the trees and fitted floats of fresh tables; a plan an
         earlier fit expanded generates, partitions and joins nothing again,
-        so a fit with an earlier fit's gradients calls none of them."""
+        so a fit with an earlier fit's gradients calls none of them.  Only a
+        root or a true child is expanded, and it partitions every candidate
+        that does not restate its context; a false child is made with its
+        candidates and splits."""
         import liftedrbm.tree as tree_module
 
         kb, examples, _ = movie_domain
@@ -1106,20 +1112,25 @@ class TestCoverageTable:
             regression = [RegressionExample(q, y, g) for (q, y), g in zip(labeled, gradients)]
             fresh_fitted, shared_fitted = [], []
             fresh = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fresh_fitted)
-            before = {plan for plan, _ in _plans(table) if plan.splits is not None}
+            before = {plan: plan.splits is not None for plan, _ in _plans(table)}
             calls.clear()
             shared = fit_regression_tree(
                 regression, 6, MOVIE_MODES, kb, table=table, fitted=shared_fitted
             )
             assert shared.to_text() == fresh.to_text()
             assert [v.hex() for v in shared_fitted] == [v.hex() for v in fresh_fitted]
+            after = list(_plans(table))
             new = [
-                (plan, true_child) for plan, true_child in _plans(table)
-                if plan.splits is not None and plan not in before
+                (plan, kind) for plan, kind in after
+                if kind != "false" and plan.splits is not None and not before.get(plan)
+            ]
+            decided = [
+                candidate for plan, _ in new for candidate in plan.candidates
+                if not _restates(candidate.atom, set(plan.bound_vars), plan.context)
             ]
             assert calls.get("generate_candidates", 0) == len(new)
-            assert calls.get("partition", 0) == sum(len(plan.candidates) for plan, _ in new)
-            assert calls.get("join", 0) == sum(true_child for _, true_child in new)
+            assert calls.get("partition", 0) == len(decided)
+            assert calls.get("join", 0) == sum(kind == "true" for _, kind in new)
             if fit == 3:
                 assert calls == {}
             reached += len(before) > 0 and len(new) < shared.leaf_count - 1
@@ -1170,14 +1181,107 @@ class TestCoverageTable:
         assert split >= 4
 
 
+class TestFalseChildDerivation:
+    """A false child is made with its candidates and splits, never
+    expanded: they must be what generating and partitioning from scratch
+    give on its plan."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_false_children_match_a_fresh_expansion(self, shared, monkeypatch):
+        import liftedrbm.tree as tree_module
+
+        head = make_head(COLLAB)
+        false_plans, checked, nested, two_sided = set(), [], 0, 0
+        settings = {}
+        child = tree_module._Plan.child
+
+        def derived(plan, k):
+            nonlocal nested, two_sided
+            children = child(plan, k)
+            false_plan = children[1]
+            if false_plan in false_plans:
+                return children  # made by an earlier fit, already checked
+            false_plans.add(false_plan)
+            nested += plan in false_plans
+            candidates = generate_candidates(
+                false_plan.bound_vars, MOVIE_MODES, settings["max_new_vars"],
+                false_plan.used_names, (COLLAB.name,),
+            )
+            assert [str(c) for c in false_plan.candidates] == [str(c) for c in candidates]
+            # every item carries every witness of the context, as its parent's
+            for position, rows in false_plan.items:
+                found = witnesses(false_plan.context, unify(head, examples[position].query), kb)
+                assert rows == tuple(_names(w, false_plan.bound_vars) for w in found)
+            bits = [1 << position for position in range(len(examples))]
+            node = NodeIndex(false_plan.items, bits, len(head.args))
+            firsts = {}
+            for j, candidate in enumerate(candidates):
+                sat = partition(false_plan.bound_vars, candidate, node, kb, CoverageTable())
+                if sat and sat != node.mask:
+                    firsts.setdefault(sat, j)
+            want = {j: bytes(bool(sat & bit) for bit in node.bits) for sat, j in firsts.items()}
+            assert false_plan.splits == want
+            checked.append(false_plan)
+            two_sided += bool(want)
+            return children
+
+        monkeypatch.setattr(tree_module._Plan, "child", derived)
+        for seed in range(48):
+            kb, examples, max_leaves, settings, _ = _random_fit_case(seed)
+            fits, table = [examples], None
+            if shared:  # an earlier fit with other gradients fills the table
+                table = CoverageTable()
+                gradients = [e.gradient for e in reversed(examples)]
+                fits.insert(0, [
+                    RegressionExample(e.query, e.label, g) for e, g in zip(examples, gradients)
+                ])
+            for examples in fits:
+                fit_regression_tree(examples, max_leaves, MOVIE_MODES, kb, table=table, **settings)
+        assert len(checked) >= 100 and nested >= 40 and two_sided >= 80
+
+    def test_a_candidate_that_restates_the_context_holds_everywhere(self):
+        # Every candidate the skip rule names holds on every witness of the
+        # context, so its split is all-true and one-sided.
+        rng = random.Random(31)
+        named = repeated = renamed = 0
+        for _ in range(1500):
+            kb, context, bases, tests = _random_context_case(rng)
+            bound = set(v for a in context for v in a.variables())
+            for test in tests:
+                if not _restates(test, bound, context):
+                    continue
+                named += 1
+                free = [t for t in test.args if t.is_variable and t not in bound]
+                repeated += len(set(free)) < len(free)
+                renamed += bool(free)
+                for base in bases:
+                    for witness in oracle_witnesses(context, base, kb):
+                        assert oracle_satisfy([Literal(test)], witness, kb), (
+                            f"context={[str(a) for a in context]} test={test}"
+                        )
+        assert named >= 3000 and renamed >= 2000 and repeated >= 50
+
+    def test_a_fresh_variable_met_twice_must_meet_one_argument(self):
+        r = Predicate("r", ("t", "t"))
+        a, b, x, y = V("A", "t"), V("B", "t"), V("X", "t"), V("Y", "t")
+        bound = {a, b}
+        assert not _restates(Atom(r, (x, x)), bound, (Atom(r, (a, b)),))
+        assert _restates(Atom(r, (x, x)), bound, (Atom(r, (a, a)),))
+        assert _restates(Atom(r, (x, y)), bound, (Atom(r, (a, b)),))
+        assert _restates(Atom(r, (x, b)), bound, (Atom(r, (a, b)),))
+        assert not _restates(Atom(r, (b, x)), bound, (Atom(r, (a, b)),))
+        assert not _restates(Atom(r, (x, C("c", "t"))), bound, (Atom(r, (a, b)),))
+
+
 def _plans(table):
-    """Every plan in a coverage table, each with whether it is a true child."""
-    stack = [(plan, False) for plan in table._roots.values()]
+    """Every plan in a coverage table, each with its kind: "root", "true"
+    or "false" child."""
+    stack = [(plan, "root") for plan in table._roots.values()]
     while stack:
-        plan, true_child = stack.pop()
-        yield plan, true_child
+        plan, kind = stack.pop()
+        yield plan, kind
         for true_plan, false_plan in plan.children.values():
-            stack += [(true_plan, True), (false_plan, False)]
+            stack += [(true_plan, "true"), (false_plan, "false")]
 
 
 def _random_movie_tree_and_examples(seed=0):
