@@ -13,9 +13,11 @@ one a tree's false branch gives it: ``NOT atom`` after a prefix holds iff
 place that reads it; a signed body is routed by walking a one-clause trie.
 
 A tree fit and :meth:`RoutingTrie.walk_many` decide on rows instead, each a
-witness as the names it binds: by lookups in a :class:`FactViews` projection
-(a semi-join; Bernstein and Chiu, JACM 1981), extended by :func:`join`
-(tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).
+witness as the names it binds: by lookups in a knowledge base's
+:meth:`~KnowledgeBase.projection` (a semi-join; Bernstein and Chiu, JACM
+1981), extended by :func:`join` (tuple-ID propagation; Yin et al.,
+CrossMine, ICDE 2004).  These fact views depend on the facts alone, so the
+knowledge base builds each once and keeps it until a new fact arrives.
 """
 
 from __future__ import annotations
@@ -143,8 +145,10 @@ class KnowledgeBase:
 
     Facts are kept in insertion order.  Lookup uses the per-predicate extension
     plus a (predicate, argument position, constant) hash index keyed on the
-    first bound argument of a query literal.  Instances are immutable once
-    loading finishes and are safe to share across workers.
+    first bound argument of a query literal.  The views of the facts that
+    rows are decided and joined on (:meth:`projection`, :meth:`grouping`)
+    are built on first use and kept; :meth:`add` drops them whenever it
+    stores a new fact.
     """
 
     def __init__(self, modes=None):
@@ -152,6 +156,8 @@ class KnowledgeBase:
         self._keys: set[tuple] = set()
         self._by_pred: dict[str, list[tuple[str, ...]]] = {}
         self._arg_index: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
+        self._projections: dict[tuple, set] = {}
+        self._groupings: dict[tuple, dict] = {}
         self._constants: dict[str, Term] = {}
         self._universes: dict[str, list[Term]] = {}
         self.predicates: dict[str, Predicate] = {}
@@ -200,6 +206,8 @@ class KnowledgeBase:
         self._by_pred[atom.predicate.name].append(names)
         for pos, name in enumerate(names):
             self._arg_index.setdefault((atom.predicate.name, pos, name), []).append(names)
+        self._projections.clear()
+        self._groupings.clear()
 
     @property
     def facts(self) -> tuple[Atom, ...]:
@@ -224,6 +232,44 @@ class KnowledgeBase:
 
     def __len__(self) -> int:
         return len(self._facts)
+
+    def _matching(self, test: Atom, filters) -> list[tuple[str, ...]]:
+        """The argument tuples of the facts that pass ``test``'s filters
+        (see :func:`_columns`), in insertion order."""
+        constants, repeats = filters
+        return [
+            args for args in self.candidates(test.predicate.name, constants)
+            if all(args[pos] == name for pos, name in constants)
+            and all(args[pos] == args[other] for pos, other in repeats)
+        ]
+
+    def projection(self, test: Atom, bound_vars: Sequence[Term]):
+        """The columns in ``bound_vars`` of ``test``'s bound arguments, and
+        the set of the values (:func:`_key`) at their positions of the facts
+        ``test`` can match: ``test`` holds under a row iff the row's values
+        at those columns are in the set."""
+        positions, columns, _, filters = _columns(test, bound_vars)
+        key = (test.predicate.name, positions, filters)
+        values = self._projections.get(key)
+        if values is None:
+            facts = self._matching(test, filters)
+            values = self._projections[key] = set(map(_key(positions), facts))
+        return columns, values
+
+    def grouping(self, test: Atom, bound_vars: Sequence[Term]):
+        """The columns of :meth:`projection`, and the facts ``test`` can
+        match grouped by their values there: for each value, the names at
+        ``test``'s fresh positions of each fact holding it, in insertion
+        order."""
+        positions, columns, free, filters = _columns(test, bound_vars)
+        key = (test.predicate.name, positions, free, filters)
+        groups = self._groupings.get(key)
+        if groups is None:
+            groups = self._groupings[key] = {}
+            read = _key(positions)
+            for args in self._matching(test, filters):
+                groups.setdefault(read(args), []).append(tuple([args[pos] for pos in free]))
+        return columns, groups
 
 
 @dataclass
@@ -335,7 +381,8 @@ def route_decision(
     When ``cached is base``, ``base`` itself grounds the context, so it is the
     context's only witness and the fast path was the whole search.  Only
     :meth:`RoutingTrie.walk` decides here: a fit and
-    :meth:`RoutingTrie.walk_many` decide on rows (see :class:`FactViews`).
+    :meth:`RoutingTrie.walk_many` decide on rows (see
+    :meth:`KnowledgeBase.projection`).
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so
@@ -377,63 +424,14 @@ def _columns(test: Atom, bound_vars: Sequence[Term]):
     return tuple(positions), tuple(columns), tuple(free), (tuple(constants), tuple(repeats))
 
 
-class FactViews:
-    """The facts as rows are decided and joined on: each :meth:`projection`
-    and :meth:`grouping` is built once per instance, for one unchanged
-    knowledge base.  It holds no rows."""
-
-    __slots__ = ("_projections", "_groupings")
-
-    def __init__(self):
-        self._projections: dict[tuple, set] = {}
-        self._groupings: dict[tuple, dict] = {}
-
-    @staticmethod
-    def _facts(test: Atom, filters, kb: KnowledgeBase) -> list[tuple[str, ...]]:
-        constants, repeats = filters
-        return [
-            args for args in kb.candidates(test.predicate.name, constants)
-            if all(args[pos] == name for pos, name in constants)
-            and all(args[pos] == args[other] for pos, other in repeats)
-        ]
-
-    def projection(self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase):
-        """The columns in ``bound_vars`` of ``test``'s bound arguments, and
-        the set of the values (:func:`_key`) at their positions of the facts
-        ``test`` can match: ``test`` holds under a row iff the row's values
-        at those columns are in the set."""
-        positions, columns, _, filters = _columns(test, bound_vars)
-        key = (test.predicate.name, positions, filters)
-        values = self._projections.get(key)
-        if values is None:
-            facts = self._facts(test, filters, kb)
-            values = self._projections[key] = set(map(_key(positions), facts))
-        return columns, values
-
-    def grouping(self, test: Atom, bound_vars: Sequence[Term], kb: KnowledgeBase):
-        """The columns of :meth:`projection`, and the facts ``test`` can
-        match grouped by their values there: for each value, the names at
-        ``test``'s fresh positions of each fact holding it, in insertion
-        order."""
-        positions, columns, free, filters = _columns(test, bound_vars)
-        key = (test.predicate.name, positions, free, filters)
-        groups = self._groupings.get(key)
-        if groups is None:
-            groups = self._groupings[key] = {}
-            read = _key(positions)
-            for args in self._facts(test, filters, kb):
-                groups.setdefault(read(args), []).append(tuple([args[pos] for pos in free]))
-        return columns, groups
-
-
-def join(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase, views: FactViews):
+def join(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase):
     """Each (item, rows of a context binding ``bound_vars``) turned into
     (item, its rows of that context extended by ``test``): each row followed
-    by the fresh names of each fact of the views' :meth:`FactViews.grouping`
+    by the fresh names of each fact of ``kb``'s :meth:`~KnowledgeBase.grouping`
     that it meets.  Rows keep their order and facts their insertion order,
     so the rows are those of :func:`witnesses`, in its order; an item no row
     of which meets a fact gets none."""
-    columns, groups = views.grouping(test, bound_vars, kb)
+    columns, groups = kb.grouping(test, bound_vars)
     read = _key(columns)
     return [
         (item, tuple([row + new for row in rows for new in groups.get(read(row), ())]))
@@ -541,9 +539,9 @@ class RoutingTrie:
         of its context as rows.  ``context AND atom`` is satisfiable iff a
         row's values are in the atom's projection: such items go to the
         positive child, their rows extended by :func:`join`, the rest to the
-        negated child unchanged.  The views live for one call."""
+        negated child unchanged.  The projections and groupings are
+        ``kb``'s, kept for later batches until it gains a fact."""
         fired: list[list[int]] = [[] for _ in queries]
-        views = FactViews()
         for head, root in self._roots.items():
             bound = tuple(dict.fromkeys(head.variables()))
             bases = [(index, unify(head, query)) for index, query in enumerate(queries)]
@@ -555,14 +553,14 @@ class RoutingTrie:
                     for index, _ in items:
                         fired[index].append(clause_id)
                 for atom, yes, no in node.branches:
-                    columns, values = views.projection(atom, bound, kb)
+                    columns, values = kb.projection(atom, bound)
                     read = _key(columns)
                     sat, unsat = [], []
                     for item in items:
                         (unsat if values.isdisjoint(map(read, item[1])) else sat).append(item)
                     if sat and yes is not None:
                         new = tuple(dict.fromkeys(v for v in atom.variables() if v not in bound))
-                        stack.append((yes, bound + new, join(atom, bound, sat, kb, views)))
+                        stack.append((yes, bound + new, join(atom, bound, sat, kb)))
                     if unsat and no is not None:
                         stack.append((no, bound, unsat))
         return [sorted(ids) for ids in fired]

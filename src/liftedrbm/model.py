@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .data import ModeDeclaration, ParseError, parse_atom_text, read_text, validate_query
 from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie
 from .tree import (
-    CoverageTable,
     InternalNode,
     LeafNode,
     LeafParams,
@@ -184,17 +183,15 @@ def train(
     ``progress(tree_index, fit_sse, mean_abs_gradient)`` is invoked after each
     iteration when given.
 
-    All trees share one :class:`~liftedrbm.tree.CoverageTable`, created here
-    and dropped on return: whether an example satisfies a node's context and a
-    candidate never depends on the gradients, so trees 2..n reuse what earlier
-    trees decided.  It holds the fit plan of every node a tree reached (its
+    All trees are grown from one root plan, made here and dropped on
+    return: whether an example satisfies a node's context and a candidate
+    never depends on the gradients, so trees 2..n reuse what earlier trees
+    decided.  The root holds the fit plan of every node a tree reached (its
     rows, candidates and splits), which a later tree reaching that node
-    reuses.  The root plan, with each example's bit in the table, is
-    resolved once here, so each tree is grown from it and that tree's
-    gradient list alone, as :func:`~liftedrbm.tree.fit_regression_tree`
-    would grow it.  Examples share few (label, potential) pairs, so each
-    tree computes one gradient per pair and lists it for every example that
-    has it.
+    reuses, and each tree is grown from it and that tree's gradient list
+    alone, as :func:`~liftedrbm.tree.fit_regression_tree` would grow it.
+    Examples share few (label, potential) pairs, so each tree computes one
+    gradient per pair and lists it for every example that has it.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -211,8 +208,7 @@ def train(
         modes=dict(kb.modes),
     )
     psis = [model.psi0] * len(labeled)
-    table = CoverageTable()
-    root = _root_plan([query for query, _ in labeled], kb.modes, config.max_new_vars, table)
+    root = _root_plan([query for query, _ in labeled], kb.modes, config.max_new_vars)
     fitted: list[float] = []
     labels = [label for _, label in labeled]
     for index in range(config.n_trees):
@@ -223,7 +219,7 @@ def train(
         }
         gradients = list(map(gradient.__getitem__, keys))
         tree = _grow(
-            root, gradients, config.max_leaves, kb, table, learning_rate=config.learning_rate,
+            root, gradients, config.max_leaves, kb, owned=False, learning_rate=config.learning_rate,
             cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance, fitted=fitted,
         )
         _check_finite_leaves(tree, index)

@@ -27,7 +27,7 @@ from .logic import (
     Term,
 )
 from .model import BoostedModel, TrainConfig, probability
-from .tree import LeafParams, RegressionExample, fit_regression_tree
+from .tree import LeafParams, fit_regression_tree
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,16 @@ def distill_single_tree(
     labeled = examples.labeled()
     if not labeled:
         raise ValueError("distillation needs training examples")
-    psis = model.psi_many([query for query, _ in labeled], kb)
-    for (query, _), psi in zip(labeled, psis):
+    queries = [query for query, _ in labeled]
+    psis = model.psi_many(queries, kb)
+    for query, psi in zip(queries, psis):
         if not math.isfinite(psi):
             raise ValueError(
                 f"example {query} has potential {psi!r}; distillation needs finite ones"
             )
-    regression = [
-        RegressionExample(query, label, psi) for (query, label), psi in zip(labeled, psis)
-    ]
     tree = fit_regression_tree(
-        regression,
+        queries,
+        psis,
         max_leaves=2 ** max_depth,
         modes=model.modes,
         kb=kb,

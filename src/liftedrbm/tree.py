@@ -15,14 +15,15 @@ on every extension of the context (see
 signed path literals) is what a model's or a network's
 :class:`~liftedrbm.logic.RoutingTrie` routes.
 
-A fit builds each node once per :class:`CoverageTable`, as a plan of what
-it is regardless of the gradients: its examples by position, rows,
-candidates and splits.  A root or a true child decides its splits on its
-rows; a false child, whose context and rows are its parent's, takes its
-parent's candidates and splits compressed to its side, as TILDE's else
-branch keeps its parent's query (Blockeel & De Raedt, AIJ 1998).  Boosted
-trees share one table, so a later tree reuses every node an earlier one
-built and only refits the leaves.
+A fit builds each node once from its root plan, as a plan of what it is
+regardless of the gradients: its examples by position, rows, candidates and
+splits, decided and joined on the knowledge base's fact views.  A root or a
+true child decides its splits on its rows; a false child, whose context and
+rows are its parent's, takes its parent's candidates and splits compressed
+to its side, as TILDE's else branch keeps its parent's query (Blockeel & De
+Raedt, AIJ 1998).  Boosted trees are grown from the one root plan
+:func:`~liftedrbm.model.train` holds, so a later tree reuses every node an
+earlier one built and only refits the leaves.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .logic import (
     Atom,
     Clause,
-    FactViews,
     KnowledgeBase,
     Literal,
     Predicate,
@@ -230,19 +230,6 @@ def coordinate_descent(
             break
         previous = square
     return LeafParams(p0, p1, p2, p3, p4)
-
-
-@dataclass(frozen=True, slots=True)
-class RegressionExample:
-    """A ground target atom with its label and current pointwise gradient.
-
-    During boosting the gradient is the residual ``label - probability`` and
-    lies in (-1, 1); tree distillation reuses the slot for raw potentials.
-    """
-
-    query: Atom
-    label: int
-    gradient: float
 
 
 @dataclass
@@ -441,7 +428,7 @@ def _restates(test: Atom, bound: set[Term], context: tuple[Atom, ...]) -> bool:
     return False
 
 
-# (position, rows): the example's index in the fit's ``examples``, and every
+# (position, rows): the example's index in the fit's ``queries``, and every
 # witness of the node's context, each as the names of the constants it binds
 # to the node's bound variables, in their order
 FitItem = tuple[int, tuple[tuple[str, ...], ...]]
@@ -450,48 +437,20 @@ FitItem = tuple[int, tuple[tuple[str, ...], ...]]
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-class CoverageTable(FactViews):
-    """The fit plans of the fits over one knowledge base, and what they
-    decide and join on.
-
-    It maps a root key to the root of a tree of fit plans (see
-    :func:`fit_regression_tree`).  The key holds everything a plan depends
-    on besides the knowledge base: the target, each example's query bit in
-    example order, the modes and ``max_new_vars``.  Each distinct query
-    atom owns one bit (:meth:`bit`), so equal queries at other positions
-    share it.  A plan holds no gradient, so a later fit with the same key
-    reuses every node, join, candidate and split an earlier fit built.
-
-    It is also the :class:`~liftedrbm.logic.FactViews` the fit decides and
-    joins rows on, so a table is valid for one unchanged knowledge base.  A
-    batch walk (:meth:`~liftedrbm.logic.RoutingTrie.walk_many`) needs no
-    table.
-    """
-
-    __slots__ = ("_bits", "_roots")
-
-    def __init__(self):
-        self._bits: dict[Atom, int] = {}
-        self._roots: dict[tuple, _Plan] = {}
-        super().__init__()
-
-    def bit(self, query: Atom) -> int:
-        return self._bits.setdefault(query, 1 << len(self._bits))
-
-
 class NodeIndex:
-    """A fit node's items as :func:`partition` reads them: each item's bit
-    (``bits`` holds one per position), their OR ``mask``, the items with
-    several rows (``several``, as (bit, rows)), and, per tuple of columns,
-    the OR of the bits of the items whose first row holds each value there
+    """A fit node's items as :func:`partition` reads them: each item's bit,
+    ``1 << position``, their OR ``mask``, the items with several rows
+    (``several``, as (bit, rows)), and, per tuple of columns, the OR of the
+    bits of the items whose first row holds each value there
     (:meth:`first_rows`).  The first ``width`` columns are the head's, on
-    which an item's rows all agree."""
+    which an item's rows all agree, so equal queries at two positions have
+    equal rows and land on one side."""
 
     __slots__ = ("items", "bits", "mask", "several", "width", "_firsts")
 
-    def __init__(self, items: Sequence[FitItem], bits: Sequence[int], width: int):
+    def __init__(self, items: Sequence[FitItem], width: int):
         self.items = items
-        self.bits = [bits[position] for position, _ in items]
+        self.bits = [1 << position for position, _ in items]
         self.mask = 0
         for bit in self.bits:
             self.mask |= bit
@@ -515,20 +474,19 @@ def partition(
     candidate: Literal,
     node: NodeIndex,
     kb: KnowledgeBase,
-    views: FactViews,
 ) -> int:
     """The bits of a node's items that satisfy (context AND candidate), a
     subset of ``node.mask``: an item is on the true side iff its bit is in
     it.  ``bound_vars`` are the variables the node's rows bind.
 
     An item is satisfiable iff one of its rows holds, at the candidate's
-    bound columns, a value of the views' projection: only those values
+    bound columns, a value of ``kb``'s projection: only those values
     join with the context.  One set intersection with
     :meth:`NodeIndex.first_rows` decides every item whose first row holds;
     only an item with several rows, facing a candidate that binds a column
     past the head's, reads its other rows.
     """
-    columns, values = views.projection(candidate.atom, bound_vars, kb)
+    columns, values = kb.projection(candidate.atom, bound_vars)
     firsts = node.first_rows(columns)
     sat = 0
     for value in firsts.keys() & values:
@@ -575,25 +533,25 @@ class _Plan:
     def __post_init__(self):
         self.positions = tuple([position for position, _ in self.items])
 
-    def expand(self, root: _Root, kb: KnowledgeBase, views: FactViews) -> None:
+    def expand(self, root: _Root, kb: KnowledgeBase) -> None:
         """Join a true child's test into its rows, then generate the
         candidates and decide each one's split.  A candidate that
         :func:`_restates` an atom of the context holds on every item, so it
         is one-sided and not decided."""
         if self.parent_vars is not None:
-            self.items = join(self.context[-1], self.parent_vars, self.items, kb, views)
+            self.items = join(self.context[-1], self.parent_vars, self.items, kb)
             self.parent_vars = None
         head = root.head
         self.candidates = generate_candidates(
             self.bound_vars, root.modes, root.max_new_vars, self.used_names, (head.predicate.name,)
         )
-        index = NodeIndex(self.items, root.bits, len(head.args))  # every split is decided here
+        index = NodeIndex(self.items, len(head.args))  # every split is decided here
         bound = set(self.bound_vars)
         firsts: dict[int, int] = {}  # satisfied bits -> first candidate index
         for k, candidate in enumerate(self.candidates):
             if _restates(candidate.atom, bound, self.context):
                 continue
-            sat = partition(self.bound_vars, candidate, index, kb, views)
+            sat = partition(self.bound_vars, candidate, index, kb)
             if sat and sat != index.mask:
                 firsts.setdefault(sat, k)
         self.splits = {
@@ -698,39 +656,31 @@ def _floors(deltas: Sequence[float], splits: dict[int, bytes]) -> list[tuple[flo
 
 class _Root(NamedTuple):
     """A root plan and what every fit from it reads besides the gradients:
-    the head, each example's table bit by position, the modes and
-    ``max_new_vars``."""
+    the head, the modes and ``max_new_vars``."""
 
     head: Atom
     plan: _Plan
-    bits: tuple[int, ...]
     modes: dict
     max_new_vars: int
 
 
-def _root_plan(queries: Sequence[Atom], modes, max_new_vars: int, table: CoverageTable) -> _Root:
-    """The root plan of a fit over ``queries``, found in ``table`` under its
-    key (see :class:`CoverageTable`) or made there; making it refuses a
-    query that is not a ground atom of the first one's predicate."""
+def _root_plan(queries: Sequence[Atom], modes, max_new_vars: int) -> _Root:
+    """The root plan of fits over ``queries``; it refuses a query that is
+    not a ground atom of the first one's predicate."""
     predicate = queries[0].predicate
     head = make_head(predicate)
-    bits = tuple([table.bit(query) for query in queries])
-    key = (predicate, bits, tuple(modes.values()), max_new_vars)
-    plan = table._roots.get(key)
-    if plan is None:  # a hit has checked these same queries
-        items: list[FitItem] = []
-        for position, query in enumerate(queries):
-            if query.predicate != predicate or not query.is_ground:
-                raise ValueError(f"example {query} does not ground {head}")
-            items.append((position, (tuple([t.name for t in query.args]),)))
-        plan = table._roots[key] = _Plan(
-            items, 0, (), head.args, frozenset(t.name for t in head.args)
-        )
-    return _Root(head, plan, bits, modes, max_new_vars)
+    items: list[FitItem] = []
+    for position, query in enumerate(queries):
+        if query.predicate != predicate or not query.is_ground:
+            raise ValueError(f"example {query} does not ground {head}")
+        items.append((position, (tuple([t.name for t in query.args]),)))
+    plan = _Plan(items, 0, (), head.args, frozenset(t.name for t in head.args))
+    return _Root(head, plan, modes, max_new_vars)
 
 
 def fit_regression_tree(
-    examples: Sequence[RegressionExample],
+    queries: Sequence[Atom],
+    gradients: Sequence[float],
     max_leaves: int,
     modes,
     kb: KnowledgeBase,
@@ -740,10 +690,10 @@ def fit_regression_tree(
     cd_tolerance: float = 1e-8,
     max_new_vars: int = 1,
     max_depth: Optional[int] = None,
-    table: Optional[CoverageTable] = None,
     fitted: Optional[list[float]] = None,
 ) -> RelationalRegressionTree:
-    """Greedy best-first induction of one tree fitting the current gradients.
+    """Greedy best-first induction of one tree fitting ``gradients``, the
+    regression target of each of the ground ``queries`` at its position.
 
     Expandable nodes sit in a priority queue ordered by their residual error.
     A candidate's score is the sum of its two child leaves' squared errors,
@@ -770,13 +720,13 @@ def fit_regression_tree(
     per call and its parameters reused for every leaf with that mean.
 
     Each node is a fit plan: everything about it that does not depend on
-    the gradients.  Its items are (position in ``examples``, rows), with
+    the gradients.  Its items are (position in ``queries``, rows), with
     every witness of the node's context as rows, the root's one row being
     its query's arguments (tuple-ID propagation; Yin et al., CrossMine, ICDE
     2004).  When a root or a true child is first expanded, a true child's
     rows are extended by its test (:func:`~liftedrbm.logic.join`), its
     candidates are generated, and each is decided by :func:`partition`, by
-    set lookups in the table's views and no search, and kept as a byte
+    set lookups in ``kb``'s fact views and no search, and kept as a byte
     selector over the plan's items; a candidate that restates an atom of
     the context (:func:`_restates`) holds on every item and is not decided.
     Child plans are made when their candidate first wins, so a true child
@@ -789,42 +739,37 @@ def fit_regression_tree(
     list.  The fit proves nothing through
     :func:`~liftedrbm.logic.witnesses`.
 
-    Pass ``table`` to share one across fits over the same knowledge base:
-    the root plan is found there under its key (see :class:`CoverageTable`),
-    so a later fit over the same examples checks none of them again and
-    reaches each node an earlier fit expanded with its rows, candidates and
-    splits built.  The table then keeps every plan until it is dropped.  By
-    default the fit uses its own table and drops it on return, and, since
-    no later fit can read a plan, a plan frees its rows, candidates and
+    The fit owns its root plan, so a plan frees its rows, candidates and
     splits once it has split, its false child made from them first, or
-    stays a leaf.  When given,
-    ``fitted`` is filled with each example's leaf value in ``examples``
-    order: the value :meth:`~liftedrbm.model.BoostedModel.per_tree` routes
-    it to, since fitting and routing make the same decisions.
+    stays a leaf.  :func:`~liftedrbm.model.train` instead grows every tree
+    from one root plan (:func:`_grow`), so a later tree reaches each node
+    an earlier one expanded with its rows, candidates and splits built.
+    When given, ``fitted`` is filled with each query's leaf value in
+    ``queries`` order: the value
+    :meth:`~liftedrbm.model.BoostedModel.per_tree` routes it to, since
+    fitting and routing make the same decisions.
     """
-    if not examples:
+    if not queries:
         raise ValueError("cannot fit a tree to zero examples")
+    if len(gradients) != len(queries):
+        raise ValueError(f"{len(queries)} queries but {len(gradients)} gradients")
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    owned = table is None
-    if owned:
-        table = CoverageTable()
-    root = _root_plan([example.query for example in examples], modes, max_new_vars, table)
     return _grow(
-        root, [example.gradient for example in examples], max_leaves, kb, table, owned=owned,
+        _root_plan(queries, modes, max_new_vars), list(gradients), max_leaves, kb, owned=True,
         learning_rate=learning_rate, cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance,
         max_depth=max_depth, fitted=fitted,
     )
 
 
 def _grow(
-    root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase, table: CoverageTable,
-    *, owned: bool = False, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
+    root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase,
+    *, owned: bool, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
     max_depth: Optional[int] = None, fitted: Optional[list[float]] = None,
 ) -> RelationalRegressionTree:
     """The tree :func:`fit_regression_tree` fits from ``root``, whose
-    examples' gradients are ``gradients`` by position.  An ``owned`` table
-    is read by no later fit, so plans are freed as they are done."""
+    queries' gradients are ``gradients`` by position.  An ``owned`` root is
+    read by no later fit, so plans are freed as they are done."""
     # coordinate_descent reads its targets only through their mean, so each
     # distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
     fits: dict[str, tuple[LeafParams, float]] = {}
@@ -856,7 +801,7 @@ def _grow(
         _, _, node, deltas = heapq.heappop(frontier)
         plan = node.plan
         if plan.splits is None:
-            plan.expand(root, kb, table)
+            plan.expand(root, kb)
         best = None
         for floor, k in _floors(deltas, plan.splits):
             # The score is at least the floor, so it cannot come first in

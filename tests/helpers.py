@@ -353,7 +353,8 @@ def random_satisfaction_case(rng: random.Random):
 # --- exhaustive tree fitter ------------------------------------------------
 
 def exhaustive_fit_tree(
-    examples,
+    queries,
+    gradients,
     max_leaves,
     modes,
     kb: KnowledgeBase,
@@ -370,14 +371,15 @@ def exhaustive_fit_tree(
     skips candidates by a bound: the same node order, candidate order,
     splits, leaf fits and strict first-minimum choice, with no pruning.  Each
     split decides every item with its own ``route_decision`` call, keeping
-    no coverage table and no witnesses of the node's context, and the true
-    side chains the witness that call returns.  Returns the tree and each
-    example's leaf value in ``examples`` order.
+    no fit plans, fact views or witnesses of the node's context, and the true
+    side chains the witness that call returns.  ``gradients`` are the
+    targets of ``queries`` by position.  Returns the tree and each query's
+    leaf value in ``queries`` order.
     """
-    head = make_head(examples[0].query.predicate)
+    head = make_head(queries[0].predicate)
 
     def fit(items):
-        deltas = [example.gradient for example, _, _ in items]
+        deltas = [gradients[position] for position, _, _ in items]
         params = coordinate_descent(
             deltas, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
         )
@@ -389,7 +391,7 @@ def exhaustive_fit_tree(
         return {"items": items, "depth": depth, "context": context, "bound_vars": bound_vars,
                 "used_names": used_names, "params": params, "sse": sse, "split": None}
 
-    items = [(e, unify(head, e.query), unify(head, e.query)) for e in examples]
+    items = [(position, unify(head, q), unify(head, q)) for position, q in enumerate(queries)]
     root = node(items, 0, (), head.args, frozenset(t.name for t in head.args), fit(items))
     tick = itertools.count()
     frontier = []
@@ -408,12 +410,12 @@ def exhaustive_fit_tree(
             exclude_predicates=(head.predicate.name,),
         ):
             left, right = [], []
-            for example, base, cached in n["items"]:
+            for position, base, cached in n["items"]:
                 extended = route_decision(n["context"], candidate.atom, base, cached, kb)
                 if extended is None:
-                    right.append((example, base, cached))
+                    right.append((position, base, cached))
                 else:
-                    left.append((example, base, extended))
+                    left.append((position, base, extended))
             if left and right:
                 fit_left, fit_right = fit(left), fit(right)
                 score = fit_left[1] + fit_right[1]
@@ -432,18 +434,18 @@ def exhaustive_fit_tree(
         push(true_child)
         push(false_child)
 
-    values = {}
+    values = [None] * len(queries)
 
     def build(n):
         if n["split"] is None:
-            for example, _, _ in n["items"]:
-                values[id(example)] = n["params"].value()
+            for position, _, _ in n["items"]:
+                values[position] = n["params"].value()
             return LeafNode(n["params"])
         candidate, true_child, false_child = n["split"]
         return InternalNode(candidate, build(true_child), build(false_child))
 
     tree = RelationalRegressionTree(head, build(root))
-    return tree, [values[id(example)] for example in examples]
+    return tree, values
 
 
 def recording_pool(sizes: list):

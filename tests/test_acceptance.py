@@ -23,7 +23,6 @@ from liftedrbm.network import lrbm_inference, paths_to_lrbm
 from liftedrbm.tree import (
     LeafNode,
     LeafParams,
-    RegressionExample,
     RelationalRegressionTree,
     coordinate_descent,
     fit_regression_tree,
@@ -216,12 +215,10 @@ def test_criterion_8_ensemble_vs_single_tree(movie_model):
     """The boosted ensemble is not worse than a depth-10 single tree."""
     model, train_set, test_set, kb = movie_model
 
-    regression = [
-        RegressionExample(query, label, label - 0.5)
-        for query, label in train_set.labeled()
-    ]
+    labeled = train_set.labeled()
     single_tree = fit_regression_tree(
-        regression, 2 ** 10, MOVIE_MODES, kb, max_depth=10
+        [query for query, _ in labeled], [label - 0.5 for _, label in labeled],
+        2 ** 10, MOVIE_MODES, kb, max_depth=10,
     )
     single = BoostedModel(
         COLLAB, single_tree.head, 0.0, [single_tree], model.config, dict(MOVIE_MODES)

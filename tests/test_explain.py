@@ -30,7 +30,6 @@ from liftedrbm.tree import (
     InternalNode,
     LeafNode,
     LeafParams,
-    RegressionExample,
     RelationalRegressionTree,
     fit_regression_tree,
     make_head,
@@ -419,8 +418,9 @@ class TestDistill:
     def test_self_distillation_reproduces_a_single_tree(self, movie_domain):
         kb, examples, _ = movie_domain
         labeled = examples.labeled()
-        regression = [RegressionExample(q, y, 0.9 if y else -0.7) for q, y in labeled]
-        tree = fit_regression_tree(regression, 4, MOVIE_MODES, kb)
+        tree = fit_regression_tree(
+            [q for q, _ in labeled], [0.9 if y else -0.7 for _, y in labeled], 4, MOVIE_MODES, kb
+        )
         model = BoostedModel(COLLAB, tree.head, 0.0, [tree], TrainConfig(), dict(MOVIE_MODES))
         distilled = distill_single_tree(model, examples, kb, max_depth=6)
         assert distilled.trees[0].depth <= 6

@@ -21,12 +21,10 @@ from liftedrbm.logic import (
 )
 from liftedrbm.model import BoostedModel, TrainConfig, train
 from liftedrbm.tree import (
-    CoverageTable,
     InternalNode,
     LeafNode,
     LeafParams,
     ZERO_PARAMS,
-    RegressionExample,
     coordinate_descent,
     fit_regression_tree,
     generate_candidates,
@@ -35,7 +33,9 @@ from liftedrbm.tree import (
     NodeIndex,
     partition,
     _floors,
+    _grow,
     _restates,
+    _root_plan,
     _sum_squares,
 )
 
@@ -171,28 +171,25 @@ class TestGenerateCandidates:
         assert [str(c) for c in candidates] == ["r(A1)", "r(A4)"]
 
 
-def _collab_item(kb, left, right, gradient=0.5, label=1):
-    """A root example and its one row, the query's arguments."""
-    query = atom(COLLAB, C(left, "person"), C(right, "person"))
-    return RegressionExample(query, label, gradient), ((left, right),)
+def _collab_item(kb, left, right):
+    """A root query and its one row, the query's arguments."""
+    return atom(COLLAB, C(left, "person"), C(right, "person")), ((left, right),)
 
 
 def _base(item):
     """The head unifier of an item's query."""
-    return unify(make_head(item[0].query.predicate), item[0].query)
+    return unify(make_head(item[0].predicate), item[0])
 
 
-def _partition(candidate, examples, kb, table=None, bound_vars=None, width=2):
+def _partition(candidate, examples, kb, bound_vars=None, width=2):
     """``partition`` at a node whose items are (position, rows) for the
-    given (example, rows), binding ``bound_vars`` (by default the head of
-    ``collab`` items), the first ``width`` of them the head's, with a
-    coverage table (a fresh one unless given): ``None`` for a one-sided
-    split, else whether each item's bit is among the satisfied bits."""
-    table = table if table is not None else CoverageTable()
+    given (query, rows), binding ``bound_vars`` (by default the head of
+    ``collab`` items), the first ``width`` of them the head's: ``None`` for
+    a one-sided split, else whether each item's bit is among the satisfied
+    bits."""
     bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
-    bits = [table.bit(example.query) for example, _ in examples]
-    node = NodeIndex(_positioned(examples), bits, width)
-    sat = partition(bound_vars, candidate, node, kb, table)
+    node = NodeIndex(_positioned(examples), width)
+    sat = partition(bound_vars, candidate, node, kb)
     assert sat & node.mask == sat
     if sat in (0, node.mask):
         return None
@@ -200,7 +197,7 @@ def _partition(candidate, examples, kb, table=None, bound_vars=None, width=2):
 
 
 def _positioned(examples):
-    """Fit items (position, rows) for a list of (example, rows)."""
+    """Fit items (position, rows) for a list of (query, rows)."""
     return [(position, rows) for position, (_, rows) in enumerate(examples)]
 
 
@@ -219,7 +216,7 @@ class TestPartition:
 
         # p3 is a person who acts in nothing
         kb = parse_facts(EXAMPLE1_FACTS + "sameperson(p3, p3).\n", MOVIE_MODES)
-        items = [_collab_item(kb, "p1", "p2", 0.5), _collab_item(kb, "p3", "p1", -0.5)]
+        items = [_collab_item(kb, "p1", "p2"), _collab_item(kb, "p3", "p1")]
         acts = Literal(atom(ACTEDIN, V("P1", "person"), V("M1", "movie")))
         # one-sided: p1 and p2 both act, as the oracle says
         acting = [items[0], _collab_item(kb, "p2", "p1")]
@@ -231,13 +228,12 @@ class TestPartition:
         # when it expands that side, and no sooner.  p1 and p2 act and p3
         # does not, so acts splits the root and its true side, which has the
         # larger error, is expanded first.
-        examples = [
-            example
-            for example, _ in (
-                items[0], _collab_item(kb, "p2", "p1", 0.3), items[1],
-                _collab_item(kb, "p3", "p2", -0.4),
+        queries = [
+            query for query, _ in (
+                items[0], _collab_item(kb, "p2", "p1"), items[1], _collab_item(kb, "p3", "p2"),
             )
         ]
+        gradients = [0.5, 0.3, -0.5, -0.4]
         calls = []
         join = tree_module.join
 
@@ -247,16 +243,14 @@ class TestPartition:
             return result
 
         monkeypatch.setattr(tree_module, "join", recorded)
-        tree = fit_regression_tree(examples, 2, MOVIE_MODES, kb)
+        tree = fit_regression_tree(queries, gradients, 2, MOVIE_MODES, kb)
         assert tree.root.test == acts
         assert calls == []  # the true side is never expanded, so never joined
-        tree = fit_regression_tree(examples, 3, MOVIE_MODES, kb)
+        tree = fit_regression_tree(queries, gradients, 3, MOVIE_MODES, kb)
         assert tree.root.test == acts
         ((test, bound_vars, joined),) = calls
         assert test == acts.atom
-        assert [examples[position].query for position, _ in joined] == [
-            e.query for e in examples[:2]
-        ]
+        assert [queries[position] for position, _ in joined] == queries[:2]
         column = bound_vars.index(V("M1", "movie"))
         for _, rows in joined:
             assert rows[0][column] == "m1"
@@ -304,7 +298,6 @@ class TestPartition:
                     return True
             return False
 
-        table = CoverageTable()
         two_sided = several = 0
         for context, candidate in (
             ((), atom(s, a1)),
@@ -323,12 +316,12 @@ class TestPartition:
             for q in queries:
                 rows = tuple(_names(w, bound_vars) for w in witnesses(context, unify(head, q), kb))
                 if rows:
-                    items.append((RegressionExample(q, 1, 0.1), rows))
+                    items.append((q, rows))
                     several += len(rows) > 1
-            split = _partition(Literal(candidate), items, kb, table, bound_vars)
-            expected = [holds(context + (candidate,), example.query) for example, _ in items]
-            # a second split on the same table's views decides the same
-            assert _partition(Literal(candidate), items, kb, table, bound_vars) == split
+            split = _partition(Literal(candidate), items, kb, bound_vars)
+            expected = [holds(context + (candidate,), query) for query, _ in items]
+            # a second split on the knowledge base's kept views decides the same
+            assert _partition(Literal(candidate), items, kb, bound_vars) == split
             if split is None:
                 assert len(set(expected)) <= 1
                 continue
@@ -364,7 +357,7 @@ class TestPartition:
                 two_sided += 1
                 assert split == expected
             bound_vars = head.args + _new_vars(candidate, head.args)
-            joined = join(candidate, head.args, _positioned(items), kb, CoverageTable())
+            joined = join(candidate, head.args, _positioned(items), kb)
             for (_, rows), item, sat in zip(joined, items, expected):
                 found = witnesses((candidate,), _base(item), kb)
                 assert list(rows) == [_names(w, bound_vars) for w in found]
@@ -378,19 +371,17 @@ class TestPartition:
         the node's context, each join gives the witnesses of the extended
         context in search order, and each decision is the oracle's."""
         rng = random.Random(4242)
-        item_predicate = Predicate("item", ("n",))
         decided = from_later_row = with_constant = with_repeat = joined = 0
         for _ in range(1500):
             kb, context, bases, tests = _random_context_case(rng)
             nodes: dict[tuple, list] = {}  # head variables -> items
             for i, base in enumerate(bases):
-                example = RegressionExample(atom(item_predicate, C(f"i{i}", "n")), 1, 0.0)
                 head_vars = tuple(var for var in dict.fromkeys(
                     v for a in context for v in a.variables()) if var in base)
                 bound_vars = head_vars
                 items = [(i, (_names(base, head_vars),))]
                 for k, test in enumerate(context):
-                    items = join(test, bound_vars, items, kb, CoverageTable())
+                    items = join(test, bound_vars, items, kb)
                     bound_vars += _new_vars(test, bound_vars)
                     want = [_names(w, bound_vars) for w in witnesses(context[:k + 1], base, kb)]
                     assert list(items[0][1]) == want
@@ -399,17 +390,15 @@ class TestPartition:
                 assert sorted(items[0][1]) == sorted(_names(w, bound_vars) for w in everyone)
                 if everyone:  # an item reaches a node only with a witness
                     key = (head_vars, bound_vars)
-                    nodes.setdefault(key, []).append((example, items[0][1], everyone))
-            table = CoverageTable()
+                    nodes.setdefault(key, []).append((items[0][1], everyone))
             for (head_vars, bound_vars), members in nodes.items():
-                items = [(position, rows) for position, (_, rows, _) in enumerate(members)]
-                bits = [table.bit(example.query) for example, _, _ in members]
-                node = NodeIndex(items, bits, len(head_vars))
+                items = [(position, rows) for position, (rows, _) in enumerate(members)]
+                node = NodeIndex(items, len(head_vars))
                 for test in tests:
-                    sat = partition(bound_vars, Literal(test), node, kb, table)
+                    sat = partition(bound_vars, Literal(test), node, kb)
                     assert sat & node.mask == sat
                     free = [t for t in test.args if t.is_variable and t not in bound_vars]
-                    for (example, rows, everyone), bit in zip(members, node.bits):
+                    for (rows, everyone), bit in zip(members, node.bits):
                         want = any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
                         assert bool(sat & bit) == want, (
                             f"context={[str(a) for a in context]} test={test} rows={rows}"
@@ -425,6 +414,25 @@ class TestPartition:
         assert from_later_row >= 300
         assert with_constant >= 500 and with_repeat >= 400
         assert joined > 1000
+
+    def test_a_new_fact_drops_the_kept_views(self):
+        # A batch walk and a fit leave the knowledge base's views built;
+        # after a fact arrives that makes p3 act, the walk must route
+        # collab(p3, p1) the other way and the refit must see p3 act, as
+        # the depth-first walk and the exhaustive reference do.
+        kb = parse_facts(EXAMPLE1_FACTS + "sameperson(p3, p3).\n", MOVIE_MODES)
+        pairs = (("p1", "p2"), ("p2", "p1"), ("p3", "p1"), ("p3", "p2"))
+        queries = [atom(COLLAB, C(a, "person"), C(b, "person")) for a, b in pairs]
+        gradients = [0.5, 0.3, -0.5, -0.4]
+        tree = fit_regression_tree(queries, gradients, 3, MOVIE_MODES, kb)
+        assert str(tree.root.test) == "actedin(P1, M1)"
+        trie = RoutingTrie([clause for clause, _ in tree.path_clauses()])
+        before = trie.walk_many(queries, kb)
+        kb.add(atom(ACTEDIN, C("p3", "person"), C("m1", "movie")))
+        after = trie.walk_many(queries, kb)
+        assert after[2] != before[2]
+        assert after == [[i for i, _ in trie.walk(q, kb)] for q in queries]
+        _assert_fit_matches_exhaustive(queries, gradients, 3, MOVIE_MODES, kb)
 
 
 def _random_context_case(rng: random.Random):
@@ -607,16 +615,9 @@ class TestLeafFitMemo:
             + "".join(f"directedby(m2, {b}).\n" for b in others),
             MOVIE_MODES,
         )
-        examples = [
-            RegressionExample(
-                atom(COLLAB, C(x, "person"), C(y, "person")),
-                1,
-                0.5 if (x in actors) == (y in actors) else -0.5,
-            )
-            for x in actors + others
-            for y in actors + others
-            if x != y
-        ]
+        pairs = [(x, y) for x in actors + others for y in actors + others if x != y]
+        queries = [atom(COLLAB, C(x, "person"), C(y, "person")) for x, y in pairs]
+        gradients = [0.5 if (x in actors) == (y in actors) else -0.5 for x, y in pairs]
         means = []
         fit = tree_module.coordinate_descent
 
@@ -626,13 +627,13 @@ class TestLeafFitMemo:
 
         monkeypatch.setattr(tree_module, "coordinate_descent", counted)
         fitted = []
-        tree = fit_regression_tree(examples, 4, MOVIE_MODES, kb, fitted=fitted)
+        tree = fit_regression_tree(queries, gradients, 4, MOVIE_MODES, kb, fitted=fitted)
         leaves = [leaf.params for _, leaf in tree.paths()]
         assert sorted(leaf.value() for leaf in leaves) == pytest.approx([-0.5, -0.5, 0.5, 0.5], abs=1e-3)
         assert len(set(leaves)) == 2  # equal means, one fit
         assert len(means) == len(set(means))
         assert (-1 / 14).hex() in means and (0.5).hex() in means and (-0.5).hex() in means
-        reference, reference_fitted = exhaustive_fit_tree(examples, 4, MOVIE_MODES, kb)
+        reference, reference_fitted = exhaustive_fit_tree(queries, gradients, 4, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
         assert fitted == reference_fitted
 
@@ -672,11 +673,9 @@ class TestSseFloor:
             assert not _leaf_sse(left) + _leaf_sse(right) < floor
         assert _leaf_sse([1.25e154, 0.6e154]) < math.inf
         kb = example1_kb()
-        examples = [
-            RegressionExample(atom(COLLAB, C(x, "person"), C(y, "person")), 1, g)
-            for (x, y), g in ((("p1", "p2"), 1e200), (("p2", "p1"), -1e200))
-        ]
-        tree = fit_regression_tree(examples, 2, MOVIE_MODES, kb)
+        p1, p2 = C("p1", "person"), C("p2", "person")
+        queries = [atom(COLLAB, p1, p2), atom(COLLAB, p2, p1)]
+        tree = fit_regression_tree(queries, [1e200, -1e200], 2, MOVIE_MODES, kb)
         assert tree.leaf_count == 1  # both act in the same movies: nothing splits them
 
     def test_no_leaf_fit_falls_below_the_floor(self):
@@ -738,97 +737,88 @@ def _separable_domain():
         lines.append(f"noise(x{i}, x{partner}).")
     kb = parse_facts("\n".join(lines), modes)
     target = modes["label"].predicate
-    examples = [
-        RegressionExample(
-            atom(target, C(f"x{i}", "thing")), 1 if f"x{i}" in goods else 0,
-            0.5 if f"x{i}" in goods else -0.5,
-        )
-        for i in range(10)
-    ]
-    return modes, kb, examples
+    queries = [atom(target, C(f"x{i}", "thing")) for i in range(10)]
+    gradients = [0.5 if f"x{i}" in goods else -0.5 for i in range(10)]
+    return modes, kb, queries, gradients
 
 
 class TestFitRegressionTree:
     def test_single_leaf_fits_the_mean(self):
-        modes, kb, examples = _separable_domain()
-        tree = fit_regression_tree(examples, 1, modes, kb)
+        modes, kb, queries, gradients = _separable_domain()
+        tree = fit_regression_tree(queries, gradients, 1, modes, kb)
         assert tree.leaf_count == 1
-        mean = sum(e.gradient for e in examples) / len(examples)
-        (value,) = oracle_per_tree([tree], examples[0].query, kb)
+        mean = sum(gradients) / len(gradients)
+        (value,) = oracle_per_tree([tree], queries[0], kb)
         assert abs(value - mean) < 1e-3
 
     def test_perfect_separator_becomes_the_root(self):
-        modes, kb, examples = _separable_domain()
-        tree = fit_regression_tree(examples, 2, modes, kb)
+        modes, kb, queries, gradients = _separable_domain()
+        tree = fit_regression_tree(queries, gradients, 2, modes, kb)
         assert isinstance(tree.root, InternalNode)
         assert str(tree.root.test) == "good(T1)"
-        for example in examples:
-            (value,) = oracle_per_tree([tree], example.query, kb)
-            assert abs(value - example.gradient) < 1e-3
+        for query, gradient in zip(queries, gradients):
+            (value,) = oracle_per_tree([tree], query, kb)
+            assert abs(value - gradient) < 1e-3
 
     def test_leaf_cap_is_respected(self):
-        modes, kb, examples = _separable_domain()
+        modes, kb, queries, gradients = _separable_domain()
         rng = random.Random(1)
-        noisy = [
-            RegressionExample(e.query, e.label, e.gradient + rng.uniform(-0.2, 0.2))
-            for e in examples
-        ]
+        noisy = [g + rng.uniform(-0.2, 0.2) for g in gradients]
         for cap in (1, 2, 3, 4):
-            tree = fit_regression_tree(noisy, cap, modes, kb)
+            tree = fit_regression_tree(queries, noisy, cap, modes, kb)
             assert 1 <= tree.leaf_count <= cap
 
     def test_committed_split_never_hurts_sse(self):
-        modes, kb, examples = _separable_domain()
+        modes, kb, queries, _ = _separable_domain()
         rng = random.Random(3)
-        noisy = [
-            RegressionExample(e.query, e.label, rng.uniform(-0.9, 0.9)) for e in examples
-        ]
-        single = fit_regression_tree(noisy, 1, modes, kb)
-        split = fit_regression_tree(noisy, 2, modes, kb)
+        noisy = [rng.uniform(-0.9, 0.9) for _ in queries]
+        single = fit_regression_tree(queries, noisy, 1, modes, kb)
+        split = fit_regression_tree(queries, noisy, 2, modes, kb)
         sse_single = sum(
-            (oracle_per_tree([single], e.query, kb)[0] - e.gradient) ** 2 for e in noisy
+            (oracle_per_tree([single], q, kb)[0] - g) ** 2 for q, g in zip(queries, noisy)
         )
         sse_split = sum(
-            (oracle_per_tree([split], e.query, kb)[0] - e.gradient) ** 2 for e in noisy
+            (oracle_per_tree([split], q, kb)[0] - g) ** 2 for q, g in zip(queries, noisy)
         )
         assert sse_split <= sse_single + 1e-5
 
     def test_deterministic_given_identical_inputs(self):
-        modes, kb, examples = _separable_domain()
+        modes, kb, queries, _ = _separable_domain()
         rng = random.Random(12)
-        noisy = [
-            RegressionExample(e.query, e.label, rng.uniform(-0.9, 0.9)) for e in examples
-        ]
-        t1 = fit_regression_tree(noisy, 4, modes, kb)
-        t2 = fit_regression_tree(noisy, 4, modes, kb)
+        noisy = [rng.uniform(-0.9, 0.9) for _ in queries]
+        t1 = fit_regression_tree(queries, noisy, 4, modes, kb)
+        t2 = fit_regression_tree(queries, noisy, 4, modes, kb)
         assert t1.to_text() == t2.to_text()
 
     def test_max_depth_limits_growth(self):
-        modes, kb, examples = _separable_domain()
+        modes, kb, queries, _ = _separable_domain()
         rng = random.Random(4)
-        noisy = [
-            RegressionExample(e.query, e.label, rng.uniform(-0.9, 0.9)) for e in examples
-        ]
-        tree = fit_regression_tree(noisy, 64, modes, kb, max_depth=2)
+        noisy = [rng.uniform(-0.9, 0.9) for _ in queries]
+        tree = fit_regression_tree(queries, noisy, 64, modes, kb, max_depth=2)
         assert tree.depth <= 2
 
     def test_empty_examples_are_an_error(self):
-        modes, kb, _ = _separable_domain()
+        modes, kb, queries, gradients = _separable_domain()
         with pytest.raises(ValueError):
-            fit_regression_tree([], 4, modes, kb)
+            fit_regression_tree([], [], 4, modes, kb)
+        with pytest.raises(ValueError, match="10 queries but 9 gradients"):
+            fit_regression_tree(queries, gradients[1:], 4, modes, kb)
 
     def test_a_fit_and_a_batch_walk_leave_no_garbage_cycle(self, movie_domain):
         """A deep fit, its tree's depth and text, a batch walk of it, and a
-        training run whose shared table holds plans, are freed by reference
-        counting alone, so none leaves the cyclic collector anything."""
+        training run whose root plan holds plans across trees, are freed by
+        reference counting alone, so none leaves the cyclic collector
+        anything."""
         kb, examples, _ = movie_domain
-        regression = [
-            RegressionExample(q, y, 0.3 if y else -0.2) for q, y in examples.labeled()[:200]
-        ]
+        labeled = examples.labeled()[:200]
+        queries = [q for q, _ in labeled]
+        gradients = [0.3 if y else -0.2 for _, y in labeled]
         gc.collect()
         gc.disable()
         try:
-            tree = fit_regression_tree(regression, 64, MOVIE_MODES, kb, max_depth=10, fitted=[])
+            tree = fit_regression_tree(
+                queries, gradients, 64, MOVIE_MODES, kb, max_depth=10, fitted=[]
+            )
             assert gc.collect() == 0
             assert tree.leaf_count > 8
             assert tree.depth > 3
@@ -836,7 +826,7 @@ class TestFitRegressionTree:
             assert tree.to_text().count("leaf value=") == tree.leaf_count
             assert gc.collect() == 0
             trie = RoutingTrie([clause for clause, _ in tree.path_clauses()])
-            fired = trie.walk_many([e.query for e in regression], kb)
+            fired = trie.walk_many(queries, kb)
             assert all(len(ids) == 1 for ids in fired)
             assert gc.collect() == 0
             model = train(kb, examples, TrainConfig(n_trees=3))
@@ -847,7 +837,8 @@ class TestFitRegressionTree:
 
 
 def _random_fit_case(seed):
-    """A random movie domain, regression examples and fit settings."""
+    """A random movie domain, queries with their regression targets, and fit
+    settings."""
     rng = random.Random(seed)
     people = [f"p{i}" for i in range(rng.randint(4, 7))]
     movies = [f"m{i}" for i in range(rng.randint(2, 5))]
@@ -862,11 +853,11 @@ def _random_fit_case(seed):
     # not.  Some cases draw targets of a few units, like distillation's.
     levels = [-0.5, 0.11, 0.5] if seed % 3 == 0 else None
     scale = rng.choice([0.9, 4.0])
-    examples = []
+    queries, gradients = [], []
     for _ in range(rng.randint(8, 30)):
         a, b = rng.sample(people, 2)
-        target = rng.choice(levels) if levels else rng.uniform(-scale, scale)
-        examples.append(RegressionExample(atom(COLLAB, C(a, "person"), C(b, "person")), 1, target))
+        queries.append(atom(COLLAB, C(a, "person"), C(b, "person")))
+        gradients.append(rng.choice(levels) if levels else rng.uniform(-scale, scale))
     settings = {
         "max_new_vars": rng.randint(0, 2),
         "max_depth": rng.choice([None, None, 1, 2, 3]),
@@ -877,13 +868,48 @@ def _random_fit_case(seed):
             {"learning_rate": 0.2, "cd_tolerance": 1e-4},
         ]),
     }
-    return kb, examples, rng.randint(2, 8), settings, rng.random() < 0.5
+    return kb, queries, gradients, rng.randint(2, 8), settings, rng.random() < 0.5
 
 
-def _assert_fit_matches_exhaustive(examples, max_leaves, modes, kb, table=None, **settings):
-    fitted = []
-    tree = fit_regression_tree(examples, max_leaves, modes, kb, table=table, fitted=fitted, **settings)
-    reference, reference_fitted = exhaustive_fit_tree(examples, max_leaves, modes, kb, **settings)
+def _fits_from_one_root(
+    queries, gradient_lists, max_leaves, modes, kb, *, max_new_vars=1, learning_rate=0.05,
+    cd_max_iters=500, cd_tolerance=1e-8, max_depth=None,
+):
+    """One fit per gradient list, each grown from one root plan with
+    ``fit_regression_tree``'s settings, as ``train`` grows its trees: each
+    fit's (tree, fitted values)."""
+    root = _root_plan(queries, modes, max_new_vars)
+    fits = []
+    for gradients in gradient_lists:
+        fitted = []
+        tree = _grow(
+            root, list(gradients), max_leaves, kb, owned=False, learning_rate=learning_rate,
+            cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance, max_depth=max_depth,
+            fitted=fitted,
+        )
+        fits.append((tree, fitted))
+    return fits
+
+
+def _assert_fit_matches_exhaustive(
+    queries, gradients, max_leaves, modes, kb, earlier=(), **settings
+):
+    """The fit of ``gradients`` equals the exhaustive reference, tree and
+    fitted values: by ``fit_regression_tree``, or, given ``earlier``
+    gradient lists, grown after their fits from the same root plan."""
+    if earlier:
+        fits = _fits_from_one_root(
+            queries, [*earlier, gradients], max_leaves, modes, kb, **settings
+        )
+        tree, fitted = fits[-1]
+    else:
+        fitted = []
+        tree = fit_regression_tree(
+            queries, gradients, max_leaves, modes, kb, fitted=fitted, **settings
+        )
+    reference, reference_fitted = exhaustive_fit_tree(
+        queries, gradients, max_leaves, modes, kb, **settings
+    )
     assert tree.to_text() == reference.to_text()
     assert fitted == reference_fitted
     return tree
@@ -892,42 +918,37 @@ def _assert_fit_matches_exhaustive(examples, max_leaves, modes, kb, table=None, 
 class TestPrunedFitMatchesExhaustive:
     @pytest.mark.parametrize("seed", range(48))
     def test_random_domains(self, seed):
-        kb, examples, max_leaves, settings, shared = _random_fit_case(seed)
-        table = None
-        if shared:
-            # an earlier fit over the same knowledge base fills the table
-            table = CoverageTable()
-            earlier = [RegressionExample(e.query, e.label, -e.gradient) for e in examples[::2]]
-            fit_regression_tree(earlier, max_leaves, MOVIE_MODES, kb, table=table, **settings)
-        _assert_fit_matches_exhaustive(examples, max_leaves, MOVIE_MODES, kb, table, **settings)
+        kb, queries, gradients, max_leaves, settings, shared = _random_fit_case(seed)
+        # on half the domains an earlier fit from the root has built plans
+        earlier = [[-g for g in gradients]] if shared else ()
+        _assert_fit_matches_exhaustive(
+            queries, gradients, max_leaves, MOVIE_MODES, kb, earlier, **settings
+        )
 
     def _two_test_domain(self, a_things, b_things, targets):
         modes = parse_modes("mode: a(+thing).\nmode: b(+thing).\nmode: t(-thing).")
         facts = [f"a(x{i})." for i in a_things] + [f"b(x{i})." for i in b_things]
         kb = parse_facts("\n".join(facts), modes)
         target = modes["t"].predicate
-        examples = [
-            RegressionExample(atom(target, C(f"x{i}", "thing")), 1, value)
-            for i, value in enumerate(targets, start=1)
-        ]
-        return modes, kb, examples
+        queries = [atom(target, C(f"x{i}", "thing")) for i in range(1, len(targets) + 1)]
+        return modes, kb, queries, list(targets)
 
     def test_first_of_two_equal_splits_wins(self):
         # a(T1) and b(T1) hold for the same things, so they score the same
-        modes, kb, examples = self._two_test_domain(
+        modes, kb, queries, gradients = self._two_test_domain(
             (1, 2), (1, 2), [0.5, 0.4, -0.3, -0.5, -0.45]
         )
-        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb)
+        tree = _assert_fit_matches_exhaustive(queries, gradients, 2, modes, kb)
         assert str(tree.root.test) == "a(T1)"
 
     def test_leaf_fits_not_mean_errors_rank_the_splits(self):
         # Three cycles leave these leaves far from their means: a(T1) has the
         # lower mean error (119.2 against 120.8) but b(T1) the lower score
         # (159.5 against 161.9), so the bound may skip nothing here.
-        modes, kb, examples = self._two_test_domain(
+        modes, kb, queries, gradients = self._two_test_domain(
             (1,), (2, 5), [-4.3, 7.1, 5.9, 6.4, 7.8, -5.3]
         )
-        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, cd_max_iters=3)
+        tree = _assert_fit_matches_exhaustive(queries, gradients, 2, modes, kb, cd_max_iters=3)
         assert str(tree.root.test) == "b(T1)"
 
     @pytest.mark.parametrize("seed", range(24))
@@ -950,22 +971,23 @@ class TestPrunedFitMatchesExhaustive:
         facts += [f"r({x}, {y}).\ns({y}, {x})." for x, y in pairs]
         kb = parse_facts("\n".join(facts), modes)
         target = modes["t"].predicate
-        examples = [
-            RegressionExample(atom(target, C(x, "thing")), 1, rng.choice([-0.75, -0.5, 0.25, 0.5]))
-            for x in things
-        ]
+        queries = [atom(target, C(x, "thing")) for x in things]
+        gradients = [rng.choice([-0.75, -0.5, 0.25, 0.5]) for _ in things]
         settings = {"cd_max_iters": seed % 3 and 500, "max_new_vars": rng.randint(0, 1)}
-        _assert_fit_matches_exhaustive(examples, rng.randint(2, 6), modes, kb, **settings)
+        _assert_fit_matches_exhaustive(
+            queries, gradients, rng.randint(2, 6), modes, kb, **settings
+        )
 
     def test_a_tie_goes_to_the_lower_index_that_ranks_later(self):
         # At cd_max_iters=0 both splits score 1.0, the sum of the squared
         # targets; b(T1) splits the targets by sign and ranks first by
         # floor, but a(T1) comes first among the candidates and must win.
-        modes, kb, examples = self._two_test_domain((1,), (1, 2), [0.5, 0.5, -0.5, -0.5])
-        deltas = [e.gradient for e in examples]
-        a_floor, b_floor = _floor(deltas, [1, 0, 0, 0]), _floor(deltas, [1, 1, 0, 0])
+        modes, kb, queries, gradients = self._two_test_domain(
+            (1,), (1, 2), [0.5, 0.5, -0.5, -0.5]
+        )
+        a_floor, b_floor = _floor(gradients, [1, 0, 0, 0]), _floor(gradients, [1, 1, 0, 0])
         assert b_floor < a_floor < 1.0
-        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, cd_max_iters=0)
+        tree = _assert_fit_matches_exhaustive(queries, gradients, 2, modes, kb, cd_max_iters=0)
         assert str(tree.root.test) == "a(T1)"
 
     def test_a_split_within_rounding_of_the_best_is_fit(self):
@@ -975,14 +997,14 @@ class TestPrunedFitMatchesExhaustive:
         # a(T1) although its two-pass mean error is 3.3e-16 above a(T1)'s
         # score: it must be fit, not skipped, to win.
         p, q, r = -0.19, 0.78, 0.1
-        modes, kb, examples = self._two_test_domain(
+        modes, kb, queries, gradients = self._two_test_domain(
             (2, 3, 4), (1, 2, 3), [p, q, r, p, q, r]
         )
         bound_b = 2 * _mean_sse([p, q, r])
         score_a = _leaf_sse([q, r, p], learning_rate=0.5) + _leaf_sse([p, q, r], learning_rate=0.5)
         score_b = 2 * _leaf_sse([p, q, r], learning_rate=0.5)
         assert score_b < score_a < bound_b
-        tree = _assert_fit_matches_exhaustive(examples, 2, modes, kb, learning_rate=0.5)
+        tree = _assert_fit_matches_exhaustive(queries, gradients, 2, modes, kb, learning_rate=0.5)
         assert str(tree.root.test) == "b(T1)"
 
 
@@ -993,25 +1015,8 @@ def _one_tree_model(tree):
 
 
 class TestCoverageTable:
-    def test_shared_table_is_keyed_on_queries_not_positions(self, movie_domain):
-        kb, examples, _ = movie_domain
-        labeled = examples.labeled()
-        first = [RegressionExample(q, y, 0.9 if y else -0.7) for q, y in labeled]
-        rng = random.Random(7)
-        # a reordered subset, as equal but distinct query objects, new targets
-        second = [
-            RegressionExample(Atom(q.predicate, q.args), y, rng.uniform(-0.9, 0.9))
-            for q, y in rng.sample(labeled, len(labeled) // 2)
-        ]
-
-        alone = CoverageTable()
-        fresh = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=alone)
-        table = CoverageTable()
-        fit_regression_tree(first, 4, MOVIE_MODES, kb, table=table)
-        bits = dict(table._bits)
-        shared = fit_regression_tree(second, 4, MOVIE_MODES, kb, table=table)
-        assert table._bits == bits  # each equal query kept its bit at a new position
-        assert shared.to_text() == fresh.to_text()
+    """Fit plans: the rows they carry, the values they fit, and their reuse
+    by fits grown from one root plan, as ``train`` grows its trees."""
 
     def test_each_item_carries_every_witness_of_its_node_context(self, movie_domain, monkeypatch):
         # Every item that partition reads carries as rows every witness of
@@ -1024,10 +1029,9 @@ class TestCoverageTable:
 
         kb, examples, _ = movie_domain
         rng = random.Random(11)
-        regression = [
-            RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
-        ]
-        head = make_head(regression[0].query.predicate)
+        queries = [q for q, _ in examples.labeled()]
+        gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
+        head = make_head(queries[0].predicate)
         nodes, joins, several, expanding = [], [], [], []
         partition, join, expand = tree_module.partition, tree_module.join, tree_module._Plan.expand
 
@@ -1035,15 +1039,15 @@ class TestCoverageTable:
             expanding.append(plan)
             return expand(plan, *args)
 
-        def candidate_split(bound_vars, candidate, node, kb, views):
+        def candidate_split(bound_vars, candidate, node, kb):
             if not nodes or nodes[-1] is not node:  # a node's candidates come together
                 nodes.append(node)
                 context = expanding[-1].context
                 for position, rows in node.items:
-                    found = witnesses(context, unify(head, regression[position].query), kb)
+                    found = witnesses(context, unify(head, queries[position]), kb)
                     assert rows == tuple(_names(w, bound_vars) for w in found)
                     several.append(len(rows) > 1)
-            return partition(bound_vars, candidate, node, kb, views)
+            return partition(bound_vars, candidate, node, kb)
 
         def extended(*args):
             joins.append(join(*args))
@@ -1052,12 +1056,12 @@ class TestCoverageTable:
         monkeypatch.setattr(tree_module, "partition", candidate_split)
         monkeypatch.setattr(tree_module, "join", extended)
         monkeypatch.setattr(tree_module._Plan, "expand", expanded)
-        tree = fit_regression_tree(regression, 8, MOVIE_MODES, kb)
+        tree = fit_regression_tree(queries, gradients, 8, MOVIE_MODES, kb)
         # the expanded nodes: a false child is made with its splits
         assert len(nodes) == len(expanding) == 3 and any(several)
         # each join's rows were read, and checked, at the child it extended
         assert joins and all(any(node.items is rows for node in nodes) for rows in joins)
-        reference, _ = exhaustive_fit_tree(regression, 8, MOVIE_MODES, kb)
+        reference, _ = exhaustive_fit_tree(queries, gradients, 8, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
 
         def refused(*args, **kwargs):
@@ -1069,33 +1073,33 @@ class TestCoverageTable:
         monkeypatch.setattr(logic_module, "iter_matches", refused)
         with pytest.raises(AssertionError):
             route_decision((), reference.root.test.atom, {}, {}, kb)
-        assert fit_regression_tree(regression, 8, MOVIE_MODES, kb).to_text() == tree.to_text()
+        refit = fit_regression_tree(queries, gradients, 8, MOVIE_MODES, kb)
+        assert refit.to_text() == tree.to_text()
 
     def test_fitted_values_are_the_routed_leaf_values(self, movie_domain):
         kb, examples, _ = movie_domain
         rng = random.Random(3)
-        regression = [
-            RegressionExample(q, y, rng.uniform(-0.9, 0.9)) for q, y in examples.labeled()
-        ]
+        queries = [q for q, _ in examples.labeled()]
+        gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
         fitted = []
-        tree = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fitted)
+        tree = fit_regression_tree(queries, gradients, 6, MOVIE_MODES, kb, fitted=fitted)
         model = _one_tree_model(tree)
-        assert fitted == [model.per_tree(e.query, kb)[0] for e in regression]
+        assert fitted == [model.per_tree(q, kb)[0] for q in queries]
 
-    def test_a_shared_table_reuses_its_plans_and_fits_as_a_fresh_one(
-        self, movie_domain, monkeypatch
-    ):
-        """Fits over the same examples with new gradients give, through one
-        shared table, the trees and fitted floats of fresh tables; a plan an
+    def test_one_root_reuses_its_plans_and_fits_as_fresh_roots(self, movie_domain, monkeypatch):
+        """Fits over the same examples with new gradients give, grown from
+        one root plan, the trees and fitted floats of fresh roots; a plan an
         earlier fit expanded generates, partitions and joins nothing again,
         so a fit with an earlier fit's gradients calls none of them.  Only a
         root or a true child is expanded, and it partitions every candidate
         that does not restate its context; a false child is made with its
-        candidates and splits."""
+        candidates and splits.  A tree of L leaves has L - 1 child pairs, so
+        a fit that makes fewer than 2 * L - 2 plans reached a node below the
+        root that an earlier fit made, which no fit from a fresh root does."""
         import liftedrbm.tree as tree_module
 
         kb, examples, _ = movie_domain
-        labeled = examples.labeled()
+        queries = [q for q, _ in examples.labeled()]
         calls = {}
         for name in ("partition", "generate_candidates", "join"):
             def counted(*args, _name=name, _original=getattr(tree_module, name), **kwargs):
@@ -1104,22 +1108,23 @@ class TestCoverageTable:
 
             monkeypatch.setattr(tree_module, name, counted)
         rng = random.Random(19)
-        table = CoverageTable()
-        reached = 0
+        root = _root_plan(queries, MOVIE_MODES, 1)
+        settings = {"learning_rate": 0.05, "cd_max_iters": 500, "cd_tolerance": 1e-8}
+        reused = fresh_reused = 0
         for fit in range(6):
             if fit != 3:  # the fourth fit repeats the third's gradients
-                gradients = [rng.uniform(-0.9, 0.9) for _ in labeled]
-            regression = [RegressionExample(q, y, g) for (q, y), g in zip(labeled, gradients)]
+                gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
+            fresh_root = _root_plan(queries, MOVIE_MODES, 1)
             fresh_fitted, shared_fitted = [], []
-            fresh = fit_regression_tree(regression, 6, MOVIE_MODES, kb, fitted=fresh_fitted)
-            before = {plan: plan.splits is not None for plan, _ in _plans(table)}
-            calls.clear()
-            shared = fit_regression_tree(
-                regression, 6, MOVIE_MODES, kb, table=table, fitted=shared_fitted
+            fresh = _grow(
+                fresh_root, gradients, 6, kb, owned=False, fitted=fresh_fitted, **settings
             )
+            before = {plan: plan.splits is not None for plan, _ in _plans(root.plan)}
+            calls.clear()
+            shared = _grow(root, gradients, 6, kb, owned=False, fitted=shared_fitted, **settings)
             assert shared.to_text() == fresh.to_text()
             assert [v.hex() for v in shared_fitted] == [v.hex() for v in fresh_fitted]
-            after = list(_plans(table))
+            after = list(_plans(root.plan))
             new = [
                 (plan, kind) for plan, kind in after
                 if kind != "false" and plan.splits is not None and not before.get(plan)
@@ -1133,49 +1138,61 @@ class TestCoverageTable:
             assert calls.get("join", 0) == sum(kind == "true" for _, kind in new)
             if fit == 3:
                 assert calls == {}
-            reached += len(before) > 0 and len(new) < shared.leaf_count - 1
-        assert reached >= 3  # most fits expanded some node an earlier fit had
-        assert len(table._roots) == 1
+            pairs = 2 * shared.leaf_count - 2
+            reused += sum(plan not in before for plan, _ in after) < pairs
+            fresh_reused += len(list(_plans(fresh_root.plan))) - 1 < pairs
+        assert reused >= 2  # later fits reached child plans an earlier fit made
+        assert fresh_reused == 0
 
-    def test_one_train_reads_each_example_bit_once(self, movie_domain, monkeypatch):
-        # train resolves the root plan once: one bit per example, not one
-        # per example per tree.
+    def test_one_train_resolves_its_root_plan_once(self, movie_domain, monkeypatch):
+        # train checks the examples and makes their root rows once, and
+        # grows every tree from that one root plan.
+        import liftedrbm.model as model_module
+
         kb, examples, _ = movie_domain
-        queries = []
-        bit = CoverageTable.bit
+        roots, grown = [], []
 
-        def counted(self, query):
-            queries.append(query)
-            return bit(self, query)
+        def resolved(queries, *args):
+            roots.append((list(queries), _root_plan(queries, *args)))
+            return roots[-1][1]
 
-        monkeypatch.setattr(CoverageTable, "bit", counted)
+        def grow(root, *args, **kwargs):
+            grown.append(root)
+            return _grow(root, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_root_plan", resolved)
+        monkeypatch.setattr(model_module, "_grow", grow)
         model = train(kb, examples, TrainConfig(n_trees=3))
         assert len(model.trees) == 3
+        ((queries, root),) = roots
         assert queries == [query for query, _ in examples.labeled()]
+        assert len(grown) == 3 and all(each is root for each in grown)
 
     def test_a_query_given_twice_keeps_both_copies_on_one_side(self):
         # Copies of a query, as the same object and as an equal one, with
         # their own targets: each copy is an item of its own, both go to the
-        # side their one bit says, and the sums are the reference's.
+        # side their equal rows say, and the sums are the reference's.
         split = 0
         for seed in range(8):
-            kb, examples, max_leaves, settings, _ = _random_fit_case(seed)
+            kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
             rng = random.Random(seed)
             copies = []
-            for position in rng.sample(range(len(examples)), 4):
-                query = examples[position].query
+            for position in rng.sample(range(len(queries)), 4):
+                query = queries[position]
                 if rng.random() < 0.5:
                     query = Atom(query.predicate, query.args)
                 copies.append(position)
-                examples.append(RegressionExample(query, 1, rng.uniform(-0.9, 0.9)))
-            table = CoverageTable()
-            for _ in range(2):  # a second fit reads the first's plans
-                tree = _assert_fit_matches_exhaustive(
-                    examples, max_leaves, MOVIE_MODES, kb, table, **settings
-                )
+                queries.append(query)
+                gradients.append(rng.uniform(-0.9, 0.9))
+            # a second fit from the first's root reads its plans
+            tree = _assert_fit_matches_exhaustive(
+                queries, gradients, max_leaves, MOVIE_MODES, kb, [gradients], **settings
+            )
             fitted = []
-            fit_regression_tree(examples, max_leaves, MOVIE_MODES, kb, fitted=fitted, **settings)
-            for copy, position in enumerate(copies, start=len(examples) - len(copies)):
+            fit_regression_tree(
+                queries, gradients, max_leaves, MOVIE_MODES, kb, fitted=fitted, **settings
+            )
+            for copy, position in enumerate(copies, start=len(queries) - len(copies)):
                 assert fitted[copy] == fitted[position]
             split += tree.leaf_count > 1
         assert split >= 4
@@ -1210,13 +1227,12 @@ class TestFalseChildDerivation:
             assert [str(c) for c in false_plan.candidates] == [str(c) for c in candidates]
             # every item carries every witness of the context, as its parent's
             for position, rows in false_plan.items:
-                found = witnesses(false_plan.context, unify(head, examples[position].query), kb)
+                found = witnesses(false_plan.context, unify(head, queries[position]), kb)
                 assert rows == tuple(_names(w, false_plan.bound_vars) for w in found)
-            bits = [1 << position for position in range(len(examples))]
-            node = NodeIndex(false_plan.items, bits, len(head.args))
+            node = NodeIndex(false_plan.items, len(head.args))
             firsts = {}
             for j, candidate in enumerate(candidates):
-                sat = partition(false_plan.bound_vars, candidate, node, kb, CoverageTable())
+                sat = partition(false_plan.bound_vars, candidate, node, kb)
                 if sat and sat != node.mask:
                     firsts.setdefault(sat, j)
             want = {j: bytes(bool(sat & bit) for bit in node.bits) for sat, j in firsts.items()}
@@ -1227,16 +1243,13 @@ class TestFalseChildDerivation:
 
         monkeypatch.setattr(tree_module._Plan, "child", derived)
         for seed in range(48):
-            kb, examples, max_leaves, settings, _ = _random_fit_case(seed)
-            fits, table = [examples], None
-            if shared:  # an earlier fit with other gradients fills the table
-                table = CoverageTable()
-                gradients = [e.gradient for e in reversed(examples)]
-                fits.insert(0, [
-                    RegressionExample(e.query, e.label, g) for e, g in zip(examples, gradients)
-                ])
-            for examples in fits:
-                fit_regression_tree(examples, max_leaves, MOVIE_MODES, kb, table=table, **settings)
+            kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
+            if shared:  # an earlier fit with other gradients, from the same root plan
+                _fits_from_one_root(
+                    queries, [gradients[::-1], gradients], max_leaves, MOVIE_MODES, kb, **settings
+                )
+            else:
+                fit_regression_tree(queries, gradients, max_leaves, MOVIE_MODES, kb, **settings)
         assert len(checked) >= 100 and nested >= 40 and two_sided >= 80
 
     def test_a_candidate_that_restates_the_context_holds_everywhere(self):
@@ -1273,10 +1286,10 @@ class TestFalseChildDerivation:
         assert not _restates(Atom(r, (x, C("c", "t"))), bound, (Atom(r, (a, b)),))
 
 
-def _plans(table):
-    """Every plan in a coverage table, each with its kind: "root", "true"
-    or "false" child."""
-    stack = [(plan, "root") for plan in table._roots.values()]
+def _plans(root):
+    """Every plan under a root plan, each with its kind: "root", "true" or
+    "false" child."""
+    stack = [(root, "root")]
     while stack:
         plan, kind = stack.pop()
         yield plan, kind
@@ -1295,19 +1308,20 @@ def _random_movie_tree_and_examples(seed=0):
     for m in movies:
         lines.append(f"directedby({m}, {rng.choice(people)}).")
     kb = parse_facts("\n".join(lines), MOVIE_MODES)
-    examples = []
+    queries, gradients = [], []
     for _ in range(50):
         a, b = rng.sample(people, 2)
-        query = atom(COLLAB, C(a, "person"), C(b, "person"))
-        examples.append(RegressionExample(query, 1, rng.uniform(-0.9, 0.9)))
-    tree = fit_regression_tree(examples, 4, MOVIE_MODES, kb)
-    return tree, examples, kb
+        queries.append(atom(COLLAB, C(a, "person"), C(b, "person")))
+        gradients.append(rng.uniform(-0.9, 0.9))
+    tree = fit_regression_tree(queries, gradients, 4, MOVIE_MODES, kb)
+    return tree, queries, kb
 
 
 class TestEvaluateTree:
     def test_zero_parameter_leaf_evaluates_to_zero(self):
         tree = fit_regression_tree(
-            [RegressionExample(atom(COLLAB, C("p1", "person"), C("p2", "person")), 1, 0.0)],
+            [atom(COLLAB, C("p1", "person"), C("p2", "person"))],
+            [0.0],
             1,
             MOVIE_MODES,
             example1_kb(),
@@ -1327,19 +1341,19 @@ class TestEvaluateTree:
         # oracle: satisfy each root-to-leaf clause independently, literal by
         # literal in root order; exactly one must hold and its leaf value must
         # equal the routed value
-        tree, examples, kb = _random_movie_tree_and_examples(seed=21)
+        tree, queries, kb = _random_movie_tree_and_examples(seed=21)
         head = tree.head
         paths = list(tree.paths())
         assert len(paths) == tree.leaf_count
         model = _one_tree_model(tree)
-        for example in examples:
+        for query in queries:
             holding = [
                 leaf
                 for literals, leaf in paths
-                if RoutingTrie([Clause(head, literals)]).walk(example.query, kb)
+                if RoutingTrie([Clause(head, literals)]).walk(query, kb)
             ]
             assert len(holding) == 1
-            (routed,) = model.per_tree(example.query, kb)
+            (routed,) = model.per_tree(query, kb)
             assert routed == pytest.approx(holding[0].params.value(), abs=1e-12)
 
     def test_path_count_and_structure(self):
