@@ -50,11 +50,23 @@ def read_text(path) -> str:
 _ATOM_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\.?\s*$")
 _MODE_RE = re.compile(r"^mode\s*:\s*([a-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\.?\s*$")
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
+def check_predicate(predicate: Predicate) -> Predicate:
+    """``predicate`` if a modes file can declare it: a lowercase-initial
+    name, and types of letters, digits and underscores; else a ValueError."""
+    if not (isinstance(predicate.name, str) and _NAME_RE.fullmatch(predicate.name)):
+        raise ValueError(f"malformed predicate name {predicate.name!r}")
+    for type_tag in predicate.arg_types:
+        if not (isinstance(type_tag, str) and _TOKEN_RE.fullmatch(type_tag)):
+            raise ValueError(f"malformed argument type {type_tag!r} of {predicate.name}")
+    return predicate
 
 
 @dataclass(frozen=True)
 class ModeDeclaration:
-    """Per-predicate argument types plus chaining flags ('+' or '-')."""
+    """Argument types and chaining flags ('+' or '-') of a predicate a modes file can declare."""
 
     predicate: Predicate
     chaining: tuple[str, ...]
@@ -64,6 +76,7 @@ class ModeDeclaration:
             raise ValueError(f"mode for {self.predicate} has wrong arity")
         if any(flag not in ("+", "-") for flag in self.chaining):
             raise ValueError("chaining flags must be '+' or '-'")
+        check_predicate(self.predicate)
 
 
 @dataclass
@@ -128,15 +141,14 @@ def parse_modes(text: str) -> dict[str, ModeDeclaration]:
         name, args_text = match.groups()
         if name in modes:
             raise ParseError(f"duplicate mode declaration for {name}", line_no)
-        arg_types: list[str] = []
-        chaining: list[str] = []
-        if args_text:
-            for spec in (s.strip() for s in args_text.split(",")):
-                if len(spec) < 2 or spec[0] not in "+-" or not _TOKEN_RE.match(spec[1:]):
-                    raise ParseError(f"malformed argument spec {spec!r}", line_no)
-                chaining.append(spec[0])
-                arg_types.append(spec[1:])
-        modes[name] = ModeDeclaration(Predicate(name, tuple(arg_types)), tuple(chaining))
+        specs = [spec.strip() for spec in args_text.split(",")] if args_text else []
+        try:
+            modes[name] = ModeDeclaration(
+                Predicate(name, tuple([spec[1:] for spec in specs])),
+                tuple([spec[:1] for spec in specs]),
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
     return modes
 
 

@@ -13,16 +13,18 @@ one a tree's false branch gives it: ``NOT atom`` after a prefix holds iff
 place that reads it; a signed body is routed by walking a one-clause trie.
 
 A tree fit and :meth:`RoutingTrie.walk_many` decide on rows instead, each a
-witness as the names it binds: by lookups in a knowledge base's
-:meth:`~KnowledgeBase.projection` (a semi-join; Bernstein and Chiu, JACM
-1981), extended by :func:`join` (tuple-ID propagation; Yin et al.,
-CrossMine, ICDE 2004).  These fact views depend on the facts alone, so the
-knowledge base builds each once and keeps it until a new fact arrives.
+witness as the names it binds, and both through :func:`partition`: a scan of
+each item's rows against a knowledge base's :meth:`~KnowledgeBase.projection`
+(a semi-join; Bernstein and Chiu, JACM 1981).  :func:`join` extends the rows
+(tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).  These fact views
+depend on the facts alone, so the knowledge base builds each once and keeps
+it until a new fact arrives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -381,8 +383,7 @@ def route_decision(
     When ``cached is base``, ``base`` itself grounds the context, so it is the
     context's only witness and the fast path was the whole search.  Only
     :meth:`RoutingTrie.walk` decides here: a fit and
-    :meth:`RoutingTrie.walk_many` decide on rows (see
-    :meth:`KnowledgeBase.projection`).
+    :meth:`RoutingTrie.walk_many` decide on rows, by :func:`partition`.
 
     ``context`` holds the atoms of a path's positive tests only.  A false
     branch is taken only once ``context AND test`` is proven unsatisfiable, so
@@ -437,6 +438,22 @@ def join(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase):
         (item, tuple([row + new for row in rows for new in groups.get(read(row), ())]))
         for item, rows in items
     ]
+
+
+# Turns a :func:`partition` selector into its complement.
+FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def partition(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase) -> bytes:
+    """Which (item, rows of a context binding ``bound_vars``) satisfy
+    ``context AND test``: one byte per item, 1 iff one of its rows holds, at
+    ``test``'s bound columns, a value of ``kb``'s
+    :meth:`~KnowledgeBase.projection`, since only those values join with
+    the context.  A fit's candidate split and a batch walk's branch are
+    both decided here."""
+    columns, values = kb.projection(test, bound_vars)
+    read, isdisjoint = _key(columns), values.isdisjoint
+    return bytes([not isdisjoint(map(read, rows)) for _, rows in items])
 
 
 class _TrieNode:
@@ -536,11 +553,11 @@ class RoutingTrie:
 
         A query enters each root its head unifies with as an item with one
         row, the names the unifier binds; a node's items carry every witness
-        of its context as rows.  ``context AND atom`` is satisfiable iff a
-        row's values are in the atom's projection: such items go to the
-        positive child, their rows extended by :func:`join`, the rest to the
-        negated child unchanged.  The projections and groupings are
-        ``kb``'s, kept for later batches until it gains a fact."""
+        of its context as rows.  :func:`partition` decides ``context AND
+        atom`` for them all: the items it selects go to the positive child,
+        their rows extended by :func:`join`, the rest to the negated child
+        unchanged.  The projections and groupings are ``kb``'s, kept for
+        later batches until it gains a fact."""
         fired: list[list[int]] = [[] for _ in queries]
         for head, root in self._roots.items():
             bound = tuple(dict.fromkeys(head.variables()))
@@ -553,14 +570,11 @@ class RoutingTrie:
                     for index, _ in items:
                         fired[index].append(clause_id)
                 for atom, yes, no in node.branches:
-                    columns, values = kb.projection(atom, bound)
-                    read = _key(columns)
-                    sat, unsat = [], []
-                    for item in items:
-                        (unsat if values.isdisjoint(map(read, item[1])) else sat).append(item)
-                    if sat and yes is not None:
+                    split = partition(atom, bound, items, kb)
+                    if yes is not None and 1 in split:
                         new = tuple(dict.fromkeys(v for v in atom.variables() if v not in bound))
-                        stack.append((yes, bound + new, join(atom, bound, sat, kb)))
-                    if unsat and no is not None:
-                        stack.append((no, bound, unsat))
+                        sat = join(atom, bound, compress(items, split), kb)
+                        stack.append((yes, bound + new, sat))
+                    if no is not None and 0 in split:
+                        stack.append((no, bound, list(compress(items, split.translate(FLIP)))))
         return [sorted(ids) for ids in fired]

@@ -15,7 +15,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .data import ModeDeclaration, ParseError, parse_atom_text, read_text, validate_query
+from .data import (
+    ModeDeclaration,
+    ParseError,
+    check_predicate,
+    parse_atom_text,
+    read_text,
+    validate_query,
+)
 from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie
 from .tree import (
     InternalNode,
@@ -324,7 +331,7 @@ def _model_from_dict(data: dict) -> BoostedModel:
     }
     predicates = {name: mode.predicate for name, mode in modes.items()}
     target_info = data["target"]
-    target = Predicate(target_info["name"], tuple(target_info["arg_types"]))
+    target = check_predicate(Predicate(target_info["name"], tuple(target_info["arg_types"])))
     predicates.setdefault(target.name, target)
     names = target_info["head_vars"]
     head = parse_atom_text(f"{target.name}({', '.join(names)})", {target.name: target})

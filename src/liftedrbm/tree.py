@@ -5,12 +5,12 @@ clause and every leaf carries the five parameters of one network feature: an
 output-bias difference, a hidden-unit bias, a path-feature weight, and the two
 hidden-to-output weights.  A node's decision is satisfiability of the whole
 path conjunction extended by its test.  Training decides it over every witness
-of the path's context at once, carried down the tree as rows (the rows engine
-of :mod:`~liftedrbm.logic`, which a batch walk shares); routing one query
-proves it from the first witness chained down the path; both decide the same
-conjunction, so they agree exactly.  A path's context holds only the atoms of
-its positive tests: a false branch adds nothing, since its negated test holds
-on every extension of the context (see
+of the path's context at once, carried down the tree as rows, by the row test
+a batch walk also uses (:func:`~liftedrbm.logic.partition`); routing one
+query proves it from the first witness chained down the path; both decide
+the same conjunction, so they agree exactly.  A path's context holds only
+the atoms of its positive tests: a false branch adds nothing, since its
+negated test holds on every extension of the context (see
 :func:`~liftedrbm.logic.route_decision`).  A path read as the clause (head,
 signed path literals) is what a model's or a network's
 :class:`~liftedrbm.logic.RoutingTrie` routes.
@@ -44,8 +44,9 @@ from .logic import (
     Literal,
     Predicate,
     Term,
-    _key,
+    FLIP,
     join,
+    partition,
 )
 
 
@@ -433,73 +434,6 @@ def _restates(test: Atom, bound: set[Term], context: tuple[Atom, ...]) -> bool:
 # to the node's bound variables, in their order
 FitItem = tuple[int, tuple[tuple[str, ...], ...]]
 
-# Turns a split's selector into its complement.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-class NodeIndex:
-    """A fit node's items as :func:`partition` reads them: each item's bit,
-    ``1 << position``, their OR ``mask``, the items with several rows
-    (``several``, as (bit, rows)), and, per tuple of columns, the OR of the
-    bits of the items whose first row holds each value there
-    (:meth:`first_rows`).  The first ``width`` columns are the head's, on
-    which an item's rows all agree, so equal queries at two positions have
-    equal rows and land on one side."""
-
-    __slots__ = ("items", "bits", "mask", "several", "width", "_firsts")
-
-    def __init__(self, items: Sequence[FitItem], width: int):
-        self.items = items
-        self.bits = [1 << position for position, _ in items]
-        self.mask = 0
-        for bit in self.bits:
-            self.mask |= bit
-        self.several = [(bit, rows) for (_, rows), bit in zip(items, self.bits) if len(rows) > 1]
-        self.width = width
-        self._firsts: dict[tuple[int, ...], dict] = {}
-
-    def first_rows(self, columns: tuple[int, ...]) -> dict:
-        firsts = self._firsts.get(columns)
-        if firsts is None:
-            firsts = self._firsts[columns] = {}
-            read = _key(columns)
-            for (_, rows), bit in zip(self.items, self.bits):
-                value = read(rows[0])
-                firsts[value] = firsts.get(value, 0) | bit
-        return firsts
-
-
-def partition(
-    bound_vars: Sequence[Term],
-    candidate: Literal,
-    node: NodeIndex,
-    kb: KnowledgeBase,
-) -> int:
-    """The bits of a node's items that satisfy (context AND candidate), a
-    subset of ``node.mask``: an item is on the true side iff its bit is in
-    it.  ``bound_vars`` are the variables the node's rows bind.
-
-    An item is satisfiable iff one of its rows holds, at the candidate's
-    bound columns, a value of ``kb``'s projection: only those values
-    join with the context.  One set intersection with
-    :meth:`NodeIndex.first_rows` decides every item whose first row holds;
-    only an item with several rows, facing a candidate that binds a column
-    past the head's, reads its other rows.
-    """
-    columns, values = kb.projection(candidate.atom, bound_vars)
-    firsts = node.first_rows(columns)
-    sat = 0
-    for value in firsts.keys() & values:
-        sat |= firsts[value]
-    rest = node.mask & ~sat
-    if rest and node.several and columns and max(columns) >= node.width:
-        read = _key(columns)
-        for bit, rows in node.several:
-            if rest & bit and not values.isdisjoint(map(read, rows)):
-                sat |= bit
-    return sat
-
-
 @dataclass(slots=True, eq=False)
 class _Plan:
     """A fit node as far as it does not depend on the gradients.
@@ -507,8 +441,9 @@ class _Plan:
     It holds the examples that reach the node, as ``items`` with their rows
     and as ``positions``, its context, its bound variables, used names and
     depth.  Once expanded it also holds its candidates and, in ``splits``,
-    each distinct two-sided split as a selector (one byte per item, 1 on
-    the true side) under the index of the first candidate that makes it (a
+    each distinct two-sided split as its selector from
+    :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
+    side) under the index of the first candidate that makes it (a
     later one would score the same and lose the tie), and, in
     ``children``, the (true, false) child plans of each candidate index
     that has won.  A true child's ``parent_vars`` are its parent's bound
@@ -541,22 +476,19 @@ class _Plan:
         if self.parent_vars is not None:
             self.items = join(self.context[-1], self.parent_vars, self.items, kb)
             self.parent_vars = None
-        head = root.head
         self.candidates = generate_candidates(
-            self.bound_vars, root.modes, root.max_new_vars, self.used_names, (head.predicate.name,)
+            self.bound_vars, root.modes, root.max_new_vars, self.used_names,
+            (root.head.predicate.name,),
         )
-        index = NodeIndex(self.items, len(head.args))  # every split is decided here
         bound = set(self.bound_vars)
-        firsts: dict[int, int] = {}  # satisfied bits -> first candidate index
+        firsts: dict[bytes, int] = {}  # selector -> first candidate index
         for k, candidate in enumerate(self.candidates):
             if _restates(candidate.atom, bound, self.context):
                 continue
-            sat = partition(self.bound_vars, candidate, index, kb)
-            if sat and sat != index.mask:
-                firsts.setdefault(sat, k)
-        self.splits = {
-            k: bytes(map(bool, map(sat.__and__, index.bits))) for sat, k in firsts.items()
-        }
+            split = partition(candidate.atom, self.bound_vars, self.items, kb)
+            if 0 in split and 1 in split:
+                firsts.setdefault(split, k)
+        self.splits = {k: split for split, k in firsts.items()}
 
     def child(self, k: int) -> tuple["_Plan", "_Plan"]:
         """The (true, false) child plans of candidate ``k``, made once.
@@ -569,7 +501,7 @@ class _Plan:
         children = self.children.get(k)
         if children is None:
             candidate, split = self.candidates[k], self.splits[k]
-            flip = split.translate(_FLIP)
+            flip = split.translate(FLIP)
             new_vars = tuple(v for v in candidate.atom.variables() if v not in self.bound_vars)
             names = self.used_names | {t.name for t in candidate.atom.variables()}
             firsts: dict[bytes, int] = {}  # selector -> first candidate index
@@ -642,7 +574,7 @@ def _floors(deltas: Sequence[float], splits: dict[int, bytes]) -> list[tuple[flo
     allowance = 8 * n * sys.float_info.epsilon * sum(squares) + n * sys.float_info.min
     ranked = []
     for k, split in splits.items():
-        flip = split.translate(_FLIP)
+        flip = split.translate(FLIP)
         m = split.count(1)
         s_true, s_false = sum(compress(deltas, split)), sum(compress(deltas, flip))
         floor = (
@@ -719,25 +651,21 @@ def fit_regression_tree(
     only through their mean, so each distinct mean (bit for bit) is fit once
     per call and its parameters reused for every leaf with that mean.
 
-    Each node is a fit plan: everything about it that does not depend on
-    the gradients.  Its items are (position in ``queries``, rows), with
-    every witness of the node's context as rows, the root's one row being
-    its query's arguments (tuple-ID propagation; Yin et al., CrossMine, ICDE
-    2004).  When a root or a true child is first expanded, a true child's
-    rows are extended by its test (:func:`~liftedrbm.logic.join`), its
-    candidates are generated, and each is decided by :func:`partition`, by
-    set lookups in ``kb``'s fact views and no search, and kept as a byte
-    selector over the plan's items; a candidate that restates an atom of
-    the context (:func:`_restates`) holds on every item and is not decided.
-    Child plans are made when their candidate first wins, so a true child
-    that stays a leaf is never joined.  A false child is never expanded:
-    it keeps its parent's context and rows, so :meth:`_Plan.child` makes it
-    with its parent's candidates, renamed, and selectors, compressed to its
-    side; no (context, candidate) pair is decided twice.  A fit reads each
-    side's gradients from its node's by ``itertools.compress`` with a
-    selector or its complement; a one-sided candidate is skipped without a
-    list.  The fit proves nothing through
-    :func:`~liftedrbm.logic.witnesses`.
+    Each node is a fit plan (:class:`_Plan`): what it is regardless of the
+    gradients.  Its items are (position in ``queries``, rows), every witness
+    of the node's context a row, the root's one row its query's arguments
+    (tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).  Expanding a
+    root or a true child joins a true child's test into its rows
+    (:func:`~liftedrbm.logic.join`), generates its candidates and decides
+    each, bar one that :func:`_restates` the context, by
+    :func:`~liftedrbm.logic.partition`, the scan a batch walk decides a
+    branch by: set lookups in ``kb``'s fact views, no search.  A child plan
+    is made when its candidate first wins, so a true child that stays a
+    leaf is never joined; a false child is made with its parent's
+    candidates and selectors (:meth:`_Plan.child`), so no (context,
+    candidate) pair is decided twice.  Each side's gradients are read
+    through a selector or its complement by ``itertools.compress``.  The
+    fit proves nothing through :func:`~liftedrbm.logic.witnesses`.
 
     The fit owns its root plan, so a plan frees its rows, candidates and
     splits once it has split, its false child made from them first, or
@@ -745,9 +673,8 @@ def fit_regression_tree(
     from one root plan (:func:`_grow`), so a later tree reaches each node
     an earlier one expanded with its rows, candidates and splits built.
     When given, ``fitted`` is filled with each query's leaf value in
-    ``queries`` order: the value
-    :meth:`~liftedrbm.model.BoostedModel.per_tree` routes it to, since
-    fitting and routing make the same decisions.
+    ``queries`` order: the value :meth:`~liftedrbm.model.BoostedModel.per_tree`
+    routes it to, since fitting and routing make the same decisions.
     """
     if not queries:
         raise ValueError("cannot fit a tree to zero examples")
@@ -811,7 +738,7 @@ def _grow(
                 continue
             split = plan.splits[k]
             left = list(compress(deltas, split))
-            right = list(compress(deltas, split.translate(_FLIP)))
+            right = list(compress(deltas, split.translate(FLIP)))
             fit_left, fit_right = fit_leaf(left), fit_leaf(right)
             score = fit_left[1] + fit_right[1]
             if best is None or (score, k) < best[:2]:

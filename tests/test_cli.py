@@ -414,6 +414,33 @@ MODEL_MUTATIONS = {
 }
 
 
+def _add_mode(name):
+    """The mutation that declares mode ``name`` as ``ingenre`` is declared."""
+    def mutate(doc):
+        doc["modes"][name] = dict(doc["modes"]["ingenre"])
+        return doc
+
+    return mutate
+
+
+# Mode declarations, and a target, that a modes file could not declare: a
+# predicate name must start lowercase, a type is a token of letters, digits
+# and underscores, and a flag is '+' or '-'.
+MODE_MUTATIONS = {
+    **{
+        f"{label} as a mode type": _set(value, "modes", "ingenre", "arg_types", 1)
+        for label, value in (
+            ("object", {}), ("list", []), ("true", True), ("integer", 1), ("float", 2.5),
+            ("null", None), ("spaced token", "gen re"),
+        )
+    },
+    "uppercase mode name": _add_mode("Ingenre"),
+    "star as a chaining flag": _set("*", "modes", "ingenre", "chaining", 0),
+    "object as a target type": _set({}, "target", "arg_types", 0),
+    "null as a target type": _set(None, "target", "arg_types", 1),
+}
+
+
 def _mutated_model(name, tmp_path):
     """The path of the benchmark's model file after mutation ``name``."""
     doc = MODEL_MUTATIONS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
@@ -468,6 +495,26 @@ class TestModelLoader:
         model_path = _mutated_model(name, tmp_path)
         assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("command", ["predict", "explain", "explain --mode distill"])
+    @pytest.mark.parametrize("name", sorted(MODE_MUTATIONS))
+    def test_mode_declarations_follow_the_modes_file_grammar(
+        self, name, command, data_dir, tmp_path, capsys
+    ):
+        doc = MODE_MUTATIONS[name](json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        facts, out = ["--facts", str(data_dir / "facts.txt")], ["--out", str(tmp_path / "net")]
+        argv = {
+            "predict": ["predict", *facts, "--queries", str(data_dir / "queries.txt")],
+            "explain": ["explain", *out],
+            "explain --mode distill": [
+                "explain", "--mode", "distill", "--depth", "1", *facts, *out,
+                "--pos", str(data_dir / "pos.txt"), "--neg", str(data_dir / "neg.txt"),
+            ],
+        }[command]
+        assert main([*argv, "--model", str(model_path)]) == 2
+        assert capsys.readouterr().err.startswith("data error: malformed model document: ")
 
     @pytest.mark.parametrize("name", sorted(BAD_FIT_CONFIGS))
     def test_bad_fit_config_fails_distillation_as_a_data_error(

@@ -231,10 +231,24 @@ def _hex(values):
 class TestBatchWalk:
     """``walk_many`` and ``psi_many`` are ``walk`` and ``psi``, query by query."""
 
-    def test_random_models_and_clauses_match_the_per_query_walk(self):
+    def test_random_models_and_clauses_match_the_per_query_walk(self, monkeypatch):
+        import liftedrbm.logic as logic_module
+
         rng = random.Random(2718)
         decided = [0, 0, 0]  # literals with each feature on clauses that held
-        held = 0
+        held = from_later_row = 0
+        scan = logic_module.partition
+
+        def counted(test, bound_vars, items, kb):
+            # the items a row other than their first selects, where a
+            # first-row lookup would decide wrongly
+            nonlocal from_later_row
+            split = scan(test, bound_vars, items, kb)
+            firsts = scan(test, bound_vars, [(item, rows[:1]) for item, rows in items], kb)
+            from_later_row += sum(chosen > first for chosen, first in zip(split, firsts))
+            return split
+
+        monkeypatch.setattr(logic_module, "partition", counted)
         for _ in range(600):
             kb, model, clauses, queries = _random_batch_case(rng)
             _, model_trie, _ = model._routed()
@@ -248,7 +262,7 @@ class TestBatchWalk:
                     for i in ids:
                         decided = [n + f for n, f in zip(decided, _features(listed[i]))]
             assert _hex(model.psi_many(queries, kb)) == _hex(model.psi(q, kb) for q in queries)
-        assert held > 8000
+        assert held > 8000 and from_later_row > 100
         constant, repeat, after_negation = decided
         assert constant > 1000 and repeat > 900 and after_negation > 200
 

@@ -15,6 +15,7 @@ from liftedrbm.logic import (
     Literal,
     Predicate,
     RoutingTrie,
+    partition,
     route_decision,
     unify,
     witnesses,
@@ -30,8 +31,6 @@ from liftedrbm.tree import (
     generate_candidates,
     join,
     make_head,
-    NodeIndex,
-    partition,
     _floors,
     _grow,
     _restates,
@@ -181,19 +180,17 @@ def _base(item):
     return unify(make_head(item[0].predicate), item[0])
 
 
-def _partition(candidate, examples, kb, bound_vars=None, width=2):
+def _partition(candidate, examples, kb, bound_vars=None):
     """``partition`` at a node whose items are (position, rows) for the
     given (query, rows), binding ``bound_vars`` (by default the head of
-    ``collab`` items), the first ``width`` of them the head's: ``None`` for
-    a one-sided split, else whether each item's bit is among the satisfied
-    bits."""
+    ``collab`` items): ``None`` for a one-sided split, else whether each
+    item is on the true side."""
     bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
-    node = NodeIndex(_positioned(examples), width)
-    sat = partition(bound_vars, candidate, node, kb)
-    assert sat & node.mask == sat
-    if sat in (0, node.mask):
+    split = partition(candidate.atom, bound_vars, _positioned(examples), kb)
+    assert len(split) == len(examples) and set(split) <= {0, 1}
+    if 0 not in split or 1 not in split:
         return None
-    return [bool(sat & bit) for bit in node.bits]
+    return [bool(chosen) for chosen in split]
 
 
 def _positioned(examples):
@@ -393,14 +390,13 @@ class TestPartition:
                     nodes.setdefault(key, []).append((items[0][1], everyone))
             for (head_vars, bound_vars), members in nodes.items():
                 items = [(position, rows) for position, (rows, _) in enumerate(members)]
-                node = NodeIndex(items, len(head_vars))
                 for test in tests:
-                    sat = partition(bound_vars, Literal(test), node, kb)
-                    assert sat & node.mask == sat
+                    split = partition(test, bound_vars, items, kb)
+                    assert len(split) == len(items)
                     free = [t for t in test.args if t.is_variable and t not in bound_vars]
-                    for (rows, everyone), bit in zip(members, node.bits):
+                    for (rows, everyone), chosen in zip(members, split):
                         want = any(oracle_satisfy([Literal(test)], w, kb) for w in everyone)
-                        assert bool(sat & bit) == want, (
+                        assert chosen == want, (
                             f"context={[str(a) for a in context]} test={test} rows={rows}"
                         )
                         decided += 1
@@ -1039,15 +1035,15 @@ class TestCoverageTable:
             expanding.append(plan)
             return expand(plan, *args)
 
-        def candidate_split(bound_vars, candidate, node, kb):
-            if not nodes or nodes[-1] is not node:  # a node's candidates come together
-                nodes.append(node)
+        def candidate_split(test, bound_vars, items, kb):
+            if not nodes or nodes[-1] is not items:  # a node's candidates come together
+                nodes.append(items)
                 context = expanding[-1].context
-                for position, rows in node.items:
+                for position, rows in items:
                     found = witnesses(context, unify(head, queries[position]), kb)
                     assert rows == tuple(_names(w, bound_vars) for w in found)
                     several.append(len(rows) > 1)
-            return partition(bound_vars, candidate, node, kb)
+            return partition(test, bound_vars, items, kb)
 
         def extended(*args):
             joins.append(join(*args))
@@ -1060,7 +1056,7 @@ class TestCoverageTable:
         # the expanded nodes: a false child is made with its splits
         assert len(nodes) == len(expanding) == 3 and any(several)
         # each join's rows were read, and checked, at the child it extended
-        assert joins and all(any(node.items is rows for node in nodes) for rows in joins)
+        assert joins and all(any(items is rows for items in nodes) for rows in joins)
         reference, _ = exhaustive_fit_tree(queries, gradients, 8, MOVIE_MODES, kb)
         assert tree.to_text() == reference.to_text()
 
@@ -1229,13 +1225,12 @@ class TestFalseChildDerivation:
             for position, rows in false_plan.items:
                 found = witnesses(false_plan.context, unify(head, queries[position]), kb)
                 assert rows == tuple(_names(w, false_plan.bound_vars) for w in found)
-            node = NodeIndex(false_plan.items, len(head.args))
             firsts = {}
             for j, candidate in enumerate(candidates):
-                sat = partition(false_plan.bound_vars, candidate, node, kb)
-                if sat and sat != node.mask:
-                    firsts.setdefault(sat, j)
-            want = {j: bytes(bool(sat & bit) for bit in node.bits) for sat, j in firsts.items()}
+                split = partition(candidate.atom, false_plan.bound_vars, false_plan.items, kb)
+                if 0 in split and 1 in split:
+                    firsts.setdefault(split, j)
+            want = {j: split for split, j in firsts.items()}
             assert false_plan.splits == want
             checked.append(false_plan)
             two_sided += bool(want)
