@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 from .data import ExampleSet, FoldSpec
 from .logic import Atom, KnowledgeBase
 from .model import TrainConfig, probability, train
+from .tree import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,8 @@ class MetricsReport:
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
+    mean = ordered_sum(values) / len(values)
+    var = ordered_sum((v - mean) ** 2 for v in values) / len(values)
     return mean, math.sqrt(var)
 
 

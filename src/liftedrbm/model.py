@@ -33,6 +33,7 @@ from .tree import (
     _grow,
     _root_plan,
     make_head,
+    ordered_sum,
     sigmoid,
 )
 
@@ -148,7 +149,7 @@ class BoostedModel:
         return tuple(values[clause_id] for clause_id, _ in fired)
 
     def psi(self, query: Atom, kb: KnowledgeBase) -> float:
-        return self.psi0 + sum(self.per_tree(query, kb))
+        return self.psi0 + ordered_sum(self.per_tree(query, kb))
 
     def psi_many(self, queries: Sequence[Atom], kb: KnowledgeBase) -> list[float]:
         """:meth:`psi` of each query, bit for bit, routed as one batch by
@@ -161,12 +162,12 @@ class BoostedModel:
         for query, fired in zip(queries, trie.walk_many(queries, kb)):
             if len(fired) != len(trees):
                 raise ValueError(f"query {query} does not ground target {self.head}")
-            psis.append(self.psi0 + sum(values[clause_id] for clause_id in fired))
+            psis.append(self.psi0 + ordered_sum(values[clause_id] for clause_id in fired))
         return psis
 
     def predict(self, query: Atom, kb: KnowledgeBase) -> Prediction:
         per_tree = self.per_tree(query, kb)
-        psi = self.psi0 + sum(per_tree)
+        psi = self.psi0 + ordered_sum(per_tree)
         return Prediction(probability(psi, self.config.psi_clamp), psi, per_tree)
 
 
@@ -236,18 +237,26 @@ def train(
             psis[i] += value
             sse += (value - gradient) ** 2
         if progress is not None:
-            mean_abs = sum(abs(g) for g in gradients) / len(gradients)
+            mean_abs = ordered_sum(abs(g) for g in gradients) / len(gradients)
             progress(index + 1, sse, mean_abs)
     return model
 
 
+def _finite_leaf(params: LeafParams) -> bool:
+    """Whether a leaf's parameters and value are finite, as every leaf's
+    must be: then a potential, the prior plus leaf values, may overflow to
+    an infinity but is never NaN."""
+    return all(map(math.isfinite, params.as_tuple())) and math.isfinite(params.value())
+
+
 def _check_finite_leaves(tree: RelationalRegressionTree, index: int) -> None:
-    """Refuse a fitted tree with a non-finite leaf parameter, naming the leaf."""
+    """Refuse a fitted tree with a leaf :func:`_finite_leaf` refuses, naming
+    the leaf."""
     for literals, leaf in tree.paths():
-        if not all(map(math.isfinite, leaf.params.as_tuple())):
+        if not _finite_leaf(leaf.params):
             path = " ∧ ".join(str(lit) for lit in literals) or "true"
             raise ValueError(
-                f"tree {index + 1} leaf {path} has non-finite parameters "
+                f"tree {index + 1} leaf {path} has non-finite parameters or value "
                 f"{leaf.params.as_tuple()}; lower the learning rate"
             )
 
@@ -274,7 +283,10 @@ def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
         values = data["leaf"]
         if len(values) != 5:
             raise ParseError("leaf parameters must be a 5-tuple")
-        return LeafNode(LeafParams(*(_finite(v, "leaf parameter") for v in values)))
+        params = LeafParams(*(_finite(v, "leaf parameter") for v in values))
+        if not _finite_leaf(params):
+            raise ParseError(f"leaf {values} has value {params.value()!r}, not a finite number")
+        return LeafNode(params)
     atom = parse_atom_text(data["test"], predicates)
     return InternalNode(
         Literal(atom),

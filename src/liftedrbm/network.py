@@ -27,7 +27,7 @@ from .logic import (
     Term,
 )
 from .model import BoostedModel, TrainConfig, probability
-from .tree import LeafParams, fit_regression_tree
+from .tree import LeafParams, fit_regression_tree, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def lrbm_inference(
     fired = trie.walk(query, kb, stats)
     activated = tuple(hidden[position].index for position, _ in fired)
     witnesses = {hidden[position].index: witness for position, witness in fired}
-    psi = net.psi0 + sum(values[position] for position, _ in fired)
+    psi = net.psi0 + ordered_sum(values[position] for position, _ in fired)
     return InferenceResult(probability(psi, net.psi_clamp), psi, activated, witnesses)
 
 

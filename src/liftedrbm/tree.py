@@ -19,15 +19,16 @@ A fit builds each node once from its root plan, as a plan of what it is
 regardless of the gradients: its examples by position, rows, candidates and
 splits, decided and joined on the knowledge base's fact views.  A root or a
 true child decides its splits on its rows; a false child, whose context and
-rows are its parent's, takes its parent's candidates and splits compressed
-to its side, as TILDE's else branch keeps its parent's query (Blockeel & De
-Raedt, AIJ 1998).  Boosted trees are grown from the one root plan
-:func:`~liftedrbm.model.train` holds, so a later tree reuses every node an
-earlier one built and only refits the leaves.
+rows are its parent's, holds its parent's candidates and takes its splits
+compressed to its side, as TILDE's else branch keeps its parent's query
+(Blockeel & De Raedt, AIJ 1998).  Boosted trees are grown from the one root
+plan :func:`~liftedrbm.model.train` holds, so a later tree reuses every node
+an earlier one built and only refits the leaves.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -60,6 +61,15 @@ def sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+# Float sums that reach an output add left to right, as ``sum`` does below
+# Python 3.12: from 3.12 on it compensates, which moves a fit's last bits.
+if sys.version_info < (3, 12):
+    ordered_sum = sum
+else:
+    def ordered_sum(values: Iterable[float]) -> float:
+        return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,9 +125,9 @@ def _sum_squares(center: float, values: Sequence[float]) -> float:
     """``sum((center - v) ** 2 for v in values)``, each overflowing square
     read as ``inf``."""
     try:
-        return sum((center - v) ** 2 for v in values)
+        return ordered_sum((center - v) ** 2 for v in values)
     except OverflowError:  # rare: only then pay a call per square
-        return sum(_square(center - v) for v in values)
+        return ordered_sum(_square(center - v) for v in values)
 
 
 def coordinate_descent(
@@ -164,7 +174,7 @@ def coordinate_descent(
         raise ValueError("learning rate must be positive")
     if not deltas:
         return theta0
-    mean = sum(deltas) / len(deltas)
+    mean = ordered_sum(deltas) / len(deltas)
     rate, exp, log1p, inf = learning_rate, math.exp, math.log1p, math.inf
     half = sys.float_info.max / 2
     p0, p1, p2, p3, p4 = theta0.as_tuple()
@@ -371,42 +381,30 @@ def generate_candidates(
                 options.append(_FRESH)
             slot_options.append(options)
         for combo in itertools.product(*slot_options):
-            n_fresh = sum(1 for slot in combo if slot is _FRESH)
-            if n_fresh > max_new_vars:
-                continue
-            out.append(_literal(predicate, combo, base_names))
+            if combo.count(_FRESH) <= max_new_vars:
+                out.append(Literal(_atom(predicate, combo, base_names)))
     return out
 
 
-def _literal(predicate: Predicate, combo: Sequence, used_names: Iterable[str]) -> Literal:
-    """The test of ``predicate`` whose arguments are ``combo``, each
+def _atom(predicate: Predicate, combo: Sequence, used_names: Iterable[str]) -> Atom:
+    """The atom of ``predicate`` whose arguments are ``combo``, each
     ``_FRESH`` slot a new variable named by type initial, avoiding
     ``used_names`` and every named slot."""
     taken = {slot.name for slot in combo if slot is not _FRESH}
     taken.update(used_names)
-    return Literal(Atom(predicate, tuple([
+    return Atom(predicate, tuple([
         _fresh_variable(type_tag, taken) if slot is _FRESH else slot
         for slot, type_tag in zip(combo, predicate.arg_types)
-    ])))
+    ]))
 
 
-def _renamed(
-    candidates: list[Literal], bound_vars: Sequence[Term], used_names: frozenset[str]
-) -> list[Literal]:
-    """``candidates``, generated for a node binding ``bound_vars``, as
-    :func:`generate_candidates` names them under ``used_names``, a superset
+def _named(test: Atom, bound_vars: Sequence[Term], used_names: Iterable[str]) -> Atom:
+    """``test``, a candidate generated for a node binding ``bound_vars``, as
+    :func:`generate_candidates` names it under ``used_names``, a superset
     of the names it was given: each variable outside ``bound_vars`` a fresh
-    slot.  A candidate none of whose fresh names is now used keeps them,
-    since each is still the first free index of its type."""
-    bound = {var.name for var in bound_vars}
-    out = []
-    for candidate in candidates:
-        args = candidate.atom.args
-        if any(arg.name in used_names and arg.name not in bound for arg in args):
-            combo = tuple([arg if arg.name in bound else _FRESH for arg in args])
-            candidate = _literal(candidate.atom.predicate, combo, used_names)
-        out.append(candidate)
-    return out
+    slot.  The names depend only on the bound slots and ``used_names``."""
+    combo = [arg if arg in bound_vars else _FRESH for arg in test.args]
+    return _atom(test.predicate, combo, used_names)
 
 
 def _restates(test: Atom, bound: set[Term], context: tuple[Atom, ...]) -> bool:
@@ -429,6 +427,16 @@ def _restates(test: Atom, bound: set[Term], context: tuple[Atom, ...]) -> bool:
     return False
 
 
+def _first_splits(selectors: Iterable[tuple[int, bytes]]) -> dict[int, bytes]:
+    """Each distinct two-sided selector of ``(index, selector)`` pairs under
+    its first index: a later one would score the same and lose the tie."""
+    firsts: dict[bytes, int] = {}  # selector -> first index
+    for k, selector in selectors:
+        if 0 in selector and 1 in selector:
+            firsts.setdefault(selector, k)
+    return {k: selector for selector, k in firsts.items()}
+
+
 # (position, rows): the example's index in the fit's ``queries``, and every
 # witness of the node's context, each as the names of the constants it binds
 # to the node's bound variables, in their order
@@ -441,17 +449,15 @@ class _Plan:
     It holds the examples that reach the node, as ``items`` with their rows
     and as ``positions``, its context, its bound variables, used names and
     depth.  Once expanded it also holds its candidates and, in ``splits``,
-    each distinct two-sided split as its selector from
-    :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
-    side) under the index of the first candidate that makes it (a
-    later one would score the same and lose the tie), and, in
+    the selectors from :func:`~liftedrbm.logic.partition` (one byte per
+    item, 1 on the true side) that :func:`_first_splits` keeps, and, in
     ``children``, the (true, false) child plans of each candidate index
     that has won.  A true child's ``parent_vars`` are its parent's bound
     variables until it is expanded: its rows are still its parent's, and
     its test, the last atom of its context, is joined into them then.  A
-    false child is never expanded: it is made with its candidates and
-    splits (:meth:`child`).
-    Plans hold their children, never their parents.
+    false child is never expanded: it is made holding its parent's
+    candidates and its own splits (:meth:`child`).  Plans hold their
+    children, never their parents.
     """
 
     items: Optional[list[FitItem]]
@@ -481,45 +487,37 @@ class _Plan:
             (root.head.predicate.name,),
         )
         bound = set(self.bound_vars)
-        firsts: dict[bytes, int] = {}  # selector -> first candidate index
-        for k, candidate in enumerate(self.candidates):
-            if _restates(candidate.atom, bound, self.context):
-                continue
-            split = partition(candidate.atom, self.bound_vars, self.items, kb)
-            if 0 in split and 1 in split:
-                firsts.setdefault(split, k)
-        self.splits = {k: split for split, k in firsts.items()}
+        self.splits = _first_splits(
+            (k, partition(candidate.atom, self.bound_vars, self.items, kb))
+            for k, candidate in enumerate(self.candidates)
+            if not _restates(candidate.atom, bound, self.context)
+        )
 
     def child(self, k: int) -> tuple["_Plan", "_Plan"]:
         """The (true, false) child plans of candidate ``k``, made once.
 
-        The false child has this plan's context, bound variables and rows,
-        so its candidates are this plan's, their fresh variables named
-        under its used names (:func:`_renamed`), and each decides the same
-        items as here: its split is this one's selector compressed to the
-        false side, kept when two-sided and under its first index."""
+        Candidate ``k`` is named here (:func:`_named`), as the true child's
+        last context atom.  The false child has this plan's context, bound
+        variables and rows, so it holds this plan's candidates, each deciding
+        the same items: its splits are these selectors on the false side."""
         children = self.children.get(k)
         if children is None:
-            candidate, split = self.candidates[k], self.splits[k]
+            test = _named(self.candidates[k].atom, self.bound_vars, self.used_names)
+            split = self.splits[k]
             flip = split.translate(FLIP)
-            new_vars = tuple(v for v in candidate.atom.variables() if v not in self.bound_vars)
-            names = self.used_names | {t.name for t in candidate.atom.variables()}
-            firsts: dict[bytes, int] = {}  # selector -> first candidate index
-            for j, selector in self.splits.items():
-                side = bytes(compress(selector, flip))
-                if 0 in side and 1 in side:
-                    firsts.setdefault(side, j)
+            new_vars = tuple(v for v in test.variables() if v not in self.bound_vars)
+            names = self.used_names | {t.name for t in test.variables()}
+            sides = ((j, bytes(compress(selector, flip))) for j, selector in self.splits.items())
             children = self.children[k] = (
                 _Plan(
                     list(compress(self.items, split)), self.depth + 1,
-                    self.context + (candidate.atom,), self.bound_vars + new_vars, names,
+                    self.context + (test,), self.bound_vars + new_vars, names,
                     parent_vars=self.bound_vars,
                 ),
                 _Plan(
                     list(compress(self.items, flip)), self.depth + 1, self.context,
-                    self.bound_vars, names,
-                    candidates=_renamed(self.candidates, self.bound_vars, names),
-                    splits={j: side for side, j in firsts.items()},
+                    self.bound_vars, names, candidates=self.candidates,
+                    splits=_first_splits(sides),
                 ),
             )
         return children
@@ -550,36 +548,36 @@ def _floors(deltas: Sequence[float], splits: dict[int, bytes]) -> list[tuple[flo
     under the computed score of any leaf values on the split's two sides.
 
     A side's squared error is least at its mean (CART; Breiman et al. 1984):
-    ``Q - S * (S / m)`` for m targets of sum S and sum of squares Q, each a
-    C-level sum through the split's selector or its complement.  The floor
-    is the two sides' sum less ``8 * n * eps * Q + n * min`` for the node's
-    n targets and Q.  Proof that this is enough: let u = eps / 2, t the
-    least subnormal, and for a side Q* and S* the exact sums, E* = Q* - S*
-    ** 2 / m and A = sum(|d|) <= sqrt(m * Q*).  A computed sum of m floats
-    errs by at most 2 * m * u * (their magnitudes' sum), for recursive and
-    for Python's compensated (3.12 on) summation; a product, quotient or
-    difference by u, and ``** 2`` by 2 * u, relatively, plus t on
-    underflow.  With no overflow and n * u < 1e-6, S errs by 2 * m * u *
-    A, so the side's computed ``Q - S * (S / m)`` is at most E* + (6m + 6)
-    * u * Q* + (m + 2) * t, and its computed leaf error at least E* - (2m
-    + 4) * u * Q* - m * t.  Summed, the floor before the allowance exceeds
-    the score by at most (8n + 4) * u * Q* + (2n + 5) * t for the node's
-    Q*, below the allowance, as the computed Q >= 0.99 * Q* - n * t and min
-    = 2 ** 52 * t.  Rounding is monotone, so the floor is at most the
-    score.  An overflow leaves the floor inf, -inf or NaN, read as -inf:
-    no floor, and no prune.
+    ``Q - S * (S / m)`` for m targets of sum S and sum of squares Q, each
+    summed left to right (:func:`ordered_sum`) through the split's selector
+    or its complement.  The floor is the two sides' sum less ``8 * n * eps *
+    Q + n * min`` for the node's n targets and Q.  Proof that this is
+    enough: let u = eps / 2, t the least subnormal, and for a side Q* and S*
+    the exact sums, E* = Q* - S* ** 2 / m and A = sum(|d|) <= sqrt(m * Q*).
+    A computed sum of m floats errs by at most 2 * m * u * (their
+    magnitudes' sum); a product, quotient or difference by u, and ``** 2``
+    by 2 * u, relatively, plus t on underflow.  With no overflow and n * u <
+    1e-6, S errs by 2 * m * u * A, so the side's computed ``Q - S * (S /
+    m)`` is at most E* + (6m + 6) * u * Q* + (m + 2) * t, and its computed
+    leaf error at least E* - (2m + 4) * u * Q* - m * t.  Summed, the floor
+    before the allowance exceeds the score by at most (8n + 4) * u * Q* +
+    (2n + 5) * t for the node's Q*, below the allowance, as the computed Q
+    >= 0.99 * Q* - n * t and min = 2 ** 52 * t.  Rounding is monotone, so
+    the floor is at most the score.  An overflow leaves the floor inf, -inf
+    or NaN, read as -inf: no floor, and no prune.
     """
     n = len(deltas)
     squares = list(map(operator.mul, deltas, deltas))
-    allowance = 8 * n * sys.float_info.epsilon * sum(squares) + n * sys.float_info.min
+    allowance = 8 * n * sys.float_info.epsilon * ordered_sum(squares) + n * sys.float_info.min
     ranked = []
     for k, split in splits.items():
         flip = split.translate(FLIP)
         m = split.count(1)
-        s_true, s_false = sum(compress(deltas, split)), sum(compress(deltas, flip))
+        s_true = ordered_sum(compress(deltas, split))
+        s_false = ordered_sum(compress(deltas, flip))
         floor = (
-            (sum(compress(squares, split)) - s_true * (s_true / m))
-            + (sum(compress(squares, flip)) - s_false * (s_false / (n - m)))
+            (ordered_sum(compress(squares, split)) - s_true * (s_true / m))
+            + (ordered_sum(compress(squares, flip)) - s_false * (s_false / (n - m)))
         ) - allowance
         ranked.append((floor if floor < math.inf else -math.inf, k))
     ranked.sort()
@@ -660,12 +658,13 @@ def fit_regression_tree(
     each, bar one that :func:`_restates` the context, by
     :func:`~liftedrbm.logic.partition`, the scan a batch walk decides a
     branch by: set lookups in ``kb``'s fact views, no search.  A child plan
-    is made when its candidate first wins, so a true child that stays a
-    leaf is never joined; a false child is made with its parent's
-    candidates and selectors (:meth:`_Plan.child`), so no (context,
-    candidate) pair is decided twice.  Each side's gradients are read
-    through a selector or its complement by ``itertools.compress``.  The
-    fit proves nothing through :func:`~liftedrbm.logic.witnesses`.
+    is made when its candidate first wins, so a true child that stays a leaf
+    is never joined; a false child is made holding its parent's candidate
+    list and selectors (:meth:`_Plan.child`), so no (context, candidate)
+    pair is decided twice, and a candidate is named only when it wins.  Each
+    side's gradients are read through a selector or its complement by
+    ``itertools.compress``.  The fit proves nothing through
+    :func:`~liftedrbm.logic.witnesses`.
 
     The fit owns its root plan, so a plan frees its rows, candidates and
     splits once it has split, its false child made from them first, or
@@ -702,7 +701,7 @@ def _grow(
     fits: dict[str, tuple[LeafParams, float]] = {}
 
     def fit_leaf(deltas: Sequence[float]) -> tuple[LeafParams, float]:
-        key = (sum(deltas) / len(deltas)).hex()
+        key = (ordered_sum(deltas) / len(deltas)).hex()
         fit = fits.get(key)
         if fit is None:
             params = coordinate_descent(
@@ -749,7 +748,7 @@ def _grow(
             continue  # permanent leaf
         _, k, left, right, fit_left, fit_right = best
         true_plan, false_plan = plan.child(k)
-        node.test = plan.candidates[k]
+        node.test = Literal(true_plan.context[-1])
         if owned:
             plan.drop()  # its items live on in its children; a join frees its rows
         node.true_child = _FitNode(true_plan, *fit_left)

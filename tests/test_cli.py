@@ -358,14 +358,14 @@ def _set(value, *path):
     return mutate
 
 
-def _leaf_parameter(value):
-    """The mutation that sets the first parameter of the first tree's
-    all-true leaf to ``value``."""
+def _leaf_parameters(*values):
+    """The mutation that sets the first parameters of the first tree's
+    all-true leaf to ``values``."""
     def mutate(doc):
         node = doc["trees"][0]
         while "leaf" not in node:
             node = node["true"]
-        node["leaf"][0] = value
+        node["leaf"][:len(values)] = values
         return doc
 
     return mutate
@@ -393,12 +393,14 @@ MODEL_MUTATIONS = {
     "non-string test": _set(7, "trees", 0, "test"),
     "top-level list": _top_level_list,
     "non-finite psi0": _set(float("nan"), "psi0"),
-    "non-finite leaf parameter": _leaf_parameter(float("nan")),
+    "non-finite leaf parameter": _leaf_parameters(float("nan")),
+    # finite parameters whose value, softplus(inf) - softplus(inf), is NaN
+    "non-finite leaf value": _leaf_parameters(1e308, 1e308, 1e308, 0.0, 0.0),
     # numbers must be JSON numbers, not strings or booleans
     "string psi0": _set("0.5", "psi0"),
     "boolean psi0": _set(True, "psi0"),
-    "string leaf parameter": _leaf_parameter("1.5"),
-    "boolean leaf parameter": _leaf_parameter(True),
+    "string leaf parameter": _leaf_parameters("1.5"),
+    "boolean leaf parameter": _leaf_parameters(True),
     "integer psi0 beyond float range": _set(10**400, "psi0"),
     "integer learning_rate beyond float range": _set(10**400, "config", "learning_rate"),
     "integer psi_clamp beyond float range": _set(10**400, "config", "psi_clamp"),
@@ -537,7 +539,7 @@ class TestModelLoader:
         # A leaf parameter of 1e200 is finite, so the model loads; the
         # distilled tree's targets are then about 1e200, and their squared
         # errors are past the float range.
-        doc = _leaf_parameter(1e200)(json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        doc = _leaf_parameters(1e200)(json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(doc), encoding="utf-8")
         code = main([

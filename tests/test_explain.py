@@ -46,6 +46,7 @@ from helpers import (
     atom,
     example1_kb,
     example2_kb,
+    left_sum,
     network_from_clauses,
     oracle_tree_paths,
     rule_clauses,
@@ -125,7 +126,7 @@ class TestRoutingTrieOracle:
             expected = tuple(leaves[t][paths[0]].params.value() for t, paths in enumerate(fired))
             result = model.predict(query, kb)
             assert result.per_tree == expected
-            assert result.psi == model.psi0 + sum(expected)
+            assert result.psi == model.psi0 + left_sum(expected)
             holds = {
                 node.index for node in net.hidden
                 if node.source[1] == fired[node.source[0]][0]

@@ -28,6 +28,7 @@ from helpers import (
     V,
     atom,
     example1_kb,
+    left_sum,
     oracle_per_tree,
 )
 from synthetic_domain import generate_movie_domain
@@ -218,7 +219,7 @@ class TestPredict:
             result = model.predict(query, kb)
             independent = oracle_per_tree(model.trees, query, kb)
             assert result.per_tree == independent
-            assert result.psi == model.psi0 + sum(independent)
+            assert result.psi == model.psi0 + left_sum(independent)
             assert 0.0 < result.probability < 1.0
 
     def test_changed_trees_are_never_routed_through_a_stale_trie(self):
@@ -237,7 +238,7 @@ class TestPredict:
             for query in queries:
                 result = model.predict(query, kb)
                 assert result.per_tree == oracle_per_tree(model.trees, query, kb)
-                assert result.psi == model.psi0 + sum(result.per_tree)
+                assert result.psi == model.psi0 + left_sum(result.per_tree)
 
     def test_unknown_constant_is_an_error(self):
         kb = example1_kb()

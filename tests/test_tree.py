@@ -33,6 +33,7 @@ from liftedrbm.tree import (
     make_head,
     _floors,
     _grow,
+    _named,
     _restates,
     _root_plan,
     _sum_squares,
@@ -49,6 +50,7 @@ from helpers import (
     atom,
     example1_kb,
     exhaustive_fit_tree,
+    left_sum,
     oracle_per_tree,
     oracle_satisfy,
     oracle_witnesses,
@@ -554,7 +556,7 @@ class TestCoordinateDescent:
                 want = reference_coordinate_descent(deltas, theta0, **settings)
             except OverflowError:
                 overflowed += 1
-                mean = sum(deltas) / len(deltas)
+                mean = left_sum(deltas) / len(deltas)
                 assert (got.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
                 continue
             returned += 1
@@ -582,7 +584,7 @@ class TestCoordinateDescent:
             deltas = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 5))]
             theta0 = LeafParams(*(rng.uniform(-1, 1) for _ in range(5)))
             rate = rng.choice([0.05, 0.5, 2.0, 3.0, 10.0])
-            mean = sum(deltas) / len(deltas)
+            mean = left_sum(deltas) / len(deltas)
             params = coordinate_descent(deltas, theta0, learning_rate=rate)
             assert (params.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
 
@@ -593,8 +595,8 @@ def _leaf_sse(deltas, **settings):
 
 
 def _mean_sse(deltas):
-    mean = sum(deltas) / len(deltas)
-    return sum((mean - d) ** 2 for d in deltas)
+    mean = left_sum(deltas) / len(deltas)
+    return left_sum((mean - d) ** 2 for d in deltas)
 
 
 class TestLeafFitMemo:
@@ -618,7 +620,7 @@ class TestLeafFitMemo:
         fit = tree_module.coordinate_descent
 
         def counted(deltas, *args, **kwargs):
-            means.append((sum(deltas) / len(deltas)).hex())
+            means.append((left_sum(deltas) / len(deltas)).hex())
             return fit(deltas, *args, **kwargs)
 
         monkeypatch.setattr(tree_module, "coordinate_descent", counted)
@@ -715,7 +717,7 @@ class TestSseFloor:
         # 3e-17 of 0.1, where their computed error is 4.6e-33.
         deltas = [0.1] * 6
         sse = _leaf_sse(deltas, learning_rate=0.5)
-        unpadded = sum(d * d for d in deltas) - sum(deltas) * (sum(deltas) / 6)
+        unpadded = left_sum(d * d for d in deltas) - left_sum(deltas) * (left_sum(deltas) / 6)
         assert sse < unpadded
         assert sse + sse >= _floor(deltas + deltas, [1] * 6 + [0] * 6)
 
@@ -1195,8 +1197,9 @@ class TestCoverageTable:
 
 
 class TestFalseChildDerivation:
-    """A false child is made with its candidates and splits, never
-    expanded: they must be what generating and partitioning from scratch
+    """A false child is made holding its parent's candidate list and its
+    own splits, never expanded: each candidate, named under its used names,
+    and its splits must be what generating and partitioning from scratch
     give on its plan."""
 
     @pytest.mark.parametrize("shared", [False, True])
@@ -1204,23 +1207,34 @@ class TestFalseChildDerivation:
         import liftedrbm.tree as tree_module
 
         head = make_head(COLLAB)
-        false_plans, checked, nested, two_sided = set(), [], 0, 0
+        false_plans, checked, nested, two_sided, renamed = set(), [], 0, 0, 0
         settings = {}
-        child = tree_module._Plan.child
+        child, name_atom, namings = tree_module._Plan.child, tree_module._atom, []
+
+        def counted(*args):
+            namings.append(args)
+            return name_atom(*args)
 
         def derived(plan, k):
-            nonlocal nested, two_sided
+            nonlocal nested, two_sided, renamed
+            before = len(namings)
             children = child(plan, k)
             false_plan = children[1]
             if false_plan in false_plans:
                 return children  # made by an earlier fit, already checked
+            assert len(namings) - before == 1  # the winner alone is named
             false_plans.add(false_plan)
             nested += plan in false_plans
             candidates = generate_candidates(
                 false_plan.bound_vars, MOVIE_MODES, settings["max_new_vars"],
                 false_plan.used_names, (COLLAB.name,),
             )
-            assert [str(c) for c in false_plan.candidates] == [str(c) for c in candidates]
+            assert false_plan.candidates is plan.candidates
+            assert len(false_plan.candidates) == len(candidates)
+            for inherited, fresh in zip(false_plan.candidates, candidates):
+                named = _named(inherited.atom, false_plan.bound_vars, false_plan.used_names)
+                assert str(named) == str(fresh.atom)
+                renamed += str(named) != str(inherited.atom)
             # every item carries every witness of the context, as its parent's
             for position, rows in false_plan.items:
                 found = witnesses(false_plan.context, unify(head, queries[position]), kb)
@@ -1237,6 +1251,7 @@ class TestFalseChildDerivation:
             return children
 
         monkeypatch.setattr(tree_module._Plan, "child", derived)
+        monkeypatch.setattr(tree_module, "_atom", counted)
         for seed in range(48):
             kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
             if shared:  # an earlier fit with other gradients, from the same root plan
@@ -1245,7 +1260,7 @@ class TestFalseChildDerivation:
                 )
             else:
                 fit_regression_tree(queries, gradients, max_leaves, MOVIE_MODES, kb, **settings)
-        assert len(checked) >= 100 and nested >= 40 and two_sided >= 80
+        assert len(checked) >= 100 and nested >= 40 and two_sided >= 80 and renamed >= 300
 
     def test_a_candidate_that_restates_the_context_holds_everywhere(self):
         # Every candidate the skip rule names holds on every witness of the
