@@ -284,6 +284,8 @@ def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
         if len(values) != 5:
             raise ParseError("leaf parameters must be a 5-tuple")
         params = LeafParams(*(_finite(v, "leaf parameter") for v in values))
+        # Each parameter passed _finite, so of _finite_leaf's rule only the
+        # leaf's value is left to check here.
         if not _finite_leaf(params):
             raise ParseError(f"leaf {values} has value {params.value()!r}, not a finite number")
         return LeafNode(params)
