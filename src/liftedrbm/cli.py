@@ -206,7 +206,8 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.model)
-    out = Path(args.out)
+    # Suffixes are appended to the prefix as given, so its own dots stay.
+    json_path, dot_path = Path(args.out + ".json"), Path(args.out + ".dot")
     if args.mode == "paths":
         net = paths_to_lrbm(model)
     else:
@@ -214,11 +215,11 @@ def cmd_explain(args) -> int:
             raise _UsageError("distill mode needs --facts and --pos (training examples)")
         kb, examples = _load_dataset(args, model.modes, model.target)
         distilled = distill_single_tree(model, examples, kb, max_depth=args.depth)
-        out.with_suffix(".tree.txt").write_text(distilled.trees[0].to_text(), encoding="utf-8")
+        Path(args.out + ".tree.txt").write_text(distilled.trees[0].to_text(), encoding="utf-8")
         net = paths_to_lrbm(distilled)
-    out.with_suffix(".json").write_text(dumps_network(net), encoding="utf-8")
-    out.with_suffix(".dot").write_text(export(net, "dot"), encoding="utf-8")
-    print(f"{len(net.hidden)} hidden nodes -> {out.with_suffix('.json')}, {out.with_suffix('.dot')}")
+    json_path.write_text(dumps_network(net), encoding="utf-8")
+    dot_path.write_text(export(net, "dot"), encoding="utf-8")
+    print(f"{len(net.hidden)} hidden nodes -> {json_path}, {dot_path}")
     return EXIT_OK
 
 

@@ -235,41 +235,41 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return len(self._facts)
 
-    def _matching(self, test: Atom, filters) -> list[tuple[str, ...]]:
-        """The argument tuples of the facts that pass ``test``'s filters
-        (see :func:`_columns`), in insertion order."""
+    def _matching(self, name: str, filters) -> list[tuple[str, ...]]:
+        """The argument tuples of predicate ``name``'s facts that pass the
+        filters of :func:`_columns`, in insertion order."""
         constants, repeats = filters
         return [
-            args for args in self.candidates(test.predicate.name, constants)
-            if all(args[pos] == name for pos, name in constants)
+            args for args in self.candidates(name, constants)
+            if all(args[pos] == value for pos, value in constants)
             and all(args[pos] == args[other] for pos, other in repeats)
         ]
 
-    def projection(self, test: Atom, bound_vars: Sequence[Term]):
-        """The columns in ``bound_vars`` of ``test``'s bound arguments, and
-        the set of the values (:func:`_key`) at their positions of the facts
-        ``test`` can match: ``test`` holds under a row iff the row's values
-        at those columns are in the set."""
-        positions, columns, _, filters = _columns(test, bound_vars)
-        key = (test.predicate.name, positions, filters)
+    def projection(self, name: str, positions: tuple[int, ...], filters=((), ())) -> set:
+        """The values (:func:`_key`) at ``positions`` of predicate ``name``'s
+        facts that pass ``filters`` (see :func:`_columns`).  An atom whose
+        bound arguments stand at ``positions`` and whose other arguments
+        ``filters`` describe holds under a row iff the row's values at those
+        arguments' columns are in the set."""
+        key = (name, positions, filters)
         values = self._projections.get(key)
         if values is None:
-            facts = self._matching(test, filters)
+            facts = self._matching(name, filters)
             values = self._projections[key] = set(map(_key(positions), facts))
-        return columns, values
+        return values
 
     def grouping(self, test: Atom, bound_vars: Sequence[Term]):
-        """The columns of :meth:`projection`, and the facts ``test`` can
-        match grouped by their values there: for each value, the names at
-        ``test``'s fresh positions of each fact holding it, in insertion
-        order."""
+        """The columns in ``bound_vars`` of ``test``'s bound arguments, and
+        the facts ``test`` can match grouped by their values there: for each
+        value, the names at ``test``'s fresh positions of each fact holding
+        it, in insertion order."""
         positions, columns, free, filters = _columns(test, bound_vars)
         key = (test.predicate.name, positions, free, filters)
         groups = self._groupings.get(key)
         if groups is None:
             groups = self._groupings[key] = {}
             read = _key(positions)
-            for args in self._matching(test, filters):
+            for args in self._matching(test.predicate.name, filters):
                 groups.setdefault(read(args), []).append(tuple([args[pos] for pos in free]))
         return columns, groups
 
@@ -444,14 +444,13 @@ def join(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase):
 FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def partition(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase) -> bytes:
-    """Which (item, rows of a context binding ``bound_vars``) satisfy
-    ``context AND test``: one byte per item, 1 iff one of its rows holds, at
-    ``test``'s bound columns, a value of ``kb``'s
+def partition(columns: Sequence[int], values: set, items) -> bytes:
+    """Which (item, rows of a context) satisfy ``context AND test``: one
+    byte per item, 1 iff one of its rows holds at ``columns``, the columns
+    of ``test``'s bound arguments, a value of ``values``, their
     :meth:`~KnowledgeBase.projection`, since only those values join with
     the context.  A fit's candidate split and a batch walk's branch are
     both decided here."""
-    columns, values = kb.projection(test, bound_vars)
     read, isdisjoint = _key(columns), values.isdisjoint
     return bytes([not isdisjoint(map(read, rows)) for _, rows in items])
 
@@ -570,7 +569,9 @@ class RoutingTrie:
                     for index, _ in items:
                         fired[index].append(clause_id)
                 for atom, yes, no in node.branches:
-                    split = partition(atom, bound, items, kb)
+                    positions, columns, _, filters = _columns(atom, bound)
+                    values = kb.projection(atom.predicate.name, positions, filters)
+                    split = partition(columns, values, items)
                     if yes is not None and 1 in split:
                         new = tuple(dict.fromkeys(v for v in atom.variables() if v not in bound))
                         sat = join(atom, bound, compress(items, split), kb)

@@ -17,11 +17,14 @@ signed path literals) is what a model's or a network's
 
 A fit builds each node once from its root plan, as a plan of what it is
 regardless of the gradients: its examples by position, rows, candidates and
-splits, decided and joined on the knowledge base's fact views.  A root or a
-true child decides its splits on its rows; a false child, whose context and
-rows are its parent's, holds its parent's candidates and takes its splits
-compressed to its side, as TILDE's else branch keeps its parent's query
-(Blockeel & De Raedt, AIJ 1998).  Boosted trees are grown from the one root
+splits, decided and joined on the knowledge base's fact views.  A candidate
+is a predicate and one slot per argument, a bound variable or a fresh one;
+it is decided from its slots, and only the one that wins is named as an atom
+and joins the path, as in TILDE's refinement (Blockeel & De Raedt, AIJ
+1998).  A root or a true child decides its splits on its rows; a false
+child, whose context and rows are its parent's, holds its parent's
+candidates and takes its splits compressed to its side, as TILDE's else
+branch keeps its parent's query.  Boosted trees are grown from the one root
 plan :func:`~liftedrbm.model.train` holds, so a later tree reuses every node
 an earlier one built and only refits the leaves.
 """
@@ -344,25 +347,30 @@ def make_head(predicate: Predicate) -> Atom:
     return Atom(predicate, tuple(_fresh_variable(t, taken) for t in predicate.arg_types))
 
 
-_FRESH = object()  # placeholder for a to-be-named variable slot
+_FRESH = object()  # a candidate's slot for a fresh variable, named when it wins
+
+# A candidate test: its predicate and one slot per argument, a bound
+# variable or ``_FRESH``.
+Candidate = tuple[Predicate, tuple]
 
 
 def generate_candidates(
     bound_vars: Sequence[Term],
     modes,
     max_new_vars: int = 1,
-    used_names: Iterable[str] = (),
     exclude_predicates: Iterable[str] = (),
-) -> list[Literal]:
-    """Mode-compatible test literals for a node binding ``bound_vars``.
+) -> list[Candidate]:
+    """Mode-compatible tests for a node binding ``bound_vars``, each as its
+    predicate and a tuple of slots.
 
     ``+`` arguments draw from the bound variables of the matching type; ``-``
-    arguments may also introduce fresh variables, at most ``max_new_vars`` per
-    literal.  Every slot's options are distinct (each bound variable once, one
-    fresh placeholder), so no two candidates are equal up to renaming of the
-    fresh variables.  They come in a deterministic order: modes in declaration
-    order, bound variables in binding order, fresh slots last.  Fresh variables
-    are named by type initial avoiding ``used_names``.
+    arguments may also take a fresh slot, ``_FRESH``, at most ``max_new_vars``
+    per candidate.  Every slot's options are distinct (each bound variable
+    once, one fresh slot), so no two candidates are equal up to renaming of
+    the fresh variables, and no fresh variable stands twice in one.  They
+    come in a deterministic order: modes in declaration order, bound
+    variables in binding order, fresh slots last.  Nothing is named here:
+    :func:`_atom` names a candidate's fresh variables when it wins.
     """
     by_type: dict[str, list[Term]] = {}
     for var in bound_vars:
@@ -370,8 +378,7 @@ def generate_candidates(
         if var not in group:
             group.append(var)
     excluded = set(exclude_predicates)
-    base_names = set(used_names)
-    out: list[Literal] = []
+    out: list[Candidate] = []
     for mode in modes.values():
         predicate = mode.predicate
         if predicate.name in excluded:
@@ -384,48 +391,36 @@ def generate_candidates(
             slot_options.append(options)
         for combo in itertools.product(*slot_options):
             if combo.count(_FRESH) <= max_new_vars:
-                out.append(Literal(_atom(predicate, combo, base_names)))
+                out.append((predicate, combo))
     return out
 
 
-def _atom(predicate: Predicate, combo: Sequence, used_names: Iterable[str]) -> Atom:
-    """The atom of ``predicate`` whose arguments are ``combo``, each
+def _atom(predicate: Predicate, slots: Sequence, used_names: Iterable[str]) -> Atom:
+    """The atom of ``predicate`` whose arguments are ``slots``, each
     ``_FRESH`` slot a new variable named by type initial, avoiding
-    ``used_names`` and every named slot."""
-    taken = {slot.name for slot in combo if slot is not _FRESH}
+    ``used_names`` and every bound slot."""
+    taken = {slot.name for slot in slots if slot is not _FRESH}
     taken.update(used_names)
     return Atom(predicate, tuple([
         _fresh_variable(type_tag, taken) if slot is _FRESH else slot
-        for slot, type_tag in zip(combo, predicate.arg_types)
+        for slot, type_tag in zip(slots, predicate.arg_types)
     ]))
 
 
-def _named(test: Atom, bound_vars: Sequence[Term], used_names: Iterable[str]) -> Atom:
-    """``test``, a candidate generated for a node binding ``bound_vars``, as
-    :func:`generate_candidates` names it under ``used_names``, a superset
-    of the names it was given: each variable outside ``bound_vars`` a fresh
-    slot.  The names depend only on the bound slots and ``used_names``."""
-    combo = [arg if arg in bound_vars else _FRESH for arg in test.args]
-    return _atom(test.predicate, combo, used_names)
-
-
-def _restates(test: Atom, bound: set[Term], context: tuple[Atom, ...]) -> bool:
-    """Whether renaming ``test``'s variables outside ``bound`` makes it an
-    atom of ``context``, each such variable renamed one way wherever it
-    stands.  Then ``test`` holds on every witness of the context: that
-    witness's own values for the atom's arguments satisfy it."""
+def _restates(predicate: Predicate, slots: tuple, context: tuple[Atom, ...]) -> bool:
+    """Whether some atom of ``context`` is the candidate ``(predicate,
+    slots)`` once its fresh slots are named: an atom of ``predicate`` with
+    each bound slot's variable at that slot's position.  Then the candidate
+    holds on every witness of the context: that witness's own values for
+    the atom's arguments satisfy it.  No fresh variable stands twice in a
+    candidate, so a fresh slot matches any argument."""
     for atom in context:
-        if atom.predicate != test.predicate:
-            continue
-        renaming: dict[Term, Term] = {}
-        for mine, theirs in zip(test.args, atom.args):
-            if mine.is_variable and mine not in bound:
-                if renaming.setdefault(mine, theirs) != theirs:
+        if atom.predicate == predicate:
+            for slot, arg in zip(slots, atom.args):
+                if slot is not _FRESH and slot != arg:
                     break
-            elif mine != theirs:
-                break
-        else:
-            return True
+            else:
+                return True
     return False
 
 
@@ -450,16 +445,17 @@ class _Plan:
 
     It holds the examples that reach the node, as ``items`` with their rows
     and as ``positions``, its context, its bound variables, used names and
-    depth.  Once expanded it also holds its candidates and, in ``splits``,
-    the selectors from :func:`~liftedrbm.logic.partition` (one byte per
-    item, 1 on the true side) that :func:`_first_splits` keeps, and, in
-    ``children``, the (true, false) child plans of each candidate index
-    that has won.  A true child's ``parent_vars`` are its parent's bound
-    variables until it is expanded: its rows are still its parent's, and
-    its test, the last atom of its context, is joined into them then.  A
-    false child is never expanded: it is made holding its parent's
-    candidates and its own splits (:meth:`child`).  Plans hold their
-    children, never their parents.
+    depth.  Once expanded it also holds its candidates, unnamed (see
+    :func:`generate_candidates`), and, in ``splits``, the selectors from
+    :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
+    side) that :func:`_first_splits` keeps, and, in ``children``, the
+    (true, false) child plans of each candidate index that has won: the
+    only candidates ever named.  A true child's ``parent_vars`` are its
+    parent's bound variables until it is expanded: its rows are still its
+    parent's, and its test, the last atom of its context, is joined into
+    them then.  A false child is never expanded: it is made holding its
+    parent's candidates and its own splits (:meth:`child`).  Plans hold
+    their children, never their parents.
     """
 
     items: Optional[list[FitItem]]
@@ -468,7 +464,7 @@ class _Plan:
     bound_vars: tuple[Term, ...]
     used_names: frozenset[str]
     parent_vars: Optional[tuple[Term, ...]] = None
-    candidates: Optional[list[Literal]] = None
+    candidates: Optional[list[Candidate]] = None
     splits: Optional[dict[int, bytes]] = None
     children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
     positions: tuple[int, ...] = field(init=False)
@@ -478,33 +474,40 @@ class _Plan:
 
     def expand(self, root: _Root, kb: KnowledgeBase) -> None:
         """Join a true child's test into its rows, then generate the
-        candidates and decide each one's split.  A candidate that
+        candidates and decide each one's split from its slots: its bound
+        slots are the test's bound positions, read at their variables'
+        columns, and its fresh slots filter nothing, so its projection is
+        the one a batch walk reads for the named atom.  A candidate that
         :func:`_restates` an atom of the context holds on every item, so it
         is one-sided and not decided."""
         if self.parent_vars is not None:
             self.items = join(self.context[-1], self.parent_vars, self.items, kb)
             self.parent_vars = None
         self.candidates = generate_candidates(
-            self.bound_vars, root.modes, root.max_new_vars, self.used_names,
-            (root.head.predicate.name,),
+            self.bound_vars, root.modes, root.max_new_vars, (root.head.predicate.name,)
         )
-        bound = set(self.bound_vars)
-        self.splits = _first_splits(
-            (k, partition(candidate.atom, self.bound_vars, self.items, kb))
-            for k, candidate in enumerate(self.candidates)
-            if not _restates(candidate.atom, bound, self.context)
-        )
+        column = self.bound_vars.index
+        selectors = []
+        for k, (predicate, slots) in enumerate(self.candidates):
+            if _restates(predicate, slots, self.context):
+                continue
+            positions = tuple([pos for pos, slot in enumerate(slots) if slot is not _FRESH])
+            columns = tuple([column(slots[pos]) for pos in positions])
+            values = kb.projection(predicate.name, positions)
+            selectors.append((k, partition(columns, values, self.items)))
+        self.splits = _first_splits(selectors)
 
     def child(self, k: int) -> tuple["_Plan", "_Plan"]:
         """The (true, false) child plans of candidate ``k``, made once.
 
-        Candidate ``k`` is named here (:func:`_named`), as the true child's
-        last context atom.  The false child has this plan's context, bound
-        variables and rows, so it holds this plan's candidates, each deciding
-        the same items: its splits are these selectors on the false side."""
+        Candidate ``k`` is named here (:func:`_atom`), under this plan's used
+        names, as the true child's last context atom.  The false child has
+        this plan's context, bound variables and rows, so it holds this
+        plan's candidates, each deciding the same items: its splits are
+        these selectors on the false side."""
         children = self.children.get(k)
         if children is None:
-            test = _named(self.candidates[k].atom, self.bound_vars, self.used_names)
+            test = _atom(*self.candidates[k], self.used_names)
             split = self.splits[k]
             flip = split.translate(FLIP)
             new_vars = tuple(v for v in test.variables() if v not in self.bound_vars)
@@ -654,17 +657,18 @@ def fit_regression_tree(
     of the node's context a row, the root's one row its query's arguments
     (tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).  Expanding a
     root or a true child joins a true child's test into its rows
-    (:func:`~liftedrbm.logic.join`), generates its candidates and decides
-    each, bar one that :func:`_restates` the context, by
-    :func:`~liftedrbm.logic.partition`, the scan a batch walk decides a
-    branch by: set lookups in ``kb``'s fact views, no search.  A child plan
-    is made when its candidate first wins, so a true child that stays a leaf
+    (:func:`~liftedrbm.logic.join`), generates its candidates as predicates
+    and slots and decides each, bar one that :func:`_restates` the context,
+    from its slots by :func:`~liftedrbm.logic.partition`, the scan a batch
+    walk decides a branch by: set lookups in ``kb``'s fact views, no
+    search, and no atom built.  A child plan is made when its candidate
+    first wins, and that candidate alone is named (:func:`_atom`), so a
+    fit names at most one atom per internal node; a true child that stays a leaf
     is never joined; a false child is made holding its parent's candidate
     list and selectors (:meth:`_Plan.child`), so no (context, candidate)
-    pair is decided twice, and a candidate is named only when it wins.  Each
-    side's gradients are read through a selector or its complement by
-    ``itertools.compress``.  The fit proves nothing through
-    :func:`~liftedrbm.logic.witnesses`.
+    pair is decided twice.  Each side's gradients are read through a
+    selector or its complement by ``itertools.compress``.  The fit proves
+    nothing through :func:`~liftedrbm.logic.witnesses`.
 
     The fit owns its root plan, so a plan frees its rows, candidates and
     splits once it has split, its false child made from them first, or

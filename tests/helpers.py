@@ -18,7 +18,9 @@ from liftedrbm.logic import (
     Predicate,
     RoutingTrie,
     Term,
+    _columns,
     iter_matches,
+    partition,
     route_decision,
     unify,
 )
@@ -29,6 +31,7 @@ from liftedrbm.tree import (
     LeafParams,
     RelationalRegressionTree,
     ZERO_PARAMS,
+    _atom,
     _value,
     coordinate_descent,
     generate_candidates,
@@ -204,6 +207,33 @@ def route_body(body, partial: dict[Term, Term], kb: KnowledgeBase, stats=None):
     return fired[0][1] if fired else None
 
 
+def atom_partition(test: Atom, bound_vars, items, kb: KnowledgeBase) -> bytes:
+    """``logic.partition`` of (item, rows of a context binding
+    ``bound_vars``) by a named atom ``test``, read as a batch walk reads a
+    branch's atom."""
+    positions, columns, _, filters = _columns(test, bound_vars)
+    return partition(columns, kb.projection(test.predicate.name, positions, filters), items)
+
+
+def atom_restates(test: Atom, bound, context) -> bool:
+    """Whether renaming ``test``'s variables outside ``bound`` makes it an
+    atom of ``context``, each such variable renamed one way wherever it
+    stands: then ``test`` holds on every witness of the context."""
+    for other in context:
+        if other.predicate != test.predicate:
+            continue
+        renaming: dict[Term, Term] = {}
+        for mine, theirs in zip(test.args, other.args):
+            if mine.is_variable and mine not in bound:
+                if renaming.setdefault(mine, theirs) != theirs:
+                    break
+            elif mine != theirs:
+                break
+        else:
+            return True
+    return False
+
+
 # --- reference leaf fit ----------------------------------------------------
 
 def _reference_partials(p):
@@ -377,10 +407,11 @@ def exhaustive_fit_tree(
 
     The reference for :func:`~liftedrbm.tree.fit_regression_tree`, which
     skips candidates by a bound: the same node order, candidate order,
-    splits, leaf fits and strict first-minimum choice, with no pruning.  Each
-    split decides every item with its own ``route_decision`` call, keeping
-    no fit plans, fact views or witnesses of the node's context, and the true
-    side chains the witness that call returns.  ``gradients`` are the
+    splits, leaf fits and strict first-minimum choice, with no pruning.  It
+    names every candidate under its node's used names, and each split
+    decides every item with its own ``route_decision`` call, keeping no fit
+    plans, fact views or witnesses of the node's context, and the true side
+    chains the witness that call returns.  ``gradients`` are the
     targets of ``queries`` by position.  Returns the tree and each query's
     leaf value in ``queries`` order.
     """
@@ -413,10 +444,11 @@ def exhaustive_fit_tree(
     while leaves < max_leaves and frontier:
         _, _, n = heapq.heappop(frontier)
         best = None
-        for candidate in generate_candidates(
-            n["bound_vars"], modes, max_new_vars=max_new_vars, used_names=n["used_names"],
+        for predicate, slots in generate_candidates(
+            n["bound_vars"], modes, max_new_vars=max_new_vars,
             exclude_predicates=(head.predicate.name,),
         ):
+            candidate = Literal(_atom(predicate, slots, n["used_names"]))
             left, right = [], []
             for position, base, cached in n["items"]:
                 extended = route_decision(n["context"], candidate.atom, base, cached, kb)

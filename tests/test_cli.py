@@ -777,6 +777,23 @@ class TestExplain:
         assert (tmp_path / "net.json").exists()
         assert (tmp_path / "net.dot").exists()
 
+    @pytest.mark.parametrize("mode", ["paths", "distill"])
+    def test_a_dotted_prefix_keeps_its_dots(self, data_dir, trained_model_path, tmp_path, mode):
+        # Each suffix is appended to the prefix as given, so the prefixes
+        # net.a and net.b write files of their own.
+        examples = [
+            "--depth", "2", "--facts", str(data_dir / "facts.txt"),
+            "--pos", str(data_dir / "pos.txt"), "--neg", str(data_dir / "neg.txt"),
+        ] if mode == "distill" else []
+        suffixes = [".json", ".dot"] + [".tree.txt"] * (mode == "distill")
+        for prefix in ("net.a", "net.b"):
+            argv = [
+                "explain", "--model", str(trained_model_path), "--mode", mode, *examples,
+                "--out", str(tmp_path / prefix),
+            ]
+            assert main(argv) == 0
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(p + s for p in ("net.a", "net.b") for s in suffixes)
 
     def test_negative_depth_is_named_in_the_error(
         self, data_dir, trained_model_path, tmp_path, capsys

@@ -240,12 +240,12 @@ class TestBatchWalk:
         held = from_later_row = 0
         scan = logic_module.partition
 
-        def counted(test, bound_vars, items, kb):
+        def counted(columns, values, items):
             # the items a row other than their first selects, where a
             # first-row lookup would decide wrongly
             nonlocal from_later_row
-            split = scan(test, bound_vars, items, kb)
-            firsts = scan(test, bound_vars, [(item, rows[:1]) for item, rows in items], kb)
+            split = scan(columns, values, items)
+            firsts = scan(columns, values, [(item, rows[:1]) for item, rows in items])
             from_later_row += sum(chosen > first for chosen, first in zip(split, firsts))
             return split
 
@@ -467,6 +467,22 @@ class TestDistill:
         model, train_set, _, kb = movie_model
         text = distill_single_tree(model, train_set, kb, max_depth=10).trees[0].to_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DISTILLED_TREE_SHA256
+
+    def test_distillation_names_each_committed_test_once(self, movie_model, monkeypatch):
+        # A candidate stays a predicate and its slots until it wins: the fit
+        # names one atom per internal node of the tree, and no other.
+        import liftedrbm.tree as tree_module
+
+        model, train_set, _, kb = movie_model
+        name_atom, namings = tree_module._atom, []
+
+        def counted(*args):
+            namings.append(args)
+            return name_atom(*args)
+
+        monkeypatch.setattr(tree_module, "_atom", counted)
+        tree = distill_single_tree(model, train_set, kb, max_depth=10).trees[0]
+        assert len(namings) == tree.leaf_count - 1 == 56
 
     def test_distillation_relabels_without_a_search(self, movie_model, monkeypatch):
         # The relabelling routes the examples as one batch, on rows: with

@@ -15,7 +15,6 @@ from liftedrbm.logic import (
     Literal,
     Predicate,
     RoutingTrie,
-    partition,
     route_decision,
     unify,
     witnesses,
@@ -31,9 +30,10 @@ from liftedrbm.tree import (
     generate_candidates,
     join,
     make_head,
+    _FRESH,
+    _atom,
     _floors,
     _grow,
-    _named,
     _restates,
     _root_plan,
     _sum_squares,
@@ -48,6 +48,8 @@ from helpers import (
     C,
     V,
     atom,
+    atom_partition,
+    atom_restates,
     example1_kb,
     exhaustive_fit_tree,
     left_sum,
@@ -68,14 +70,23 @@ mode: teamplayssport(-team, -sports).
 )
 
 
+def _named_candidates(bound_vars, modes, used_names, **kwargs):
+    """The candidates ``generate_candidates`` gives for ``bound_vars``, each
+    named by ``_atom`` under ``used_names`` as a literal."""
+    return [
+        Literal(_atom(predicate, slots, used_names))
+        for predicate, slots in generate_candidates(bound_vars, modes, **kwargs)
+    ]
+
+
 class TestGenerateCandidates:
     def test_root_candidates_chain_through_the_head(self):
         head = make_head(SPORTS_MODES["teamplayssport"].predicate)
-        candidates = generate_candidates(
+        candidates = _named_candidates(
             head.args,
             SPORTS_MODES,
+            [t.name for t in head.args],
             max_new_vars=1,
-            used_names=[t.name for t in head.args],
             exclude_predicates=("teamplayssport",),
         )
         rendered = {str(c) for c in candidates}
@@ -89,9 +100,8 @@ class TestGenerateCandidates:
         # a node binding no genre variable cannot use samegenre(+genre, +genre)
         modes = parse_modes("mode: samegenre(+genre, +genre).\nmode: collab(-person, -person).")
         head = make_head(modes["collab"].predicate)
-        candidates = generate_candidates(
-            head.args, modes, used_names=[t.name for t in head.args],
-            exclude_predicates=("collab",),
+        candidates = _named_candidates(
+            head.args, modes, [t.name for t in head.args], exclude_predicates=("collab",),
         )
         assert candidates == []
 
@@ -103,9 +113,9 @@ class TestGenerateCandidates:
         head = make_head(modes["tgt"].predicate)
         bound = list(head.args)  # A1:a, B1:b
         for max_new in (0, 1, 2, 3):
-            candidates = generate_candidates(
-                bound, modes, max_new_vars=max_new,
-                used_names=[t.name for t in bound], exclude_predicates=("tgt",),
+            candidates = _named_candidates(
+                bound, modes, [t.name for t in bound], max_new_vars=max_new,
+                exclude_predicates=("tgt",),
             )
             by_type = {"a": ["A1"], "b": ["B1"], "c": []}
             expected = set()
@@ -146,28 +156,29 @@ class TestGenerateCandidates:
     def test_no_two_fresh_vars_when_budget_is_one(self):
         modes = parse_modes("mode: r(-a, -a).\nmode: tgt(-b).")
         head = make_head(modes["tgt"].predicate)
-        candidates = generate_candidates(
-            head.args, modes, max_new_vars=1,
-            used_names=[t.name for t in head.args], exclude_predicates=("tgt",),
+        candidates = _named_candidates(
+            head.args, modes, [t.name for t in head.args], max_new_vars=1,
+            exclude_predicates=("tgt",),
         )
         assert candidates == []  # no bound a-vars, so r would need two fresh
 
     def test_deduplication_up_to_renaming(self):
         modes = parse_modes("mode: r(-a).\nmode: tgt(-a).")
         head = make_head(modes["tgt"].predicate)
-        candidates = generate_candidates(
-            head.args, modes, max_new_vars=1,
-            used_names=[t.name for t in head.args], exclude_predicates=("tgt",),
+        candidates = _named_candidates(
+            head.args, modes, [t.name for t in head.args], max_new_vars=1,
+            exclude_predicates=("tgt",),
         )
         # r(A1) reusing the head variable plus one fresh-variable version
         assert [str(c) for c in candidates] == ["r(A1)", "r(A2)"]
+        r = modes["r"].predicate
+        assert generate_candidates(head.args, modes, 1, ("tgt",)) == [(r, head.args), (r, (_FRESH,))]
 
     def test_fresh_names_avoid_used_names(self):
         modes = parse_modes("mode: r(-a).\nmode: tgt(-a).")
         head = make_head(modes["tgt"].predicate)
-        candidates = generate_candidates(
-            head.args, modes, max_new_vars=1,
-            used_names=["A1", "A2", "A3"], exclude_predicates=("tgt",),
+        candidates = _named_candidates(
+            head.args, modes, ["A1", "A2", "A3"], max_new_vars=1, exclude_predicates=("tgt",),
         )
         assert [str(c) for c in candidates] == ["r(A1)", "r(A4)"]
 
@@ -188,7 +199,7 @@ def _partition(candidate, examples, kb, bound_vars=None):
     ``collab`` items): ``None`` for a one-sided split, else whether each
     item is on the true side."""
     bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
-    split = partition(candidate.atom, bound_vars, _positioned(examples), kb)
+    split = atom_partition(candidate.atom, bound_vars, _positioned(examples), kb)
     assert len(split) == len(examples) and set(split) <= {0, 1}
     if 0 not in split or 1 not in split:
         return None
@@ -393,7 +404,7 @@ class TestPartition:
             for (head_vars, bound_vars), members in nodes.items():
                 items = [(position, rows) for position, (rows, _) in enumerate(members)]
                 for test in tests:
-                    split = partition(test, bound_vars, items, kb)
+                    split = atom_partition(test, bound_vars, items, kb)
                     assert len(split) == len(items)
                     free = [t for t in test.args if t.is_variable and t not in bound_vars]
                     for (rows, everyone), chosen in zip(members, split):
@@ -1037,15 +1048,15 @@ class TestCoverageTable:
             expanding.append(plan)
             return expand(plan, *args)
 
-        def candidate_split(test, bound_vars, items, kb):
+        def candidate_split(columns, values, items):
             if not nodes or nodes[-1] is not items:  # a node's candidates come together
                 nodes.append(items)
-                context = expanding[-1].context
+                context, bound_vars = expanding[-1].context, expanding[-1].bound_vars
                 for position, rows in items:
                     found = witnesses(context, unify(head, queries[position]), kb)
                     assert rows == tuple(_names(w, bound_vars) for w in found)
                     several.append(len(rows) > 1)
-            return partition(test, bound_vars, items, kb)
+            return partition(columns, values, items)
 
         def extended(*args):
             joins.append(join(*args))
@@ -1129,7 +1140,7 @@ class TestCoverageTable:
             ]
             decided = [
                 candidate for plan, _ in new for candidate in plan.candidates
-                if not _restates(candidate.atom, set(plan.bound_vars), plan.context)
+                if not _restates(*candidate, plan.context)
             ]
             assert calls.get("generate_candidates", 0) == len(new)
             assert calls.get("partition", 0) == len(decided)
@@ -1198,9 +1209,9 @@ class TestCoverageTable:
 
 class TestFalseChildDerivation:
     """A false child is made holding its parent's candidate list and its
-    own splits, never expanded: each candidate, named under its used names,
-    and its splits must be what generating and partitioning from scratch
-    give on its plan."""
+    own splits, never expanded: its candidates must be what generating from
+    scratch gives on its plan, and its splits what partitioning each one,
+    named under its used names, gives."""
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_false_children_match_a_fresh_expansion(self, shared, monkeypatch):
@@ -1208,6 +1219,7 @@ class TestFalseChildDerivation:
 
         head = make_head(COLLAB)
         false_plans, checked, nested, two_sided, renamed = set(), [], 0, 0, 0
+        origin = {}  # id of a candidate list -> (the list, its generating plan's used names)
         settings = {}
         child, name_atom, namings = tree_module._Plan.child, tree_module._atom, []
 
@@ -1226,22 +1238,23 @@ class TestFalseChildDerivation:
             false_plans.add(false_plan)
             nested += plan in false_plans
             candidates = generate_candidates(
-                false_plan.bound_vars, MOVIE_MODES, settings["max_new_vars"],
-                false_plan.used_names, (COLLAB.name,),
+                false_plan.bound_vars, MOVIE_MODES, settings["max_new_vars"], (COLLAB.name,),
             )
             assert false_plan.candidates is plan.candidates
-            assert len(false_plan.candidates) == len(candidates)
-            for inherited, fresh in zip(false_plan.candidates, candidates):
-                named = _named(inherited.atom, false_plan.bound_vars, false_plan.used_names)
-                assert str(named) == str(fresh.atom)
-                renamed += str(named) != str(inherited.atom)
+            assert false_plan.candidates == candidates
+            # the names the plan that generated the list would give
+            _, generated = origin.setdefault(id(plan.candidates), (plan.candidates, plan.used_names))
+            for predicate, slots in candidates:
+                named = name_atom(predicate, slots, false_plan.used_names)
+                renamed += str(named) != str(name_atom(predicate, slots, generated))
             # every item carries every witness of the context, as its parent's
             for position, rows in false_plan.items:
                 found = witnesses(false_plan.context, unify(head, queries[position]), kb)
                 assert rows == tuple(_names(w, false_plan.bound_vars) for w in found)
             firsts = {}
-            for j, candidate in enumerate(candidates):
-                split = partition(candidate.atom, false_plan.bound_vars, false_plan.items, kb)
+            for j, (predicate, slots) in enumerate(candidates):
+                named = name_atom(predicate, slots, false_plan.used_names)
+                split = atom_partition(named, false_plan.bound_vars, false_plan.items, kb)
                 if 0 in split and 1 in split:
                     firsts.setdefault(split, j)
             want = {j: split for split, j in firsts.items()}
@@ -1264,36 +1277,85 @@ class TestFalseChildDerivation:
 
     def test_a_candidate_that_restates_the_context_holds_everywhere(self):
         # Every candidate the skip rule names holds on every witness of the
-        # context, so its split is all-true and one-sided.
+        # context, so its split is all-true and one-sided; the rule on slots
+        # is the rule on the named atom.  A test with a constant or a fresh
+        # variable twice is no candidate.
         rng = random.Random(31)
-        named = repeated = renamed = 0
+        named = renamed = 0
         for _ in range(1500):
             kb, context, bases, tests = _random_context_case(rng)
             bound = set(v for a in context for v in a.variables())
             for test in tests:
-                if not _restates(test, bound, context):
+                free = [t for t in test.args if t.is_variable and t not in bound]
+                if not all(t.is_variable for t in test.args) or len(set(free)) < len(free):
+                    continue
+                slots = tuple(_FRESH if t in free else t for t in test.args)
+                restated = _restates(test.predicate, slots, context)
+                assert restated == atom_restates(test, bound, context)
+                if not restated:
                     continue
                 named += 1
-                free = [t for t in test.args if t.is_variable and t not in bound]
-                repeated += len(set(free)) < len(free)
                 renamed += bool(free)
                 for base in bases:
                     for witness in oracle_witnesses(context, base, kb):
                         assert oracle_satisfy([Literal(test)], witness, kb), (
                             f"context={[str(a) for a in context]} test={test}"
                         )
-        assert named >= 3000 and renamed >= 2000 and repeated >= 50
+        assert named >= 3000 and renamed >= 2000
 
-    def test_a_fresh_variable_met_twice_must_meet_one_argument(self):
+    def test_a_fresh_slot_matches_any_argument_and_a_bound_slot_its_own(self):
         r = Predicate("r", ("t", "t"))
-        a, b, x, y = V("A", "t"), V("B", "t"), V("X", "t"), V("Y", "t")
-        bound = {a, b}
-        assert not _restates(Atom(r, (x, x)), bound, (Atom(r, (a, b)),))
-        assert _restates(Atom(r, (x, x)), bound, (Atom(r, (a, a)),))
-        assert _restates(Atom(r, (x, y)), bound, (Atom(r, (a, b)),))
-        assert _restates(Atom(r, (x, b)), bound, (Atom(r, (a, b)),))
-        assert not _restates(Atom(r, (b, x)), bound, (Atom(r, (a, b)),))
-        assert not _restates(Atom(r, (x, C("c", "t"))), bound, (Atom(r, (a, b)),))
+        a, b = V("A", "t"), V("B", "t")
+        assert _restates(r, (_FRESH, _FRESH), (Atom(r, (a, b)),))
+        assert _restates(r, (_FRESH, b), (Atom(r, (a, b)),))
+        assert not _restates(r, (b, _FRESH), (Atom(r, (a, b)),))
+        assert not _restates(r, (_FRESH, b), (Atom(r, (a, C("c", "t"))),))
+
+
+class TestSlotCandidates:
+    """A candidate is a predicate and its slots until it wins: what an
+    expansion decides from the slots must be what the atom :func:`_atom`
+    names for the candidate, under the plan's used names, gives."""
+
+    def test_slot_decisions_are_the_named_atoms(self, monkeypatch):
+        import liftedrbm.tree as tree_module
+
+        expand, scan, selectors = tree_module._Plan.expand, tree_module.partition, []
+        counts = dict.fromkeys(("decided", "restated", "two_sided", "bound_twice", "fresh"), 0)
+
+        def recorded(*args):
+            selectors.append(scan(*args))
+            return selectors[-1]
+
+        def checked(plan, root, kb):
+            selectors.clear()
+            expand(plan, root, kb)
+            found = iter(selectors)
+            bound = set(plan.bound_vars)
+            for predicate, slots in plan.candidates:
+                named = _atom(predicate, slots, plan.used_names)
+                restated = _restates(predicate, slots, plan.context)
+                assert restated == atom_restates(named, bound, plan.context), str(named)
+                if restated:
+                    counts["restated"] += 1
+                    continue
+                selector = next(found)
+                assert selector == atom_partition(named, plan.bound_vars, plan.items, kb)
+                counts["decided"] += 1
+                counts["two_sided"] += 0 in selector and 1 in selector
+                taken = [slot for slot in slots if slot is not _FRESH]
+                counts["bound_twice"] += len(set(taken)) < len(taken)
+                counts["fresh"] += len(taken) < len(slots)
+            assert next(found, None) is None  # one selector per decided candidate
+
+        monkeypatch.setattr(tree_module, "partition", recorded)
+        monkeypatch.setattr(tree_module._Plan, "expand", checked)
+        for seed in range(48):
+            kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
+            fit_regression_tree(queries, gradients, max_leaves, MOVIE_MODES, kb, **settings)
+        assert counts["decided"] >= 1000 and counts["restated"] >= 100
+        assert counts["two_sided"] >= 500 and counts["bound_twice"] >= 150
+        assert counts["fresh"] >= 500
 
 
 def _plans(root):
