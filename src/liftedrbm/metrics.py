@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from .data import ExampleSet, FoldSpec
-from .logic import Atom, KnowledgeBase
+from .logic import KnowledgeBase
 from .model import TrainConfig, probability, train
 from .tree import ordered_sum
 
@@ -25,7 +25,6 @@ from .tree import ordered_sum
 class ScoredExample:
     label: int
     score: float
-    query: Optional[Atom] = None
 
 
 def auc_roc(scored: Sequence[ScoredExample]) -> float:
@@ -92,13 +91,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "folds": [asdict(f) for f in self.folds],
-            "mean_auc_roc": self.mean_auc_roc,
-            "std_auc_roc": self.std_auc_roc,
-            "mean_auc_pr": self.mean_auc_pr,
-            "std_auc_pr": self.std_auc_pr,
-            "config": self.config,
-            "total_seconds": self.total_seconds,
+            **asdict(self),
             "notes": "stdev uses the population formula; ROC ties score half",
         }
 
@@ -138,8 +131,8 @@ def _fold_metrics(kb, examples, folds, config, fold) -> FoldMetrics:
     labeled = test_set.labeled()
     psis = model.psi_many([query for query, _ in labeled], kb)
     scored = [
-        ScoredExample(label, probability(psi, model.config.psi_clamp), query)
-        for (query, label), psi in zip(labeled, psis)
+        ScoredExample(label, probability(psi, model.config.psi_clamp))
+        for (_, label), psi in zip(labeled, psis)
     ]
     return FoldMetrics(
         fold=fold,

@@ -183,10 +183,11 @@ def train(
 ) -> BoostedModel:
     """Boost ``config.n_trees`` trees against an :class:`~liftedrbm.data.ExampleSet`.
 
-    Tree n is fit to the gradients of the model made of trees 1..n-1 (the
-    potential per example is accumulated incrementally, from the leaf each
-    example reached in the fit, which is the leaf routing sends it to, so
-    those are exactly the gradients).  ``psi0`` is the prior potential, zero
+    Tree n is fit to the gradients of the model made of trees 1..n-1.  Each
+    example's leaf values are summed tree by tree from the leaf it reached
+    in each fit, which is the leaf routing sends it to, and its potential is
+    ``psi0`` plus that sum, as :meth:`BoostedModel.psi` adds them, so those
+    are exactly the model's gradients.  ``psi0`` is the prior potential, zero
     by default; pass the log prior odds to start from the base rate.
     ``progress(tree_index, fit_sse, mean_abs_gradient)`` is invoked after each
     iteration when given.
@@ -198,8 +199,8 @@ def train(
     rows, candidates and splits), which a later tree reaching that node
     reuses, and each tree is grown from it and that tree's gradient list
     alone, as :func:`~liftedrbm.tree.fit_regression_tree` would grow it.
-    Examples share few (label, potential) pairs, so each tree computes one
-    gradient per pair and lists it for every example that has it.
+    Examples share few (label, leaf-value sum) pairs, so each tree computes
+    one gradient per pair and lists it for every example that has it.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -215,26 +216,26 @@ def train(
         config=config,
         modes=dict(kb.modes),
     )
-    psis = [model.psi0] * len(labeled)
+    sums = [0.0] * len(labeled)  # each example's leaf values so far, in tree order
     root = _root_plan([query for query, _ in labeled], kb.modes, config.max_new_vars)
-    fitted: list[float] = []
     labels = [label for _, label in labeled]
     for index in range(config.n_trees):
-        # A tree's examples share few (label, potential) pairs: one gradient each.
-        keys = list(zip(labels, psis))
+        # A tree's examples share few (label, leaf-value sum) pairs: one gradient each.
+        keys = list(zip(labels, sums))
         gradient = {
-            key: key[0] - probability(key[1], config.psi_clamp) for key in dict.fromkeys(keys)
+            key: key[0] - probability(psi0 + key[1], config.psi_clamp)
+            for key in dict.fromkeys(keys)
         }
         gradients = list(map(gradient.__getitem__, keys))
-        tree = _grow(
+        tree, values = _grow(
             root, gradients, config.max_leaves, kb, owned=False, learning_rate=config.learning_rate,
-            cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance, fitted=fitted,
+            cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance,
         )
         _check_finite_leaves(tree, index)
         model.trees.append(tree)
         sse = 0.0
-        for i, (value, gradient) in enumerate(zip(fitted, gradients)):
-            psis[i] += value
+        for i, (value, gradient) in enumerate(zip(values, gradients)):
+            sums[i] += value
             sse += (value - gradient) ** 2
         if progress is not None:
             mean_abs = ordered_sum(abs(g) for g in gradients) / len(gradients)

@@ -136,19 +136,21 @@ def _sum_squares(center: float, values: Sequence[float]) -> float:
 
 
 def coordinate_descent(
-    deltas: Sequence[float],
+    mean: float,
     theta0: LeafParams = ZERO_PARAMS,
     learning_rate: float = 0.05,
     max_iters: int = 500,
     tolerance: float = 1e-8,
 ) -> LeafParams:
-    """Fit leaf parameters to a multiset of regression targets.
+    """Fit leaf parameters to regression targets of mean ``mean``.
 
     Cycles through the five coordinates, each moved by ``learning_rate`` times
-    the negative partial derivative of the mean squared error; the leaf value
-    is shared by all its examples, so the optimum satisfies
-    ``value == mean(deltas)``.  Gradients are averaged over examples to keep
-    the step size independent of leaf support.  Stops after ``max_iters``
+    the negative partial derivative of the targets' mean squared error; the
+    leaf value is shared by all its examples, so that error is the squared
+    distance of the value from ``mean`` plus a constant, and depends on the
+    targets only through their mean (Friedman, Ann. Stat. 2001): the
+    optimum satisfies ``value == mean``, and the step size does not depend
+    on the leaf's support.  Stops after ``max_iters``
     cycles, once the objective improves by less than ``tolerance`` or does
     not fall at all (so a zero ``tolerance`` still stops at a fixed point),
     or once it rises or is NaN (a step too large for the curvature).
@@ -162,7 +164,7 @@ def coordinate_descent(
     whose targets are near 1e200 still descends to their mean.  A step is
     ``rate * (2 * r * partial)`` for the residual r, unless ``2 * r``
     overflows; then it is ``2 * (rate * (r * partial))``, so a mean near the
-    float maximum is reached too.  Empty input returns ``theta0`` unchanged.
+    float maximum is reached too.
 
     The cycle is written out: with ``a = p1 + p2 + p4`` and ``b = p1 + p2 +
     p3`` the leaf value is ``p0 + softplus(a) - softplus(b)`` (:func:`_value`)
@@ -177,9 +179,6 @@ def coordinate_descent(
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
-    if not deltas:
-        return theta0
-    mean = ordered_sum(deltas) / len(deltas)
     rate, exp, log1p, inf = learning_rate, math.exp, math.log1p, math.inf
     half = sys.float_info.max / 2
     p0, p1, p2, p3, p4 = theta0.as_tuple()
@@ -242,7 +241,7 @@ def coordinate_descent(
             if not current <= previous:
                 # This cycle overshot, so the iterate before it is the best
                 # seen; the cycles are deterministic, so replay up to it.
-                return coordinate_descent(deltas, theta0, learning_rate, cycle, tolerance)
+                return coordinate_descent(mean, theta0, learning_rate, cycle, tolerance)
             break
         previous = square
     return LeafParams(p0, p1, p2, p3, p4)
@@ -623,7 +622,6 @@ def fit_regression_tree(
     cd_tolerance: float = 1e-8,
     max_new_vars: int = 1,
     max_depth: Optional[int] = None,
-    fitted: Optional[list[float]] = None,
 ) -> RelationalRegressionTree:
     """Greedy best-first induction of one tree fitting ``gradients``, the
     regression target of each of the ground ``queries`` at its position.
@@ -645,12 +643,12 @@ def fit_regression_tree(
     nor one whose floor equals it when its index is higher than the best
     one's: it could at most tie, and lose the tie.  The committed candidate
     is thus the first minimum in candidate order, as when every candidate
-    is fit, and so are the tree and ``fitted`` (``tests/test_tree.py``
-    checks them against fitting all).
+    is fit, and so is the tree (``tests/test_tree.py`` checks it against
+    fitting all).
 
-    Leaf fits are fewer still: :func:`coordinate_descent` reads its targets
-    only through their mean, so each distinct mean (bit for bit) is fit once
-    per call and its parameters reused for every leaf with that mean.
+    Leaf fits are fewer still: :func:`coordinate_descent` fits a leaf to
+    its targets' mean, so each distinct mean (bit for bit) is fit once per
+    call and its parameters reused for every leaf with that mean.
 
     Each node is a fit plan (:class:`_Plan`): what it is regardless of the
     gradients.  Its items are (position in ``queries``, rows), every witness
@@ -675,9 +673,6 @@ def fit_regression_tree(
     stays a leaf.  :func:`~liftedrbm.model.train` instead grows every tree
     from one root plan (:func:`_grow`), so a later tree reaches each node
     an earlier one expanded with its rows, candidates and splits built.
-    When given, ``fitted`` is filled with each query's leaf value in
-    ``queries`` order: the value :meth:`~liftedrbm.model.BoostedModel.per_tree`
-    routes it to, since fitting and routing make the same decisions.
     """
     if not queries:
         raise ValueError("cannot fit a tree to zero examples")
@@ -685,31 +680,35 @@ def fit_regression_tree(
         raise ValueError(f"{len(queries)} queries but {len(gradients)} gradients")
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    return _grow(
+    tree, _ = _grow(
         _root_plan(queries, modes, max_new_vars), list(gradients), max_leaves, kb, owned=True,
         learning_rate=learning_rate, cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance,
-        max_depth=max_depth, fitted=fitted,
+        max_depth=max_depth,
     )
+    return tree
 
 
 def _grow(
     root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase,
     *, owned: bool, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
-    max_depth: Optional[int] = None, fitted: Optional[list[float]] = None,
-) -> RelationalRegressionTree:
+    max_depth: Optional[int] = None,
+) -> tuple[RelationalRegressionTree, list[float]]:
     """The tree :func:`fit_regression_tree` fits from ``root``, whose
-    queries' gradients are ``gradients`` by position.  An ``owned`` root is
-    read by no later fit, so plans are freed as they are done."""
-    # coordinate_descent reads its targets only through their mean, so each
-    # distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
+    queries' gradients are ``gradients`` by position, and each query's leaf
+    value by position: the value :meth:`~liftedrbm.model.BoostedModel.per_tree`
+    routes it to, since fitting and routing make the same decisions.  An
+    ``owned`` root is read by no later fit, so plans are freed as they are
+    done."""
+    # Each distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
     fits: dict[str, tuple[LeafParams, float]] = {}
 
     def fit_leaf(deltas: Sequence[float]) -> tuple[LeafParams, float]:
-        key = (ordered_sum(deltas) / len(deltas)).hex()
+        mean = ordered_sum(deltas) / len(deltas)
+        key = mean.hex()
         fit = fits.get(key)
         if fit is None:
             params = coordinate_descent(
-                deltas, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
+                mean, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
             )
             fit = fits[key] = (params, params.value())
         params, value = fit
@@ -762,10 +761,7 @@ def _grow(
         push(node.false_child, right)
 
     values = [0.0] * len(gradients)  # by position: the value of the leaf it reached
-    tree = RelationalRegressionTree(root.head, _materialize(top, values))
-    if fitted is not None:
-        fitted[:] = values
-    return tree
+    return RelationalRegressionTree(root.head, _materialize(top, values)), values
 
 
 def _materialize(node: _FitNode, values: list[float]) -> TreeNode:

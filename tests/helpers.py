@@ -420,7 +420,8 @@ def exhaustive_fit_tree(
     def fit(items):
         deltas = [gradients[position] for position, _, _ in items]
         params = coordinate_descent(
-            deltas, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
+            left_sum(deltas) / len(deltas), learning_rate=learning_rate, max_iters=cd_max_iters,
+            tolerance=cd_tolerance,
         )
         value = params.value()
         return params, left_sum((value - d) ** 2 for d in deltas)

@@ -38,6 +38,7 @@ from helpers import (
     atom,
     example1_kb,
     example2_kb,
+    left_sum,
     network_from_clauses,
     oracle_route,
     random_satisfaction_case,
@@ -160,7 +161,7 @@ def test_criterion_5_leaf_fit_optimality():
         n = rng.randint(1, 25)
         deltas = [rng.uniform(-0.95, 0.95) for _ in range(n)]
         params = coordinate_descent(
-            deltas, learning_rate=0.05, max_iters=500, tolerance=1e-8
+            left_sum(deltas) / len(deltas), learning_rate=0.05, max_iters=500, tolerance=1e-8
         )
         mean = sum(deltas) / n
         assert abs(params.value() - mean) < 1e-3
@@ -226,7 +227,7 @@ def test_criterion_8_ensemble_vs_single_tree(movie_model):
 
     def roc(m):
         scored = [
-            ScoredExample(label, m.predict(query, kb).probability, query)
+            ScoredExample(label, m.predict(query, kb).probability)
             for query, label in test_set.labeled()
         ]
         return auc_roc(scored)

@@ -126,7 +126,7 @@ class TestTrain:
 
     def test_non_finite_leaf_is_refused_and_named(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            tree_module, "coordinate_descent", lambda deltas, **_: LeafParams(math.nan)
+            tree_module, "coordinate_descent", lambda mean, **_: LeafParams(math.nan)
         )
         out = tmp_path / "m.json"
         assert main(["train", *_common(data_dir), "--trees", "1", "--out", str(out)]) == 1

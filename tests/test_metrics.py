@@ -147,7 +147,7 @@ class TestCrossValidate:
             train_set, test_set = folds.split(examples, fold)
             model = train(kb, train_set, config)
             scored = [
-                SE(y, model.predict(q, kb).probability, q) for q, y in test_set.labeled()
+                SE(y, model.predict(q, kb).probability) for q, y in test_set.labeled()
             ]
             assert report.folds[fold].auc_roc == pytest.approx(auc_roc(scored), abs=1e-12)
             assert report.folds[fold].auc_pr == pytest.approx(auc_pr(scored), abs=1e-12)

@@ -326,10 +326,39 @@ class TestTrain:
 
         model, _, test_set, kb = movie_model
         scored = [
-            ScoredExample(label, model.predict(query, kb).probability, query)
+            ScoredExample(label, model.predict(query, kb).probability)
             for query, label in test_set.labeled()
         ]
         assert auc_roc(scored) >= 0.9
+
+    def test_each_tree_fits_the_gradients_of_the_earlier_trees(self, movie_domain, monkeypatch):
+        # At a nonzero prior, each tree's gradients are label - probability
+        # of the potentials of the model made of the trees before it, bit for
+        # bit: psi0 plus the sum of their leaf values, as the model adds them.
+        import dataclasses
+
+        import liftedrbm.model as model_module
+
+        kb, examples, _ = movie_domain
+        seen = []
+        grow = model_module._grow
+
+        def spied(root, gradients, *args, **kwargs):
+            seen.append(list(gradients))
+            return grow(root, gradients, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_grow", spied)
+        model = train(kb, examples, TrainConfig(n_trees=8), psi0=math.log(3.0))
+        labeled = examples.labeled()
+        assert len(seen) == len(model.trees) == 8
+        for index, gradients in enumerate(seen):
+            before = dataclasses.replace(model, trees=model.trees[:index])
+            psis = before.psi_many([query for query, _ in labeled], kb)
+            want = [
+                label - probability(psi, model.config.psi_clamp)
+                for (_, label), psi in zip(labeled, psis)
+            ]
+            assert [g.hex() for g in gradients] == [w.hex() for w in want], index
 
     def test_prior_potential_shifts_the_model(self):
         kb = example1_kb()

@@ -488,33 +488,34 @@ def _random_context_case(rng: random.Random):
     return kb, context, bases, tests
 
 
+def _mean(deltas):
+    """The mean a leaf of targets ``deltas`` is fit to."""
+    return left_sum(deltas) / len(deltas)
+
+
 class TestCoordinateDescent:
     def test_reaches_the_mean_for_constant_targets(self):
-        params = coordinate_descent([0.5] * 8)
+        params = coordinate_descent(_mean([0.5] * 8))
         assert abs(params.value() - 0.5) < 1e-3
 
     def test_reaches_the_mean_for_mixed_targets(self):
-        params = coordinate_descent([0.2, 0.4])
+        params = coordinate_descent(_mean([0.2, 0.4]))
         assert abs(params.value() - 0.3) < 1e-3
-
-    def test_empty_targets_leave_theta_unchanged(self):
-        theta0 = LeafParams(0.1, 0.2, 0.3, 0.4, 0.5)
-        assert coordinate_descent([], theta0) == theta0
 
     def test_converges_from_nonzero_start(self):
         theta0 = LeafParams(1.0, -0.5, 0.25, 0.75, -0.25)
-        params = coordinate_descent([-0.4, -0.2], theta0)
+        params = coordinate_descent(_mean([-0.4, -0.2]), theta0)
         assert abs(params.value() - (-0.3)) < 1e-3
 
     def test_bad_learning_rate_is_an_error(self):
         with pytest.raises(ValueError):
-            coordinate_descent([0.1], learning_rate=0.0)
+            coordinate_descent(_mean([0.1]), learning_rate=0.0)
 
     @pytest.mark.parametrize("learning_rate", [5.0, 1e308])
     def test_divergent_rate_returns_the_best_iterate(self, learning_rate):
         # At these rates the first cycle overshoots, to leaf value 54.53 at
         # rate 5 and to NaN at 1e308, so the best iterate seen is the start.
-        params = coordinate_descent([0.5, 0.3], learning_rate=learning_rate)
+        params = coordinate_descent(_mean([0.5, 0.3]), learning_rate=learning_rate)
         assert all(math.isfinite(v) for v in params.as_tuple())
         assert params == ZERO_PARAMS
 
@@ -532,7 +533,9 @@ class TestCoordinateDescent:
                 steps.append(other)
                 return float(self) * other
 
-        params = coordinate_descent([0.5] * 10, learning_rate=CountedRate(0.5), tolerance=tolerance)
+        params = coordinate_descent(
+            _mean([0.5] * 10), learning_rate=CountedRate(0.5), tolerance=tolerance
+        )
         assert params.value() == 0.5
         assert len(steps) == 2 * 5  # two cycles of five coordinates
         assert reference_coordinate_descent(
@@ -562,7 +565,7 @@ class TestCoordinateDescent:
                 learning_rate=rate, max_iters=rng.choice([0, 1, 2, 500]),
                 tolerance=rng.choice([0, 1e-8, 1e-3]),
             )
-            got = coordinate_descent(deltas, theta0, **settings)
+            got = coordinate_descent(_mean(deltas), theta0, **settings)
             try:
                 want = reference_coordinate_descent(deltas, theta0, **settings)
             except OverflowError:
@@ -577,7 +580,7 @@ class TestCoordinateDescent:
     def test_an_overflowing_objective_is_a_rising_one(self):
         # The first cycle moves the leaf value to about 1e100, whose squared
         # error overflows; the best iterate seen is the start.
-        assert coordinate_descent([0.5], learning_rate=1e100) == ZERO_PARAMS
+        assert coordinate_descent(_mean([0.5]), learning_rate=1e100) == ZERO_PARAMS
         with pytest.raises(OverflowError):
             reference_coordinate_descent([0.5], learning_rate=1e100)
 
@@ -586,7 +589,7 @@ class TestCoordinateDescent:
         # From the start the squared errors of a leaf near 1e200 overflow;
         # each cycle still moves it towards the mean, as at 1e150.  Past
         # 8.99e307, twice the residual overflows too, but a step does not.
-        params = coordinate_descent([mean])
+        params = coordinate_descent(_mean([mean]))
         assert abs(params.value() - mean) <= 1e-6 * abs(mean)
 
     def test_never_returns_a_worse_iterate_than_it_saw(self):
@@ -596,13 +599,13 @@ class TestCoordinateDescent:
             theta0 = LeafParams(*(rng.uniform(-1, 1) for _ in range(5)))
             rate = rng.choice([0.05, 0.5, 2.0, 3.0, 10.0])
             mean = left_sum(deltas) / len(deltas)
-            params = coordinate_descent(deltas, theta0, learning_rate=rate)
+            params = coordinate_descent(mean, theta0, learning_rate=rate)
             assert (params.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
 
 
 def _leaf_sse(deltas, **settings):
     """The squared error fit_regression_tree computes for a fitted leaf."""
-    return _sum_squares(coordinate_descent(deltas, **settings).value(), deltas)
+    return _sum_squares(coordinate_descent(_mean(deltas), **settings).value(), deltas)
 
 
 def _mean_sse(deltas):
@@ -630,13 +633,12 @@ class TestLeafFitMemo:
         means = []
         fit = tree_module.coordinate_descent
 
-        def counted(deltas, *args, **kwargs):
-            means.append((left_sum(deltas) / len(deltas)).hex())
-            return fit(deltas, *args, **kwargs)
+        def counted(mean, *args, **kwargs):
+            means.append(mean.hex())
+            return fit(mean, *args, **kwargs)
 
         monkeypatch.setattr(tree_module, "coordinate_descent", counted)
-        fitted = []
-        tree = fit_regression_tree(queries, gradients, 4, MOVIE_MODES, kb, fitted=fitted)
+        ((tree, fitted),) = _fits_from_one_root(queries, [gradients], 4, MOVIE_MODES, kb, owned=True)
         leaves = [leaf.params for _, leaf in tree.paths()]
         assert sorted(leaf.value() for leaf in leaves) == pytest.approx([-0.5, -0.5, 0.5, 0.5], abs=1e-3)
         assert len(set(leaves)) == 2  # equal means, one fit
@@ -825,9 +827,7 @@ class TestFitRegressionTree:
         gc.collect()
         gc.disable()
         try:
-            tree = fit_regression_tree(
-                queries, gradients, 64, MOVIE_MODES, kb, max_depth=10, fitted=[]
-            )
+            tree = fit_regression_tree(queries, gradients, 64, MOVIE_MODES, kb, max_depth=10)
             assert gc.collect() == 0
             assert tree.leaf_count > 8
             assert tree.depth > 3
@@ -881,23 +881,21 @@ def _random_fit_case(seed):
 
 
 def _fits_from_one_root(
-    queries, gradient_lists, max_leaves, modes, kb, *, max_new_vars=1, learning_rate=0.05,
-    cd_max_iters=500, cd_tolerance=1e-8, max_depth=None,
+    queries, gradient_lists, max_leaves, modes, kb, *, owned=False, max_new_vars=1,
+    learning_rate=0.05, cd_max_iters=500, cd_tolerance=1e-8, max_depth=None,
 ):
     """One fit per gradient list, each grown from one root plan with
     ``fit_regression_tree``'s settings, as ``train`` grows its trees: each
-    fit's (tree, fitted values)."""
+    fit's (tree, fitted values).  An ``owned`` root, fit once, is fit as
+    ``fit_regression_tree`` fits it."""
     root = _root_plan(queries, modes, max_new_vars)
-    fits = []
-    for gradients in gradient_lists:
-        fitted = []
-        tree = _grow(
-            root, list(gradients), max_leaves, kb, owned=False, learning_rate=learning_rate,
+    return [
+        _grow(
+            root, list(gradients), max_leaves, kb, owned=owned, learning_rate=learning_rate,
             cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance, max_depth=max_depth,
-            fitted=fitted,
         )
-        fits.append((tree, fitted))
-    return fits
+        for gradients in gradient_lists
+    ]
 
 
 def _assert_fit_matches_exhaustive(
@@ -906,21 +904,18 @@ def _assert_fit_matches_exhaustive(
     """The fit of ``gradients`` equals the exhaustive reference, tree and
     fitted values: by ``fit_regression_tree``, or, given ``earlier``
     gradient lists, grown after their fits from the same root plan."""
-    if earlier:
-        fits = _fits_from_one_root(
-            queries, [*earlier, gradients], max_leaves, modes, kb, **settings
-        )
-        tree, fitted = fits[-1]
-    else:
-        fitted = []
-        tree = fit_regression_tree(
-            queries, gradients, max_leaves, modes, kb, fitted=fitted, **settings
-        )
+    fits = _fits_from_one_root(
+        queries, [*earlier, gradients], max_leaves, modes, kb, owned=not earlier, **settings
+    )
+    tree, fitted = fits[-1]
     reference, reference_fitted = exhaustive_fit_tree(
         queries, gradients, max_leaves, modes, kb, **settings
     )
     assert tree.to_text() == reference.to_text()
     assert fitted == reference_fitted
+    if not earlier:
+        fit = fit_regression_tree(queries, gradients, max_leaves, modes, kb, **settings)
+        assert fit.to_text() == reference.to_text()
     return tree
 
 
@@ -1090,8 +1085,7 @@ class TestCoverageTable:
         rng = random.Random(3)
         queries = [q for q, _ in examples.labeled()]
         gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
-        fitted = []
-        tree = fit_regression_tree(queries, gradients, 6, MOVIE_MODES, kb, fitted=fitted)
+        ((tree, fitted),) = _fits_from_one_root(queries, [gradients], 6, MOVIE_MODES, kb, owned=True)
         model = _one_tree_model(tree)
         assert fitted == [model.per_tree(q, kb)[0] for q in queries]
 
@@ -1124,13 +1118,10 @@ class TestCoverageTable:
             if fit != 3:  # the fourth fit repeats the third's gradients
                 gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
             fresh_root = _root_plan(queries, MOVIE_MODES, 1)
-            fresh_fitted, shared_fitted = [], []
-            fresh = _grow(
-                fresh_root, gradients, 6, kb, owned=False, fitted=fresh_fitted, **settings
-            )
+            fresh, fresh_fitted = _grow(fresh_root, gradients, 6, kb, owned=False, **settings)
             before = {plan: plan.splits is not None for plan, _ in _plans(root.plan)}
             calls.clear()
-            shared = _grow(root, gradients, 6, kb, owned=False, fitted=shared_fitted, **settings)
+            shared, shared_fitted = _grow(root, gradients, 6, kb, owned=False, **settings)
             assert shared.to_text() == fresh.to_text()
             assert [v.hex() for v in shared_fitted] == [v.hex() for v in fresh_fitted]
             after = list(_plans(root.plan))
@@ -1197,9 +1188,8 @@ class TestCoverageTable:
             tree = _assert_fit_matches_exhaustive(
                 queries, gradients, max_leaves, MOVIE_MODES, kb, [gradients], **settings
             )
-            fitted = []
-            fit_regression_tree(
-                queries, gradients, max_leaves, MOVIE_MODES, kb, fitted=fitted, **settings
+            ((_, fitted),) = _fits_from_one_root(
+                queries, [gradients], max_leaves, MOVIE_MODES, kb, owned=True, **settings
             )
             for copy, position in enumerate(copies, start=len(queries) - len(copies)):
                 assert fitted[copy] == fitted[position]
