@@ -13,12 +13,14 @@ one a tree's false branch gives it: ``NOT atom`` after a prefix holds iff
 place that reads it; a signed body is routed by walking a one-clause trie.
 
 A tree fit and :meth:`RoutingTrie.walk_many` decide on rows instead, each a
-witness as the names it binds, and both through :func:`partition`: a scan of
+witness as the names it binds, and both through :func:`partition`: a test of
 each item's rows against a knowledge base's :meth:`~KnowledgeBase.projection`
-(a semi-join; Bernstein and Chiu, JACM 1981).  :func:`join` extends the rows
-(tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).  These fact views
-depend on the facts alone, so the knowledge base builds each once and keeps
-it until a new fact arrives.
+(a semi-join; Bernstein and Chiu, JACM 1981).  An item's leading columns
+hold its query's head values in every row, so a key on them is looked up
+once per item, not once per row.  :func:`join` extends the rows (tuple-ID
+propagation; Yin et al., CrossMine, ICDE 2004).  These fact views depend on
+the facts alone, so the knowledge base builds each once and keeps it until a
+new fact arrives.
 """
 
 from __future__ import annotations
@@ -142,6 +144,30 @@ class Clause:
         return f"{body} ⇒ {self.head}"
 
 
+class Projection(set):
+    """The values of a :meth:`KnowledgeBase.projection`, which also keeps
+    them grouped by some of their components (:meth:`grouped`)."""
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, values):
+        super().__init__(values)
+        self._groups: dict[tuple[int, ...], dict] = {}
+
+    def grouped(self, inner: tuple[int, ...], outer: tuple[int, ...]) -> dict:
+        """The values, tuples of several components, grouped by their
+        components at ``inner``: for each part there (one name, or a tuple
+        for several), the set of the parts at ``outer`` of the values that
+        hold it.  Built on first use and kept with the projection."""
+        groups = self._groups.get(inner)
+        if groups is None:
+            groups = self._groups[inner] = {}
+            part, rest = itemgetter(*inner), itemgetter(*outer)
+            for value in self:
+                groups.setdefault(part(value), set()).add(rest(value))
+        return groups
+
+
 class KnowledgeBase:
     """Indexed, append-only store of ground facts.
 
@@ -149,8 +175,9 @@ class KnowledgeBase:
     plus a (predicate, argument position, constant) hash index keyed on the
     first bound argument of a query literal.  The views of the facts that
     rows are decided and joined on (:meth:`projection`, :meth:`grouping`)
-    are built on first use and kept; :meth:`add` drops them whenever it
-    stores a new fact.
+    are built on first use and kept, and so is each projection's grouping
+    by a key's head part (:meth:`Projection.grouped`); :meth:`add` drops
+    them all whenever it stores a new fact.
     """
 
     def __init__(self, modes=None):
@@ -158,7 +185,7 @@ class KnowledgeBase:
         self._keys: set[tuple] = set()
         self._by_pred: dict[str, list[tuple[str, ...]]] = {}
         self._arg_index: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
-        self._projections: dict[tuple, set] = {}
+        self._projections: dict[tuple, Projection] = {}
         self._groupings: dict[tuple, dict] = {}
         self._constants: dict[str, Term] = {}
         self._universes: dict[str, list[Term]] = {}
@@ -245,7 +272,7 @@ class KnowledgeBase:
             and all(args[pos] == args[other] for pos, other in repeats)
         ]
 
-    def projection(self, name: str, positions: tuple[int, ...], filters=((), ())) -> set:
+    def projection(self, name: str, positions: tuple[int, ...], filters=((), ())) -> Projection:
         """The values (:func:`_key`) at ``positions`` of predicate ``name``'s
         facts that pass ``filters`` (see :func:`_columns`).  An atom whose
         bound arguments stand at ``positions`` and whose other arguments
@@ -255,7 +282,7 @@ class KnowledgeBase:
         values = self._projections.get(key)
         if values is None:
             facts = self._matching(name, filters)
-            values = self._projections[key] = set(map(_key(positions), facts))
+            values = self._projections[key] = Projection(map(_key(positions), facts))
         return values
 
     def grouping(self, test: Atom, bound_vars: Sequence[Term]):
@@ -444,13 +471,39 @@ def join(test: Atom, bound_vars: Sequence[Term], items, kb: KnowledgeBase):
 FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def partition(columns: Sequence[int], values: set, items) -> bytes:
+def partition(columns: Sequence[int], values: Projection, items, head: int) -> bytes:
     """Which (item, rows of a context) satisfy ``context AND test``: one
     byte per item, 1 iff one of its rows holds at ``columns``, the columns
     of ``test``'s bound arguments, a value of ``values``, their
     :meth:`~KnowledgeBase.projection`, since only those values join with
     the context.  A fit's candidate split and a batch walk's branch are
-    both decided here."""
+    both decided here.
+
+    The first ``head`` columns hold the names the item's query binds to
+    the head: the root row is those names, a join only appends columns and
+    a false branch keeps its rows, so they are the same in every row of an
+    item.  A key that reads only such columns, or none, is decided by
+    looking up the first row's values; one that also reads later columns
+    looks up the first row's head values in ``values`` grouped by its head
+    part (:meth:`Projection.grouped`), then scans the rows' other values
+    alone; any other key scans every row's values.  An item with no rows
+    is on the false side.  Each way gives the selector of the plain scan
+    (the factorised rows of Olteanu and Závodný, TODS 2015: every row
+    repeats its item's head part)."""
+    inner = tuple([i for i, column in enumerate(columns) if column < head])
+    if len(inner) == len(columns):
+        read = _key(columns)
+        return bytes([bool(rows) and read(rows[0]) in values for _, rows in items])
+    if inner:
+        outer = tuple([i for i, column in enumerate(columns) if column >= head])
+        groups = values.grouped(inner, outer)
+        read_head = _key([columns[i] for i in inner])
+        read = _key([columns[i] for i in outer])
+        return bytes([
+            bool(rows) and (part := read_head(rows[0])) in groups
+            and not groups[part].isdisjoint(map(read, rows))
+            for _, rows in items
+        ])
     read, isdisjoint = _key(columns), values.isdisjoint
     return bytes([not isdisjoint(map(read, rows)) for _, rows in items])
 
@@ -552,14 +605,16 @@ class RoutingTrie:
 
         A query enters each root its head unifies with as an item with one
         row, the names the unifier binds; a node's items carry every witness
-        of its context as rows.  :func:`partition` decides ``context AND
-        atom`` for them all: the items it selects go to the positive child,
-        their rows extended by :func:`join`, the rest to the negated child
-        unchanged.  The projections and groupings are ``kb``'s, kept for
-        later batches until it gains a fact."""
+        of its context as rows, the first columns the head's variables.
+        :func:`partition` decides ``context AND atom`` for them all: the
+        items it selects go to the positive child, their rows extended by
+        :func:`join`, the rest to the negated child unchanged.  The
+        projections and groupings are ``kb``'s, kept for later batches until
+        it gains a fact."""
         fired: list[list[int]] = [[] for _ in queries]
         for head, root in self._roots.items():
             bound = tuple(dict.fromkeys(head.variables()))
+            width = len(bound)
             bases = [(index, unify(head, query)) for index, query in enumerate(queries)]
             items = [(i, (tuple([b[v].name for v in bound]),)) for i, b in bases if b is not None]
             stack = [(root, bound, items)] if items else []
@@ -571,7 +626,7 @@ class RoutingTrie:
                 for atom, yes, no in node.branches:
                     positions, columns, _, filters = _columns(atom, bound)
                     values = kb.projection(atom.predicate.name, positions, filters)
-                    split = partition(columns, values, items)
+                    split = partition(columns, values, items, width)
                     if yes is not None and 1 in split:
                         new = tuple(dict.fromkeys(v for v in atom.variables() if v not in bound))
                         sat = join(atom, bound, compress(items, split), kb)

@@ -337,16 +337,28 @@ def model_from_dict(data) -> BoostedModel:
         raise ParseError(f"malformed model document: {exc}") from exc
 
 
+def _array(value, field: str) -> tuple:
+    """``value`` as a tuple, when it is a JSON array."""
+    if not isinstance(value, list):
+        raise ParseError(
+            f"malformed model document: {field} must be a JSON array, got {type(value).__name__}"
+        )
+    return tuple(value)
+
+
 def _model_from_dict(data: dict) -> BoostedModel:
     modes = {
         name: ModeDeclaration(
-            Predicate(name, tuple(spec["arg_types"])), tuple(spec["chaining"])
+            Predicate(name, _array(spec["arg_types"], f"modes.{name}.arg_types")),
+            _array(spec["chaining"], f"modes.{name}.chaining"),
         )
         for name, spec in data["modes"].items()
     }
     predicates = {name: mode.predicate for name, mode in modes.items()}
     target_info = data["target"]
-    target = check_predicate(Predicate(target_info["name"], tuple(target_info["arg_types"])))
+    target = check_predicate(
+        Predicate(target_info["name"], _array(target_info["arg_types"], "target.arg_types"))
+    )
     predicates.setdefault(target.name, target)
     names = target_info["head_vars"]
     head = parse_atom_text(f"{target.name}({', '.join(names)})", {target.name: target})
@@ -355,7 +367,7 @@ def _model_from_dict(data: dict) -> BoostedModel:
     config = TrainConfig(**data["config"])
     trees = [
         RelationalRegressionTree(head, _node_from_dict(node, predicates))
-        for node in data["trees"]
+        for node in _array(data["trees"], "trees")
     ]
     # A path's clause prints its variables by name, so one name at two types
     # on a path would read as one variable; sibling subtrees may differ.

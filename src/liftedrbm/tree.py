@@ -6,11 +6,12 @@ output-bias difference, a hidden-unit bias, a path-feature weight, and the two
 hidden-to-output weights.  A node's decision is satisfiability of the whole
 path conjunction extended by its test.  Training decides it over every witness
 of the path's context at once, carried down the tree as rows, by the row test
-a batch walk also uses (:func:`~liftedrbm.logic.partition`); routing one
-query proves it from the first witness chained down the path; both decide
-the same conjunction, so they agree exactly.  A path's context holds only
-the atoms of its positive tests: a false branch adds nothing, since its
-negated test holds on every extension of the context (see
+a batch walk also uses (:func:`~liftedrbm.logic.partition`), which reads the
+head's columns, the same in every row of an example, from its first row;
+routing one query proves it from the first witness chained down the path;
+both decide the same conjunction, so they agree exactly.  A path's context
+holds only the atoms of its positive tests: a false branch adds nothing,
+since its negated test holds on every extension of the context (see
 :func:`~liftedrbm.logic.route_decision`).  A path read as the clause (head,
 signed path literals) is what a model's or a network's
 :class:`~liftedrbm.logic.RoutingTrie` routes.
@@ -476,16 +477,17 @@ class _Plan:
         candidates and decide each one's split from its slots: its bound
         slots are the test's bound positions, read at their variables'
         columns, and its fresh slots filter nothing, so its projection is
-        the one a batch walk reads for the named atom.  A candidate that
-        :func:`_restates` an atom of the context holds on every item, so it
-        is one-sided and not decided."""
+        the one a batch walk reads for the named atom.  The first columns,
+        one per head argument, hold each item's query's arguments in every
+        row.  A candidate that :func:`_restates` an atom of the context
+        holds on every item, so it is one-sided and not decided."""
         if self.parent_vars is not None:
             self.items = join(self.context[-1], self.parent_vars, self.items, kb)
             self.parent_vars = None
         self.candidates = generate_candidates(
             self.bound_vars, root.modes, root.max_new_vars, (root.head.predicate.name,)
         )
-        column = self.bound_vars.index
+        column, width = self.bound_vars.index, len(root.head.args)
         selectors = []
         for k, (predicate, slots) in enumerate(self.candidates):
             if _restates(predicate, slots, self.context):
@@ -493,7 +495,7 @@ class _Plan:
             positions = tuple([pos for pos, slot in enumerate(slots) if slot is not _FRESH])
             columns = tuple([column(slots[pos]) for pos in positions])
             values = kb.projection(predicate.name, positions)
-            selectors.append((k, partition(columns, values, self.items)))
+            selectors.append((k, partition(columns, values, self.items, width)))
         self.splits = _first_splits(selectors)
 
     def child(self, k: int) -> tuple["_Plan", "_Plan"]:

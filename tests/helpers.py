@@ -207,12 +207,20 @@ def route_body(body, partial: dict[Term, Term], kb: KnowledgeBase, stats=None):
     return fired[0][1] if fired else None
 
 
-def atom_partition(test: Atom, bound_vars, items, kb: KnowledgeBase) -> bytes:
+def atom_partition(test: Atom, bound_vars, items, kb: KnowledgeBase, head: int) -> bytes:
     """``logic.partition`` of (item, rows of a context binding
-    ``bound_vars``) by a named atom ``test``, read as a batch walk reads a
-    branch's atom."""
+    ``bound_vars``, the first ``head`` of them the head's) by a named atom
+    ``test``, read as a batch walk reads a branch's atom."""
     positions, columns, _, filters = _columns(test, bound_vars)
-    return partition(columns, kb.projection(test.predicate.name, positions, filters), items)
+    return partition(columns, kb.projection(test.predicate.name, positions, filters), items, head)
+
+
+def scan_partition(columns, values, items, head=None) -> bytes:
+    """The plain per-row scan ``logic.partition`` must equal: 1 for an item
+    iff the values at ``columns`` of one of its rows are in ``values``
+    (``head`` is read by nothing here)."""
+    read = operator.itemgetter(*columns) if columns else (lambda row: ())
+    return bytes([any(read(row) in values for row in rows) for _, rows in items])
 
 
 def atom_restates(test: Atom, bound, context) -> bool:

@@ -384,8 +384,27 @@ BAD_FIT_CONFIGS = {
 }
 
 # Each turns a valid model document into one that breaks the schema.
+# Fields the schema makes JSON arrays, each with another value that Python
+# would iterate as one: each is refused, naming the field.  An empty array of
+# trees is what ``train --trees 0`` writes, and stays valid.
+ARRAY_MUTATIONS = {
+    "object as trees": (_set({}, "trees"), "trees"),
+    "string as trees": (_set("", "trees"), "trees"),
+    "string as a mode's chaining": (
+        _set("-", "modes", "person", "chaining"), "modes.person.chaining",
+    ),
+    "string as a mode's arg_types": (
+        _set("person", "modes", "person", "arg_types"), "modes.person.arg_types",
+    ),
+    "string as the target's arg_types": (
+        _set("person", "target", "arg_types"), "target.arg_types",
+    ),
+}
+
+
 MODEL_MUTATIONS = {
     **BAD_FIT_CONFIGS,
+    **{name: mutate for name, (mutate, _) in ARRAY_MUTATIONS.items()},
     "boolean psi_clamp": _set(True, "config", "psi_clamp"),
     "missing true branch": _drop_true_branch,
     "unknown config key": _set(1, "config", "bogus"),
@@ -497,6 +516,14 @@ class TestModelLoader:
         model_path = _mutated_model(name, tmp_path)
         assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_MUTATIONS))
+    def test_a_field_that_is_not_an_array_is_named(self, name, tmp_path, capsys):
+        model_path = _mutated_model(name, tmp_path)
+        _, field = ARRAY_MUTATIONS[name]
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: malformed model document: {field} must be a JSON array")
 
     @pytest.mark.parametrize("command", ["predict", "explain", "explain --mode distill"])
     @pytest.mark.parametrize("name", sorted(MODE_MUTATIONS))

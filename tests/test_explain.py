@@ -50,6 +50,7 @@ from helpers import (
     network_from_clauses,
     oracle_tree_paths,
     rule_clauses,
+    scan_partition,
     SCORE_FIXTURE,
 )
 from synthetic_domain import generate_movie_domain
@@ -240,12 +241,13 @@ class TestBatchWalk:
         held = from_later_row = 0
         scan = logic_module.partition
 
-        def counted(columns, values, items):
+        def counted(columns, values, items, head):
             # the items a row other than their first selects, where a
             # first-row lookup would decide wrongly
             nonlocal from_later_row
-            split = scan(columns, values, items)
-            firsts = scan(columns, values, [(item, rows[:1]) for item, rows in items])
+            split = scan(columns, values, items, head)
+            assert split == scan_partition(columns, values, items)
+            firsts = scan(columns, values, [(item, rows[:1]) for item, rows in items], head)
             from_later_row += sum(chosen > first for chosen, first in zip(split, firsts))
             return split
 
@@ -501,6 +503,22 @@ class TestDistill:
             model.psi(train_set.labeled()[0][0], kb)
         text = distill_single_tree(model, train_set, kb, max_depth=10).trees[0].to_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DISTILLED_TREE_SHA256
+
+    def test_a_larger_distillation_grows_the_plain_scans_tree(self, monkeypatch):
+        # At 60 persons an item carries up to 100 rows.  Deciding a key on
+        # head columns from the first row, and one that also reads others
+        # through the grouped view, grows the tree the per-row scan grows.
+        import liftedrbm.logic as logic_module
+        import liftedrbm.tree as tree_module
+
+        kb, examples, _ = generate_movie_domain(seed=11, n_person=60, n_movie=60, n_pairs=1500)
+        model = train(kb, examples, TrainConfig())
+        tree = distill_single_tree(model, examples, kb, max_depth=10).trees[0]
+        assert tree.depth == 10 and tree.leaf_count > 40
+        for module in (logic_module, tree_module):
+            monkeypatch.setattr(module, "partition", scan_partition)
+        scanned = distill_single_tree(model, examples, kb, max_depth=10).trees[0]
+        assert scanned.to_text() == tree.to_text()
 
     def test_distillation_requires_examples(self, movie_model):
         from liftedrbm.data import ExampleSet

@@ -12,6 +12,8 @@ from liftedrbm.logic import (
     Literal,
     Predicate,
     SearchStats,
+    _columns,
+    partition,
     unify,
     witnesses,
 )
@@ -31,6 +33,7 @@ from helpers import (
     reference_satisfy,
     route_body,
     rule_clauses,
+    scan_partition,
 )
 
 
@@ -427,3 +430,125 @@ class TestKeptWitnesses:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _random_row_case(rng):
+    """A random knowledge base over one type, the bound variables of a node
+    whose first ``head`` columns are its queries' head values, and items
+    whose rows repeat their item's head values, some with no rows."""
+    names = [f"c{i}" for i in range(4)]
+    predicates = [Predicate(f"r{arity}", ("t",) * arity) for arity in (1, 2, 3)]
+    kb = KnowledgeBase()
+    for predicate in predicates:
+        for _ in range(rng.randint(0, 3 * predicate.arity)):
+            kb.add(Atom(predicate, tuple(C(rng.choice(names), "t") for _ in predicate.arg_types)))
+    head = rng.randint(0, 3)
+    bound_vars = tuple(V(f"B{i}", "t") for i in range(head + rng.randint(0, 3)))
+    items = []
+    for position in range(rng.randint(1, 8)):
+        fixed = tuple(rng.choice(names) for _ in range(head))
+        rows = tuple(
+            fixed + tuple(rng.choice(names) for _ in bound_vars[head:])
+            for _ in range(rng.randint(0, 5))
+        )
+        items.append((position, rows))
+    return kb, predicates, head, bound_vars, items
+
+
+def _random_test(rng, predicates, bound_vars):
+    """An atom over bound variables, constants and fresh variables, a fresh
+    one sometimes at two positions."""
+    predicate = rng.choice(predicates)
+    fresh = [V("F1", "t"), V("F2", "t")]
+    constants = [C(f"c{i}", "t") for i in range(4)]
+    args = []
+    for _ in predicate.arg_types:
+        roll = rng.random()
+        pool = bound_vars if bound_vars and roll < 0.6 else fresh if roll < 0.85 else constants
+        args.append(rng.choice(pool))
+    return Atom(predicate, tuple(args))
+
+
+class _ReadRows(tuple):
+    """An item's rows that record the index of each row handed out, by
+    index or by iteration, in ``reads``."""
+
+    def __new__(cls, rows, reads):
+        obj = super().__new__(cls, rows)
+        obj.reads = reads
+        return obj
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return tuple.__getitem__(self, index)
+
+    def __iter__(self):
+        for index in range(len(self)):
+            self.reads.append(index)
+            yield tuple.__getitem__(self, index)
+
+
+class TestRowTest:
+    """``partition`` reads an item's head columns from its first row: every
+    row of an item holds its query's head values there."""
+
+    def test_every_kind_of_key_is_the_plain_scan(self):
+        rng = random.Random(909)
+        kinds = dict.fromkeys(("head", "mixed", "free", "empty"), 0)
+        filtered = repeated = 0
+        for _ in range(3000):
+            kb, predicates, head, bound_vars, items = _random_row_case(rng)
+            for _ in range(4):
+                test = _random_test(rng, predicates, bound_vars)
+                positions, columns, _, filters = _columns(test, bound_vars)
+                values = kb.projection(test.predicate.name, positions, filters)
+                assert partition(columns, values, items, head) == scan_partition(
+                    columns, values, items
+                ), f"{test} head={head} items={items}"
+                inner = sum(column < head for column in columns)
+                kind = (
+                    "empty" if not columns else "head" if inner == len(columns)
+                    else "mixed" if inner else "free"
+                )
+                kinds[kind] += 1
+                filtered += bool(filters[0])
+                repeated += bool(filters[1])
+        assert min(kinds.values()) >= 1000, kinds
+        assert filtered >= 2500 and repeated >= 500
+
+    def test_a_head_key_reads_only_each_items_first_row(self):
+        kb = example1_kb()
+        reads: list[int] = []
+        rows = [("p1", "p2", "m1"), ("p1", "p2", "m2"), ("p1", "p2", "m3")]
+        items = [(0, _ReadRows(rows, reads)), (1, _ReadRows([("p3", "p1", "m1")] * 3, reads))]
+        plain = [(position, tuple(rows)) for position, rows in items]
+        for columns, values in (
+            ((0,), kb.projection("actedin", (0,))),
+            ((1, 0), kb.projection("collab", (0, 1))),
+            ((), kb.projection("ingenre", ())),
+            ((), kb.projection("ingenre", (), (((0, "m9"),), ()))),  # no such fact
+        ):
+            reads.clear()
+            split = partition(columns, values, items, 2)
+            assert split == scan_partition(columns, values, plain)
+            assert reads == [0, 0]
+        assert 0 in scan_partition((0,), kb.projection("actedin", (0,)), plain)
+
+    def test_a_new_fact_changes_the_next_decision_through_the_grouped_view(self):
+        kb = example1_kb()
+        p1, m = V("P1", "person"), V("M1", "movie")
+        bound_vars = (p1, V("P2", "person"), m)
+        items = [(0, (("p3", "p1", "m1"), ("p3", "p1", "m2"))), (1, (("p1", "p2", "m1"),))]
+        tests = (
+            atom(ACTEDIN, p1, m),  # a head column and another: the grouped view
+            atom(ACTEDIN, p1, V("M2", "movie")),  # a head column alone
+        )
+        decided = []
+        for test in tests * 2:
+            if len(decided) == len(tests):
+                kb.add(atom(ACTEDIN, C("p3", "person"), C("m2", "movie")))
+            positions, columns, _, filters = _columns(test, bound_vars)
+            values = kb.projection(test.predicate.name, positions, filters)
+            decided.append(partition(columns, values, items, 2))
+            assert decided[-1] == scan_partition(columns, values, items)
+        assert decided == [b"\x00\x01", b"\x00\x01", b"\x01\x01", b"\x01\x01"]

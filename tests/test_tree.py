@@ -57,6 +57,7 @@ from helpers import (
     oracle_satisfy,
     oracle_witnesses,
     reference_coordinate_descent,
+    scan_partition,
 )
 
 
@@ -199,7 +200,7 @@ def _partition(candidate, examples, kb, bound_vars=None):
     ``collab`` items): ``None`` for a one-sided split, else whether each
     item is on the true side."""
     bound_vars = make_head(COLLAB).args if bound_vars is None else bound_vars
-    split = atom_partition(candidate.atom, bound_vars, _positioned(examples), kb)
+    split = atom_partition(candidate.atom, bound_vars, _positioned(examples), kb, COLLAB.arity)
     assert len(split) == len(examples) and set(split) <= {0, 1}
     if 0 not in split or 1 not in split:
         return None
@@ -404,7 +405,7 @@ class TestPartition:
             for (head_vars, bound_vars), members in nodes.items():
                 items = [(position, rows) for position, (rows, _) in enumerate(members)]
                 for test in tests:
-                    split = atom_partition(test, bound_vars, items, kb)
+                    split = atom_partition(test, bound_vars, items, kb, len(head_vars))
                     assert len(split) == len(items)
                     free = [t for t in test.args if t.is_variable and t not in bound_vars]
                     for (rows, everyone), chosen in zip(members, split):
@@ -1043,15 +1044,18 @@ class TestCoverageTable:
             expanding.append(plan)
             return expand(plan, *args)
 
-        def candidate_split(columns, values, items):
+        def candidate_split(columns, values, items, width):
             if not nodes or nodes[-1] is not items:  # a node's candidates come together
                 nodes.append(items)
                 context, bound_vars = expanding[-1].context, expanding[-1].bound_vars
+                assert width == len(head.args) and bound_vars[:width] == head.args
                 for position, rows in items:
                     found = witnesses(context, unify(head, queries[position]), kb)
                     assert rows == tuple(_names(w, bound_vars) for w in found)
                     several.append(len(rows) > 1)
-            return partition(columns, values, items)
+            split = partition(columns, values, items, width)
+            assert split == scan_partition(columns, values, items)
+            return split
 
         def extended(*args):
             joins.append(join(*args))
@@ -1244,7 +1248,9 @@ class TestFalseChildDerivation:
             firsts = {}
             for j, (predicate, slots) in enumerate(candidates):
                 named = name_atom(predicate, slots, false_plan.used_names)
-                split = atom_partition(named, false_plan.bound_vars, false_plan.items, kb)
+                split = atom_partition(
+                    named, false_plan.bound_vars, false_plan.items, kb, COLLAB.arity
+                )
                 if 0 in split and 1 in split:
                     firsts.setdefault(split, j)
             want = {j: split for split, j in firsts.items()}
@@ -1330,7 +1336,9 @@ class TestSlotCandidates:
                     counts["restated"] += 1
                     continue
                 selector = next(found)
-                assert selector == atom_partition(named, plan.bound_vars, plan.items, kb)
+                assert selector == atom_partition(
+                    named, plan.bound_vars, plan.items, kb, len(root.head.args)
+                )
                 counts["decided"] += 1
                 counts["two_sided"] += 0 in selector and 1 in selector
                 taken = [slot for slot in slots if slot is not _FRESH]
