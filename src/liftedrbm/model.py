@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from operator import add
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -233,13 +234,12 @@ def train(
         )
         _check_finite_leaves(tree, index)
         model.trees.append(tree)
-        sse = 0.0
-        for i, (value, gradient) in enumerate(zip(values, gradients)):
-            sums[i] += value
-            sse += (value - gradient) ** 2
+        sums = list(map(add, sums, values))
         if progress is not None:
-            mean_abs = ordered_sum(abs(g) for g in gradients) / len(gradients)
-            progress(index + 1, sse, mean_abs)
+            sse = 0.0
+            for value, gradient in zip(values, gradients):
+                sse += (value - gradient) ** 2
+            progress(index + 1, sse, ordered_sum(map(abs, gradients)) / len(gradients))
     return model
 
 

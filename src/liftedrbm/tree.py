@@ -38,7 +38,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress, groupby
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .logic import (
@@ -448,14 +448,16 @@ class _Plan:
     depth.  Once expanded it also holds its candidates, unnamed (see
     :func:`generate_candidates`), and, in ``splits``, the selectors from
     :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
-    side) that :func:`_first_splits` keeps, and, in ``children``, the
-    (true, false) child plans of each candidate index that has won: the
-    only candidates ever named.  A true child's ``parent_vars`` are its
-    parent's bound variables until it is expanded: its rows are still its
-    parent's, and its test, the last atom of its context, is joined into
-    them then.  A false child is never expanded: it is made holding its
-    parent's candidates and its own splits (:meth:`child`).  Plans hold
-    their children, never their parents.
+    side) that :func:`_first_splits` keeps, in ``classes``, its items
+    grouped by their bits under those splits (:func:`_classes`, made the
+    first time a fit that does not own the plan ranks them), and, in
+    ``children``, the (true, false) child plans of each candidate index that
+    has won: the only candidates ever named.  A true child's ``parent_vars``
+    are its parent's bound variables until it is expanded: its rows are
+    still its parent's, and its test, the last atom of its context, is
+    joined into them then.  A false child is never expanded: it is made
+    holding its parent's candidates and its own splits
+    (:meth:`child`).  Plans hold their children, never their parents.
     """
 
     items: Optional[list[FitItem]]
@@ -466,6 +468,7 @@ class _Plan:
     parent_vars: Optional[tuple[Term, ...]] = None
     candidates: Optional[list[Candidate]] = None
     splits: Optional[dict[int, bytes]] = None
+    classes: Optional[_Classes] = None
     children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
     positions: tuple[int, ...] = field(init=False)
 
@@ -528,17 +531,18 @@ class _Plan:
         return children
 
     def drop(self) -> None:
-        """Free the rows, candidates and splits that no later fit will read."""
-        self.items = self.candidates = self.splits = None
+        """Free the rows, candidates, splits and classes that no later fit
+        will read."""
+        self.items = self.candidates = self.splits = self.classes = None
 
 
 @dataclass(slots=True)
 class _FitNode:
-    """A node of one fit: its plan, and what this fit's gradients made of it."""
+    """A node of one fit: its plan, and what this fit's gradients made of it:
+    its leaf parameters, once fit, or its test and children."""
 
     plan: _Plan
-    params: LeafParams
-    sse: float
+    params: Optional[LeafParams] = None
     test: Optional[Literal] = None
     true_child: Optional["_FitNode"] = None
     false_child: Optional["_FitNode"] = None
@@ -548,44 +552,116 @@ class _FitNode:
 _MIN_SPLIT_SSE = 1e-12
 
 
-def _floors(deltas: Sequence[float], splits: dict[int, bytes]) -> list[tuple[float, int]]:
+def _allowance(n: int, squares: float) -> float:
+    """What :func:`_floors` takes off a floor over n targets whose squares
+    sum to ``squares``, for rounding."""
+    return 8 * n * sys.float_info.epsilon * squares + n * sys.float_info.min
+
+
+class _Classes(NamedTuple):
+    """A node's items grouped by their bits under every split: ``gather``
+    lists the node's targets class by class, ``spans`` slices each class
+    out of that list, and ``selectors`` holds each split's selector over
+    the classes (1 on the true side) and its complement, by split index."""
+
+    gather: operator.itemgetter
+    spans: list[slice]
+    selectors: dict[int, tuple[bytes, bytes]]
+
+
+def _classes(splits: dict[int, bytes]) -> _Classes:
+    """The :class:`_Classes` of a node's ``splits``, at least one: items
+    with the same bit under every split form one class, so each split's
+    sides are unions of classes, and a node's few splits cut its many items
+    into few classes."""
+    bits = list(zip(*splits.values()))  # each item's bits, in split order
+    order = sorted(range(len(bits)), key=bits.__getitem__)  # stable: a class keeps item order
+    keys, ends = [], []
+    for key, members in groupby(order, bits.__getitem__):
+        keys.append(key)
+        ends.append(len(list(members)))
+    ends = list(accumulate(ends))
+    selectors = {}
+    for j, k in enumerate(splits):
+        selector = bytes([key[j] for key in keys])
+        selectors[k] = (selector, selector.translate(FLIP))
+    return _Classes(
+        operator.itemgetter(*order), list(map(slice, [0] + ends[:-1], ends)), selectors
+    )
+
+
+def _floors(
+    deltas: Sequence[float], splits: dict[int, bytes], classes: Optional[_Classes] = None
+) -> list[tuple[float, int]]:
     """(floor, index) of each of a node's ``splits``, ascending: a floor
     under the computed score of any leaf values on the split's two sides.
 
     A side's squared error is least at its mean (CART; Breiman et al. 1984):
-    ``Q - S * (S / m)`` for m targets of sum S and sum of squares Q, each
-    summed left to right (:func:`ordered_sum`) through the split's selector
-    or its complement.  The floor is the two sides' sum less ``8 * n * eps *
-    Q + n * min`` for the node's n targets and Q.  Proof that this is
-    enough: let u = eps / 2, t the least subnormal, and for a side Q* and S*
-    the exact sums, E* = Q* - S* ** 2 / m and A = sum(|d|) <= sqrt(m * Q*).
-    A computed sum of m floats errs by at most 2 * m * u * (their
-    magnitudes' sum); a product, quotient or difference by u, and ``** 2``
-    by 2 * u, relatively, plus t on underflow.  With no overflow and n * u <
-    1e-6, S errs by 2 * m * u * A, so the side's computed ``Q - S * (S /
-    m)`` is at most E* + (6m + 6) * u * Q* + (m + 2) * t, and its computed
-    leaf error at least E* - (2m + 4) * u * Q* - m * t.  Summed, the floor
-    before the allowance exceeds the score by at most (8n + 4) * u * Q* +
-    (2n + 5) * t for the node's Q*, below the allowance, as the computed Q
-    >= 0.99 * Q* - n * t and min = 2 ** 52 * t.  Rounding is monotone, so
-    the floor is at most the score.  An overflow leaves the floor inf, -inf
-    or NaN, read as -inf: no floor, and no prune.
+    ``Q - S * (S / m)`` for m targets of sum S and sum of squares Q.  Given
+    ``classes``, the splits' :func:`_classes`, each class's S and Q are
+    summed once and a side's are the sums of its classes' (per-class
+    sufficient statistics, as in LightGBM's histograms; Ke et al., NeurIPS
+    2017); that pays when the splits are ranked again, as ``train``'s later
+    trees do.  Without them every item is a class of its own, and a side's
+    sums are taken through its selector.  The floor is the two sides' sum
+    less ``8 * n * eps * Q + n * min`` (:func:`_allowance`) for the node's n
+    targets and Q.  Proof that this is enough: let u = eps / 2, t the least
+    subnormal, and for a side Q* and S* the exact sums, E* = Q* - S* ** 2 /
+    m and A = sum(|d|) <= sqrt(m * Q*).  A computed sum of m floats errs by
+    at most 2 * m * u * (their magnitudes' sum) in any order: in any tree of
+    plain additions, such as class sums and then their sum, each term passes
+    through at most m - 1 roundings; a compensated ``sum`` (Python 3.12 on)
+    errs by at most 2 * u * (that magnitude sum) plus O(m * u ** 2) times
+    it, so class sums and their sum, both compensated, by about 4 * u times
+    it, within the bound for m >= 2, and one term is summed exactly.  A
+    product, quotient or difference errs by u, and ``** 2`` by 2 * u,
+    relatively, plus t on underflow.  With no overflow and n * u < 1e-6, S
+    errs by 2 * m * u * A, so the side's computed ``Q - S * (S / m)`` is at
+    most E* + (6m + 6) * u * Q* + (m + 2) * t, and its computed leaf error
+    at least E* - (2m + 4) * u * Q* - m * t.  Summed, the floor before the
+    allowance exceeds the score by at most (8n + 4) * u * Q* + (2n + 5) * t
+    for the node's Q*, below the allowance, as the computed Q >= 0.99 * Q* -
+    n * t and min = 2 ** 52 * t.  Rounding is monotone, so the floor is at
+    most the score.  An overflow leaves the floor inf, -inf or NaN, read as
+    -inf: no floor, and no prune.
     """
     n = len(deltas)
-    squares = list(map(operator.mul, deltas, deltas))
-    allowance = 8 * n * sys.float_info.epsilon * ordered_sum(squares) + n * sys.float_info.min
+    if classes is None:
+        sums, square_sums = deltas, list(map(operator.mul, deltas, deltas))
+        selectors = {k: (split, split.translate(FLIP)) for k, split in splits.items()}
+    else:
+        grouped = classes.gather(deltas)
+        squares = list(map(operator.mul, grouped, grouped))
+        sums = list(map(sum, map(grouped.__getitem__, classes.spans)))
+        square_sums = list(map(sum, map(squares.__getitem__, classes.spans)))
+        selectors = classes.selectors
+    allowance = _allowance(n, sum(square_sums))
     ranked = []
-    for k, split in splits.items():
-        flip = split.translate(FLIP)
-        m = split.count(1)
-        s_true = ordered_sum(compress(deltas, split))
-        s_false = ordered_sum(compress(deltas, flip))
+    for k, (selector, flip) in selectors.items():
+        m = splits[k].count(1)
+        s_true = sum(compress(sums, selector))
+        s_false = sum(compress(sums, flip))
         floor = (
-            (ordered_sum(compress(squares, split)) - s_true * (s_true / m))
-            + (ordered_sum(compress(squares, flip)) - s_false * (s_false / (n - m)))
+            (sum(compress(square_sums, selector)) - s_true * (s_true / m))
+            + (sum(compress(square_sums, flip)) - s_false * (s_false / (n - m)))
         ) - allowance
         ranked.append((floor if floor < math.inf else -math.inf, k))
     return sorted(ranked)
+
+
+def _leaf_floor(deltas: Sequence[float]) -> float:
+    """A floor under the computed squared error of any one leaf value on
+    ``deltas``: their least error ``Q - S * (S / n)`` less :func:`_allowance`,
+    or -inf where that overflows.  For n >= 2 this is one side of
+    :func:`_floors`'s proof: the floor before the allowance exceeds the
+    error by at most (8n + 10) * u * Q* + (2n + 2) * t, below the
+    allowance.  One target's floor is at most 0: ``d * (d / 1)`` is the
+    computed ``Q``."""
+    n = len(deltas)
+    squares = sum(map(operator.mul, deltas, deltas))
+    total = sum(deltas)
+    floor = (squares - total * (total / n)) - _allowance(n, squares)
+    return floor if floor < math.inf else -math.inf
 
 
 class _Root(NamedTuple):
@@ -641,6 +717,11 @@ def fit_regression_tree(
     floor under its score from its sides' least squared errors at their
     means (CART; Breiman et al. 1984), less an allowance for rounding that
     :func:`_floors` proves, and candidates are fit in (floor, index) order.
+    When later fits reuse the plans, as :func:`~liftedrbm.model.train`'s
+    do, the floors read each side's sums from its classes'
+    (:func:`_classes`): a node's splits cut its items into few classes,
+    grouped once per plan, so a fit sums each class once rather than each
+    side.
     No candidate is fit past the first floor above the best score so far,
     nor one whose floor equals it when its index is higher than the best
     one's: it could at most tie, and lose the tie.  The committed candidate
@@ -650,7 +731,13 @@ def fit_regression_tree(
 
     Leaf fits are fewer still: :func:`coordinate_descent` fits a leaf to
     its targets' mean, so each distinct mean (bit for bit) is fit once per
-    call and its parameters reused for every leaf with that mean.
+    call and its parameters reused for every leaf with that mean.  A root
+    that splits is never fit: its error only decides whether it is worth
+    splitting, and when the one-side floor under it (:func:`_leaf_floor`)
+    is above the threshold, so is the error.  The root is fit when that
+    floor is not, and when it stays a leaf (one leaf allowed, depth 0, no
+    two-sided split, or an error near zero), with the parameters an
+    up-front fit gives it.
 
     Each node is a fit plan (:class:`_Plan`): what it is regardless of the
     gradients.  Its items are (position in ``queries``, rows), every witness
@@ -716,17 +803,22 @@ def _grow(
         params, value = fit
         return params, _sum_squares(value, deltas)
 
-    top = _FitNode(root.plan, *fit_leaf(gradients))
-
     tick = itertools.count()
     frontier: list[tuple[float, int, _FitNode, list[float]]] = []
 
-    def push(node: _FitNode, deltas: list[float]) -> None:
+    def push(node: _FitNode, sse: float, deltas: list[float]) -> None:
         depth_ok = max_depth is None or node.plan.depth < max_depth
-        if depth_ok and node.sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
-            heapq.heappush(frontier, (-node.sse, next(tick), node, deltas))
+        if depth_ok and sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
+            heapq.heappush(frontier, (-sse, next(tick), node, deltas))
 
-    push(top, gradients)
+    # A root that splits needs no leaf parameters, and its error only
+    # decides whether it is queued, alone: a floor above the threshold
+    # decides that unfit.  A root that stays a leaf is fit at the end.
+    top = _FitNode(root.plan)
+    sse = _leaf_floor(gradients)
+    if not sse > _MIN_SPLIT_SSE:
+        top.params, sse = fit_leaf(gradients)
+    push(top, sse, gradients)
     leaves = 1
     while leaves < max_leaves and frontier:
         _, _, node, deltas = heapq.heappop(frontier)
@@ -734,7 +826,9 @@ def _grow(
         if plan.splits is None:
             plan.expand(root, kb)
         best = None
-        for floor, k in _floors(deltas, plan.splits):
+        if plan.classes is None and plan.splits and not owned:  # ranked again by later fits
+            plan.classes = _classes(plan.splits)
+        for floor, k in _floors(deltas, plan.splits, plan.classes):
             # The score is at least the floor, so it cannot come first in
             # (score, index) order; past the first floor above the best
             # score, none can.
@@ -756,12 +850,14 @@ def _grow(
         node.test = Literal(true_plan.context[-1])
         if owned:
             plan.drop()  # its items live on in its children; a join frees its rows
-        node.true_child = _FitNode(true_plan, *fit_left)
-        node.false_child = _FitNode(false_plan, *fit_right)
+        node.true_child = _FitNode(true_plan, fit_left[0])
+        node.false_child = _FitNode(false_plan, fit_right[0])
         leaves += 1
-        push(node.true_child, left)
-        push(node.false_child, right)
+        push(node.true_child, fit_left[1], left)
+        push(node.false_child, fit_right[1], right)
 
+    if top.test is None and top.params is None:
+        top.params = fit_leaf(gradients)[0]
     values = [0.0] * len(gradients)  # by position: the value of the leaf it reached
     return RelationalRegressionTree(root.head, _materialize(top, values)), values
 

@@ -24,6 +24,7 @@ from liftedrbm.logic import (
     route_decision,
     unify,
 )
+from liftedrbm.model import probability
 from liftedrbm.network import HiddenNode, LiftedRBMNetwork
 from liftedrbm.tree import (
     InternalNode,
@@ -352,6 +353,33 @@ def oracle_per_tree(trees, query, kb: KnowledgeBase) -> tuple[float, ...]:
         values.append(leaves[fired[0]].params.value())
     return tuple(values)
 
+
+
+def reference_train_loop(model, labeled, kb: KnowledgeBase):
+    """What ``train`` reports and adds up for ``model``, trained on the
+    (query, label) pairs ``labeled``, by a loop over the examples: per tree,
+    its ``progress(index, sse, mean_abs)`` arguments, and each example's
+    leaf-value sum before it, with one list more for the sums after the
+    last tree.  Before each tree an example's gradient is its label less
+    ``probability(psi0 + sum)``; its leaf value is the one ``model.per_tree``
+    routes it to, added onto its sum, and ``(value - gradient) ** 2`` onto
+    the tree's error, both from ``0.0`` and left to right."""
+    routed = [model.per_tree(query, kb) for query, _ in labeled]
+    sums = [0.0] * len(labeled)
+    reports, sums_before = [], []
+    for index in range(len(model.trees)):
+        sums_before.append(list(sums))
+        gradients = [
+            label - probability(model.psi0 + total, model.config.psi_clamp)
+            for (_, label), total in zip(labeled, sums)
+        ]
+        sse = 0.0
+        for i, gradient in enumerate(gradients):
+            value = routed[i][index]
+            sums[i] += value
+            sse += (value - gradient) ** 2
+        reports.append((index + 1, sse, left_sum(abs(g) for g in gradients) / len(gradients)))
+    return reports, sums_before + [sums]
 
 # --- random-case generator for the satisfaction oracle suite ---------------
 

@@ -10,9 +10,9 @@ from liftedrbm.cli import main
 from liftedrbm.data import parse_atom_text, parse_facts, parse_modes
 from liftedrbm.model import load_model
 from liftedrbm.network import lrbm_inference, paths_to_lrbm
-from liftedrbm.tree import LeafParams
+from liftedrbm.tree import LeafNode, LeafParams, RelationalRegressionTree, make_head
 
-from helpers import BOOST_FIXTURE, recording_pool, serialize_facts
+from helpers import BOOST_FIXTURE, left_sum, recording_pool, serialize_facts
 from synthetic_domain import MODES_TEXT, generate_movie_domain
 
 
@@ -821,6 +821,42 @@ class TestExplain:
             assert main(argv) == 0
         written = sorted(path.name for path in tmp_path.iterdir())
         assert written == sorted(p + s for p in ("net.a", "net.b") for s in suffixes)
+
+    def test_depth_zero_fits_one_leaf_once(self, data_dir, trained_model_path, tmp_path, monkeypatch):
+        # A depth-0 distillation is its root, a leaf: one coordinate_descent
+        # call, at the mean of the examples' potentials, with the model's
+        # settings.
+        means = []
+        fit = tree_module.coordinate_descent
+
+        def counted(mean, *args, **kwargs):
+            means.append(mean)
+            return fit(mean, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "coordinate_descent", counted)
+        out = tmp_path / "net"
+        assert main([
+            "explain", "--model", str(trained_model_path), "--mode", "distill", "--depth", "0",
+            "--facts", str(data_dir / "facts.txt"), "--pos", str(data_dir / "pos.txt"),
+            "--neg", str(data_dir / "neg.txt"), "--out", str(out),
+        ]) == 0
+        monkeypatch.undo()
+        model = load_model(trained_model_path)
+        kb = parse_facts((data_dir / "facts.txt").read_text(), model.modes)
+        queries = [
+            parse_atom_text(line.rstrip("."), {model.target.name: model.target}, require_ground=True)
+            for name in ("pos.txt", "neg.txt")
+            for line in (data_dir / name).read_text().splitlines()
+        ]
+        psis = model.psi_many(queries, kb)
+        mean = left_sum(psis) / len(psis)
+        assert [m.hex() for m in means] == [mean.hex()]
+        params = fit(
+            mean, learning_rate=model.config.learning_rate, max_iters=model.config.cd_max_iters,
+            tolerance=model.config.cd_tolerance,
+        )
+        leaf = RelationalRegressionTree(make_head(model.target), LeafNode(params))
+        assert (tmp_path / "net.tree.txt").read_text() == leaf.to_text()
 
     def test_negative_depth_is_named_in_the_error(
         self, data_dir, trained_model_path, tmp_path, capsys

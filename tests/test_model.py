@@ -30,6 +30,7 @@ from helpers import (
     example1_kb,
     left_sum,
     oracle_per_tree,
+    reference_train_loop,
 )
 from synthetic_domain import generate_movie_domain
 
@@ -359,6 +360,41 @@ class TestTrain:
                 for (_, label), psi in zip(labeled, psis)
             ]
             assert [g.hex() for g in gradients] == [w.hex() for w in want], index
+
+    @pytest.mark.parametrize("psi0", [0.0, math.log(3.0)])
+    def test_progress_and_sums_are_the_per_example_loop(self, movie_domain, monkeypatch, psi0):
+        # train sums each example's leaf values and each tree's error and
+        # mean |gradient| by builtins over whole lists; they must be the
+        # floats a loop over the examples adds, bit for bit.  Its sums are
+        # read where train reads them: as psi0 + sum, one probability call
+        # per distinct (label, sum) pair, in first-seen order.
+        import liftedrbm.model as model_module
+
+        kb, examples, _ = movie_domain
+        psis = []
+
+        def spied(psi, clamp):
+            psis.append(psi)
+            return probability(psi, clamp)
+
+        monkeypatch.setattr(model_module, "probability", spied)
+        reports = []
+        model = train(
+            kb, examples, TrainConfig(n_trees=6), progress=lambda *r: reports.append(r), psi0=psi0
+        )
+        monkeypatch.undo()
+        labeled = examples.labeled()
+        want, sums = reference_train_loop(model, labeled, kb)
+
+        def bits(rows):
+            return [(index, sse.hex(), mean_abs.hex()) for index, sse, mean_abs in rows]
+
+        assert bits(reports) == bits(want)
+        labels = [label for _, label in labeled]
+        read = [psi0 + total for before in sums[:-1] for _, total in dict.fromkeys(zip(labels, before))]
+        assert [psi.hex() for psi in psis] == [psi.hex() for psi in read]
+        for (query, _), total in zip(labeled, sums[-1]):
+            assert model.psi(query, kb).hex() == (psi0 + total).hex()
 
     def test_prior_potential_shifts_the_model(self):
         kb = example1_kb()

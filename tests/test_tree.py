@@ -32,8 +32,10 @@ from liftedrbm.tree import (
     make_head,
     _FRESH,
     _atom,
+    _classes,
     _floors,
     _grow,
+    _leaf_floor,
     _restates,
     _root_plan,
     _sum_squares,
@@ -614,14 +616,27 @@ def _mean_sse(deltas):
     return left_sum((mean - d) ** 2 for d in deltas)
 
 
+def _counted_fits(monkeypatch):
+    """The means ``coordinate_descent`` is called with from now on, as hex."""
+    import liftedrbm.tree as tree_module
+
+    means = []
+    fit = tree_module.coordinate_descent
+
+    def counted(mean, *args, **kwargs):
+        means.append(mean.hex())
+        return fit(mean, *args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "coordinate_descent", counted)
+    return means
+
+
 class TestLeafFitMemo:
     def test_each_distinct_mean_is_fit_once(self, monkeypatch):
         # Targets are +0.5 where both people act or neither does, -0.5
         # otherwise.  Splitting on whether P1 acts leaves both sides the mean
         # -1/14, and splitting each side on whether P2 acts leaves four pure
         # leaves, two of each sign: seven leaf fits wanted, three distinct.
-        import liftedrbm.tree as tree_module
-
         actors, others = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]
         kb = parse_facts(
             "".join(f"actedin({a}, m1).\n" for a in actors)
@@ -631,14 +646,7 @@ class TestLeafFitMemo:
         pairs = [(x, y) for x in actors + others for y in actors + others if x != y]
         queries = [atom(COLLAB, C(x, "person"), C(y, "person")) for x, y in pairs]
         gradients = [0.5 if (x in actors) == (y in actors) else -0.5 for x, y in pairs]
-        means = []
-        fit = tree_module.coordinate_descent
-
-        def counted(mean, *args, **kwargs):
-            means.append(mean.hex())
-            return fit(mean, *args, **kwargs)
-
-        monkeypatch.setattr(tree_module, "coordinate_descent", counted)
+        means = _counted_fits(monkeypatch)
         ((tree, fitted),) = _fits_from_one_root(queries, [gradients], 4, MOVIE_MODES, kb, owned=True)
         leaves = [leaf.params for _, leaf in tree.paths()]
         assert sorted(leaf.value() for leaf in leaves) == pytest.approx([-0.5, -0.5, 0.5, 0.5], abs=1e-3)
@@ -734,6 +742,157 @@ class TestSseFloor:
         unpadded = left_sum(d * d for d in deltas) - left_sum(deltas) * (left_sum(deltas) / 6)
         assert sse < unpadded
         assert sse + sse >= _floor(deltas + deltas, [1] * 6 + [0] * 6)
+
+
+def _random_node(rng):
+    """Targets and 2-12 splits of a random node, the splits keyed by
+    candidate index as a plan keeps them.  Some targets are constant, some
+    are near 1e154 or 1e200, where squares and sums overflow, some splits
+    repeat another's column, and some leave one item alone on a side."""
+    n = rng.randint(2, 40)
+    scale = rng.choice([1e-6, 1e-3, 1.0, 1.0, 1.0, 1e154, 1e200])
+    if rng.random() < 0.15:
+        deltas = [rng.uniform(-scale, scale)] * n
+    else:
+        deltas = [rng.uniform(-scale, scale) for _ in range(n)]
+    columns = []
+    for _ in range(rng.randint(2, 12)):
+        kind = rng.random()
+        if columns and kind < 0.2:
+            column = rng.choice(columns)  # a duplicate column
+        elif kind < 0.4:
+            column = [0] * n  # one item alone on the true side
+            column[rng.randrange(n)] = 1
+        elif kind < 0.5:
+            column = [1] * n  # ... or on the false side
+            column[rng.randrange(n)] = 0
+        else:
+            share = rng.random()
+            column = [int(rng.random() < share) for _ in range(n)]
+            column[0], column[-1] = 1, 0
+        columns.append(bytes(column))
+    indices = sorted(rng.sample(range(60), len(columns)))
+    return deltas, dict(zip(indices, columns))
+
+
+class TestClassFloors:
+    def test_every_floor_is_under_its_splits_leaf_fits(self):
+        # Through each selector or per class and then per side, in another
+        # order than a split's own items, each floor must be under the
+        # computed error of the split's two fitted leaves.
+        rng = random.Random(29)
+        fits = {}
+
+        def leaf_sse(deltas):
+            mean = _mean(deltas)
+            if mean.hex() not in fits:
+                fits[mean.hex()] = coordinate_descent(mean).value()
+            return _sum_squares(fits[mean.hex()], deltas)
+
+        one_item = finite = 0
+        for _ in range(400):
+            deltas, splits = _random_node(rng)
+            for ranked in (_floors(deltas, splits), _floors(deltas, splits, _classes(splits))):
+                assert ranked == sorted(ranked)
+                assert sorted(k for _, k in ranked) == sorted(splits)
+                for floor, k in ranked:
+                    left, right = _sides(deltas, splits[k])
+                    assert not leaf_sse(left) + leaf_sse(right) < floor, (deltas, splits[k])
+                    one_item += min(len(left), len(right)) == 1
+                    finite += floor > -math.inf
+        assert one_item > 400 and finite > 2000
+
+    def test_a_kept_grouping_ranks_as_the_selectors_do(self):
+        # A plan keeps its classes across trees: with every later tree's
+        # targets they rank the splits as sums through each selector do,
+        # the floors differing only by rounding.
+        rng = random.Random(31)
+        for _ in range(200):
+            deltas, splits = _random_node(rng)
+            classes = _classes(splits)
+            for _ in range(3):
+                targets = [rng.uniform(-1, 1) for _ in deltas]
+                kept, fresh = _floors(targets, splits, classes), _floors(targets, splits)
+                assert [k for _, k in kept] == [k for _, k in fresh]
+                assert [f for f, _ in kept] == pytest.approx([f for f, _ in fresh], rel=1e-12, abs=1e-12)
+
+    def test_classes_partition_the_items_by_their_bits(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            deltas, splits = _random_node(rng)
+            gather, spans, selectors = _classes(splits)
+            order = list(gather(range(len(deltas))))
+            assert sorted(order) == list(range(len(deltas)))
+            bits = [tuple(split[i] for split in splits.values()) for i in range(len(deltas))]
+            keys = []
+            for span in spans:
+                members = order[span]
+                assert members == sorted(members) and len({bits[i] for i in members}) == 1
+                keys.append(bits[members[0]])
+            assert len(set(keys)) == len(keys)
+            for j, (k, split) in enumerate(splits.items()):
+                selector, flip = selectors[k]
+                assert list(selector) == [key[j] for key in keys]
+                assert list(flip) == [1 - key[j] for key in keys]
+                assert sum(len(order[span]) for span, bit in zip(spans, selector) if bit) == (
+                    split.count(1)
+                )
+
+
+class TestRootFit:
+    """A root is fit only when it stays a leaf, or when the floor under its
+    error does not show that it is worth splitting."""
+
+    def _assert_one_fit_leaf(self, tree, gradients, means):
+        assert isinstance(tree.root, LeafNode)
+        assert means == [_mean(gradients).hex()]
+        assert tree.root.params == coordinate_descent(_mean(gradients))
+
+    @pytest.mark.parametrize("max_leaves, max_depth", [(1, None), (4, 0), (1, 0)])
+    def test_a_capped_root_is_fit_once(self, monkeypatch, max_leaves, max_depth):
+        modes, kb, queries, gradients = _separable_domain()
+        means = _counted_fits(monkeypatch)
+        tree = fit_regression_tree(queries, gradients, max_leaves, modes, kb, max_depth=max_depth)
+        self._assert_one_fit_leaf(tree, gradients, means)
+
+    def test_a_root_with_no_two_sided_split_is_fit_once(self, monkeypatch):
+        # Both people act in the same movies: no candidate splits them.
+        kb = example1_kb()
+        p1, p2 = C("p1", "person"), C("p2", "person")
+        queries = [atom(COLLAB, p1, p2), atom(COLLAB, p2, p1)]
+        gradients = [0.5, -0.25]
+        assert _leaf_floor(gradients) > 1e-12
+        means = _counted_fits(monkeypatch)
+        tree = fit_regression_tree(queries, gradients, 4, MOVIE_MODES, kb)
+        self._assert_one_fit_leaf(tree, gradients, means)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-7])
+    def test_a_root_with_near_zero_error_is_fit_once(self, monkeypatch, value):
+        modes, kb, queries, _ = _separable_domain()
+        gradients = [value] * len(queries)
+        means = _counted_fits(monkeypatch)
+        tree = fit_regression_tree(queries, gradients, 4, modes, kb)
+        self._assert_one_fit_leaf(tree, gradients, means)
+
+    def test_one_example_is_fit_once(self, monkeypatch):
+        modes, kb, queries, gradients = _separable_domain()
+        means = _counted_fits(monkeypatch)
+        tree = fit_regression_tree(queries[:1], gradients[:1], 4, modes, kb)
+        self._assert_one_fit_leaf(tree, gradients[:1], means)
+
+    def test_a_root_that_splits_is_never_fit(self, monkeypatch):
+        modes, kb, queries, gradients = _separable_domain()
+        rng = random.Random(5)
+        noisy = [g + rng.uniform(-0.1, 0.1) for g in gradients]
+        means = _counted_fits(monkeypatch)
+        fits = _fits_from_one_root(queries, [noisy, gradients], 3, modes, kb)
+        assert len(means) == len(set(means)) > 0
+        for (tree, _), targets in zip(fits, [noisy, gradients]):
+            assert isinstance(tree.root, InternalNode)
+            assert _mean(targets).hex() not in means
+        monkeypatch.undo()
+        for earlier, targets in (((), noisy), ((noisy,), gradients)):
+            _assert_fit_matches_exhaustive(queries, targets, 3, modes, kb, earlier)
 
 
 def _separable_domain():
