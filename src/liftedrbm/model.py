@@ -247,7 +247,7 @@ def _finite_leaf(params: LeafParams) -> bool:
     """Whether a leaf's parameters and value are finite, as every leaf's
     must be: then a potential, the prior plus leaf values, may overflow to
     an infinity but is never NaN."""
-    return all(map(math.isfinite, params.as_tuple())) and math.isfinite(params.value())
+    return all(map(math.isfinite, params)) and math.isfinite(params.value())
 
 
 def _check_finite_leaves(tree: RelationalRegressionTree, index: int) -> None:
@@ -258,13 +258,13 @@ def _check_finite_leaves(tree: RelationalRegressionTree, index: int) -> None:
             path = " ∧ ".join(str(lit) for lit in literals) or "true"
             raise ValueError(
                 f"tree {index + 1} leaf {path} has non-finite parameters or value "
-                f"{leaf.params.as_tuple()}; lower the learning rate"
+                f"{tuple(leaf.params)}; lower the learning rate"
             )
 
 
 def _node_to_dict(node: TreeNode) -> dict:
     if isinstance(node, LeafNode):
-        return {"leaf": list(node.params.as_tuple())}
+        return {"leaf": list(node.params)}
     return {
         "test": str(node.test.atom),
         "true": _node_to_dict(node.true_child),
@@ -281,6 +281,8 @@ def _finite(value, what: str) -> float:
 
 def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
     if "leaf" in data:
+        if not data.keys().isdisjoint(("test", "true", "false")):
+            raise ValueError("a tree node holds both a leaf and a test")
         values = data["leaf"]
         if len(values) != 5:
             raise ParseError("leaf parameters must be a 5-tuple")
@@ -346,6 +348,10 @@ def _array(value, field: str) -> tuple:
     return tuple(value)
 
 
+def _signature(predicate: Predicate) -> str:
+    return f"{predicate.name}({', '.join(predicate.arg_types)})"
+
+
 def _model_from_dict(data: dict) -> BoostedModel:
     modes = {
         name: ModeDeclaration(
@@ -359,7 +365,13 @@ def _model_from_dict(data: dict) -> BoostedModel:
     target = check_predicate(
         Predicate(target_info["name"], _array(target_info["arg_types"], "target.arg_types"))
     )
-    predicates.setdefault(target.name, target)
+    # Tree tests are parsed with these predicates and scored against the
+    # target, so the two must agree.
+    declared = predicates.setdefault(target.name, target)
+    if declared != target:
+        raise ValueError(
+            f"target {_signature(target)} disagrees with its mode {_signature(declared)}"
+        )
     names = target_info["head_vars"]
     head = parse_atom_text(f"{target.name}({', '.join(names)})", {target.name: target})
     if not isinstance(names, list) or len({t.name for t in head.variables()}) != len(names):

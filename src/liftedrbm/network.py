@@ -175,7 +175,7 @@ def distill_single_tree(
 
 
 def _params_text(params: LeafParams) -> str:
-    return "(" + ", ".join(repr(v) for v in params.as_tuple()) + ")"
+    return repr(tuple(params))
 
 
 def network_to_dict(net: LiftedRBMNetwork) -> dict:
@@ -190,7 +190,7 @@ def network_to_dict(net: LiftedRBMNetwork) -> dict:
                 "id": node.index,
                 "source": list(node.source),
                 "clause": str(node.clause),
-                "params": list(node.params.as_tuple()),
+                "params": list(node.params),
             }
             for node in net.hidden
         ],

@@ -78,15 +78,15 @@ else:
         return total
 
 
-@dataclass(frozen=True, slots=True)
-class LeafParams:
+class LeafParams(NamedTuple):
     """Parameters of one clause feature, all applied when the path is active.
 
     ``output_bias`` is the difference between the two output-node biases (only
     the difference matters for the potential), ``hidden_bias`` the bias of the
     hidden unit, ``feature_weight`` the visible-to-hidden weight on the path
     indicator, and ``neg_weight``/``pos_weight`` the edges from the hidden unit
-    to the two output nodes.
+    to the two output nodes.  It is the plain 5-tuple of these, in this order,
+    that a model document stores and a tree's text prints.
     """
 
     output_bias: float = 0.0
@@ -97,23 +97,14 @@ class LeafParams:
 
     def value(self) -> float:
         """Potential contributed when this leaf's path feature is active."""
-        return _value(self.as_tuple())
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.output_bias,
-            self.hidden_bias,
-            self.feature_weight,
-            self.neg_weight,
-            self.pos_weight,
-        )
+        return _value(self)
 
 
 ZERO_PARAMS = LeafParams()
 
 
 def _value(p: Sequence[float]) -> float:
-    """Leaf potential of parameters in :meth:`LeafParams.as_tuple` order,
+    """Leaf potential of five parameters in :class:`LeafParams` order,
     ``output_bias + softplus(base + pos_weight) - softplus(base + neg_weight)``
     with ``base = hidden_bias + feature_weight``."""
     return p[0] + softplus(p[1] + p[2] + p[4]) - softplus(p[1] + p[2] + p[3])
@@ -182,7 +173,7 @@ def coordinate_descent(
         raise ValueError("learning rate must be positive")
     rate, exp, log1p, inf = learning_rate, math.exp, math.log1p, math.inf
     half = sys.float_info.max / 2
-    p0, p1, p2, p3, p4 = theta0.as_tuple()
+    p0, p1, p2, p3, p4 = theta0
     a = p1 + p2 + p4
     ea = exp(-a if a >= 0 else a)
     sa = (0.0 if 0.0 > a else a) + log1p(ea)
@@ -284,7 +275,7 @@ class RelationalRegressionTree:
 
     @property
     def depth(self) -> int:
-        return _depth(self.root)
+        return max(len(literals) for literals, _ in self.paths())
 
     def paths(self) -> Iterable[tuple[tuple[Literal, ...], LeafNode]]:
         """Root-to-leaf paths as signed literal tuples, true branch first."""
@@ -309,17 +300,11 @@ class RelationalRegressionTree:
         return "\n".join(lines) + "\n"
 
 
-# Module-level, not closures calling themselves: such a closure is a
-# reference cycle on every call.
-def _depth(node: TreeNode) -> int:
-    if isinstance(node, LeafNode):
-        return 0
-    return 1 + max(_depth(node.true_child), _depth(node.false_child))
-
-
+# Module-level, not a closure calling itself: such a closure is a reference
+# cycle on every call.
 def _text_lines(node: TreeNode, indent: str, lines: list[str]) -> None:
     if isinstance(node, LeafNode):
-        values = ", ".join(repr(v) for v in node.params.as_tuple())
+        values = ", ".join(map(repr, node.params))
         lines.append(f"{indent}leaf value={node.params.value():.6f} params=({values})")
         return
     lines.append(f"{indent}test {node.test}")
@@ -441,23 +426,28 @@ FitItem = tuple[int, tuple[tuple[str, ...], ...]]
 
 @dataclass(slots=True, eq=False)
 class _Plan:
-    """A fit node as far as it does not depend on the gradients.
+    """A node of the fits from one root, as far as it does not depend on the
+    gradients; a fit records what its gradients made of each plan it reaches
+    (:func:`_grow`).
 
     It holds the examples that reach the node, as ``items`` with their rows
-    and as ``positions``, its context, its bound variables, used names and
-    depth.  Once expanded it also holds its candidates, unnamed (see
+    (tuple-ID propagation; Yin et al., CrossMine, ICDE 2004) and as
+    ``positions``, its context, its bound variables, used names and depth.
+    Once expanded it also holds its candidates, unnamed (see
     :func:`generate_candidates`), and, in ``splits``, the selectors from
     :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
     side) that :func:`_first_splits` keeps, in ``classes``, its items
     grouped by their bits under those splits (:func:`_classes`, made the
     first time a fit that does not own the plan ranks them), and, in
     ``children``, the (true, false) child plans of each candidate index that
-    has won: the only candidates ever named.  A true child's ``parent_vars``
-    are its parent's bound variables until it is expanded: its rows are
-    still its parent's, and its test, the last atom of its context, is
-    joined into them then.  A false child is never expanded: it is made
-    holding its parent's candidates and its own splits
-    (:meth:`child`).  Plans hold their children, never their parents.
+    has won: the only candidates ever named.  A true child's test is the
+    last atom of its context.  Its ``parent_vars`` are its parent's bound
+    variables until it is expanded: its rows are still its parent's, and
+    its test is joined into them then.  A false child is never expanded: it
+    is made holding its parent's candidates and its own splits
+    (:meth:`child`).  Plans hold their children, never their parents, and
+    :meth:`drop` keeps the context, positions and children a fit's tree is
+    read from.
     """
 
     items: Optional[list[FitItem]]
@@ -534,18 +524,6 @@ class _Plan:
         """Free the rows, candidates, splits and classes that no later fit
         will read."""
         self.items = self.candidates = self.splits = self.classes = None
-
-
-@dataclass(slots=True)
-class _FitNode:
-    """A node of one fit: its plan, and what this fit's gradients made of it:
-    its leaf parameters, once fit, or its test and children."""
-
-    plan: _Plan
-    params: Optional[LeafParams] = None
-    test: Optional[Literal] = None
-    true_child: Optional["_FitNode"] = None
-    false_child: Optional["_FitNode"] = None
 
 
 # Nodes whose residual error is below this are never worth splitting.
@@ -704,64 +682,21 @@ def fit_regression_tree(
     """Greedy best-first induction of one tree fitting ``gradients``, the
     regression target of each of the ground ``queries`` at its position.
 
-    Expandable nodes sit in a priority queue ordered by their residual error.
-    A candidate's score is the sum of its two child leaves' squared errors,
-    each leaf fit by coordinate descent; the first candidate attaining the
-    minimum is committed (deterministic tie-break) and both children are
-    queued.  Construction stops at ``max_leaves`` leaves or when nothing
-    expandable remains; candidates emptying either side are rejected and a
-    node with no usable candidate stays a leaf.
-
-    Not every candidate is fit.  A candidate that makes the same split as
-    an earlier one scores the same and is never fit.  Each other one gets a
-    floor under its score from its sides' least squared errors at their
-    means (CART; Breiman et al. 1984), less an allowance for rounding that
-    :func:`_floors` proves, and candidates are fit in (floor, index) order.
-    When later fits reuse the plans, as :func:`~liftedrbm.model.train`'s
-    do, the floors read each side's sums from its classes'
-    (:func:`_classes`): a node's splits cut its items into few classes,
-    grouped once per plan, so a fit sums each class once rather than each
-    side.
-    No candidate is fit past the first floor above the best score so far,
-    nor one whose floor equals it when its index is higher than the best
-    one's: it could at most tie, and lose the tie.  The committed candidate
-    is thus the first minimum in candidate order, as when every candidate
-    is fit, and so is the tree (``tests/test_tree.py`` checks it against
-    fitting all).
-
-    Leaf fits are fewer still: :func:`coordinate_descent` fits a leaf to
-    its targets' mean, so each distinct mean (bit for bit) is fit once per
-    call and its parameters reused for every leaf with that mean.  A root
-    that splits is never fit: its error only decides whether it is worth
-    splitting, and when the one-side floor under it (:func:`_leaf_floor`)
-    is above the threshold, so is the error.  The root is fit when that
-    floor is not, and when it stays a leaf (one leaf allowed, depth 0, no
-    two-sided split, or an error near zero), with the parameters an
-    up-front fit gives it.
-
-    Each node is a fit plan (:class:`_Plan`): what it is regardless of the
-    gradients.  Its items are (position in ``queries``, rows), every witness
-    of the node's context a row, the root's one row its query's arguments
-    (tuple-ID propagation; Yin et al., CrossMine, ICDE 2004).  Expanding a
-    root or a true child joins a true child's test into its rows
-    (:func:`~liftedrbm.logic.join`), generates its candidates as predicates
-    and slots and decides each, bar one that :func:`_restates` the context,
-    from its slots by :func:`~liftedrbm.logic.partition`, the scan a batch
-    walk decides a branch by: set lookups in ``kb``'s fact views, no
-    search, and no atom built.  A child plan is made when its candidate
-    first wins, and that candidate alone is named (:func:`_atom`), so a
-    fit names at most one atom per internal node; a true child that stays a leaf
-    is never joined; a false child is made holding its parent's candidate
-    list and selectors (:meth:`_Plan.child`), so no (context, candidate)
-    pair is decided twice.  Each side's gradients are read through a
-    selector or its complement by ``itertools.compress``.  The fit proves
-    nothing through :func:`~liftedrbm.logic.witnesses`.
-
-    The fit owns its root plan, so a plan frees its rows, candidates and
-    splits once it has split, its false child made from them first, or
-    stays a leaf.  :func:`~liftedrbm.model.train` instead grows every tree
-    from one root plan (:func:`_grow`), so a later tree reaches each node
-    an earlier one expanded with its rows, candidates and splits built.
+    Candidate tests are the ones ``modes`` allow with at most
+    ``max_new_vars`` fresh variables each, decided on ``kb``.  Nodes are
+    expanded in order of their squared error until the tree has
+    ``max_leaves`` leaves or none is left to expand; a node at
+    ``max_depth``, with one example, with an error near zero, or with no
+    candidate that leaves both sides nonempty stays a leaf.  A candidate
+    scores the two sides' squared errors, each side a leaf that
+    :func:`coordinate_descent` (``learning_rate``, ``cd_max_iters``,
+    ``cd_tolerance``) fits to its targets' mean, and a node commits the
+    candidate first in (score, index) order.  Candidates that cannot come
+    first are not fit (:func:`_floors`), nor is a mean fit twice, so this is
+    the same tree as fitting every candidate (``tests/test_tree.py`` checks
+    it).  Raises ValueError for no queries, a gradient count other than the
+    query count, ``max_leaves`` below 1, or a query that does not ground the
+    first one's predicate.
     """
     if not queries:
         raise ValueError("cannot fit a tree to zero examples")
@@ -785,9 +720,15 @@ def _grow(
     """The tree :func:`fit_regression_tree` fits from ``root``, whose
     queries' gradients are ``gradients`` by position, and each query's leaf
     value by position: the value :meth:`~liftedrbm.model.BoostedModel.per_tree`
-    routes it to, since fitting and routing make the same decisions.  An
-    ``owned`` root is read by no later fit, so plans are freed as they are
-    done."""
+    routes it to, since fitting and routing make the same decisions.
+
+    The fit queues plans and records, per plan, the candidate it committed
+    or the parameters it fit; :func:`_materialize` reads the tree off them.
+    An ``owned`` root is read by no later fit, so a plan frees what it holds
+    (:meth:`_Plan.drop`) once it has split or stays a leaf;
+    :func:`~liftedrbm.model.train` instead grows every tree from one root,
+    so a later tree reaches each node an earlier one expanded with its rows,
+    candidates and splits built, and ranks its splits by their classes."""
     # Each distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
     fits: dict[str, tuple[LeafParams, float]] = {}
 
@@ -804,25 +745,29 @@ def _grow(
         return params, _sum_squares(value, deltas)
 
     tick = itertools.count()
-    frontier: list[tuple[float, int, _FitNode, list[float]]] = []
+    frontier: list[tuple[float, int, _Plan, list[float]]] = []
+    # What this fit's gradients made of each plan it reached (a plan is
+    # keyed by identity): the candidate a split plan committed, whose child
+    # plans are its children, and the parameters fit to each leaf plan.
+    tests: dict[_Plan, int] = {}
+    params: dict[_Plan, LeafParams] = {}
 
-    def push(node: _FitNode, sse: float, deltas: list[float]) -> None:
-        depth_ok = max_depth is None or node.plan.depth < max_depth
+    def push(plan: _Plan, sse: float, deltas: list[float]) -> None:
+        depth_ok = max_depth is None or plan.depth < max_depth
         if depth_ok and sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
-            heapq.heappush(frontier, (-sse, next(tick), node, deltas))
+            heapq.heappush(frontier, (-sse, next(tick), plan, deltas))
 
     # A root that splits needs no leaf parameters, and its error only
     # decides whether it is queued, alone: a floor above the threshold
     # decides that unfit.  A root that stays a leaf is fit at the end.
-    top = _FitNode(root.plan)
+    top = root.plan
     sse = _leaf_floor(gradients)
     if not sse > _MIN_SPLIT_SSE:
-        top.params, sse = fit_leaf(gradients)
+        params[top], sse = fit_leaf(gradients)
     push(top, sse, gradients)
     leaves = 1
     while leaves < max_leaves and frontier:
-        _, _, node, deltas = heapq.heappop(frontier)
-        plan = node.plan
+        _, _, plan, deltas = heapq.heappop(frontier)
         if plan.splits is None:
             plan.expand(root, kb)
         best = None
@@ -847,30 +792,38 @@ def _grow(
             continue  # permanent leaf
         _, k, left, right, fit_left, fit_right = best
         true_plan, false_plan = plan.child(k)
-        node.test = Literal(true_plan.context[-1])
         if owned:
             plan.drop()  # its items live on in its children; a join frees its rows
-        node.true_child = _FitNode(true_plan, fit_left[0])
-        node.false_child = _FitNode(false_plan, fit_right[0])
+        tests[plan] = k
+        params[true_plan], params[false_plan] = fit_left[0], fit_right[0]
         leaves += 1
-        push(node.true_child, fit_left[1], left)
-        push(node.false_child, fit_right[1], right)
+        push(true_plan, fit_left[1], left)
+        push(false_plan, fit_right[1], right)
 
-    if top.test is None and top.params is None:
-        top.params = fit_leaf(gradients)[0]
+    if top not in tests and top not in params:
+        params[top] = fit_leaf(gradients)[0]
     values = [0.0] * len(gradients)  # by position: the value of the leaf it reached
-    return RelationalRegressionTree(root.head, _materialize(top, values)), values
+    return RelationalRegressionTree(root.head, _materialize(top, tests, params, values)), values
 
 
-def _materialize(node: _FitNode, values: list[float]) -> TreeNode:
-    """The tree under a fit node, each example's leaf value put in ``values``
-    at its position; not a closure calling itself, a reference cycle per
-    fit."""
-    if node.test is None:
-        value = node.params.value()
-        for position in node.plan.positions:
+def _materialize(
+    plan: _Plan, tests: dict[_Plan, int], params: dict[_Plan, LeafParams], values: list[float]
+) -> TreeNode:
+    """The tree a fit grew under ``plan``: a split plan's test is its
+    committed candidate's true child's last context atom, and a leaf plan
+    carries its fit parameters; each example's leaf value is put in
+    ``values`` at its position.  Not a closure calling itself, a reference
+    cycle per fit."""
+    k = tests.get(plan)
+    if k is None:
+        leaf = params[plan]
+        value = leaf.value()
+        for position in plan.positions:
             values[position] = value
-        return LeafNode(node.params)
+        return LeafNode(leaf)
+    true_plan, false_plan = plan.children[k]
     return InternalNode(
-        node.test, _materialize(node.true_child, values), _materialize(node.false_child, values)
+        Literal(true_plan.context[-1]),
+        _materialize(true_plan, tests, params, values),
+        _materialize(false_plan, tests, params, values),
     )

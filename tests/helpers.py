@@ -266,7 +266,7 @@ def reference_coordinate_descent(
     if not deltas:
         return theta0
     mean = left_sum(deltas) / len(deltas)
-    p = list(theta0.as_tuple())
+    p = list(theta0)
     previous = (_value(p) - mean) ** 2
     for cycle in range(max_iters):
         for coord in range(5):

@@ -264,6 +264,33 @@ class TestPredict:
         assert len(per_tree) == 4  # one value per trained tree
         assert sum(per_tree) == pytest.approx(float(first[2]), abs=1e-12)
 
+    def test_verbose_per_tree_values_are_the_network_activations(
+        self, data_dir, trained_model_path, tmp_path
+    ):
+        # Each tree's column entry is bit for bit the value of the one hidden
+        # node the path network activates for that tree.
+        out = tmp_path / "scores.tsv"
+        argv = [
+            "predict",
+            "--model", str(trained_model_path),
+            "--facts", str(data_dir / "facts.txt"),
+            "--queries", str(data_dir / "queries.txt"),
+            "--out", str(out),
+            "--verbose",
+        ]
+        assert main(argv) == 0
+        model = load_model(trained_model_path)
+        kb = parse_facts((data_dir / "facts.txt").read_text(), model.modes)
+        net = paths_to_lrbm(model)
+        lines = out.read_text().splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            text, _, _, column = line.split("\t")
+            query = parse_atom_text(text, {model.target.name: model.target}, require_ground=True)
+            fired = [net.hidden[index] for index in lrbm_inference(net, query, kb).activated]
+            assert [node.source[0] for node in fired] == list(range(len(model.trees)))
+            assert column.split(",") == [repr(node.params.value()) for node in fired]
+
     def test_empty_query_file_succeeds_with_empty_output(
         self, data_dir, trained_model_path, tmp_path
     ):
@@ -432,6 +459,8 @@ MODEL_MUTATIONS = {
     # a path may not use one variable name at two types: here the test's P1
     # is a movie and the head's P1 a person
     "variable at two types on a path": _set("ingenre(P1, G1)", "trees", 0, "test"),
+    # a node is a leaf or a test, never both
+    "leaf beside a test": _set([0.1, 0, 0, 0, 0], "trees", 0, "leaf"),
 }
 
 
@@ -544,6 +573,28 @@ class TestModelLoader:
         }[command]
         assert main([*argv, "--model", str(model_path)]) == 2
         assert capsys.readouterr().err.startswith("data error: malformed model document: ")
+
+    def test_a_target_its_mode_declares_otherwise_is_refused(self, tmp_path, capsys):
+        # tree tests are parsed with the modes' collab, the model scores the target's
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        doc["modes"]["collab"]["arg_types"] = ["movie", "movie"]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model document: ")
+        assert "collab(person, person)" in err and "collab(movie, movie)" in err
+
+    def test_a_target_without_a_mode_stays_valid(self, tmp_path):
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        del doc["modes"]["collab"]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        nets = []
+        for path, out in ((BOOST_FIXTURE, tmp_path / "fixture"), (model_path, tmp_path / "net")):
+            assert main(["explain", "--model", str(path), "--out", str(out)]) == 0
+            nets.append(out.with_suffix(".json").read_text(encoding="utf-8"))
+        assert nets[0] == nets[1]
 
     @pytest.mark.parametrize("name", sorted(BAD_FIT_CONFIGS))
     def test_bad_fit_config_fails_distillation_as_a_data_error(

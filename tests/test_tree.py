@@ -519,7 +519,7 @@ class TestCoordinateDescent:
         # At these rates the first cycle overshoots, to leaf value 54.53 at
         # rate 5 and to NaN at 1e308, so the best iterate seen is the start.
         params = coordinate_descent(_mean([0.5, 0.3]), learning_rate=learning_rate)
-        assert all(math.isfinite(v) for v in params.as_tuple())
+        assert all(math.isfinite(v) for v in params)
         assert params == ZERO_PARAMS
 
     @pytest.mark.parametrize("tolerance", [0, 1e-8])
@@ -577,7 +577,7 @@ class TestCoordinateDescent:
                 assert (got.value() - mean) ** 2 <= (theta0.value() - mean) ** 2
                 continue
             returned += 1
-            assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in want.as_tuple()]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
         assert returned > 2000 and overflowed > 100
 
     def test_an_overflowing_objective_is_a_rising_one(self):
