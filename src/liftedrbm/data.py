@@ -13,6 +13,8 @@ may also introduce a new variable.  Every predicate appearing in a facts file
 needs a mode declaration, since argument types are taken from it.  Every atom
 is read by :func:`parse_atom_text`, and every example or query is then checked
 by :func:`validate_query`, so a rule gives one message wherever it is broken.
+A fact's or an example's constants are read onto the knowledge base's terms,
+so examples are compared by their arguments.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def read_text(path) -> str:
 
 _ATOM_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\.?\s*$")
 _MODE_RE = re.compile(r"^mode\s*:\s*([a-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\.?\s*$")
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
+_ARGS_RE = re.compile(r"(?:[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)?")
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
@@ -81,7 +84,8 @@ class ModeDeclaration:
 
 @dataclass
 class ExampleSet:
-    """Ground positive and negative instances of one target predicate."""
+    """Ground positive and negative instances of one target predicate; an
+    atom given both labels, found by its arguments, is an error."""
 
     target: Predicate
     positives: list[Atom]
@@ -93,7 +97,8 @@ class ExampleSet:
                 raise ValueError(f"example {atom} is not a {self.target} atom")
             if not atom.is_ground:
                 raise ValueError(f"example {atom} is not ground")
-        overlap = {str(a) for a in self.positives} & {str(a) for a in self.negatives}
+        positives = {a.args for a in self.positives}  # only the overlap is printed
+        overlap = {str(a) for a in self.negatives if a.args in positives}
         if overlap:
             raise ParseError(f"examples appear with both labels: {sorted(overlap)}")
 
@@ -187,17 +192,19 @@ def _read_atom(
     require_ground: bool,
     constant: Callable[[str, str], Term],
 ) -> Atom:
-    """:func:`parse_atom_text`, making each constant by ``constant(name, type)``;
-    a knowledge base's ``register_constant`` reads a fact onto its own terms."""
+    """:func:`parse_atom_text`, making each constant by ``constant(name, type)``
+    (:func:`parse_facts` and :func:`parse_examples` read onto a knowledge base's
+    terms); only arguments that fail their one pattern are split, to name the bad one."""
     text = text.strip()
     match = _ATOM_RE.match(text)
     if match is None:
         raise ParseError(f"malformed atom {text!r}")
     name, args_text = match.groups()
-    tokens = [tok.strip() for tok in args_text.split(",")] if args_text else []
-    for tok in tokens:
-        if not _TOKEN_RE.match(tok):
-            raise ParseError(f"malformed argument {tok!r}")
+    if not _ARGS_RE.fullmatch(args_text):  # name the first malformed argument
+        for tok in args_text.split(","):
+            if not _TOKEN_RE.fullmatch(tok.strip()):
+                raise ParseError(f"malformed argument {tok.strip()!r}")
+    tokens = _TOKEN_RE.findall(args_text)
     predicate = predicates.get(name)
     if predicate is None:
         raise ParseError(f"no mode declaration for predicate {name}")
@@ -221,9 +228,11 @@ def validate_query(query: Atom, target: Predicate, kb: KnowledgeBase) -> None:
     if query.predicate != target:
         raise ValueError(f"expected a {target} atom, got {query}")
     for term in query.args:
+        known = kb.constant(term.name)
+        if known is term:  # the knowledge base's own
+            continue
         if term.is_variable:
             raise ValueError(f"expected a ground atom, found variable {term}")
-        known = kb.constant(term.name)
         if known is None:
             raise UnknownConstantError(f"unknown constant {term.name}")
         if known.type_tag != term.type_tag:
@@ -235,20 +244,23 @@ def validate_query(query: Atom, target: Predicate, kb: KnowledgeBase) -> None:
 def parse_examples(text: str, kb: KnowledgeBase, target: Predicate) -> list[Atom]:
     """Parse ground ``target`` atoms, each checked by :func:`validate_query`
     against the knowledge base; a repeated example is kept once, where it
-    first occurs."""
+    first occurs.  Constants are the knowledge base's own terms, but for
+    those :func:`validate_query` refuses."""
     predicates = {**kb.predicates, target.name: target}
-    seen: set[Atom] = set()
-    examples: list[Atom] = []
+
+    def constant(name: str, type_tag: str) -> Term:
+        known = kb.constant(name)
+        return known if known is not None and known.type_tag == type_tag else Term(name, type_tag)
+
+    examples: dict[tuple[Term, ...], Atom] = {}  # one target: an example is its arguments
     for line_no, line in _lines(text):
         try:
-            atom = parse_atom_text(line, predicates, require_ground=True)
+            atom = _read_atom(line, predicates, True, constant)
             validate_query(atom, target, kb)
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from exc
-        if atom not in seen:
-            seen.add(atom)
-            examples.append(atom)
-    return examples
+        examples.setdefault(atom.args, atom)
+    return list(examples.values())
 
 
 def generate_negatives(

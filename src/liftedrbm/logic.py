@@ -223,13 +223,16 @@ class KnowledgeBase:
     def add(self, atom: Atom) -> None:
         if not atom.is_ground:
             raise ValueError(f"fact {atom} is not ground")
-        self.register_predicate(atom.predicate)
-        names = tuple(t.name for t in atom.args)
+        # What this base already holds as the very objects needs no registering.
+        if self.predicates.get(atom.predicate.name) is not atom.predicate:
+            self.register_predicate(atom.predicate)
+        names = tuple([t.name for t in atom.args])
         key = (atom.predicate.name, names)
         if key in self._keys:
             return
         for term in atom.args:
-            self.register_constant(term.name, term.type_tag)
+            if self._constants.get(term.name) is not term:
+                self.register_constant(term.name, term.type_tag)
         self._keys.add(key)
         self._facts.append(atom)
         self._by_pred[atom.predicate.name].append(names)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
-from operator import add
+from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -200,8 +201,8 @@ def train(
     rows, candidates and splits), which a later tree reaching that node
     reuses, and each tree is grown from it and that tree's gradient list
     alone, as :func:`~liftedrbm.tree.fit_regression_tree` would grow it.
-    Examples share few (label, leaf-value sum) pairs, so each tree computes
-    one gradient per pair and lists it for every example that has it.
+    Examples share few (label, leaf-value sum) pairs, their classes: a
+    gradient, a next sum and an error are computed once per class and leaf.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -217,28 +218,33 @@ def train(
         config=config,
         modes=dict(kb.modes),
     )
-    sums = [0.0] * len(labeled)  # each example's leaf values so far, in tree order
     root = _root_plan([query for query, _ in labeled], kb.modes, config.max_new_vars)
-    labels = [label for _, label in labeled]
+    # An example's class numbers its (label, leaf-value sum) pair, first seen first.
+    pairs: dict[tuple[int, float], int] = {}
+    classes = [pairs.setdefault((label, 0.0), len(pairs)) for _, label in labeled]
     for index in range(config.n_trees):
-        # A tree's examples share few (label, leaf-value sum) pairs: one gradient each.
-        keys = list(zip(labels, sums))
-        gradient = {
-            key: key[0] - probability(psi0 + key[1], config.psi_clamp)
-            for key in dict.fromkeys(keys)
-        }
-        gradients = list(map(gradient.__getitem__, keys))
-        tree, values = _grow(
+        keys = list(pairs)
+        gradient = [label - probability(psi0 + total, config.psi_clamp) for label, total in keys]
+        gradients = list(map(gradient.__getitem__, classes))
+        tree, leaves, values = _grow(
             root, gradients, config.max_leaves, kb, owned=False, learning_rate=config.learning_rate,
             cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance,
         )
         _check_finite_leaves(tree, index)
         model.trees.append(tree)
-        sums = list(map(add, sums, values))
+        # An example's step is its (class, leaf): its next class is the pair
+        # that step reaches, and its squared error is the step's.
+        width = len(values)
+        steps = list(map(add, map(mul, classes, repeat(width)), leaves))
+        pairs, moved, errors = {}, {}, {}
+        for step in dict.fromkeys(steps):
+            before, leaf = divmod(step, width)
+            label, total = keys[before]
+            moved[step] = pairs.setdefault((label, total + values[leaf]), len(pairs))
+            errors[step] = (values[leaf] - gradient[before]) ** 2
+        classes = list(map(moved.__getitem__, steps))
         if progress is not None:
-            sse = 0.0
-            for value, gradient in zip(values, gradients):
-                sse += (value - gradient) ** 2
+            sse = ordered_sum(map(errors.__getitem__, steps))
             progress(index + 1, sse, ordered_sum(map(abs, gradients)) / len(gradients))
     return model
 
@@ -279,11 +285,11 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
-    if "leaf" in data:
+def _node_from_dict(data: dict, predicates: dict[str, Predicate], path: str) -> TreeNode:
+    if "leaf" in _object(data, path):
         if not data.keys().isdisjoint(("test", "true", "false")):
             raise ValueError("a tree node holds both a leaf and a test")
-        values = data["leaf"]
+        values = _object(data, path, "leaf")["leaf"]
         if len(values) != 5:
             raise ParseError("leaf parameters must be a 5-tuple")
         params = LeafParams(*(_finite(v, "leaf parameter") for v in values))
@@ -292,11 +298,11 @@ def _node_from_dict(data: dict, predicates: dict[str, Predicate]) -> TreeNode:
         if not _finite_leaf(params):
             raise ParseError(f"leaf {values} has value {params.value()!r}, not a finite number")
         return LeafNode(params)
-    atom = parse_atom_text(data["test"], predicates)
+    atom = parse_atom_text(_object(data, path, "test", "true", "false")["test"], predicates)
     return InternalNode(
         Literal(atom),
-        _node_from_dict(data["true"], predicates),
-        _node_from_dict(data["false"], predicates),
+        _node_from_dict(data["true"], predicates, f"{path}.true"),
+        _node_from_dict(data["false"], predicates, f"{path}.false"),
     )
 
 
@@ -333,8 +339,6 @@ def model_from_dict(data) -> BoostedModel:
         return _model_from_dict(data)
     except ParseError:
         raise
-    except KeyError as exc:
-        raise ParseError(f"model document lacks field {exc}") from exc
     except (TypeError, ValueError, AttributeError, RecursionError, OverflowError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
 
@@ -348,20 +352,38 @@ def _array(value, field: str) -> tuple:
     return tuple(value)
 
 
+def _object(value, path: str, *keys: str) -> dict:
+    """``value``, when it is a JSON object holding exactly ``keys`` (given
+    any): a key it lacks or holds besides them is refused, named by its path."""
+    if not isinstance(value, dict):
+        raise ParseError(
+            f"malformed model document: {path} must be a JSON object, got {type(value).__name__}"
+        )
+    prefix = f"{path}." if path else ""
+    for key in value if keys else ():
+        if key not in keys:
+            raise ParseError(f"malformed model document: unknown field {prefix}{key}")
+    for key in keys:
+        if key not in value:
+            raise ParseError(f"model document lacks field {prefix}{key}")
+    return value
+
+
 def _signature(predicate: Predicate) -> str:
     return f"{predicate.name}({', '.join(predicate.arg_types)})"
 
 
 def _model_from_dict(data: dict) -> BoostedModel:
-    modes = {
-        name: ModeDeclaration(
+    _object(data, "", "format_version", "target", "modes", "psi0", "config", "trees")
+    modes = {}
+    for name, spec in _object(data["modes"], "modes").items():
+        spec = _object(spec, f"modes.{name}", "arg_types", "chaining")
+        modes[name] = ModeDeclaration(
             Predicate(name, _array(spec["arg_types"], f"modes.{name}.arg_types")),
             _array(spec["chaining"], f"modes.{name}.chaining"),
         )
-        for name, spec in data["modes"].items()
-    }
     predicates = {name: mode.predicate for name, mode in modes.items()}
-    target_info = data["target"]
+    target_info = _object(data["target"], "target", "name", "arg_types", "head_vars")
     target = check_predicate(
         Predicate(target_info["name"], _array(target_info["arg_types"], "target.arg_types"))
     )
@@ -376,10 +398,11 @@ def _model_from_dict(data: dict) -> BoostedModel:
     head = parse_atom_text(f"{target.name}({', '.join(names)})", {target.name: target})
     if not isinstance(names, list) or len({t.name for t in head.variables()}) != len(names):
         raise ParseError(f"head_vars must be {target.arity} distinct variables, got {names!r}")
-    config = TrainConfig(**data["config"])
+    settings = _object(data["config"], "config", *(each.name for each in fields(TrainConfig)))
+    config = TrainConfig(**settings)
     trees = [
-        RelationalRegressionTree(head, _node_from_dict(node, predicates))
-        for node in _array(data["trees"], "trees")
+        RelationalRegressionTree(head, _node_from_dict(node, predicates, f"trees[{index}]"))
+        for index, node in enumerate(_array(data["trees"], "trees"))
     ]
     # A path's clause prints its variables by name, so one name at two types
     # on a path would read as one variable; sibling subtrees may differ.

@@ -704,7 +704,7 @@ def fit_regression_tree(
         raise ValueError(f"{len(queries)} queries but {len(gradients)} gradients")
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    tree, _ = _grow(
+    tree, _, _ = _grow(
         _root_plan(queries, modes, max_new_vars), list(gradients), max_leaves, kb, owned=True,
         learning_rate=learning_rate, cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance,
         max_depth=max_depth,
@@ -716,11 +716,13 @@ def _grow(
     root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase,
     *, owned: bool, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
     max_depth: Optional[int] = None,
-) -> tuple[RelationalRegressionTree, list[float]]:
+) -> tuple[RelationalRegressionTree, list[int], list[float]]:
     """The tree :func:`fit_regression_tree` fits from ``root``, whose
-    queries' gradients are ``gradients`` by position, and each query's leaf
-    value by position: the value :meth:`~liftedrbm.model.BoostedModel.per_tree`
-    routes it to, since fitting and routing make the same decisions.
+    queries' gradients are ``gradients`` by position; the number of the
+    leaf each query reached, by position; and each leaf's value, by number
+    in path order (:meth:`RelationalRegressionTree.paths`).  A query's leaf
+    value is the one :meth:`~liftedrbm.model.BoostedModel.per_tree` routes
+    it to, since fitting and routing make the same decisions.
 
     The fit queues plans and records, per plan, the candidate it committed
     or the parameters it fit; :func:`_materialize` reads the tree off them.
@@ -802,28 +804,31 @@ def _grow(
 
     if top not in tests and top not in params:
         params[top] = fit_leaf(gradients)[0]
-    values = [0.0] * len(gradients)  # by position: the value of the leaf it reached
-    return RelationalRegressionTree(root.head, _materialize(top, tests, params, values)), values
+    leaves, values = [0] * len(gradients), []
+    tree = RelationalRegressionTree(root.head, _materialize(top, tests, params, leaves, values))
+    return tree, leaves, values
 
 
 def _materialize(
-    plan: _Plan, tests: dict[_Plan, int], params: dict[_Plan, LeafParams], values: list[float]
+    plan: _Plan, tests: dict[_Plan, int], params: dict[_Plan, LeafParams],
+    leaves: list[int], values: list[float],
 ) -> TreeNode:
     """The tree a fit grew under ``plan``: a split plan's test is its
     committed candidate's true child's last context atom, and a leaf plan
-    carries its fit parameters; each example's leaf value is put in
-    ``values`` at its position.  Not a closure calling itself, a reference
-    cycle per fit."""
+    carries its fit parameters; each leaf's value is appended to ``values``
+    and its number put in ``leaves`` at its examples' positions.  Not a
+    closure calling itself, a reference cycle per fit."""
     k = tests.get(plan)
     if k is None:
         leaf = params[plan]
-        value = leaf.value()
+        number = len(values)
+        values.append(leaf.value())
         for position in plan.positions:
-            values[position] = value
+            leaves[position] = number
         return LeafNode(leaf)
     true_plan, false_plan = plan.children[k]
     return InternalNode(
         Literal(true_plan.context[-1]),
-        _materialize(true_plan, tests, params, values),
-        _materialize(false_plan, tests, params, values),
+        _materialize(true_plan, tests, params, leaves, values),
+        _materialize(false_plan, tests, params, leaves, values),
     )

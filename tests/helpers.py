@@ -7,9 +7,10 @@ import heapq
 import itertools
 import operator
 import random
+import re
 from pathlib import Path
 
-from liftedrbm.data import parse_facts, parse_modes
+from liftedrbm.data import ParseError, parse_facts, parse_modes, validate_query
 from liftedrbm.logic import (
     Atom,
     Clause,
@@ -523,6 +524,82 @@ def exhaustive_fit_tree(
 
     tree = RelationalRegressionTree(head, build(root))
     return tree, values
+
+
+# --- the reading path as it was before examples shared the base's terms ----
+
+_ORACLE_ATOM = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\.?\s*$")
+_ORACLE_TOKEN = re.compile(r"^[A-Za-z0-9_]+$")
+
+
+def _oracle_lines(text: str):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def oracle_parse_atom(text: str, predicates: dict[str, Predicate], require_ground: bool) -> Atom:
+    """One atom read argument by argument, each checked by its own regex
+    match, and each constant a fresh ``Term.constant``."""
+    text = text.strip()
+    match = _ORACLE_ATOM.match(text)
+    if match is None:
+        raise ParseError(f"malformed atom {text!r}")
+    name, args_text = match.groups()
+    tokens = [tok.strip() for tok in args_text.split(",")] if args_text else []
+    for tok in tokens:
+        if not _ORACLE_TOKEN.match(tok):
+            raise ParseError(f"malformed argument {tok!r}")
+    predicate = predicates.get(name)
+    if predicate is None:
+        raise ParseError(f"no mode declaration for predicate {name}")
+    if len(tokens) != predicate.arity:
+        raise ParseError(f"{name} expects {predicate.arity} arguments, got {len(tokens)}")
+    args = []
+    for tok, type_tag in zip(tokens, predicate.arg_types):
+        if tok[0].isupper():
+            if require_ground:
+                raise ParseError(f"expected a ground atom, found variable {tok}")
+            args.append(Term.variable(tok, type_tag))
+        else:
+            args.append(Term.constant(tok, type_tag))
+    return Atom(predicate, tuple(args))
+
+
+def oracle_parse_facts(text: str, modes) -> KnowledgeBase:
+    """``parse_facts`` by :func:`oracle_parse_atom`: every fact is made of
+    fresh terms, so ``KnowledgeBase.add`` registers each of its constants."""
+    kb = KnowledgeBase(modes)
+    for line_no, line in _oracle_lines(text):
+        try:
+            kb.add(oracle_parse_atom(line, kb.predicates, True))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+    return kb
+
+
+def oracle_parse_examples(text: str, kb: KnowledgeBase, target: Predicate) -> list[Atom]:
+    """``parse_examples`` by :func:`oracle_parse_atom` and ``validate_query``,
+    a repeat found by comparing whole atoms."""
+    predicates = {**kb.predicates, target.name: target}
+    seen: set[Atom] = set()
+    examples: list[Atom] = []
+    for line_no, line in _oracle_lines(text):
+        try:
+            atom = oracle_parse_atom(line, predicates, True)
+            validate_query(atom, target, kb)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+        if atom not in seen:
+            seen.add(atom)
+            examples.append(atom)
+    return examples
+
+
+def oracle_label_overlap(positives, negatives) -> list[str]:
+    """The examples given both labels, found by their printed forms."""
+    return sorted({str(a) for a in positives} & {str(a) for a in negatives})
 
 
 def recording_pool(sizes: list):

@@ -429,9 +429,54 @@ ARRAY_MUTATIONS = {
 }
 
 
+def _drop(*path):
+    """The mutation that deletes ``doc[path[0]]...[path[-1]]``."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return doc
+
+    return mutate
+
+
+_LEAF = {"leaf": [0.0, 0.0, 0.0, 0.0, 0.0]}
+
+# A key the loader does not read, at each kind of object, and a config
+# without a field training needs: each is refused with this message.  A leaf
+# holds only "leaf", a test node exactly "test", "true" and "false".
+KEY_MUTATIONS = {
+    "unknown top-level key": (_set(1, "bogus"), "malformed model document: unknown field bogus"),
+    "unknown target key": (
+        _set("P3", "target", "head_var"), "malformed model document: unknown field target.head_var",
+    ),
+    "unknown mode entry key": (
+        _set("+", "modes", "person", "flags"),
+        "malformed model document: unknown field modes.person.flags",
+    ),
+    "unknown key in a root test": (
+        _set(_LEAF, "trees", 1, "flase"), "malformed model document: unknown field trees[1].flase",
+    ),
+    "unknown key in an inner test": (
+        _set(_LEAF, "trees", 0, "true", "flase"),
+        "malformed model document: unknown field trees[0].true.flase",
+    ),
+    "unknown key in a leaf": (
+        _set(0.5, "trees", 0, "false", "value"),
+        "malformed model document: unknown field trees[0].false.value",
+    ),
+    "config without a field": (
+        _drop("config", "cd_max_iters"), "model document lacks field config.cd_max_iters",
+    ),
+    "empty config": (_set({}, "config"), "model document lacks field config.n_trees"),
+}
+
+
 MODEL_MUTATIONS = {
     **BAD_FIT_CONFIGS,
     **{name: mutate for name, (mutate, _) in ARRAY_MUTATIONS.items()},
+    **{name: mutate for name, (mutate, _) in KEY_MUTATIONS.items()},
     "boolean psi_clamp": _set(True, "config", "psi_clamp"),
     "missing true branch": _drop_true_branch,
     "unknown config key": _set(1, "config", "bogus"),
@@ -553,6 +598,39 @@ class TestModelLoader:
         assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: malformed model document: {field} must be a JSON array")
+
+    @pytest.mark.parametrize("name", sorted(KEY_MUTATIONS))
+    def test_a_key_the_loader_does_not_read_is_named_by_its_path(self, name, tmp_path, capsys):
+        model_path = _mutated_model(name, tmp_path)
+        _, message = KEY_MUTATIONS[name]
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+    @pytest.mark.parametrize("name, path", [
+        ("psi0", ("psi0",)), ("target.head_vars", ("target", "head_vars")),
+        ("modes.person.chaining", ("modes", "person", "chaining")),
+        ("trees[0].true.false", ("trees", 0, "true", "false")),
+        ("trees[0].false.test", ("trees", 0, "false", "leaf")),  # then a test node
+        ("config.psi_clamp", ("config", "psi_clamp")),
+    ])
+    def test_a_missing_key_is_named_by_its_path(self, name, path, tmp_path, capsys):
+        doc = _drop(*path)(json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
+        assert capsys.readouterr().err == f"data error: model document lacks field {name}\n"
+
+    @pytest.mark.parametrize("path, mutate", [
+        ("config", _set([], "config")), ("modes.person", _set("person", "modes", "person")),
+        ("target", _set(None, "target")), ("trees[2].true", _set(7, "trees", 2, "true")),
+    ])
+    def test_a_field_that_is_not_an_object_is_named(self, path, mutate, tmp_path, capsys):
+        doc = mutate(json.loads(BOOST_FIXTURE.read_text(encoding="utf-8")))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["explain", "--model", str(model_path), "--out", str(tmp_path / "net")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: malformed model document: {path} must be a JSON object")
 
     @pytest.mark.parametrize("command", ["predict", "explain", "explain --mode distill"])
     @pytest.mark.parametrize("name", sorted(MODE_MUTATIONS))

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -25,6 +26,9 @@ from helpers import (
     C,
     V,
     atom,
+    oracle_label_overlap,
+    oracle_parse_examples,
+    oracle_parse_facts,
     rule_clauses,
     serialize_facts,
 )
@@ -128,6 +132,139 @@ class TestParseExamples:
         kb = parse_facts("actedin(p1, m1).", MOVIE_MODES)
         with pytest.raises(ParseError, match="type"):
             parse_examples("collab(p1, m1).", kb, COLLAB)
+
+
+# Constants of each type, and the facts every example corpus is read against.
+_NAMES = {"person": ["p0", "p1", "p2", "p3"], "movie": ["m0", "m1", "m2"], "genre": ["g0", "g1"]}
+_CORPUS_FACTS = (
+    "actedin(p0, m0).\nactedin(p1, m0).\nactedin(p3, m2).\n"
+    "directedby(m1, p2).\ningenre(m2, g0).\ningenre(m0, g1).\n"
+)
+_SPACES = ["", "", " ", "  ", "\t", "\u00a0", "\u3000"]
+
+
+def _corpus_line(rng: random.Random, predicates: list[str], fault_rate: float) -> str:
+    """One line: an atom of one of ``predicates`` over known constants, in
+    random spacing, or, at ``fault_rate``, a line with one fault."""
+    name = rng.choice(predicates)
+    types = list(MOVIE_MODES[name].predicate.arg_types)
+    tokens = [rng.choice(_NAMES[type_tag]) for type_tag in types]
+    if rng.random() < fault_rate:
+        fault = rng.randrange(12)
+        if fault == 0:
+            tokens[rng.randrange(len(tokens))] = rng.choice(["P1", "Who", "X_2"])  # variable
+        elif fault == 1:
+            tokens[rng.randrange(len(tokens))] = rng.choice(["nobody", "m9", "q_1"])  # unknown
+        elif fault == 2:  # a constant of another type
+            at = rng.randrange(len(tokens))
+            tokens[at] = rng.choice([c for t, cs in _NAMES.items() if t != types[at] for c in cs])
+        elif fault == 3:
+            name = rng.choice(["actedin", "directedby", "collab", "mystery"])  # other predicate
+        elif fault == 4:
+            tokens = tokens[:-1] if rng.random() < 0.5 else tokens + ["p0"]  # wrong arity
+        elif fault == 5:
+            tokens = []  # empty argument list
+        elif fault == 6:
+            tokens.insert(rng.randrange(len(tokens) + 1), "")  # empty or trailing argument
+        elif fault == 7:
+            tokens[rng.randrange(len(tokens))] += rng.choice(["\u00a0x", "-1", " y", "\u3000z"])
+        elif fault == 8:
+            return f"{name}({', '.join(tokens)}"  # no closing parenthesis
+        elif fault == 9:
+            return f"{name.capitalize()}({', '.join(tokens)})."
+        elif fault == 10:
+            return f"{name}({', '.join(tokens)}) extra."
+        else:
+            return rng.choice(["% a comment", "", "\t", "\u3000"])  # no atom at all
+    space = lambda: rng.choice(_SPACES)  # noqa: E731
+    args = ",".join(space() + tok + space() for tok in tokens)
+    line = f"{space()}{name}{space()}({args}){space()}{rng.choice(['.', '.', ''])}{space()}"
+    return line + rng.choice(["", "", f"\t% {rng.choice(tokens or ['c'])}, ()."])
+
+
+def _corpus_text(rng: random.Random, predicates: list[str], fault_rate: float) -> str:
+    lines: list[str] = []
+    for _ in range(rng.randint(0, 10)):
+        # repeat an earlier line now and then, so duplicates are read too
+        repeat = lines and rng.random() < 0.2
+        lines.append(rng.choice(lines) if repeat else _corpus_line(rng, predicates, fault_rate))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _read(reader, *args):
+    """What ``reader`` returns, or the message of the ParseError it raises."""
+    try:
+        return reader(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _fault_kinds(messages) -> set[str]:
+    kinds = {
+        "malformed atom", "malformed argument", "no mode declaration", "arguments, got",
+        "found variable", "unknown constant", "expected person", "expected a collab/2 atom",
+        "conflicting types", "both labels",
+    }
+    return {kind for kind in kinds for message in messages if kind in message}
+
+
+class TestOneReaderAgainstTheOracle:
+    """``parse_facts``, ``parse_examples`` and ``ExampleSet`` against the
+    reading path that builds every constant anew, checks each argument by
+    its own match and finds repeats and overlaps by whole atoms: the same
+    atoms in the same order, or the same message at the same line."""
+
+    def test_fact_files_read_as_the_oracle_reads_them(self):
+        rng = random.Random(3103)
+        facts = ["actedin", "directedby", "ingenre"]
+        messages, read = [], 0
+        for _ in range(400):
+            text = _corpus_text(rng, facts, 0.08)
+            got = _read(parse_facts, text, MOVIE_MODES)
+            want = _read(oracle_parse_facts, text, MOVIE_MODES)
+            if isinstance(want, str):
+                assert got == want, text
+                messages.append(want)
+                continue
+            assert got.facts == want.facts, text
+            assert [got.universe(t) for t in _NAMES] == [want.universe(t) for t in _NAMES]
+            read += len(got)
+        assert read > 500
+        assert _fault_kinds(messages) >= {
+            "malformed atom", "malformed argument", "no mode declaration", "arguments, got",
+            "found variable", "conflicting types",
+        }
+
+    def test_example_files_read_as_the_oracle_reads_them(self):
+        rng = random.Random(3104)
+        kb = parse_facts(_CORPUS_FACTS, MOVIE_MODES)
+        messages, overlaps, read = [], 0, 0
+        for _ in range(600):
+            texts = [_corpus_text(rng, ["collab"], 0.06) for _ in range(2)]
+            got = [_read(parse_examples, text, kb, COLLAB) for text in texts]
+            want = [_read(oracle_parse_examples, text, kb, COLLAB) for text in texts]
+            assert got == want, texts
+            if any(isinstance(each, str) for each in want):
+                messages += [each for each in want if isinstance(each, str)]
+                continue
+            # each argument is the knowledge base's own term
+            assert all(t is kb.constant(t.name) for each in got for a in each for t in a.args)
+            read += len(got[0]) + len(got[1])
+            overlap = oracle_label_overlap(*want)
+            if overlap:
+                overlaps += 1
+                with pytest.raises(ParseError) as caught:
+                    ExampleSet(COLLAB, *got)
+                assert str(caught.value) == f"examples appear with both labels: {overlap}"
+                messages.append(str(caught.value))
+            else:
+                assert len(ExampleSet(COLLAB, *got)) == len(got[0]) + len(got[1])
+        assert read > 500 and overlaps > 20
+        assert _fault_kinds(messages) >= {
+            "malformed atom", "malformed argument", "no mode declaration", "arguments, got",
+            "found variable", "unknown constant", "expected person", "expected a collab/2 atom",
+            "both labels",
+        }
 
 
 def _pair_kb(n_people=4, extra=""):

@@ -21,6 +21,7 @@ from liftedrbm.logic import (
 from helpers import (
     ACTEDIN,
     COLLAB,
+    DIRECTEDBY,
     C,
     V,
     atom,
@@ -50,6 +51,85 @@ class TestConstruction:
         assert V("X", "person") != C("X", "person")
         assert C("a", "person") != C("a", "movie")
         assert V("X", "person") == V("X", "person")
+
+
+def _counting_registrations(kb: KnowledgeBase) -> dict[str, int]:
+    """Count ``kb``'s calls of its two registration methods from now on."""
+    calls = {"register_constant": 0, "register_predicate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(kb, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(kb, name, counted)
+    return calls
+
+
+class TestKnowledgeBaseAdd:
+    """``add`` called directly, with terms and predicates it may or may not
+    hold as the very objects."""
+
+    def test_fresh_terms_register_each_constant_and_the_predicate_once(self):
+        kb = KnowledgeBase()
+        kb.add(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")))
+        p1, m1 = kb.constant("p1"), kb.constant("m1")
+        # an equal predicate and equal terms, as other objects
+        other = Predicate("actedin", ("person", "movie"))
+        kb.add(Atom(other, (C("p1", "person"), C("m2", "movie"))))
+        kb.add(atom(ACTEDIN, C("p2", "person"), C("m1", "movie")))
+        assert kb.predicates == {"actedin": ACTEDIN} and kb.predicates["actedin"] is ACTEDIN
+        assert kb.universe("person") == (C("p1", "person"), C("p2", "person"))
+        assert kb.universe("movie") == (C("m1", "movie"), C("m2", "movie"))
+        assert kb.constant("p1") is p1 and kb.constant("m1") is m1
+        assert kb.universe("person")[0] is p1
+        assert len(kb) == 3
+
+    def test_a_fact_of_the_bases_own_terms_registers_nothing(self):
+        kb = KnowledgeBase()
+        kb.add(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")))
+        kb.add(atom(ACTEDIN, C("p2", "person"), C("m2", "movie")))
+        calls = _counting_registrations(kb)
+        kb.add(Atom(kb.predicates["actedin"], (kb.constant("p1"), kb.constant("m2"))))
+        assert calls == {"register_constant": 0, "register_predicate": 0}
+        assert atom(ACTEDIN, C("p1", "person"), C("m2", "movie")) in kb
+        kb.add(atom(ACTEDIN, C("p3", "person"), kb.constant("m1")))
+        assert calls == {"register_constant": 1, "register_predicate": 0}
+        assert kb.universe("person")[-1] == C("p3", "person")
+
+    def test_a_constant_met_at_a_second_type_is_refused(self):
+        kb = KnowledgeBase()
+        kb.add(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")))
+        with pytest.raises(ValueError, match="constant p1 used with conflicting types person and"):
+            kb.add(atom(DIRECTEDBY, C("p1", "movie"), C("p2", "person")))
+        with pytest.raises(ValueError, match="constant m1 used with conflicting types movie and"):
+            kb.add(atom(DIRECTEDBY, C("m2", "movie"), C("m1", "person")))
+        assert kb.facts == (atom(ACTEDIN, C("p1", "person"), C("m1", "movie")),)
+        assert kb.constant("p1").type_tag == "person"
+
+    def test_a_predicate_met_at_other_types_is_refused(self):
+        kb = KnowledgeBase()
+        kb.add(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")))
+        other = Predicate("actedin", ("movie", "person"))
+        with pytest.raises(ValueError, match="conflicting signatures for predicate actedin"):
+            kb.add(Atom(other, (C("m1", "movie"), C("p1", "person"))))
+        assert len(kb) == 1
+
+    def test_a_repeated_fact_changes_nothing(self):
+        kb = KnowledgeBase()
+        fact = atom(ACTEDIN, C("p1", "person"), C("m1", "movie"))
+        kb.add(fact)
+        kb.add(atom(ACTEDIN, C("p2", "person"), C("m1", "movie")))
+        view = kb.projection("actedin", (0,))
+
+        def state():
+            return kb.facts, kb.universe("person"), kb.universe("movie"), dict(kb.predicates)
+
+        before = state()
+        for again in (fact, atom(ACTEDIN, C("p1", "person"), C("m1", "movie")), kb.facts[1]):
+            kb.add(again)
+            assert state() == before
+            assert kb.projection("actedin", (0,)) is view  # no new fact, so the views stay
+        assert len(kb) == 2
 
 
 class TestUnify:

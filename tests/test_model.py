@@ -24,6 +24,7 @@ from helpers import (
     BOOST_FIXTURE,
     COLLAB,
     MOVIE_MODES,
+    SCORE_FIXTURE,
     C,
     V,
     atom,
@@ -418,6 +419,13 @@ class TestSerialization:
     def test_training_reproduces_the_benchmark_fixture_byte_for_byte(self, movie_model):
         model, _, _, _ = movie_model
         assert dumps_model(model) == BOOST_FIXTURE.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fixture", [BOOST_FIXTURE, SCORE_FIXTURE])
+    def test_the_benchmark_fixtures_load_and_write_back_byte_for_byte(self, fixture):
+        # The loader refuses keys it does not read and needs every config
+        # field; every document dumps_model writes has exactly those.
+        text = fixture.read_text(encoding="utf-8")
+        assert dumps_model(loads_model(text)) == text
 
     def test_round_trip_is_bit_exact(self, movie_model):
         model, _, _, _ = movie_model

@@ -1050,12 +1050,21 @@ def _fits_from_one_root(
     ``fit_regression_tree`` fits it."""
     root = _root_plan(queries, modes, max_new_vars)
     return [
-        _grow(
+        _grown(
             root, list(gradients), max_leaves, kb, owned=owned, learning_rate=learning_rate,
             cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance, max_depth=max_depth,
         )
         for gradients in gradient_lists
     ]
+
+
+def _grown(*args, **kwargs):
+    """``_grow``'s tree and each query's leaf value by position, read off
+    the leaf numbers it reports; those number the leaves in path order."""
+    tree, leaves, values = _grow(*args, **kwargs)
+    assert values == [leaf.params.value() for _, leaf in tree.paths()]
+    assert all(type(leaf) is int for leaf in leaves)
+    return tree, [values[leaf] for leaf in leaves]
 
 
 def _assert_fit_matches_exhaustive(
@@ -1281,10 +1290,10 @@ class TestCoverageTable:
             if fit != 3:  # the fourth fit repeats the third's gradients
                 gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
             fresh_root = _root_plan(queries, MOVIE_MODES, 1)
-            fresh, fresh_fitted = _grow(fresh_root, gradients, 6, kb, owned=False, **settings)
+            fresh, fresh_fitted = _grown(fresh_root, gradients, 6, kb, owned=False, **settings)
             before = {plan: plan.splits is not None for plan, _ in _plans(root.plan)}
             calls.clear()
-            shared, shared_fitted = _grow(root, gradients, 6, kb, owned=False, **settings)
+            shared, shared_fitted = _grown(root, gradients, 6, kb, owned=False, **settings)
             assert shared.to_text() == fresh.to_text()
             assert [v.hex() for v in shared_fitted] == [v.hex() for v in fresh_fitted]
             after = list(_plans(root.plan))
