@@ -70,10 +70,7 @@ def _add_train_args(parser):
     parser.add_argument("--max-new-vars", type=int, default=1, help="fresh variables per test literal")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="liftedrbm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_train(sub):
     p_train = sub.add_parser("train", help="boost an ensemble and write the model")
     _add_data_args(p_train)
     _add_train_args(p_train)
@@ -81,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="model output path (JSON)")
     p_train.set_defaults(func=cmd_train)
 
+
+def _add_predict(sub):
     p_predict = sub.add_parser("predict", help="score ground queries with a model")
     p_predict.add_argument("--model", required=True)
     p_predict.add_argument("--facts", required=True)
@@ -89,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--verbose", action="store_true", help="append per-tree contributions")
     p_predict.set_defaults(func=cmd_predict)
 
+
+def _add_explain(sub):
     p_explain = sub.add_parser("explain", help="convert a model into a lifted RBM network")
     p_explain.add_argument("--model", required=True)
     p_explain.add_argument("--mode", choices=("paths", "distill"), default="paths")
@@ -101,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--seed", type=int, default=0)
     p_explain.set_defaults(func=cmd_explain)
 
+
+def _add_eval(sub):
     p_eval = sub.add_parser("eval", help="k-fold cross validation")
     _add_data_args(p_eval)
     _add_train_args(p_eval)
@@ -110,6 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="JSON report path")
     p_eval.set_defaults(func=cmd_eval)
 
+
+_COMMANDS = dict(train=_add_train, predict=_add_predict, explain=_add_explain, eval=_add_eval)
+
+
+def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``commands``, all by default; each
+    subcommand's parser is the same whichever others are built."""
+    parser = _Parser(prog="liftedrbm", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _COMMANDS[name](sub)
     return parser
 
 
@@ -246,7 +260,9 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A call that names its subcommand builds that subcommand's parser alone.
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -93,7 +93,7 @@ class ExampleSet:
 
     def __post_init__(self):
         for atom in itertools.chain(self.positives, self.negatives):
-            if atom.predicate != self.target:
+            if atom.predicate is not self.target and atom.predicate != self.target:
                 raise ValueError(f"example {atom} is not a {self.target} atom")
             if not atom.is_ground:
                 raise ValueError(f"example {atom} is not ground")
@@ -225,7 +225,7 @@ def validate_query(query: Atom, target: Predicate, kb: KnowledgeBase) -> None:
     """Refuse a query or example that is not a ground ``target`` atom; a
     constant the knowledge base never saw, or saw at another type than
     ``target`` expects, is an :class:`~liftedrbm.logic.UnknownConstantError`."""
-    if query.predicate != target:
+    if query.predicate is not target and query.predicate != target:
         raise ValueError(f"expected a {target} atom, got {query}")
     for term in query.args:
         known = kb.constant(term.name)

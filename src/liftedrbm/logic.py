@@ -611,15 +611,21 @@ class RoutingTrie:
         of its context as rows, the first columns the head's variables.
         :func:`partition` decides ``context AND atom`` for them all: the
         items it selects go to the positive child, their rows extended by
-        :func:`join`, the rest to the negated child unchanged.  The
-        projections and groupings are ``kb``'s, kept for later batches until
-        it gains a fact."""
+        :func:`join`, the rest to the negated child unchanged.  Under a head
+        of distinct variables, a ground query of its predicate unifies and
+        its row is its arguments' names.  The projections and groupings are
+        ``kb``'s, kept for later batches until it gains a fact."""
         fired: list[list[int]] = [[] for _ in queries]
         for head, root in self._roots.items():
             bound = tuple(dict.fromkeys(head.variables()))
-            width = len(bound)
-            bases = [(index, unify(head, query)) for index, query in enumerate(queries)]
-            items = [(i, (tuple([b[v].name for v in bound]),)) for i, b in bases if b is not None]
+            width, predicate = len(bound), head.predicate
+            if width == len(head.args):
+                items = [(i, (tuple([t.name for t in q.args]),)) for i, q in enumerate(queries)
+                         if (q.predicate is predicate or q.predicate == predicate) and q.is_ground]
+            else:
+                bases = [(i, unify(head, query)) for i, query in enumerate(queries)]
+                items = [(i, (tuple([b[v].name for v in bound]),)) for i, b in bases
+                         if b is not None]
             stack = [(root, bound, items)] if items else []
             while stack:
                 node, bound, items = stack.pop()

@@ -22,12 +22,15 @@ splits, decided and joined on the knowledge base's fact views.  A candidate
 is a predicate and one slot per argument, a bound variable or a fresh one;
 it is decided from its slots, and only the one that wins is named as an atom
 and joins the path, as in TILDE's refinement (Blockeel & De Raedt, AIJ
-1998).  A root or a true child decides its splits on its rows; a false
-child, whose context and rows are its parent's, holds its parent's
-candidates and takes its splits compressed to its side, as TILDE's else
-branch keeps its parent's query.  Boosted trees are grown from the one root
-plan :func:`~liftedrbm.model.train` holds, so a later tree reuses every node
-an earlier one built and only refits the leaves.
+1998).  The root compiles the candidates of each tuple of bound variables
+once, and each candidate is decided once down a path, as query packs share
+such work (Blockeel et al., JAIR 2002): a true child decides on its rows
+only what its test can change, and a false child, whose context and rows
+are its parent's, holds its parent's candidates and takes its decisions
+compressed to its side, as TILDE's else branch keeps its parent's query.
+Boosted trees are grown from the one root plan :func:`~liftedrbm.model.train`
+holds, so a later tree reuses every node an earlier one built and only
+refits the leaves.
 """
 
 from __future__ import annotations
@@ -392,21 +395,17 @@ def _atom(predicate: Predicate, slots: Sequence, used_names: Iterable[str]) -> A
     ]))
 
 
-def _restates(predicate: Predicate, slots: tuple, context: tuple[Atom, ...]) -> bool:
-    """Whether some atom of ``context`` is the candidate ``(predicate,
-    slots)`` once its fresh slots are named: an atom of ``predicate`` with
-    each bound slot's variable at that slot's position.  Then the candidate
-    holds on every witness of the context: that witness's own values for
-    the atom's arguments satisfy it.  No fresh variable stands twice in a
-    candidate, so a fresh slot matches any argument."""
-    for atom in context:
-        if atom.predicate == predicate:
-            for slot, arg in zip(slots, atom.args):
-                if slot is not _FRESH and slot != arg:
-                    break
-            else:
-                return True
-    return False
+def _restated(context: tuple[Atom, ...], index: dict[tuple, int]) -> set[int]:
+    """The indices, by ``index`` (see :class:`_Compiled`), of the candidates
+    that restate an atom of ``context``: the atom is the candidate once its
+    fresh slots are named, so the candidate holds on every witness of the
+    context.  No fresh variable stands twice in a candidate, so an atom
+    restates each candidate that keeps or frees each of its arguments."""
+    return {
+        index[key] for atom in context
+        for names in itertools.product(*[(t.name, None) for t in atom.args])
+        if (key := (atom.predicate.name, names)) in index
+    }
 
 
 def _first_splits(selectors: Iterable[tuple[int, bytes]]) -> dict[int, bytes]:
@@ -417,6 +416,21 @@ def _first_splits(selectors: Iterable[tuple[int, bytes]]) -> dict[int, bytes]:
         if 0 in selector and 1 in selector:
             firsts.setdefault(selector, k)
     return {k: selector for selector, k in firsts.items()}
+
+
+class _Compiled(NamedTuple):
+    """The candidates of the plans from one root that bind ``bound_vars``
+    and, in candidate order, each one's key in ``index`` (its predicate's
+    name and its slots' variable names, ``None`` for a fresh slot: a plan's
+    bound variables have distinct names), the columns its bound slots read,
+    their projection, and whether those are all head columns."""
+
+    bound_vars: tuple[Term, ...]
+    candidates: list[Candidate]
+    index: dict[tuple, int]
+    columns: list[tuple[int, ...]]
+    values: list
+    head_only: list[bool]
 
 
 # (position, rows): the example's index in the fit's ``queries``, and every
@@ -433,21 +447,24 @@ class _Plan:
     It holds the examples that reach the node, as ``items`` with their rows
     (tuple-ID propagation; Yin et al., CrossMine, ICDE 2004) and as
     ``positions``, its context, its bound variables, used names and depth.
-    Once expanded it also holds its candidates, unnamed (see
-    :func:`generate_candidates`), and, in ``splits``, the selectors from
-    :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
-    side) that :func:`_first_splits` keeps, in ``classes``, its items
+    Once expanded it also holds its candidates, unnamed and ``compiled``
+    once per root for its bound variables, in ``selectors`` the selector
+    from :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the
+    true side) of each candidate that does not restate its context, in
+    ``splits`` those :func:`_first_splits` keeps, in ``classes``, its items
     grouped by their bits under those splits (:func:`_classes`, made the
     first time a fit that does not own the plan ranks them), and, in
     ``children``, the (true, false) child plans of each candidate index that
     has won: the only candidates ever named.  A true child's test is the
-    last atom of its context.  Its ``parent_vars`` are its parent's bound
-    variables until it is expanded: its rows are still its parent's, and
-    its test is joined into them then.  A false child is never expanded: it
-    is made holding its parent's candidates and its own splits
-    (:meth:`child`).  Plans hold their children, never their parents, and
-    :meth:`drop` keeps the context, positions and children a fit's tree is
-    read from.
+    last atom of its context.  Until a child holds its own selectors,
+    ``parent`` holds its parent's compiled candidates and selectors, the
+    selector of its items among its parent's, and whether every selector
+    carries over; a true child's rows are its parent's until it is
+    expanded and its test is joined into them.  A false child is never
+    expanded: it is made holding its parent's candidates and its own
+    splits, and takes its selectors when it splits (:meth:`child`).  Plans
+    hold their children, never their parents, and :meth:`drop` keeps the
+    context, positions and children a fit's tree is read from.
     """
 
     items: Optional[list[FitItem]]
@@ -455,8 +472,9 @@ class _Plan:
     context: tuple[Atom, ...]
     bound_vars: tuple[Term, ...]
     used_names: frozenset[str]
-    parent_vars: Optional[tuple[Term, ...]] = None
-    candidates: Optional[list[Candidate]] = None
+    parent: Optional[tuple[_Compiled, dict[int, bytes], bytes, bool]] = None
+    compiled: Optional[_Compiled] = None
+    selectors: Optional[dict[int, bytes]] = None
     splits: Optional[dict[int, bytes]] = None
     classes: Optional[_Classes] = None
     children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
@@ -466,30 +484,36 @@ class _Plan:
         self.positions = tuple([position for position, _ in self.items])
 
     def expand(self, root: _Root, kb: KnowledgeBase) -> None:
-        """Join a true child's test into its rows, then generate the
-        candidates and decide each one's split from its slots: its bound
-        slots are the test's bound positions, read at their variables'
-        columns, and its fresh slots filter nothing, so its projection is
-        the one a batch walk reads for the named atom.  The first columns,
-        one per head argument, hold each item's query's arguments in every
-        row.  A candidate that :func:`_restates` an atom of the context
-        holds on every item, so it is one-sided and not decided."""
-        if self.parent_vars is not None:
-            self.items = join(self.context[-1], self.parent_vars, self.items, kb)
-            self.parent_vars = None
-        self.candidates = generate_candidates(
-            self.bound_vars, root.modes, root.max_new_vars, (root.head.predicate.name,)
-        )
-        column, width = self.bound_vars.index, len(root.head.args)
-        selectors = []
-        for k, (predicate, slots) in enumerate(self.candidates):
-            if _restates(predicate, slots, self.context):
+        """Join a true child's test into its rows, then decide each
+        candidate's split from its slots: its bound slots are the test's
+        bound positions, read at their variables' columns, and its fresh
+        slots filter nothing, so its projection is the one a batch walk
+        reads for the named atom.  The first columns, one per head argument,
+        hold each item's query's arguments in every row.  A candidate that
+        restates an atom of the context (:func:`_restated`) holds on every
+        item, so it is one-sided and not decided.  A true child's items are
+        those its test selected, each with its head columns and a row, so a
+        candidate that reads only head columns keeps its parent's selector,
+        as does every one when the test reads only head columns: the join
+        then extends an item's rows by the same facts.  Only the others are
+        decided by :func:`~liftedrbm.logic.partition`."""
+        known = None
+        if self.parent is not None:
+            known, chosen, side, every = self.parent
+            self.items = join(self.context[-1], known.bound_vars, self.items, kb)
+            self.parent = None
+        self.compiled = compiled = root.compile(self.bound_vars, kb)
+        restated, width = _restated(self.context, compiled.index), len(root.head.args)
+        selectors = self.selectors = {}
+        for k, key in enumerate(compiled.index):
+            if k in restated:
                 continue
-            positions = tuple([pos for pos, slot in enumerate(slots) if slot is not _FRESH])
-            columns = tuple([column(slots[pos]) for pos in positions])
-            values = kb.projection(predicate.name, positions)
-            selectors.append((k, partition(columns, values, self.items, width)))
-        self.splits = _first_splits(selectors)
+            j = None if known is None else known.index.get(key)
+            if j is not None and (every or compiled.head_only[k]):
+                selectors[k] = bytes(compress(chosen[j], side))
+            else:
+                selectors[k] = partition(compiled.columns[k], compiled.values[k], self.items, width)
+        self.splits = _first_splits(selectors.items())
 
     def child(self, k: int) -> tuple["_Plan", "_Plan"]:
         """The (true, false) child plans of candidate ``k``, made once.
@@ -497,11 +521,16 @@ class _Plan:
         Candidate ``k`` is named here (:func:`_atom`), under this plan's used
         names, as the true child's last context atom.  The false child has
         this plan's context, bound variables and rows, so it holds this
-        plan's candidates, each deciding the same items: its splits are
-        these selectors on the false side."""
+        plan's candidates, each deciding the same items: its splits and,
+        once it splits itself (here), its selectors are these on its side."""
         children = self.children.get(k)
         if children is None:
-            test = _atom(*self.candidates[k], self.used_names)
+            if self.selectors is None:
+                _, chosen, side, _ = self.parent
+                self.selectors = {j: bytes(compress(s, side)) for j, s in chosen.items()}
+                self.parent = None
+            compiled, selectors = self.compiled, self.selectors
+            test = _atom(*compiled.candidates[k], self.used_names)
             split = self.splits[k]
             flip = split.translate(FLIP)
             new_vars = tuple(v for v in test.variables() if v not in self.bound_vars)
@@ -511,19 +540,20 @@ class _Plan:
                 _Plan(
                     list(compress(self.items, split)), self.depth + 1,
                     self.context + (test,), self.bound_vars + new_vars, names,
-                    parent_vars=self.bound_vars,
+                    parent=(compiled, selectors, split, compiled.head_only[k]),
                 ),
                 _Plan(
                     list(compress(self.items, flip)), self.depth + 1, self.context,
-                    self.bound_vars, names, candidates=self.candidates, splits=_first_splits(sides),
+                    self.bound_vars, names, parent=(compiled, selectors, flip, True),
+                    compiled=compiled, splits=_first_splits(sides),
                 ),
             )
         return children
 
     def drop(self) -> None:
-        """Free the rows, candidates, splits and classes that no later fit
+        """Free the rows, selectors, splits and classes that no later fit
         will read."""
-        self.items = self.candidates = self.splits = self.classes = None
+        self.items = self.parent = self.selectors = self.splits = self.classes = None
 
 
 # Nodes whose residual error is below this are never worth splitting.
@@ -644,12 +674,35 @@ def _leaf_floor(deltas: Sequence[float]) -> float:
 
 class _Root(NamedTuple):
     """A root plan and what every fit from it reads besides the gradients:
-    the head, the modes and ``max_new_vars``."""
+    the head, the modes and ``max_new_vars``, and the candidates compiled
+    for each tuple of bound variables a plan from it binds."""
 
     head: Atom
     plan: _Plan
     modes: dict
     max_new_vars: int
+    compiled: dict[tuple[Term, ...], _Compiled]
+
+    def compile(self, bound_vars: tuple[Term, ...], kb: KnowledgeBase) -> _Compiled:
+        """The :class:`_Compiled` candidates of ``bound_vars``, made once."""
+        compiled = self.compiled.get(bound_vars)
+        if compiled is None:
+            candidates = generate_candidates(
+                bound_vars, self.modes, self.max_new_vars, (self.head.predicate.name,)
+            )
+            column, width = bound_vars.index, len(self.head.args)
+            index, columns, values = {}, [], []
+            for k, (predicate, slots) in enumerate(candidates):
+                names = tuple([None if slot is _FRESH else slot.name for slot in slots])
+                index[predicate.name, names] = k
+                positions = tuple([pos for pos, slot in enumerate(slots) if slot is not _FRESH])
+                columns.append(tuple([column(slots[pos]) for pos in positions]))
+                values.append(kb.projection(predicate.name, positions))
+            compiled = self.compiled[bound_vars] = _Compiled(
+                bound_vars, candidates, index, columns, values,
+                [all(c < width for c in each) for each in columns],
+            )
+        return compiled
 
 
 def _root_plan(queries: Sequence[Atom], modes, max_new_vars: int) -> _Root:
@@ -659,11 +712,12 @@ def _root_plan(queries: Sequence[Atom], modes, max_new_vars: int) -> _Root:
     head = make_head(predicate)
     items: list[FitItem] = []
     for position, query in enumerate(queries):
-        if query.predicate != predicate or not query.is_ground:
+        same = query.predicate is predicate or query.predicate == predicate
+        if not same or not query.is_ground:
             raise ValueError(f"example {query} does not ground {head}")
         items.append((position, (tuple([t.name for t in query.args]),)))
     plan = _Plan(items, 0, (), head.args, frozenset(t.name for t in head.args))
-    return _Root(head, plan, modes, max_new_vars)
+    return _Root(head, plan, modes, max_new_vars, {})
 
 
 def fit_regression_tree(

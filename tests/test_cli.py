@@ -1067,3 +1067,53 @@ def _leaves(node):
     else:
         yield from _leaves(node["true"])
         yield from _leaves(node["false"])
+
+
+class TestOneSubcommandParser:
+    """A call that names its subcommand builds that subcommand's parser
+    alone, and prints, byte for byte, what the full parser prints."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["train", "--help"],
+        ["predict", "--help"],
+        ["explain", "--help"],
+        ["eval", "--help"],
+        ["frobnicate", "--out", "x"],  # an unknown command
+        [],
+        ["train", "--facts", "f.txt", "--modes", "m.txt"],  # required options missing
+        ["eval"],
+        ["predict", "--model", "m", "--facts", "f", "--queries", "q", "--bogus"],  # unknown option
+        ["explain", "--model", "m", "--out", "o", "--mode", "trees"],  # an invalid choice
+        ["--bogus", "train"],
+    ])
+    def test_outputs_are_the_full_parsers(self, argv, monkeypatch, capsys):
+        import liftedrbm.cli as cli
+
+        build, built = cli.build_parser, []
+
+        def run():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        def recorded(commands=tuple(cli._COMMANDS)):
+            built.append(list(commands))
+            return build(commands)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        got = run()
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: build())
+        want = run()
+        assert got == want and (got[1] or got[2])
+        named = argv[:1] if argv and argv[0] in ("train", "predict", "explain", "eval") else None
+        assert built == [named or ["train", "predict", "explain", "eval"]]
+
+    def test_the_default_parser_has_every_subcommand(self):
+        from liftedrbm.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert list(sub.choices) == ["train", "predict", "explain", "eval"]

@@ -239,6 +239,7 @@ class TestBatchWalk:
         rng = random.Random(2718)
         decided = [0, 0, 0]  # literals with each feature on clauses that held
         held = from_later_row = 0
+        heads = dict.fromkeys(("distinct", "repeat", "constant"), 0)  # clauses held, by head
         scan = logic_module.partition
 
         def counted(columns, values, items, head):
@@ -256,16 +257,29 @@ class TestBatchWalk:
             kb, model, clauses, queries = _random_batch_case(rng)
             _, model_trie, _ = model._routed()
             model_clauses = [clause for tree in model.trees for clause, _ in tree.path_clauses()]
+            # a query of another predicate or not ground fires nothing, and
+            # one of an equal predicate object fires what the target's does
+            target, (first, second) = queries[0].predicate, queries[0].args
+            odd = [
+                Atom(Predicate("other", target.arg_types), (first, second)),
+                Atom(target, (V("A1", "a"), second)),
+                Atom(Predicate(target.name, target.arg_types), (first, second)),
+            ]
             for trie, listed in ((RoutingTrie(clauses), clauses), (model_trie, model_clauses)):
-                batch = trie.walk_many(queries, kb)
-                assert len(batch) == len(queries)
-                for query, ids in zip(queries, batch):
+                batch = trie.walk_many(queries + odd, kb)
+                assert len(batch) == len(queries) + len(odd)
+                assert batch[-3:-1] == [[], []] and batch[-1] == batch[0]
+                for query, ids in zip(queries + odd, batch):
                     assert ids == [i for i, _ in trie.walk(query, kb)]
                     held += len(ids)
                     for i in ids:
                         decided = [n + f for n, f in zip(decided, _features(listed[i]))]
+                        args = listed[i].head.args
+                        kind = "distinct" if len(set(args)) == len(args) else "repeat"
+                        heads["constant" if not all(t.is_variable for t in args) else kind] += 1
             assert _hex(model.psi_many(queries, kb)) == _hex(model.psi(q, kb) for q in queries)
         assert held > 8000 and from_later_row > 100
+        assert min(heads.values()) > 500  # each way a head meets its queries
         constant, repeat, after_negation = decided
         assert constant > 1000 and repeat > 900 and after_negation > 200
 

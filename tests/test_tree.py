@@ -36,7 +36,7 @@ from liftedrbm.tree import (
     _floors,
     _grow,
     _leaf_floor,
-    _restates,
+    _restated,
     _root_plan,
     _sum_squares,
 )
@@ -71,6 +71,13 @@ mode: athleteplaysforteam(-athlete, +team).
 mode: teamplayssport(-team, -sports).
 """
 )
+
+
+def _restates(predicate, slots, context):
+    """Whether an expansion finds the candidate ``(predicate, slots)``
+    restated by an atom of ``context`` (:func:`_restated`)."""
+    key = tuple([None if slot is _FRESH else slot.name for slot in slots])
+    return _restated(context, {(predicate.name, key): 0}) == {0}
 
 
 def _named_candidates(bound_vars, modes, used_names, **kwargs):
@@ -1266,8 +1273,11 @@ class TestCoverageTable:
         one root plan, the trees and fitted floats of fresh roots; a plan an
         earlier fit expanded generates, partitions and joins nothing again,
         so a fit with an earlier fit's gradients calls none of them.  Only a
-        root or a true child is expanded, and it partitions every candidate
-        that does not restate its context; a false child is made with its
+        root or a true child is expanded; the candidates of a tuple of bound
+        variables are generated once per root, and an expansion partitions
+        every candidate that neither restates its context nor keeps its
+        parent's selector (:func:`_inherits`), each selector the plan holds
+        being what a fresh partition gives; a false child is made with its
         candidates and splits.  A tree of L leaves has L - 1 child pairs, so
         a fit that makes fewer than 2 * L - 2 plans reached a node below the
         root that an earlier fit made, which no fit from a fresh root does."""
@@ -1285,13 +1295,14 @@ class TestCoverageTable:
         rng = random.Random(19)
         root = _root_plan(queries, MOVIE_MODES, 1)
         settings = {"learning_rate": 0.05, "cd_max_iters": 500, "cd_tolerance": 1e-8}
-        reused = fresh_reused = 0
+        reused = fresh_reused = inherited = 0
         for fit in range(6):
             if fit != 3:  # the fourth fit repeats the third's gradients
                 gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
             fresh_root = _root_plan(queries, MOVIE_MODES, 1)
             fresh, fresh_fitted = _grown(fresh_root, gradients, 6, kb, owned=False, **settings)
             before = {plan: plan.splits is not None for plan, _ in _plans(root.plan)}
+            compiled = len(root.compiled)
             calls.clear()
             shared, shared_fitted = _grown(root, gradients, 6, kb, owned=False, **settings)
             assert shared.to_text() == fresh.to_text()
@@ -1301,20 +1312,33 @@ class TestCoverageTable:
                 (plan, kind) for plan, kind in after
                 if kind != "false" and plan.splits is not None and not before.get(plan)
             ]
+            parents = _true_parents(root.plan)
             decided = [
-                candidate for plan, _ in new for candidate in plan.candidates
+                (plan, candidate) for plan, _ in new for candidate in plan.compiled.candidates
                 if not _restates(*candidate, plan.context)
             ]
-            assert calls.get("generate_candidates", 0) == len(new)
-            assert calls.get("partition", 0) == len(decided)
+            kept = sum(_inherits(plan, candidate, parents, 2) for plan, candidate in decided)
+            assert all(plan.compiled is root.compiled[plan.bound_vars] for plan, _ in new)
+            assert calls.get("generate_candidates", 0) == len(root.compiled) - compiled
+            assert calls.get("partition", 0) == len(decided) - kept
+            for plan, _ in new:
+                assert plan.selectors == {
+                    j: atom_partition(
+                        _atom(*each, plan.used_names), plan.bound_vars, plan.items, kb, 2
+                    )
+                    for j, each in enumerate(plan.compiled.candidates)
+                    if not _restates(*each, plan.context)
+                }
             assert calls.get("join", 0) == sum(kind == "true" for _, kind in new)
             if fit == 3:
                 assert calls == {}
             pairs = 2 * shared.leaf_count - 2
             reused += sum(plan not in before for plan, _ in after) < pairs
             fresh_reused += len(list(_plans(fresh_root.plan))) - 1 < pairs
+            inherited += kept
         assert reused >= 2  # later fits reached child plans an earlier fit made
         assert fresh_reused == 0
+        assert inherited >= 20
 
     def test_one_train_resolves_its_root_plan_once(self, movie_domain, monkeypatch):
         # train checks the examples and makes their root rows once, and
@@ -1402,10 +1426,10 @@ class TestFalseChildDerivation:
             candidates = generate_candidates(
                 false_plan.bound_vars, MOVIE_MODES, settings["max_new_vars"], (COLLAB.name,),
             )
-            assert false_plan.candidates is plan.candidates
-            assert false_plan.candidates == candidates
+            assert false_plan.compiled is plan.compiled
+            assert false_plan.compiled.candidates == candidates
             # the names the plan that generated the list would give
-            _, generated = origin.setdefault(id(plan.candidates), (plan.candidates, plan.used_names))
+            _, generated = origin.setdefault(id(plan.compiled), (plan.compiled, plan.used_names))
             for predicate, slots in candidates:
                 named = name_atom(predicate, slots, false_plan.used_names)
                 renamed += str(named) != str(name_atom(predicate, slots, generated))
@@ -1485,7 +1509,9 @@ class TestSlotCandidates:
         import liftedrbm.tree as tree_module
 
         expand, scan, selectors = tree_module._Plan.expand, tree_module.partition, []
-        counts = dict.fromkeys(("decided", "restated", "two_sided", "bound_twice", "fresh"), 0)
+        counts = dict.fromkeys(
+            ("decided", "restated", "two_sided", "bound_twice", "fresh", "inherited"), 0
+        )
 
         def recorded(*args):
             selectors.append(scan(*args))
@@ -1496,14 +1522,21 @@ class TestSlotCandidates:
             expand(plan, root, kb)
             found = iter(selectors)
             bound = set(plan.bound_vars)
-            for predicate, slots in plan.candidates:
+            for j, (predicate, slots) in enumerate(plan.compiled.candidates):
                 named = _atom(predicate, slots, plan.used_names)
                 restated = _restates(predicate, slots, plan.context)
                 assert restated == atom_restates(named, bound, plan.context), str(named)
                 if restated:
                     counts["restated"] += 1
+                    assert j not in plan.selectors
                     continue
-                selector = next(found)
+                # an expanded plan has two items or more, so a decided
+                # selector is no cached one-byte object
+                selector = plan.selectors[j]
+                if any(selector is each for each in selectors):
+                    assert selector is next(found)  # decided here, in candidate order
+                else:
+                    counts["inherited"] += 1  # its parent's, on its side
                 assert selector == atom_partition(
                     named, plan.bound_vars, plan.items, kb, len(root.head.args)
                 )
@@ -1521,7 +1554,82 @@ class TestSlotCandidates:
             fit_regression_tree(queries, gradients, max_leaves, MOVIE_MODES, kb, **settings)
         assert counts["decided"] >= 1000 and counts["restated"] >= 100
         assert counts["two_sided"] >= 500 and counts["bound_twice"] >= 150
-        assert counts["fresh"] >= 500
+        assert counts["fresh"] >= 500 and counts["inherited"] >= 100
+
+
+class TestInheritedSelectors:
+    """A plan holds the selector of every candidate that does not restate
+    its context: a root decides each afresh; a true child takes its
+    parent's, on its side, for a candidate that reads only head columns, or
+    for every parent candidate when its test reads only head columns; a
+    false child takes all of its parent's when it splits.  Each must be
+    what a fresh partition of the plan's own items gives."""
+
+    def test_every_selector_a_plan_holds_is_a_fresh_partition(self, monkeypatch):
+        import liftedrbm.tree as tree_module
+
+        expand, child = tree_module._Plan.expand, tree_module._Plan.child
+        scan, checked, fresh = tree_module.partition, set(), []
+        # selectors decided afresh, taken by false children, and taken by
+        # true children: under a test of head columns, one of which reads
+        # more, or reading head columns alone
+        counts = dict.fromkeys(("fresh", "false", "every", "every_reads_more", "head_only"), 0)
+        kb = None
+
+        def check(plan):
+            if plan in checked:
+                return
+            checked.add(plan)
+            bound, want = set(plan.bound_vars), {}
+            for j, (predicate, slots) in enumerate(plan.compiled.candidates):
+                named = _atom(predicate, slots, plan.used_names)
+                if not atom_restates(named, bound, plan.context):
+                    want[j] = atom_partition(named, plan.bound_vars, plan.items, kb, COLLAB.arity)
+            assert plan.selectors == want
+
+        def recorded(*args):
+            fresh.append(scan(*args))
+            return fresh[-1]
+
+        def expanded(plan, root, kb):
+            parent, width = plan.parent, len(root.head.args)
+            fresh.clear()
+            expand(plan, root, kb)
+            check(plan)
+            counts["fresh"] += len(fresh)
+            for j, selector in plan.selectors.items():
+                # an expanded plan has two items or more, so a selector
+                # decided here is no cached one-byte object
+                if any(selector is each for each in fresh):
+                    continue
+                reads_head = all(c < width for c in plan.compiled.columns[j])
+                _, _, _, every = parent
+                counts["every" if every else "head_only"] += 1
+                counts["every_reads_more"] += every and not reads_head
+                assert reads_head or every
+
+        def split(plan, k):
+            new = k not in plan.children
+            taken = plan.parent is not None and plan.splits is not None  # a false child
+            children = child(plan, k)
+            if new:
+                check(plan)
+                counts["false"] += len(plan.selectors) if taken else 0
+            return children
+
+        monkeypatch.setattr(tree_module, "partition", recorded)
+        monkeypatch.setattr(tree_module._Plan, "expand", expanded)
+        monkeypatch.setattr(tree_module._Plan, "child", split)
+        for seed in range(40):
+            kb, queries, gradients, _, settings, shared = _random_fit_case(seed)
+            settings.update(max_new_vars=1 + seed % 2, max_depth=(2, 3, 6, None)[seed // 2 % 4])
+            earlier = [gradients[::-1]] if shared else ()
+            _assert_fit_matches_exhaustive(
+                queries, gradients, 4 + seed % 9, MOVIE_MODES, kb, earlier, **settings
+            )
+        assert counts["fresh"] >= 1500 and counts["false"] >= 2000
+        assert counts["every"] >= 2000 and counts["every_reads_more"] >= 300
+        assert counts["head_only"] >= 150
 
 
 def _plans(root):
@@ -1533,6 +1641,29 @@ def _plans(root):
         yield plan, kind
         for true_plan, false_plan in plan.children.values():
             stack += [(true_plan, "true"), (false_plan, "false")]
+
+
+def _true_parents(root):
+    """Each true child plan under a root plan, to the plan it is a child of."""
+    return {
+        true_plan: plan for plan, _ in _plans(root) for true_plan, _ in plan.children.values()
+    }
+
+
+def _inherits(plan, candidate, parents, width):
+    """Whether an expanded ``plan`` keeps its parent's selector of
+    ``candidate``: it is a true child, the candidate is one of its parent's
+    (it reads none of the test's fresh variables), and the candidate reads
+    only head variables or the test reads no bound variable but the head's."""
+    parent = parents.get(plan)
+    if parent is None:
+        return False
+    _, slots = candidate
+    if any(slot is not _FRESH and slot not in parent.bound_vars for slot in slots):
+        return False
+    head = parent.bound_vars[:width]
+    reads_head = all(slot is _FRESH or slot in head for slot in slots)
+    return reads_head or all(t in head or t not in parent.bound_vars for t in plan.context[-1].args)
 
 
 def _random_movie_tree_and_examples(seed=0):
