@@ -607,11 +607,12 @@ class RoutingTrie:
         for the whole batch at once on rows.
 
         A query enters each root its head unifies with as an item with one
-        row, the names the unifier binds; a node's items carry every witness
-        of its context as rows, the first columns the head's variables.
-        :func:`partition` decides ``context AND atom`` for them all: the
-        items it selects go to the positive child, their rows extended by
-        :func:`join`, the rest to the negated child unchanged.  Under a head
+        row, the names the unifier binds; at a node with branches, its items
+        carry every witness of its context as rows, the first columns the
+        head's variables.  :func:`partition` decides ``context AND atom`` for
+        them all: the items it selects go to the positive child, their rows
+        extended by :func:`join` only if it has branches, the rest to the
+        negated child unchanged.  Under a head
         of distinct variables, a ground query of its predicate unifies and
         its row is its arguments' names.  The projections and groupings are
         ``kb``'s, kept for later batches until it gains a fact."""
@@ -638,7 +639,8 @@ class RoutingTrie:
                     split = partition(columns, values, items, width)
                     if yes is not None and 1 in split:
                         new = tuple(dict.fromkeys(v for v in atom.variables() if v not in bound))
-                        sat = join(atom, bound, compress(items, split), kb)
+                        sat = compress(items, split)
+                        sat = join(atom, bound, sat, kb) if yes.branches else list(sat)
                         stack.append((yes, bound + new, sat))
                     if no is not None and 0 in split:
                         stack.append((no, bound, list(compress(items, split.translate(FLIP)))))

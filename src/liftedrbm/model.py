@@ -17,15 +17,9 @@ from operator import add, mul
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .data import (
-    ModeDeclaration,
-    ParseError,
-    check_predicate,
-    parse_atom_text,
-    read_text,
-    validate_query,
-)
-from .logic import Atom, KnowledgeBase, Literal, Predicate, RoutingTrie
+from .data import ModeDeclaration, ParseError, check_predicate, parse_atom_text, read_text
+from .logic import Atom, KnowledgeBase, Literal, Predicate
+from .lrbm import LiftedRBMNetwork, path_network
 from .tree import (
     InternalNode,
     LeafNode,
@@ -108,15 +102,14 @@ class BoostedModel:
     ``modes`` echoes the mode declarations seen at training time, making the
     serialized model self-describing (fact files can be re-parsed from it).
 
-    A query is routed through all trees in one walk of a
-    :class:`~liftedrbm.logic.RoutingTrie` over the trees' path clauses, so a
-    test that several paths or trees start with is decided once; that
-    sharing is exact.  The walk reports the fired clauses in clause order,
-    which is tree order, and the potential is ``psi0`` plus the sum of their
-    leaf values in that order, the float :func:`~liftedrbm.network.lrbm_inference`
-    computes for the path-mapped network.  The trie is built on first use and
+    A model scores through its own :func:`~liftedrbm.network.paths_to_lrbm`
+    network, by :meth:`~liftedrbm.lrbm.LiftedRBMNetwork.fire` as
+    :func:`~liftedrbm.network.lrbm_inference` does: a query fires one path
+    clause per tree, in tree order, and its potential is ``psi0`` plus their
+    values summed in that order.  The network is built on first use and
     rebuilt whenever ``trees`` holds other trees than it was built from (as
     after :func:`train` appends one); a tree changed in place is not noticed.
+    Only its hidden nodes are read: the prior and the clamp are the model's.
     """
 
     target: Predicate
@@ -125,47 +118,36 @@ class BoostedModel:
     trees: list[RelationalRegressionTree]
     config: TrainConfig
     modes: dict[str, ModeDeclaration] = field(default_factory=dict)
-    # (trees, their routing trie, its clauses' leaf values), built by _routed
-    _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (trees, their path network), built by _network
+    _paths: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def _routed(self) -> tuple[tuple[RelationalRegressionTree, ...], RoutingTrie, list[float]]:
-        """``trees`` as now, their path clauses' trie and leaf values, in
-        clause order; rebuilt when ``trees`` has changed."""
+    def _network(self) -> LiftedRBMNetwork:
+        """The path network of ``trees`` as now; rebuilt when ``trees`` has changed."""
         trees = tuple(self.trees)
-        routing = self._routing
-        if routing is None or routing[0] != trees:
-            clauses = [pair for tree in trees for pair in tree.path_clauses()]
-            trie = RoutingTrie([clause for clause, _ in clauses])
-            routing = self._routing = (trees, trie, [params.value() for _, params in clauses])
-        return routing
+        if self._paths is None or self._paths[0] != trees:
+            self._paths = (trees, path_network(self.head, self.psi0, trees, self.config.psi_clamp))
+        return self._paths[1]
+
+    def _one_per_tree(self, query: Atom, values: tuple[float, ...]) -> tuple[float, ...]:
+        if len(values) != len(self.trees):
+            raise ValueError(f"query {query} does not ground target {self.head}")
+        return values
 
     def per_tree(self, query: Atom, kb: KnowledgeBase) -> tuple[float, ...]:
         """The leaf value each tree routes ground target atom ``query`` to, in
-        tree order; a query :func:`~liftedrbm.data.validate_query` refuses
-        raises its error."""
-        validate_query(query, self.target, kb)
-        trees, trie, values = self._routed()
-        fired = trie.walk(query, kb)
-        if len(fired) != len(trees):
-            raise ValueError(f"query {query} does not ground target {self.head}")
-        return tuple(values[clause_id] for clause_id, _ in fired)
+        tree order: the values of the hidden nodes that fire for it; a query
+        :func:`~liftedrbm.data.validate_query` refuses raises its error."""
+        return self._one_per_tree(query, self._network().fire(query, kb)[1])
 
     def psi(self, query: Atom, kb: KnowledgeBase) -> float:
         return self.psi0 + ordered_sum(self.per_tree(query, kb))
 
     def psi_many(self, queries: Sequence[Atom], kb: KnowledgeBase) -> list[float]:
         """:meth:`psi` of each query, bit for bit, routed as one batch by
-        :meth:`~liftedrbm.logic.RoutingTrie.walk_many`; the first query that
-        :func:`~liftedrbm.data.validate_query` refuses raises its error."""
-        for query in queries:
-            validate_query(query, self.target, kb)
-        trees, trie, values = self._routed()
-        psis = []
-        for query, fired in zip(queries, trie.walk_many(queries, kb)):
-            if len(fired) != len(trees):
-                raise ValueError(f"query {query} does not ground target {self.head}")
-            psis.append(self.psi0 + ordered_sum(values[clause_id] for clause_id in fired))
-        return psis
+        :meth:`~liftedrbm.lrbm.LiftedRBMNetwork.fire_many`; the first query
+        that :func:`~liftedrbm.data.validate_query` refuses raises its error."""
+        fired = self._network().fire_many(queries, kb)
+        return [self.psi0 + ordered_sum(self._one_per_tree(q, v)) for q, v in zip(queries, fired)]
 
     def predict(self, query: Atom, kb: KnowledgeBase) -> Prediction:
         per_tree = self.per_tree(query, kb)

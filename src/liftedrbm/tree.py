@@ -13,8 +13,8 @@ both decide the same conjunction, so they agree exactly.  A path's context
 holds only the atoms of its positive tests: a false branch adds nothing,
 since its negated test holds on every extension of the context (see
 :func:`~liftedrbm.logic.route_decision`).  A path read as the clause (head,
-signed path literals) is what a model's or a network's
-:class:`~liftedrbm.logic.RoutingTrie` routes.
+signed path literals) is a hidden node of the path network
+(:class:`~liftedrbm.lrbm.LiftedRBMNetwork`) that a model scores through.
 
 A fit builds each node once from its root plan, as a plan of what it is
 regardless of the gradients: its examples by position, rows, candidates and
@@ -775,8 +775,9 @@ def _grow(
     queries' gradients are ``gradients`` by position; the number of the
     leaf each query reached, by position; and each leaf's value, by number
     in path order (:meth:`RelationalRegressionTree.paths`).  A query's leaf
-    value is the one :meth:`~liftedrbm.model.BoostedModel.per_tree` routes
-    it to, since fitting and routing make the same decisions.
+    value is the value of its leaf's path clause, the hidden node that fires
+    for it in :meth:`~liftedrbm.model.BoostedModel.per_tree`, since fitting
+    and routing make the same decisions.
 
     The fit queues plans and records, per plan, the candidate it committed
     or the parameters it fit; :func:`_materialize` reads the tree off them.

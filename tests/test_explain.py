@@ -255,7 +255,7 @@ class TestBatchWalk:
         monkeypatch.setattr(logic_module, "partition", counted)
         for _ in range(600):
             kb, model, clauses, queries = _random_batch_case(rng)
-            _, model_trie, _ = model._routed()
+            _, model_trie, _ = model._network()._routed()
             model_clauses = [clause for tree in model.trees for clause, _ in tree.path_clauses()]
             # a query of another predicate or not ground fires nothing, and
             # one of an equal predicate object fires what the target's does
@@ -289,10 +289,10 @@ class TestBatchWalk:
         doubled = queries + queries[::-1] + queries[:5]
         assert _hex(model.psi_many(doubled, kb)) == _hex(model.psi(q, kb) for q in doubled)
         assert model.psi_many([], kb) == []
-        assert model._routed()[1].walk_many([], kb) == []
+        assert model._network()._routed()[1].walk_many([], kb) == []
         bare = dataclasses.replace(model, trees=[], psi0=0.25)
         assert bare.psi_many(doubled, kb) == [0.25] * len(doubled)
-        assert bare._routed()[1].walk_many(doubled, kb) == [[]] * len(doubled)
+        assert bare._network()._routed()[1].walk_many(doubled, kb) == [[]] * len(doubled)
 
     def test_the_first_refused_query_raises_what_psi_raises(self, movie_model):
         model, train_set, _, kb = movie_model
@@ -323,10 +323,77 @@ class TestBatchWalk:
         rng = random.Random(1000)
         people = kb.universe("person")
         queries = [atom(COLLAB, *rng.sample(people, 2)) for _ in range(1000)]
-        _, trie, _ = score._routed()
+        _, trie, _ = score._network()._routed()
         for query, ids in zip(queries, trie.walk_many(queries, kb)):
             assert ids == [i for i, _ in trie.walk(query, kb)]
         assert _hex(score.psi_many(queries, kb)) == _hex(score.psi(q, kb) for q in queries)
+
+    def test_a_true_child_without_branches_takes_its_items_unjoined(self, movie_model, monkeypatch):
+        # A trie node with no branches only reports the clauses ending at it,
+        # so its items' rows are never read: on the distillation's training
+        # fold, the walk joins 3 times where joining every true child takes 11.
+        import liftedrbm.logic as logic_module
+
+        _, train_set, _, kb = movie_model
+        boost = load_model(BOOST_FIXTURE)
+        trie = RoutingTrie([clause for tree in boost.trees for clause, _ in tree.path_clauses()])
+        queries = [q for q, _ in train_set.labeled()]
+        want = [[i for i, _ in trie.walk(query, kb)] for query in queries]
+        joins, join = [], logic_module.join
+
+        def counted(test, bound_vars, items, kb):
+            joins.append(test)
+            return join(test, bound_vars, items, kb)
+
+        monkeypatch.setattr(logic_module, "join", counted)
+        assert len(queries) == 559
+        assert trie.walk_many(queries, kb) == want
+        assert len(joins) == 3
+
+
+class TestOneScorer:
+    """A model scores through its path network: ``predict`` gives, bit for
+    bit, what ``lrbm_inference`` of ``paths_to_lrbm`` gives."""
+
+    @staticmethod
+    def _agree(model, queries, kb):
+        net = paths_to_lrbm(model)
+        for query in queries:
+            ours, theirs = model.predict(query, kb), lrbm_inference(net, query, kb)
+            fired = [net.hidden[index].params.value() for index in theirs.activated]
+            assert _hex(ours.per_tree) == _hex(fired)
+            assert ours.psi.hex() == theirs.psi.hex()
+            assert ours.probability.hex() == theirs.probability.hex()
+        assert _hex(model.psi_many(queries, kb)) == _hex(model.psi(q, kb) for q in queries)
+
+    def test_random_models(self):
+        rng = random.Random(1618)
+        for _ in range(300):
+            kb, model, _, queries = _random_batch_case(rng)
+            self._agree(model, queries, kb)
+
+    def test_the_benchmark_fixtures(self, movie_model):
+        _, train_set, _, kb = movie_model
+        self._agree(load_model(BOOST_FIXTURE), [q for q, _ in train_set.labeled()], kb)
+        kb, _, _ = generate_movie_domain(seed=11, n_person=100, n_movie=100, n_pairs=1000)
+        rng = random.Random(1000)
+        people = kb.universe("person")
+        queries = [atom(COLLAB, *rng.sample(people, 2)) for _ in range(1000)]
+        self._agree(load_model(SCORE_FIXTURE), queries, kb)
+
+    def test_editing_a_converted_network_leaves_the_model_alone(self, movie_model):
+        model, _, test_set, kb = movie_model
+        queries = [q for q, _ in test_set.labeled()[:30]]
+        before = [model.predict(query, kb) for query in queries]
+        net = paths_to_lrbm(model)
+        assert net is not model._network() and net.hidden is not model._network().hidden
+        net.hidden[0] = dataclasses.replace(net.hidden[0], params=LeafParams(output_bias=9.0))
+        net.hidden.pop()
+        net.psi0 += 1.0
+        assert [model.predict(query, kb) for query in queries] == before
+        assert [lrbm_inference(net, query, kb).psi for query in queries] != [
+            result.psi for result in before
+        ]
 
 
 class TestPathsToLrbm:

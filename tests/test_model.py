@@ -1,7 +1,10 @@
 """Potentials, probabilities, gradients, training, and model serialization."""
 
+import copy
+import functools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -415,6 +418,62 @@ class TestTrain:
             train(kb, ExampleSet(COLLAB, pos, pos[:0]), TrainConfig(n_trees=1))
 
 
+# What a mutation puts in place of a value of a model document.
+_JSON_VALUES = (
+    None, True, False, 0, 1, -1, 0.5, 1e300, float("inf"), "", "x", "person", "collab(P1, P2)",
+    [], {}, [1.0, 0.0, 0.0, 0.0, 0.0],
+)
+_DELETE = object()
+
+
+def _value_paths(value, path=()):
+    """The path of ``value`` and of every value inside it, as keys and indices."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _value_paths(item, path + (key,))
+
+
+def _edited(doc, path, new):
+    """A copy of ``doc`` with the value at ``path`` set to ``new``, or
+    deleted if ``new`` is ``_DELETE``."""
+    if not path:
+        return new
+    doc = copy.deepcopy(doc)
+    *steps, last = path
+    parent = functools.reduce(operator.getitem, steps, doc)
+    if new is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = new
+    return doc
+
+
+def _mutations(doc):
+    """Every document one edit away from ``doc``: a value (the document
+    included) replaced by one of ``_JSON_VALUES`` or deleted, or an unknown
+    key added to an object."""
+    for path in list(_value_paths(doc)):
+        for new in _JSON_VALUES + ((_DELETE,) if path else ()):
+            yield _edited(doc, path, new)
+        if isinstance(functools.reduce(operator.getitem, path, doc), dict):
+            yield _edited(doc, path + ("unknown",), 0)
+
+
+def _as_floats(value) -> str:
+    """``value`` as canonical JSON text with each integer read as a float, as
+    the loader reads numbers, and booleans kept apart from numbers."""
+
+    def floats(v):
+        if isinstance(v, dict):
+            return {key: floats(item) for key, item in v.items()}
+        if isinstance(v, list):
+            return [floats(item) for item in v]
+        return float(v) if type(v) is int else v
+
+    return json.dumps(floats(value), sort_keys=True)
+
+
 class TestSerialization:
     def test_training_reproduces_the_benchmark_fixture_byte_for_byte(self, movie_model):
         model, _, _, _ = movie_model
@@ -449,6 +508,27 @@ class TestSerialization:
         assert reloaded.config == model.config
         assert reloaded.modes == model.modes
         assert reloaded.target == model.target
+
+    def test_every_single_mutation_is_refused_or_written_back(self):
+        # Each value of the benchmark model cut to its first tree is replaced
+        # by each of _JSON_VALUES or deleted, and an unknown key is added to
+        # each object: the loader raises ParseError (exit 2), or the model it
+        # loads is written back as the mutated document.
+        from liftedrbm.data import ParseError
+
+        doc = json.loads(BOOST_FIXTURE.read_text(encoding="utf-8"))
+        doc["trees"] = doc["trees"][:1]
+        refused = written_back = 0
+        for mutated in _mutations(doc):
+            text = json.dumps(mutated)
+            try:
+                model = loads_model(text)
+            except ParseError:
+                refused += 1
+                continue
+            assert _as_floats(json.loads(dumps_model(model))) == _as_floats(mutated), text
+            written_back += 1
+        assert refused > 1000 and written_back > 100
 
     def test_unsupported_version_is_an_error(self):
         from liftedrbm.data import ParseError
