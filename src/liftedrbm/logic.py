@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Sequence
 
 
@@ -53,6 +53,9 @@ class Term:
 
     def __str__(self) -> str:
         return self.name
+
+
+_is_variable = attrgetter("is_variable")
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +93,7 @@ class Atom:
 
     @property
     def is_ground(self) -> bool:
-        return not any(t.is_variable for t in self.args)
+        return not any(map(_is_variable, self.args))
 
     def variables(self) -> Iterator[Term]:
         for t in self.args:
@@ -267,8 +270,11 @@ class KnowledgeBase:
 
     def _matching(self, name: str, filters) -> list[tuple[str, ...]]:
         """The argument tuples of predicate ``name``'s facts that pass the
-        filters of :func:`_columns`, in insertion order."""
+        filters of :func:`_columns`, in insertion order: with no filter,
+        the stored list itself, which callers only read."""
         constants, repeats = filters
+        if not constants and not repeats:
+            return self._by_pred.get(name, [])
         return [
             args for args in self.candidates(name, constants)
             if all(args[pos] == value for pos, value in constants)

@@ -35,20 +35,23 @@ class LiftedRBMNetwork:
     clauses with the same head and leading literals decide those literals
     once per query, and activations and witnesses are the ones each clause
     gets on its own.  The trie is built on first use and rebuilt whenever
-    ``hidden`` holds other nodes than it was built from.
+    ``hidden`` holds other nodes than it was built from: a ``hidden`` list
+    is compared node by node on each use, as it may have been edited in
+    place, but the tuple the trie was built from is known by identity.
     """
 
     head: Atom
     psi0: float
-    hidden: list[HiddenNode]
+    hidden: Sequence[HiddenNode]
     psi_clamp: float = 20.0
     _routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def _routed(self) -> tuple[tuple[HiddenNode, ...], RoutingTrie, list[float]]:
         """``hidden`` as it is now, its trie and its potentials, in ``hidden``
         order; rebuilt when ``hidden`` has changed."""
-        hidden = tuple(self.hidden)
-        if self._routing is None or self._routing[0] != hidden:
+        hidden = tuple(self.hidden)  # the very tuple, when it is one
+        built = None if self._routing is None else self._routing[0]
+        if built is not hidden and built != hidden:
             trie = RoutingTrie([node.clause for node in hidden])
             self._routing = (hidden, trie, [node.params.value() for node in hidden])
         return self._routing

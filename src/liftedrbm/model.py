@@ -125,7 +125,10 @@ class BoostedModel:
         """The path network of ``trees`` as now; rebuilt when ``trees`` has changed."""
         trees = tuple(self.trees)
         if self._paths is None or self._paths[0] != trees:
-            self._paths = (trees, path_network(self.head, self.psi0, trees, self.config.psi_clamp))
+            network = path_network(self.head, self.psi0, trees, self.config.psi_clamp)
+            # Never edited, so the network knows its hidden nodes by identity.
+            network.hidden = tuple(network.hidden)
+            self._paths = (trees, network)
         return self._paths[1]
 
     def _one_per_tree(self, query: Atom, values: tuple[float, ...]) -> tuple[float, ...]:
@@ -184,7 +187,9 @@ def train(
     reuses, and each tree is grown from it and that tree's gradient list
     alone, as :func:`~liftedrbm.tree.fit_regression_tree` would grow it.
     Examples share few (label, leaf-value sum) pairs, their classes: a
-    gradient, a next sum and an error are computed once per class and leaf.
+    gradient, a next sum and an error are computed once per class and leaf,
+    and a tree's fit squares each leaf value's distance from each class's
+    gradient once.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -211,6 +216,7 @@ def train(
         tree, leaves, values = _grow(
             root, gradients, config.max_leaves, kb, owned=False, learning_rate=config.learning_rate,
             cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance,
+            target_classes=(gradient, classes),
         )
         _check_finite_leaves(tree, index)
         model.trees.append(tree)
@@ -240,13 +246,18 @@ def _finite_leaf(params: LeafParams) -> bool:
 
 def _check_finite_leaves(tree: RelationalRegressionTree, index: int) -> None:
     """Refuse a fitted tree with a leaf :func:`_finite_leaf` refuses, naming
-    the leaf."""
-    for literals, leaf in tree.paths():
-        if not _finite_leaf(leaf.params):
+    the first such leaf in path order by its path, spelt out only then."""
+    stack: list[TreeNode] = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, InternalNode):
+            stack += (node.false_child, node.true_child)  # true branch first, as paths()
+        elif not _finite_leaf(node.params):
+            literals = next(literals for literals, leaf in tree.paths() if leaf is node)
             path = " ∧ ".join(str(lit) for lit in literals) or "true"
             raise ValueError(
                 f"tree {index + 1} leaf {path} has non-finite parameters or value "
-                f"{tuple(leaf.params)}; lower the learning rate"
+                f"{tuple(node.params)}; lower the learning rate"
             )
 
 

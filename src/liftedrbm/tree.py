@@ -31,6 +31,13 @@ compressed to its side, as TILDE's else branch keeps its parent's query.
 Boosted trees are grown from the one root plan :func:`~liftedrbm.model.train`
 holds, so a later tree reuses every node an earlier one built and only
 refits the leaves.
+
+A fit keeps its statistics per class, as histogram boosters do (Friedman,
+Ann. Stat. 2001; Ke et al., LightGBM, NeurIPS 2017): examples with one
+target form a target class, and a leaf value's squared error over a side
+is summed from one square per target class; a node's items with the same
+bits under its splits form a split class, by which its splits are ranked,
+and a false child's split classes are its parent's on its side.
 """
 
 from __future__ import annotations
@@ -121,13 +128,23 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _sum_squares(center: float, values: Sequence[float]) -> float:
-    """``sum((center - v) ** 2 for v in values)``, each overflowing square
+def _squares(center: float, values: Sequence[float]) -> list[float]:
+    """``(center - v) ** 2`` of each of ``values``, each overflowing square
     read as ``inf``."""
     try:
-        return ordered_sum((center - v) ** 2 for v in values)
+        return [(center - v) ** 2 for v in values]
     except OverflowError:  # rare: only then pay a call per square
-        return ordered_sum(_square(center - v) for v in values)
+        return [_square(center - v) for v in values]
+
+
+def _target_classes(targets: Sequence[float]) -> tuple[list[float], list[int]]:
+    """The distinct ``targets``, first seen first, and each target's class:
+    the index of its own among them.  A key holds a target's sign apart
+    from its value, so -0.0 and 0.0 are two classes, and a NaN is equal
+    only to itself, so each NaN object is one."""
+    index: dict[tuple[float, float], int] = {}
+    ids = [index.setdefault((t, math.copysign(1.0, t)), len(index)) for t in targets]
+    return [t for t, _ in index], ids
 
 
 def coordinate_descent(
@@ -452,8 +469,10 @@ class _Plan:
     from :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the
     true side) of each candidate that does not restate its context, in
     ``splits`` those :func:`_first_splits` keeps, in ``classes``, its items
-    grouped by their bits under those splits (:func:`_classes`, made the
-    first time a fit that does not own the plan ranks them), and, in
+    grouped by their bits under those splits (made by :meth:`group` the
+    first time a fit that does not own the plan ranks them; a false child
+    made after its parent's were holds in ``inherits`` what it takes them
+    from), and, in
     ``children``, the (true, false) child plans of each candidate index that
     has won: the only candidates ever named.  A true child's test is the
     last atom of its context.  Until a child holds its own selectors,
@@ -477,6 +496,7 @@ class _Plan:
     selectors: Optional[dict[int, bytes]] = None
     splits: Optional[dict[int, bytes]] = None
     classes: Optional[_Classes] = None
+    inherits: Optional[tuple[_Classes, int, bytes]] = None
     children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
     positions: tuple[int, ...] = field(init=False)
 
@@ -546,14 +566,27 @@ class _Plan:
                     list(compress(self.items, flip)), self.depth + 1, self.context,
                     self.bound_vars, names, parent=(compiled, selectors, flip, True),
                     compiled=compiled, splits=_first_splits(sides),
+                    inherits=None if self.classes is None else (self.classes, k, flip),
                 ),
             )
         return children
 
+    def group(self) -> _Classes:
+        """This plan's ``classes``, made once: a false child's from its
+        parent's (:func:`_inherited`), when its parent had them made before
+        it split, and any other plan's by :func:`_classes`."""
+        if self.classes is None:
+            if self.inherits is None:
+                self.classes = _classes(self.splits)
+            else:
+                self.classes, self.inherits = _inherited(*self.inherits, self.splits), None
+        return self.classes
+
     def drop(self) -> None:
         """Free the rows, selectors, splits and classes that no later fit
         will read."""
-        self.items = self.parent = self.selectors = self.splits = self.classes = None
+        self.items = self.parent = self.selectors = self.splits = None
+        self.classes = self.inherits = None
 
 
 # Nodes whose residual error is below this are never worth splitting.
@@ -581,7 +614,8 @@ def _classes(splits: dict[int, bytes]) -> _Classes:
     """The :class:`_Classes` of a node's ``splits``, at least one: items
     with the same bit under every split form one class, so each split's
     sides are unions of classes, and a node's few splits cut its many items
-    into few classes."""
+    into few classes.  Classes come in the order of their bits, split by
+    split, and each keeps its items in item order."""
     bits = list(zip(*splits.values()))  # each item's bits, in split order
     order = sorted(range(len(bits)), key=bits.__getitem__)  # stable: a class keeps item order
     keys, ends = [], []
@@ -593,6 +627,34 @@ def _classes(splits: dict[int, bytes]) -> _Classes:
     for j, k in enumerate(splits):
         selector = bytes([key[j] for key in keys])
         selectors[k] = (selector, selector.translate(FLIP))
+    return _Classes(
+        operator.itemgetter(*order), list(map(slice, [0] + ends[:-1], ends)), selectors
+    )
+
+
+def _inherited(classes: _Classes, k: int, side: bytes, splits: dict[int, bytes]) -> _Classes:
+    """The :func:`_classes` of a false child's ``splits``, field for field,
+    from its parent's ``classes``: the parent's classes on ``side``, the
+    false side of the parent's split ``k``, in their order, each with its
+    items renumbered among the child's.
+
+    The child's items are its parent's on ``side``, and its splits those of
+    its parent's splits that are two-sided there, compressed to it, each
+    under the first index of its selector.  Two parent classes on ``side``
+    differ under some parent split, which is two-sided there; it or the
+    first split equal to it there is a child split.  So the parent's
+    classes on ``side`` are the child's classes, none merged, and the first
+    split two classes differ under is a child split: their order by bits is
+    the same under the child's splits."""
+    kept = classes.selectors[k][1]
+    ranked = classes.gather(list(accumulate(side, initial=0)))  # each item's index on side
+    spans = list(compress(classes.spans, kept))
+    order = list(itertools.chain.from_iterable(map(ranked.__getitem__, spans)))
+    ends = list(accumulate([span.stop - span.start for span in spans]))
+    selectors = {
+        j: tuple([bytes(compress(selector, kept)) for selector in classes.selectors[j]])
+        for j in splits
+    }
     return _Classes(
         operator.itemgetter(*order), list(map(slice, [0] + ends[:-1], ends)), selectors
     )
@@ -610,7 +672,9 @@ def _floors(
     summed once and a side's are the sums of its classes' (per-class
     sufficient statistics, as in LightGBM's histograms; Ke et al., NeurIPS
     2017); that pays when the splits are ranked again, as ``train``'s later
-    trees do.  Without them every item is a class of its own, and a side's
+    trees do, and a false child's classes, its parent's on its side
+    (:func:`_inherited`), are the same ``_classes`` field for field, so
+    they rank its splits alike.  Without them every item is a class of its own, and a side's
     sums are taken through its selector.  The floor is the two sides' sum
     less ``8 * n * eps * Q + n * min`` (:func:`_allowance`) for the node's n
     targets and Q.  Proof that this is enough: let u = eps / 2, t the least
@@ -769,7 +833,7 @@ def fit_regression_tree(
 def _grow(
     root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase,
     *, owned: bool, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
-    max_depth: Optional[int] = None,
+    max_depth: Optional[int] = None, target_classes: Optional[tuple[list[float], list[int]]] = None,
 ) -> tuple[RelationalRegressionTree, list[int], list[float]]:
     """The tree :func:`fit_regression_tree` fits from ``root``, whose
     queries' gradients are ``gradients`` by position; the number of the
@@ -779,17 +843,27 @@ def _grow(
     for it in :meth:`~liftedrbm.model.BoostedModel.per_tree`, since fitting
     and routing make the same decisions.
 
+    ``target_classes`` holds the gradients' classes: their distinct values
+    and each query's class by position, every query's gradient being its
+    class's value; by default, those of :func:`_target_classes`.  A leaf's squared
+    error is summed over its queries in position order from one square per
+    class and leaf value, and its mean from each query's own gradient.
+
     The fit queues plans and records, per plan, the candidate it committed
     or the parameters it fit; :func:`_materialize` reads the tree off them.
     An ``owned`` root is read by no later fit, so a plan frees what it holds
     (:meth:`_Plan.drop`) once it has split or stays a leaf;
     :func:`~liftedrbm.model.train` instead grows every tree from one root,
     so a later tree reaches each node an earlier one expanded with its rows,
-    candidates and splits built, and ranks its splits by their classes."""
+    candidates and splits built, and ranks its splits by their classes
+    (:meth:`_Plan.group`), which a false child takes from its parent's."""
+    targets, ids = _target_classes(gradients) if target_classes is None else target_classes
     # Each distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
-    fits: dict[str, tuple[LeafParams, float]] = {}
+    # With its parameters is kept the square of its value's distance from
+    # each class's target.
+    fits: dict[str, tuple[LeafParams, list[float]]] = {}
 
-    def fit_leaf(deltas: Sequence[float]) -> tuple[LeafParams, float]:
+    def fit_leaf(deltas: Sequence[float], side_ids: Sequence[int]) -> tuple[LeafParams, float]:
         mean = ordered_sum(deltas) / len(deltas)
         key = mean.hex()
         fit = fits.get(key)
@@ -797,22 +871,22 @@ def _grow(
             params = coordinate_descent(
                 mean, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
             )
-            fit = fits[key] = (params, params.value())
-        params, value = fit
-        return params, _sum_squares(value, deltas)
+            fit = fits[key] = (params, _squares(params.value(), targets))
+        params, squares = fit
+        return params, ordered_sum(map(squares.__getitem__, side_ids))
 
     tick = itertools.count()
-    frontier: list[tuple[float, int, _Plan, list[float]]] = []
+    frontier: list[tuple[float, int, _Plan, list[float], list[int]]] = []
     # What this fit's gradients made of each plan it reached (a plan is
     # keyed by identity): the candidate a split plan committed, whose child
     # plans are its children, and the parameters fit to each leaf plan.
     tests: dict[_Plan, int] = {}
     params: dict[_Plan, LeafParams] = {}
 
-    def push(plan: _Plan, sse: float, deltas: list[float]) -> None:
+    def push(plan: _Plan, sse: float, deltas: list[float], side_ids: list[int]) -> None:
         depth_ok = max_depth is None or plan.depth < max_depth
         if depth_ok and sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
-            heapq.heappush(frontier, (-sse, next(tick), plan, deltas))
+            heapq.heappush(frontier, (-sse, next(tick), plan, deltas, side_ids))
 
     # A root that splits needs no leaf parameters, and its error only
     # decides whether it is queued, alone: a floor above the threshold
@@ -820,26 +894,27 @@ def _grow(
     top = root.plan
     sse = _leaf_floor(gradients)
     if not sse > _MIN_SPLIT_SSE:
-        params[top], sse = fit_leaf(gradients)
-    push(top, sse, gradients)
+        params[top], sse = fit_leaf(gradients, ids)
+    push(top, sse, gradients, ids)
     leaves = 1
     while leaves < max_leaves and frontier:
-        _, _, plan, deltas = heapq.heappop(frontier)
+        _, _, plan, deltas, side_ids = heapq.heappop(frontier)
         if plan.splits is None:
             plan.expand(root, kb)
         best = None
-        if plan.classes is None and plan.splits and not owned:  # ranked again by later fits
-            plan.classes = _classes(plan.splits)
-        for floor, k in _floors(deltas, plan.splits, plan.classes):
+        # ranked again by later fits, which reuse its classes
+        grouped = plan.group() if plan.splits and not owned else None
+        for floor, k in _floors(deltas, plan.splits, grouped):
             # The score is at least the floor, so it cannot come first in
             # (score, index) order; past the first floor above the best
             # score, none can.
             if best is not None and (floor, k) > best[:2]:
                 continue
             split = plan.splits[k]
-            left = list(compress(deltas, split))
-            right = list(compress(deltas, split.translate(FLIP)))
-            fit_left, fit_right = fit_leaf(left), fit_leaf(right)
+            flip = split.translate(FLIP)
+            left = (list(compress(deltas, split)), list(compress(side_ids, split)))
+            right = (list(compress(deltas, flip)), list(compress(side_ids, flip)))
+            fit_left, fit_right = fit_leaf(*left), fit_leaf(*right)
             score = fit_left[1] + fit_right[1]
             if best is None or (score, k) < best[:2]:
                 best = (score, k, left, right, fit_left, fit_right)
@@ -854,11 +929,11 @@ def _grow(
         tests[plan] = k
         params[true_plan], params[false_plan] = fit_left[0], fit_right[0]
         leaves += 1
-        push(true_plan, fit_left[1], left)
-        push(false_plan, fit_right[1], right)
+        push(true_plan, fit_left[1], *left)
+        push(false_plan, fit_right[1], *right)
 
     if top not in tests and top not in params:
-        params[top] = fit_leaf(gradients)[0]
+        params[top] = fit_leaf(gradients, ids)[0]
     leaves, values = [0] * len(gradients), []
     tree = RelationalRegressionTree(root.head, _materialize(top, tests, params, leaves, values))
     return tree, leaves, values

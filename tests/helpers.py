@@ -55,6 +55,19 @@ def left_sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
+def sum_squares(center: float, values) -> float:
+    """The squared error of a leaf of value ``center`` on ``values``: each
+    ``(center - v) ** 2``, read as ``inf`` where it overflows, added left
+    to right."""
+    total = 0.0
+    for v in values:
+        try:
+            total += (center - v) ** 2
+        except OverflowError:
+            total += float("inf")
+    return total
+
+
 def V(name: str, type_tag: str) -> Term:
     return Term.variable(name, type_tag)
 

@@ -387,13 +387,18 @@ class TestOneScorer:
         before = [model.predict(query, kb) for query in queries]
         net = paths_to_lrbm(model)
         assert net is not model._network() and net.hidden is not model._network().hidden
+        assert [lrbm_inference(net, query, kb).psi for query in queries] == [
+            result.psi for result in before
+        ]
         net.hidden[0] = dataclasses.replace(net.hidden[0], params=LeafParams(output_bias=9.0))
         net.hidden.pop()
         net.psi0 += 1.0
         assert [model.predict(query, kb) for query in queries] == before
-        assert [lrbm_inference(net, query, kb).psi for query in queries] != [
-            result.psi for result in before
-        ]
+        # edited in place after its first use, the network routes its new nodes
+        edited = [lrbm_inference(net, query, kb) for query in queries]
+        fresh = dataclasses.replace(net, hidden=list(net.hidden))
+        assert edited == [lrbm_inference(fresh, query, kb) for query in queries]
+        assert [result.psi for result in edited] != [result.psi for result in before]
 
 
 class TestPathsToLrbm:

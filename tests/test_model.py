@@ -409,6 +409,32 @@ class TestTrain:
         assert model.psi0 == pytest.approx(math.log(3.0))
         assert model.predict(pos[0], kb).probability == pytest.approx(0.75, abs=1e-12)
 
+    def test_a_refused_leaf_is_named_by_its_path(self):
+        # The first leaf with non-finite parameters, in path order, true
+        # branch first, is named by its signed path literals.
+        from liftedrbm.logic import Literal
+        from liftedrbm.model import _check_finite_leaves
+        from liftedrbm.tree import InternalNode
+
+        head = make_head(COLLAB)
+        movie = V("M", "movie")
+        acted = Literal(atom(ACTEDIN, head.args[0], movie))
+        both = Literal(atom(ACTEDIN, head.args[1], movie))
+        nan, inf = LeafParams(output_bias=math.nan), LeafParams(hidden_bias=math.inf)
+        fine = LeafNode(LeafParams(output_bias=0.5))
+        tree = RelationalRegressionTree(
+            head, InternalNode(acted, InternalNode(both, fine, LeafNode(nan)), LeafNode(inf))
+        )
+        with pytest.raises(ValueError) as refused:
+            _check_finite_leaves(tree, 2)
+        assert str(refused.value) == (
+            f"tree 3 leaf {acted} ∧ ¬{both.atom} has non-finite parameters or value "
+            f"{tuple(nan)}; lower the learning rate"
+        )
+        _check_finite_leaves(RelationalRegressionTree(head, InternalNode(acted, fine, fine)), 0)
+        with pytest.raises(ValueError, match=r"^tree 1 leaf true has"):
+            _check_finite_leaves(RelationalRegressionTree(head, LeafNode(inf)), 0)
+
     def test_missing_modes_are_an_error(self):
         from liftedrbm.logic import KnowledgeBase
 

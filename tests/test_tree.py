@@ -4,10 +4,11 @@ import gc
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
-from liftedrbm.data import parse_facts, parse_modes
+from liftedrbm.data import ExampleSet, parse_facts, parse_modes
 from liftedrbm.logic import (
     Atom,
     Clause,
@@ -32,13 +33,15 @@ from liftedrbm.tree import (
     make_head,
     _FRESH,
     _atom,
+    ordered_sum,
     _classes,
     _floors,
     _grow,
     _leaf_floor,
     _restated,
     _root_plan,
-    _sum_squares,
+    _squares,
+    _target_classes,
 )
 
 from helpers import (
@@ -60,6 +63,7 @@ from helpers import (
     oracle_witnesses,
     reference_coordinate_descent,
     scan_partition,
+    sum_squares,
 )
 
 
@@ -615,7 +619,7 @@ class TestCoordinateDescent:
 
 def _leaf_sse(deltas, **settings):
     """The squared error fit_regression_tree computes for a fitted leaf."""
-    return _sum_squares(coordinate_descent(_mean(deltas), **settings).value(), deltas)
+    return sum_squares(coordinate_descent(_mean(deltas), **settings).value(), deltas)
 
 
 def _mean_sse(deltas):
@@ -794,7 +798,7 @@ class TestClassFloors:
             mean = _mean(deltas)
             if mean.hex() not in fits:
                 fits[mean.hex()] = coordinate_descent(mean).value()
-            return _sum_squares(fits[mean.hex()], deltas)
+            return sum_squares(fits[mean.hex()], deltas)
 
         one_item = finite = 0
         for _ in range(400):
@@ -844,6 +848,121 @@ class TestClassFloors:
                 assert sum(len(order[span]) for span, bit in zip(spans, selector) if bit) == (
                     split.count(1)
                 )
+
+
+def _same_classes(got, want):
+    """Whether two :class:`_Classes` are equal field for field: the same
+    items class by class, spans and selectors."""
+    n = want.spans[-1].stop
+    return (
+        got.gather(range(n)) == want.gather(range(n))
+        and got.spans == want.spans and got.selectors == want.selectors
+    )
+
+
+class TestInheritedClasses:
+    """A false child first ranked by a fit that does not own its plan takes
+    its split classes from its parent's (``_inherited``); they must be what
+    :func:`_classes` makes of its own splits."""
+
+    def test_every_ranked_false_child_inherits_its_own_classes(self, monkeypatch):
+        import liftedrbm.tree as tree_module
+
+        inherit, checked, dropped = tree_module._inherited, [], 0
+
+        def compared(classes, k, side, splits):
+            nonlocal dropped
+            got, want = inherit(classes, k, side, splits), _classes(splits)
+            assert _same_classes(got, want)
+            checked.append(got)
+            # a parent split other than k that is one-sided on the child's
+            # side or equal there to an earlier one
+            dropped += len(splits) < len(classes.selectors) - 1
+            return got
+
+        monkeypatch.setattr(tree_module, "_inherited", compared)
+        for seed in range(40):
+            kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
+            pairs = dict(zip((q.args for q in queries), zip(queries, gradients)))
+            positives = [q for q, g in pairs.values() if g > 0]
+            negatives = [q for q, g in pairs.values() if g <= 0]
+            config = TrainConfig(
+                n_trees=3 + seed % 4, max_leaves=max_leaves, max_new_vars=settings["max_new_vars"],
+                learning_rate=settings.get("learning_rate", 0.05),
+            )
+            train(kb, ExampleSet(COLLAB, positives, negatives), config)
+        assert len(checked) >= 80 and dropped >= 30
+
+    def test_a_boost_fold_train_inherits_half_its_classes(self, movie_model, monkeypatch):
+        # Of the 8 plans the boost fold's train ranks, 4 are false children
+        # ranked after their parents: only the other 4 group their items.
+        import liftedrbm.tree as tree_module
+
+        _, train_set, _, kb = movie_model
+        calls = []
+        for name in ("_classes", "_inherited"):
+            original = getattr(tree_module, name)
+            monkeypatch.setattr(
+                tree_module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+            )
+        train(kb, train_set, TrainConfig())
+        assert calls.count("_classes") == 4 and calls.count("_inherited") == 4
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestClassSquares:
+    """A fit squares each leaf value's distance from each distinct target
+    once and sums a side's squares in item order by its items' classes:
+    the sum must be the one over each item's own square, bit for bit."""
+
+    def test_class_squares_sum_as_each_items_own(self):
+        rng = random.Random(43)
+        signed_zeros = 0
+        for case in range(600):
+            pool = [rng.uniform(-2, 2) for _ in range(rng.randint(1, 6))]
+            pool += rng.sample(
+                [0.0, -0.0, math.nan, float("nan"), 1e200, -1e200, 1.25e154, math.inf], 3
+            )
+            targets = [rng.choice(pool) for _ in range(rng.randint(1, 50))]
+            values, ids = _target_classes(targets)
+            for target, i in zip(targets, ids):
+                assert values[i] is target or _bits(values[i]) == _bits(target)
+            signed_zeros += {_bits(0.0), _bits(-0.0)} <= set(map(_bits, targets))
+            for center in (rng.uniform(-2, 2), 0.0, -0.0, rng.choice(pool), 1e200):
+                squares = _squares(center, values)
+                got = ordered_sum(map(squares.__getitem__, ids))
+                assert repr(got) == repr(sum_squares(center, targets)), (center, targets)
+        assert signed_zeros >= 50
+
+    def test_a_signed_zero_and_a_nan_are_classes_of_their_own(self):
+        nan = float("nan")
+        values, ids = _target_classes([0.0, -0.0, 0.0, nan, math.nan, nan, -0.0])
+        assert ids == [0, 1, 0, 2, 3, 2, 1]
+        assert [math.copysign(1, v) for v in values[:2]] == [1, -1]
+        assert values[2] is nan and values[3] is math.nan
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fits_with_both_zeros_match_the_exhaustive_fit(self, seed):
+        kb, queries, gradients, max_leaves, settings, shared = _random_fit_case(seed)
+        rng = random.Random(seed)
+        gradients = [rng.choice([0.0, -0.0, g, g]) for g in gradients]
+        assert {_bits(0.0), _bits(-0.0)} <= set(map(_bits, gradients))
+        earlier = [gradients[::-1]] if shared else ()
+        _assert_fit_matches_exhaustive(
+            queries, gradients, max_leaves, MOVIE_MODES, kb, earlier, **settings
+        )
+
+    def test_a_signed_zero_mean_is_fit_as_its_own(self, monkeypatch):
+        # -5e-324 / 2 rounds to -0.0: the mean is summed from the targets
+        # themselves, and a -0.0 mean is fit under its own key.
+        modes, kb, queries, _ = _separable_domain()
+        means = _counted_fits(monkeypatch)
+        tree = fit_regression_tree(queries[:2], [-5e-324, 0.0], 1, modes, kb)
+        assert means == [(-0.0).hex()]
+        assert tree.root.params == coordinate_descent(-0.0)
 
 
 class TestRootFit:
