@@ -171,6 +171,14 @@ class Projection(set):
         return groups
 
 
+def _check_type(known: Term, type_tag: str) -> None:
+    """Refuse the constant ``known`` at a type other than its own."""
+    if known.type_tag != type_tag:
+        raise ValueError(
+            f"constant {known.name} used with conflicting types {known.type_tag} and {type_tag}"
+        )
+
+
 class KnowledgeBase:
     """Indexed, append-only store of ground facts.
 
@@ -199,21 +207,22 @@ class KnowledgeBase:
                 self.register_predicate(mode.predicate)
 
     def register_predicate(self, predicate: Predicate) -> None:
+        if not self._holds(predicate):
+            self.predicates[predicate.name] = predicate
+            self._by_pred[predicate.name] = []
+
+    def _holds(self, predicate: Predicate) -> bool:
+        """Whether a predicate of ``predicate``'s name is registered; one
+        with another signature is refused."""
         known = self.predicates.get(predicate.name)
         if known is not None and known != predicate:
             raise ValueError(f"conflicting signatures for predicate {predicate.name}")
-        if known is None:
-            self.predicates[predicate.name] = predicate
-            self._by_pred[predicate.name] = []
+        return known is not None
 
     def register_constant(self, name: str, type_tag: str) -> Term:
         known = self._constants.get(name)
         if known is not None:
-            if known.type_tag != type_tag:
-                raise ValueError(
-                    f"constant {name} used with conflicting types "
-                    f"{known.type_tag} and {type_tag}"
-                )
+            _check_type(known, type_tag)
             return known
         term = Term.constant(name, type_tag)
         self._constants[name] = term
@@ -224,18 +233,27 @@ class KnowledgeBase:
         return self._constants.get(name)
 
     def add(self, atom: Atom) -> None:
+        """Store a ground fact once.  A fact whose predicate or constants
+        conflict with what the base holds is refused and changes nothing:
+        every argument is checked before anything is registered."""
         if not atom.is_ground:
             raise ValueError(f"fact {atom} is not ground")
+        predicate = atom.predicate
         # What this base already holds as the very objects needs no registering.
-        if self.predicates.get(atom.predicate.name) is not atom.predicate:
-            self.register_predicate(atom.predicate)
+        held = self.predicates.get(predicate.name) is predicate or self._holds(predicate)
         names = tuple([t.name for t in atom.args])
-        key = (atom.predicate.name, names)
+        key = (predicate.name, names)
         if key in self._keys:
             return
-        for term in atom.args:
-            if self._constants.get(term.name) is not term:
-                self.register_constant(term.name, term.type_tag)
+        fresh = [term for term in atom.args if self._constants.get(term.name) is not term]
+        first: dict[str, Term] = {}  # each new constant at its first argument
+        for term in fresh:
+            known = self._constants.get(term.name) or first.setdefault(term.name, term)
+            _check_type(known, term.type_tag)
+        if not held:
+            self.register_predicate(predicate)
+        for term in fresh:
+            self.register_constant(term.name, term.type_tag)
         self._keys.add(key)
         self._facts.append(atom)
         self._by_pred[atom.predicate.name].append(names)
@@ -554,7 +572,7 @@ class RoutingTrie:
     every decision, and every witness, is the one the clause would get on
     its own (the argument by which a fit plan's false child, whose context
     is its parent's, takes its parent's decisions; see
-    :meth:`~liftedrbm.tree._Plan.child`).
+    :meth:`~liftedrbm.tree._Plan.expand`).
     A clause is identified by its position in ``clauses``.  A trie keeps no
     state of a walk; :meth:`walk_many` routes a batch, without witnesses.
     """

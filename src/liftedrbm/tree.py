@@ -24,10 +24,11 @@ it is decided from its slots, and only the one that wins is named as an atom
 and joins the path, as in TILDE's refinement (Blockeel & De Raedt, AIJ
 1998).  The root compiles the candidates of each tuple of bound variables
 once, and each candidate is decided once down a path, as query packs share
-such work (Blockeel et al., JAIR 2002): a true child decides on its rows
-only what its test can change, and a false child, whose context and rows
-are its parent's, holds its parent's candidates and takes its decisions
+such work (Blockeel et al., JAIR 2002): a child decides on its rows only
+what its test can change, so a false child, whose context and rows are its
+parent's, takes its parent's compiled candidates and every decision
 compressed to its side, as TILDE's else branch keeps its parent's query.
+Both children of a split are expanded the same way (:meth:`_Plan.expand`).
 Boosted trees are grown from the one root plan :func:`~liftedrbm.model.train`
 holds, so a later tree reuses every node an earlier one built and only
 refits the leaves.
@@ -36,8 +37,7 @@ A fit keeps its statistics per class, as histogram boosters do (Friedman,
 Ann. Stat. 2001; Ke et al., LightGBM, NeurIPS 2017): examples with one
 target form a target class, and a leaf value's squared error over a side
 is summed from one square per target class; a node's items with the same
-bits under its splits form a split class, by which its splits are ranked,
-and a false child's split classes are its parent's on its side.
+bits under its splits form a split class, by which its splits are ranked.
 """
 
 from __future__ import annotations
@@ -464,26 +464,23 @@ class _Plan:
     It holds the examples that reach the node, as ``items`` with their rows
     (tuple-ID propagation; Yin et al., CrossMine, ICDE 2004) and as
     ``positions``, its context, its bound variables, used names and depth.
-    Once expanded it also holds its candidates, unnamed and ``compiled``
-    once per root for its bound variables, in ``selectors`` the selector
-    from :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the
-    true side) of each candidate that does not restate its context, in
-    ``splits`` those :func:`_first_splits` keeps, in ``classes``, its items
-    grouped by their bits under those splits (made by :meth:`group` the
-    first time a fit that does not own the plan ranks them; a false child
-    made after its parent's were holds in ``inherits`` what it takes them
-    from), and, in
-    ``children``, the (true, false) child plans of each candidate index that
-    has won: the only candidates ever named.  A true child's test is the
-    last atom of its context.  Until a child holds its own selectors,
-    ``parent`` holds its parent's compiled candidates and selectors, the
+    Once expanded (:meth:`expand`, the one place that sets them) it also
+    holds its candidates, unnamed and ``compiled`` once per root for its
+    bound variables, in ``selectors`` the selector from
+    :func:`~liftedrbm.logic.partition` (one byte per item, 1 on the true
+    side) of each candidate that does not restate its context, in ``splits``
+    those :func:`_first_splits` keeps, in ``classes``, its items grouped by
+    their bits under those splits (made by :meth:`group` the first time a
+    fit that does not own the plan ranks them), and, in ``children``, the
+    (true, false) child plans of each candidate index that has won: the only
+    candidates ever named.  A true child's test is the last atom of its
+    context.  Until a child is expanded, ``parent`` holds the test to join
+    into its rows (``None`` for a false child, whose context and rows are
+    its parent's), its parent's compiled candidates and selectors, the
     selector of its items among its parent's, and whether every selector
-    carries over; a true child's rows are its parent's until it is
-    expanded and its test is joined into them.  A false child is never
-    expanded: it is made holding its parent's candidates and its own
-    splits, and takes its selectors when it splits (:meth:`child`).  Plans
-    hold their children, never their parents, and :meth:`drop` keeps the
-    context, positions and children a fit's tree is read from.
+    carries over.  Plans hold their children, never their parents, and
+    :meth:`drop` keeps the context, positions and children a fit's tree is
+    read from.
     """
 
     items: Optional[list[FitItem]]
@@ -491,12 +488,11 @@ class _Plan:
     context: tuple[Atom, ...]
     bound_vars: tuple[Term, ...]
     used_names: frozenset[str]
-    parent: Optional[tuple[_Compiled, dict[int, bytes], bytes, bool]] = None
+    parent: Optional[tuple[Optional[Atom], _Compiled, dict[int, bytes], bytes, bool]] = None
     compiled: Optional[_Compiled] = None
     selectors: Optional[dict[int, bytes]] = None
     splits: Optional[dict[int, bytes]] = None
     classes: Optional[_Classes] = None
-    inherits: Optional[tuple[_Classes, int, bytes]] = None
     children: dict[int, tuple[_Plan, _Plan]] = field(default_factory=dict)
     positions: tuple[int, ...] = field(init=False)
 
@@ -511,16 +507,20 @@ class _Plan:
         reads for the named atom.  The first columns, one per head argument,
         hold each item's query's arguments in every row.  A candidate that
         restates an atom of the context (:func:`_restated`) holds on every
-        item, so it is one-sided and not decided.  A true child's items are
-        those its test selected, each with its head columns and a row, so a
-        candidate that reads only head columns keeps its parent's selector,
-        as does every one when the test reads only head columns: the join
-        then extends an item's rows by the same facts.  Only the others are
-        decided by :func:`~liftedrbm.logic.partition`."""
+        item, so it is one-sided and not decided.  A child's items are those
+        its parent's split selected, each with its head columns and a row,
+        so a candidate that reads only head columns keeps its parent's
+        selector, as does every one when the child joins nothing or a test
+        that reads only head columns: its rows are then its parent's, or
+        extended by the same facts.  A false child joins nothing and binds
+        its parent's variables, so it holds its parent's compiled candidates
+        and keeps every decision.  Only the others are decided by
+        :func:`~liftedrbm.logic.partition`."""
         known = None
         if self.parent is not None:
-            known, chosen, side, every = self.parent
-            self.items = join(self.context[-1], known.bound_vars, self.items, kb)
+            test, known, chosen, side, every = self.parent
+            if test is not None:
+                self.items = join(test, known.bound_vars, self.items, kb)
             self.parent = None
         self.compiled = compiled = root.compile(self.bound_vars, kb)
         restated, width = _restated(self.context, compiled.index), len(root.head.args)
@@ -528,7 +528,7 @@ class _Plan:
         for k, key in enumerate(compiled.index):
             if k in restated:
                 continue
-            j = None if known is None else known.index.get(key)
+            j = k if known is compiled else None if known is None else known.index.get(key)
             if j is not None and (every or compiled.head_only[k]):
                 selectors[k] = bytes(compress(chosen[j], side))
             else:
@@ -536,57 +536,43 @@ class _Plan:
         self.splits = _first_splits(selectors.items())
 
     def child(self, k: int) -> tuple["_Plan", "_Plan"]:
-        """The (true, false) child plans of candidate ``k``, made once.
+        """The (true, false) child plans of candidate ``k``, made once, each
+        holding only its items on its side and what :meth:`expand` reads.
 
         Candidate ``k`` is named here (:func:`_atom`), under this plan's used
-        names, as the true child's last context atom.  The false child has
-        this plan's context, bound variables and rows, so it holds this
-        plan's candidates, each deciding the same items: its splits and,
-        once it splits itself (here), its selectors are these on its side."""
+        names, as the true child's last context atom and the test it joins.
+        The false child has this plan's context, bound variables and rows."""
         children = self.children.get(k)
         if children is None:
-            if self.selectors is None:
-                _, chosen, side, _ = self.parent
-                self.selectors = {j: bytes(compress(s, side)) for j, s in chosen.items()}
-                self.parent = None
             compiled, selectors = self.compiled, self.selectors
             test = _atom(*compiled.candidates[k], self.used_names)
             split = self.splits[k]
             flip = split.translate(FLIP)
             new_vars = tuple(v for v in test.variables() if v not in self.bound_vars)
             names = self.used_names | {t.name for t in test.variables()}
-            sides = ((j, bytes(compress(selector, flip))) for j, selector in self.splits.items())
             children = self.children[k] = (
                 _Plan(
                     list(compress(self.items, split)), self.depth + 1,
                     self.context + (test,), self.bound_vars + new_vars, names,
-                    parent=(compiled, selectors, split, compiled.head_only[k]),
+                    parent=(test, compiled, selectors, split, compiled.head_only[k]),
                 ),
                 _Plan(
                     list(compress(self.items, flip)), self.depth + 1, self.context,
-                    self.bound_vars, names, parent=(compiled, selectors, flip, True),
-                    compiled=compiled, splits=_first_splits(sides),
-                    inherits=None if self.classes is None else (self.classes, k, flip),
+                    self.bound_vars, names, parent=(None, compiled, selectors, flip, True),
                 ),
             )
         return children
 
     def group(self) -> _Classes:
-        """This plan's ``classes``, made once: a false child's from its
-        parent's (:func:`_inherited`), when its parent had them made before
-        it split, and any other plan's by :func:`_classes`."""
+        """This plan's ``classes`` (:func:`_classes`), made once."""
         if self.classes is None:
-            if self.inherits is None:
-                self.classes = _classes(self.splits)
-            else:
-                self.classes, self.inherits = _inherited(*self.inherits, self.splits), None
+            self.classes = _classes(self.splits)
         return self.classes
 
     def drop(self) -> None:
         """Free the rows, selectors, splits and classes that no later fit
         will read."""
-        self.items = self.parent = self.selectors = self.splits = None
-        self.classes = self.inherits = None
+        self.items = self.parent = self.selectors = self.splits = self.classes = None
 
 
 # Nodes whose residual error is below this are never worth splitting.
@@ -632,34 +618,6 @@ def _classes(splits: dict[int, bytes]) -> _Classes:
     )
 
 
-def _inherited(classes: _Classes, k: int, side: bytes, splits: dict[int, bytes]) -> _Classes:
-    """The :func:`_classes` of a false child's ``splits``, field for field,
-    from its parent's ``classes``: the parent's classes on ``side``, the
-    false side of the parent's split ``k``, in their order, each with its
-    items renumbered among the child's.
-
-    The child's items are its parent's on ``side``, and its splits those of
-    its parent's splits that are two-sided there, compressed to it, each
-    under the first index of its selector.  Two parent classes on ``side``
-    differ under some parent split, which is two-sided there; it or the
-    first split equal to it there is a child split.  So the parent's
-    classes on ``side`` are the child's classes, none merged, and the first
-    split two classes differ under is a child split: their order by bits is
-    the same under the child's splits."""
-    kept = classes.selectors[k][1]
-    ranked = classes.gather(list(accumulate(side, initial=0)))  # each item's index on side
-    spans = list(compress(classes.spans, kept))
-    order = list(itertools.chain.from_iterable(map(ranked.__getitem__, spans)))
-    ends = list(accumulate([span.stop - span.start for span in spans]))
-    selectors = {
-        j: tuple([bytes(compress(selector, kept)) for selector in classes.selectors[j]])
-        for j in splits
-    }
-    return _Classes(
-        operator.itemgetter(*order), list(map(slice, [0] + ends[:-1], ends)), selectors
-    )
-
-
 def _floors(
     deltas: Sequence[float], splits: dict[int, bytes], classes: Optional[_Classes] = None
 ) -> list[tuple[float, int]]:
@@ -672,9 +630,7 @@ def _floors(
     summed once and a side's are the sums of its classes' (per-class
     sufficient statistics, as in LightGBM's histograms; Ke et al., NeurIPS
     2017); that pays when the splits are ranked again, as ``train``'s later
-    trees do, and a false child's classes, its parent's on its side
-    (:func:`_inherited`), are the same ``_classes`` field for field, so
-    they rank its splits alike.  Without them every item is a class of its own, and a side's
+    trees do.  Without them every item is a class of its own, and a side's
     sums are taken through its selector.  The floor is the two sides' sum
     less ``8 * n * eps * Q + n * min`` (:func:`_allowance`) for the node's n
     targets and Q.  Proof that this is enough: let u = eps / 2, t the least
@@ -856,7 +812,7 @@ def _grow(
     :func:`~liftedrbm.model.train` instead grows every tree from one root,
     so a later tree reaches each node an earlier one expanded with its rows,
     candidates and splits built, and ranks its splits by their classes
-    (:meth:`_Plan.group`), which a false child takes from its parent's."""
+    (:meth:`_Plan.group`)."""
     targets, ids = _target_classes(gradients) if target_classes is None else target_classes
     # Each distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
     # With its parameters is kept the square of its value's distance from

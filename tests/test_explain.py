@@ -556,6 +556,48 @@ class TestDistill:
         text = distill_single_tree(model, train_set, kb, max_depth=10).trees[0].to_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DISTILLED_TREE_SHA256
 
+    def test_train_and_distillation_make_the_benchmarks_fit_counts(self, movie_model, monkeypatch):
+        # The counts the traced benchmark runs pin, on the boost fold: a
+        # lost compile or plan reuse generates more candidates, a weakened
+        # prune or a lost leaf memo fits more, and a lost restated skip or
+        # inherited selector partitions more.  Every plan a fit pops is
+        # expanded once and, in train, grouped once.
+        import liftedrbm.tree as tree_module
+
+        _, train_set, _, kb = movie_model
+        counts = {}
+
+        def counted(name, measure):
+            original = getattr(tree_module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                counts[name] = counts.get(name, 0) + measure(result)
+                return result
+
+            monkeypatch.setattr(tree_module, name, wrapper)
+
+        counted("generate_candidates", len)
+        for name in ("coordinate_descent", "partition", "_classes"):
+            counted(name, lambda _: 1)
+        expand = tree_module._Plan.expand
+
+        def expanded(plan, *args):
+            counts["expand"] = counts.get("expand", 0) + 1
+            return expand(plan, *args)
+
+        monkeypatch.setattr(tree_module._Plan, "expand", expanded)
+        train(kb, train_set, TrainConfig())
+        assert counts == {
+            "generate_candidates": 21, "coordinate_descent": 120, "partition": 22,
+            "expand": 8, "_classes": 8,
+        }
+        counts.clear()
+        distill_single_tree(load_model(BOOST_FIXTURE), train_set, kb, max_depth=10)
+        assert counts == {
+            "generate_candidates": 336, "coordinate_descent": 65, "partition": 330, "expand": 106,
+        }
+
     def test_distillation_names_each_committed_test_once(self, movie_model, monkeypatch):
         # A candidate stays a predicate and its slots until it wins: the fit
         # names one atom per internal node of the tree, and no other.

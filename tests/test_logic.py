@@ -106,6 +106,28 @@ class TestKnowledgeBaseAdd:
         assert kb.facts == (atom(ACTEDIN, C("p1", "person"), C("m1", "movie")),)
         assert kb.constant("p1").type_tag == "person"
 
+    def test_a_refused_fact_registers_nothing(self):
+        # Every argument is checked before any constant or predicate is
+        # registered: a refused fact leaves no constant in a universe, where
+        # negatives are sampled from, and no predicate behind.
+        p, q, r = Predicate("p", ("a", "b")), Predicate("q", ("a", "a")), Predicate("r", ("a", "b"))
+        kb = KnowledgeBase()
+        kb.add(Atom(p, (C("y", "a"), C("z", "b"))))
+
+        def state():
+            return kb.facts, kb.universe("a"), kb.universe("b"), dict(kb.predicates)
+
+        before = state()
+        with pytest.raises(ValueError, match="constant z used with conflicting types b and a"):
+            kb.add(Atom(q, (C("x", "a"), C("z", "a"))))
+        # a new constant met at two types within the one fact
+        with pytest.raises(ValueError, match="constant w used with conflicting types a and b"):
+            kb.add(Atom(r, (C("w", "a"), C("w", "b"))))
+        assert state() == before
+        assert kb.constant("x") is None and kb.constant("w") is None
+        kb.add(Atom(q, (C("x", "a"), C("y", "a"))))
+        assert kb.universe("a") == (C("y", "a"), C("x", "a")) and kb.predicates["q"] is q
+
     def test_a_predicate_met_at_other_types_is_refused(self):
         kb = KnowledgeBase()
         kb.add(atom(ACTEDIN, C("p1", "person"), C("m1", "movie")))

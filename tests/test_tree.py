@@ -8,7 +8,7 @@ import struct
 
 import pytest
 
-from liftedrbm.data import ExampleSet, parse_facts, parse_modes
+from liftedrbm.data import parse_facts, parse_modes
 from liftedrbm.logic import (
     Atom,
     Clause,
@@ -850,65 +850,6 @@ class TestClassFloors:
                 )
 
 
-def _same_classes(got, want):
-    """Whether two :class:`_Classes` are equal field for field: the same
-    items class by class, spans and selectors."""
-    n = want.spans[-1].stop
-    return (
-        got.gather(range(n)) == want.gather(range(n))
-        and got.spans == want.spans and got.selectors == want.selectors
-    )
-
-
-class TestInheritedClasses:
-    """A false child first ranked by a fit that does not own its plan takes
-    its split classes from its parent's (``_inherited``); they must be what
-    :func:`_classes` makes of its own splits."""
-
-    def test_every_ranked_false_child_inherits_its_own_classes(self, monkeypatch):
-        import liftedrbm.tree as tree_module
-
-        inherit, checked, dropped = tree_module._inherited, [], 0
-
-        def compared(classes, k, side, splits):
-            nonlocal dropped
-            got, want = inherit(classes, k, side, splits), _classes(splits)
-            assert _same_classes(got, want)
-            checked.append(got)
-            # a parent split other than k that is one-sided on the child's
-            # side or equal there to an earlier one
-            dropped += len(splits) < len(classes.selectors) - 1
-            return got
-
-        monkeypatch.setattr(tree_module, "_inherited", compared)
-        for seed in range(40):
-            kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
-            pairs = dict(zip((q.args for q in queries), zip(queries, gradients)))
-            positives = [q for q, g in pairs.values() if g > 0]
-            negatives = [q for q, g in pairs.values() if g <= 0]
-            config = TrainConfig(
-                n_trees=3 + seed % 4, max_leaves=max_leaves, max_new_vars=settings["max_new_vars"],
-                learning_rate=settings.get("learning_rate", 0.05),
-            )
-            train(kb, ExampleSet(COLLAB, positives, negatives), config)
-        assert len(checked) >= 80 and dropped >= 30
-
-    def test_a_boost_fold_train_inherits_half_its_classes(self, movie_model, monkeypatch):
-        # Of the 8 plans the boost fold's train ranks, 4 are false children
-        # ranked after their parents: only the other 4 group their items.
-        import liftedrbm.tree as tree_module
-
-        _, train_set, _, kb = movie_model
-        calls = []
-        for name in ("_classes", "_inherited"):
-            original = getattr(tree_module, name)
-            monkeypatch.setattr(
-                tree_module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
-            )
-        train(kb, train_set, TrainConfig())
-        assert calls.count("_classes") == 4 and calls.count("_inherited") == 4
-
-
 def _bits(x):
     return struct.pack("<d", x)
 
@@ -1331,12 +1272,19 @@ class TestCoverageTable:
         queries = [q for q, _ in examples.labeled()]
         gradients = [rng.uniform(-0.9, 0.9) for _ in queries]
         head = make_head(queries[0].predicate)
-        nodes, joins, several, expanding = [], [], [], []
+        nodes, joins, several, expanding, false_plans = [], [], [], [], []
         partition, join, expand = tree_module.partition, tree_module.join, tree_module._Plan.expand
 
         def expanded(plan, *args):
-            expanding.append(plan)
-            return expand(plan, *args)
+            # a false child is made with no test to join
+            if plan.parent is not None and plan.parent[0] is None:
+                made = len(nodes), len(joins)
+                expand(plan, *args)
+                assert (len(nodes), len(joins)) == made  # it decides and joins nothing
+                false_plans.append(plan)
+            else:
+                expanding.append(plan)
+                expand(plan, *args)
 
         def candidate_split(columns, values, items, width):
             if not nodes or nodes[-1] is not items:  # a node's candidates come together
@@ -1359,8 +1307,9 @@ class TestCoverageTable:
         monkeypatch.setattr(tree_module, "join", extended)
         monkeypatch.setattr(tree_module._Plan, "expand", expanded)
         tree = fit_regression_tree(queries, gradients, 8, MOVIE_MODES, kb)
-        # the expanded nodes: a false child is made with its splits
-        assert len(nodes) == len(expanding) == 3 and any(several)
+        # the nodes that decide, the root and the true children; each false
+        # child keeps its parent's decisions on its side
+        assert len(nodes) == len(expanding) == 3 and len(false_plans) == 4 and any(several)
         # each join's rows were read, and checked, at the child it extended
         assert joins and all(any(items is rows for items in nodes) for rows in joins)
         reference, _ = exhaustive_fit_tree(queries, gradients, 8, MOVIE_MODES, kb)
@@ -1391,13 +1340,13 @@ class TestCoverageTable:
         """Fits over the same examples with new gradients give, grown from
         one root plan, the trees and fitted floats of fresh roots; a plan an
         earlier fit expanded generates, partitions and joins nothing again,
-        so a fit with an earlier fit's gradients calls none of them.  Only a
-        root or a true child is expanded; the candidates of a tuple of bound
-        variables are generated once per root, and an expansion partitions
-        every candidate that neither restates its context nor keeps its
-        parent's selector (:func:`_inherits`), each selector the plan holds
-        being what a fresh partition gives; a false child is made with its
-        candidates and splits.  A tree of L leaves has L - 1 child pairs, so
+        so a fit with an earlier fit's gradients calls none of them.  The
+        candidates of a tuple of bound variables are generated once per
+        root, and an expansion partitions every candidate that neither
+        restates its context nor keeps its parent's selector (a false child
+        keeps all of them, a true child those :func:`_inherits` names), each
+        selector the plan holds being what a fresh partition gives; only a
+        true child joins.  A tree of L leaves has L - 1 child pairs, so
         a fit that makes fewer than 2 * L - 2 plans reached a node below the
         root that an earlier fit made, which no fit from a fresh root does."""
         import liftedrbm.tree as tree_module
@@ -1429,14 +1378,18 @@ class TestCoverageTable:
             after = list(_plans(root.plan))
             new = [
                 (plan, kind) for plan, kind in after
-                if kind != "false" and plan.splits is not None and not before.get(plan)
+                if plan.splits is not None and not before.get(plan)
             ]
             parents = _true_parents(root.plan)
             decided = [
-                (plan, candidate) for plan, _ in new for candidate in plan.compiled.candidates
+                (plan, kind, candidate) for plan, kind in new
+                for candidate in plan.compiled.candidates
                 if not _restates(*candidate, plan.context)
             ]
-            kept = sum(_inherits(plan, candidate, parents, 2) for plan, candidate in decided)
+            kept = sum(
+                kind == "false" or _inherits(plan, candidate, parents, 2)
+                for plan, kind, candidate in decided
+            )
             assert all(plan.compiled is root.compiled[plan.bound_vars] for plan, _ in new)
             assert calls.get("generate_candidates", 0) == len(root.compiled) - compiled
             assert calls.get("partition", 0) == len(decided) - kept
@@ -1513,64 +1466,87 @@ class TestCoverageTable:
 
 
 class TestFalseChildDerivation:
-    """A false child is made holding its parent's candidate list and its
-    own splits, never expanded: its candidates must be what generating from
-    scratch gives on its plan, and its splits what partitioning each one,
-    named under its used names, gives."""
+    """A false child is made with its items on its side and no test to
+    join, and expanded as any plan is.  It must then hold its parent's
+    compiled candidates, which are what generating from scratch gives on its
+    plan, having called neither partition nor join; and its selectors and
+    splits must be what partitioning each candidate, named under its used
+    names, gives."""
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_false_children_match_a_fresh_expansion(self, shared, monkeypatch):
         import liftedrbm.tree as tree_module
 
         head = make_head(COLLAB)
-        false_plans, checked, nested, two_sided, renamed = set(), [], 0, 0, 0
+        parents, roots, checked, nested, two_sided, renamed = {}, {}, [], 0, 0, 0
         origin = {}  # id of a candidate list -> (the list, its generating plan's used names)
         settings = {}
-        child, name_atom, namings = tree_module._Plan.child, tree_module._atom, []
+        child, expand, name_atom, namings = (
+            tree_module._Plan.child, tree_module._Plan.expand, tree_module._atom, []
+        )
+        scans = {"partition": 0, "join": 0}
+        for name in scans:
+            def counted_scan(*args, _name=name, _original=getattr(tree_module, name)):
+                scans[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tree_module, name, counted_scan)
 
         def counted(*args):
             namings.append(args)
             return name_atom(*args)
 
-        def derived(plan, k):
-            nonlocal nested, two_sided, renamed
-            before = len(namings)
+        def made(plan, k):
+            before, new = len(namings), k not in plan.children
             children = child(plan, k)
-            false_plan = children[1]
-            if false_plan in false_plans:
-                return children  # made by an earlier fit, already checked
-            assert len(namings) - before == 1  # the winner alone is named
-            false_plans.add(false_plan)
-            nested += plan in false_plans
+            if new:
+                assert len(namings) - before == 1  # the winner alone is named
+                parents[children[1]] = plan
+            return children
+
+        def derived(plan, root, kb):
+            nonlocal nested, two_sided, renamed
+            roots[plan] = root
+            parent = parents.get(plan)
+            if parent is None:  # a root or a true child
+                return expand(plan, root, kb)
+            before = dict(scans)
+            expand(plan, root, kb)
+            assert scans == before  # it decides and joins nothing
+            nested += parent in parents
             candidates = generate_candidates(
-                false_plan.bound_vars, MOVIE_MODES, settings["max_new_vars"], (COLLAB.name,),
+                plan.bound_vars, MOVIE_MODES, settings["max_new_vars"], (COLLAB.name,),
             )
-            assert false_plan.compiled is plan.compiled
-            assert false_plan.compiled.candidates == candidates
+            assert plan.compiled is parent.compiled
+            assert plan.compiled.candidates == candidates
             # the names the plan that generated the list would give
-            _, generated = origin.setdefault(id(plan.compiled), (plan.compiled, plan.used_names))
+            compiled = parent.compiled
+            _, generated = origin.setdefault(id(compiled), (compiled, parent.used_names))
             for predicate, slots in candidates:
-                named = name_atom(predicate, slots, false_plan.used_names)
+                named = name_atom(predicate, slots, plan.used_names)
                 renamed += str(named) != str(name_atom(predicate, slots, generated))
             # every item carries every witness of the context, as its parent's
-            for position, rows in false_plan.items:
-                found = witnesses(false_plan.context, unify(head, queries[position]), kb)
-                assert rows == tuple(_names(w, false_plan.bound_vars) for w in found)
-            firsts = {}
+            for position, rows in plan.items:
+                found = witnesses(plan.context, unify(head, queries[position]), kb)
+                assert rows == tuple(_names(w, plan.bound_vars) for w in found)
+            firsts, selectors = {}, {}
             for j, (predicate, slots) in enumerate(candidates):
-                named = name_atom(predicate, slots, false_plan.used_names)
-                split = atom_partition(
-                    named, false_plan.bound_vars, false_plan.items, kb, COLLAB.arity
+                named = name_atom(predicate, slots, plan.used_names)
+                if atom_restates(named, set(plan.bound_vars), plan.context):
+                    continue
+                split = selectors[j] = atom_partition(
+                    named, plan.bound_vars, plan.items, kb, COLLAB.arity
                 )
                 if 0 in split and 1 in split:
                     firsts.setdefault(split, j)
             want = {j: split for split, j in firsts.items()}
-            assert false_plan.splits == want
-            checked.append(false_plan)
+            assert plan.selectors == selectors
+            assert plan.splits == want
+            checked.append(plan)
             two_sided += bool(want)
-            return children
 
-        monkeypatch.setattr(tree_module._Plan, "child", derived)
+        monkeypatch.setattr(tree_module._Plan, "child", made)
+        monkeypatch.setattr(tree_module._Plan, "expand", derived)
         monkeypatch.setattr(tree_module, "_atom", counted)
         for seed in range(48):
             kb, queries, gradients, max_leaves, settings, _ = _random_fit_case(seed)
@@ -1580,6 +1556,10 @@ class TestFalseChildDerivation:
                 )
             else:
                 fit_regression_tree(queries, gradients, max_leaves, MOVIE_MODES, kb, **settings)
+            # a false child no fit reached is expanded here, from its root
+            for plan, parent in list(parents.items()):
+                if plan not in roots:
+                    derived(plan, roots[parent], kb)
         assert len(checked) >= 100 and nested >= 40 and two_sided >= 80 and renamed >= 300
 
     def test_a_candidate_that_restates_the_context_holds_everywhere(self):
@@ -1681,24 +1661,22 @@ class TestInheritedSelectors:
     its context: a root decides each afresh; a true child takes its
     parent's, on its side, for a candidate that reads only head columns, or
     for every parent candidate when its test reads only head columns; a
-    false child takes all of its parent's when it splits.  Each must be
-    what a fresh partition of the plan's own items gives."""
+    false child takes all of its parent's, and decides and joins nothing.
+    Each must be what a fresh partition of the plan's own items gives."""
 
     def test_every_selector_a_plan_holds_is_a_fresh_partition(self, monkeypatch):
         import liftedrbm.tree as tree_module
 
-        expand, child = tree_module._Plan.expand, tree_module._Plan.child
-        scan, checked, fresh = tree_module.partition, set(), []
+        expand, scan, join, fresh = (
+            tree_module._Plan.expand, tree_module.partition, tree_module.join, []
+        )
         # selectors decided afresh, taken by false children, and taken by
         # true children: under a test of head columns, one of which reads
         # more, or reading head columns alone
         counts = dict.fromkeys(("fresh", "false", "every", "every_reads_more", "head_only"), 0)
-        kb = None
+        joins = 0
 
-        def check(plan):
-            if plan in checked:
-                return
-            checked.add(plan)
+        def check(plan, kb):
             bound, want = set(plan.bound_vars), {}
             for j, (predicate, slots) in enumerate(plan.compiled.candidates):
                 named = _atom(predicate, slots, plan.used_names)
@@ -1710,35 +1688,35 @@ class TestInheritedSelectors:
             fresh.append(scan(*args))
             return fresh[-1]
 
+        def joined(*args):
+            nonlocal joins
+            joins += 1
+            return join(*args)
+
         def expanded(plan, root, kb):
-            parent, width = plan.parent, len(root.head.args)
+            parent, width, made = plan.parent, len(root.head.args), joins
             fresh.clear()
             expand(plan, root, kb)
-            check(plan)
+            check(plan, kb)
             counts["fresh"] += len(fresh)
+            if parent is not None and parent[0] is None:  # a false child
+                assert not fresh and joins == made and plan.compiled is parent[1]
+                counts["false"] += len(plan.selectors)
+                return
             for j, selector in plan.selectors.items():
                 # an expanded plan has two items or more, so a selector
                 # decided here is no cached one-byte object
                 if any(selector is each for each in fresh):
                     continue
                 reads_head = all(c < width for c in plan.compiled.columns[j])
-                _, _, _, every = parent
+                every = parent[-1]
                 counts["every" if every else "head_only"] += 1
                 counts["every_reads_more"] += every and not reads_head
                 assert reads_head or every
 
-        def split(plan, k):
-            new = k not in plan.children
-            taken = plan.parent is not None and plan.splits is not None  # a false child
-            children = child(plan, k)
-            if new:
-                check(plan)
-                counts["false"] += len(plan.selectors) if taken else 0
-            return children
-
         monkeypatch.setattr(tree_module, "partition", recorded)
+        monkeypatch.setattr(tree_module, "join", joined)
         monkeypatch.setattr(tree_module._Plan, "expand", expanded)
-        monkeypatch.setattr(tree_module._Plan, "child", split)
         for seed in range(40):
             kb, queries, gradients, _, settings, shared = _random_fit_case(seed)
             settings.update(max_new_vars=1 + seed % 2, max_depth=(2, 3, 6, None)[seed // 2 % 4])
