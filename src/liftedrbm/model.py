@@ -184,12 +184,12 @@ def train(
     never depends on the gradients, so trees 2..n reuse what earlier trees
     decided.  The root holds the fit plan of every node a tree reached (its
     rows, candidates and splits), which a later tree reaching that node
-    reuses, and each tree is grown from it and that tree's gradient list
-    alone, as :func:`~liftedrbm.tree.fit_regression_tree` would grow it.
+    reuses, and each tree is grown from it and that tree's gradients alone,
+    as :func:`~liftedrbm.tree.fit_regression_tree` would grow it.
     Examples share few (label, leaf-value sum) pairs, their classes: a
     gradient, a next sum and an error are computed once per class and leaf,
-    and a tree's fit squares each leaf value's distance from each class's
-    gradient once.
+    and a tree is fit to the classes' gradients and each example's class
+    (:func:`~liftedrbm.tree._grow`), with no per-example gradient list.
     """
     config = config or TrainConfig()
     if len(examples) == 0:
@@ -212,11 +212,10 @@ def train(
     for index in range(config.n_trees):
         keys = list(pairs)
         gradient = [label - probability(psi0 + total, config.psi_clamp) for label, total in keys]
-        gradients = list(map(gradient.__getitem__, classes))
         tree, leaves, values = _grow(
-            root, gradients, config.max_leaves, kb, owned=False, learning_rate=config.learning_rate,
-            cd_max_iters=config.cd_max_iters, cd_tolerance=config.cd_tolerance,
-            target_classes=(gradient, classes),
+            root, gradient, classes, config.max_leaves, kb, owned=False,
+            learning_rate=config.learning_rate, cd_max_iters=config.cd_max_iters,
+            cd_tolerance=config.cd_tolerance,
         )
         _check_finite_leaves(tree, index)
         model.trees.append(tree)
@@ -230,10 +229,11 @@ def train(
             label, total = keys[before]
             moved[step] = pairs.setdefault((label, total + values[leaf]), len(pairs))
             errors[step] = (values[leaf] - gradient[before]) ** 2
-        classes = list(map(moved.__getitem__, steps))
         if progress is not None:
             sse = ordered_sum(map(errors.__getitem__, steps))
-            progress(index + 1, sse, ordered_sum(map(abs, gradients)) / len(gradients))
+            mean_abs = ordered_sum(map(abs, map(gradient.__getitem__, classes))) / len(classes)
+            progress(index + 1, sse, mean_abs)
+        classes = list(map(moved.__getitem__, steps))
     return model
 
 

@@ -35,9 +35,9 @@ refits the leaves.
 
 A fit keeps its statistics per class, as histogram boosters do (Friedman,
 Ann. Stat. 2001; Ke et al., LightGBM, NeurIPS 2017): examples with one
-target form a target class, and a leaf value's squared error over a side
-is summed from one square per target class; a node's items with the same
-bits under its splits form a split class, by which its splits are ranked.
+target form a target class, a side is its examples' class ids, and squares
+are taken per target class; a node's items with the same bits under its
+splits form a split class, by which its splits are ranked.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, groupby
+from itertools import accumulate, chain, compress
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .logic import (
@@ -181,69 +181,66 @@ def coordinate_descent(
     The cycle is written out: with ``a = p1 + p2 + p4`` and ``b = p1 + p2 +
     p3`` the leaf value is ``p0 + softplus(a) - softplus(b)`` (:func:`_value`)
     and its partials are ``1``, ``sigmoid(a) - sigmoid(b)`` twice,
-    ``-sigmoid(b)`` and ``sigmoid(a)``.  A softplus is recomputed only when its
-    argument changed (coordinate 0 moves neither, 3 only ``b``, 4 only
-    ``a``), and the softplus and sigmoid at one argument share one
-    ``exp(-|z|)``.  ``max(z, 0.0)`` and ``-abs(z)`` are spelt as conditionals
-    that give the same floats, signed zeros and NaN included, so every
-    iterate is the one the loop through :func:`_value`, :func:`softplus` and
-    :func:`sigmoid` gives, bit for bit (``tests/test_tree.py`` fuzzes it).
+    ``-sigmoid(b)`` and ``sigmoid(a)``.  An argument is recomputed only when
+    it changed (coordinate 0 moves neither, 3 only ``b``, 4 only ``a``), and
+    takes one branch on its sign that yields its ``exp(-|z|)``, softplus and
+    sigmoid together, the floats :func:`softplus` and :func:`sigmoid` give,
+    signed zeros and NaN included, so every iterate is the one the loop
+    through :func:`_value`, :func:`softplus` and :func:`sigmoid` gives, bit
+    for bit (``tests/test_tree.py`` fuzzes it, and pins where it overflows).
     """
-    if learning_rate <= 0:
+    if not learning_rate > 0:  # NaN too
         raise ValueError("learning rate must be positive")
     rate, exp, log1p, inf = learning_rate, math.exp, math.log1p, math.inf
-    half = sys.float_info.max / 2
+    low, high = -sys.float_info.max / 2, sys.float_info.max / 2
     p0, p1, p2, p3, p4 = theta0
     a = p1 + p2 + p4
-    ea = exp(-a if a >= 0 else a)
-    sa = (0.0 if 0.0 > a else a) + log1p(ea)
+    if a >= 0: e = exp(-a); sa = a + log1p(e); ga = 1.0 / (1.0 + e)
+    else: e = exp(a); sa = log1p(e); ga = e / (1.0 + e)
     b = p1 + p2 + p3
-    eb = exp(-b if b >= 0 else b)
-    sb = (0.0 if 0.0 > b else b) + log1p(eb)
+    if b >= 0: e = exp(-b); sb = b + log1p(e); gb = 1.0 / (1.0 + e)
+    else: e = exp(b); sb = log1p(e); gb = e / (1.0 + e)
     residual = p0 + sa - sb - mean
     previous = _square(residual)
     for cycle in range(max_iters):
         # 0: output bias, whose partial is 1.
-        p0 -= rate * (2.0 * residual) if -half <= residual <= half else 2.0 * (rate * residual)
+        p0 -= rate * (2.0 * residual) if low <= residual <= high else 2.0 * (rate * residual)
         # 1: hidden bias, at the a and b of coordinate 0.
-        ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
-        gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
         r = p0 + sa - sb - mean
-        p1 -= rate * (2.0 * r * (ga - gb)) if -half <= r <= half else 2.0 * (rate * (r * (ga - gb)))
+        p1 -= rate * (2.0 * r * (ga - gb)) if low <= r <= high else 2.0 * (rate * (r * (ga - gb)))
         # 2: feature weight; p1 moved a and b.
         a = p1 + p2 + p4
-        ea = exp(-a if a >= 0 else a)
-        sa = (0.0 if 0.0 > a else a) + log1p(ea)
+        if a >= 0: e = exp(-a); sa = a + log1p(e); ga = 1.0 / (1.0 + e)
+        else: e = exp(a); sa = log1p(e); ga = e / (1.0 + e)
         b = p1 + p2 + p3
-        eb = exp(-b if b >= 0 else b)
-        sb = (0.0 if 0.0 > b else b) + log1p(eb)
-        ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
-        gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
+        if b >= 0: e = exp(-b); sb = b + log1p(e); gb = 1.0 / (1.0 + e)
+        else: e = exp(b); sb = log1p(e); gb = e / (1.0 + e)
         r = p0 + sa - sb - mean
-        p2 -= rate * (2.0 * r * (ga - gb)) if -half <= r <= half else 2.0 * (rate * (r * (ga - gb)))
+        p2 -= rate * (2.0 * r * (ga - gb)) if low <= r <= high else 2.0 * (rate * (r * (ga - gb)))
         # 3: negative weight; p2 moved a and b.
         a = p1 + p2 + p4
-        ea = exp(-a if a >= 0 else a)
-        sa = (0.0 if 0.0 > a else a) + log1p(ea)
+        if a >= 0: e = exp(-a); sa = a + log1p(e); ga = 1.0 / (1.0 + e)
+        else: e = exp(a); sa = log1p(e); ga = e / (1.0 + e)
         b = p1 + p2 + p3
-        eb = exp(-b if b >= 0 else b)
-        sb = (0.0 if 0.0 > b else b) + log1p(eb)
-        gb = 1.0 / (1.0 + eb) if b >= 0 else eb / (1.0 + eb)
+        if b >= 0: e = exp(-b); sb = b + log1p(e); gb = 1.0 / (1.0 + e)
+        else: e = exp(b); sb = log1p(e); gb = e / (1.0 + e)
         r = p0 + sa - sb - mean
-        p3 -= rate * (2.0 * r * -gb) if -half <= r <= half else 2.0 * (rate * (r * -gb))
+        p3 -= rate * (2.0 * r * -gb) if low <= r <= high else 2.0 * (rate * (r * -gb))
         # 4: positive weight; p3 moved b only.
         b = p1 + p2 + p3
-        eb = exp(-b if b >= 0 else b)
-        sb = (0.0 if 0.0 > b else b) + log1p(eb)
-        ga = 1.0 / (1.0 + ea) if a >= 0 else ea / (1.0 + ea)
+        if b >= 0: e = exp(-b); sb = b + log1p(e); gb = 1.0 / (1.0 + e)
+        else: e = exp(b); sb = log1p(e); gb = e / (1.0 + e)
         r = p0 + sa - sb - mean
-        p4 -= rate * (2.0 * r * ga) if -half <= r <= half else 2.0 * (rate * (r * ga))
+        p4 -= rate * (2.0 * r * ga) if low <= r <= high else 2.0 * (rate * (r * ga))
         # p4 moved a only.
         a = p1 + p2 + p4
-        ea = exp(-a if a >= 0 else a)
-        sa = (0.0 if 0.0 > a else a) + log1p(ea)
+        if a >= 0: e = exp(-a); sa = a + log1p(e); ga = 1.0 / (1.0 + e)
+        else: e = exp(a); sa = log1p(e); ga = e / (1.0 + e)
         last, residual = residual, p0 + sa - sb - mean
-        current = square = _square(residual)
+        try:
+            current = square = residual ** 2
+        except OverflowError:
+            current = square = inf
         if current == previous == inf:
             # Both squares overflow; their difference, factored, may not.
             last, now = abs(last), abs(residual)
@@ -587,8 +584,8 @@ def _allowance(n: int, squares: float) -> float:
 
 class _Classes(NamedTuple):
     """A node's items grouped by their bits under every split: ``gather``
-    lists the node's targets class by class, ``spans`` slices each class
-    out of that list, and ``selectors`` holds each split's selector over
+    lists the node's target-class ids class by class, ``spans`` slices each
+    class out of that list, and ``selectors`` holds each split's selector over
     the classes (1 on the true side) and its complement, by split index."""
 
     gather: operator.itemgetter
@@ -601,33 +598,34 @@ def _classes(splits: dict[int, bytes]) -> _Classes:
     with the same bit under every split form one class, so each split's
     sides are unions of classes, and a node's few splits cut its many items
     into few classes.  Classes come in the order of their bits, split by
-    split, and each keeps its items in item order."""
-    bits = list(zip(*splits.values()))  # each item's bits, in split order
-    order = sorted(range(len(bits)), key=bits.__getitem__)  # stable: a class keeps item order
-    keys, ends = [], []
-    for key, members in groupby(order, bits.__getitem__):
-        keys.append(key)
-        ends.append(len(list(members)))
-    ends = list(accumulate(ends))
+    split, and each keeps its items in item order: the items are grouped
+    in a dict by their bit tuples, and only the distinct tuples sorted."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(zip(*splits.values())):  # each item's bits, in split order
+        groups.setdefault(key, []).append(i)
+    keys, members = zip(*sorted(groups.items()))  # distinct keys: no list is compared
+    ends = list(accumulate(map(len, members)))
+    spans = list(map(slice, [0] + ends[:-1], ends))
     selectors = {}
     for j, k in enumerate(splits):
         selector = bytes([key[j] for key in keys])
         selectors[k] = (selector, selector.translate(FLIP))
-    return _Classes(
-        operator.itemgetter(*order), list(map(slice, [0] + ends[:-1], ends)), selectors
-    )
+    return _Classes(operator.itemgetter(*chain.from_iterable(members)), spans, selectors)
 
 
 def _floors(
-    deltas: Sequence[float], splits: dict[int, bytes], classes: Optional[_Classes] = None
+    ids: Sequence[int], targets: Sequence[float], squares: Sequence[float],
+    splits: dict[int, bytes], classes: Optional[_Classes] = None,
 ) -> list[tuple[float, int]]:
     """(floor, index) of each of a node's ``splits``, ascending: a floor
     under the computed score of any leaf values on the split's two sides.
+    Its items, two or more, have target classes ``ids``, and an item of
+    class i has target ``targets[i]`` and square ``squares[i]``.
 
     A side's squared error is least at its mean (CART; Breiman et al. 1984):
     ``Q - S * (S / m)`` for m targets of sum S and sum of squares Q.  Given
-    ``classes``, the splits' :func:`_classes`, each class's S and Q are
-    summed once and a side's are the sums of its classes' (per-class
+    ``classes``, the splits' :func:`_classes`, each split class's S and Q
+    are summed once and a side's are the sums of its classes' (per-class
     sufficient statistics, as in LightGBM's histograms; Ke et al., NeurIPS
     2017); that pays when the splits are ranked again, as ``train``'s later
     trees do.  Without them every item is a class of its own, and a side's
@@ -653,15 +651,14 @@ def _floors(
     most the score.  An overflow leaves the floor inf, -inf or NaN, read as
     -inf: no floor, and no prune.
     """
-    n = len(deltas)
+    n = len(ids)
+    get = operator.itemgetter(*(ids if classes is None else classes.gather(ids)))  # n >= 2: tuples
+    sums, square_sums = get(targets), get(squares)
     if classes is None:
-        sums, square_sums = deltas, list(map(operator.mul, deltas, deltas))
         selectors = {k: (split, split.translate(FLIP)) for k, split in splits.items()}
     else:
-        grouped = classes.gather(deltas)
-        squares = list(map(operator.mul, grouped, grouped))
-        sums = list(map(sum, map(grouped.__getitem__, classes.spans)))
-        square_sums = list(map(sum, map(squares.__getitem__, classes.spans)))
+        sums = list(map(sum, map(sums.__getitem__, classes.spans)))
+        square_sums = list(map(sum, map(square_sums.__getitem__, classes.spans)))
         selectors = classes.selectors
     allowance = _allowance(n, sum(square_sums))
     ranked = []
@@ -677,18 +674,18 @@ def _floors(
     return sorted(ranked)
 
 
-def _leaf_floor(deltas: Sequence[float]) -> float:
+def _leaf_floor(ids: Sequence[int], targets: Sequence[float], squares: Sequence[float]) -> float:
     """A floor under the computed squared error of any one leaf value on
-    ``deltas``: their least error ``Q - S * (S / n)`` less :func:`_allowance`,
-    or -inf where that overflows.  For n >= 2 this is one side of
-    :func:`_floors`'s proof: the floor before the allowance exceeds the
-    error by at most (8n + 10) * u * Q* + (2n + 2) * t, below the
-    allowance.  One target's floor is at most 0: ``d * (d / 1)`` is the
-    computed ``Q``."""
-    n = len(deltas)
-    squares = sum(map(operator.mul, deltas, deltas))
-    total = sum(deltas)
-    floor = (squares - total * (total / n)) - _allowance(n, squares)
+    the targets of ``ids``, read as :func:`_floors` reads them: their least
+    error ``Q - S * (S / n)`` less :func:`_allowance`, or -inf where that
+    overflows.  For n >= 2 this is one side of :func:`_floors`'s proof: the
+    floor before the allowance exceeds the error by at most (8n + 10) * u *
+    Q* + (2n + 2) * t, below the allowance.  One target's floor is at most
+    0: ``d * (d / 1)`` is the computed ``Q``."""
+    n = len(ids)
+    total_squares = sum(map(squares.__getitem__, ids))
+    total = sum(map(targets.__getitem__, ids))
+    floor = (total_squares - total * (total / n)) - _allowance(n, total_squares)
     return floor if floor < math.inf else -math.inf
 
 
@@ -769,7 +766,8 @@ def fit_regression_tree(
     first are not fit (:func:`_floors`), nor is a mean fit twice, so this is
     the same tree as fitting every candidate (``tests/test_tree.py`` checks
     it).  Raises ValueError for no queries, a gradient count other than the
-    query count, ``max_leaves`` below 1, or a query that does not ground the
+    query count, ``max_leaves`` below 1, a negative ``max_new_vars``,
+    ``cd_max_iters`` or ``max_depth``, or a query that does not ground the
     first one's predicate.
     """
     if not queries:
@@ -778,32 +776,37 @@ def fit_regression_tree(
         raise ValueError(f"{len(queries)} queries but {len(gradients)} gradients")
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
+    for name, value in (("max_new_vars", max_new_vars), ("cd_max_iters", cd_max_iters),
+                        ("max_depth", max_depth)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     tree, _, _ = _grow(
-        _root_plan(queries, modes, max_new_vars), list(gradients), max_leaves, kb, owned=True,
-        learning_rate=learning_rate, cd_max_iters=cd_max_iters, cd_tolerance=cd_tolerance,
-        max_depth=max_depth,
+        _root_plan(queries, modes, max_new_vars), *_target_classes(gradients), max_leaves, kb,
+        owned=True, learning_rate=learning_rate, cd_max_iters=cd_max_iters,
+        cd_tolerance=cd_tolerance, max_depth=max_depth,
     )
     return tree
 
 
 def _grow(
-    root: _Root, gradients: list[float], max_leaves: int, kb: KnowledgeBase,
+    root: _Root, targets: list[float], ids: list[int], max_leaves: int, kb: KnowledgeBase,
     *, owned: bool, learning_rate: float, cd_max_iters: int, cd_tolerance: float,
-    max_depth: Optional[int] = None, target_classes: Optional[tuple[list[float], list[int]]] = None,
+    max_depth: Optional[int] = None,
 ) -> tuple[RelationalRegressionTree, list[int], list[float]]:
-    """The tree :func:`fit_regression_tree` fits from ``root``, whose
-    queries' gradients are ``gradients`` by position; the number of the
-    leaf each query reached, by position; and each leaf's value, by number
-    in path order (:meth:`RelationalRegressionTree.paths`).  A query's leaf
-    value is the value of its leaf's path clause, the hidden node that fires
-    for it in :meth:`~liftedrbm.model.BoostedModel.per_tree`, since fitting
-    and routing make the same decisions.
+    """The tree :func:`fit_regression_tree` fits from ``root`` to its
+    queries' target classes (:func:`_target_classes`), the distinct
+    gradients ``targets`` and each query's class by position, ``ids``; the
+    number of the leaf each query reached, by position; and each leaf's
+    value, by number in path order (:meth:`RelationalRegressionTree.paths`).
+    A query's leaf value is the value of its leaf's path clause, the hidden
+    node that fires for it in :meth:`~liftedrbm.model.BoostedModel.per_tree`,
+    since fitting and routing make the same decisions.
 
-    ``target_classes`` holds the gradients' classes: their distinct values
-    and each query's class by position, every query's gradient being its
-    class's value; by default, those of :func:`_target_classes`.  A leaf's squared
-    error is summed over its queries in position order from one square per
-    class and leaf value, and its mean from each query's own gradient.
+    A side is the list of its queries' class ids in position order, and
+    each gradient is read as ``targets[id]``: the floors read its square,
+    taken once per class; a leaf's mean is summed from its queries'
+    gradients, and its squared error from one square per class and leaf
+    value, each as summing per query in position order gives.
 
     The fit queues plans and records, per plan, the candidate it committed
     or the parameters it fit; :func:`_materialize` reads the tree off them.
@@ -813,14 +816,13 @@ def _grow(
     so a later tree reaches each node an earlier one expanded with its rows,
     candidates and splits built, and ranks its splits by their classes
     (:meth:`_Plan.group`)."""
-    targets, ids = _target_classes(gradients) if target_classes is None else target_classes
-    # Each distinct mean is fit once; its bits are the key, as 0.0 == -0.0.
-    # With its parameters is kept the square of its value's distance from
-    # each class's target.
+    squares = list(map(operator.mul, targets, targets))
+    # Each distinct mean is fit once, keyed by its bits (0.0 == -0.0), with
+    # the square of its value's distance from each class's target.
     fits: dict[str, tuple[LeafParams, list[float]]] = {}
 
-    def fit_leaf(deltas: Sequence[float], side_ids: Sequence[int]) -> tuple[LeafParams, float]:
-        mean = ordered_sum(deltas) / len(deltas)
+    def fit_leaf(side: Sequence[int]) -> tuple[LeafParams, float]:
+        mean = ordered_sum(map(targets.__getitem__, side)) / len(side)
         key = mean.hex()
         fit = fits.get(key)
         if fit is None:
@@ -828,49 +830,47 @@ def _grow(
                 mean, learning_rate=learning_rate, max_iters=cd_max_iters, tolerance=cd_tolerance
             )
             fit = fits[key] = (params, _squares(params.value(), targets))
-        params, squares = fit
-        return params, ordered_sum(map(squares.__getitem__, side_ids))
+        params, errors = fit
+        return params, ordered_sum(map(errors.__getitem__, side))
 
     tick = itertools.count()
-    frontier: list[tuple[float, int, _Plan, list[float], list[int]]] = []
+    frontier: list[tuple[float, int, _Plan, list[int]]] = []
     # What this fit's gradients made of each plan it reached (a plan is
     # keyed by identity): the candidate a split plan committed, whose child
     # plans are its children, and the parameters fit to each leaf plan.
     tests: dict[_Plan, int] = {}
     params: dict[_Plan, LeafParams] = {}
 
-    def push(plan: _Plan, sse: float, deltas: list[float], side_ids: list[int]) -> None:
+    def push(plan: _Plan, sse: float, side: list[int]) -> None:
         depth_ok = max_depth is None or plan.depth < max_depth
-        if depth_ok and sse > _MIN_SPLIT_SSE and len(deltas) >= 2:
-            heapq.heappush(frontier, (-sse, next(tick), plan, deltas, side_ids))
+        if depth_ok and sse > _MIN_SPLIT_SSE and len(side) >= 2:
+            heapq.heappush(frontier, (-sse, next(tick), plan, side))
 
     # A root that splits needs no leaf parameters, and its error only
     # decides whether it is queued, alone: a floor above the threshold
     # decides that unfit.  A root that stays a leaf is fit at the end.
     top = root.plan
-    sse = _leaf_floor(gradients)
+    sse = _leaf_floor(ids, targets, squares)
     if not sse > _MIN_SPLIT_SSE:
-        params[top], sse = fit_leaf(gradients, ids)
-    push(top, sse, gradients, ids)
+        params[top], sse = fit_leaf(ids)
+    push(top, sse, ids)
     leaves = 1
     while leaves < max_leaves and frontier:
-        _, _, plan, deltas, side_ids = heapq.heappop(frontier)
+        _, _, plan, side = heapq.heappop(frontier)
         if plan.splits is None:
             plan.expand(root, kb)
         best = None
         # ranked again by later fits, which reuse its classes
         grouped = plan.group() if plan.splits and not owned else None
-        for floor, k in _floors(deltas, plan.splits, grouped):
+        for floor, k in _floors(side, targets, squares, plan.splits, grouped):
             # The score is at least the floor, so it cannot come first in
             # (score, index) order; past the first floor above the best
             # score, none can.
             if best is not None and (floor, k) > best[:2]:
                 continue
             split = plan.splits[k]
-            flip = split.translate(FLIP)
-            left = (list(compress(deltas, split)), list(compress(side_ids, split)))
-            right = (list(compress(deltas, flip)), list(compress(side_ids, flip)))
-            fit_left, fit_right = fit_leaf(*left), fit_leaf(*right)
+            left, right = list(compress(side, split)), list(compress(side, split.translate(FLIP)))
+            fit_left, fit_right = fit_leaf(left), fit_leaf(right)
             score = fit_left[1] + fit_right[1]
             if best is None or (score, k) < best[:2]:
                 best = (score, k, left, right, fit_left, fit_right)
@@ -885,12 +885,12 @@ def _grow(
         tests[plan] = k
         params[true_plan], params[false_plan] = fit_left[0], fit_right[0]
         leaves += 1
-        push(true_plan, fit_left[1], *left)
-        push(false_plan, fit_right[1], *right)
+        push(true_plan, fit_left[1], left)
+        push(false_plan, fit_right[1], right)
 
     if top not in tests and top not in params:
-        params[top] = fit_leaf(gradients, ids)[0]
-    leaves, values = [0] * len(gradients), []
+        params[top] = fit_leaf(ids)[0]
+    leaves, values = [0] * len(ids), []
     tree = RelationalRegressionTree(root.head, _materialize(top, tests, params, leaves, values))
     return tree, leaves, values
 

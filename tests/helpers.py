@@ -12,6 +12,7 @@ from pathlib import Path
 
 from liftedrbm.data import ParseError, parse_facts, parse_modes, validate_query
 from liftedrbm.logic import (
+    FLIP,
     Atom,
     Clause,
     KnowledgeBase,
@@ -33,6 +34,7 @@ from liftedrbm.tree import (
     LeafParams,
     RelationalRegressionTree,
     ZERO_PARAMS,
+    _Classes,
     _atom,
     _value,
     coordinate_descent,
@@ -275,7 +277,7 @@ def reference_coordinate_descent(
     This is the loop the written-out cycle replaced, kept as it was: an
     objective whose square overflows raises ``OverflowError`` here.
     """
-    if learning_rate <= 0:
+    if not learning_rate > 0:  # NaN too
         raise ValueError("learning rate must be positive")
     if not deltas:
         return theta0
@@ -295,6 +297,30 @@ def reference_coordinate_descent(
             break
         previous = current
     return LeafParams(*p)
+
+
+# --- reference split classes -----------------------------------------------
+
+def reference_classes(splits: dict[int, bytes]) -> _Classes:
+    """The reference for :func:`~liftedrbm.tree._classes`: the items are
+    sorted by their bit tuples, stably, and each run of equal tuples is a
+    class, so classes come in the order of their bits and each keeps its
+    items in item order.  This is the grouping the dict-based one replaced,
+    kept as it was."""
+    bits = list(zip(*splits.values()))  # each item's bits, in split order
+    order = sorted(range(len(bits)), key=bits.__getitem__)
+    keys, ends = [], []
+    for key, members in itertools.groupby(order, bits.__getitem__):
+        keys.append(key)
+        ends.append(len(list(members)))
+    ends = list(itertools.accumulate(ends))
+    selectors = {}
+    for j, k in enumerate(splits):
+        selector = bytes([key[j] for key in keys])
+        selectors[k] = (selector, selector.translate(FLIP))
+    return _Classes(
+        operator.itemgetter(*order), list(map(slice, [0] + ends[:-1], ends)), selectors
+    )
 
 
 # --- brute-force satisfaction oracle ---------------------------------------

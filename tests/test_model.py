@@ -348,9 +348,9 @@ class TestTrain:
         seen = []
         grow = model_module._grow
 
-        def spied(root, gradients, *args, **kwargs):
-            seen.append(list(gradients))
-            return grow(root, gradients, *args, **kwargs)
+        def spied(root, targets, ids, *args, **kwargs):
+            seen.append([targets[i] for i in ids])  # each example's gradient
+            return grow(root, targets, ids, *args, **kwargs)
 
         monkeypatch.setattr(model_module, "_grow", spied)
         model = train(kb, examples, TrainConfig(n_trees=8), psi0=math.log(3.0))

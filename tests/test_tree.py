@@ -44,6 +44,7 @@ from liftedrbm.tree import (
     _target_classes,
 )
 
+from synthetic_domain import generate_movie_domain
 from helpers import (
     ACTEDIN,
     COLLAB,
@@ -61,6 +62,7 @@ from helpers import (
     oracle_per_tree,
     oracle_satisfy,
     oracle_witnesses,
+    reference_classes,
     reference_coordinate_descent,
     scan_partition,
     sum_squares,
@@ -507,6 +509,23 @@ def _mean(deltas):
     return left_sum(deltas) / len(deltas)
 
 
+# coordinate_descent's parameters, as hex, at each mean at rate 0.05
+_OVERFLOWING_ITERATES = {
+    1e150: ("0x1.fc70d087b9d3dp+496", "0x1.58fabc8e199d7p+496", "0x1.145ef5a00a483p+493",
+            "-0x1.7b869b421ae68p+496", "0x1.6b55dfca50f0ep+496"),
+    1e200: ("0x1.0fc9d8ab57370p+663", "0x1.70d1cdf2c4605p+662", "0x1.2778445ef84f1p+659",
+            "-0x1.95c0d67ea36a3p+662", "0x1.8471ae2086bdcp+662"),
+    -1e200: ("-0x1.12ef8c881cbcbp+663", "0x1.75a6fd38e7cc0p+662", "0x1.2625c02dd5201p+654",
+             "0x1.9d19f9ec897b7p+662", "-0x1.76cd22f915a12p+662"),
+    9e307: ("0x1.a09d7bb36eb90p+1021", "0x1.1aace6486d385p+1021", "0x1.c4ea5be87a64ap+1017",
+            "-0x1.36fb8c06f4de9p+1021", "0x1.29b75ccddcbf4p+1021"),
+    1.7e308: ("0x1.89784a2976cb3p+1022", "0x1.0af8a099bc7c2p+1022", "0x1.abc0e5063ab35p+1018",
+              "-0x1.25b4aeea20275p+1022", "0x1.192d2cfb507bep+1022"),
+    -9e307: ("-0x1.a570845634ec0p+1021", "0x1.1e611e5052ddfp+1021", "0x1.c2e3757c6879cp+1012",
+             "0x1.3c9d5026fa58bp+1021", "-0x1.1f42900b11123p+1021"),
+}
+
+
 class TestCoordinateDescent:
     def test_reaches_the_mean_for_constant_targets(self):
         params = coordinate_descent(_mean([0.5] * 8))
@@ -524,6 +543,12 @@ class TestCoordinateDescent:
     def test_bad_learning_rate_is_an_error(self):
         with pytest.raises(ValueError):
             coordinate_descent(_mean([0.1]), learning_rate=0.0)
+        # NaN is neither above 0 nor at or below it: a check for a rate at
+        # or below 0 let it through, and the loop returned its start.
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            coordinate_descent(0.3, learning_rate=math.nan)
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            reference_coordinate_descent([0.3], learning_rate=math.nan)
 
     @pytest.mark.parametrize("learning_rate", [5.0, 1e308])
     def test_divergent_rate_returns_the_best_iterate(self, learning_rate):
@@ -606,6 +631,17 @@ class TestCoordinateDescent:
         params = coordinate_descent(_mean([mean]))
         assert abs(params.value() - mean) <= 1e-6 * abs(mean)
 
+    @pytest.mark.parametrize("learning_rate", [0.05, 5.0, 1e308])
+    @pytest.mark.parametrize("mean", [1e150, 1e200, -1e200, 9e307, 1.7e308, -9e307])
+    def test_iterates_at_overflowing_means_are_pinned(self, mean, learning_rate):
+        # Where the reference loop's objective overflows, the fuzz above
+        # checks only "no worse than the start", so the iterates themselves
+        # are pinned here.  Rates 5 and 1e308 overshoot on the first cycle
+        # and return the start.
+        want = _OVERFLOWING_ITERATES[mean] if learning_rate == 0.05 else ("0x0.0p+0",) * 5
+        got = coordinate_descent(mean, learning_rate=learning_rate)
+        assert tuple(v.hex() for v in got) == want
+
     def test_never_returns_a_worse_iterate_than_it_saw(self):
         rng = random.Random(5)
         for _ in range(200):
@@ -669,9 +705,15 @@ class TestLeafFitMemo:
         assert fitted == reference_fitted
 
 
+def _own(deltas):
+    """``deltas`` as target classes read by ``_floors`` and ``_leaf_floor``:
+    each item a class of its own, with its own square."""
+    return list(range(len(deltas))), deltas, [d * d for d in deltas]
+
+
 def _floor(deltas, selector):
     """The floor fit_regression_tree ranks the split ``selector`` by."""
-    ((floor, _),) = _floors(deltas, {0: bytes(selector)})
+    ((floor, _),) = _floors(*_own(deltas), {0: bytes(selector)})
     return floor
 
 
@@ -803,7 +845,8 @@ class TestClassFloors:
         one_item = finite = 0
         for _ in range(400):
             deltas, splits = _random_node(rng)
-            for ranked in (_floors(deltas, splits), _floors(deltas, splits, _classes(splits))):
+            for classes in (None, _classes(splits)):
+                ranked = _floors(*_own(deltas), splits, classes)
                 assert ranked == sorted(ranked)
                 assert sorted(k for _, k in ranked) == sorted(splits)
                 for floor, k in ranked:
@@ -823,9 +866,31 @@ class TestClassFloors:
             classes = _classes(splits)
             for _ in range(3):
                 targets = [rng.uniform(-1, 1) for _ in deltas]
-                kept, fresh = _floors(targets, splits, classes), _floors(targets, splits)
+                kept = _floors(*_own(targets), splits, classes)
+                fresh = _floors(*_own(targets), splits)
                 assert [k for _, k in kept] == [k for _, k in fresh]
                 assert [f for f, _ in kept] == pytest.approx([f for f, _ in fresh], rel=1e-12, abs=1e-12)
+
+    def test_classes_equal_the_sorted_grouping(self):
+        # The order of the classes fixes the order in which _floors adds
+        # their sums, and so the floors and the fits they prune (CI pins
+        # coordinate_descent's calls): grouping in a dict must give the
+        # sort-based grouping's gather order, spans and selectors.
+        rng = random.Random(41)
+        cases = [(_random_node(rng)[1], None) for _ in range(300)]
+        cases += [
+            ({5: bytes([1, 0, 0, 1, 1, 0, 1])}, 2),  # one split
+            ({2: bytes([1] * 9), 7: bytes(9)}, 1),  # one class
+            # one class per item, in another order than the items'
+            ({k: bytes([(i >> k) & 1 for i in range(16)]) for k in range(4)}, 16),
+        ]
+        for splits, count in cases:
+            n = len(next(iter(splits.values())))
+            got, want = _classes(splits), reference_classes(splits)
+            assert got.gather(range(n)) == want.gather(range(n)), splits
+            assert got.spans == want.spans, splits
+            assert list(got.selectors.items()) == list(want.selectors.items()), splits
+            assert count is None or len(got.spans) == count
 
     def test_classes_partition_the_items_by_their_bits(self):
         rng = random.Random(37)
@@ -878,6 +943,28 @@ class TestClassSquares:
                 assert repr(got) == repr(sum_squares(center, targets)), (center, targets)
         assert signed_zeros >= 50
 
+    def test_floors_through_class_ids_are_the_per_item_ones(self):
+        # _floors and _leaf_floor read each item's target and its square
+        # through the item's target class, squared once per class: the
+        # floats must be the ones squaring each item's own target gives,
+        # with and without split classes, on signed zeros, NaNs and targets
+        # whose squares overflow.
+        rng = random.Random(47)
+        finite = 0
+        for _ in range(300):
+            deltas, splits = _random_node(rng)
+            pool = rng.sample(deltas, min(len(deltas), 4)) + [0.0, -0.0]
+            pool += rng.choice([[], [], [math.nan], [1e200, -1e200]])
+            targets = [rng.choice(pool) for _ in deltas]
+            values, ids = _target_classes(targets)
+            squares = [v * v for v in values]
+            for classes in (None, _classes(splits)):
+                got = _floors(ids, values, squares, splits, classes)
+                assert repr(got) == repr(_floors(*_own(targets), splits, classes))
+                finite += sum(floor > -math.inf for floor, _ in got)
+            assert repr(_leaf_floor(ids, values, squares)) == repr(_leaf_floor(*_own(targets)))
+        assert finite > 1000
+
     def test_a_signed_zero_and_a_nan_are_classes_of_their_own(self):
         nan = float("nan")
         values, ids = _target_classes([0.0, -0.0, 0.0, nan, math.nan, nan, -0.0])
@@ -928,7 +1015,7 @@ class TestRootFit:
         p1, p2 = C("p1", "person"), C("p2", "person")
         queries = [atom(COLLAB, p1, p2), atom(COLLAB, p2, p1)]
         gradients = [0.5, -0.25]
-        assert _leaf_floor(gradients) > 1e-12
+        assert _leaf_floor(*_own(gradients)) > 1e-12
         means = _counted_fits(monkeypatch)
         tree = fit_regression_tree(queries, gradients, 4, MOVIE_MODES, kb)
         self._assert_one_fit_leaf(tree, gradients, means)
@@ -1042,6 +1129,28 @@ class TestFitRegressionTree:
         with pytest.raises(ValueError, match="10 queries but 9 gradients"):
             fit_regression_tree(queries, gradients[1:], 4, modes, kb)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("max_new_vars", -1),  # unchecked: a one-leaf tree
+        ("max_depth", -1),  # unchecked: a one-leaf tree
+        ("cd_max_iters", -3),  # unchecked: four leaves, every value 0.0
+        ("cd_max_iters", -1),
+    ])
+    def test_a_negative_setting_is_an_error(self, setting, value):
+        kb, examples, _ = generate_movie_domain(seed=11, n_pairs=60)
+        labeled = examples.labeled()
+        queries, gradients = [q for q, _ in labeled], [label - 0.5 for _, label in labeled]
+        with pytest.raises(ValueError, match=f"^{setting} must be non-negative, got {value}$"):
+            fit_regression_tree(queries, gradients, 4, kb.modes, kb, **{setting: value})
+        fit_regression_tree(queries, gradients, 4, kb.modes, kb, **{setting: 0})  # zero is allowed
+
+    def test_a_nan_learning_rate_is_an_error(self):
+        # Unchecked, every leaf of this fit was 0.0.
+        kb, examples, _ = generate_movie_domain(seed=11, n_pairs=60)
+        labeled = examples.labeled()
+        queries, gradients = [q for q, _ in labeled], [label - 0.5 for _, label in labeled]
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            fit_regression_tree(queries, gradients, 4, kb.modes, kb, learning_rate=math.nan)
+
     def test_a_fit_and_a_batch_walk_leave_no_garbage_cycle(self, movie_domain):
         """A deep fit, its tree's depth and text, a batch walk of it, and a
         training run whose root plan holds plans across trees, are freed by
@@ -1125,10 +1234,11 @@ def _fits_from_one_root(
     ]
 
 
-def _grown(*args, **kwargs):
-    """``_grow``'s tree and each query's leaf value by position, read off
-    the leaf numbers it reports; those number the leaves in path order."""
-    tree, leaves, values = _grow(*args, **kwargs)
+def _grown(root, gradients, *args, **kwargs):
+    """``_grow``'s tree, fit to ``gradients`` through their target classes,
+    and each query's leaf value by position, read off the leaf numbers it
+    reports; those number the leaves in path order."""
+    tree, leaves, values = _grow(root, *_target_classes(gradients), *args, **kwargs)
     assert values == [leaf.params.value() for _, leaf in tree.paths()]
     assert all(type(leaf) is int for leaf in leaves)
     return tree, [values[leaf] for leaf in leaves]
